@@ -32,8 +32,38 @@ def _write_design(design, path):
     print(f"wrote {len(design.blocks)} blocks to {path}")
 
 
+# Arguments each construction reads; the integer ones among q, n, k, rho
+# must be at least 1.
+CONSTRUCT_ARGS = {
+    "spread": ("q", "k", "n"),
+    "trivial": ("q", "n", "r"),
+    "lift": ("input",),
+    "partial-spread": ("q", "rho", "n"),
+    "line-covering": ("q", "n", "k"),
+    "turan-dual": ("q", "n", "k"),
+    "recursive": ("s1", "s2", "r"),
+    "gf64": (),
+    "greedy": ("q", "n", "k", "r"),
+}
+
+
+def _bad_construct_arg(args):
+    """Message naming the first missing or out-of-range argument, or None."""
+    for name in CONSTRUCT_ARGS[args.kind]:
+        value = getattr(args, name)
+        if value is None:
+            return f"construct {args.kind} needs --{name}"
+        if name in ("q", "n", "k", "rho") and value < 1:
+            return f"--{name} must be at least 1, got {value}"
+    return None
+
+
 def cmd_construct(args) -> int:
     kind = args.kind
+    bad = _bad_construct_arg(args)
+    if bad:
+        print(f"invalid input: {bad}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if kind == "spread":
         design = cons.spread(args.q, args.k, args.n)
     elif kind == "trivial":
@@ -127,13 +157,15 @@ def cmd_expand(args) -> int:
 
 def cmd_derive(args) -> int:
     design = designs.load_design(args.design)
-    vec = tuple(int(ch) for ch in args.point)
-    if len(vec) != design.n:
-        print(f"point must have {design.n} digits", file=sys.stderr)
+    q, n = design.q, design.n
+    if len(args.point) != n or any(ch not in "0123456789"[:q] for ch in args.point):
+        print(f"invalid input: --point must be {n} digits in 0..{q - 1}, "
+              f"got {args.point!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    point = span(design.q, design.n, [vec])
+    vec = tuple(int(ch) for ch in args.point)
+    point = span(q, n, [vec])
     if point.dim != 1:
-        print("point must be a nonzero vector", file=sys.stderr)
+        print("invalid input: --point must be a nonzero vector", file=sys.stderr)
         return EXIT_BAD_INPUT
     derived, report = cons.derive_steiner(design, args.t, point)
     if args.output:

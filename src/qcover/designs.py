@@ -12,14 +12,13 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .bounds import gaussian
-from .fields import get_gf, vec_pack
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError, Subspace,
-                        contains_subspace, enumerate_grassmannian,
-                        orthogonal_complement, span, subspaces_of,
-                        superspaces_containing)
+                        contains_subspace, enumerate_grassmannian, local_patterns,
+                        orthogonal_complement, packed_vectors, point_key, span,
+                        subspaces_of, superspaces_containing)
 
 WITNESS_CAP = 16
 
@@ -79,8 +78,9 @@ class CoverageReport:
                 f"max={self.max_multiplicity} histogram[{hist}]")
 
 
-def _report_from_counts(q: int, n: int, r: int, counts: Counter,
-                        total: int) -> CoverageReport:
+def _report_from_counts(q: int, n: int, r: int, counts: Counter, total: int,
+                        key: Callable[[Subspace], Hashable] = None) -> CoverageReport:
+    """Report of a census whose counts are keyed by key(target)."""
     histogram = Counter(counts.values())
     uncovered = total - len(counts)
     if uncovered:
@@ -90,7 +90,7 @@ def _report_from_counts(q: int, n: int, r: int, counts: Counter,
     witnesses: List[Subspace] = []
     if uncovered:
         for t in enumerate_grassmannian(q, n, r):
-            if t not in counts:
+            if (t if key is None else key(t)) not in counts:
                 witnesses.append(t)
                 if len(witnesses) == WITNESS_CAP:
                     break
@@ -105,7 +105,9 @@ def verify_covering(design: SubspaceDesign, r: int,
 
     strategy: "expand" enumerates each block's r-subspaces; "scan" tests each
     r-subspace of the ambient space against every block; "auto" picks the
-    cheaper one by the incidence-count cost model.
+    cheaper one by the incidence-count cost model.  Expand counts point keys:
+    each block's vectors are packed once and local_patterns reads off the
+    key of every r-subspace, with no row reduction per target.
     """
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
@@ -119,10 +121,13 @@ def verify_covering(design: SubspaceDesign, r: int,
         strategy = "expand" if expand_cost <= scan_cost else "scan"
     counts: Counter = Counter()
     if strategy == "expand":
+        patterns = local_patterns(q, k, r)
         for block in design.blocks:
-            for t in subspaces_of(block, r):
-                counts[t] += 1
-    elif strategy == "scan":
+            vectors = packed_vectors(block)
+            counts.update(tuple(sorted([vectors[i] for i in pattern]))
+                          for pattern in patterns)
+        return _report_from_counts(q, n, r, counts, total, point_key)
+    if strategy == "scan":
         for t in enumerate_grassmannian(q, n, r):
             m = sum(1 for b in design.blocks if contains_subspace(b, t))
             if m:

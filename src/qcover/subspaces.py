@@ -10,6 +10,7 @@ and the order is reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -36,18 +37,18 @@ def rref(gf: Field, rows: Iterable[Sequence[int]], n: int):
     for c in range(n):
         if r >= len(mat):
             break
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(mat)):
+            if mat[pr][c]:
+                break
+        else:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         if mat[r][c] != 1:
-            inv = gf.inv(mat[r][c])
-            mat[r] = [gf.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [gf.sub(mat[i][j], gf.mul(f, row_r[j])) for j in range(n)]
+            mat[r] = gf.row_scale(gf.inv(mat[r][c]), mat[r])
+        row_r = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = gf.row_sub(row, row[c], row_r)
         pivots.append(c)
         r += 1
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
@@ -102,14 +103,13 @@ def _check_ambient(a: Subspace, b: Subspace):
 def contains_vector(s: Subspace, v: Sequence[int]) -> bool:
     """Membership test by reduction against the RREF rows."""
     gf = get_gf(s.q)
-    rem = list(v)
-    if len(rem) != s.n:
+    if len(v) != s.n:
         raise AmbientMismatch("vector length mismatch")
+    rem = v
     for row, p in zip(s.rows, s.pivots):
         c = rem[p]
         if c:
-            for j in range(p, s.n):
-                rem[j] = gf.sub(rem[j], gf.mul(c, row[j]))
+            rem = gf.row_sub(rem, c, row)
     return not any(rem)
 
 
@@ -191,18 +191,78 @@ def enumerate_grassmannian(q: int, n: int, k: int,
 
 
 def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
-    """All q^dim vectors of the subspace, zero first, odometer order."""
+    """All q^dim vectors of the subspace, zero first, odometer order.
+
+    Coefficient 0 varies slowest: the vector sum(c_i * rows[i]) sits at
+    index sum(c_i * q^(dim-1-i)).  The list grows one row at a time.
+    """
     gf = get_gf(s.q)
     if s.q ** s.dim > MAX_VECTOR_ENUM:
         raise BudgetError(f"{s.q}^{s.dim} vectors exceed the enumeration budget")
-    out = []
-    for coeffs in itertools.product(range(s.q), repeat=s.dim):
-        v = tuple([0] * s.n)
-        for c, row in zip(coeffs, s.rows):
-            if c:
-                v = vec_add(gf, v, vec_scale(gf, c, row))
-        out.append(v)
+    negatives = [gf.neg(c) for c in range(1, s.q)]
+    out = [(0,) * s.n]
+    for row in s.rows:
+        grown = []
+        for u in out:
+            grown.append(u)
+            grown.extend(tuple(gf.row_sub(u, c, row)) for c in negatives)
+        out = grown
     return out
+
+
+def packed_vectors(s: Subspace) -> List[int]:
+    """vec_pack of every vector of s, in enumerate_vectors order.
+
+    In characteristic 2 each coordinate owns its own bit field of the packed
+    int, so vectors are XORs of packed row multiples.
+    """
+    q = s.q
+    if q ** s.dim > MAX_VECTOR_ENUM:
+        raise BudgetError(f"{q}^{s.dim} vectors exceed the enumeration budget")
+    gf = get_gf(q)
+    if gf.p != 2:
+        return [vec_pack(q, v) for v in enumerate_vectors(s)]
+    out = [0]
+    for row in reversed(s.rows):  # each new row becomes the slowest digit
+        if q == 2:
+            multiples = (0, vec_pack(2, row))
+        else:
+            multiples = [vec_pack(q, gf.row_scale(c, row)) for c in range(q)]
+        out = [u ^ m for m in multiples for u in out]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def local_patterns(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
+    """Projective points of every r-subspace of F_q^k, as odometer indices.
+
+    One entry per r-subspace, in enumerate_grassmannian order, listing the
+    sorted enumerate_vectors indices of its vectors whose first nonzero
+    entry is 1.  The RREF rows of a k-dimensional subspace send such a
+    coefficient vector to a vector whose first nonzero entry is 1, so
+    reading a subspace's packed_vectors at one entry gives the points of
+    one of its r-subspaces.
+    """
+    out = []
+    for local in enumerate_grassmannian(q, k, r):
+        points = []
+        for v in enumerate_vectors(local):
+            if next((x for x in v if x), 0) == 1:
+                index = 0
+                for x in v:
+                    index = index * q + x
+                points.append(index)
+        out.append(tuple(sorted(points)))
+    return tuple(out)
+
+
+def point_key(s: Subspace) -> Tuple[int, ...]:
+    """Sorted packed projective points of s, each with first nonzero entry 1.
+
+    Two subspaces of one ambient space are equal iff their keys are equal.
+    """
+    vectors = packed_vectors(s)
+    return tuple(sorted([vectors[i] for i in local_patterns(s.q, s.dim, s.dim)[0]]))
 
 
 def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
@@ -220,16 +280,6 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
                     v = vec_add(gf, v, vec_scale(gf, c, srow))
             rows.append(v)
         yield span(s.q, n, rows)
-
-
-def complement_of(s: Subspace) -> Subspace:
-    """A fixed direct complement: span of standard basis at non-pivot columns."""
-    pivset = set(s.pivots)
-    rows = []
-    for c in range(s.n):
-        if c not in pivset:
-            rows.append(tuple(1 if j == c else 0 for j in range(s.n)))
-    return Subspace(s.q, s.n, tuple(rows), tuple(c for c in range(s.n) if c not in pivset))
 
 
 def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:

@@ -162,3 +162,26 @@ def test_gf64_design_command(tmp_path, capsys):
                        "-o", str(tmp_path / "l6.txt"))
     assert code == 0
     assert "size=399" in result_line(out)
+
+
+def test_derive_point_digit_outside_field_exit_2(tmp_path, capsys):
+    design = tmp_path / "triv.txt"
+    run(capsys, "construct", "trivial", "--q", "2", "--n", "4", "--r", "2",
+        "-o", str(design))
+    code, out, err = run(capsys, "derive", str(design), "--t", "2",
+                         "--point", "1200")
+    assert code == 2
+    assert "--point" in err
+    assert "RESULT:" not in out
+
+
+def test_construct_spread_zero_k_exit_2(capsys):
+    code, _, err = run(capsys, "construct", "spread", "--k", "0", "--n", "4")
+    assert code == 2
+    assert "--k" in err
+
+
+def test_construct_greedy_without_r_exit_2(capsys):
+    code, _, err = run(capsys, "construct", "greedy", "--n", "4", "--k", "2")
+    assert code == 2
+    assert "--r" in err

@@ -127,3 +127,13 @@ def test_get_gf_prime_power():
 def test_oversized_field_rejected():
     with pytest.raises(FieldError):
         Field(2, 17)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27])
+def test_row_arithmetic_matches_element_arithmetic(q):
+    gf = get_gf(q)
+    u, v = zip(*itertools.product(range(q), repeat=2))  # every pair of entries
+    for c in range(q):
+        assert gf.row_sub(u, c, v) == [gf.sub(a, gf.mul(c, b))
+                                       for a, b in zip(u, v)]
+        assert gf.row_scale(c, v) == [gf.mul(c, b) for b in v]

@@ -246,49 +246,26 @@ class Field:
     def alpha_pow(self, j: int) -> int:
         return self.exp[j % (self.q - 1)]
 
-    # row arithmetic: one call per row, plain int ops per entry --------------
+    # row arithmetic: one call per row, plain int ops per entry for prime q ---
 
     def row_sub(self, u: Sequence[int], c: int, v: Sequence[int]) -> List[int]:
         """u - c*v entrywise.
 
-        Prime fields use XOR (q = 2) or `% p`; extension fields go through the
-        exp/log tables, with XOR as addition in characteristic 2.
+        Prime fields use XOR (q = 2) or `% p` on plain ints; extension fields
+        call sub and mul per entry.
         """
         p = self.p
         if self.m == 1:
             if p == 2:
                 return [a ^ b for a, b in zip(u, v)] if c else list(u)
             return [(a - c * b) % p for a, b in zip(u, v)]
-        if c == 0:
-            return list(u)
-        exp, log, qm1 = self.exp, self.log, self.q - 1
-        lc = log[c]
-        if p == 2:
-            return [a ^ exp[(lc + log[b]) % qm1] if b else a for a, b in zip(u, v)]
-        lc = log[self.neg(c)]
-        out = []
-        for a, b in zip(u, v):
-            if b:
-                lb = lc + log[b]
-                if a:
-                    # a + b' = a * (1 + b'/a), and adding 1 moves digit 0 only
-                    y = exp[(lb - log[a]) % qm1]
-                    y += (y + 1) % p - y % p
-                    a = exp[(log[a] + log[y]) % qm1] if y else 0
-                else:
-                    a = exp[lb % qm1]
-            out.append(a)
-        return out
+        return [self.sub(a, self.mul(c, b)) for a, b in zip(u, v)]
 
     def row_scale(self, c: int, v: Sequence[int]) -> List[int]:
         """c*v entrywise."""
         if self.m == 1:
             return [(c * a) % self.p for a in v]
-        if c == 0:
-            return [0] * len(v)
-        exp, log, qm1 = self.exp, self.log, self.q - 1
-        lc = log[c]
-        return [exp[(lc + log[a]) % qm1] if a else 0 for a in v]
+        return [self.mul(c, a) for a in v]
 
     def to_vector(self, a: int) -> Tuple[int, ...]:
         """Coefficient vector of a over GF(p), length m, degree-0 first."""

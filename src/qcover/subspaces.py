@@ -213,26 +213,24 @@ def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
 def packed_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s, in enumerate_vectors order.
 
-    In characteristic 2 each coordinate owns its own bit field of the packed
-    int, so vectors are XORs of packed row multiples.
+    For q = 2 each coordinate is one bit of the packed int, so vectors are
+    XORs of packed rows.
     """
     q = s.q
     if q ** s.dim > MAX_VECTOR_ENUM:
         raise BudgetError(f"{q}^{s.dim} vectors exceed the enumeration budget")
-    gf = get_gf(q)
-    if gf.p != 2:
+    if q != 2:
         return [vec_pack(q, v) for v in enumerate_vectors(s)]
     out = [0]
     for row in reversed(s.rows):  # each new row becomes the slowest digit
-        if q == 2:
-            multiples = (0, vec_pack(2, row))
-        else:
-            multiples = [vec_pack(q, gf.row_scale(c, row)) for c in range(q)]
-        out = [u ^ m for m in multiples for u in out]
+        packed = vec_pack(2, row)
+        out += [u ^ packed for u in out]
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: one table can hold millions of tuples, and a census run touches
+# only a handful of (q, k, r).
+@functools.lru_cache(maxsize=16)
 def local_patterns(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     """Projective points of every r-subspace of F_q^k, as odometer indices.
 

@@ -105,11 +105,6 @@ def turan_upper(n: int, k: int, r: int, q: int) -> int:
     return gaussian(n - k + r, r, q)
 
 
-def covering_upper_trivial(n: int, k: int, r: int, q: int) -> int:
-    """C_q(n,k,r) <= [n-k+r r]_q by duality from the Turan upper bound."""
-    return gaussian(n - k + r, r, q)
-
-
 def recursive_upper(n: int, k: int, r: int, q: int,
                     table: Dict[Tuple[int, int, int], int]) -> int:
     """Recursive upper bound q^(n-k) C_q(n-1,k-1,r-1) + C_q(n-1,k,r).
@@ -177,7 +172,8 @@ def bound_table(q: int, n_max: int = 12,
     while changed:
         changed = False
         for (n, k, r) in params:
-            cands = [(covering_upper_trivial(n, k, r, q), "trivial")]
+            # by duality the Turan bound [n-k+r r]_q also bounds C_q(n,k,r)
+            cands = [(turan_upper(n, k, r, q), "trivial")]
             try:
                 cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
             except KeyError:

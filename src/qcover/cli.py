@@ -89,6 +89,11 @@ def cmd_construct(args) -> int:
     elif kind == "recursive":
         s1 = designs.load_design(args.s1)
         s2 = designs.load_design(args.s2)
+        if (s2.q, s2.n, s2.k) != (s1.q, s1.n, s1.k + 1):
+            print(f"invalid input: --s2 must have the q and n of --s1 and "
+                  f"k one larger: --s1 has q={s1.q} n={s1.n} k={s1.k}, "
+                  f"--s2 has q={s2.q} n={s2.n} k={s2.k}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         design = cons.recursive_covering(s1, s2, args.r)
     elif kind == "gf64":
         design = cons.gf64_covering_design()
@@ -123,6 +128,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.n_max < 1:
+        print(f"invalid input: --n-max must be at least 1, got {args.n_max}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     table = bounds_mod.bound_table(args.q, args.n_max)
     if args.filter:
         try:
@@ -146,6 +155,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_expand(args) -> int:
     design = designs.load_design(args.design)
+    if design.q != 2:
+        print(f"invalid input: expand needs a q=2 design, {args.design} "
+              f"has q={design.q}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     system = cons.expand_to_steiner_system(design)
     designs.save_setsystem(system, args.output)
     report = designs.verify_steiner_system(system, 3)

@@ -157,8 +157,7 @@ def verify_turan(design: SubspaceDesign, k: int,
     counts: Counter = Counter()
     if strategy == "expand":
         for block in design.blocks:
-            for t in superspaces_containing(block, k):
-                counts[t] += 1
+            counts.update(superspaces_containing(block, k))
     elif strategy == "scan":
         for t in enumerate_grassmannian(q, n, k):
             m = sum(1 for b in design.blocks if contains_subspace(t, b))

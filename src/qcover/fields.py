@@ -343,11 +343,6 @@ def vec_unpack(q: int, n: int, val: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def field_to_vector(field: Field, a: int) -> Tuple[int, ...]:
-    """GF(q)-linear bijection GF(p^m) -> F_p^m (coefficient vector)."""
-    return field.to_vector(a)
-
-
 def flatten_ext_vector(ext: Field, vec: Sequence[int]) -> Tuple[int, ...]:
     """Flatten a vector over GF(p^m) to a vector over GF(p).
 

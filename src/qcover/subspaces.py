@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .fields import Field, get_gf, vec_add, vec_pack, vec_scale
+from .fields import Field, get_gf, vec_add, vec_pack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
 MAX_VECTOR_ENUM = 1 << 24
@@ -264,42 +264,76 @@ def point_key(s: Subspace) -> Tuple[int, ...]:
 
 
 def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
-    """Every r-subspace of s, as a subspace of the ambient space."""
+    """Every r-subspace of s, as a subspace of the ambient space.
+
+    Each one is L*S for a local r-subspace L of F_q^dim.  L and S are both in
+    RREF, so L*S is too, with pivots s.pivots[L.pivots]: row i of L*S is the
+    S row at L's i-th pivot plus multiples of later, non-pivot rows of S.
+    """
     if not 0 <= r <= s.dim:
         raise ValueError(f"need 0 <= r <= dim, got r={r}, dim={s.dim}")
     gf = get_gf(s.q)
-    k, n = s.dim, s.n
-    for local in enumerate_grassmannian(s.q, k, r):
+    minus = [gf.neg(c) for c in range(s.q)]
+    for local in enumerate_grassmannian(s.q, s.dim, r):
+        rows = []
+        for lrow, lp in zip(local.rows, local.pivots):
+            v = s.rows[lp]
+            for i in range(lp + 1, s.dim):
+                if lrow[i]:
+                    v = gf.row_sub(v, minus[lrow[i]], s.rows[i])
+            rows.append(tuple(v))
+        yield Subspace(s.q, s.n, tuple(rows),
+                       tuple(s.pivots[i] for i in local.pivots))
+
+
+# Bounded like local_patterns; blocks of one design share few pivot sets.
+@functools.lru_cache(maxsize=16)
+def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
+    """The (k - d)-subspaces L of the coordinates outside pivots.
+
+    One entry per L, in enumerate_grassmannian(q, n - d, k - d) order: L's
+    RREF rows embedded in F_q^n, their pivot columns, the order that sorts
+    the rows of s followed by L's rows by pivot, and the pivots of s + L.
+    """
+    pivset = set(pivots)
+    comp_cols = [c for c in range(n) if c not in pivset]
+    out = []
+    for local in enumerate_grassmannian(q, n - len(pivots), k - len(pivots)):
         rows = []
         for lrow in local.rows:
-            v = tuple([0] * n)
-            for c, srow in zip(lrow, s.rows):
-                if c:
-                    v = vec_add(gf, v, vec_scale(gf, c, srow))
-            rows.append(v)
-        yield span(s.q, n, rows)
+            v = [0] * n
+            for c, col in zip(lrow, comp_cols):
+                v[col] = c
+            rows.append(tuple(v))
+        lpivots = tuple(comp_cols[p] for p in local.pivots)
+        merged = pivots + lpivots
+        order = tuple(sorted(range(len(merged)), key=merged.__getitem__))
+        out.append((tuple(rows), lpivots, order, tuple(sorted(merged))))
+    return tuple(out)
 
 
 def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:
     """Every k-subspace of the ambient space that contains s.
 
-    Superspaces correspond to (k - dim)-subspaces of the quotient, realized
+    Superspaces correspond to (k - dim)-subspaces L of the quotient, realized
     inside the fixed complement spanned by standard basis vectors at the
-    non-pivot columns of s.
+    non-pivot columns of s.  L's rows are zero at s's pivots and at each
+    other's pivots, so clearing each row of s at L's pivot columns and
+    sorting all rows by pivot gives the RREF of s + L.
     """
     d = s.dim
     if not d <= k <= s.n:
         raise ValueError(f"need dim <= k <= n, got k={k}")
     gf = get_gf(s.q)
-    comp_cols = [c for c in range(s.n) if c not in set(s.pivots)]
-    for local in enumerate_grassmannian(s.q, s.n - d, k - d):
-        rows = list(s.rows)
-        for lrow in local.rows:
-            v = [0] * s.n
-            for c, col in zip(lrow, comp_cols):
-                v[col] = c
-            rows.append(tuple(v))
-        yield span(s.q, s.n, rows)
+    for lrows, lpivots, order, pivots in _quotient_tables(s.q, s.n, s.pivots, k):
+        rows = []
+        for row in s.rows:
+            for c, lrow in zip(lpivots, lrows):
+                if row[c]:
+                    row = gf.row_sub(row, row[c], lrow)
+            rows.append(tuple(row))
+        rows += lrows
+        yield Subspace(s.q, s.n, tuple([rows[i] for i in order]), pivots)
 
 
 def cosets(p: Subspace, w: Subspace) -> List[Tuple[int, ...]]:

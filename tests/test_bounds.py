@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcover.bounds import (BoundRecord, basic_lower, bound_table,
-                           covering_upper_trivial, decaen_lower, exact_values,
-                           format_table, gaussian, schonheim_lower,
+from qcover.bounds import (BoundRecord, basic_lower, bound_table, decaen_lower,
+                           exact_values, format_table, gaussian, schonheim_lower,
                            recursive_upper, turan_decaen_lower, turan_record,
                            turan_upper)
 from qcover.subspaces import enumerate_grassmannian
@@ -95,7 +94,7 @@ def test_exact_values():
 
 def test_upper_bounds():
     assert turan_upper(5, 3, 2, 2) == gaussian(4, 2, 2)
-    assert covering_upper_trivial(7, 3, 2, 2) == gaussian(6, 2, 2) == 651
+    assert turan_upper(7, 3, 2, 2) == gaussian(6, 2, 2) == 651
     table = {(4, 2, 1): 5, (4, 3, 2): 7}
     assert recursive_upper(5, 3, 2, 2, table) == 4 * 5 + 7
     with pytest.raises(KeyError):

@@ -1,10 +1,13 @@
-"""Differential tests of the point-key census against a per-target span census.
+"""Differential tests of the census and subspace generators against span.
 
-The oracle below is the original census: a Counter[Subspace] filled from
-subspaces_of (covering) or superspaces_containing (Turan), where every target
-is row-reduced by span.  Every report of verify_covering and verify_turan,
-for both strategies, must equal the oracle's in full: total, histogram,
-extremes and the witnesses in enumeration order.
+The oracle below is the original census: a Counter[Subspace] filled from the
+span-based reference generators reference_subspaces_of (covering) and
+reference_superspaces_containing (Turan), where every target is row-reduced
+by span.  Every report of verify_covering and verify_turan, for both
+strategies, must equal the oracle's in full: total, histogram, extremes and
+the witnesses in enumeration order.  The library's subspaces_of and
+superspaces_containing build each RREF directly and must yield exactly what
+the references yield, in the same order.
 """
 
 import itertools
@@ -16,14 +19,43 @@ import pytest
 from qcover.bounds import gaussian
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_turan)
-from qcover.fields import get_gf, vec_pack
+from qcover.fields import get_gf, vec_add, vec_pack, vec_scale
 from qcover.subspaces import (enumerate_grassmannian, enumerate_vectors,
-                              local_patterns, point_key, span, subspaces_of,
+                              grassmannian_pivot_freedom, local_patterns,
+                              point_key, span, subspaces_of,
                               superspaces_containing)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
 DESIGNS = 160
+
+
+def reference_subspaces_of(s, r):
+    """Every r-subspace of s: L*S for each local L, row-reduced by span."""
+    gf = get_gf(s.q)
+    for local in enumerate_grassmannian(s.q, s.dim, r):
+        rows = []
+        for lrow in local.rows:
+            v = tuple([0] * s.n)
+            for c, srow in zip(lrow, s.rows):
+                if c:
+                    v = vec_add(gf, v, vec_scale(gf, c, srow))
+            rows.append(v)
+        yield span(s.q, s.n, rows)
+
+
+def reference_superspaces_containing(s, k):
+    """Every k-subspace containing s: s + L for each L on the non-pivot
+    coordinates, row-reduced by span."""
+    comp_cols = [c for c in range(s.n) if c not in set(s.pivots)]
+    for local in enumerate_grassmannian(s.q, s.n - s.dim, k - s.dim):
+        rows = list(s.rows)
+        for lrow in local.rows:
+            v = [0] * s.n
+            for c, col in zip(lrow, comp_cols):
+                v[col] = c
+            rows.append(tuple(v))
+        yield span(s.q, s.n, rows)
 
 
 def oracle_report(q, n, dim, counts):
@@ -40,13 +72,14 @@ def oracle_report(q, n, dim, counts):
 
 
 def oracle_covering(design, r):
-    counts = Counter(t for block in design.blocks for t in subspaces_of(block, r))
+    counts = Counter(t for block in design.blocks
+                     for t in reference_subspaces_of(block, r))
     return oracle_report(design.q, design.n, r, counts)
 
 
 def oracle_turan(design, k):
     counts = Counter(t for block in design.blocks
-                     for t in superspaces_containing(block, k))
+                     for t in reference_superspaces_containing(block, k))
     return oracle_report(design.q, design.n, k, counts)
 
 
@@ -83,6 +116,41 @@ def test_reports_equal_oracle_on_random_designs(chunk):
             for strategy in ("expand", "scan"):
                 assert verify_turan(design, k, strategy) == expected, (
                     design, k, strategy)
+
+
+# Largest ambient dimension per q for the generator comparison.
+GENERATOR_MAX_N = {2: 6, 3: 4, 4: 4, 5: 4, 8: 4, 9: 4}
+
+
+def random_rref(rng, q, n, pivots):
+    """A subspace with the given pivots and random free entries."""
+    rows = [[1 if c == p else 0 for c in range(n)] for p in pivots]
+    for i, c in grassmannian_pivot_freedom(n, pivots):
+        rows[i][c] = rng.randrange(q)
+    s = span(q, n, rows)
+    assert s.pivots == tuple(pivots)
+    return s
+
+
+@pytest.mark.parametrize("q", sorted(GENERATOR_MAX_N))
+def test_generators_equal_span_reference(q):
+    """Same subspaces, order and pivots as the span route, for one random
+    subspace per pivot set of every dimension, every k and every r."""
+    rng = random.Random(q)
+    for n in range(GENERATOR_MAX_N[q] + 1):
+        for d in range(n + 1):
+            for pivots in itertools.combinations(range(n), d):
+                s = random_rref(rng, q, n, pivots)
+                for k in range(d, n + 1):
+                    got = list(superspaces_containing(s, k))
+                    expected = list(reference_superspaces_containing(s, k))
+                    assert got == expected, (s, k)
+                    assert [t.pivots for t in got] == [t.pivots for t in expected]
+                for r in range(d + 1):
+                    got = list(subspaces_of(s, r))
+                    expected = list(reference_subspaces_of(s, r))
+                    assert got == expected, (s, r)
+                    assert [t.pivots for t in got] == [t.pivots for t in expected]
 
 
 def normalised_points(s):

@@ -185,3 +185,33 @@ def test_construct_greedy_without_r_exit_2(capsys):
     code, _, err = run(capsys, "construct", "greedy", "--n", "4", "--k", "2")
     assert code == 2
     assert "--r" in err
+
+
+def test_construct_recursive_mismatched_inputs_exit_2(tmp_path, capsys):
+    s1 = tmp_path / "s1.txt"
+    run(capsys, "construct", "line-covering",
+        "--q", "2", "--n", "4", "--k", "2", "-o", str(s1))
+    code, out, err = run(capsys, "construct", "recursive",
+                         "--s1", str(s1), "--s2", str(s1), "--r", "2")
+    assert code == 2
+    assert "--s1" in err and "--s2" in err
+    assert "RESULT:" not in out
+
+
+def test_expand_non_binary_design_exit_2(tmp_path, capsys):
+    design = tmp_path / "q3.txt"
+    run(capsys, "construct", "trivial", "--q", "3", "--n", "3", "--r", "2",
+        "-o", str(design))
+    code, out, err = run(capsys, "expand", str(design),
+                         "-o", str(tmp_path / "system.txt"))
+    assert code == 2
+    assert str(design) in err
+    assert "RESULT:" not in out
+
+
+@pytest.mark.parametrize("n_max", ["-3", "0"])
+def test_bounds_non_positive_n_max_exit_2(capsys, n_max):
+    code, out, err = run(capsys, "bounds", "--q", "2", "--n-max", n_max)
+    assert code == 2
+    assert "--n-max" in err
+    assert "RESULT:" not in out

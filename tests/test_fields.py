@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from qcover.fields import (Field, FieldError, field_new, field_to_vector,
-                           flatten_ext_vector, get_gf, vec_add, vec_pack,
+from qcover.fields import (Field, FieldError, field_new, flatten_ext_vector, get_gf, vec_add, vec_pack,
                            vec_scale, vec_unpack)
 
 
@@ -91,20 +90,20 @@ def test_vec_pack_roundtrip():
 
 def test_field_to_vector_gf4_alpha():
     f = field_new(2, 2)
-    assert field_to_vector(f, f.alpha) == (0, 1)
-    assert field_to_vector(f, 0) == (0, 0)
+    assert f.to_vector(f.alpha) == (0, 1)
+    assert f.to_vector(0) == (0, 0)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
 def test_field_to_vector_linear_bijection(p, m):
     f = field_new(p, m)
     gfp = get_gf(p)
-    images = {field_to_vector(f, a) for a in f.elements()}
+    images = {f.to_vector(a) for a in f.elements()}
     assert len(images) == f.q
     for a in f.elements():
         for b in f.elements():
-            assert (field_to_vector(f, f.add(a, b))
-                    == vec_add(gfp, field_to_vector(f, a), field_to_vector(f, b)))
+            assert (f.to_vector(f.add(a, b))
+                    == vec_add(gfp, f.to_vector(a), f.to_vector(b)))
 
 
 def test_flatten_ext_vector_additive():

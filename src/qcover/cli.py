@@ -110,6 +110,13 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     design = designs.load_design(args.design)
+    # --r is the target dimension r <= k, or for turan the superspace dim k
+    low, high = (design.k, design.n) if args.mode == "turan" else (0, design.k)
+    if not low <= args.r <= high:
+        print(f"invalid input: --r must be in {low}..{high} for mode {args.mode} "
+              f"on a design with n={design.n} k={design.k}, got {args.r}",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.mode == "covering":
         report = designs.verify_covering(design, args.r)
         verdict = report.is_covering
@@ -128,8 +135,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.n_max < 1:
-        print(f"invalid input: --n-max must be at least 1, got {args.n_max}",
+    if args.q not in (2, 3):
+        print(f"invalid input: --q must be 2 or 3 for the bound table, "
+              f"got {args.q}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if not 1 <= args.n_max <= 12:
+        print(f"invalid input: --n-max must be in 1..12, got {args.n_max}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
     table = bounds_mod.bound_table(args.q, args.n_max)
@@ -171,6 +182,10 @@ def cmd_expand(args) -> int:
 def cmd_derive(args) -> int:
     design = designs.load_design(args.design)
     q, n = design.q, design.n
+    if not 2 <= args.t <= design.k:
+        print(f"invalid input: --t must be in 2..{design.k} for a design with "
+              f"k={design.k}, got {args.t}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if len(args.point) != n or any(ch not in "0123456789"[:q] for ch in args.point):
         print(f"invalid input: --point must be {n} digits in 0..{q - 1}, "
               f"got {args.point!r}", file=sys.stderr)

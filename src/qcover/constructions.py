@@ -19,11 +19,10 @@ from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_steiner, verify_steiner_system,
                       verify_turan, dualize)
-from .fields import (Field, field_new, flatten_ext_vector, get_gf, is_prime,
-                     vec_pack)
+from .fields import Field, field_new, flatten_ext_vector, get_gf, is_prime
 from .subspaces import (Subspace, contains_subspace, cosets,
                         enumerate_grassmannian, enumerate_vectors, full_space,
-                        span, subspaces_of)
+                        packed_vectors, span, subspaces_of)
 
 
 class ConstructionError(RuntimeError):
@@ -206,8 +205,7 @@ def _check_partial_spread_partition(ps: PartialSpreadResult):
     seen = set()
     count = 0
     for part in list(ps.blocks) + [ps.residual]:
-        for v in enumerate_vectors(part):
-            key = vec_pack(ps.q, v)
+        for key in packed_vectors(part):
             if key == 0:
                 continue
             if key in seen:
@@ -442,7 +440,7 @@ def expand_to_steiner_system(design: SubspaceDesign,
     n, k = design.n, design.k
     coset_blocks = set()
     for block in design.blocks:
-        packed = [vec_pack(2, v) for v in enumerate_vectors(block)]
+        packed = packed_vectors(block)
         for beta in range(1 << n):
             coset_blocks.add(frozenset(beta ^ x for x in packed))
     system = SetSystem.from_blocks(1 << n, [sorted(b) for b in coset_blocks])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .fields import Field, get_gf, vec_add, vec_pack
@@ -54,14 +54,38 @@ def rref(gf: Field, rows: Iterable[Sequence[int]], n: int):
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A k-dimensional subspace of F_q^n in canonical RREF form."""
+    """A k-dimensional subspace of F_q^n in canonical RREF form.
 
-    q: int
-    n: int
-    rows: Tuple[Tuple[int, ...], ...]
-    pivots: Tuple[int, ...] = field(compare=False, default=())
+    An immutable value: equality and hashing use (q, n, rows) only, since the
+    canonical rows determine the pivots.
+    """
+
+    __slots__ = ("q", "n", "rows", "pivots")
+
+    def __init__(self, q: int, n: int, rows: Tuple[Tuple[int, ...], ...],
+                 pivots: Tuple[int, ...] = ()):
+        _set_q(self, q)
+        _set_n(self, n)
+        _set_rows(self, rows)
+        _set_pivots(self, pivots)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Subspace, (self.q, self.n, self.rows, self.pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.q, self.n, self.rows) == (other.q, other.n, other.rows)
+
+    def __hash__(self):
+        return hash((self.q, self.n, self.rows))
 
     @property
     def dim(self) -> int:
@@ -73,6 +97,13 @@ class Subspace:
     def __repr__(self):
         body = ",".join("".join(str(c) for c in row) for row in self.rows)
         return f"Subspace(q={self.q},n={self.n},[{body}])"
+
+
+# The slot descriptors write past the __setattr__ guard.
+_set_q = Subspace.q.__set__
+_set_n = Subspace.n.__set__
+_set_rows = Subspace.rows.__set__
+_set_pivots = Subspace.pivots.__set__
 
 
 def span(q: int, n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
@@ -214,18 +245,39 @@ def packed_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s, in enumerate_vectors order.
 
     For q = 2 each coordinate is one bit of the packed int, so vectors are
-    XORs of packed rows.
+    XORs of packed rows.  Otherwise the packed ints are built column by
+    column in Horner order, highest coordinate first, from the cached table
+    of every coefficient combination of each column.
     """
     q = s.q
     if q ** s.dim > MAX_VECTOR_ENUM:
         raise BudgetError(f"{q}^{s.dim} vectors exceed the enumeration budget")
     if q != 2:
-        return [vec_pack(q, v) for v in enumerate_vectors(s)]
+        out = [0] * q ** s.dim
+        for column in reversed(list(zip(*s.rows))):
+            out = list(map(add, map(q.__mul__, out), _column_table(q, column)))
+        return out
     out = [0]
     for row in reversed(s.rows):  # each new row becomes the slowest digit
         packed = vec_pack(2, row)
         out += [u ^ packed for u in out]
     return out
+
+
+# Bounded like local_patterns; a design's blocks share few distinct columns.
+@functools.lru_cache(maxsize=128)
+def _column_table(q: int, column: Tuple[int, ...]) -> Tuple[int, ...]:
+    """c . column for every coefficient vector c, in enumerate_vectors order.
+
+    The first coefficient varies slowest, matching the odometer index
+    sum(c_i * q^(dim-1-i)) of enumerate_vectors.
+    """
+    gf = get_gf(q)
+    out = [0]
+    for x in column:
+        multiples = [gf.mul(c, x) for c in range(q)]
+        out = [gf.add(u, m) for u in out for m in multiples]
+    return tuple(out)
 
 
 # Bounded: one table can hold millions of tuples, and a census run touches

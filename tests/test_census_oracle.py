@@ -7,7 +7,8 @@ by span.  Every report of verify_covering and verify_turan, for both
 strategies, must equal the oracle's in full: total, histogram, extremes and
 the witnesses in enumeration order.  The library's subspaces_of and
 superspaces_containing build each RREF directly and must yield exactly what
-the references yield, in the same order.
+the references yield, in the same order.  packed_vectors must equal vec_pack
+of every enumerate_vectors vector, in order.
 """
 
 import itertools
@@ -20,9 +21,10 @@ from qcover.bounds import gaussian
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_turan)
 from qcover.fields import get_gf, vec_add, vec_pack, vec_scale
-from qcover.subspaces import (enumerate_grassmannian, enumerate_vectors,
+from qcover.subspaces import (BudgetError, enumerate_grassmannian,
+                              enumerate_vectors, full_space,
                               grassmannian_pivot_freedom, local_patterns,
-                              point_key, span, subspaces_of,
+                              packed_vectors, point_key, span, subspaces_of,
                               superspaces_containing)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
@@ -151,6 +153,30 @@ def test_generators_equal_span_reference(q):
                     expected = list(reference_subspaces_of(s, r))
                     assert got == expected, (s, r)
                     assert [t.pivots for t in got] == [t.pivots for t in expected]
+
+
+# Largest ambient dimension per q for the packed_vectors comparison.
+PACKED_MAX_N = {2: 6, 3: 5, 4: 4, 5: 4, 7: 4, 8: 4, 9: 4}
+
+
+@pytest.mark.parametrize("q", sorted(PACKED_MAX_N))
+def test_packed_vectors_equal_vec_pack_of_enumerate_vectors(q):
+    """Same packed ints in the same order as packing each enumerated vector,
+    for one random subspace per pivot set of every dimension, from the zero
+    subspace to the full space."""
+    rng = random.Random(1000 + q)
+    for n in range(PACKED_MAX_N[q] + 1):
+        for d in range(n + 1):
+            for pivots in itertools.combinations(range(n), d):
+                s = random_rref(rng, q, n, pivots)
+                expected = [vec_pack(q, v) for v in enumerate_vectors(s)]
+                assert packed_vectors(s) == expected, s
+
+
+@pytest.mark.parametrize("q,n", [(2, 25), (3, 16)])
+def test_packed_vectors_budget(q, n):
+    with pytest.raises(BudgetError):
+        packed_vectors(full_space(q, n))
 
 
 def normalised_points(s):

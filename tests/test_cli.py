@@ -215,3 +215,40 @@ def test_bounds_non_positive_n_max_exit_2(capsys, n_max):
     assert code == 2
     assert "--n-max" in err
     assert "RESULT:" not in out
+
+
+def test_bounds_unsupported_q_exit_2(capsys):
+    code, out, err = run(capsys, "bounds", "--q", "5")
+    assert code == 2
+    assert "--q" in err
+    assert "RESULT:" not in out
+
+
+def test_bounds_n_max_above_cap_exit_2(capsys):
+    code, out, err = run(capsys, "bounds", "--q", "2", "--n-max", "13")
+    assert code == 2
+    assert "--n-max" in err
+    assert "RESULT:" not in out
+
+
+def test_derive_t_above_block_dim_exit_2(tmp_path, capsys):
+    design = tmp_path / "triv.txt"
+    run(capsys, "construct", "trivial", "--q", "2", "--n", "4", "--r", "2",
+        "-o", str(design))
+    code, out, err = run(capsys, "derive", str(design), "--t", "5",
+                         "--point", "1000")
+    assert code == 2
+    assert "--t" in err
+    assert "RESULT:" not in out
+
+
+@pytest.mark.parametrize("mode", ["turan", "covering"])
+def test_verify_r_out_of_range_exit_2(tmp_path, capsys, mode):
+    design = tmp_path / "triv.txt"
+    run(capsys, "construct", "trivial", "--q", "2", "--n", "4", "--r", "2",
+        "-o", str(design))
+    code, out, err = run(capsys, "verify", str(design), "--mode", mode,
+                         "--r", "9")
+    assert code == 2
+    assert "--r" in err
+    assert "RESULT:" not in out

@@ -1,9 +1,14 @@
+import copy
+import functools
 import itertools
+import pickle
 import random
 
 import pytest
 
+from qcover import subspaces
 from qcover.bounds import gaussian
+from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_add, vec_pack
 from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
                               contains_subspace, contains_vector, cosets,
@@ -202,3 +207,51 @@ def test_contains_vector():
 def test_budget_guard():
     with pytest.raises(BudgetError):
         list(enumerate_grassmannian(2, 30, 15))
+
+
+def test_subspace_is_immutable():
+    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    for name in ("q", "n", "rows", "pivots", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s.rows == ((1, 2, 0, 1), (0, 0, 1, 2)) and s.pivots == (0, 2)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and twin.pivots == s.pivots
+
+
+def test_subspace_equality_and_hash_ignore_pivots():
+    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    bare = Subspace(3, 4, s.rows)
+    assert bare.pivots == ()
+    assert bare == s and hash(bare) == hash(s) == hash((3, 4, s.rows))
+    assert s != Subspace(2, 4, s.rows) and s != Subspace(3, 5, s.rows)
+    assert s != span(3, 4, [(1, 2, 0, 1)])
+    assert s != (3, 4, s.rows)
+    assert len({s, bare, span(3, 4, s.rows)}) == 1
+
+
+def test_subspace_repr_and_sort_key():
+    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    assert repr(s) == "Subspace(q=3,n=4,[1201,0012])"
+    assert repr(zero_subspace(2, 3)) == "Subspace(q=2,n=3,[])"
+    assert s.sort_key() == (s.pivots, s.rows)
+    assert s.dim == 2
+
+
+def test_design_from_blocks_deduplicates_equal_subspaces():
+    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    other = span(3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    again = span(3, 4, [(1, 2, 1, 0), (0, 0, 2, 1)])  # another basis of s
+    d = SubspaceDesign.from_blocks([s, other, again, Subspace(3, 4, s.rows)])
+    assert d.blocks == (other, s)
+
+
+def test_subspaces_caches_are_bounded():
+    caches = [obj for obj in vars(subspaces).values()
+              if isinstance(obj, functools._lru_cache_wrapper)
+              and obj.__module__ == subspaces.__name__]
+    assert caches
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] is not None, cache

@@ -14,7 +14,7 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from . import designs
 from .designs import FormatError
-from .fields import FieldError
+from .fields import FieldError, get_gf
 from .subspaces import BudgetError, span
 
 EXIT_OK = 0
@@ -32,12 +32,13 @@ def _write_design(design, path):
     print(f"wrote {len(design.blocks)} blocks to {path}")
 
 
-# Arguments each construction reads; the integer ones among q, n, k, rho
-# must be at least 1.
+# Arguments each construction reads.  q must be a prime power, the integer
+# ones among n, k, rho at least 1, k at most n, r in 0..k (0..n without a k)
+# and delta at least 0.
 CONSTRUCT_ARGS = {
     "spread": ("q", "k", "n"),
     "trivial": ("q", "n", "r"),
-    "lift": ("input",),
+    "lift": ("input", "delta"),
     "partial-spread": ("q", "rho", "n"),
     "line-covering": ("q", "n", "k"),
     "turan-dual": ("q", "n", "k"),
@@ -49,12 +50,26 @@ CONSTRUCT_ARGS = {
 
 def _bad_construct_arg(args):
     """Message naming the first missing or out-of-range argument, or None."""
-    for name in CONSTRUCT_ARGS[args.kind]:
+    needed = CONSTRUCT_ARGS[args.kind]
+    for name in needed:
         value = getattr(args, name)
         if value is None:
             return f"construct {args.kind} needs --{name}"
         if name in ("q", "n", "k", "rho") and value < 1:
             return f"--{name} must be at least 1, got {value}"
+        if name == "delta" and value < 0:
+            return f"--delta must be at least 0, got {value}"
+    if "q" in needed:
+        try:
+            get_gf(args.q)
+        except FieldError:
+            return f"--q must be a prime power, got {args.q}"
+    if "k" in needed and "n" in needed and args.k > args.n:
+        return f"--k must be at most --n={args.n}, got {args.k}"
+    if "r" in needed and ("k" in needed or "n" in needed):
+        high, bound = (args.k, "--k") if "k" in needed else (args.n, "--n")
+        if not 0 <= args.r <= high:
+            return f"--r must be in 0..{high} (at most {bound}), got {args.r}"
     return None
 
 

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .bounds import gaussian
-from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError, Subspace,
-                        contains_subspace, enumerate_grassmannian, local_patterns,
-                        orthogonal_complement, packed_vectors, point_key, span,
-                        subspaces_of, superspaces_containing)
+from .fields import vec_pack
+from .subspaces import (MAX_SUBSPACE_ENUM, MAX_VECTOR_ENUM, AmbientMismatch,
+                        BudgetError, Subspace, enumerate_grassmannian,
+                        grassmannian_choices, local_patterns,
+                        orthogonal_complement, packed_span, packed_vectors,
+                        point_key, span, subspaces_of, superspaces_containing)
 
 WITNESS_CAP = 16
 
@@ -99,6 +101,28 @@ def _report_from_counts(q: int, n: int, r: int, counts: Counter, total: int,
                           tuple(witnesses))
 
 
+def _scan(q: int, n: int, dim: int, total: int,
+          multiplicity: Callable[[tuple, tuple], int]) -> CoverageReport:
+    """Report of a census that visits every dim-subspace of F_q^n.
+
+    multiplicity(rows, packed) counts the blocks incident with the target
+    whose RREF rows, and their vec_pack, are given.  Targets come in
+    enumerate_grassmannian order, so the witnesses are the first uncovered.
+    """
+    histogram: Counter = Counter()
+    witnesses: List[Subspace] = []
+    for pivots, rows, packed in grassmannian_choices(q, n, dim):
+        for t_rows, t_packed in zip(itertools.product(*rows),
+                                    itertools.product(*packed)):
+            m = multiplicity(t_rows, t_packed)
+            histogram[m] += 1
+            if not m and len(witnesses) < WITNESS_CAP:
+                witnesses.append(Subspace(q, n, t_rows, pivots))
+    assert sum(histogram.values()) == total
+    return CoverageReport(total, dict(histogram), min(histogram), max(histogram),
+                          tuple(witnesses))
+
+
 def verify_covering(design: SubspaceDesign, r: int,
                     strategy: str = "auto") -> CoverageReport:
     """Multiplicity of every r-subspace of F_q^n among the design's blocks.
@@ -107,7 +131,9 @@ def verify_covering(design: SubspaceDesign, r: int,
     r-subspace of the ambient space against every block; "auto" picks the
     cheaper one by the incidence-count cost model.  Expand counts point keys:
     each block's vectors are packed once and local_patterns reads off the
-    key of every r-subspace, with no row reduction per target.
+    key of every r-subspace, with no row reduction per target.  Scan keeps
+    each block's packed vectors as a set and tests every target's packed
+    RREF rows against it.
     """
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
@@ -119,8 +145,8 @@ def verify_covering(design: SubspaceDesign, r: int,
         expand_cost = len(design.blocks) * gaussian(k, r, q)
         scan_cost = total * max(len(design.blocks), 1)
         strategy = "expand" if expand_cost <= scan_cost else "scan"
-    counts: Counter = Counter()
     if strategy == "expand":
+        counts: Counter = Counter()
         patterns = local_patterns(q, k, r)
         for block in design.blocks:
             vectors = packed_vectors(block)
@@ -128,13 +154,10 @@ def verify_covering(design: SubspaceDesign, r: int,
                           for pattern in patterns)
         return _report_from_counts(q, n, r, counts, total, point_key)
     if strategy == "scan":
-        for t in enumerate_grassmannian(q, n, r):
-            m = sum(1 for b in design.blocks if contains_subspace(b, t))
-            if m:
-                counts[t] = m
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _report_from_counts(q, n, r, counts, total)
+        contains = [frozenset(packed_vectors(b)).issuperset for b in design.blocks]
+        return _scan(q, n, r, total,
+                     lambda rows, packed: sum([c(packed) for c in contains]))
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def verify_turan(design: SubspaceDesign, k: int,
@@ -142,7 +165,9 @@ def verify_turan(design: SubspaceDesign, k: int,
     """For every k-subspace, how many design blocks it contains.
 
     The design's blocks play the r-subspace role; the verdict is_covering
-    means every k-subspace contains at least one block.
+    means every k-subspace contains at least one block.  Scan builds each
+    target's packed vectors from its RREF rows and tests every block's
+    packed rows against them.
     """
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
@@ -154,18 +179,20 @@ def verify_turan(design: SubspaceDesign, k: int,
         expand_cost = len(design.blocks) * gaussian(n - r, k - r, q)
         scan_cost = total * max(len(design.blocks), 1)
         strategy = "expand" if expand_cost <= scan_cost else "scan"
-    counts: Counter = Counter()
     if strategy == "expand":
+        counts: Counter = Counter()
         for block in design.blocks:
             counts.update(superspaces_containing(block, k))
-    elif strategy == "scan":
-        for t in enumerate_grassmannian(q, n, k):
-            m = sum(1 for b in design.blocks if contains_subspace(t, b))
-            if m:
-                counts[t] = m
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return _report_from_counts(q, n, k, counts, total)
+        return _report_from_counts(q, n, k, counts, total)
+    if strategy == "scan":
+        if q ** k > MAX_VECTOR_ENUM:
+            raise BudgetError(f"{q}^{k} vectors exceed the enumeration budget")
+        blocks = [tuple([vec_pack(q, row) for row in b.rows]) for b in design.blocks]
+
+        def multiplicity(rows, packed):
+            return sum(map(set(packed_span(q, rows, packed)).issuperset, blocks))
+        return _scan(q, n, k, total, multiplicity)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def verify_steiner(design: SubspaceDesign, r: int,

@@ -4,21 +4,22 @@ A subspace is identified by its reduced row-echelon generator matrix, stored
 as a tuple of coordinate tuples.  Two subspaces are equal as vector sets iff
 their canonical matrices are identical, so hashing and set semantics come for
 free.  Enumeration iterates pivot-column sets in lexicographic order, then
-fills the free entries in odometer order; this yields RREF matrices directly
-and the order is reproducible.
+takes the product of each RREF row's choices, its free entries in odometer
+order; this yields RREF matrices directly and the order is reproducible.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import add
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .fields import Field, get_gf, vec_add, vec_pack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
 MAX_VECTOR_ENUM = 1 << 24
+# Largest first-row choice list grassmannian_choices builds in one piece.
+ROW_CHUNK = 1 << 12
 
 
 class BudgetError(RuntimeError):
@@ -183,22 +184,32 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return span(s.q, n, basis)
 
 
-def grassmannian_pivot_freedom(n: int, pivots: Sequence[int]) -> List[Tuple[int, int]]:
-    """Free entry positions (row, col) of the RREF template for a pivot set."""
-    pivset = set(pivots)
-    out = []
-    for i, p in enumerate(pivots):
-        for c in range(p + 1, n):
-            if c not in pivset:
-                out.append((i, c))
-    return out
-
-
 def enumerate_grassmannian(q: int, n: int, k: int,
                            pivot_sets: Iterable[Tuple[int, ...]] = None) -> Iterator[Subspace]:
     """All k-subspaces of F_q^n, each exactly once, in deterministic order.
 
+    Pivot sets come in lexicographic order; within one, the free entries run
+    in odometer order, the last free entry of the last row fastest.
     Restricting pivot_sets splits the enumeration into independent chunks.
+    """
+    for pivots, rows, _ in grassmannian_choices(q, n, k, pivot_sets):
+        yield from map(Subspace, itertools.repeat(q), itertools.repeat(n),
+                       itertools.product(*rows), itertools.repeat(pivots))
+
+
+def grassmannian_choices(q: int, n: int, k: int,
+                         pivot_sets: Iterable[Tuple[int, ...]] = None
+                         ) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
+    """Per pivot set, the choices of each RREF row, as rows and packed.
+
+    Yields (pivots, rows, packed): rows[i] lists the i-th RREF row under
+    every assignment of its free columns in odometer order, and packed[i]
+    is vec_pack of each.  itertools.product(*rows) runs through the
+    k-subspaces with these pivots in enumerate_grassmannian order, and
+    itertools.product(*packed) through their packed rows in the same order.
+    A first row with more than ROW_CHUNK choices is split, in order, over
+    several yields with the same pivots, one per value of its leading free
+    columns, so a caller that stops early builds only one part of it.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -208,17 +219,42 @@ def enumerate_grassmannian(q: int, n: int, k: int,
     if pivot_sets is None:
         pivot_sets = itertools.combinations(range(n), k)
     for pivots in pivot_sets:
-        freedom = grassmannian_pivot_freedom(n, pivots)
-        template = [[0] * n for _ in range(k)]
-        for i, p in enumerate(pivots):
-            template[i][p] = 1
-        if not freedom:
-            yield Subspace(q, n, tuple(tuple(r) for r in template), tuple(pivots))
+        pivots = tuple(pivots)
+        split = 0
+        if pivots:  # the first row has n - k - pivots[0] free columns
+            while q ** (n - k - pivots[0] - split) > ROW_CHUNK:
+                split += 1
+        if not split:
+            yield (pivots,) + _row_choices(q, n, pivots, ())
             continue
-        for values in itertools.product(range(q), repeat=len(freedom)):
-            for (i, c), v in zip(freedom, values):
-                template[i][c] = v
-            yield Subspace(q, n, tuple(tuple(r) for r in template), tuple(pivots))
+        for head in itertools.product(range(q), repeat=split):
+            yield (pivots,) + _row_choices.__wrapped__(q, n, pivots, head)
+
+
+# Bounded; a census run in F_q^n with n <= 7 touches a few hundred pivot
+# sets.  Split first rows bypass it: their parts would crowd it out.
+@functools.lru_cache(maxsize=512)
+def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: Tuple[int, ...]):
+    """(rows, packed) of grassmannian_choices for one pivot set, with the
+    leading free columns of the first row fixed to head."""
+    pivset = set(pivots)
+    rows, packed = [], []
+    for i, p in enumerate(pivots):
+        free = [c for c in range(p + 1, n) if c not in pivset]
+        row = [0] * n
+        row[p] = 1
+        if i == 0:
+            for c, v in zip(free, head):
+                row[c] = v
+            free = free[len(head):]
+        choices = []
+        for values in itertools.product(range(q), repeat=len(free)):
+            for c, v in zip(free, values):
+                row[c] = v
+            choices.append(tuple(row))
+        rows.append(tuple(choices))
+        packed.append(tuple([vec_pack(q, row) for row in choices]))
+    return tuple(rows), tuple(packed)
 
 
 def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
@@ -242,26 +278,43 @@ def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
 
 
 def packed_vectors(s: Subspace) -> List[int]:
-    """vec_pack of every vector of s, in enumerate_vectors order.
+    """vec_pack of every vector of s, in enumerate_vectors order."""
+    if s.q ** s.dim > MAX_VECTOR_ENUM:
+        raise BudgetError(f"{s.q}^{s.dim} vectors exceed the enumeration budget")
+    if s.q == 2:
+        return _xor_span([vec_pack(2, row) for row in s.rows])
+    return _horner_span(s.q, s.rows)
 
-    For q = 2 each coordinate is one bit of the packed int, so vectors are
-    XORs of packed rows.  Otherwise the packed ints are built column by
-    column in Horner order, highest coordinate first, from the cached table
-    of every coefficient combination of each column.
+
+def packed_span(q: int, rows: Sequence[Sequence[int]],
+                packed_rows: Sequence[int]) -> List[int]:
+    """vec_pack of every F_q-combination of rows, in enumerate_vectors order.
+
+    packed_rows holds vec_pack of each row; q = 2 reads only those.
     """
-    q = s.q
-    if q ** s.dim > MAX_VECTOR_ENUM:
-        raise BudgetError(f"{q}^{s.dim} vectors exceed the enumeration budget")
-    if q != 2:
-        out = [0] * q ** s.dim
-        for column in reversed(list(zip(*s.rows))):
-            out = list(map(add, map(q.__mul__, out), _column_table(q, column)))
-        return out
+    return _xor_span(packed_rows) if q == 2 else _horner_span(q, rows)
+
+
+def _xor_span(packed_rows: Sequence[int]) -> List[int]:
+    """For q = 2 each coordinate is one bit of the packed int, so vectors are
+    XORs of packed rows."""
     out = [0]
-    for row in reversed(s.rows):  # each new row becomes the slowest digit
-        packed = vec_pack(2, row)
+    for packed in reversed(packed_rows):  # each new row becomes the slowest digit
         out += [u ^ packed for u in out]
     return out
+
+
+def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
+    """The packed ints built column by column in Horner order, highest
+    coordinate first, from the cached table of every coefficient combination
+    of each column."""
+    if not rows:
+        return [0]
+    columns = list(zip(*rows))
+    out = _column_table(q, columns[-1])
+    for column in reversed(columns[:-1]):
+        out = [u * q + t for u, t in zip(out, _column_table(q, column))]
+    return list(out)
 
 
 # Bounded like local_patterns; a design's blocks share few distinct columns.
@@ -293,16 +346,20 @@ def local_patterns(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     reading a subspace's packed_vectors at one entry gives the points of
     one of its r-subspaces.
     """
+    # The odometer index of a vector reads coordinate 0 as the most
+    # significant digit, vec_pack as the least: index[vec_pack(v)].
+    index = [0] * q ** k
+    for i, v in enumerate(itertools.product(range(q), repeat=k)):
+        index[vec_pack(q, v)] = i
+    # By the same argument applied to L's own rows, L's points sit at the
+    # coefficient indices whose first nonzero digit is 1: [q^j, 2 q^j).
+    points = [i for j in range(r) for i in range(q ** j, 2 * q ** j)]
     out = []
-    for local in enumerate_grassmannian(q, k, r):
-        points = []
-        for v in enumerate_vectors(local):
-            if next((x for x in v if x), 0) == 1:
-                index = 0
-                for x in v:
-                    index = index * q + x
-                points.append(index)
-        out.append(tuple(sorted(points)))
+    for _, rows, packed in grassmannian_choices(q, k, r):
+        for l_rows, l_packed in zip(itertools.product(*rows),
+                                    itertools.product(*packed)):
+            vectors = packed_span(q, l_rows, l_packed)
+            out.append(tuple(sorted([index[vectors[i]] for i in points])))
     return tuple(out)
 
 

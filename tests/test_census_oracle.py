@@ -8,7 +8,9 @@ strategies, must equal the oracle's in full: total, histogram, extremes and
 the witnesses in enumeration order.  The library's subspaces_of and
 superspaces_containing build each RREF directly and must yield exactly what
 the references yield, in the same order.  packed_vectors must equal vec_pack
-of every enumerate_vectors vector, in order.
+of every enumerate_vectors vector, in order.  enumerate_grassmannian and
+local_patterns must equal the template odometer and the enumerate_vectors
+builder kept here.
 """
 
 import itertools
@@ -17,19 +19,59 @@ from collections import Counter
 
 import pytest
 
+from qcover import subspaces
 from qcover.bounds import gaussian
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_turan)
 from qcover.fields import get_gf, vec_add, vec_pack, vec_scale
-from qcover.subspaces import (BudgetError, enumerate_grassmannian,
+from qcover.subspaces import (BudgetError, Subspace, enumerate_grassmannian,
                               enumerate_vectors, full_space,
-                              grassmannian_pivot_freedom, local_patterns,
+                              grassmannian_choices, local_patterns,
                               packed_vectors, point_key, span, subspaces_of,
                               superspaces_containing)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
 DESIGNS = 160
+
+
+def grassmannian_pivot_freedom(n, pivots):
+    """Free entry positions (row, col) of the RREF template for a pivot set."""
+    pivset = set(pivots)
+    return [(i, c) for i, p in enumerate(pivots)
+            for c in range(p + 1, n) if c not in pivset]
+
+
+def reference_enumerate_grassmannian(q, n, k, pivot_sets=None):
+    """The template odometer: per pivot set, fill the free entries of one
+    RREF template, in row-major order, with every value tuple in turn."""
+    if pivot_sets is None:
+        pivot_sets = itertools.combinations(range(n), k)
+    for pivots in pivot_sets:
+        freedom = grassmannian_pivot_freedom(n, pivots)
+        template = [[0] * n for _ in range(k)]
+        for i, p in enumerate(pivots):
+            template[i][p] = 1
+        for values in itertools.product(range(q), repeat=len(freedom)):
+            for (i, c), v in zip(freedom, values):
+                template[i][c] = v
+            yield Subspace(q, n, tuple(tuple(r) for r in template), tuple(pivots))
+
+
+def reference_local_patterns(q, k, r):
+    """local_patterns built from enumerate_vectors of every local subspace,
+    each normalised point's odometer index computed digit by digit."""
+    out = []
+    for local in enumerate_grassmannian(q, k, r):
+        points = []
+        for v in enumerate_vectors(local):
+            if next((x for x in v if x), 0) == 1:
+                index = 0
+                for x in v:
+                    index = index * q + x
+                points.append(index)
+        out.append(tuple(sorted(points)))
+    return tuple(out)
 
 
 def reference_subspaces_of(s, r):
@@ -118,6 +160,74 @@ def test_reports_equal_oracle_on_random_designs(chunk):
             for strategy in ("expand", "scan"):
                 assert verify_turan(design, k, strategy) == expected, (
                     design, k, strategy)
+
+
+def all_blocks(q, n, k):
+    return SubspaceDesign.from_blocks(enumerate_grassmannian(q, n, k), q=q, n=n, k=k)
+
+
+def sampled_blocks(q, n, k, count, seed):
+    rng = random.Random(seed)
+    return SubspaceDesign.from_blocks(
+        rng.sample(list(enumerate_grassmannian(q, n, k)), count), q=q, n=n, k=k)
+
+
+# name -> (design, covering r values, Turan k values)
+SCAN_EDGE_CASES = {
+    # r = 0: every block contains the zero subspace
+    "r0-q2": (sampled_blocks(2, 4, 2, 5, 1), [0], []),
+    "r0-q3": (sampled_blocks(3, 3, 1, 4, 2), [0], []),
+    # Turan k = n: the full space contains every block
+    "k=n-q2": (sampled_blocks(2, 5, 2, 7, 3), [], [5]),
+    "k=n-q3": (sampled_blocks(3, 3, 2, 3, 4), [], [3]),
+    "no-blocks-q2": (SubspaceDesign.from_blocks([], q=2, n=4, k=2),
+                     [0, 1, 2], [2, 3, 4]),
+    "no-blocks-q3-k0": (SubspaceDesign.from_blocks([], q=3, n=3, k=0),
+                        [0], [0, 1, 2, 3]),
+    "many-uncovered-q2": (sampled_blocks(2, 6, 3, 2, 5), [1, 2, 3], [3, 4, 5]),
+    "many-uncovered-q3": (sampled_blocks(3, 4, 1, 3, 6), [1], [1, 2, 3]),
+    "q8-k1": (sampled_blocks(8, 3, 1, 20, 7), [1], [1, 2, 3]),
+    "q8-k2": (sampled_blocks(8, 3, 2, 30, 8), [1, 2], [2, 3]),
+    "q9-k2": (sampled_blocks(9, 3, 2, 40, 9), [1, 2], [2, 3]),
+    "q9-all-points": (all_blocks(9, 2, 1), [0, 1], [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_EDGE_CASES))
+def test_scan_edge_cases_equal_oracle(name):
+    design, covering_r, turan_k = SCAN_EDGE_CASES[name]
+    uncovered = 0
+    for r in covering_r:
+        expected = oracle_covering(design, r)
+        uncovered = max(uncovered, expected.histogram.get(0, 0))
+        for strategy in ("expand", "scan"):
+            assert verify_covering(design, r, strategy) == expected, (r, strategy)
+    for k in turan_k:
+        expected = oracle_turan(design, k)
+        uncovered = max(uncovered, expected.histogram.get(0, 0))
+        for strategy in ("expand", "scan"):
+            assert verify_turan(design, k, strategy) == expected, (k, strategy)
+    if name.startswith("many-uncovered"):
+        assert uncovered > WITNESS_CAP
+
+
+def test_scan_uses_no_expand_kernel(monkeypatch):
+    """Scan stays a route independent of expand and of contains_subspace."""
+    from qcover import designs, subspaces
+
+    def forbidden(*args):
+        raise AssertionError("called by scan")
+    for module in (designs, subspaces):
+        for name in ("local_patterns", "point_key", "contains_subspace",
+                     "contains_vector", "subspaces_of", "superspaces_containing"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for q, n, k in [(2, 5, 2), (3, 4, 2), (4, 3, 1)]:
+        design = sampled_blocks(q, n, k, 3, q)
+        for r in range(k + 1):
+            assert verify_covering(design, r, "scan").total == gaussian(n, r, q)
+        for t in range(k, n + 1):
+            assert verify_turan(design, t, "scan").total == gaussian(n, t, q)
 
 
 # Largest ambient dimension per q for the generator comparison.
@@ -216,3 +326,65 @@ def test_local_patterns_shape(q, k):
         for pattern in patterns:
             assert len(set(pattern)) == len(pattern) == gaussian(r, 1, q)
             assert all(0 < i < q ** k for i in pattern)
+
+
+# Largest ambient dimension per q for the enumeration order comparison.
+ENUMERATION_MAX_N = {2: 7, 3: 4, 4: 4, 5: 4, 8: 4, 9: 4}
+
+
+@pytest.mark.parametrize("row_chunk", [subspaces.ROW_CHUNK, 2])
+@pytest.mark.parametrize("q", sorted(ENUMERATION_MAX_N))
+def test_enumerate_grassmannian_equals_template_odometer(q, row_chunk,
+                                                         monkeypatch):
+    """Same rows and pivots in the same order as the template odometer, for
+    every n and k, whole and split by pivot_sets; the packed choices are
+    vec_pack of the rows they stand for.  A row_chunk of 2 splits nearly
+    every first row."""
+    monkeypatch.setattr(subspaces, "ROW_CHUNK", row_chunk)
+    rng = random.Random(q)
+    for n in range(ENUMERATION_MAX_N[q] + 1):
+        for k in range(n + 1):
+            expected = [(s.rows, s.pivots)
+                        for s in reference_enumerate_grassmannian(q, n, k)]
+            got = [(s.rows, s.pivots) for s in enumerate_grassmannian(q, n, k)]
+            assert got == expected, (n, k)
+            pivot_sets = list(itertools.combinations(range(n), k))
+            chosen = rng.sample(pivot_sets, (len(pivot_sets) + 1) // 2)
+            expected = [(s.rows, s.pivots) for s in
+                        reference_enumerate_grassmannian(q, n, k, chosen)]
+            got = [(s.rows, s.pivots) for s in
+                   enumerate_grassmannian(q, n, k, pivot_sets=iter(chosen))]
+            assert got == expected, (n, k, chosen)
+            listed = []
+            for pivots, rows, packed in grassmannian_choices(q, n, k):
+                assert all(len(choices) <= row_chunk for choices in rows[:1])
+                assert packed == tuple(tuple(vec_pack(q, row) for row in choice)
+                                       for choice in rows)
+                for t_rows, t_packed in zip(itertools.product(*rows),
+                                            itertools.product(*packed)):
+                    assert t_packed == tuple(vec_pack(q, row) for row in t_rows)
+                    listed.append((t_rows, pivots))
+            assert listed == [(s.rows, s.pivots)
+                              for s in enumerate_grassmannian(q, n, k)]
+
+
+def test_witnesses_in_a_large_ambient_space():
+    """The first uncovered points of F_2^20 come from the first part of a
+    split first row, and match the template odometer's."""
+    pivots, rows, _ = next(grassmannian_choices(2, 20, 1))
+    assert pivots == (0,) and len(rows[0]) == subspaces.ROW_CHUNK
+    design = SubspaceDesign.from_blocks(
+        [span(2, 20, [[1] + [0] * 19, [0] * 19 + [1]])], q=2, n=20, k=2)
+    covered = set(reference_subspaces_of(design.blocks[0], 1))
+    expected = tuple(itertools.islice(
+        (t for t in reference_enumerate_grassmannian(2, 20, 1)
+         if t not in covered), WITNESS_CAP))
+    assert verify_covering(design, 1, "expand").witnesses == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_local_patterns_equal_reference(q):
+    for k in range(5):
+        for r in range(k + 1):
+            assert local_patterns(q, k, r) == reference_local_patterns(q, k, r), (
+                k, r)

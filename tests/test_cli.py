@@ -252,3 +252,34 @@ def test_verify_r_out_of_range_exit_2(tmp_path, capsys, mode):
     assert code == 2
     assert "--r" in err
     assert "RESULT:" not in out
+
+
+def test_construct_k_above_n_exit_2(capsys):
+    code, _, err = run(capsys, "construct", "line-covering",
+                       "--q", "2", "--n", "3", "--k", "5")
+    assert code == 2
+    assert "--k" in err
+
+
+def test_construct_q_not_prime_power_exit_2(capsys):
+    code, _, err = run(capsys, "construct", "turan-dual",
+                       "--q", "6", "--n", "4", "--k", "2")
+    assert code == 2
+    assert "--q" in err
+
+
+def test_construct_trivial_r_above_n_exit_2(capsys):
+    code, _, err = run(capsys, "construct", "trivial",
+                       "--q", "2", "--n", "3", "--r", "5")
+    assert code == 2
+    assert "--r" in err
+
+
+def test_construct_lift_negative_delta_exit_2(tmp_path, capsys):
+    path = tmp_path / "lines.txt"
+    assert run(capsys, "construct", "line-covering", "--q", "2", "--n", "4",
+               "--k", "2", "-o", str(path))[0] == 0
+    code, _, err = run(capsys, "construct", "lift", "--input", str(path),
+                       "--delta", "-1")
+    assert code == 2
+    assert "--delta" in err

@@ -185,6 +185,10 @@ def cmd_expand(args) -> int:
         print(f"invalid input: expand needs a q=2 design, {args.design} "
               f"has q={design.q}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if design.k < 2:
+        print(f"invalid input: expand needs a design with k >= 2, "
+              f"{args.design} has k={design.k}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     system = cons.expand_to_steiner_system(design)
     designs.save_setsystem(system, args.output)
     report = designs.verify_steiner_system(system, 3)

@@ -13,16 +13,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_steiner, verify_steiner_system,
                       verify_turan, dualize)
 from .fields import Field, field_new, flatten_ext_vector, get_gf, is_prime
-from .subspaces import (Subspace, contains_subspace, cosets,
-                        enumerate_grassmannian, enumerate_vectors, full_space,
-                        packed_vectors, span, subspaces_of)
+from .subspaces import (BudgetError, MAX_SUBSPACE_ENUM, Subspace, _xor_span,
+                        contains_subspace, cosets, enumerate_grassmannian,
+                        full_space, packed_vectors, span, subspaces_of,
+                        xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -226,6 +227,8 @@ def optimal_line_covering(q: int, n: int, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     expected = math.ceil(Fraction(q ** n - 1, q ** k - 1))
+    if expected > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"C_{q}[{n},{k},1] needs {expected} blocks")
     if n % k == 0:
         design = spread(q, k, n, verify=verify)
     elif 2 * k >= n:
@@ -339,39 +342,18 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign, r: int,
 
 # the 399-block C_2[7,3,2] ------------------------------------------------------
 
-# Base-set exponents and shift ranges for the GF(64) construction; the five
-# quadruples have pairwise difference sets tiling Z_63 minus {0, 21, 42} and
-# zero element sums, both asserted before any block is emitted.
+# Base-set exponents for the GF(64) construction; the five quadruples have
+# pairwise difference sets tiling Z_63 minus {0, 21, 42} and zero element
+# sums, both asserted before any block is emitted.
 GF64_QUADS = ((0, 1, 4, 16), (0, 2, 8, 32), (0, 5, 27, 40),
                 (0, 7, 44, 53), (0, 11, 29, 49))
 GF64_LINE_EXPONENTS = (0, 1, 4, 6, 16, 24, 33)
 GF64_MODULUS = (1, 1, 0, 0, 0, 0, 1)  # x^6 + x + 1
+GF64_BIT = 1 << 6  # (beta, b) packs to beta | b << 6
 
 
-def _vectors_to_block(q: int, n: int, vectors: Sequence[Tuple[int, ...]],
-                      dim: int) -> Subspace:
-    """Span the vectors and insist they form exactly a dim-dimensional subspace."""
-    nonzero = [v for v in vectors if any(v)]
-    block = span(q, n, nonzero)
-    if block.dim != dim:
-        raise ConstructionError(f"emitted set spans dim {block.dim}, not {dim}")
-    if set(enumerate_vectors(block)) != set(tuple(v) for v in vectors) | {(0,) * n}:
-        raise ConstructionError("emitted set is not closed under addition")
-    return block
-
-
-def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
-    """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
-
-    315 blocks from 63 cyclic shifts of five quadruples, 21 diagonal blocks,
-    and 63 blocks from shifts of a fixed 7-element multiplicative pattern.
-    """
-    gf64 = field_new(2, 6, GF64_MODULUS)
-
-    def vec(beta: int, bit: int) -> Tuple[int, ...]:
-        return gf64.to_vector(beta) + (bit,)
-
-    # self-checks on the quadruples
+def _check_gf64_quads(gf64: Field):
+    """Each quadruple sums to zero; their difference sets tile Z_63 - {0,21,42}."""
     union = set()
     for quad in GF64_QUADS:
         diffs = {(a - b) % 63 for a in quad for b in quad if a != b}
@@ -386,27 +368,49 @@ def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
     if union != set(range(63)) - {0, 21, 42}:
         raise ConstructionError("difference sets do not tile Z_63 - {0,21,42}")
 
-    blocks: List[Subspace] = []
+
+def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
+    """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
+
+    A vector (beta, b) is the packed int beta | b << 6, since a GF(64)
+    element is already the vec_pack of its coefficient vector.  The blocks
+    are the orbits of seven base blocks under the Singer map (beta, b) ->
+    (alpha^s beta, b): five quadruple blocks and a fixed 7-element
+    multiplicative pattern give 63 blocks each, the diagonal block
+    {0, 1, alpha^21, alpha^42} x GF(2) gives 21.  Each block's dimension
+    and closure are checked on packed ints.
+    """
+    gf64 = field_new(2, 6, GF64_MODULUS)
+    _check_gf64_quads(gf64)
+    exp, log = gf64.exp * 2, gf64.log  # exp doubled: no reduction mod 63
+    bases = []  # the nonzero packed vectors of each base block
     for quad in GF64_QUADS:
-        j1, j2, j3, j4 = quad
-        for shift in range(63):
-            a = [gf64.alpha_pow(j + shift) for j in (j1, j2, j3, j4)]
-            vectors = [vec(0, 0),
-                       vec(gf64.add(a[0], a[1]), 0),
-                       vec(gf64.add(a[0], a[2]), 0),
-                       vec(gf64.add(a[0], a[3]), 0),
-                       vec(a[0], 1), vec(a[1], 1), vec(a[2], 1), vec(a[3], 1)]
-            blocks.append(_vectors_to_block(2, 7, vectors, 3))
-    for shift in range(21):
-        a = [gf64.alpha_pow(shift), gf64.alpha_pow(21 + shift),
-             gf64.alpha_pow(42 + shift)]
-        vectors = [vec(0, 0), vec(a[0], 0), vec(a[1], 0), vec(a[2], 0),
-                   vec(0, 1), vec(a[0], 1), vec(a[1], 1), vec(a[2], 1)]
-        blocks.append(_vectors_to_block(2, 7, vectors, 3))
-    for shift in range(63):
-        vectors = [vec(0, 0)] + [vec(gf64.alpha_pow(e + shift), 0)
-                                 for e in GF64_LINE_EXPONENTS]
-        blocks.append(_vectors_to_block(2, 7, vectors, 3))
+        a = [exp[j] for j in quad]
+        bases.append([a[0] ^ a[1], a[0] ^ a[2], a[0] ^ a[3]]
+                     + [x | GF64_BIT for x in a])
+    diagonal = [exp[0], exp[21], exp[42]]
+    bases.append(diagonal + [GF64_BIT] + [x | GF64_BIT for x in diagonal])
+    bases.append([exp[e] for e in GF64_LINE_EXPONENTS])
+
+    blocks: List[Subspace] = []
+    sizes = []
+    for base in bases:
+        orbit = {}
+        for s in range(63):
+            image = [exp[log[v & 63] + s] | (v & GF64_BIT) if v & 63 else v
+                     for v in base]
+            orbit.setdefault(frozenset(image), image)
+        sizes.append(len(orbit))
+        for vectors in orbit.values():
+            rows, block = xor_rref(7, vectors)
+            if len(rows) != 3:
+                raise ConstructionError(f"emitted set spans dim {len(rows)}, not 3")
+            if set(_xor_span(rows)) != set(vectors) | {0}:
+                raise ConstructionError("emitted set is not closed under addition")
+            blocks.append(block)
+    if sorted(sizes) != [21] + [63] * 6:
+        raise ConstructionError(f"gf64 orbit sizes {sizes} are not six of 63 "
+                                f"and one of 21")
 
     design = SubspaceDesign.from_blocks(blocks, label="gf64-C2[7,3,2]",
                                         q=2, n=7, k=3)
@@ -506,7 +510,7 @@ def greedy_covering(q: int, n: int, k: int, r: int,
     """
     candidates_n = gaussian(n, k, q)
     if candidates_n * gaussian(k, r, q) > 10 ** 7:
-        raise ConstructionError("greedy incidence budget exceeded")
+        raise BudgetError("greedy incidence budget exceeded")
     target_index = {t: i for i, t in enumerate(enumerate_grassmannian(q, n, r))}
     candidates = []
     for block in enumerate_grassmannian(q, n, k):

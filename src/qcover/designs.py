@@ -349,24 +349,6 @@ def setsystem_to_text(system: SetSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def setsystem_from_text(text: str) -> SetSystem:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SETSYSTEM_MAGIC:
-        raise FormatError("missing set-system header")
-    try:
-        params = dict(item.split("=") for item in lines[1].split())
-        v = int(params["v"])
-    except (ValueError, KeyError, IndexError) as exc:
-        raise FormatError("bad set-system parameter line") from exc
-    blocks = []
-    for line in lines[2:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        blocks.append(tuple(int(x) for x in line.split()))
-    return SetSystem.from_blocks(v, blocks)
-
-
 def save_design(design: SubspaceDesign, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(design_to_text(design))
@@ -380,8 +362,3 @@ def load_design(path) -> SubspaceDesign:
 def save_setsystem(system: SetSystem, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(setsystem_to_text(system))
-
-
-def load_setsystem(path) -> SetSystem:
-    with open(path, encoding="utf-8") as fh:
-        return setsystem_from_text(fh.read())

@@ -14,7 +14,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .fields import Field, get_gf, vec_add, vec_pack
+from .fields import Field, get_gf, vec_add, vec_pack, vec_unpack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
 MAX_VECTOR_ENUM = 1 << 24
@@ -302,6 +302,30 @@ def _xor_span(packed_rows: Sequence[int]) -> List[int]:
     for packed in reversed(packed_rows):  # each new row becomes the slowest digit
         out += [u ^ packed for u in out]
     return out
+
+
+def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
+    """The span of packed vectors in F_2^n, and its packed RREF rows.
+
+    A row's pivot is its lowest set bit (coordinate 0).  Each remainder
+    clears its pivot from the rows so far with XOR and joins them; the rows
+    are then sorted by pivot and each is unpacked once.
+    """
+    rows: List[int] = []
+    for v in vectors:
+        if v < 0 or v >> n:
+            raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
+        for row in rows:
+            if v & row & -row:
+                v ^= row
+        if v:
+            low = v & -v
+            rows = [row ^ v if row & low else row for row in rows]
+            rows.append(v)
+    rows.sort(key=lambda row: row & -row)
+    pivots = tuple([(row & -row).bit_length() - 1 for row in rows])
+    unpacked = tuple([vec_unpack(2, n, row) for row in rows])
+    return rows, Subspace(2, n, unpacked, pivots)
 
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:

@@ -6,8 +6,7 @@ import pytest
 
 from qcover.bounds import (BoundRecord, basic_lower, bound_table, decaen_lower,
                            exact_values, format_table, gaussian, schonheim_lower,
-                           recursive_upper, turan_decaen_lower, turan_record,
-                           turan_upper)
+                           recursive_upper, turan_record, turan_upper)
 from qcover.subspaces import enumerate_grassmannian
 
 
@@ -76,7 +75,6 @@ def test_schonheim_n_minus_2_plateau():
 
 
 def test_decaen_examples():
-    assert turan_decaen_lower(4, 2, 2) == 5
     assert decaen_lower(5, 3, 2) == 25
     with pytest.raises(ValueError):
         decaen_lower(4, 4, 2)

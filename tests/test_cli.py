@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qcover.cli import main
@@ -283,3 +285,32 @@ def test_construct_lift_negative_delta_exit_2(tmp_path, capsys):
                        "--delta", "-1")
     assert code == 2
     assert "--delta" in err
+
+
+def test_construct_greedy_budget_exit_3(capsys):
+    code, out, err = run(capsys, "construct", "greedy",
+                         "--q", "2", "--n", "9", "--k", "4", "--r", "2")
+    assert code == 3
+    assert "budget exceeded" in err and "greedy" in err
+    assert "RESULT:" not in out
+
+
+def test_construct_huge_line_covering_exit_3_before_building(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "line-covering",
+                         "--q", "2", "--n", "30", "--k", "2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert "budget exceeded" in err
+    assert "RESULT:" not in out
+
+
+def test_expand_design_with_k_below_2_exit_2(tmp_path, capsys):
+    design = tmp_path / "points.txt"
+    run(capsys, "construct", "trivial", "--q", "2", "--n", "3", "--r", "1",
+        "-o", str(design))
+    code, out, err = run(capsys, "expand", str(design),
+                         "-o", str(tmp_path / "system.txt"))
+    assert code == 2
+    assert str(design) in err and "k=1" in err
+    assert "RESULT:" not in out

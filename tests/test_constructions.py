@@ -1,19 +1,25 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
+from qcover import constructions
 from qcover.bounds import basic_lower, gaussian
-from qcover.constructions import (ConstructionError, derive_steiner,
+from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
+                                  GF64_QUADS, ConstructionError, derive_steiner,
                                   expand_to_steiner_system, full_space_steiner,
                                   greedy_covering, gf64_covering_design,
                                   lift_covering, optimal_line_covering,
                                   partial_spread, recursive_covering, spread,
                                   trivial_steiner, turan_dual_covering,
                                   turan_point_design)
-from qcover.designs import (SubspaceDesign, dualize, verify_covering,
-                            verify_steiner, verify_turan)
-from qcover.subspaces import intersect, span, subspaces_of, zero_subspace
+from qcover.designs import (SubspaceDesign, design_to_text, dualize,
+                            verify_covering, verify_steiner, verify_turan)
+from qcover.fields import field_new
+from qcover.subspaces import (BudgetError, enumerate_vectors, intersect,
+                              packed_vectors, span, subspaces_of,
+                              zero_subspace)
 
 
 def test_trivial_steiner():
@@ -126,6 +132,114 @@ def test_gf64_covering_design():
     assert report.is_covering
     # multiplicity profile: most pairs once-covered, a small triple-covered set
     assert report.min_multiplicity >= 1
+
+
+GF64_SHA256 = "f8c23429033db5efcf6fb817b994fb9f6f4497e27ab4e92cbf1bcb47eb3bfe43"
+
+
+def reference_gf64_blocks():
+    """The 399 blocks built shift by shift on coordinate tuples, each block
+    by span and an enumerate_vectors closure check."""
+    gf64 = field_new(2, 6, GF64_MODULUS)
+
+    def vec(beta, bit):
+        return gf64.to_vector(beta) + (bit,)
+
+    def to_block(vectors):
+        block = span(2, 7, [v for v in vectors if any(v)])
+        assert block.dim == 3
+        assert set(enumerate_vectors(block)) == set(vectors) | {(0,) * 7}
+        return block
+
+    blocks = []
+    for quad in GF64_QUADS:
+        for shift in range(63):
+            a = [gf64.alpha_pow(j + shift) for j in quad]
+            blocks.append(to_block(
+                [vec(0, 0)] + [vec(gf64.add(a[0], x), 0) for x in a[1:]]
+                + [vec(x, 1) for x in a]))
+    for shift in range(21):
+        a = [gf64.alpha_pow(e + shift) for e in (0, 21, 42)]
+        blocks.append(to_block([vec(x, bit) for bit in (0, 1)
+                                for x in [0] + a]))
+    for shift in range(63):
+        blocks.append(to_block([vec(0, 0)] + [
+            vec(gf64.alpha_pow(e + shift), 0) for e in GF64_LINE_EXPONENTS]))
+    return blocks
+
+
+def test_gf64_design_file_is_pinned():
+    text = design_to_text(gf64_covering_design())
+    assert hashlib.sha256(text.encode()).hexdigest() == GF64_SHA256
+
+
+def test_gf64_blocks_equal_reference_builder():
+    reference = reference_gf64_blocks()
+    assert len(set(reference)) == 399
+    d = gf64_covering_design(verify=False)
+    key = lambda s: (s.pivots, s.rows)
+    assert sorted(map(key, d.blocks)) == sorted(map(key, reference))
+
+
+def test_gf64_orbit_structure():
+    """Under (beta, b) -> (alpha beta, b) the blocks form six orbits of 63
+    and one of 21."""
+    gf64 = field_new(2, 6, GF64_MODULUS)
+    alpha = gf64.alpha_pow(1)
+    # multiplication by alpha on packed vectors, bit 6 untouched
+    times_alpha = {v: gf64.mul(alpha, v & 63) | (v & 64) for v in range(128)}
+    remaining = {frozenset(packed_vectors(b))
+                 for b in gf64_covering_design(verify=False).blocks}
+    sizes = []
+    while remaining:
+        block = remaining.pop()
+        size = 1
+        image = frozenset(times_alpha[v] for v in block)
+        while image != block:
+            remaining.remove(image)
+            size += 1
+            image = frozenset(times_alpha[v] for v in image)
+        sizes.append(size)
+    assert sorted(sizes) == [21] + [63] * 6
+
+
+def test_gf64_unclosed_block_raises(monkeypatch):
+    # A quadruple block is closed exactly when the quadruple sums to zero,
+    # so the quadruple checks refuse a bad quadruple before any block is
+    # built; the closure check is reached only with them out of the way.
+    patched = ((0, 1, 1, 16),) + GF64_QUADS[1:]  # a1 = a2: 6 vectors, rank 3
+    monkeypatch.setattr(constructions, "GF64_QUADS", patched)
+    with pytest.raises(ConstructionError, match="difference set"):
+        gf64_covering_design(verify=False)
+    monkeypatch.setattr(constructions, "_check_gf64_quads", lambda gf64: None)
+    with pytest.raises(ConstructionError, match="not closed under addition"):
+        gf64_covering_design(verify=False)
+    # a quadruple with a nonzero sum spans dimension 4
+    monkeypatch.setattr(constructions, "GF64_QUADS",
+                        ((0, 1, 4, 17),) + GF64_QUADS[1:])
+    with pytest.raises(ConstructionError, match="spans dim 4, not 3"):
+        gf64_covering_design(verify=False)
+
+
+@pytest.mark.parametrize("exponents, message", [
+    ((0, 1, 2), "not closed under addition"),
+    # GF(8)*, fixed by alpha^9: a closed block whose orbit has size 9
+    ((0, 9, 18, 27, 36, 45, 54), "orbit sizes"),
+])
+def test_gf64_bad_line_pattern_raises(monkeypatch, exponents, message):
+    monkeypatch.setattr(constructions, "GF64_LINE_EXPONENTS", exponents)
+    with pytest.raises(ConstructionError, match=message):
+        gf64_covering_design(verify=False)
+
+
+def test_line_covering_size_checked_before_building():
+    with pytest.raises(BudgetError):
+        optimal_line_covering(2, 30, 2)
+
+
+def test_greedy_budget_raises_budget_error():
+    with pytest.raises(BudgetError):
+        greedy_covering(2, 9, 4, 2)
 
 
 def test_expand_full_grassmannian_to_steiner_system():

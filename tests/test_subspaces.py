@@ -9,13 +9,14 @@ import pytest
 from qcover import subspaces
 from qcover.bounds import gaussian
 from qcover.designs import SubspaceDesign
-from qcover.fields import get_gf, vec_add, vec_pack
+from qcover.fields import get_gf, vec_add, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
                               contains_subspace, contains_vector, cosets,
                               enumerate_grassmannian, enumerate_vectors,
                               full_space, intersect, orthogonal_complement,
-                              span, subspaces_of, sum_subspaces,
-                              superspaces_containing, zero_subspace)
+                              packed_vectors, rref, span, subspaces_of,
+                              sum_subspaces, superspaces_containing, xor_rref,
+                              zero_subspace)
 
 
 def random_subspace(rng, q, n, k):
@@ -255,3 +256,37 @@ def test_subspaces_caches_are_bounded():
     assert caches
     for cache in caches:
         assert cache.cache_parameters()["maxsize"] is not None, cache
+
+
+def test_xor_rref_equals_rref_and_span():
+    rng = random.Random(20261018)
+    gf = get_gf(2)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        vectors = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 3))]
+        if vectors and rng.random() < 0.5:  # zero and dependent vectors
+            vectors.append(0)
+            vectors.append(rng.choice(vectors) ^ rng.choice(vectors))
+            rng.shuffle(vectors)
+        tuples = [vec_unpack(2, n, v) for v in vectors]
+        rows, s = xor_rref(n, vectors)
+        ref_rows, ref_pivots = rref(gf, tuples, n)
+        ref = span(2, n, tuples)
+        assert s.rows == ref_rows == ref.rows
+        assert s.pivots == ref_pivots == ref.pivots
+        assert (s.q, s.n) == (2, n)
+        assert rows == [vec_pack(2, row) for row in ref_rows]
+        assert packed_vectors(s) == packed_vectors(ref)
+
+
+def test_xor_rref_edge_cases():
+    rows, s = xor_rref(4, [])
+    assert rows == [] and s == zero_subspace(2, 4) and s.pivots == ()
+    rows, s = xor_rref(3, [0, 0])
+    assert rows == [] and s.dim == 0
+    rows, s = xor_rref(3, [0b111, 0b011, 0b100, 0b110])
+    assert s == full_space(2, 3) and s.pivots == (0, 1, 2)
+    assert rows == [0b001, 0b010, 0b100]
+    for bad in (1 << 4, -1):
+        with pytest.raises(AmbientMismatch):
+            xor_rref(4, [bad])

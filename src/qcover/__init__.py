@@ -6,7 +6,7 @@ from .subspaces import (BudgetError, Subspace, enumerate_grassmannian,
                         sum_subspaces)
 from .designs import (CoverageReport, SetSystem, SubspaceDesign, dualize,
                       load_design, save_design, to_point_set_system,
-                      verify_covering, verify_steiner, verify_steiner_system,
+                      verify_covering, verify_steiner_system,
                       verify_turan)
 from .bounds import (BoundRecord, basic_lower, bound_table, decaen_lower,
                      exact_values, gaussian, schonheim_lower, recursive_upper,

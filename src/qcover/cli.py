@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
         report = designs.verify_covering(design, args.r)
         verdict = report.is_covering
     elif args.mode == "steiner":
-        report = designs.verify_steiner(design, args.r)
+        report = designs.verify_covering(design, args.r)
         verdict = report.is_steiner
     else:
         report = designs.verify_turan(design, args.r)
@@ -189,7 +189,10 @@ def cmd_expand(args) -> int:
         print(f"invalid input: expand needs a design with k >= 2, "
               f"{args.design} has k={design.k}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    system = cons.expand_to_steiner_system(design)
+    try:
+        system = cons.expand_to_steiner_system(design)
+    except BudgetError as exc:
+        raise BudgetError(f"{args.design}: {exc}") from exc
     designs.save_setsystem(system, args.output)
     report = designs.verify_steiner_system(system, 3)
     print(f"expanded to S(3,{system.block_size},{system.v}) "

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
-                      verify_covering, verify_steiner, verify_steiner_system,
+                      verify_covering, verify_steiner_system,
                       verify_turan, dualize)
 from .fields import Field, field_new, flatten_ext_vector, get_gf, is_prime
 from .subspaces import (BudgetError, MAX_SUBSPACE_ENUM, Subspace, _xor_span,
@@ -48,7 +48,7 @@ def trivial_steiner(q: int, n: int, r: int, verify: bool = True) -> SubspaceDesi
     design = SubspaceDesign.from_blocks(blocks, label=f"trivial[{r},{r},{n}]",
                                         q=q, n=n, k=r)
     if verify:
-        report = verify_steiner(design, r)
+        report = verify_covering(design, r)
         if not report.is_steiner:
             raise ConstructionError("trivial design failed Steiner check", report)
     return design
@@ -59,7 +59,7 @@ def full_space_steiner(q: int, n: int, verify: bool = True) -> SubspaceDesign:
     design = SubspaceDesign.from_blocks([full_space(q, n)],
                                         label=f"trivial[1,{n},{n}]")
     if verify:
-        report = verify_steiner(design, 1)
+        report = verify_covering(design, 1)
         if not report.is_steiner:
             raise ConstructionError("full-space design failed Steiner check", report)
     return design
@@ -77,6 +77,9 @@ def spread(q: int, k: int, n: int, verify: bool = True) -> SubspaceDesign:
     if n % k != 0:
         raise ValueError(f"k={k} does not divide n={n}")
     _require_prime(q, "spread")
+    expected = (q ** n - 1) // (q ** k - 1)
+    if expected > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"spread[{k},{n}]_{q} needs {expected} blocks")
     ext = field_new(q, k)
     s = n // k
     basis = [q ** j for j in range(k)]  # coefficient-vector basis 1, x, .., x^(k-1)
@@ -93,11 +96,10 @@ def spread(q: int, k: int, n: int, verify: bool = True) -> SubspaceDesign:
             blocks.append(block)
     design = SubspaceDesign.from_blocks(blocks, label=f"spread[{k},{n}]_{q}",
                                         q=q, n=n, k=k)
-    expected = (q ** n - 1) // (q ** k - 1)
     if len(design) != expected:
         raise ConstructionError(f"spread size {len(design)} != {expected}")
     if verify:
-        report = verify_steiner(design, 1)
+        report = verify_covering(design, 1)
         if not report.is_steiner:
             raise ConstructionError("spread failed Steiner verification", report)
     return design
@@ -165,6 +167,9 @@ def partial_spread(q: int, rho: int, n: int,
     _require_prime(q, "partial_spread")
     m = n % rho + rho
     s = (n - m) // rho
+    expected = (q ** n - q ** m) // (q ** rho - 1)
+    if expected > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"partial spread[{rho},{n}]_{q} needs {expected} blocks")
     ext_r = field_new(q, rho)
     ext_m = field_new(q, m)
     basis = [q ** j for j in range(rho)]
@@ -188,7 +193,6 @@ def partial_spread(q: int, rho: int, n: int,
                 if block.dim != rho:
                     raise ConstructionError("partial spread block has wrong dim")
                 blocks.append(block)
-    expected = (q ** n - q ** m) // (q ** rho - 1)
     if len(set(blocks)) != expected:
         raise ConstructionError(
             f"partial spread size {len(set(blocks))} != {expected}")
@@ -436,8 +440,9 @@ def expand_to_steiner_system(design: SubspaceDesign,
     if design.q != 2:
         raise ConstructionError("expansion is defined over GF(2) only")
     if design.n > 16:
-        raise ConstructionError("ambient dimension too large to expand")
-    report = verify_steiner(design, 2)
+        raise BudgetError(f"n={design.n}: expanding lists 2^{design.n} points, "
+                          f"past the limit n <= 16")
+    report = verify_covering(design, 2)
     if not report.is_steiner:
         raise ConstructionError("input is not a Steiner structure S_2[2,k,n]",
                                 report)
@@ -475,7 +480,7 @@ def derive_steiner(design: SubspaceDesign, t: int, point: Subspace,
     if point.dim != 1 or (point.q, point.n) != (design.q, design.n):
         raise ValueError("point must be a 1-subspace of the ambient space")
     if verify:
-        rep_in = verify_steiner(design, t)
+        rep_in = verify_covering(design, t)
         if not rep_in.is_steiner:
             raise ConstructionError("input is not a Steiner structure", rep_in)
     q, n = design.q, design.n
@@ -497,7 +502,7 @@ def derive_steiner(design: SubspaceDesign, t: int, point: Subspace,
         derived.append(image)
     out = SubspaceDesign.from_blocks(derived, label=f"derived({design.label})",
                                      q=q, n=n - 1, k=design.k - 1)
-    report = verify_steiner(out, t - 1) if verify else None
+    report = verify_covering(out, t - 1) if verify else None
     return out, report
 
 

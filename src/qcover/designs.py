@@ -12,15 +12,17 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import vec_pack
-from .subspaces import (MAX_SUBSPACE_ENUM, MAX_VECTOR_ENUM, AmbientMismatch,
-                        BudgetError, Subspace, enumerate_grassmannian,
-                        grassmannian_choices, local_patterns,
-                        orthogonal_complement, packed_span, packed_vectors,
-                        point_key, span, subspaces_of, superspaces_containing)
+from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch,
+                        BudgetError, Subspace, complement_generators,
+                        complement_vectors, enumerate_grassmannian,
+                        grassmannian_choices, local_row_indices,
+                        orthogonal_complement, packed_vectors, span,
+                        subspaces_of, superspaces_containing)
 
 WITNESS_CAP = 16
 
@@ -80,46 +82,65 @@ class CoverageReport:
                 f"max={self.max_multiplicity} histogram[{hist}]")
 
 
-def _report_from_counts(q: int, n: int, r: int, counts: Counter, total: int,
-                        key: Callable[[Subspace], Hashable] = None) -> CoverageReport:
-    """Report of a census whose counts are keyed by key(target)."""
+def _target(q: int, n: int, choice: tuple, t: Tuple[int, ...]) -> Subspace:
+    """The subspace with packed RREF rows t, from the grassmannian_choices
+    entry choice = (pivots, rows, packed) that lists them."""
+    pivots, rows, packed = choice
+    return Subspace(q, n, tuple([rows[i][packed[i].index(row)]
+                                 for i, row in enumerate(t)]), pivots)
+
+
+def _report_from_counts(q: int, n: int, r: int, counts: Counter,
+                        total: int) -> CoverageReport:
+    """Report of a census whose counts are keyed by packed RREF rows."""
     histogram = Counter(counts.values())
     uncovered = total - len(counts)
     if uncovered:
         histogram[0] = uncovered
-    min_mult = min(histogram) if histogram else 0
-    max_mult = max(histogram) if histogram else 0
-    witnesses: List[Subspace] = []
+    witnesses: Tuple[Subspace, ...] = ()
     if uncovered:
-        for t in enumerate_grassmannian(q, n, r):
-            if (t if key is None else key(t)) not in counts:
-                witnesses.append(t)
-                if len(witnesses) == WITNESS_CAP:
-                    break
-    assert sum(histogram.values()) == total
-    return CoverageReport(total, dict(histogram), min_mult, max_mult,
-                          tuple(witnesses))
-
-
-def _scan(q: int, n: int, dim: int, total: int,
-          multiplicity: Callable[[tuple, tuple], int]) -> CoverageReport:
-    """Report of a census that visits every dim-subspace of F_q^n.
-
-    multiplicity(rows, packed) counts the blocks incident with the target
-    whose RREF rows, and their vec_pack, are given.  Targets come in
-    enumerate_grassmannian order, so the witnesses are the first uncovered.
-    """
-    histogram: Counter = Counter()
-    witnesses: List[Subspace] = []
-    for pivots, rows, packed in grassmannian_choices(q, n, dim):
-        for t_rows, t_packed in zip(itertools.product(*rows),
-                                    itertools.product(*packed)):
-            m = multiplicity(t_rows, t_packed)
-            histogram[m] += 1
-            if not m and len(witnesses) < WITNESS_CAP:
-                witnesses.append(Subspace(q, n, t_rows, pivots))
+        misses = ((choice, t) for choice in grassmannian_choices(q, n, r)
+                  for t in itertools.product(*choice[2]) if t not in counts)
+        witnesses = tuple([_target(q, n, choice, t)
+                           for choice, t in itertools.islice(misses, WITNESS_CAP)])
     assert sum(histogram.values()) == total
     return CoverageReport(total, dict(histogram), min(histogram), max(histogram),
+                          witnesses)
+
+
+def _scan(q: int, n: int, dim: int, total: int, vector_lists: List[List[int]],
+          generators: Callable[[tuple, tuple, tuple], Iterable[Iterable[int]]]
+          ) -> CoverageReport:
+    """Report of a census that visits every dim-subspace of F_q^n.
+
+    A target's multiplicity is the number of vector lists, one per block,
+    that hold all of its generators: the popcount of the AND of the
+    generators' block bitmasks.  generators(pivots, rows, packed) yields
+    them for each target of one grassmannian_choices entry, in
+    itertools.product order.  Targets come in enumerate_grassmannian order,
+    so the witnesses are the first uncovered.
+    """
+    masks: Dict[int, int] = {}
+    for j, vectors in enumerate(vector_lists):
+        bit = 1 << j
+        for v in vectors:
+            masks[v] = masks.get(v, 0) | bit
+    every = (1 << len(vector_lists)) - 1
+    get = masks.get
+    found = [0] * (len(vector_lists) + 1)  # targets per multiplicity
+    witnesses: List[Subspace] = []
+    for choice in grassmannian_choices(q, n, dim):
+        for t, gens in zip(itertools.product(*choice[2]), generators(*choice)):
+            m = every
+            for g in gens:
+                m &= get(g, 0)
+            m = m.bit_count()
+            found[m] += 1
+            if not m and found[0] <= WITNESS_CAP:
+                witnesses.append(_target(q, n, choice, t))
+    histogram = {m: c for m, c in enumerate(found) if c}
+    assert sum(histogram.values()) == total
+    return CoverageReport(total, histogram, min(histogram), max(histogram),
                           tuple(witnesses))
 
 
@@ -129,11 +150,12 @@ def verify_covering(design: SubspaceDesign, r: int,
 
     strategy: "expand" enumerates each block's r-subspaces; "scan" tests each
     r-subspace of the ambient space against every block; "auto" picks the
-    cheaper one by the incidence-count cost model.  Expand counts point keys:
-    each block's vectors are packed once and local_patterns reads off the
-    key of every r-subspace, with no row reduction per target.  Scan keeps
-    each block's packed vectors as a set and tests every target's packed
-    RREF rows against it.
+    cheaper one by the incidence-count cost model.  Both key a target by
+    its packed RREF rows.  Expand packs each block's vectors once and reads
+    the rows of every r-subspace off them at local_row_indices, with no row
+    reduction or sort per target.  Scan marks each packed vector with the
+    bitmask of the blocks that hold it and ANDs the masks of every target's
+    packed rows.
     """
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
@@ -147,16 +169,16 @@ def verify_covering(design: SubspaceDesign, r: int,
         strategy = "expand" if expand_cost <= scan_cost else "scan"
     if strategy == "expand":
         counts: Counter = Counter()
-        patterns = local_patterns(q, k, r)
+        # One itemgetter reads the rows of every key, and zip cuts them into
+        # r-tuples; two spare reads keep the getter's result a tuple.
+        read = itemgetter(0, 0, *itertools.chain(*local_row_indices(q, k, r)))
         for block in design.blocks:
-            vectors = packed_vectors(block)
-            counts.update(tuple(sorted([vectors[i] for i in pattern]))
-                          for pattern in patterns)
-        return _report_from_counts(q, n, r, counts, total, point_key)
+            rows = iter(read(packed_vectors(block))[2:])
+            counts.update(zip(*[rows] * r) if r else [()])
+        return _report_from_counts(q, n, r, counts, total)
     if strategy == "scan":
-        contains = [frozenset(packed_vectors(b)).issuperset for b in design.blocks]
-        return _scan(q, n, r, total,
-                     lambda rows, packed: sum([c(packed) for c in contains]))
+        return _scan(q, n, r, total, [packed_vectors(b) for b in design.blocks],
+                     lambda pivots, rows, packed: itertools.product(*packed))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -165,9 +187,12 @@ def verify_turan(design: SubspaceDesign, k: int,
     """For every k-subspace, how many design blocks it contains.
 
     The design's blocks play the r-subspace role; the verdict is_covering
-    means every k-subspace contains at least one block.  Scan builds each
-    target's packed vectors from its RREF rows and tests every block's
-    packed rows against them.
+    means every k-subspace contains at least one block.  Expand counts the
+    RREF rows of every superspace of every block.  Scan uses b <= t iff
+    t-perp <= b-perp: it marks the vectors of each block's complement with
+    block bitmasks and ANDs the masks of each target's n - k complement
+    generators, read off its RREF rows, so it builds no vector set per
+    target and does no row reduction.
     """
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
@@ -182,23 +207,16 @@ def verify_turan(design: SubspaceDesign, k: int,
     if strategy == "expand":
         counts: Counter = Counter()
         for block in design.blocks:
-            counts.update(superspaces_containing(block, k))
+            counts.update([t.rows for t in superspaces_containing(block, k)])
+        if len(counts) < total:  # the witness search reads packed rows
+            counts = Counter({tuple([vec_pack(q, row) for row in rows]): m
+                              for rows, m in counts.items()})
         return _report_from_counts(q, n, k, counts, total)
     if strategy == "scan":
-        if q ** k > MAX_VECTOR_ENUM:
-            raise BudgetError(f"{q}^{k} vectors exceed the enumeration budget")
-        blocks = [tuple([vec_pack(q, row) for row in b.rows]) for b in design.blocks]
-
-        def multiplicity(rows, packed):
-            return sum(map(set(packed_span(q, rows, packed)).issuperset, blocks))
-        return _scan(q, n, k, total, multiplicity)
+        return _scan(q, n, k, total, [complement_vectors(b) for b in design.blocks],
+                     lambda pivots, rows, packed:
+                     complement_generators(q, n, pivots, rows))
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def verify_steiner(design: SubspaceDesign, r: int,
-                   strategy: str = "auto") -> CoverageReport:
-    """Same census as verify_covering; consult report.is_steiner."""
-    return verify_covering(design, r, strategy)
 
 
 def dualize(design: SubspaceDesign) -> SubspaceDesign:

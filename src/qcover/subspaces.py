@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import add
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .fields import Field, get_gf, vec_add, vec_pack, vec_unpack
@@ -184,6 +185,36 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return span(s.q, n, basis)
 
 
+def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
+                          rows: Sequence[Sequence[Sequence[int]]]
+                          ) -> Iterator[Tuple[int, ...]]:
+    """Packed bases of the orthogonal complements of a family of RREFs.
+
+    rows[i] lists the choices of the i-th RREF row, as grassmannian_choices
+    does; a single RREF is the family of its rows, one choice each.  For
+    each RREF t in itertools.product(*rows) order this yields one packed
+    generator per non-pivot column fc, e_fc - sum_i t_i[fc] * e_{pivots[i]}:
+    each is orthogonal to every row, and the only generator nonzero at its
+    own column fc, so the n - len(pivots) of them are a basis of t's
+    complement, read off the rows with no reduction.
+    """
+    gf = get_gf(q)
+    neg = [gf.neg(c) for c in range(q)]
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    units = [q ** c for c in free]
+    if not pivots:
+        yield tuple(units)
+        return
+    # What each row choice adds to each generator.
+    *heads, last = [[tuple([neg[row[c]] * q ** p for c in free]) for row in choices]
+                    for p, choices in zip(pivots, rows)]
+    for head in itertools.product(*heads):
+        prefix = tuple(map(sum, zip(units, *head)))
+        for part in last:
+            yield tuple(map(add, prefix, part))
+
+
 def enumerate_grassmannian(q: int, n: int, k: int,
                            pivot_sets: Iterable[Tuple[int, ...]] = None) -> Iterator[Subspace]:
     """All k-subspaces of F_q^n, each exactly once, in deterministic order.
@@ -286,13 +317,20 @@ def packed_vectors(s: Subspace) -> List[int]:
     return _horner_span(s.q, s.rows)
 
 
-def packed_span(q: int, rows: Sequence[Sequence[int]],
-                packed_rows: Sequence[int]) -> List[int]:
-    """vec_pack of every F_q-combination of rows, in enumerate_vectors order.
+def complement_vectors(s: Subspace) -> List[int]:
+    """vec_pack of every vector of s's orthogonal complement.
 
-    packed_rows holds vec_pack of each row; q = 2 reads only those.
+    The vectors are the combinations of complement_generators, taken as
+    packed_vectors takes them of RREF rows, so no row reduction is done.
     """
-    return _xor_span(packed_rows) if q == 2 else _horner_span(q, rows)
+    free = s.n - s.dim
+    if s.q ** free > MAX_VECTOR_ENUM:
+        raise BudgetError(f"{s.q}^{free} vectors exceed the enumeration budget")
+    generators = next(complement_generators(s.q, s.n, s.pivots,
+                                            [(row,) for row in s.rows]))
+    if s.q == 2:
+        return _xor_span(generators)
+    return _horner_span(s.q, [vec_unpack(s.q, s.n, g) for g in generators])
 
 
 def _xor_span(packed_rows: Sequence[int]) -> List[int]:
@@ -341,7 +379,7 @@ def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
     return list(out)
 
 
-# Bounded like local_patterns; a design's blocks share few distinct columns.
+# Bounded like local_row_indices; a design's blocks share few distinct columns.
 @functools.lru_cache(maxsize=128)
 def _column_table(q: int, column: Tuple[int, ...]) -> Tuple[int, ...]:
     """c . column for every coefficient vector c, in enumerate_vectors order.
@@ -357,43 +395,24 @@ def _column_table(q: int, column: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-# Bounded: one table can hold millions of tuples, and a census run touches
-# only a handful of (q, k, r).
+# Bounded: one table holds [k r]_q tuples, and a census run touches only a
+# handful of (q, k, r).
 @functools.lru_cache(maxsize=16)
-def local_patterns(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
-    """Projective points of every r-subspace of F_q^k, as odometer indices.
+def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
+    """Odometer indices of the RREF rows of every r-subspace L of F_q^k.
 
-    One entry per r-subspace, in enumerate_grassmannian order, listing the
-    sorted enumerate_vectors indices of its vectors whose first nonzero
-    entry is 1.  The RREF rows of a k-dimensional subspace send such a
-    coefficient vector to a vector whose first nonzero entry is 1, so
-    reading a subspace's packed_vectors at one entry gives the points of
-    one of its r-subspaces.
+    One tuple per L, in enumerate_grassmannian order.  The vector
+    sum(c_j * S.rows[j]) of a k-subspace S sits at index
+    sum(c_j * q^(k-1-j)) of packed_vectors(S), so S's packed vectors read
+    at L's entry are the packed rows of L*S, which is already the canonical
+    RREF (see subspaces_of).
     """
-    # The odometer index of a vector reads coordinate 0 as the most
-    # significant digit, vec_pack as the least: index[vec_pack(v)].
-    index = [0] * q ** k
-    for i, v in enumerate(itertools.product(range(q), repeat=k)):
-        index[vec_pack(q, v)] = i
-    # By the same argument applied to L's own rows, L's points sit at the
-    # coefficient indices whose first nonzero digit is 1: [q^j, 2 q^j).
-    points = [i for j in range(r) for i in range(q ** j, 2 * q ** j)]
     out = []
-    for _, rows, packed in grassmannian_choices(q, k, r):
-        for l_rows, l_packed in zip(itertools.product(*rows),
-                                    itertools.product(*packed)):
-            vectors = packed_span(q, l_rows, l_packed)
-            out.append(tuple(sorted([index[vectors[i]] for i in points])))
+    for _, rows, _ in grassmannian_choices(q, k, r):
+        # vec_pack reads coordinate 0 least significant, the index most.
+        indices = [[vec_pack(q, row[::-1]) for row in choices] for choices in rows]
+        out.extend(itertools.product(*indices))
     return tuple(out)
-
-
-def point_key(s: Subspace) -> Tuple[int, ...]:
-    """Sorted packed projective points of s, each with first nonzero entry 1.
-
-    Two subspaces of one ambient space are equal iff their keys are equal.
-    """
-    vectors = packed_vectors(s)
-    return tuple(sorted([vectors[i] for i in local_patterns(s.q, s.dim, s.dim)[0]]))
 
 
 def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
@@ -419,7 +438,7 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
                        tuple(s.pivots[i] for i in local.pivots))
 
 
-# Bounded like local_patterns; blocks of one design share few pivot sets.
+# Bounded like local_row_indices; blocks of one design share few pivot sets.
 @functools.lru_cache(maxsize=16)
 def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
     """The (k - d)-subspaces L of the coordinates outside pivots.

@@ -15,6 +15,7 @@ builder kept here.
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -23,12 +24,14 @@ from qcover import subspaces
 from qcover.bounds import gaussian
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_turan)
-from qcover.fields import get_gf, vec_add, vec_pack, vec_scale
-from qcover.subspaces import (BudgetError, Subspace, enumerate_grassmannian,
+from qcover.fields import get_gf, vec_add, vec_pack, vec_scale, vec_unpack
+from qcover.subspaces import (BudgetError, Subspace, complement_generators,
+                              complement_vectors, enumerate_grassmannian,
                               enumerate_vectors, full_space,
-                              grassmannian_choices, local_patterns,
-                              packed_vectors, point_key, span, subspaces_of,
-                              superspaces_containing)
+                              grassmannian_choices, local_row_indices,
+                              orthogonal_complement, packed_vectors, span,
+                              subspaces_of, superspaces_containing,
+                              zero_subspace)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
@@ -58,20 +61,12 @@ def reference_enumerate_grassmannian(q, n, k, pivot_sets=None):
             yield Subspace(q, n, tuple(tuple(r) for r in template), tuple(pivots))
 
 
-def reference_local_patterns(q, k, r):
-    """local_patterns built from enumerate_vectors of every local subspace,
-    each normalised point's odometer index computed digit by digit."""
-    out = []
-    for local in enumerate_grassmannian(q, k, r):
-        points = []
-        for v in enumerate_vectors(local):
-            if next((x for x in v if x), 0) == 1:
-                index = 0
-                for x in v:
-                    index = index * q + x
-                points.append(index)
-        out.append(tuple(sorted(points)))
-    return tuple(out)
+def reference_local_row_indices(q, k, r):
+    """local_row_indices built from enumerate_vectors: the position of each
+    RREF row of every local subspace among the vectors of F_q^k."""
+    vectors = enumerate_vectors(full_space(q, k))
+    return tuple(tuple(vectors.index(row) for row in local.rows)
+                 for local in enumerate_grassmannian(q, k, r))
 
 
 def reference_subspaces_of(s, r):
@@ -190,6 +185,10 @@ SCAN_EDGE_CASES = {
     "q8-k2": (sampled_blocks(8, 3, 2, 30, 8), [1, 2], [2, 3]),
     "q9-k2": (sampled_blocks(9, 3, 2, 40, 9), [1, 2], [2, 3]),
     "q9-all-points": (all_blocks(9, 2, 1), [0, 1], [1, 2]),
+    # more than 64 blocks: the block bitmasks span several machine words
+    "q2-all-points-n7": (all_blocks(2, 7, 1), [0, 1], [1, 2, 6, 7]),
+    "q3-all-planes": (all_blocks(3, 4, 2), [0, 1, 2], [2, 3, 4]),
+    "q2-100-lines": (sampled_blocks(2, 6, 2, 100, 10), [1, 2], [2, 3, 5]),
 }
 
 
@@ -218,7 +217,7 @@ def test_scan_uses_no_expand_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called by scan")
     for module in (designs, subspaces):
-        for name in ("local_patterns", "point_key", "contains_subspace",
+        for name in ("local_row_indices", "contains_subspace",
                      "contains_vector", "subspaces_of", "superspaces_containing"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
@@ -289,43 +288,81 @@ def test_packed_vectors_budget(q, n):
         packed_vectors(full_space(q, n))
 
 
-def normalised_points(s):
-    """Packed vectors of s scaled so the first nonzero entry is 1."""
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_local_row_indices_equal_reference(q):
+    for k in range(5):
+        for r in range(k + 1):
+            expected = reference_local_row_indices(q, k, r)
+            assert local_row_indices(q, k, r) == expected, (k, r)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (2, 5, 3), (3, 4, 2), (4, 3, 2)])
+def test_row_keys_are_packed_rows_of_subspaces_of(q, n, k):
+    """A block's packed vectors read at local_row_indices give the packed
+    RREF rows of its r-subspaces, in subspaces_of order."""
+    for s in enumerate_grassmannian(q, n, k):
+        vectors = packed_vectors(s)
+        for r in range(k + 1):
+            keys = [tuple(vectors[i] for i in rows)
+                    for rows in local_row_indices(q, k, r)]
+            assert keys == [tuple(vec_pack(q, row) for row in t.rows)
+                            for t in subspaces_of(s, r)], (s, r)
+
+
+def null_space(s):
+    """Packed vectors of F_q^n orthogonal to every row of s, by brute force."""
     gf = get_gf(s.q)
-    points = set()
-    for v in enumerate_vectors(s):
-        lead = next((x for x in v if x), 0)
-        if lead:
-            inv = gf.inv(lead)
-            points.add(vec_pack(s.q, [gf.mul(inv, x) for x in v]))
-    return tuple(sorted(points))
+    out = set()
+    for v in itertools.product(range(s.q), repeat=s.n):
+        dots = []
+        for row in s.rows:
+            dot = 0
+            for a, b in zip(v, row):
+                dot = gf.add(dot, gf.mul(a, b))
+            dots.append(dot)
+        if not any(dots):
+            out.add(vec_pack(s.q, v))
+    return out
 
 
-@pytest.mark.parametrize("q,n,r", [(2, 5, 2), (3, 4, 2)])
-def test_point_key_identifies_subspaces(q, n, r):
-    grassmannian = list(enumerate_grassmannian(q, n, r))
-    keys = [point_key(s) for s in grassmannian]
-    assert len(set(keys)) == len(grassmannian) == gaussian(n, r, q)
-    rng = random.Random(q * 100 + n)
-    for s, key in zip(grassmannian, keys):
-        assert key == normalised_points(s)
-        # another basis of the same subspace gives the same key
-        vectors = enumerate_vectors(s)
-        basis = rng.sample(vectors, len(vectors))
-        assert point_key(span(q, n, basis)) == key
-    for a, b in itertools.combinations(range(len(grassmannian)), 2):
-        assert (keys[a] == keys[b]) == (grassmannian[a] == grassmannian[b])
+# Largest ambient dimension per q for the complement comparison.
+COMPLEMENT_MAX_N = {2: 6, 3: 4, 4: 3, 9: 3}
 
 
-@pytest.mark.parametrize("q,k", [(2, 4), (3, 3), (4, 3)])
-def test_local_patterns_shape(q, k):
-    for r in range(k + 1):
-        patterns = local_patterns(q, k, r)
-        assert len(patterns) == gaussian(k, r, q)
-        assert len(set(patterns)) == len(patterns)
-        for pattern in patterns:
-            assert len(set(pattern)) == len(pattern) == gaussian(r, 1, q)
-            assert all(0 < i < q ** k for i in pattern)
+@pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
+def test_complement_generators_span_the_null_space(q):
+    """For one random subspace per pivot set, the generators are n - dim
+    independent vectors spanning the brute-force null space, which is
+    orthogonal_complement; a family of RREFs gives each one's generators in
+    product order."""
+    rng = random.Random(3000 + q)
+    for n in range(COMPLEMENT_MAX_N[q] + 1):
+        for d in range(n + 1):
+            for pivots in itertools.combinations(range(n), d):
+                s = random_rref(rng, q, n, pivots)
+                (generators,) = complement_generators(
+                    q, n, s.pivots, [(row,) for row in s.rows])
+                unpacked = [vec_unpack(q, n, g) for g in generators]
+                expected = null_space(s)
+                assert span(q, n, unpacked).dim == len(generators) == n - d, s
+                assert set(complement_vectors(s)) == expected, s
+                assert len(complement_vectors(s)) == len(expected)
+                assert orthogonal_complement(s) == span(q, n, unpacked)
+            for pivots, rows, _ in grassmannian_choices(q, n, d):
+                assert list(complement_generators(q, n, pivots, rows)) == [
+                    next(complement_generators(q, n, pivots, [(r,) for r in t]))
+                    for t in itertools.product(*rows)]
+
+
+def test_turan_scan_budget_is_the_block_complement():
+    """A zero-dimensional block's complement is all of F_2^25: 2^25 vectors,
+    past the budget, even though the one target has no generators."""
+    design = SubspaceDesign.from_blocks([zero_subspace(2, 25)], q=2, n=25, k=0)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        verify_turan(design, 0, "scan")
+    assert time.perf_counter() - start < 0.5
+    assert verify_turan(design, 0, "expand").histogram == {1: 1}
 
 
 # Largest ambient dimension per q for the enumeration order comparison.
@@ -380,11 +417,3 @@ def test_witnesses_in_a_large_ambient_space():
         (t for t in reference_enumerate_grassmannian(2, 20, 1)
          if t not in covered), WITNESS_CAP))
     assert verify_covering(design, 1, "expand").witnesses == expected
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_local_patterns_equal_reference(q):
-    for k in range(5):
-        for r in range(k + 1):
-            assert local_patterns(q, k, r) == reference_local_patterns(q, k, r), (
-                k, r)

@@ -314,3 +314,29 @@ def test_expand_design_with_k_below_2_exit_2(tmp_path, capsys):
     assert code == 2
     assert str(design) in err and "k=1" in err
     assert "RESULT:" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("spread", "--q", "2", "--k", "1", "--n", "30"),
+    ("partial-spread", "--q", "2", "--rho", "2", "--n", "31"),
+])
+def test_construct_huge_spread_exit_3_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert "budget exceeded" in err and "blocks" in err
+    assert "RESULT:" not in out
+
+
+def test_expand_past_the_size_limit_exit_3(tmp_path, capsys):
+    design = tmp_path / "n17.txt"
+    line = " ".join("".join("1" if j == i else "0" for j in range(17))
+                    for i in range(2))
+    design.write_text(f"qcover-design v1\nq=2 n=17 k=2\n{line}\n")
+    code, out, err = run(capsys, "expand", str(design),
+                         "-o", str(tmp_path / "system.txt"))
+    assert code == 3
+    assert "budget exceeded" in err and str(design) in err and "n=17" in err
+    assert "RESULT:" not in out
+    assert not (tmp_path / "system.txt").exists()

@@ -15,7 +15,7 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   trivial_steiner, turan_dual_covering,
                                   turan_point_design)
 from qcover.designs import (SubspaceDesign, design_to_text, dualize,
-                            verify_covering, verify_steiner, verify_turan)
+                            verify_covering, verify_turan)
 from qcover.fields import field_new
 from qcover.subspaces import (BudgetError, enumerate_vectors, intersect,
                               packed_vectors, span, subspaces_of,
@@ -40,7 +40,7 @@ def test_spread_sizes_and_disjointness():
 
 def test_spread_is_optimal_steiner():
     s = spread(2, 2, 6)
-    assert verify_steiner(s, 1).is_steiner
+    assert verify_covering(s, 1).is_steiner
     assert len(s.blocks) == basic_lower(6, 2, 1, 2)
 
 
@@ -292,6 +292,6 @@ def test_greedy_covering():
 def test_verify_false_skips_checks():
     # verify=False must still produce structurally valid designs
     d = spread(2, 2, 4, verify=False)
-    assert verify_steiner(d, 1).is_steiner
+    assert verify_covering(d, 1).is_steiner
     d2 = gf64_covering_design(verify=False)
     assert len(d2.blocks) == 399

@@ -6,7 +6,7 @@ from qcover.bounds import basic_lower, gaussian
 from qcover.designs import (FormatError, SetSystem, SubspaceDesign,
                             design_from_text, design_to_text, dualize,
                             point_indexing, to_point_set_system,
-                            verify_covering, verify_steiner,
+                            verify_covering,
                             verify_steiner_system, verify_turan)
 from qcover.constructions import spread, trivial_steiner, turan_point_design
 from qcover.subspaces import (enumerate_grassmannian, full_space, span,
@@ -95,13 +95,13 @@ def test_turan_examples():
 
 def test_steiner_examples():
     s = spread(2, 2, 4, verify=False)
-    assert verify_steiner(s, 1).is_steiner
+    assert verify_covering(s, 1).is_steiner
     t = trivial_steiner(2, 4, 2, verify=False)
-    assert verify_steiner(t, 2).is_steiner
+    assert verify_covering(t, 2).is_steiner
     # doubled coverage is a covering but not Steiner
     blocks = list(enumerate_grassmannian(2, 3, 2))
     d = SubspaceDesign.from_blocks(blocks)
-    rep = verify_steiner(d, 1)
+    rep = verify_covering(d, 1)
     assert rep.is_covering and not rep.is_steiner
 
 

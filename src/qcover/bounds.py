@@ -136,22 +136,24 @@ class BoundRecord:
 
 
 def bound_table(q: int, n_max: int = 12,
-                extra_uppers: Optional[Dict[Tuple[int, int, int], Tuple[int, str]]] = None,
-                include_constructions: bool = True) -> Dict[Tuple[int, int, int], BoundRecord]:
+                extra_uppers: Optional[Dict[Tuple[int, int, int], Tuple[int, str]]] = None
+                ) -> Dict[Tuple[int, int, int], BoundRecord]:
     """Best-known bound records for all 1 <= r <= k <= n <= n_max.
 
     Lower = max of the counting, Schonheim, de Caen and exact values; upper =
     min of the trivial Gaussian bound, the block-count recursion, exact values
-    and registered constructed designs.  Propagation is iterated to a fixed
-    point so registered uppers feed back through the recursion.
+    and registered designs: extra_uppers, and for q = 2 the 399-block gf64
+    design at (7, 3, 2), built only if extra_uppers has no entry there.  The
+    recursion reads only n - 1 entries, so one pass in n order is the fixed
+    point, and registered uppers feed forward through it.
     """
     if q not in (2, 3):
         raise ValueError("bound table supports q in {2, 3}")
     if n_max > 12:
         raise ValueError("n_max capped at 12")
     registered: Dict[Tuple[int, int, int], Tuple[int, str]] = dict(extra_uppers or {})
-    if include_constructions and q == 2 and n_max >= 7:
-        registered.setdefault((7, 3, 2), _verified_gf64_upper())
+    if q == 2 and n_max >= 7 and (7, 3, 2) not in registered:
+        registered[(7, 3, 2)] = _verified_gf64_upper()
 
     records: Dict[Tuple[int, int, int], BoundRecord] = {}
     uppers: Dict[Tuple[int, int, int], int] = {}
@@ -162,26 +164,19 @@ def bound_table(q: int, n_max: int = 12,
               for k in range(1, n + 1)
               for r in range(1, k + 1)]
 
-    changed = True
-    while changed:
-        changed = False
-        for (n, k, r) in params:
-            # by duality the Turan bound [n-k+r r]_q also bounds C_q(n,k,r)
-            cands = [(turan_upper(n, k, r, q), "trivial")]
-            try:
-                cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
-            except KeyError:
-                pass
-            if (n, k, r) in registered:
-                cands.append(registered[(n, k, r)])
-            exact = _exact_with_source(n, k, r, q)
-            if exact:
-                cands.append(exact)
-            best, src = min(cands, key=lambda t: t[0])
-            if uppers.get((n, k, r)) != best:
-                uppers[(n, k, r)] = best
-                upper_srcs[(n, k, r)] = src
-                changed = True
+    for (n, k, r) in params:
+        # by duality the Turan bound [n-k+r r]_q also bounds C_q(n,k,r)
+        cands = [(turan_upper(n, k, r, q), "trivial")]
+        try:
+            cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
+        except KeyError:
+            pass
+        if (n, k, r) in registered:
+            cands.append(registered[(n, k, r)])
+        exact = _exact_with_source(n, k, r, q)
+        if exact:
+            cands.append(exact)
+        uppers[(n, k, r)], upper_srcs[(n, k, r)] = min(cands, key=lambda t: t[0])
 
     for (n, k, r) in params:
         lo_cands = [(basic_lower(n, k, r, q), "basic"),

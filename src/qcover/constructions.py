@@ -21,7 +21,7 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_turan, dualize)
 from .fields import Field, field_new, flatten_ext_vector, get_gf, is_prime
 from .subspaces import (BudgetError, MAX_SUBSPACE_ENUM, Subspace, _xor_span,
-                        contains_subspace, cosets, enumerate_grassmannian,
+                        contains_subspace, enumerate_grassmannian,
                         full_space, packed_vectors, span, subspaces_of,
                         xor_rref)
 
@@ -302,10 +302,10 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign, r: int,
                        verify: bool = True) -> SubspaceDesign:
     """Combine C_q[n-1,k-1,r-1] and C_q[n-1,k,r] into a C_q[n,k,r].
 
-    Type-1 blocks: for each block P of s1 and each coset representative b of
-    P in F_q^(n-1), the span of P x {0} and (b, 1).  Type-2 blocks: the
-    blocks of s2 embedded in the last-coordinate-zero hyperplane.  The output
-    has exactly q^(n-k) |s1| + |s2| blocks.
+    Type-1 blocks: for each block P of s1 and each b in F_q^(n-1) zero at
+    P's pivots (one per coset b + P), the span of P x {0} and (b, 1).
+    Type-2 blocks: the blocks of s2 embedded in the last-coordinate-zero
+    hyperplane.  The output has exactly q^(n-k) |s1| + |s2| blocks.
     """
     q = s1.q
     if s2.q != q or s2.n != s1.n or s2.k != s1.k + 1:
@@ -319,15 +319,15 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign, r: int,
         rep2 = verify_covering(s2, r)
         if not rep2.is_covering:
             raise ConstructionError("s2 is not a covering at r", rep2)
-    ambient = full_space(q, n - 1)
     blocks = []
     for p in s1.blocks:
-        reps = cosets(p, ambient)
-        if len(reps) != q ** (n - k):
-            raise ConstructionError("unexpected coset count in recursion")
-        base_rows = [tuple(row) + (0,) for row in p.rows]
-        for beta in reps:
-            blocks.append(span(q, n, base_rows + [tuple(beta) + (1,)]))
+        base_rows = [row + (0,) for row in p.rows]
+        free = [c for c in range(n - 1) if c not in p.pivots]
+        beta = [0] * (n - 1) + [1]
+        for values in itertools.product(range(q), repeat=len(free)):
+            for c, v in zip(free, values):
+                beta[c] = v
+            blocks.append(span(q, n, base_rows + [beta]))
     for b in s2.blocks:
         blocks.append(span(q, n, [tuple(row) + (0,) for row in b.rows]))
     design = SubspaceDesign.from_blocks(
@@ -434,7 +434,7 @@ def expand_to_steiner_system(design: SubspaceDesign,
     """Expand a Steiner structure S_2[2,k,n] into a Steiner system S(3,2^k,2^n).
 
     Points are the vectors of F_2^n indexed by their packed integer value
-    (coordinate 0 least significant); blocks are all cosets of all design
+    (coordinate 0 least significant); blocks are all translates of all design
     blocks, deduplicated.
     """
     if design.q != 2:

@@ -60,13 +60,14 @@ class SubspaceDesign:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Exact multiplicity census of a verification run."""
+    """Exact multiplicity census of a verification run; the witnesses are the
+    first uncovered targets (subspaces, or point tuples of a set system)."""
 
     total: int
     histogram: Dict[int, int]
     min_multiplicity: int
     max_multiplicity: int
-    witnesses: Tuple[Subspace, ...]
+    witnesses: tuple
 
     @property
     def is_covering(self) -> bool:
@@ -145,17 +146,17 @@ def _scan(q: int, n: int, dim: int, total: int, vector_lists: List[List[int]],
 
 
 def verify_covering(design: SubspaceDesign, r: int,
-                    strategy: str = "auto") -> CoverageReport:
+                    strategy: str = "expand") -> CoverageReport:
     """Multiplicity of every r-subspace of F_q^n among the design's blocks.
 
-    strategy: "expand" enumerates each block's r-subspaces; "scan" tests each
-    r-subspace of the ambient space against every block; "auto" picks the
-    cheaper one by the incidence-count cost model.  Both key a target by
-    its packed RREF rows.  Expand packs each block's vectors once and reads
-    the rows of every r-subspace off them at local_row_indices, with no row
-    reduction or sort per target.  Scan marks each packed vector with the
-    bitmask of the blocks that hold it and ANDs the masks of every target's
-    packed rows.
+    strategy: "expand" (the default; as [k r]_q <= [n r]_q it never counts
+    more incidences than scan tests pairs) enumerates each block's
+    r-subspaces; "scan" tests each r-subspace of the ambient space against
+    every block.  Both key a target by its packed RREF rows.  Expand packs
+    each block's vectors once and reads the rows of every r-subspace off
+    them at local_row_indices, with no row reduction or sort per target.
+    Scan marks each packed vector with the bitmask of the blocks that hold
+    it and ANDs the masks of every target's packed rows.
     """
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
@@ -163,10 +164,6 @@ def verify_covering(design: SubspaceDesign, r: int,
     total = gaussian(n, r, q)
     if total > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"[{n} {r}]_{q} exceeds the verification budget")
-    if strategy == "auto":
-        expand_cost = len(design.blocks) * gaussian(k, r, q)
-        scan_cost = total * max(len(design.blocks), 1)
-        strategy = "expand" if expand_cost <= scan_cost else "scan"
     if strategy == "expand":
         counts: Counter = Counter()
         # One itemgetter reads the rows of every key, and zip cuts them into
@@ -183,12 +180,13 @@ def verify_covering(design: SubspaceDesign, r: int,
 
 
 def verify_turan(design: SubspaceDesign, k: int,
-                 strategy: str = "auto") -> CoverageReport:
+                 strategy: str = "expand") -> CoverageReport:
     """For every k-subspace, how many design blocks it contains.
 
     The design's blocks play the r-subspace role; the verdict is_covering
-    means every k-subspace contains at least one block.  Expand counts the
-    RREF rows of every superspace of every block.  Scan uses b <= t iff
+    means every k-subspace contains at least one block.  strategy is
+    "expand" (the default, as in verify_covering) or "scan".  Expand counts
+    the RREF rows of every superspace of every block.  Scan uses b <= t iff
     t-perp <= b-perp: it marks the vectors of each block's complement with
     block bitmasks and ANDs the masks of each target's n - k complement
     generators, read off its RREF rows, so it builds no vector set per
@@ -200,10 +198,6 @@ def verify_turan(design: SubspaceDesign, k: int,
     total = gaussian(n, k, q)
     if total > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"[{n} {k}]_{q} exceeds the verification budget")
-    if strategy == "auto":
-        expand_cost = len(design.blocks) * gaussian(n - r, k - r, q)
-        scan_cost = total * max(len(design.blocks), 1)
-        strategy = "expand" if expand_cost <= scan_cost else "scan"
     if strategy == "expand":
         counts: Counter = Counter()
         for block in design.blocks:
@@ -250,19 +244,6 @@ class SetSystem:
         return SetSystem(v, size, tuple(norm))
 
 
-@dataclass(frozen=True)
-class SetSystemReport:
-    total: int
-    histogram: Dict[int, int]
-    min_multiplicity: int
-    max_multiplicity: int
-    witnesses: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def is_steiner(self) -> bool:
-        return self.min_multiplicity == 1 and self.max_multiplicity == 1
-
-
 def point_indexing(q: int, n: int) -> Dict[Subspace, int]:
     """Deterministic index for each 1-subspace, in enumeration order."""
     return {s: i for i, s in enumerate(enumerate_grassmannian(q, n, 1))}
@@ -281,7 +262,7 @@ def to_point_set_system(design: SubspaceDesign) -> SetSystem:
     return SetSystem.from_blocks(v, blocks)
 
 
-def verify_steiner_system(system: SetSystem, t: int) -> SetSystemReport:
+def verify_steiner_system(system: SetSystem, t: int) -> CoverageReport:
     """Exact multiplicity of every t-subset of points across the blocks."""
     if t > system.block_size:
         raise ValueError("t exceeds the block size")
@@ -305,7 +286,7 @@ def verify_steiner_system(system: SetSystem, t: int) -> SetSystemReport:
                     break
     min_mult = min(histogram) if histogram else 0
     max_mult = max(histogram) if histogram else 0
-    return SetSystemReport(total, dict(histogram), min_mult, max_mult,
+    return CoverageReport(total, dict(histogram), min_mult, max_mult,
                            tuple(witnesses))
 
 
@@ -337,6 +318,8 @@ def design_from_text(text: str) -> SubspaceDesign:
         q, n, k = int(params["q"]), int(params["n"]), int(params["k"])
     except (ValueError, KeyError) as exc:
         raise FormatError(f"bad parameter line: {lines[1]!r}") from exc
+    if not 0 <= k <= n:
+        raise FormatError(f"need 0 <= k <= n, got n={n} k={k}")
     blocks = []
     for line in lines[2:]:
         line = line.strip()

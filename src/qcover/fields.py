@@ -232,9 +232,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, j: int) -> int:
         """a^j, with exponents reduced mod q-1 for nonzero a."""
         if a == 0:

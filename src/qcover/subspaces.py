@@ -15,7 +15,7 @@ import itertools
 from operator import add
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from .fields import Field, get_gf, vec_add, vec_pack, vec_unpack
+from .fields import Field, get_gf, vec_pack, vec_unpack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
 MAX_VECTOR_ENUM = 1 << 24
@@ -215,21 +215,19 @@ def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
             yield tuple(map(add, prefix, part))
 
 
-def enumerate_grassmannian(q: int, n: int, k: int,
-                           pivot_sets: Iterable[Tuple[int, ...]] = None) -> Iterator[Subspace]:
+def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     """All k-subspaces of F_q^n, each exactly once, in deterministic order.
 
     Pivot sets come in lexicographic order; within one, the free entries run
-    in odometer order, the last free entry of the last row fastest.
-    Restricting pivot_sets splits the enumeration into independent chunks.
+    in odometer order, the last free entry of the last row fastest.  Raises
+    BudgetError past MAX_SUBSPACE_ENUM subspaces.
     """
-    for pivots, rows, _ in grassmannian_choices(q, n, k, pivot_sets):
+    for pivots, rows, _ in grassmannian_choices(q, n, k):
         yield from map(Subspace, itertools.repeat(q), itertools.repeat(n),
                        itertools.product(*rows), itertools.repeat(pivots))
 
 
-def grassmannian_choices(q: int, n: int, k: int,
-                         pivot_sets: Iterable[Tuple[int, ...]] = None
+def grassmannian_choices(q: int, n: int, k: int
                          ) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
     """Per pivot set, the choices of each RREF row, as rows and packed.
 
@@ -245,12 +243,9 @@ def grassmannian_choices(q: int, n: int, k: int,
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     from .bounds import gaussian
-    if pivot_sets is None and gaussian(n, k, q) > MAX_SUBSPACE_ENUM:
+    if gaussian(n, k, q) > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"G_{q}({n},{k}) exceeds {MAX_SUBSPACE_ENUM} subspaces")
-    if pivot_sets is None:
-        pivot_sets = itertools.combinations(range(n), k)
-    for pivots in pivot_sets:
-        pivots = tuple(pivots)
+    for pivots in itertools.combinations(range(n), k):
         split = 0
         if pivots:  # the first row has n - k - pivots[0] free columns
             while q ** (n - k - pivots[0] - split) > ROW_CHUNK:
@@ -438,8 +433,8 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
                        tuple(s.pivots[i] for i in local.pivots))
 
 
-# Bounded like local_row_indices; blocks of one design share few pivot sets.
-@functools.lru_cache(maxsize=16)
+# Bounded; 128 holds the 77 (pivots, k) keys of a whole random-census run.
+@functools.lru_cache(maxsize=128)
 def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
     """The (k - d)-subspaces L of the coordinates outside pivots.
 
@@ -486,26 +481,3 @@ def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:
             rows.append(tuple(row))
         rows += lrows
         yield Subspace(s.q, s.n, tuple([rows[i] for i in order]), pivots)
-
-
-def cosets(p: Subspace, w: Subspace) -> List[Tuple[int, ...]]:
-    """Coset representatives of p inside w, first representative zero.
-
-    Each representative is the minimal vector of its coset in the
-    deterministic vector enumeration order of w.
-    """
-    _check_ambient(p, w)
-    if not contains_subspace(w, p):
-        raise ValueError("p is not a subspace of w")
-    gf = get_gf(p.q)
-    seen = set()
-    reps = []
-    p_vectors = enumerate_vectors(p)
-    for v in enumerate_vectors(w):
-        key = vec_pack(p.q, v)
-        if key in seen:
-            continue
-        reps.append(v)
-        for u in p_vectors:
-            seen.add(vec_pack(p.q, vec_add(gf, v, u)))
-    return reps

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qcover import bounds
 from qcover.bounds import (BoundRecord, basic_lower, bound_table, decaen_lower,
                            exact_values, format_table, gaussian, schonheim_lower,
                            recursive_upper, turan_record, turan_upper)
@@ -152,13 +153,17 @@ def test_bound_table_fixed_point_stable():
     assert t1 == t2
 
 
-def test_bound_table_extra_uppers():
-    table = bound_table(2, n_max=7, include_constructions=False,
+def test_bound_table_extra_uppers(monkeypatch):
+    # a registered (7, 3, 2) replaces the gf64 design, which is then not built
+    def no_build():
+        raise AssertionError("gf64 built although (7, 3, 2) is registered")
+    monkeypatch.setattr(bounds, "_verified_gf64_upper", no_build)
+    table = bound_table(2, n_max=7,
                         extra_uppers={(7, 3, 2): (399, "registered")})
     assert table[(7, 3, 2)].upper == 399
     assert table[(7, 3, 2)].upper_src == "registered"
     # a registered upper feeds the recursion at (8, 4, 3)
-    t8 = bound_table(2, n_max=8, include_constructions=False,
+    t8 = bound_table(2, n_max=8,
                      extra_uppers={(7, 3, 2): (399, "registered")})
     assert t8[(8, 4, 3)].upper <= 2 ** 4 * 399 + t8[(7, 4, 3)].upper
 

@@ -3,7 +3,8 @@ import time
 import pytest
 
 from qcover.cli import main
-from qcover.designs import design_to_text, load_design
+from qcover.designs import (FormatError, design_from_text, design_to_text,
+                            load_design)
 from qcover.constructions import optimal_line_covering, turan_dual_covering
 
 
@@ -340,3 +341,20 @@ def test_expand_past_the_size_limit_exit_3(tmp_path, capsys):
     assert "budget exceeded" in err and str(design) in err and "n=17" in err
     assert "RESULT:" not in out
     assert not (tmp_path / "system.txt").exists()
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])
+def test_header_k_outside_0_to_n_exit_2(tmp_path, capsys, n, k):
+    text = f"qcover-design v1\nq=2 n={n} k={k}\n"
+    with pytest.raises(FormatError, match=f"n={n} k={k}"):
+        design_from_text(text)
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    dual = tmp_path / "dual.txt"
+    for argv in (["verify", str(path), "--mode", "covering", "--r", "4"],
+                 ["dualize", str(path), "-o", str(dual)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "RESULT:" not in out
+        assert f"n={n} k={k}" in err
+    assert not dual.exists()

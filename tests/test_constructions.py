@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   turan_point_design)
 from qcover.designs import (SubspaceDesign, design_to_text, dualize,
                             verify_covering, verify_turan)
-from qcover.fields import field_new
-from qcover.subspaces import (BudgetError, enumerate_vectors, intersect,
-                              packed_vectors, span, subspaces_of,
+from qcover.fields import field_new, get_gf, vec_add
+from qcover.subspaces import (BudgetError, enumerate_vectors, full_space,
+                              intersect, packed_vectors, span, subspaces_of,
                               zero_subspace)
 
 
@@ -116,6 +117,46 @@ def test_recursive_covering_27_blocks():
     assert (d.n, d.k) == (5, 3)
     assert len(d.blocks) == 2 ** 2 * len(s1.blocks) + len(s2.blocks) == 27
     assert verify_covering(d, 2).is_covering
+
+
+def reference_recursive_blocks(s1, s2):
+    """The recursion's blocks with the coset representatives found by search:
+    the first vector of each coset v + P in the enumerate_vectors order of
+    F_q^(n-1)."""
+    q, n = s1.q, s1.n + 1
+    gf = get_gf(q)
+    blocks = []
+    for p in s1.blocks:
+        seen, reps, p_vectors = set(), [], enumerate_vectors(p)
+        for v in enumerate_vectors(full_space(q, n - 1)):
+            if v not in seen:
+                reps.append(v)
+                seen.update(vec_add(gf, v, u) for u in p_vectors)
+        assert len(reps) == q ** (n - s2.k)
+        base = [row + (0,) for row in p.rows]
+        blocks += [span(q, n, base + [v + (1,)]) for v in reps]
+    blocks += [span(q, n, [row + (0,) for row in b.rows]) for b in s2.blocks]
+    return blocks
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 3, 1), (2, 4, 2), (2, 5, 2), (2, 5, 3),
+                                   (2, 6, 4), (3, 3, 1), (3, 4, 2), (3, 4, 3),
+                                   (3, 5, 2)])
+def test_recursive_covering_equals_coset_search(q, n, k):
+    """On random inputs, unverified, the blocks equal the reference's."""
+    rng = random.Random(f"{q}/{n}/{k}")
+
+    def random_design(dim, size):
+        blocks = {span(q, n - 1, [[rng.randrange(q) for _ in range(n - 1)]
+                                  for _ in range(dim)]) for _ in range(size)}
+        return SubspaceDesign.from_blocks([b for b in blocks if b.dim == dim],
+                                          q=q, n=n - 1, k=dim)
+
+    s1, s2 = random_design(k - 1, 6), random_design(k, 6)
+    d = recursive_covering(s1, s2, 2, verify=False)
+    assert (d.q, d.n, d.k) == (q, n, k)
+    assert d.blocks == SubspaceDesign.from_blocks(
+        reference_recursive_blocks(s1, s2), q=q, n=n, k=k).blocks
 
 
 def test_recursive_covering_rejects_mismatch():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from qcover.bounds import basic_lower, gaussian
-from qcover.designs import (FormatError, SetSystem, SubspaceDesign,
+from qcover.designs import (CoverageReport, FormatError, SetSystem,
+                            SubspaceDesign,
                             design_from_text, design_to_text, dualize,
                             point_indexing, to_point_set_system,
                             verify_covering,
@@ -67,6 +68,14 @@ def test_covering_strategies_agree():
             expand = verify_covering(d, r, strategy="expand")
             scan = verify_covering(d, r, strategy="scan")
             assert expand == scan
+
+
+@pytest.mark.parametrize("strategy", ["auto", "Expand", "bitmask"])
+@pytest.mark.parametrize("verify", [verify_covering, verify_turan])
+def test_unknown_strategy_raises(verify, strategy):
+    d = spread(2, 2, 4, verify=False)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        verify(d, 2, strategy=strategy)
 
 
 def test_turan_strategies_agree():
@@ -167,6 +176,7 @@ def test_steiner_system_block_removed():
     system = to_point_set_system(d)
     broken = SetSystem.from_blocks(7, system.blocks[1:])
     report = verify_steiner_system(broken, 2)
+    assert isinstance(report, CoverageReport)
     assert not report.is_steiner
     assert report.witnesses
 

@@ -11,7 +11,7 @@ from qcover.bounds import gaussian
 from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_add, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
-                              contains_subspace, contains_vector, cosets,
+                              contains_subspace, contains_vector,
                               enumerate_grassmannian, enumerate_vectors,
                               full_space, intersect, orthogonal_complement,
                               packed_vectors, rref, span, subspaces_of,
@@ -161,29 +161,6 @@ def test_superspaces_containing():
     # cross-check against a scan of the whole Grassmannian
     scan = [t for t in enumerate_grassmannian(2, 4, 2) if contains_subspace(t, s)]
     assert set(sups) == set(scan)
-
-
-def test_cosets():
-    w = full_space(2, 2)
-    assert cosets(w, w) == [(0, 0)]
-    reps = cosets(zero_subspace(2, 2), w)
-    assert len(reps) == 4 and reps[0] == (0, 0)
-    p = span(2, 3, [(1, 0, 1)])
-    reps = cosets(p, full_space(2, 3))
-    assert len(reps) == 4
-    gf = get_gf(2)
-    covered = set()
-    for r in reps:
-        for v in enumerate_vectors(p):
-            key = vec_pack(2, vec_add(gf, r, v))
-            assert key not in covered
-            covered.add(key)
-    assert len(covered) == 8
-
-
-def test_cosets_requires_containment():
-    with pytest.raises(ValueError):
-        cosets(span(2, 3, [(1, 0, 0)]), span(2, 3, [(0, 1, 0)]))
 
 
 def test_enumerate_vectors():

@@ -8,21 +8,22 @@ and the two must agree; tests cross-validate them on the whole corpus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from operator import and_, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import vec_pack
-from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch,
-                        BudgetError, Subspace, complement_generators,
+from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
+                        Subspace, complement_columns, complement_generators,
                         complement_vectors, enumerate_grassmannian,
                         grassmannian_choices, local_row_indices,
                         orthogonal_complement, packed_vectors, span,
-                        subspaces_of, superspaces_containing)
+                        subspaces_of, superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 
@@ -48,6 +49,8 @@ class SubspaceDesign:
             k = unique[0].dim if k is None else k
         if q is None or n is None or k is None:
             raise ValueError("empty design needs explicit q, n, k")
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
         for b in unique:
             if (b.q, b.n, b.dim) != (q, n, k):
                 raise AmbientMismatch(
@@ -91,35 +94,86 @@ def _target(q: int, n: int, choice: tuple, t: Tuple[int, ...]) -> Subspace:
                                  for i, row in enumerate(t)]), pivots)
 
 
-def _report_from_counts(q: int, n: int, r: int, counts: Counter,
-                        total: int) -> CoverageReport:
-    """Report of a census whose counts are keyed by packed RREF rows."""
-    histogram = Counter(counts.values())
-    uncovered = total - len(counts)
-    if uncovered:
-        histogram[0] = uncovered
-    witnesses: Tuple[Subspace, ...] = ()
-    if uncovered:
-        misses = ((choice, t) for choice in grassmannian_choices(q, n, r)
-                  for t in itertools.product(*choice[2]) if t not in counts)
-        witnesses = tuple([_target(q, n, choice, t)
-                           for choice, t in itertools.islice(misses, WITNESS_CAP)])
+def _report(total: int, histogram: Counter, misses: Iterable) -> CoverageReport:
+    """Report of a census with this multiplicity histogram.  The witnesses
+    are the first WITNESS_CAP targets of misses, which is read only when
+    some target is uncovered."""
+    histogram = {m: c for m, c in sorted(histogram.items()) if c}
     assert sum(histogram.values()) == total
-    return CoverageReport(total, dict(histogram), min(histogram), max(histogram),
-                          witnesses)
+    witnesses = tuple(itertools.islice(misses, WITNESS_CAP)) if 0 in histogram else ()
+    return CoverageReport(total, histogram, min(histogram), max(histogram), witnesses)
+
+
+def _report_from_counts(counts: Counter, total: int,
+                        misses: Iterable) -> CoverageReport:
+    """Report of a census that counted every covered target in counts;
+    misses yields the targets absent from it, in enumeration order."""
+    histogram = Counter(counts.values())
+    histogram[0] = total - len(counts)
+    return _report(total, histogram, misses)
+
+
+def _grassmannian_misses(q: int, n: int, r: int,
+                         counts: Counter) -> Iterator[Subspace]:
+    """The r-subspaces whose packed RREF rows counts lacks, in order."""
+    return (_target(q, n, choice, t) for choice in grassmannian_choices(q, n, r)
+            for t in itertools.product(*choice[2]) if t not in counts)
+
+
+def _count_product(start: int, factors: Sequence[Sequence[int]],
+                   found: Counter) -> None:
+    """Add to found the popcount of start & m_1 & ... & m_f for every way of
+    taking one mask m_i from each factor.
+
+    Single-mask factors fold into start, and the rest run smallest first, so
+    each prefix AND is shared by every product below it and the largest
+    factor is counted last, in C.  A zero prefix adds its whole subtree to
+    multiplicity 0 in one step.  Memory is that of the factors.
+    """
+    lists = []
+    for masks in factors:
+        if len(masks) == 1:
+            start &= masks[0]
+        else:
+            lists.append(masks)
+    if not (start and lists):
+        found[start.bit_count()] += math.prod(map(len, lists))
+        return
+    lists.sort(key=len)
+    *heads, last = lists
+    below = [math.prod(map(len, lists[d + 1:])) for d in range(len(heads))]
+    update = found.update
+    popcount = int.bit_count
+
+    def walk(prefix: int, d: int) -> None:
+        if d == len(heads):
+            update(map(popcount, map(prefix.__and__, last)))
+            return
+        for m in heads[d]:
+            m &= prefix
+            if m:
+                walk(m, d + 1)
+            else:
+                found[0] += below[d]
+    walk(start, 0)
 
 
 def _scan(q: int, n: int, dim: int, total: int, vector_lists: List[List[int]],
+          factors: Callable[[tuple, tuple, tuple], Sequence[Sequence[int]]],
           generators: Callable[[tuple, tuple, tuple], Iterable[Iterable[int]]]
           ) -> CoverageReport:
     """Report of a census that visits every dim-subspace of F_q^n.
 
     A target's multiplicity is the number of vector lists, one per block,
     that hold all of its generators: the popcount of the AND of the
-    generators' block bitmasks.  generators(pivots, rows, packed) yields
-    them for each target of one grassmannian_choices entry, in
-    itertools.product order.  Targets come in enumerate_grassmannian order,
-    so the witnesses are the first uncovered.
+    generators' block bitmasks.  For one grassmannian_choices entry
+    (pivots, rows, packed), factors(pivots, rows, packed) lists per factor
+    the packed vectors whose product is the multiset of its targets'
+    generator sets, and _count_product counts that product's histogram.
+    Only when some target is uncovered are the entries that hold one walked
+    again, target by target in enumerate_grassmannian order with
+    generators(pivots, rows, packed) giving each target's generators in
+    itertools.product order, until the first WITNESS_CAP are found.
     """
     masks: Dict[int, int] = {}
     for j, vectors in enumerate(vector_lists):
@@ -128,21 +182,26 @@ def _scan(q: int, n: int, dim: int, total: int, vector_lists: List[List[int]],
             masks[v] = masks.get(v, 0) | bit
     every = (1 << len(vector_lists)) - 1
     get = masks.get
-    found = [0] * (len(vector_lists) + 1)  # targets per multiplicity
-    witnesses: List[Subspace] = []
+    found: Counter = Counter()
+    pending = []  # (entry, its uncovered targets) until WITNESS_CAP are known
+    wanted = WITNESS_CAP
     for choice in grassmannian_choices(q, n, dim):
-        for t, gens in zip(itertools.product(*choice[2]), generators(*choice)):
-            m = every
-            for g in gens:
-                m &= get(g, 0)
-            m = m.bit_count()
-            found[m] += 1
-            if not m and found[0] <= WITNESS_CAP:
-                witnesses.append(_target(q, n, choice, t))
-    histogram = {m: c for m, c in enumerate(found) if c}
-    assert sum(histogram.values()) == total
-    return CoverageReport(total, histogram, min(histogram), max(histogram),
-                          tuple(witnesses))
+        before = found[0]
+        _count_product(every, [[get(v, 0) for v in vectors]
+                               for vectors in factors(*choice)], found)
+        if wanted > 0 and found[0] > before:
+            pending.append((choice, found[0] - before))
+            wanted -= found[0] - before
+
+    def misses() -> Iterator[Subspace]:
+        zeros = itertools.repeat(0)
+        for choice, uncovered in pending:
+            hit = (t for t, gens in zip(itertools.product(*choice[2]),
+                                        generators(*choice))
+                   if not functools.reduce(and_, map(get, gens, zeros), every))
+            for t in itertools.islice(hit, uncovered):
+                yield _target(q, n, choice, t)
+    return _report(total, found, misses())
 
 
 def verify_covering(design: SubspaceDesign, r: int,
@@ -156,7 +215,10 @@ def verify_covering(design: SubspaceDesign, r: int,
     each block's vectors once and reads the rows of every r-subspace off
     them at local_row_indices, with no row reduction or sort per target.
     Scan marks each packed vector with the bitmask of the blocks that hold
-    it and ANDs the masks of every target's packed rows.
+    it; a target's multiplicity is the popcount of the AND of its rows'
+    masks.  Per pivot set it counts the AND over the product of the RREF
+    rows' mask lists, sharing each prefix across the targets below it, and
+    walks targets one by one only to list the witnesses.
     """
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
@@ -172,9 +234,11 @@ def verify_covering(design: SubspaceDesign, r: int,
         for block in design.blocks:
             rows = iter(read(packed_vectors(block))[2:])
             counts.update(zip(*[rows] * r) if r else [()])
-        return _report_from_counts(q, n, r, counts, total)
+        return _report_from_counts(counts, total,
+                                   _grassmannian_misses(q, n, r, counts))
     if strategy == "scan":
         return _scan(q, n, r, total, [packed_vectors(b) for b in design.blocks],
+                     lambda pivots, rows, packed: packed,
                      lambda pivots, rows, packed: itertools.product(*packed))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -189,8 +253,12 @@ def verify_turan(design: SubspaceDesign, k: int,
     the RREF rows of every superspace of every block.  Scan uses b <= t iff
     t-perp <= b-perp: it marks the vectors of each block's complement with
     block bitmasks and ANDs the masks of each target's n - k complement
-    generators, read off its RREF rows, so it builds no vector set per
-    target and does no row reduction.
+    generators, so it builds no vector set per target and does no row
+    reduction.  Each generator depends on one non-pivot column of the
+    target, so per pivot set the scan counts the AND over the product of
+    the per-column generator lists of complement_columns, and walks the
+    targets in order, with complement_generators read off their RREF rows,
+    only to list the witnesses.
     """
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
@@ -205,9 +273,12 @@ def verify_turan(design: SubspaceDesign, k: int,
         if len(counts) < total:  # the witness search reads packed rows
             counts = Counter({tuple([vec_pack(q, row) for row in rows]): m
                               for rows, m in counts.items()})
-        return _report_from_counts(q, n, k, counts, total)
+        return _report_from_counts(counts, total,
+                                   _grassmannian_misses(q, n, k, counts))
     if strategy == "scan":
         return _scan(q, n, k, total, [complement_vectors(b) for b in design.blocks],
+                     lambda pivots, rows, packed:
+                     complement_columns(q, n, pivots, rows),
                      lambda pivots, rows, packed:
                      complement_generators(q, n, pivots, rows))
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -269,25 +340,11 @@ def verify_steiner_system(system: SetSystem, t: int) -> CoverageReport:
     total = math.comb(system.v, t)
     if total > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"C({system.v},{t}) exceeds the verification budget")
-    counts: Counter = Counter()
-    for block in system.blocks:
-        for sub in itertools.combinations(block, t):
-            counts[sub] += 1
-    histogram = Counter(counts.values())
-    uncovered = total - len(counts)
-    if uncovered:
-        histogram[0] = uncovered
-    witnesses: List[Tuple[int, ...]] = []
-    if uncovered:
-        for sub in itertools.combinations(range(system.v), t):
-            if sub not in counts:
-                witnesses.append(sub)
-                if len(witnesses) == WITNESS_CAP:
-                    break
-    min_mult = min(histogram) if histogram else 0
-    max_mult = max(histogram) if histogram else 0
-    return CoverageReport(total, dict(histogram), min_mult, max_mult,
-                           tuple(witnesses))
+    counts = Counter(itertools.chain.from_iterable(
+        itertools.combinations(block, t) for block in system.blocks))
+    return _report_from_counts(counts, total, (
+        sub for sub in itertools.combinations(range(system.v), t)
+        if sub not in counts))
 
 
 # text formats ---------------------------------------------------------------
@@ -320,22 +377,25 @@ def design_from_text(text: str) -> SubspaceDesign:
         raise FormatError(f"bad parameter line: {lines[1]!r}") from exc
     if not 0 <= k <= n:
         raise FormatError(f"need 0 <= k <= n, got n={n} k={k}")
+    top = str(min(q, 10) - 1)  # the largest digit that is a coordinate
     blocks = []
     for line in lines[2:]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        vectors = []
-        for word in line.split():
-            if len(word) != n or not all(ch.isdigit() for ch in word):
+        words = line.split()
+        for word in words:
+            # str.isdigit alone passes non-ASCII digits, which int() reads.
+            if len(word) != n or not (word.isascii() and word.isdigit()):
                 raise FormatError(f"bad vector {word!r} for n={n}")
-            vec = tuple(int(ch) for ch in word)
-            if any(c >= q for c in vec):
+            if max(word) > top:
                 raise FormatError(f"coordinate out of GF({q}) in {word!r}")
-            vectors.append(vec)
-        if len(vectors) != k:
-            raise FormatError(f"block with {len(vectors)} vectors, expected {k}")
-        block = span(q, n, vectors)
+        if len(words) != k:
+            raise FormatError(f"block with {len(words)} vectors, expected {k}")
+        if q == 2:  # coordinate 0 is the least significant bit
+            block = xor_rref(n, [int(word[::-1], 2) for word in words])[1]
+        else:
+            block = span(q, n, [tuple(map(int, word)) for word in words])
         if block.dim != k:
             raise FormatError(f"block rank {block.dim} < k={k}: {line!r}")
         blocks.append(block)

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 

@@ -8,9 +8,10 @@ strategies, must equal the oracle's in full: total, histogram, extremes and
 the witnesses in enumeration order.  The library's subspaces_of and
 superspaces_containing build each RREF directly and must yield exactly what
 the references yield, in the same order.  packed_vectors must equal vec_pack
-of every enumerate_vectors vector, in order.  enumerate_grassmannian and
-local_patterns must equal the template odometer and the enumerate_vectors
-builder kept here.
+of every enumerate_vectors vector, in order.  enumerate_grassmannian must
+equal the template odometer kept here, and local_row_indices the positions
+of RREF rows among enumerate_vectors.  The product of complement_columns must
+be the multiset of complement_generators, split first rows included.
 """
 
 import itertools
@@ -25,17 +26,19 @@ from qcover.bounds import gaussian
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_turan)
 from qcover.fields import get_gf, vec_add, vec_pack, vec_scale, vec_unpack
-from qcover.subspaces import (BudgetError, Subspace, complement_generators,
-                              complement_vectors, enumerate_grassmannian,
-                              enumerate_vectors, full_space,
-                              grassmannian_choices, local_row_indices,
-                              orthogonal_complement, packed_vectors, span,
-                              subspaces_of, superspaces_containing,
-                              zero_subspace)
+from qcover.subspaces import (BudgetError, Subspace, complement_columns,
+                              complement_generators, complement_vectors,
+                              enumerate_grassmannian, enumerate_vectors,
+                              full_space, grassmannian_choices,
+                              local_row_indices, orthogonal_complement,
+                              packed_vectors, span, subspaces_of,
+                              superspaces_containing, zero_subspace)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
 DESIGNS = 160
+# Random designs per q under a ROW_CHUNK of 2.
+SPLIT_DESIGNS = 20
 
 
 def grassmannian_pivot_freedom(n, pivots):
@@ -120,8 +123,9 @@ def oracle_turan(design, k):
     return oracle_report(design.q, design.n, k, counts)
 
 
-def random_design(rng):
-    q = rng.choice(sorted(MAX_N))
+def random_design(rng, q=None):
+    if q is None:
+        q = rng.choice(sorted(MAX_N))
     n = rng.randint(1, MAX_N[q])
     k = rng.randint(0, n)
     available = gaussian(n, k, q)
@@ -153,6 +157,52 @@ def test_reports_equal_oracle_on_random_designs(chunk):
             for strategy in ("expand", "scan"):
                 assert verify_turan(design, k, strategy) == expected, (
                     design, k, strategy)
+
+
+@pytest.mark.parametrize("q", sorted(MAX_N))
+def test_scan_under_split_first_rows_equals_oracle(q, monkeypatch):
+    """With ROW_CHUNK = 2 nearly every first row is split over several
+    grassmannian_choices entries.  The Turan scan must take each part's
+    column lists with its own fixed head entries, and the witness walk must
+    cross the parts in enumeration order."""
+    monkeypatch.setattr(subspaces, "ROW_CHUNK", 2)
+    rng = random.Random(4100 + q)
+    for _ in range(SPLIT_DESIGNS):
+        design = random_design(rng, q)
+        for r in range(design.k + 1):
+            expected = oracle_covering(design, r)
+            for strategy in ("expand", "scan"):
+                assert verify_covering(design, r, strategy) == expected, (
+                    design, r, strategy)
+        for k in range(design.k, design.n + 1):
+            expected = oracle_turan(design, k)
+            for strategy in ("expand", "scan"):
+                assert verify_turan(design, k, strategy) == expected, (
+                    design, k, strategy)
+
+
+def test_scan_splits_the_first_row_at_the_real_row_chunk():
+    """The points of F_2^14 with pivot 0 are 2^13 first-row choices, split
+    over two entries of ROW_CHUNK each.  Uncovered points in both parts must
+    come out of both scans as they come out of expand."""
+    first, second = itertools.islice(grassmannian_choices(2, 14, 1), 2)
+    assert first[0] == second[0] == (0,)
+    assert len(first[1][0]) == len(second[1][0]) == subspaces.ROW_CHUNK
+    dropped = {5, 700, 4000}
+    points = [Subspace(2, 14, (row,), (0,)) for i, row in enumerate(first[1][0])
+              if i not in dropped]
+    points += [Subspace(2, 14, (row,), (0,)) for row in second[1][0][2:9]]
+    design = SubspaceDesign.from_blocks(points, q=2, n=14, k=1)
+    scan = verify_covering(design, 1, "scan")
+    assert scan == verify_covering(design, 1, "expand")
+    assert scan.histogram == {0: gaussian(14, 1, 2) - len(points), 1: len(points)}
+    assert [w.rows[0] for w in scan.witnesses] == (
+        [first[1][0][i] for i in sorted(dropped)] + list(second[1][0][:2])
+        + list(second[1][0][9:20]))
+    few = SubspaceDesign.from_blocks(points[::400] + points[-3:], q=2, n=14, k=1)
+    scan = verify_turan(few, 1, "scan")
+    assert scan == verify_turan(few, 1, "expand")
+    assert scan.histogram == {0: gaussian(14, 1, 2) - len(few), 1: len(few)}
 
 
 def all_blocks(q, n, k):
@@ -350,6 +400,23 @@ def test_complement_generators_span_the_null_space(q):
                 assert list(complement_generators(q, n, pivots, rows)) == [
                     next(complement_generators(q, n, pivots, [(r,) for r in t]))
                     for t in itertools.product(*rows)]
+
+
+@pytest.mark.parametrize("row_chunk", [subspaces.ROW_CHUNK, 2])
+@pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
+def test_complement_columns_are_the_generators_column_by_column(
+        q, row_chunk, monkeypatch):
+    """For every grassmannian_choices entry, split or not, the product of
+    the per-column generator lists is the multiset of generator tuples that
+    complement_generators yields row by row."""
+    monkeypatch.setattr(subspaces, "ROW_CHUNK", row_chunk)
+    for n in range(COMPLEMENT_MAX_N[q] + 1):
+        for d in range(n + 1):
+            for pivots, rows, _ in grassmannian_choices(q, n, d):
+                columns = complement_columns(q, n, pivots, rows)
+                assert len(columns) == n - d
+                assert Counter(itertools.product(*columns)) == Counter(
+                    complement_generators(q, n, pivots, rows)), (n, pivots)
 
 
 def test_turan_scan_budget_is_the_block_complement():

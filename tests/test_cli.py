@@ -343,6 +343,20 @@ def test_expand_past_the_size_limit_exit_3(tmp_path, capsys):
     assert not (tmp_path / "system.txt").exists()
 
 
+@pytest.mark.parametrize("word", ["\u06610", "0\u00b2"])
+def test_non_ascii_digit_word_exit_2(tmp_path, capsys, word):
+    """An Arabic-Indic one used to load as the vector 10 and fail the
+    census with exit 1; a superscript two failed in int() without naming
+    the word."""
+    path = tmp_path / "d.txt"
+    path.write_text(f"qcover-design v1\nq=2 n=2 k=1\n{word}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), "--mode", "covering",
+                         "--r", "1")
+    assert code == 2
+    assert "RESULT:" not in out
+    assert f"bad vector {word!r} for n=2" in err
+
+
 @pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])
 def test_header_k_outside_0_to_n_exit_2(tmp_path, capsys, n, k):
     text = f"qcover-design v1\nq=2 n={n} k={k}\n"

@@ -15,12 +15,11 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   partial_spread, recursive_covering, spread,
                                   trivial_steiner, turan_dual_covering,
                                   turan_point_design)
-from qcover.designs import (SubspaceDesign, design_to_text, dualize,
-                            verify_covering, verify_turan)
+from qcover.designs import (SubspaceDesign, design_to_text, verify_covering,
+                            verify_turan)
 from qcover.fields import field_new, get_gf, vec_add
 from qcover.subspaces import (BudgetError, enumerate_vectors, full_space,
-                              intersect, packed_vectors, span, subspaces_of,
-                              zero_subspace)
+                              intersect, packed_vectors, span, zero_subspace)
 
 
 def test_trivial_steiner():

@@ -10,8 +10,7 @@ from qcover.designs import (CoverageReport, FormatError, SetSystem,
                             verify_covering,
                             verify_steiner_system, verify_turan)
 from qcover.constructions import spread, trivial_steiner, turan_point_design
-from qcover.subspaces import (enumerate_grassmannian, full_space, span,
-                              subspaces_of)
+from qcover.subspaces import enumerate_grassmannian, full_space, span
 
 
 def random_design(rng, q, n, k, size):
@@ -210,3 +209,48 @@ def test_design_text_canonicalizes_and_dedups():
 def test_design_text_malformed(text):
     with pytest.raises(FormatError):
         design_from_text(text)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("word,message", [
+    ("\u06610", "bad vector"),        # ARABIC-INDIC DIGIT ONE
+    ("0\u00b2", "bad vector"),        # SUPERSCRIPT TWO
+    ("\uff11\uff10", "bad vector"),  # FULLWIDTH DIGITS
+    ("+1", "bad vector"),
+    ("31", "coordinate out of GF"),
+])
+def test_design_text_accepts_ascii_digits_only(q, word, message):
+    """str.isdigit and int() accept non-ASCII digits; the loader must not,
+    and its message names the word."""
+    if message == "coordinate out of GF" and q == 3:
+        word = "41"
+    text = f"qcover-design v1\nq={q} n=2 k=1\n{word}\n"
+    with pytest.raises(FormatError, match=message) as info:
+        design_from_text(text)
+    assert repr(word) in str(info.value)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_design_from_text_equals_span_of_its_words(q):
+    """Each block is the span of its words, for q = 2 packed and reduced by
+    xor_rref, and a dependent line is refused with its rank."""
+    rng = random.Random(500 + q)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, n)
+        words = ["".join(str(rng.randrange(q)) for _ in range(n)) for _ in range(k)]
+        text = f"qcover-design v1\nq={q} n={n} k={k}\n{' '.join(words)}\n"
+        block = span(q, n, [tuple(map(int, w)) for w in words])
+        if block.dim == k:
+            design = design_from_text(text)
+            assert design.blocks == (block,)
+            assert design.blocks[0].pivots == block.pivots
+        else:
+            with pytest.raises(FormatError, match=f"block rank {block.dim} < k={k}"):
+                design_from_text(text)
+
+
+@pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])
+def test_from_blocks_rejects_k_outside_0_to_n(n, k):
+    with pytest.raises(ValueError, match=f"n={n} k={k}"):
+        SubspaceDesign.from_blocks([], q=2, n=n, k=k)

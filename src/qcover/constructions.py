@@ -17,11 +17,11 @@ from typing import List, Optional, Tuple
 
 from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
-                      verify_covering, verify_steiner_system,
+                      verify_covering, verify_orbits, verify_steiner_system,
                       verify_turan, dualize)
 from .fields import Field, field_new, flatten_ext_vector, get_gf, is_prime
-from .subspaces import (BudgetError, MAX_SUBSPACE_ENUM, Subspace, _xor_span,
-                        contains_subspace, enumerate_grassmannian,
+from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM, Subspace,
+                        _xor_span, contains_subspace, enumerate_grassmannian,
                         full_space, packed_vectors, span, subspaces_of,
                         xor_rref)
 
@@ -373,20 +373,33 @@ def _check_gf64_quads(gf64: Field):
         raise ConstructionError("difference sets do not tile Z_63 - {0,21,42}")
 
 
-def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
-    """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
+def _gf64_block(vectors: List[int]) -> Subspace:
+    """The 3-subspace of F_2^7 whose vectors, zero aside, are vectors."""
+    rows, block = xor_rref(7, vectors)
+    if len(rows) != 3:
+        raise ConstructionError(f"emitted set spans dim {len(rows)}, not 3")
+    if set(_xor_span(rows)) != set(vectors) | {0}:
+        raise ConstructionError("emitted set is not closed under addition")
+    return block
+
+
+def gf64_orbits() -> Tuple[GroupAction, List[Subspace]]:
+    """The 399-block C_2[7,3,2] as an orbit description: the Singer action
+    (beta, b) -> (alpha beta, b) on GF(64) x GF(2) and seven base blocks.
 
     A vector (beta, b) is the packed int beta | b << 6, since a GF(64)
-    element is already the vec_pack of its coefficient vector.  The blocks
-    are the orbits of seven base blocks under the Singer map (beta, b) ->
-    (alpha^s beta, b): five quadruple blocks and a fixed 7-element
-    multiplicative pattern give 63 blocks each, the diagonal block
-    {0, 1, alpha^21, alpha^42} x GF(2) gives 21.  Each block's dimension
-    and closure are checked on packed ints.
+    element is already the vec_pack of its coefficient vector.  The orbits
+    of five quadruple blocks and a fixed 7-element multiplicative pattern
+    have 63 blocks each, that of the diagonal block
+    {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples, each base
+    block's dimension and closure, the orbit sizes and the 399 count are
+    checked.
     """
     gf64 = field_new(2, 6, GF64_MODULUS)
     _check_gf64_quads(gf64)
-    exp, log = gf64.exp * 2, gf64.log  # exp doubled: no reduction mod 63
+    exp = gf64.exp
+    singer = GroupAction(7, [gf64.mul(exp[1], 1 << i) for i in range(6)]
+                         + [GF64_BIT])
     bases = []  # the nonzero packed vectors of each base block
     for quad in GF64_QUADS:
         a = [exp[j] for j in quad]
@@ -395,35 +408,50 @@ def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
     diagonal = [exp[0], exp[21], exp[42]]
     bases.append(diagonal + [GF64_BIT] + [x | GF64_BIT for x in diagonal])
     bases.append([exp[e] for e in GF64_LINE_EXPONENTS])
+    bases = [_gf64_block(vectors) for vectors in bases]
 
-    blocks: List[Subspace] = []
+    orbits = {}  # label -> orbit size
     sizes = []
     for base in bases:
-        orbit = {}
-        for s in range(63):
-            image = [exp[log[v & 63] + s] | (v & GF64_BIT) if v & 63 else v
-                     for v in base]
-            orbit.setdefault(frozenset(image), image)
-        sizes.append(len(orbit))
-        for vectors in orbit.values():
-            rows, block = xor_rref(7, vectors)
-            if len(rows) != 3:
-                raise ConstructionError(f"emitted set spans dim {len(rows)}, not 3")
-            if set(_xor_span(rows)) != set(vectors) | {0}:
-                raise ConstructionError("emitted set is not closed under addition")
-            blocks.append(block)
+        vectors = packed_vectors(base)
+        sizes.append(singer.orbit_size(vectors))
+        orbits[singer.label(vectors)] = sizes[-1]
     if sorted(sizes) != [21] + [63] * 6:
         raise ConstructionError(f"gf64 orbit sizes {sizes} are not six of 63 "
                                 f"and one of 21")
+    if sum(orbits.values()) != 399:
+        raise ConstructionError(f"gf64 block count {sum(orbits.values())} != 399")
+    return singer, bases
 
+
+def gf64_orbit_census(singer: GroupAction, bases: List[Subspace]) -> int:
+    """Block count of the design of gf64_orbits, after verify_orbits has
+    found every 2-subspace covered."""
+    count, report = verify_orbits(singer, bases, 2)
+    if not report.is_covering:
+        raise ConstructionError("gf64 design is not a covering", report)
+    return count
+
+
+def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
+    """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
+
+    Its blocks are the images of the base blocks of gf64_orbits under the
+    Singer action, each checked for dimension and closure on packed ints.
+    The census is gf64_orbit_census, on the base blocks.
+    """
+    singer, bases = gf64_orbits()
+    blocks: List[Subspace] = []
+    for base in bases:
+        vectors = packed_vectors(base)
+        for m in range(singer.orbit_size(vectors)):
+            blocks.append(_gf64_block(singer.image(vectors, m)))
     design = SubspaceDesign.from_blocks(blocks, label="gf64-C2[7,3,2]",
                                         q=2, n=7, k=3)
     if len(design) != 399:
         raise ConstructionError(f"gf64 block count {len(design)} != 399")
     if verify:
-        report = verify_covering(design, 2)
-        if not report.is_covering:
-            raise ConstructionError("gf64 design is not a covering", report)
+        gf64_orbit_census(singer, bases)
     return design
 
 

@@ -3,7 +3,9 @@
 A SubspaceDesign is a duplicate-free set of equal-dimension subspaces.  The
 covering verifier supports two independent strategies (expanding each block
 into its r-subspaces, or scanning every target subspace against the blocks)
-and the two must agree; tests cross-validate them on the whole corpus.
+and the two must agree; tests cross-validate them on the whole corpus.  A
+design given as the orbits of base blocks under a GroupAction has a third
+route, verify_orbits, which counts on the base blocks only.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from operator import and_, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
-from .fields import vec_pack
+from .fields import FieldError, get_gf, vec_pack
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
-                        Subspace, complement_columns, complement_generators,
-                        complement_vectors, enumerate_grassmannian,
-                        grassmannian_choices, local_row_indices,
-                        orthogonal_complement, packed_vectors, span,
-                        subspaces_of, superspaces_containing, xor_rref)
+                        GroupAction, Subspace, _xor_span, complement_columns,
+                        complement_generators, complement_vectors,
+                        enumerate_grassmannian, grassmannian_choices,
+                        local_row_indices, orthogonal_complement,
+                        packed_vectors, span, subspaces_of,
+                        superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 
@@ -228,12 +231,9 @@ def verify_covering(design: SubspaceDesign, r: int,
         raise BudgetError(f"[{n} {r}]_{q} exceeds the verification budget")
     if strategy == "expand":
         counts: Counter = Counter()
-        # One itemgetter reads the rows of every key, and zip cuts them into
-        # r-tuples; two spare reads keep the getter's result a tuple.
-        read = itemgetter(0, 0, *itertools.chain(*local_row_indices(q, k, r)))
+        rows_of = _local_rows(q, k, r)
         for block in design.blocks:
-            rows = iter(read(packed_vectors(block))[2:])
-            counts.update(zip(*[rows] * r) if r else [()])
+            counts.update(rows_of(packed_vectors(block)))
         return _report_from_counts(counts, total,
                                    _grassmannian_misses(q, n, r, counts))
     if strategy == "scan":
@@ -241,6 +241,79 @@ def verify_covering(design: SubspaceDesign, r: int,
                      lambda pivots, rows, packed: packed,
                      lambda pivots, rows, packed: itertools.product(*packed))
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def _local_rows(q: int, k: int, r: int) -> Callable[[Sequence[int]], Iterable]:
+    """A function from the packed_vectors of a k-subspace S to the packed
+    RREF rows of each r-subspace of S, read at local_row_indices."""
+    # One itemgetter reads the rows of every r-subspace, and zip cuts them
+    # into r-tuples; two spare reads keep the getter's result a tuple.
+    read = itemgetter(0, 0, *itertools.chain(*local_row_indices(q, k, r)))
+
+    def rows_of(vectors: Sequence[int]) -> Iterable[Tuple[int, ...]]:
+        rows = iter(read(vectors)[2:])
+        return zip(*[rows] * r) if r else [()]
+    return rows_of
+
+
+def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
+                  r: int) -> Tuple[int, CoverageReport]:
+    """Census of the design whose blocks are the orbits of the base blocks
+    under action, counted on the bases only (Kramer & Mesner).
+
+    Returns the design's block count and the report that verify_covering
+    gives for r on the expanded design with strategy "expand".  The design
+    is invariant, so every target in one orbit O has the same multiplicity:
+    the sum over bases B of |orbit(B)| times the number of r-subspaces of B
+    in O, divided by |O|.  Orbits are told apart by GroupAction.label.  The
+    witnesses are the first uncovered targets in grassmannian_choices order,
+    labelled one by one only when some orbit is uncovered.  Two bases in
+    one orbit raise ValueError.
+    """
+    n = action.n
+    if not bases:
+        raise ValueError("need at least one base block")
+    k = bases[0].dim
+    for b in bases:
+        if (b.q, b.n, b.dim) != (2, n, k):
+            raise AmbientMismatch(
+                f"base block ({b.q},{b.n},dim {b.dim}) under an action on "
+                f"F_2^{n} with k={k}")
+    if not 0 <= r <= k:
+        raise ValueError(f"need 0 <= r <= k, got r={r}")
+    total = gaussian(n, r, 2)
+    if total > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"[{n} {r}]_2 exceeds the verification budget")
+    rows_of = _local_rows(2, k, r)
+    bases_of: Dict[tuple, int] = {}  # block orbit label -> index of its base
+    incidences: Counter = Counter()  # target orbit label -> sum |orbit(B)|
+    sizes: Dict[tuple, int] = {}  # target orbit label -> |O|
+    blocks = 0
+    for i, base in enumerate(bases):
+        vectors = packed_vectors(base)
+        label = action.label(vectors)
+        if label in bases_of:
+            raise ValueError(f"base blocks {bases_of[label]} and {i} lie in "
+                             f"one orbit")
+        bases_of[label] = i
+        size = action.orbit_size(vectors)
+        blocks += size
+        for rows in rows_of(vectors):
+            target = _xor_span(rows)
+            orbit = action.label(target)
+            incidences[orbit] += size
+            if orbit not in sizes:
+                sizes[orbit] = action.orbit_size(target)
+    histogram: Counter = Counter()
+    for orbit, count in incidences.items():
+        multiplicity, rest = divmod(count, sizes[orbit])
+        assert not rest, f"{count} incidences over an orbit of {sizes[orbit]}"
+        histogram[multiplicity] += sizes[orbit]
+    histogram[0] = total - sum(sizes.values())
+    misses = (_target(2, n, choice, t) for choice in grassmannian_choices(2, n, r)
+              for t in itertools.product(*choice[2])
+              if action.label(_xor_span(t)) not in incidences)
+    return blocks, _report(total, histogram, misses)
 
 
 def verify_turan(design: SubspaceDesign, k: int,
@@ -358,6 +431,11 @@ class FormatError(ValueError):
 
 
 def design_to_text(design: SubspaceDesign) -> str:
+    """The design file: one digit per coordinate, so q is at most 10."""
+    if design.q > 10:
+        raise FormatError(f"q={design.q} has coordinates above 9, and the "
+                          f"design file writes one digit per coordinate "
+                          f"(q <= 10)")
     lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
     for block in design.blocks:
         lines.append(" ".join("".join(str(c) for c in row) for row in block.rows))
@@ -377,6 +455,10 @@ def design_from_text(text: str) -> SubspaceDesign:
         raise FormatError(f"bad parameter line: {lines[1]!r}") from exc
     if not 0 <= k <= n:
         raise FormatError(f"need 0 <= k <= n, got n={n} k={k}")
+    try:
+        get_gf(q)
+    except FieldError as exc:
+        raise FormatError(str(exc)) from exc
     top = str(min(q, 10) - 1)  # the largest digit that is a coordinate
     blocks = []
     for line in lines[2:]:
@@ -411,8 +493,9 @@ def setsystem_to_text(system: SetSystem) -> str:
 
 
 def save_design(design: SubspaceDesign, path) -> None:
+    text = design_to_text(design)  # raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(design_to_text(design))
+        fh.write(text)
 
 
 def load_design(path) -> SubspaceDesign:

@@ -295,6 +295,8 @@ def field_new(p: int, m: int, modulus: Optional[Tuple[int, ...]] = None) -> Fiel
 @functools.lru_cache(maxsize=None)
 def get_gf(q: int) -> Field:
     """GF(q) for a prime power q, with default modulus."""
+    if q < 2:  # below 2 the trial division reads q % 0 at q = 0
+        raise FieldError(f"{q} is not a prime power")
     p = 2
     while p * p <= q:
         if q % p == 0:

@@ -387,7 +387,8 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
 
     A row's pivot is its lowest set bit (coordinate 0).  Each remainder
     clears its pivot from the rows so far with XOR and joins them; the rows
-    are then sorted by pivot and each is unpacked once.
+    are then sorted by pivot and each is unpacked once, from _bit_table up to
+    BIT_TABLE_MAX_N coordinates.
     """
     rows: List[int] = []
     for v in vectors:
@@ -402,8 +403,117 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
             rows.append(v)
     rows.sort(key=lambda row: row & -row)
     pivots = tuple([(row & -row).bit_length() - 1 for row in rows])
-    unpacked = tuple([vec_unpack(2, n, row) for row in rows])
+    if n <= BIT_TABLE_MAX_N:
+        unpacked = tuple(map(_bit_table(n).__getitem__, rows))
+    else:
+        unpacked = tuple([vec_unpack(2, n, row) for row in rows])
     return rows, Subspace(2, n, unpacked, pivots)
+
+
+BIT_TABLE_MAX_N = 10
+
+
+# Bounded; one table per n <= BIT_TABLE_MAX_N, at most 1024 tuples.
+@functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)
+def _bit_table(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """vec_unpack(2, n, v) for every v < 2^n, indexed by v."""
+    # product runs its last position fastest; coordinate 0 is bit 0
+    return tuple([bits[::-1] for bits in itertools.product((0, 1), repeat=n)])
+
+
+class GroupAction:
+    """The cyclic group generated by one invertible linear map g of F_2^n,
+    acting on packed vectors (coordinate i is bit i).
+
+    g is given by the packed images of e_0..e_{n-1}, and g(v) is the XOR of
+    the images of v's set bits, tabled for every v.  The per-vector tables
+    of orbit representative (the least vector of the orbit), exponent e
+    (g^e sends the vector to its representative) and orbit size, and each
+    orbit's cycle from its representative, are built on first use.
+    """
+
+    def __init__(self, n: int, images: Sequence[int]):
+        images = tuple(images)
+        if len(images) != n:
+            raise ValueError(f"need {n} column images, got {len(images)}")
+        if 1 << n > MAX_VECTOR_ENUM:
+            raise BudgetError(f"2^{n} vectors exceed the enumeration budget")
+        rank = len(xor_rref(n, images)[0])
+        if rank != n:
+            raise ValueError(f"generator has rank {rank} < {n}: not invertible")
+        self.n = n
+        self._image = image = [0] * (1 << n)  # g(v) at index v
+        for v in range(1, 1 << n):
+            low = v & -v
+            image[v] = image[v ^ low] ^ images[low.bit_length() - 1]
+        # the columns of g^m are g^m(e_i); an invertible g returns to I
+        units = tuple([1 << i for i in range(n)])
+        columns, order = images, 1
+        while columns != units:
+            columns = tuple([image[c] for c in columns])
+            order += 1
+        self.order = order
+        self._tables = None
+
+    def _orbit_tables(self):
+        """(rep, exponent, size, cycles): per-vector lists, and each orbit's
+        vectors from its representative on, g^i(rep) at index i."""
+        if self._tables is None:
+            image = self._image
+            count = len(image)
+            rep, exponent, size = [0] * count, [0] * count, [0] * count
+            cycles = {}
+            for v in range(count):
+                if size[v]:
+                    continue
+                cycle = [v]  # v is the least vector not yet in an orbit
+                w = image[v]
+                while w != v:
+                    cycle.append(w)
+                    w = image[w]
+                for i, w in enumerate(cycle):  # g^(length - i) sends w to v
+                    rep[w], exponent[w], size[w] = v, -i % len(cycle), len(cycle)
+                cycles[v] = tuple(cycle)
+            self._tables = rep, exponent, size, cycles
+        return self._tables
+
+    def image(self, vectors: Iterable[int], m: int) -> List[int]:
+        """g^m of each vector, in order."""
+        rep, exponent, size, cycles = self._orbit_tables()
+        return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
+
+    def _anchors(self, vectors: Iterable[int]):
+        """The sorted set, its vectors in its largest vector orbit (least
+        representative on ties; both are the same for every image of the
+        set), and that orbit's size."""
+        rep, _, size, _ = self._orbit_tables()
+        vectors = sorted(set(vectors))
+        if not vectors:
+            raise ValueError("an empty vector set has no orbit label")
+        top = max(vectors, key=lambda v: (size[v], -rep[v]))
+        return vectors, [v for v in vectors if rep[v] == rep[top]], size[top]
+
+    def label(self, vectors: Iterable[int]) -> Tuple[int, ...]:
+        """Canonical label of the set's orbit: its least image, as a sorted
+        tuple, over the elements that send one of its anchors to their
+        orbit's representative, g^(e + j * length) for the anchor's
+        exponent e."""
+        vectors, anchors, length = self._anchors(vectors)
+        _, exponent, _, _ = self._orbit_tables()
+        return min(tuple(sorted(self.image(vectors, exponent[v] + j * length)))
+                   for v in anchors for j in range(self.order // length))
+
+    def orbit_size(self, vectors: Iterable[int]) -> int:
+        """Size of the set's orbit: the order over the stabiliser's.  An
+        element that fixes the set sends its first anchor a to an anchor w,
+        so only the elements g^m with g^m(a) = w are tested."""
+        vectors, anchors, length = self._anchors(vectors)
+        _, exponent, _, _ = self._orbit_tables()
+        a = exponent[anchors[0]]
+        fixed = sum(sorted(self.image(vectors, a - exponent[w] + j * length))
+                    == vectors
+                    for w in anchors for j in range(self.order // length))
+        return self.order // fixed
 
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:

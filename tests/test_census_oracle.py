@@ -12,6 +12,8 @@ of every enumerate_vectors vector, in order.  enumerate_grassmannian must
 equal the template odometer kept here, and local_row_indices the positions
 of RREF rows among enumerate_vectors.  The product of complement_columns must
 be the multiset of complement_generators, split first rows included.
+verify_orbits, the census of a design invariant under a GroupAction taken
+on its base blocks only, must equal expand and scan on the expanded design.
 """
 
 import itertools
@@ -21,18 +23,21 @@ from collections import Counter
 
 import pytest
 
-from qcover import subspaces
-from qcover.bounds import gaussian
+from qcover import constructions, subspaces
+from qcover.bounds import bound_table, gaussian
+from qcover.constructions import (GF64_QUADS, ConstructionError,
+                                  gf64_covering_design, gf64_orbits)
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
-                            verify_covering, verify_turan)
+                            verify_covering, verify_orbits, verify_turan)
 from qcover.fields import get_gf, vec_add, vec_pack, vec_scale, vec_unpack
-from qcover.subspaces import (BudgetError, Subspace, complement_columns,
+from qcover.subspaces import (BudgetError, GroupAction, Subspace,
+                              complement_columns,
                               complement_generators, complement_vectors,
                               enumerate_grassmannian, enumerate_vectors,
                               full_space, grassmannian_choices,
                               local_row_indices, orthogonal_complement,
                               packed_vectors, span, subspaces_of,
-                              superspaces_containing, zero_subspace)
+                              superspaces_containing, xor_rref, zero_subspace)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
@@ -473,3 +478,179 @@ def test_witnesses_in_a_large_ambient_space():
         (t for t in reference_enumerate_grassmannian(2, 20, 1)
          if t not in covered), WITNESS_CAP))
     assert verify_covering(design, 1, "expand").witnesses == expected
+
+
+# orbit census -----------------------------------------------------------------
+
+# Multiplication by x in GF(128) = F_2[x]/(x^7 + x + 1), a Singer cycle of
+# F_2^7: e_i -> e_(i+1), and x^7 = x + 1.
+SINGER_128 = [1 << (i + 1) for i in range(6)] + [0b11]
+# The cyclic shift of the 7 coordinates: many small orbits and stabilisers.
+SHIFT_7 = [1 << ((i + 1) % 7) for i in range(7)]
+# Singer cycles of F_2^3 (x^3 + x + 1) and F_2^2 (x^2 + x + 1) side by side
+# on F_2^5, of order 21: vector orbits of 7 and 3 below the order, so a label
+# must try every element that sends an anchor to its representative.
+SUM_7_3 = [0b00010, 0b00100, 0b00011, 0b10000, 0b11000]
+
+
+def actions():
+    return {"singer128": GroupAction(7, SINGER_128), "gf64": gf64_orbits()[0],
+            "shift7": GroupAction(7, SHIFT_7), "sum7x3": GroupAction(5, SUM_7_3)}
+
+
+def expand_orbits(action, bases):
+    """The design of every image of every base, by brute force over the
+    whole group."""
+    blocks = [xor_rref(action.n, action.image(packed_vectors(b), m))[1]
+              for b in bases for m in range(action.order)]
+    return SubspaceDesign.from_blocks(blocks, q=2, n=action.n, k=bases[0].dim)
+
+
+def random_orbit_bases(rng, action, k, count):
+    """Up to count random k-subspaces of F_2^n from different orbits, in at
+    most 200 draws (F_2^5 has only 3 orbits of hyperplanes under SUM_7_3)."""
+    bases, labels = [], set()
+    for _ in range(200):
+        if len(bases) == count:
+            break
+        block = xor_rref(action.n, [rng.randrange(1, 1 << action.n)
+                                    for _ in range(k)])[1]
+        label = action.label(packed_vectors(block))
+        if block.dim == k and label not in labels:
+            labels.add(label)
+            bases.append(block)
+    return bases
+
+
+def test_group_action_orders_and_orbits_equal_brute_force():
+    """Order, orbit sizes and labels against the whole group, on single
+    vectors and random vector sets."""
+    rng = random.Random(20261018)
+    orders = {"singer128": 127, "gf64": 63, "shift7": 7, "sum7x3": 21}
+    for name, action in actions().items():
+        assert action.order == orders[name]
+        for _ in range(60):
+            vectors = {rng.randrange(1 << action.n)
+                       for _ in range(rng.randint(1, 6))}
+            orbit = {tuple(sorted(action.image(vectors, m)))
+                     for m in range(action.order)}
+            assert action.orbit_size(vectors) == len(orbit)
+            labels = {action.label(image) for image in orbit}
+            assert labels == {action.label(vectors)} and labels <= orbit
+
+
+def test_orbit_census_with_a_fixed_block():
+    """The cyclic [7,3] code spanned by the shifts of 1 + x^2 + x^3 + x^4 is
+    fixed by the shift: an orbit of one block, whose 2-subspaces lie in
+    orbits of 7."""
+    shift = GroupAction(7, SHIFT_7)
+    code = xor_rref(7, [shift.image([0b0011101], m)[0] for m in range(7)])[1]
+    assert code.dim == 3 and shift.orbit_size(packed_vectors(code)) == 1
+    rng = random.Random(7)
+    for other in random_orbit_bases(rng, shift, 3, 6):
+        if shift.label(packed_vectors(other)) == shift.label(packed_vectors(code)):
+            continue
+        bases = [code, other]
+        design = expand_orbits(shift, bases)
+        for r in range(4):
+            count, report = verify_orbits(shift, bases, r)
+            assert count == len(design)
+            assert report == verify_covering(design, r, "expand")
+            assert report == verify_covering(design, r, "scan")
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_gf64_orbit_census_equals_expand_and_scan(r):
+    singer, bases = gf64_orbits()
+    design = gf64_covering_design(verify=False)
+    count, report = verify_orbits(singer, bases, r)
+    assert count == len(design) == 399
+    assert report == verify_covering(design, r, "expand")
+    assert report == verify_covering(design, r, "scan")
+    assert (report.witnesses != ()) == (r == 3)
+
+
+@pytest.mark.parametrize("name, designs", [("singer128", 30), ("gf64", 12),
+                                           ("shift7", 12), ("sum7x3", 12)])
+def test_orbit_census_equals_expand_and_scan_on_random_designs(name, designs):
+    """Unions of 1-4 orbits of random k-subspaces of F_2^n, every r <= k."""
+    action = actions()[name]
+    rng = random.Random(f"orbits-{name}")
+    verdicts = set()
+    for _ in range(designs):
+        k = rng.choice([2, 3, 4])
+        bases = random_orbit_bases(rng, action, k, rng.randint(1, 4))
+        design = expand_orbits(action, bases)
+        for r in range(k + 1):
+            count, report = verify_orbits(action, bases, r)
+            assert count == len(design)
+            assert report == verify_covering(design, r, "expand")
+            assert report == verify_covering(design, r, "scan")
+            verdicts.add(report.is_covering)
+    assert verdicts == {True, False}
+
+
+def test_orbit_census_rejects_bad_input():
+    singer, bases = gf64_orbits()
+    shifted = xor_rref(7, singer.image(packed_vectors(bases[0]), 5))[1]
+    with pytest.raises(ValueError, match="base blocks 0 and 7 lie in one orbit"):
+        verify_orbits(singer, bases + [shifted], 2)
+    with pytest.raises(ValueError, match="rank 2 < 3: not invertible"):
+        GroupAction(3, [0b001, 0b010, 0b011])
+    with pytest.raises(ValueError, match="need 3 column images"):
+        GroupAction(3, [0b001, 0b010])
+    with pytest.raises(ValueError, match="at least one base"):
+        verify_orbits(singer, [], 2)
+    with pytest.raises(ValueError, match="need 0 <= r <= k"):
+        verify_orbits(singer, bases, 4)
+
+
+def test_orbit_census_runs_once_per_call_without_expand(monkeypatch):
+    """construct and bound_table each run one orbit census per call, no
+    expand census, and bound_table builds none of the 399 blocks."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return verify_orbits(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("no census of the 399 blocks")
+    monkeypatch.setattr(constructions, "verify_orbits", counted)
+    monkeypatch.setattr(constructions, "verify_covering", refused)
+    for _ in range(2):
+        assert len(gf64_covering_design()) == 399
+    assert calls == [2, 2]
+    monkeypatch.setattr(constructions, "gf64_covering_design", refused)
+    for _ in range(2):
+        assert bound_table(2, 7)[(7, 3, 2)].upper == 399
+    assert calls == [2, 2, 2, 2]
+
+
+def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
+    """The checks of gf64_covering_design, under the patches of
+    test_gf64_unclosed_block_raises and test_gf64_bad_line_pattern_raises,
+    guard bound_table's gf64 upper bound too."""
+    def raises(message):
+        with pytest.raises(ConstructionError, match=message):
+            bound_table(2, 7)
+        with pytest.raises(ConstructionError, match=message):
+            gf64_covering_design(verify=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "GF64_QUADS",
+                      ((0, 1, 1, 16),) + GF64_QUADS[1:])
+        raises("difference set")
+        patch.setattr(constructions, "_check_gf64_quads", lambda gf64: None)
+        raises("not closed under addition")
+        patch.setattr(constructions, "GF64_QUADS",
+                      ((0, 1, 4, 17),) + GF64_QUADS[1:])
+        raises("spans dim 4, not 3")
+        # one quadruple twice: two base blocks in one orbit
+        patch.setattr(constructions, "GF64_QUADS",
+                      GF64_QUADS[:1] * 2 + GF64_QUADS[2:])
+        raises("gf64 block count 336 != 399")
+    for exponents, message in [((0, 1, 2), "not closed under addition"),
+                               ((0, 9, 18, 27, 36, 45, 54), "orbit sizes")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(constructions, "GF64_LINE_EXPONENTS", exponents)
+            raises(message)

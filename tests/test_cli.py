@@ -372,3 +372,35 @@ def test_header_k_outside_0_to_n_exit_2(tmp_path, capsys, n, k):
         assert "RESULT:" not in out
         assert f"n={n} k={k}" in err
     assert not dual.exists()
+
+
+def test_construct_q_above_10_exit_2_and_writes_no_file(tmp_path, capsys):
+    """The design file has one digit per coordinate: a q = 11 design would
+    read back as 'bad vector'."""
+    path = tmp_path / "f.txt"
+    code, out, err = run(capsys, "construct", "line-covering", "--q", "11",
+                         "--n", "3", "--k", "2", "-o", str(path))
+    assert code == 2
+    assert "RESULT:" not in out
+    assert "q=11" in err and "one digit per coordinate (q <= 10)" in err
+    assert not path.exists()
+    with pytest.raises(FormatError, match="q=11"):
+        design_to_text(optimal_line_covering(11, 3, 2))
+
+
+@pytest.mark.parametrize("q, message", [(6, "6 is not a prime power"),
+                                        (0, "0 is not a prime power"),
+                                        (1, "1 is not a prime power")])
+def test_header_q_not_prime_power_without_blocks_exit_2(tmp_path, capsys,
+                                                        q, message):
+    """The header's q is checked even when the file has no block lines."""
+    text = f"qcover-design v1\nq={q} n=3 k=1\n"
+    with pytest.raises(FormatError, match=message):
+        design_from_text(text)
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path), "--mode", "covering",
+                         "--r", "1")
+    assert code == 2
+    assert "RESULT:" not in out and "witness" not in out
+    assert message in err

@@ -256,6 +256,21 @@ def test_xor_rref_equals_rref_and_span():
         assert packed_vectors(s) == packed_vectors(ref)
 
 
+def test_xor_rref_rows_unpack_as_vec_unpack():
+    """Rows come from the bit table up to BIT_TABLE_MAX_N coordinates and
+    from vec_unpack above it; both give the same Subspace."""
+    for n in range(subspaces.BIT_TABLE_MAX_N + 1):
+        assert subspaces._bit_table(n) == tuple(vec_unpack(2, n, v)
+                                                for v in range(1 << n))
+    rng = random.Random(11)
+    for n in range(0, subspaces.BIT_TABLE_MAX_N + 4):
+        for _ in range(20):
+            vectors = [rng.randrange(1 << n) for _ in range(rng.randint(0, n))]
+            rows, s = xor_rref(n, vectors)
+            assert s.rows == tuple(vec_unpack(2, n, row) for row in rows)
+            assert s == span(2, n, [vec_unpack(2, n, v) for v in vectors])
+
+
 def test_xor_rref_edge_cases():
     rows, s = xor_rref(4, [])
     assert rows == [] and s == zero_subspace(2, 4) and s.pivots == ()

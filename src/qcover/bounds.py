@@ -1,15 +1,13 @@
 """Exact arithmetic for Gaussian coefficients and every covering-number bound.
 
-All values are exact integers; ratios go through fractions.Fraction so that
-ceilings are taken on exact rationals, never on floats.
+All values are exact integers.  The ceiling of a ratio a / b of positive
+integers is taken as -(-a // b), in integer arithmetic, never on floats.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 
@@ -31,11 +29,6 @@ def gaussian(n: int, l: int, q: int) -> int:
     return num // den
 
 
-def basic_ratio(n: int, k: int, r: int, q: int) -> Fraction:
-    """Raw ratio [n r]_q / [k r]_q."""
-    return Fraction(gaussian(n, r, q), gaussian(k, r, q))
-
-
 def basic_lower(n: int, k: int, r: int, q: int) -> int:
     """Counting lower bound: ceil([n r]_q / [k r]_q).
 
@@ -44,7 +37,7 @@ def basic_lower(n: int, k: int, r: int, q: int) -> int:
     """
     if not 0 <= r <= k <= n:
         raise ValueError(f"need r <= k <= n, got ({n},{k},{r})")
-    return math.ceil(basic_ratio(n, k, r, q))
+    return -(-gaussian(n, r, q) // gaussian(k, r, q))
 
 
 def schonheim_lower(n: int, k: int, r: int, q: int) -> int:
@@ -56,9 +49,9 @@ def schonheim_lower(n: int, k: int, r: int, q: int) -> int:
     if not 1 <= r <= k <= n:
         raise ValueError(f"need 1 <= r <= k <= n, got ({n},{k},{r})")
     if r == 1:
-        return math.ceil(Fraction(q ** n - 1, q ** k - 1))
+        return -(-(q ** n - 1) // (q ** k - 1))
     inner = schonheim_lower(n - 1, k - 1, r - 1, q)
-    return math.ceil(Fraction(q ** n - 1, q ** k - 1) * inner)
+    return -(-(q ** n - 1) * inner // (q ** k - 1))
 
 
 def decaen_lower(n: int, k: int, q: int) -> int:
@@ -68,8 +61,8 @@ def decaen_lower(n: int, k: int, q: int) -> int:
     """
     if not k < n:
         raise ValueError("requires k < n")
-    val = Fraction((q ** k - 1) * (q - 1), (q ** (n - k) - 1) ** 2)
-    return math.ceil(val * gaussian(n, k + 1, q))
+    return -(-(q ** k - 1) * (q - 1) * gaussian(n, k + 1, q)
+             // (q ** (n - k) - 1) ** 2)
 
 
 def exact_values(n: int, k: int, r: int, q: int) -> Optional[int]:
@@ -86,7 +79,7 @@ def _exact_with_source(n: int, k: int, r: int, q: int) -> Optional[Tuple[int, st
     if r == k:
         return gaussian(n, k, q), "exact:trivial"
     if r == 1:
-        return math.ceil(Fraction(q ** n - 1, q ** k - 1)), "exact:r=1"
+        return -(-(q ** n - 1) // (q ** k - 1)), "exact:r=1"
     if k == n - 1:
         return (q ** (r + 1) - 1) // (q - 1), "exact:k=n-1"
     if (q, n, k, r) == (2, 5, 3, 2):

@@ -10,16 +10,15 @@ size identities are still asserted.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_orbits, verify_steiner_system,
                       verify_turan, dualize)
-from .fields import Field, field_new, flatten_ext_vector, get_gf, is_prime
+from .fields import (Field, field_new, flatten_ext_vector, get_gf, is_prime,
+                     vec_pack)
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM, Subspace,
                         _xor_span, contains_subspace, enumerate_grassmannian,
                         full_space, packed_vectors, span, subspaces_of,
@@ -230,7 +229,7 @@ def optimal_line_covering(q: int, n: int, k: int,
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
-    expected = math.ceil(Fraction(q ** n - 1, q ** k - 1))
+    expected = -(-(q ** n - 1) // (q ** k - 1))
     if expected > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"C_{q}[{n},{k},1] needs {expected} blocks")
     if n % k == 0:
@@ -437,15 +436,22 @@ def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
     Its blocks are the images of the base blocks of gf64_orbits under the
-    Singer action, each checked for dimension and closure on packed ints.
-    The census is gf64_orbit_census, on the base blocks.
+    Singer action.  gf64_orbits checks each base block's dimension and
+    closure; the action is linear, so it maps the base's span onto the
+    image's, and each image is the reduction of the images of the base's
+    three packed RREF rows, which must again have rank 3.  The census is
+    gf64_orbit_census, on the base blocks.
     """
     singer, bases = gf64_orbits()
     blocks: List[Subspace] = []
     for base in bases:
-        vectors = packed_vectors(base)
-        for m in range(singer.orbit_size(vectors)):
-            blocks.append(_gf64_block(singer.image(vectors, m)))
+        base_rows = [vec_pack(2, row) for row in base.rows]
+        for m in range(singer.orbit_size(packed_vectors(base))):
+            rows, block = xor_rref(7, singer.image(base_rows, m))
+            if len(rows) != 3:
+                raise ConstructionError(f"image {m} of a base block spans "
+                                        f"dim {len(rows)}, not 3")
+            blocks.append(block)
     design = SubspaceDesign.from_blocks(blocks, label="gf64-C2[7,3,2]",
                                         q=2, n=7, k=3)
     if len(design) != 399:

@@ -231,9 +231,10 @@ def verify_covering(design: SubspaceDesign, r: int,
         raise BudgetError(f"[{n} {r}]_{q} exceeds the verification budget")
     if strategy == "expand":
         counts: Counter = Counter()
-        rows_of = _local_rows(q, k, r)
-        for block in design.blocks:
-            counts.update(rows_of(packed_vectors(block)))
+        if design.blocks:  # the local row table can be far larger than a design
+            rows_of = _local_rows(q, k, r)
+            for block in design.blocks:
+                counts.update(rows_of(packed_vectors(block)))
         return _report_from_counts(counts, total,
                                    _grassmannian_misses(q, n, r, counts))
     if strategy == "scan":
@@ -431,18 +432,29 @@ class FormatError(ValueError):
 
 
 def design_to_text(design: SubspaceDesign) -> str:
-    """The design file: one digit per coordinate, so q is at most 10."""
+    """The design file: one digit per coordinate, so q is at most 10.
+
+    Blocks share rows, so each distinct row's word is built once per call.
+    """
     if design.q > 10:
         raise FormatError(f"q={design.q} has coordinates above 9, and the "
                           f"design file writes one digit per coordinate "
                           f"(q <= 10)")
+    word = {row: "".join(map(str, row)) for row in
+            {row for block in design.blocks for row in block.rows}}
     lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
-    for block in design.blocks:
-        lines.append(" ".join("".join(str(c) for c in row) for row in block.rows))
+    lines += [" ".join(map(word.__getitem__, block.rows))
+              for block in design.blocks]
     return "\n".join(lines) + "\n"
 
 
 def design_from_text(text: str) -> SubspaceDesign:
+    """The design a design file describes, each block in canonical form.
+
+    Blocks share words, so each distinct word is checked and converted once
+    per call, to a packed int for q = 2 and a coordinate tuple otherwise;
+    the first bad word raises FormatError in file order.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != DESIGN_MAGIC:
         raise FormatError("missing design header")
@@ -460,6 +472,7 @@ def design_from_text(text: str) -> SubspaceDesign:
     except FieldError as exc:
         raise FormatError(str(exc)) from exc
     top = str(min(q, 10) - 1)  # the largest digit that is a coordinate
+    vector = {}  # each word checked so far -> its vector
     blocks = []
     for line in lines[2:]:
         line = line.strip()
@@ -467,17 +480,22 @@ def design_from_text(text: str) -> SubspaceDesign:
             continue
         words = line.split()
         for word in words:
+            if word in vector:
+                continue
             # str.isdigit alone passes non-ASCII digits, which int() reads.
             if len(word) != n or not (word.isascii() and word.isdigit()):
                 raise FormatError(f"bad vector {word!r} for n={n}")
             if max(word) > top:
                 raise FormatError(f"coordinate out of GF({q}) in {word!r}")
+            # for q = 2, coordinate 0 is the least significant bit
+            vector[word] = (int(word[::-1], 2) if q == 2
+                            else tuple(map(int, word)))
         if len(words) != k:
             raise FormatError(f"block with {len(words)} vectors, expected {k}")
-        if q == 2:  # coordinate 0 is the least significant bit
-            block = xor_rref(n, [int(word[::-1], 2) for word in words])[1]
+        if q == 2:
+            block = xor_rref(n, map(vector.__getitem__, words))[1]
         else:
-            block = span(q, n, [tuple(map(int, word)) for word in words])
+            block = span(q, n, map(vector.__getitem__, words))
         if block.dim != k:
             raise FormatError(f"block rank {block.dim} < k={k}: {line!r}")
         blocks.append(block)

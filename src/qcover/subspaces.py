@@ -13,8 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import add
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from .bounds import gaussian
 from .fields import Field, get_gf, vec_pack, vec_unpack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
@@ -97,7 +98,10 @@ class Subspace:
         return (self.pivots, self.rows)
 
     def __repr__(self):
-        body = ",".join("".join(str(c) for c in row) for row in self.rows)
+        # One digit per coordinate up to q = 10; past it a coordinate can
+        # have two digits, so coordinates are separated by spaces.
+        sep = "" if self.q <= 10 else " "
+        body = ",".join(sep.join(map(str, row)) for row in self.rows)
         return f"Subspace(q={self.q},n={self.n},[{body}])"
 
 
@@ -287,7 +291,6 @@ def grassmannian_choices(q: int, n: int, k: int
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    from .bounds import gaussian
     if gaussian(n, k, q) > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"G_{q}({n},{k}) exceeds {MAX_SUBSPACE_ENUM} subspaces")
     for pivots in itertools.combinations(range(n), k):
@@ -353,6 +356,8 @@ def packed_vectors(s: Subspace) -> List[int]:
     if s.q ** s.dim > MAX_VECTOR_ENUM:
         raise BudgetError(f"{s.q}^{s.dim} vectors exceed the enumeration budget")
     if s.q == 2:
+        if s.n <= BIT_TABLE_MAX_N:
+            return _xor_span(list(map(_bit_index(s.n).__getitem__, s.rows)))
         return _xor_span([vec_pack(2, row) for row in s.rows])
     return _horner_span(s.q, s.rows)
 
@@ -419,6 +424,13 @@ def _bit_table(n: int) -> Tuple[Tuple[int, ...], ...]:
     """vec_unpack(2, n, v) for every v < 2^n, indexed by v."""
     # product runs its last position fastest; coordinate 0 is bit 0
     return tuple([bits[::-1] for bits in itertools.product((0, 1), repeat=n)])
+
+
+# Bounded like _bit_table, of which it is the inverse.
+@functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)
+def _bit_index(n: int) -> Dict[Tuple[int, ...], int]:
+    """vec_pack(2, bits) for every 0/1 tuple bits of length n, keyed by bits."""
+    return {bits: v for v, bits in enumerate(_bit_table(n))}
 
 
 class GroupAction:
@@ -555,8 +567,13 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     sum(c_j * S.rows[j]) of a k-subspace S sits at index
     sum(c_j * q^(k-1-j)) of packed_vectors(S), so S's packed vectors read
     at L's entry are the packed rows of L*S, which is already the canonical
-    RREF (see subspaces_of).
+    RREF (see subspaces_of).  Raises BudgetError, before building anything,
+    when the table would pass MAX_VECTOR_ENUM entries or its indices address
+    more than MAX_VECTOR_ENUM vectors, which packed_vectors refuses to list.
     """
+    if q ** k > MAX_VECTOR_ENUM or gaussian(k, r, q) > MAX_VECTOR_ENUM:
+        raise BudgetError(f"local rows of [{k} {r}]_{q} exceed the "
+                          f"enumeration budget")
     out = []
     for _, rows, _ in grassmannian_choices(q, k, r):
         # vec_pack reads coordinate 0 least significant, the index most.

@@ -146,6 +146,48 @@ def test_bound_table_q3():
             assert rec.lower == rec.upper == ev
 
 
+def reference_basic_lower(n, k, r, q):
+    return math.ceil(Fraction(gaussian(n, r, q), gaussian(k, r, q)))
+
+
+def reference_schonheim_lower(n, k, r, q):
+    ratio = Fraction(q ** n - 1, q ** k - 1)
+    if r == 1:
+        return math.ceil(ratio)
+    return math.ceil(ratio * reference_schonheim_lower(n - 1, k - 1, r - 1, q))
+
+
+def reference_decaen_lower(n, k, q):
+    return math.ceil(Fraction((q ** k - 1) * (q - 1), (q ** (n - k) - 1) ** 2)
+                     * gaussian(n, k + 1, q))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_bound_table_equals_fraction_reference(monkeypatch, q):
+    """The integer ceilings equal ceilings of exact Fractions, bound by
+    bound and in the whole table up to n = 12."""
+    params = [(n, k, r) for n in range(1, 13) for k in range(1, n + 1)
+              for r in range(1, k + 1)]
+    for n, k, r in params:
+        assert basic_lower(n, k, r, q) == reference_basic_lower(n, k, r, q)
+        assert schonheim_lower(n, k, r, q) == reference_schonheim_lower(n, k, r, q)
+        if k < n:
+            assert decaen_lower(n, k, q) == reference_decaen_lower(n, k, q)
+    table = bound_table(q, 12)
+    exact = bounds._exact_with_source
+
+    def reference_exact(n, k, r, q):
+        if r == 1 < k < n:
+            return math.ceil(Fraction(q ** n - 1, q ** k - 1)), "exact:r=1"
+        return exact(n, k, r, q)
+    monkeypatch.setattr(bounds, "basic_lower", reference_basic_lower)
+    monkeypatch.setattr(bounds, "schonheim_lower", reference_schonheim_lower)
+    monkeypatch.setattr(bounds, "decaen_lower", reference_decaen_lower)
+    monkeypatch.setattr(bounds, "_exact_with_source", reference_exact)
+    assert bound_table(q, 12) == table
+    assert len(table) == len(params)
+
+
 def test_bound_table_fixed_point_stable():
     t1 = bound_table(2, n_max=7)
     t2 = bound_table(2, n_max=7)

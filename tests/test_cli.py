@@ -1,10 +1,11 @@
+import re
 import time
 
 import pytest
 
 from qcover.cli import main
 from qcover.designs import (FormatError, design_from_text, design_to_text,
-                            load_design)
+                            load_design, verify_covering)
 from qcover.constructions import optimal_line_covering, turan_dual_covering
 
 
@@ -404,3 +405,49 @@ def test_header_q_not_prime_power_without_blocks_exit_2(tmp_path, capsys,
     assert code == 2
     assert "RESULT:" not in out and "witness" not in out
     assert message in err
+
+
+def parse_witness(text):
+    """The (q, n, rows) of a printed Subspace: one digit per coordinate up
+    to q = 10, space-separated coordinates above it."""
+    q, n, body = re.fullmatch(r"Subspace\(q=(\d+),n=(\d+),\[(.*)\]\)", text).groups()
+    q, n = int(q), int(n)
+    rows = tuple(tuple(map(int, row.split() if q > 10 else row))
+                 for row in body.split(",")) if body else ()
+    assert all(len(row) == n for row in rows)
+    return q, n, rows
+
+
+@pytest.mark.parametrize("q", [7, 11, 13])
+def test_printed_witnesses_parse_back_to_their_rows(tmp_path, capsys, q):
+    """Above q = 10 a coordinate can take two digits, so [1 10] is not
+    [11 0]: every printed witness reads back as the report's rows."""
+    path = tmp_path / "d.txt"
+    path.write_text(f"qcover-design v1\nq={q} n=2 k=1\n10\n")
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "covering",
+                       "--r", "1")
+    assert code == 1
+    printed = [parse_witness(line.split(": ", 1)[1]) for line in out.splitlines()
+               if line.startswith("uncovered witness: ")]
+    report = verify_covering(load_design(path), 1)
+    assert printed == [(q, 2, w.rows) for w in report.witnesses]
+    assert len(printed) == min(q, 16)
+    assert any(max(row) >= 10 for _, _, rows in printed for row in rows) == (q > 10)
+
+
+def test_q17_file_exits_1_without_blocks_and_3_with_one(tmp_path, capsys):
+    """Without blocks every point is uncovered (the row table is not built:
+    tests/test_designs.py); one block has 17^6 vectors, past the budget."""
+    path = tmp_path / "d.txt"
+    path.write_text("qcover-design v1\nq=17 n=6 k=6\n")
+    code, out, _ = run(capsys, "verify", str(path), "--mode", "covering",
+                       "--r", "1")
+    assert code == 1
+    assert "targets=1508598 min=0 max=0" in out
+    rows = " ".join("".join("1" if j == i else "0" for j in range(6))
+                    for i in range(6))
+    path.write_text(f"qcover-design v1\nq=17 n=6 k=6\n{rows}\n")
+    code, out, err = run(capsys, "verify", str(path), "--mode", "covering",
+                         "--r", "1")
+    assert code == 3
+    assert "budget" in err and "RESULT:" not in out

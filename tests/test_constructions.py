@@ -18,8 +18,9 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
 from qcover.designs import (SubspaceDesign, design_to_text, verify_covering,
                             verify_turan)
 from qcover.fields import field_new, get_gf, vec_add
-from qcover.subspaces import (BudgetError, enumerate_vectors, full_space,
-                              intersect, packed_vectors, span, zero_subspace)
+from qcover.subspaces import (BudgetError, GroupAction, enumerate_vectors,
+                              full_space, intersect, packed_vectors, span,
+                              zero_subspace)
 
 
 def test_trivial_steiner():
@@ -241,6 +242,22 @@ def test_gf64_orbit_structure():
             image = frozenset(times_alpha[v] for v in image)
         sizes.append(size)
     assert sorted(sizes) == [21] + [63] * 6
+
+
+def test_gf64_image_of_rank_below_3_raises(monkeypatch):
+    """Each image is reduced from the images of its base's three rows and
+    must keep rank 3."""
+    image = GroupAction.image
+
+    def collapse(self, vectors, m):
+        out = image(self, vectors, m)
+        if len(out) == 3 and m == 1:
+            out[2] = out[0] ^ out[1]
+        return out
+    monkeypatch.setattr(GroupAction, "image", collapse)
+    with pytest.raises(ConstructionError,
+                       match="image 1 of a base block spans dim 2, not 3"):
+        gf64_covering_design(verify=False)
 
 
 def test_gf64_unclosed_block_raises(monkeypatch):

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from qcover import designs, subspaces
 from qcover.bounds import basic_lower, gaussian
-from qcover.designs import (CoverageReport, FormatError, SetSystem,
+from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem,
                             SubspaceDesign,
                             design_from_text, design_to_text, dualize,
                             point_indexing, to_point_set_system,
                             verify_covering,
                             verify_steiner_system, verify_turan)
-from qcover.constructions import spread, trivial_steiner, turan_point_design
-from qcover.subspaces import enumerate_grassmannian, full_space, span
+from qcover.constructions import (gf64_covering_design, spread, trivial_steiner,
+                                  turan_point_design)
+from qcover.subspaces import (BudgetError, enumerate_grassmannian, full_space,
+                              local_row_indices, span)
 
 
 def random_design(rng, q, n, k, size):
@@ -248,6 +251,85 @@ def test_design_from_text_equals_span_of_its_words(q):
         else:
             with pytest.raises(FormatError, match=f"block rank {block.dim} < k={k}"):
                 design_from_text(text)
+
+
+def reference_design_text(design):
+    """The design file written one coordinate at a time, with no memo."""
+    lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
+    for block in design.blocks:
+        lines.append(" ".join("".join(str(c) for c in row) for row in block.rows))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_design_to_text_equals_per_coordinate_reference(q):
+    rng = random.Random(700 + q)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        design = random_design(rng, q, n, k, min(rng.randint(1, 8),
+                                                 gaussian(n, k, q)))
+        assert design_to_text(design) == reference_design_text(design)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gf64_covering_design(verify=False),
+    lambda: trivial_steiner(3, 4, 2, verify=False),
+], ids=["gf64", "q3-lines"])
+def test_design_text_with_words_repeated_across_blocks_round_trips(build):
+    design = build()
+    text = design_to_text(design)
+    words = text.split("\n", 2)[2].split()
+    assert len(set(words)) < len(words) // 3  # most words repeat
+    back = design_from_text(text)
+    assert back.blocks == design.blocks
+    assert [b.pivots for b in back.blocks] == [b.pivots for b in design.blocks]
+    assert design_to_text(back) == text
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("lines,message", [
+    # a bad word in a later block, after its good neighbour was seen
+    (["110 011", "110 101", "011 1x1"], "bad vector '1x1' for n=3"),
+    # the same bad word in two later blocks: the first one raises
+    (["110 011", "011 1101", "110 1101"], "bad vector '1101' for n=3"),
+    # the first bad word of a line raises, whatever follows it
+    (["110 011", "011 019 0101"], "coordinate out of GF"),
+    (["110 011", "0101 019"], "bad vector '0101'"),
+    # every word of a line is checked before the line's word count
+    (["110 011", "110 011 1x0"], "bad vector '1x0'"),
+    (["110 011", "110 011 101"], "block with 3 vectors, expected 2"),
+])
+def test_design_text_first_bad_word_raises_in_file_order(q, lines, message):
+    text = f"qcover-design v1\nq={q} n=3 k=2\n" + "\n".join(lines) + "\n"
+    with pytest.raises(FormatError, match=message.replace("(", r"\(")):
+        design_from_text(text)
+
+
+def test_expand_builds_no_row_table_without_blocks(monkeypatch):
+    """An empty design is censused without the local row table, which for
+    [6 1]_17 would hold 1 508 598 entries."""
+    def refuse(*args):
+        raise AssertionError(f"local_row_indices{args} was built")
+    monkeypatch.setattr(designs, "local_row_indices", refuse)
+    empty = SubspaceDesign.from_blocks([], q=17, n=6, k=6)
+    report = verify_covering(empty, 1)
+    assert report.total == gaussian(6, 1, 17)
+    assert report.histogram == {0: report.total}
+    assert len(report.witnesses) == 16
+    with pytest.raises(AssertionError, match="was built"):
+        verify_covering(SubspaceDesign.from_blocks([full_space(2, 3)]), 1)
+
+
+@pytest.mark.parametrize("q,k,r", [(17, 6, 1), (2, 24, 12)])
+def test_local_row_indices_refused_past_the_budget(monkeypatch, q, k, r):
+    """A table with more than MAX_VECTOR_ENUM entries, or indices into more
+    than MAX_VECTOR_ENUM vectors, raises before any row is enumerated."""
+    def refuse(*args):
+        raise AssertionError("enumerated rows")
+    monkeypatch.setattr(subspaces, "grassmannian_choices", refuse)
+    with pytest.raises(BudgetError, match=f"\\[{k} {r}\\]_{q}"):
+        local_row_indices(q, k, r)
 
 
 @pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])

@@ -5,6 +5,11 @@ module: an AST scan collects the names its import statements bind and fails
 on any that never appears as a name elsewhere in it.  qcover/__init__.py
 re-exports what it imports, and __future__ imports are directives, so both
 are exempt.
+
+Caches in src/qcover are bounded: a cache that outlives a call must not grow
+with the inputs a long-running caller passes.  An AST scan finds every
+functools.cache and lru_cache(maxsize=None), and fails on any outside
+UNBOUNDED_CACHES, whose keys take few values.
 """
 
 import ast
@@ -16,6 +21,11 @@ ROOT = Path(__file__).resolve().parent.parent
 REEXPORTS = ROOT / "src" / "qcover" / "__init__.py"
 MODULES = sorted(path for folder in (ROOT / "src" / "qcover", ROOT / "tests")
                  for path in folder.glob("*.py") if path != REEXPORTS)
+SOURCES = sorted((ROOT / "src" / "qcover").glob("*.py"))
+# (module, function): Gaussian coefficients, and the field tables, one per
+# field size.
+UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "field_new"),
+                    ("fields.py", "get_gf")}
 
 
 def unused_imports(source: str):
@@ -51,3 +61,64 @@ def test_unused_import_scan_finds_each_binding_form():
               "from math import comb, prod as product\n"
               "def f():\n    return comb(2, 1) + os.sep\n")
     assert unused_imports(source) == [(4, "js"), (5, "product")]
+
+
+def unbounded_caches(source: str):
+    """(line, decorated function or None) of every functools.cache and every
+    lru_cache with maxsize None, under any name an import binds them to."""
+    tree = ast.parse(source)
+    modules, names = {"functools"}, {}  # local name -> functools attribute
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names)
+
+    def resolve(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            return node.attr
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        return None
+
+    def unbounded(arg):
+        return isinstance(arg, ast.Constant) and arg.value is None
+
+    owner = {id(dec): node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for dec in node.decorator_list}
+    found = []
+    for node in ast.walk(tree):
+        if resolve(node) == "cache":
+            found.append((node.lineno, owner.get(id(node))))
+        elif isinstance(node, ast.Call) and resolve(node.func) == "lru_cache" \
+                and (node.args and unbounded(node.args[0])
+                     or any(kw.arg == "maxsize" and unbounded(kw.value)
+                            for kw in node.keywords)):
+            found.append((node.lineno, owner.get(id(node))))
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_only_allowlisted_caches_are_unbounded():
+    found = {(path.name, name) for path in SOURCES
+             for _, name in unbounded_caches(path.read_text(encoding="utf-8"))}
+    assert found <= UNBOUNDED_CACHES
+
+
+def test_unbounded_cache_scan_finds_each_form():
+    source = ("import functools\nimport functools as ft\n"
+              "from functools import cache, lru_cache as lc\n"
+              "@functools.lru_cache(maxsize=None)\ndef a(x): return x\n"
+              "@ft.lru_cache(None)\ndef b(x): return x\n"
+              "@functools.cache\ndef c(x): return x\n"
+              "@cache\ndef d(x): return x\n"
+              "@lc(maxsize=None, typed=True)\ndef e(x): return x\n"
+              "f = functools.cache(len)\n"
+              "@functools.lru_cache(maxsize=16)\ndef g(x): return x\n"
+              "@lc\ndef h(x): return x\n"
+              "@functools.lru_cache()\ndef i(x): return x\n")
+    assert unbounded_caches(source) == [(4, "a"), (6, "b"), (8, "c"), (10, "d"),
+                                        (12, "e"), (14, None)]

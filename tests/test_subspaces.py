@@ -214,6 +214,8 @@ def test_subspace_repr_and_sort_key():
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     assert repr(s) == "Subspace(q=3,n=4,[1201,0012])"
     assert repr(zero_subspace(2, 3)) == "Subspace(q=2,n=3,[])"
+    assert repr(span(11, 3, [(1, 0, 10), (0, 1, 5)])) == \
+        "Subspace(q=11,n=3,[1 0 10,0 1 5])"
     assert s.sort_key() == (s.pivots, s.rows)
     assert s.dim == 2
 
@@ -258,10 +260,14 @@ def test_xor_rref_equals_rref_and_span():
 
 def test_xor_rref_rows_unpack_as_vec_unpack():
     """Rows come from the bit table up to BIT_TABLE_MAX_N coordinates and
-    from vec_unpack above it; both give the same Subspace."""
+    from vec_unpack above it; both give the same Subspace.  packed_vectors
+    packs q = 2 rows through the table's inverse up to the same n, and with
+    vec_pack above it."""
     for n in range(subspaces.BIT_TABLE_MAX_N + 1):
         assert subspaces._bit_table(n) == tuple(vec_unpack(2, n, v)
                                                 for v in range(1 << n))
+        assert subspaces._bit_index(n) == {vec_unpack(2, n, v): v
+                                           for v in range(1 << n)}
     rng = random.Random(11)
     for n in range(0, subspaces.BIT_TABLE_MAX_N + 4):
         for _ in range(20):
@@ -269,6 +275,8 @@ def test_xor_rref_rows_unpack_as_vec_unpack():
             rows, s = xor_rref(n, vectors)
             assert s.rows == tuple(vec_unpack(2, n, row) for row in rows)
             assert s == span(2, n, [vec_unpack(2, n, v) for v in vectors])
+            assert packed_vectors(s) == [vec_pack(2, v)
+                                         for v in enumerate_vectors(s)]
 
 
 def test_xor_rref_edge_cases():

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input or
-parameters, 3 enumeration budget exceeded.  Every command prints a final
-machine-readable line `RESULT: <command> <params> verdict=<v> size=<s>`.
+parameters (and any unexpected error, reported on one stderr line with its
+type and no traceback), 3 enumeration budget exceeded.  Every command prints
+a final machine-readable line
+`RESULT: <command> <params> verdict=<v> size=<s>`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bounds as bounds_mod
@@ -291,9 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser holds only the argument schema; parse_args makes a new
+# Namespace per call and argparse looks up sys.stdout/sys.stderr when it
+# prints, so one parser serves every call in the process.
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:
@@ -305,6 +315,11 @@ def main(argv=None) -> int:
     except (FormatError, FieldError, ValueError, KeyError, OSError,
             TypeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        message = " ".join(str(exc).split())
+        print(f"unexpected error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -392,7 +392,8 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace]]:
     have 63 blocks each, that of the diagonal block
     {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples, each base
     block's dimension and closure, the orbit sizes and the 399 count are
-    checked.
+    checked; one GroupAction.orbit call per base gives its orbit's label
+    and size, and bases that share a label count once.
     """
     gf64 = field_new(2, 6, GF64_MODULUS)
     _check_gf64_quads(gf64)
@@ -409,17 +410,14 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace]]:
     bases.append([exp[e] for e in GF64_LINE_EXPONENTS])
     bases = [_gf64_block(vectors) for vectors in bases]
 
-    orbits = {}  # label -> orbit size
-    sizes = []
-    for base in bases:
-        vectors = packed_vectors(base)
-        sizes.append(singer.orbit_size(vectors))
-        orbits[singer.label(vectors)] = sizes[-1]
+    orbits = [singer.orbit(packed_vectors(base)) for base in bases]
+    sizes = [size for _, size in orbits]
     if sorted(sizes) != [21] + [63] * 6:
         raise ConstructionError(f"gf64 orbit sizes {sizes} are not six of 63 "
                                 f"and one of 21")
-    if sum(orbits.values()) != 399:
-        raise ConstructionError(f"gf64 block count {sum(orbits.values())} != 399")
+    count = sum(dict(orbits).values())  # a repeated label counts once
+    if count != 399:
+        raise ConstructionError(f"gf64 block count {count} != 399")
     return singer, bases
 
 
@@ -446,7 +444,7 @@ def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
     blocks: List[Subspace] = []
     for base in bases:
         base_rows = [vec_pack(2, row) for row in base.rows]
-        for m in range(singer.orbit_size(packed_vectors(base))):
+        for m in range(singer.orbit(packed_vectors(base))[1]):
             rows, block = xor_rref(7, singer.image(base_rows, m))
             if len(rows) != 3:
                 raise ConstructionError(f"image {m} of a base block spans "

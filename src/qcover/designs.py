@@ -266,10 +266,11 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
     gives for r on the expanded design with strategy "expand".  The design
     is invariant, so every target in one orbit O has the same multiplicity:
     the sum over bases B of |orbit(B)| times the number of r-subspaces of B
-    in O, divided by |O|.  Orbits are told apart by GroupAction.label.  The
-    witnesses are the first uncovered targets in grassmannian_choices order,
-    labelled one by one only when some orbit is uncovered.  Two bases in
-    one orbit raise ValueError.
+    in O, divided by |O|.  One GroupAction.orbit call per base and per
+    r-subspace of a base gives both the orbit's label, which tells orbits
+    apart, and its size.  The witnesses are the first uncovered targets in
+    grassmannian_choices order, labelled one by one only when some orbit is
+    uncovered.  Two bases in one orbit raise ValueError.
     """
     n = action.n
     if not bases:
@@ -292,19 +293,16 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
     blocks = 0
     for i, base in enumerate(bases):
         vectors = packed_vectors(base)
-        label = action.label(vectors)
+        label, size = action.orbit(vectors)
         if label in bases_of:
             raise ValueError(f"base blocks {bases_of[label]} and {i} lie in "
                              f"one orbit")
         bases_of[label] = i
-        size = action.orbit_size(vectors)
         blocks += size
         for rows in rows_of(vectors):
-            target = _xor_span(rows)
-            orbit = action.label(target)
+            orbit, orbit_size = action.orbit(_xor_span(rows))
             incidences[orbit] += size
-            if orbit not in sizes:
-                sizes[orbit] = action.orbit_size(target)
+            sizes[orbit] = orbit_size
     histogram: Counter = Counter()
     for orbit, count in incidences.items():
         multiplicity, rest = divmod(count, sizes[orbit])
@@ -313,7 +311,7 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
     histogram[0] = total - sum(sizes.values())
     misses = (_target(2, n, choice, t) for choice in grassmannian_choices(2, n, r)
               for t in itertools.product(*choice[2])
-              if action.label(_xor_span(t)) not in incidences)
+              if action.orbit(_xor_span(t))[0] not in incidences)
     return blocks, _report(total, histogram, misses)
 
 

@@ -494,38 +494,36 @@ class GroupAction:
         rep, exponent, size, cycles = self._orbit_tables()
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
 
-    def _anchors(self, vectors: Iterable[int]):
-        """The sorted set, its vectors in its largest vector orbit (least
+    def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
+        """(label, size) of the set's orbit, in one pass.
+
+        The anchors are the set's vectors in its largest vector orbit (least
         representative on ties; both are the same for every image of the
-        set), and that orbit's size."""
-        rep, _, size, _ = self._orbit_tables()
+        set).  The candidates g^(e + j * length), for each anchor's exponent
+        e, are exactly the elements whose image of the set holds that
+        orbit's representative.  The label is the least such image, as a
+        sorted tuple.  Each image arises from one coset of the stabiliser,
+        so the candidates giving the label number |stabiliser|, and the size
+        is the order over that count.
+        """
+        rep, exponent, size, cycles = self._orbit_tables()
         vectors = sorted(set(vectors))
         if not vectors:
-            raise ValueError("an empty vector set has no orbit label")
+            raise ValueError("an empty vector set has no orbit")
         top = max(vectors, key=lambda v: (size[v], -rep[v]))
-        return vectors, [v for v in vectors if rep[v] == rep[top]], size[top]
-
-    def label(self, vectors: Iterable[int]) -> Tuple[int, ...]:
-        """Canonical label of the set's orbit: its least image, as a sorted
-        tuple, over the elements that send one of its anchors to their
-        orbit's representative, g^(e + j * length) for the anchor's
-        exponent e."""
-        vectors, anchors, length = self._anchors(vectors)
-        _, exponent, _, _ = self._orbit_tables()
-        return min(tuple(sorted(self.image(vectors, exponent[v] + j * length)))
-                   for v in anchors for j in range(self.order // length))
-
-    def orbit_size(self, vectors: Iterable[int]) -> int:
-        """Size of the set's orbit: the order over the stabiliser's.  An
-        element that fixes the set sends its first anchor a to an anchor w,
-        so only the elements g^m with g^m(a) = w are tested."""
-        vectors, anchors, length = self._anchors(vectors)
-        _, exponent, _, _ = self._orbit_tables()
-        a = exponent[anchors[0]]
-        fixed = sum(sorted(self.image(vectors, a - exponent[w] + j * length))
-                    == vectors
-                    for w in anchors for j in range(self.order // length))
-        return self.order // fixed
+        length, head = size[top], rep[top]
+        parts = [(cycles[rep[w]], exponent[w], size[w]) for w in vectors]
+        label, count = None, 0
+        for a in vectors:
+            if rep[a] != head:
+                continue
+            for m in range(exponent[a], self.order, length):
+                image = sorted([cycle[(m - e) % s] for cycle, e, s in parts])
+                if label is None or image < label:
+                    label, count = image, 1
+                elif image == label:
+                    count += 1
+        return tuple(label), self.order // count
 
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:

@@ -515,7 +515,7 @@ def random_orbit_bases(rng, action, k, count):
             break
         block = xor_rref(action.n, [rng.randrange(1, 1 << action.n)
                                     for _ in range(k)])[1]
-        label = action.label(packed_vectors(block))
+        label = action.orbit(packed_vectors(block))[0]
         if block.dim == k and label not in labels:
             labels.add(label)
             bases.append(block)
@@ -534,9 +534,89 @@ def test_group_action_orders_and_orbits_equal_brute_force():
                        for _ in range(rng.randint(1, 6))}
             orbit = {tuple(sorted(action.image(vectors, m)))
                      for m in range(action.order)}
-            assert action.orbit_size(vectors) == len(orbit)
-            labels = {action.label(image) for image in orbit}
-            assert labels == {action.label(vectors)} and labels <= orbit
+            label, size = action.orbit(vectors)
+            assert size == len(orbit)
+            labels = {action.orbit(image)[0] for image in orbit}
+            assert labels == {label} and labels <= orbit
+
+
+def apply_columns(columns, v):
+    """g(v) for the linear map with these column images: the XOR of the
+    columns at v's set bits, without GroupAction's tables."""
+    out = 0
+    for i, column in enumerate(columns):
+        if v >> i & 1:
+            out ^= column
+    return out
+
+
+def brute_force_orbit(columns, order, vectors):
+    """Every distinct sorted image of the set under g^m, m in 0..order-1,
+    with g applied column by column; g^order must fix the set."""
+    images, image = set(), sorted(set(vectors))
+    for _ in range(order):
+        images.add(tuple(image))
+        image = sorted(apply_columns(columns, v) for v in image)
+    assert tuple(image) == tuple(sorted(set(vectors)))
+    return images
+
+
+def test_group_action_orbit_equals_brute_force_with_stabilisers():
+    """GroupAction.orbit against the brute-force orbit under the gf64 Singer
+    action, its subgroups generated by g^3, g^7 and g^9, the shift and
+    SUM_7_3 (vector orbits below the order): the size is the orbit's
+    length, every image gets the set's label, and different orbits get
+    different labels.  The sets on F_2^7 include the gf64 bases, among them
+    the diagonal block (an orbit of 21 under gf64), and {0, GF64_BIT}
+    (fixed by the Singer action); on every space they include every single
+    vector and unions of 1-3 vector orbits, so many have nontrivial
+    stabilisers."""
+    singer, bases = gf64_orbits()
+    units = [1 << i for i in range(7)]
+    columns = {"gf64": singer.image(units, 1), "shift7": SHIFT_7,
+               "sum7x3": SUM_7_3}
+    for d in (3, 7, 9):
+        columns[f"gf64^{d}"] = singer.image(units, d)
+    groups = {name: GroupAction(len(cols), cols)
+              for name, cols in columns.items()}
+    orders = {"gf64": 63, "gf64^3": 21, "gf64^7": 9, "gf64^9": 7,
+              "shift7": 7, "sum7x3": 21}
+    assert {name: g.order for name, g in groups.items()} == orders
+    rng = random.Random("orbit-stabilisers")
+    sizes = {}
+    for name, action in groups.items():
+        n = action.n
+        sets = []
+        if n == 7:
+            sets = [packed_vectors(bases[5]), [0, constructions.GF64_BIT]]
+            sets += [packed_vectors(base) for base in bases]
+        sources = [other for other in groups if groups[other].n == n]
+        for _ in range(40):
+            source = rng.choice(sources)
+            union = set()
+            for v in rng.sample(range(1 << n), rng.randint(1, 3)):
+                union.update(image[0] for image in brute_force_orbit(
+                    columns[source], orders[source], [v]))
+            sets.append(sorted(union))
+        sets += [rng.sample(range(1 << n), rng.randint(1, 6)) for _ in range(20)]
+        sets += [[v] for v in range(1 << n)]  # every vector orbit
+        orbit_of = {}  # label -> the orbit it names
+        for vectors in sets:
+            label, size = action.orbit(vectors)
+            orbit = brute_force_orbit(columns[name], action.order, vectors)
+            assert size == len(orbit) and label in orbit
+            for image in orbit:
+                assert action.orbit(image) == (label, size)
+            assert orbit_of.setdefault(label, orbit) == orbit
+            sizes.setdefault(name, []).append(size)
+        assert len(orbit_of) > 20
+        # every stabiliser order occurs
+        order = orders[name]
+        assert set(sizes[name]) == {d for d in range(1, order + 1)
+                                    if order % d == 0}
+    on_f7 = [name for name in orders if name != "sum7x3"]
+    assert [sizes[name][0] for name in on_f7] == [21, 7, 3, 7, 7]
+    assert [sizes[name][1] for name in on_f7] == [1, 1, 1, 1, 7]
 
 
 def test_orbit_census_with_a_fixed_block():
@@ -545,10 +625,11 @@ def test_orbit_census_with_a_fixed_block():
     orbits of 7."""
     shift = GroupAction(7, SHIFT_7)
     code = xor_rref(7, [shift.image([0b0011101], m)[0] for m in range(7)])[1]
-    assert code.dim == 3 and shift.orbit_size(packed_vectors(code)) == 1
+    code_label, code_size = shift.orbit(packed_vectors(code))
+    assert code.dim == 3 and code_size == 1
     rng = random.Random(7)
     for other in random_orbit_bases(rng, shift, 3, 6):
-        if shift.label(packed_vectors(other)) == shift.label(packed_vectors(code)):
+        if shift.orbit(packed_vectors(other))[0] == code_label:
             continue
         bases = [code, other]
         design = expand_orbits(shift, bases)

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+from qcover import cli, designs
 from qcover.cli import main
 from qcover.designs import (FormatError, design_from_text, design_to_text,
                             load_design, verify_covering)
@@ -451,3 +457,83 @@ def test_q17_file_exits_1_without_blocks_and_3_with_one(tmp_path, capsys):
                          "--r", "1")
     assert code == 3
     assert "budget" in err and "RESULT:" not in out
+
+
+def test_unexpected_exception_exits_2_on_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    """An exception no handler names becomes exit 2 and one stderr line with
+    its type and message, multi-line messages flattened, no traceback."""
+    def broken(path):
+        raise RuntimeError("disk on fire\n  twice")
+    monkeypatch.setattr(designs, "load_design", broken)
+    code, out, err = run(capsys, "verify", str(tmp_path / "d.txt"),
+                         "--mode", "covering", "--r", "1")
+    assert code == 2 and out == ""
+    assert err == "unexpected error: RuntimeError: disk on fire twice\n"
+
+
+def test_usage_error_system_exit_passes_through(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "d.txt", "--mode", "bogus", "--r", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def run_calls(calls, fresh):
+    """(exit code, stdout, stderr) of each main call; fresh builds a new
+    parser before every call."""
+    results = []
+    for argv in calls:
+        if fresh:
+            cli._parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+        results.append((code, out.getvalue(), err.getvalue()))
+    return results
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path):
+    path = str(tmp_path / "gf64.txt")
+    verify = ["verify", path, "--mode", "covering", "--r", "2"]
+    calls = [["construct", "gf64", "-o", path], verify,
+             ["construct", "gf64", "--n", "x"],
+             ["bounds", "--q", "2", "--n-max", "5", "--csv"], verify]
+    reused = run_calls(calls, fresh=False)
+    assert reused == run_calls(calls, fresh=True)
+    assert [code for code, _, _ in reused] == [0, 0, ("SystemExit", 2), 0, 0]
+    assert "invalid int value: 'x'" in reused[2][2]
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_usage_error_after_reuse_lands_in_redirected_stderr(capsys):
+    main(["bounds", "--q", "2", "--n-max", "2"])
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize == 1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        main(["bounds", "--n-max", "two"])
+    assert "invalid int value: 'two'" in err.getvalue()
+    assert capsys.readouterr().err == ""
+
+
+def test_import_builds_no_parser():
+    """The parser is built on the first main call, not at import."""
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from qcover import cli\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n")
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0 0\n"), done.stderr

@@ -4,9 +4,9 @@ The header's q runs over 0..20 (prime powers, composites, 0 and 1), n over
 0..8 and k over -1..9; the block lines mix words that load with words that
 do not, and the mode and --r (-1..9) are drawn too.  Whatever the file,
 main must return one of the CLI's exit codes (0 verified, 1 not, 2 bad
-input, 3 over budget) and let no exception escape.  The examples are
-derandomized, so the run is the same every time, and bounded to keep the
-suite fast.
+input, 3 over budget), and no exception may reach main's catch-all for
+unexpected errors.  The examples are derandomized, so the run is the same
+every time, and bounded to keep the suite fast.
 """
 
 import contextlib
@@ -53,5 +53,7 @@ def test_verify_exits_with_a_contract_code(tmp_path_factory, case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", str(path), "--mode", mode, "--r", str(r)])
     assert code in (0, 1, 2, 3), (code, text, err.getvalue())
+    # main's catch-all would hide an escaping exception as exit 2
+    assert "unexpected error:" not in err.getvalue(), (text, err.getvalue())
     # a verdict, and only a verdict, prints the RESULT: line
     assert (code in (0, 1)) == ("RESULT:" in out.getvalue()), (code, text)

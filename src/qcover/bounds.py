@@ -150,48 +150,30 @@ def bound_table(q: int, n_max: int = 12,
 
     records: Dict[Tuple[int, int, int], BoundRecord] = {}
     uppers: Dict[Tuple[int, int, int], int] = {}
-    upper_srcs: Dict[Tuple[int, int, int], str] = {}
-
-    params = [(n, k, r)
-              for n in range(1, n_max + 1)
-              for k in range(1, n + 1)
-              for r in range(1, k + 1)]
-
-    for (n, k, r) in params:
+    params = ((n, k, r) for n in range(1, n_max + 1)
+              for k in range(1, n + 1) for r in range(1, k + 1))
+    for n, k, r in params:
         # by duality the Turan bound [n-k+r r]_q also bounds C_q(n,k,r)
-        cands = [(turan_upper(n, k, r, q), "trivial")]
+        up_cands = [(turan_upper(n, k, r, q), "trivial")]
         try:
-            cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
+            up_cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
         except KeyError:
             pass
         if (n, k, r) in registered:
-            cands.append(registered[(n, k, r)])
-        exact = _exact_with_source(n, k, r, q)
-        if exact:
-            cands.append(exact)
-        uppers[(n, k, r)], upper_srcs[(n, k, r)] = min(cands, key=lambda t: t[0])
-
-    for (n, k, r) in params:
+            up_cands.append(registered[(n, k, r)])
         lo_cands = [(basic_lower(n, k, r, q), "basic"),
                     (schonheim_lower(n, k, r, q), "schonheim")]
         if r == k - 1 and k < n:
             lo_cands.append((decaen_lower(n, k, q), "decaen"))
         exact = _exact_with_source(n, k, r, q)
         if exact:
+            up_cands.append(exact)
             lo_cands.append(exact)
+        up, up_src = min(up_cands, key=lambda t: t[0])
         lo, lo_src = max(lo_cands, key=lambda t: t[0])
-        records[(n, k, r)] = BoundRecord(q, n, k, r, lo, lo_src,
-                                         uppers[(n, k, r)], upper_srcs[(n, k, r)])
+        uppers[(n, k, r)] = up
+        records[(n, k, r)] = BoundRecord(q, n, k, r, lo, lo_src, up, up_src)
     return records
-
-
-def turan_record(records: Dict[Tuple[int, int, int], BoundRecord],
-                 n: int, k: int, r: int) -> BoundRecord:
-    """Bounds on the Turan number T_q(n,k,r), read off the covering table.
-
-    Uses the duality T_q(n,k,r) = C_q(n, n-r, n-k).
-    """
-    return records[(n, n - r, n - k)]
 
 
 def _verified_gf64_upper() -> Tuple[int, str]:

@@ -2,16 +2,17 @@
 
 Every construction routes its output through the matching verifier before
 returning; a verification failure raises ConstructionError rather than
-returning an uncertified design.  Verification can be switched off for
-parameter ranges where the census would exceed the budget; the structural
-size identities are still asserted.
+returning an uncertified design.  A construction whose census would pass the
+enumeration budget raises BudgetError instead of returning a design it
+cannot check.  The one exception is turan_point_design, whose verify=False
+leaves the Turan census to a caller that runs it with its own strategy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
@@ -21,8 +22,7 @@ from .fields import (Field, field_new, flatten_ext_vector, get_gf, is_prime,
                      vec_pack)
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM, Subspace,
                         _xor_span, contains_subspace, enumerate_grassmannian,
-                        full_space, packed_vectors, span, subspaces_of,
-                        xor_rref)
+                        packed_vectors, span, subspaces_of, xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -33,6 +33,13 @@ class ConstructionError(RuntimeError):
         self.report = report
 
 
+def _require(report: CoverageReport, message: str, steiner: bool = False):
+    """Raise ConstructionError(message) carrying report unless the report
+    certifies a covering, or a Steiner structure when steiner is set."""
+    if not (report.is_steiner if steiner else report.is_covering):
+        raise ConstructionError(message, report)
+
+
 def _require_prime(q: int, what: str):
     if not is_prime(q):
         raise ValueError(f"{what} uses a field tower over GF(q); "
@@ -41,32 +48,19 @@ def _require_prime(q: int, what: str):
 
 # trivial structures ---------------------------------------------------------
 
-def trivial_steiner(q: int, n: int, r: int, verify: bool = True) -> SubspaceDesign:
+def trivial_steiner(q: int, n: int, r: int) -> SubspaceDesign:
     """All r-subspaces of F_q^n: the trivial Steiner structure with blocks of dim r."""
     blocks = list(enumerate_grassmannian(q, n, r))
     design = SubspaceDesign.from_blocks(blocks, label=f"trivial[{r},{r},{n}]",
                                         q=q, n=n, k=r)
-    if verify:
-        report = verify_covering(design, r)
-        if not report.is_steiner:
-            raise ConstructionError("trivial design failed Steiner check", report)
-    return design
-
-
-def full_space_steiner(q: int, n: int, verify: bool = True) -> SubspaceDesign:
-    """The single full-space block; Steiner at every r."""
-    design = SubspaceDesign.from_blocks([full_space(q, n)],
-                                        label=f"trivial[1,{n},{n}]")
-    if verify:
-        report = verify_covering(design, 1)
-        if not report.is_steiner:
-            raise ConstructionError("full-space design failed Steiner check", report)
+    _require(verify_covering(design, r), "trivial design failed Steiner check",
+             steiner=True)
     return design
 
 
 # spreads and line coverings --------------------------------------------------
 
-def spread(q: int, k: int, n: int, verify: bool = True) -> SubspaceDesign:
+def spread(q: int, k: int, n: int) -> SubspaceDesign:
     """Partition of the nonzero vectors of F_q^n into k-subspaces (k | n).
 
     Realized through the field tower: blocks are the GF(q^k)-multiples of a
@@ -97,24 +91,19 @@ def spread(q: int, k: int, n: int, verify: bool = True) -> SubspaceDesign:
                                         q=q, n=n, k=k)
     if len(design) != expected:
         raise ConstructionError(f"spread size {len(design)} != {expected}")
-    if verify:
-        report = verify_covering(design, 1)
-        if not report.is_steiner:
-            raise ConstructionError("spread failed Steiner verification", report)
+    _require(verify_covering(design, 1), "spread failed Steiner verification",
+             steiner=True)
     return design
 
 
-def lift_covering(design: SubspaceDesign, delta: int,
-                  verify: bool = True) -> SubspaceDesign:
+def lift_covering(design: SubspaceDesign, delta: int) -> SubspaceDesign:
     """Lift a line covering C_q[n,k,1] to C_q[n+d,k+d,1] with the same size.
 
     Each block P becomes P x F_q^d in the extended coordinates.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    report = verify_covering(design, 1)
-    if not report.is_covering:
-        raise ConstructionError("input is not a verified line covering", report)
+    _require(verify_covering(design, 1), "input is not a verified line covering")
     if delta == 0:
         return design
     q, n = design.q, design.n
@@ -128,10 +117,7 @@ def lift_covering(design: SubspaceDesign, delta: int,
                                         q=q, n=n + delta, k=design.k + delta)
     if len(lifted) != len(design):
         raise ConstructionError("lift changed the block count")
-    if verify:
-        rep = verify_covering(lifted, 1)
-        if not rep.is_covering:
-            raise ConstructionError("lifted design failed covering check", rep)
+    _require(verify_covering(lifted, 1), "lifted design failed covering check")
     return lifted
 
 
@@ -149,8 +135,7 @@ class PartialSpreadResult:
     residual: Subspace
 
 
-def partial_spread(q: int, rho: int, n: int,
-                   verify: bool = True) -> PartialSpreadResult:
+def partial_spread(q: int, rho: int, n: int) -> PartialSpreadResult:
     """Partial spread for n = s*rho + m with rho < m < 2*rho, s >= 1.
 
     Level t peels off a GF(q^rho) head: blocks are graphs x -> (x*z_1, ...,
@@ -199,8 +184,7 @@ def partial_spread(q: int, rho: int, n: int,
                      for i in range(m)]
     residual = span(q, n, residual_rows)
     result = PartialSpreadResult(q, n, rho, tuple(blocks), residual)
-    if verify:
-        _check_partial_spread_partition(result)
+    _check_partial_spread_partition(result)
     return result
 
 
@@ -220,8 +204,7 @@ def _check_partial_spread_partition(ps: PartialSpreadResult):
         raise ConstructionError("partial spread does not cover F_q^n")
 
 
-def optimal_line_covering(q: int, n: int, k: int,
-                          verify: bool = True) -> SubspaceDesign:
+def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     """Line covering C_q[n,k,1] of the optimal size ceil((q^n-1)/(q^k-1)).
 
     Dispatch: spread when k | n; lifted spread when 2k >= n; otherwise a
@@ -233,14 +216,13 @@ def optimal_line_covering(q: int, n: int, k: int,
     if expected > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"C_{q}[{n},{k},1] needs {expected} blocks")
     if n % k == 0:
-        design = spread(q, k, n, verify=verify)
+        design = spread(q, k, n)
     elif 2 * k >= n:
-        base = spread(q, n - k, 2 * (n - k), verify=verify)
-        design = lift_covering(base, 2 * k - n, verify=verify)
+        design = lift_covering(spread(q, n - k, 2 * (n - k)), 2 * k - n)
     else:
-        ps = partial_spread(q, k, n, verify=verify)
+        ps = partial_spread(q, k, n)
         m = ps.residual.dim
-        inner = optimal_line_covering(q, m, k, verify=verify)
+        inner = optimal_line_covering(q, m, k)
         embedded = []
         for block in inner.blocks:
             rows = [(0,) * (n - m) + tuple(row) for row in block.rows]
@@ -248,10 +230,7 @@ def optimal_line_covering(q: int, n: int, k: int,
         design = SubspaceDesign.from_blocks(
             list(ps.blocks) + embedded, label=f"line-covering[{n},{k}]_{q}",
             q=q, n=n, k=k)
-        if verify:
-            report = verify_covering(design, 1)
-            if not report.is_covering:
-                raise ConstructionError("line covering failed verification", report)
+        _require(verify_covering(design, 1), "line covering failed verification")
     if len(design) != expected:
         raise ConstructionError(
             f"line covering size {len(design)} != optimal {expected}")
@@ -265,6 +244,7 @@ def turan_point_design(q: int, n: int, k: int,
     """All 1-subspaces of a fixed (n-k+1)-subspace: a Turan design T_q[n,k,1].
 
     The fixed subspace is the span of the first n-k+1 standard basis vectors.
+    verify=False skips the Turan census, for a caller that runs it itself.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
@@ -278,27 +258,22 @@ def turan_point_design(q: int, n: int, k: int,
     if len(design) != expected:
         raise ConstructionError(f"Turan design size {len(design)} != {expected}")
     if verify:
-        report = verify_turan(design, k)
-        if not report.is_covering:
-            raise ConstructionError("Turan point design failed verification", report)
+        _require(verify_turan(design, k), "Turan point design failed verification")
     return design
 
 
-def turan_dual_covering(q: int, n: int, k: int,
-                        verify: bool = True) -> SubspaceDesign:
+def turan_dual_covering(q: int, n: int, k: int) -> SubspaceDesign:
     """Dual of the Turan point design: a covering C_q[n, n-1, n-k]."""
-    design = dualize(turan_point_design(q, n, k, verify=verify))
-    if verify and k < n:
-        report = verify_covering(design, n - k)
-        if not report.is_covering:
-            raise ConstructionError("dual covering failed verification", report)
+    design = dualize(turan_point_design(q, n, k))
+    if k < n:
+        _require(verify_covering(design, n - k), "dual covering failed verification")
     return design
 
 
 # covering recursion -----------------------------------------------------
 
-def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign, r: int,
-                       verify: bool = True) -> SubspaceDesign:
+def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
+                       r: int) -> SubspaceDesign:
     """Combine C_q[n-1,k-1,r-1] and C_q[n-1,k,r] into a C_q[n,k,r].
 
     Type-1 blocks: for each block P of s1 and each b in F_q^(n-1) zero at
@@ -311,13 +286,8 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign, r: int,
         raise ConstructionError("mismatched input designs for the recursion")
     n = s1.n + 1
     k = s2.k
-    if verify:
-        rep1 = verify_covering(s1, r - 1)
-        if not rep1.is_covering:
-            raise ConstructionError("s1 is not a covering at r-1", rep1)
-        rep2 = verify_covering(s2, r)
-        if not rep2.is_covering:
-            raise ConstructionError("s2 is not a covering at r", rep2)
+    _require(verify_covering(s1, r - 1), "s1 is not a covering at r-1")
+    _require(verify_covering(s2, r), "s2 is not a covering at r")
     blocks = []
     for p in s1.blocks:
         base_rows = [row + (0,) for row in p.rows]
@@ -335,11 +305,7 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign, r: int,
     if len(design) != expected:
         raise ConstructionError(
             f"recursion block count {len(design)} != {expected}")
-    if verify:
-        report = verify_covering(design, r)
-        if not report.is_covering:
-            raise ConstructionError("recursive covering failed verification",
-                                    report)
+    _require(verify_covering(design, r), "recursive covering failed verification")
     return design
 
 
@@ -425,12 +391,11 @@ def gf64_orbit_census(singer: GroupAction, bases: List[Subspace]) -> int:
     """Block count of the design of gf64_orbits, after verify_orbits has
     found every 2-subspace covered."""
     count, report = verify_orbits(singer, bases, 2)
-    if not report.is_covering:
-        raise ConstructionError("gf64 design is not a covering", report)
+    _require(report, "gf64 design is not a covering")
     return count
 
 
-def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
+def gf64_covering_design() -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
     Its blocks are the images of the base blocks of gf64_orbits under the
@@ -454,15 +419,13 @@ def gf64_covering_design(verify: bool = True) -> SubspaceDesign:
                                         q=2, n=7, k=3)
     if len(design) != 399:
         raise ConstructionError(f"gf64 block count {len(design)} != 399")
-    if verify:
-        gf64_orbit_census(singer, bases)
+    gf64_orbit_census(singer, bases)
     return design
 
 
 # Steiner structure conversions --------------------------------------------------
 
-def expand_to_steiner_system(design: SubspaceDesign,
-                             verify: bool = True) -> SetSystem:
+def expand_to_steiner_system(design: SubspaceDesign) -> SetSystem:
     """Expand a Steiner structure S_2[2,k,n] into a Steiner system S(3,2^k,2^n).
 
     Points are the vectors of F_2^n indexed by their packed integer value
@@ -474,10 +437,8 @@ def expand_to_steiner_system(design: SubspaceDesign,
     if design.n > 16:
         raise BudgetError(f"n={design.n}: expanding lists 2^{design.n} points, "
                           f"past the limit n <= 16")
-    report = verify_covering(design, 2)
-    if not report.is_steiner:
-        raise ConstructionError("input is not a Steiner structure S_2[2,k,n]",
-                                report)
+    _require(verify_covering(design, 2),
+             "input is not a Steiner structure S_2[2,k,n]", steiner=True)
     n, k = design.n, design.k
     coset_blocks = set()
     for block in design.blocks:
@@ -490,15 +451,13 @@ def expand_to_steiner_system(design: SubspaceDesign,
     if len(system.blocks) != expected:
         raise ConstructionError(
             f"expansion produced {len(system.blocks)} blocks, expected {expected}")
-    if verify:
-        rep = verify_steiner_system(system, 3)
-        if not rep.is_steiner:
-            raise ConstructionError("expanded system failed the t=3 check", rep)
+    _require(verify_steiner_system(system, 3),
+             "expanded system failed the t=3 check", steiner=True)
     return system
 
 
-def derive_steiner(design: SubspaceDesign, t: int, point: Subspace,
-                   verify: bool = True) -> Tuple[SubspaceDesign, Optional[CoverageReport]]:
+def derive_steiner(design: SubspaceDesign, t: int,
+                   point: Subspace) -> Tuple[SubspaceDesign, CoverageReport]:
     """Derived structure: blocks through a point, mapped to the quotient.
 
     Takes a Steiner structure S_q[t,k,n] and a 1-dimensional subspace; the
@@ -511,10 +470,8 @@ def derive_steiner(design: SubspaceDesign, t: int, point: Subspace,
         raise ValueError("derivation needs t >= 2")
     if point.dim != 1 or (point.q, point.n) != (design.q, design.n):
         raise ValueError("point must be a 1-subspace of the ambient space")
-    if verify:
-        rep_in = verify_covering(design, t)
-        if not rep_in.is_steiner:
-            raise ConstructionError("input is not a Steiner structure", rep_in)
+    _require(verify_covering(design, t), "input is not a Steiner structure",
+             steiner=True)
     q, n = design.q, design.n
     gf = get_gf(q)
     p_row = point.rows[0]
@@ -534,14 +491,12 @@ def derive_steiner(design: SubspaceDesign, t: int, point: Subspace,
         derived.append(image)
     out = SubspaceDesign.from_blocks(derived, label=f"derived({design.label})",
                                      q=q, n=n - 1, k=design.k - 1)
-    report = verify_covering(out, t - 1) if verify else None
-    return out, report
+    return out, verify_covering(out, t - 1)
 
 
 # greedy baseline -----------------------------------------------------------------
 
-def greedy_covering(q: int, n: int, k: int, r: int,
-                    verify: bool = True) -> SubspaceDesign:
+def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     """Greedy covering baseline: repeatedly add the block covering the most
     currently-uncovered r-subspaces, ties broken by enumeration order.
     """
@@ -568,8 +523,5 @@ def greedy_covering(q: int, n: int, k: int, r: int,
         uncovered -= best[1]
     design = SubspaceDesign.from_blocks(chosen, label=f"greedy[{n},{k},{r}]_{q}",
                                         q=q, n=n, k=k)
-    if verify:
-        report = verify_covering(design, r)
-        if not report.is_covering:
-            raise ConstructionError("greedy output failed verification", report)
+    _require(verify_covering(design, r), "greedy output failed verification")
     return design

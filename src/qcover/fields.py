@@ -232,14 +232,6 @@ class Field:
             raise ZeroDivisionError("zero has no inverse")
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def pow(self, a: int, j: int) -> int:
-        """a^j, with exponents reduced mod q-1 for nonzero a."""
-        if a == 0:
-            if j < 0:
-                raise ZeroDivisionError("zero base with negative exponent")
-            return 1 if j == 0 else 0
-        return self.exp[(self.log[a] * j) % (self.q - 1)]
-
     def alpha_pow(self, j: int) -> int:
         return self.exp[j % (self.q - 1)]
 
@@ -279,9 +271,6 @@ class Field:
         for c in reversed(coeffs):
             val = val * self.p + c % self.p
         return val
-
-    def elements(self):
-        return range(self.q)
 
     def __repr__(self):
         return f"Field(GF({self.p}^{self.m}))" if self.m > 1 else f"Field(GF({self.p}))"

@@ -123,10 +123,6 @@ def span(q: int, n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
     return Subspace(q, n, rows, pivots)
 
 
-def zero_subspace(q: int, n: int) -> Subspace:
-    return Subspace(q, n, (), ())
-
-
 def full_space(q: int, n: int) -> Subspace:
     rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     return Subspace(q, n, rows, tuple(range(n)))

@@ -25,7 +25,7 @@ VERIFY_WORK_CAP = 200_000
 
 
 def test_criterion_1_explicit_399_block_covering():
-    design = gf64_covering_design(verify=False)  # verified explicitly below
+    design = gf64_covering_design()
     assert len(design.blocks) == 399
     assert (design.q, design.n, design.k) == (2, 7, 3)
     # block-level closure: every block is exactly a 3-subspace
@@ -58,7 +58,7 @@ def test_criterion_3_exact_formula_sweep():
         for n in range(1, 8):
             for k in range(1, n + 1):
                 try:
-                    d = optimal_line_covering(q, n, k, verify=False)
+                    d = optimal_line_covering(q, n, k)
                 except BudgetError:
                     continue
                 expected = math.ceil(Fraction(q ** n - 1, q ** k - 1))
@@ -118,7 +118,7 @@ def test_criterion_4_exhaustive_tiny_optimality():
         for i in combo:
             acc |= cover_mask[i]
         assert acc != full
-    dual7 = turan_dual_covering(2, 4, 2, verify=False)
+    dual7 = turan_dual_covering(2, 4, 2)
     acc = 0
     for block in dual7.blocks:
         acc |= cover_mask[solids.index(block)]
@@ -162,10 +162,10 @@ def test_criterion_6_bound_consistency_sweep():
 
 
 def test_criterion_7_steiner_system_expansion():
-    small = expand_to_steiner_system(trivial_steiner(2, 3, 2), verify=False)
+    small = expand_to_steiner_system(trivial_steiner(2, 3, 2))
     assert (small.v, len(small.blocks)) == (8, 14)
     assert verify_steiner_system(small, 3).is_steiner
-    big = expand_to_steiner_system(trivial_steiner(2, 4, 2), verify=False)
+    big = expand_to_steiner_system(trivial_steiner(2, 4, 2))
     assert (big.v, len(big.blocks)) == (16, 140)
     assert verify_steiner_system(big, 3).is_steiner
     for n, k, count in [(3, 2, 14), (4, 2, 140)]:

@@ -6,7 +6,7 @@ import pytest
 from qcover import bounds
 from qcover.bounds import (BoundRecord, basic_lower, bound_table, decaen_lower,
                            exact_values, format_table, gaussian, schonheim_lower,
-                           recursive_upper, turan_record, turan_upper)
+                           recursive_upper, turan_upper)
 from qcover.subspaces import enumerate_grassmannian
 
 
@@ -207,13 +207,6 @@ def test_bound_table_extra_uppers(monkeypatch):
     t8 = bound_table(2, n_max=8,
                      extra_uppers={(7, 3, 2): (399, "registered")})
     assert t8[(8, 4, 3)].upper <= 2 ** 4 * 399 + t8[(7, 4, 3)].upper
-
-
-def test_turan_record_duality():
-    table = bound_table(2, n_max=7)
-    rec = turan_record(table, 7, 5, 4)
-    assert rec is table[(7, 3, 2)]
-    assert turan_record(table, 6, 3, 2) is table[(6, 4, 3)]
 
 
 def test_format_table():

@@ -37,7 +37,7 @@ from qcover.subspaces import (BudgetError, GroupAction, Subspace,
                               full_space, grassmannian_choices,
                               local_row_indices, orthogonal_complement,
                               packed_vectors, span, subspaces_of,
-                              superspaces_containing, xor_rref, zero_subspace)
+                              superspaces_containing, xor_rref)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
@@ -427,7 +427,7 @@ def test_complement_columns_are_the_generators_column_by_column(
 def test_turan_scan_budget_is_the_block_complement():
     """A zero-dimensional block's complement is all of F_2^25: 2^25 vectors,
     past the budget, even though the one target has no generators."""
-    design = SubspaceDesign.from_blocks([zero_subspace(2, 25)], q=2, n=25, k=0)
+    design = SubspaceDesign.from_blocks([Subspace(2, 25, (), ())], q=2, n=25, k=0)
     start = time.perf_counter()
     with pytest.raises(BudgetError):
         verify_turan(design, 0, "scan")
@@ -643,7 +643,7 @@ def test_orbit_census_with_a_fixed_block():
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_gf64_orbit_census_equals_expand_and_scan(r):
     singer, bases = gf64_orbits()
-    design = gf64_covering_design(verify=False)
+    design = gf64_covering_design()
     count, report = verify_orbits(singer, bases, r)
     assert count == len(design) == 399
     assert report == verify_covering(design, r, "expand")
@@ -716,7 +716,7 @@ def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
         with pytest.raises(ConstructionError, match=message):
             bound_table(2, 7)
         with pytest.raises(ConstructionError, match=message):
-            gf64_covering_design(verify=False)
+            gf64_covering_design()
     with monkeypatch.context() as patch:
         patch.setattr(constructions, "GF64_QUADS",
                       ((0, 1, 1, 16),) + GF64_QUADS[1:])

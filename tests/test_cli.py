@@ -8,11 +8,12 @@ import time
 
 import pytest
 
-from qcover import cli, designs
+from qcover import cli, constructions, designs
 from qcover.cli import main
-from qcover.designs import (FormatError, design_from_text, design_to_text,
-                            load_design, verify_covering)
-from qcover.constructions import optimal_line_covering, turan_dual_covering
+from qcover.designs import (CoverageReport, FormatError, design_from_text,
+                            design_to_text, load_design, verify_covering)
+from qcover.constructions import (ConstructionError, optimal_line_covering,
+                                  turan_dual_covering)
 
 
 def run(capsys, *argv):
@@ -139,6 +140,85 @@ def test_expand_command(tmp_path, capsys):
     assert code == 0
     assert "size=14" in result_line(out)
     assert out_path.read_text().startswith("qcover-setsystem v1")
+
+
+def expand_trivial(tmp_path, capsys):
+    design = tmp_path / "triv.txt"
+    run(capsys, "construct", "trivial", "--q", "2", "--n", "5", "--r", "2",
+        "-o", str(design))
+    return run(capsys, "expand", str(design), "-o", str(tmp_path / "system.txt"))
+
+
+def test_expand_censuses_the_system_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = designs.verify_steiner_system
+
+    def counting(system, t):
+        calls.append(t)
+        return real(system, t)
+    monkeypatch.setattr(designs, "verify_steiner_system", counting)
+    monkeypatch.setattr(constructions, "verify_steiner_system", counting)
+    code, out, _ = expand_trivial(tmp_path, capsys)
+    assert code == 0 and "verdict=True size=" in result_line(out)
+    assert calls == [3]
+
+
+UNCOVERED = CoverageReport(1, {0: 1}, 0, 0, ())
+
+
+def test_expand_exits_1_when_its_census_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "verify_steiner_system",
+                        lambda system, t: UNCOVERED)
+    code, out, err = expand_trivial(tmp_path, capsys)
+    assert code == 1 and "RESULT:" not in out
+    assert err == "verification failed: expanded system failed the t=3 check\n"
+
+
+# Arguments of each construction kind, the ambient dimension of its output
+# and the error its construction raises when the census of that output fails.
+CERTIFIED = {
+    "spread": (["--k", "2", "--n", "4"], 4, "spread failed Steiner verification"),
+    "lift": (["--input", "{line}", "--delta", "1"], 5,
+             "lifted design failed covering check"),
+    "partial-spread": (["--rho", "2", "--n", "5"], 5,
+                       "partial spread parts overlap"),
+    "line-covering": (["--n", "5", "--k", "2"], 5,
+                      "line covering failed verification"),
+    "turan-dual": (["--n", "4", "--k", "2"], 4, "dual covering failed verification"),
+    "recursive": (["--s1", "{line}", "--s2", "{plane}", "--r", "2"], 5,
+                  "recursive covering failed verification"),
+    "gf64": ([], 7, "gf64 design is not a covering"),
+    "greedy": (["--n", "4", "--k", "2", "--r", "1"], 4,
+               "greedy output failed verification"),
+    "trivial": (["--n", "3", "--r", "2"], 3, "trivial design failed Steiner check"),
+}
+
+
+@pytest.mark.parametrize("kind", list(cli.CONSTRUCTIONS))
+def test_each_construction_kind_raises_with_its_failed_census(tmp_path,
+                                                              monkeypatch, kind):
+    argv, out_n, message = CERTIFIED[kind]
+    inputs = {"line": tmp_path / "line.txt", "plane": tmp_path / "plane.txt"}
+    designs.save_design(optimal_line_covering(2, 4, 2), str(inputs["line"]))
+    designs.save_design(turan_dual_covering(2, 4, 2), str(inputs["plane"]))
+    argv = [arg.format(**inputs) for arg in argv]
+    report = UNCOVERED
+    if kind == "gf64":
+        monkeypatch.setattr(constructions, "verify_orbits",
+                            lambda action, bases, r: (399, UNCOVERED))
+    elif kind == "partial-spread":
+        # certified by an exact partition check, which carries no report
+        monkeypatch.setattr(constructions, "packed_vectors", lambda part: [1])
+        report = None
+    else:  # only the census of the output fails, not those of its inputs
+        real = constructions.verify_covering
+        monkeypatch.setattr(
+            constructions, "verify_covering",
+            lambda design, r: UNCOVERED if design.n == out_n else real(design, r))
+    args = cli._parser().parse_args(["construct", kind] + argv)
+    with pytest.raises(ConstructionError, match=message) as failed:
+        cli.CONSTRUCTIONS[kind][1](args)
+    assert failed.value.report is report
 
 
 def test_derive_command(tmp_path, capsys):

@@ -9,24 +9,22 @@ from qcover import constructions
 from qcover.bounds import basic_lower, gaussian
 from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   GF64_QUADS, ConstructionError, derive_steiner,
-                                  expand_to_steiner_system, full_space_steiner,
-                                  greedy_covering, gf64_covering_design,
-                                  lift_covering, optimal_line_covering,
-                                  partial_spread, recursive_covering, spread,
-                                  trivial_steiner, turan_dual_covering,
-                                  turan_point_design)
-from qcover.designs import (SubspaceDesign, design_to_text, verify_covering,
-                            verify_turan)
+                                  expand_to_steiner_system, greedy_covering,
+                                  gf64_covering_design, lift_covering,
+                                  optimal_line_covering, partial_spread,
+                                  recursive_covering, spread, trivial_steiner,
+                                  turan_dual_covering, turan_point_design)
+from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
+                            verify_covering, verify_turan)
 from qcover.fields import field_new, get_gf, vec_add
-from qcover.subspaces import (BudgetError, GroupAction, enumerate_vectors,
-                              full_space, intersect, packed_vectors, span,
-                              zero_subspace)
+from qcover.subspaces import (BudgetError, GroupAction, Subspace,
+                              enumerate_vectors, full_space, intersect,
+                              packed_vectors, span)
 
 
 def test_trivial_steiner():
     d = trivial_steiner(2, 4, 2)
     assert len(d.blocks) == gaussian(4, 2, 2)
-    assert full_space_steiner(2, 4).blocks[0].dim == 4
 
 
 def test_spread_sizes_and_disjointness():
@@ -35,7 +33,7 @@ def test_spread_sizes_and_disjointness():
         assert len(s.blocks) == (q ** n - 1) // (q ** k - 1)
         for i, a in enumerate(s.blocks):
             for b in s.blocks[i + 1:]:
-                assert intersect(a, b) == zero_subspace(q, n)
+                assert intersect(a, b) == Subspace(q, n, (), ())
     assert len(spread(2, 3, 6).blocks) == 9
 
 
@@ -142,8 +140,11 @@ def reference_recursive_blocks(s1, s2):
 @pytest.mark.parametrize("q,n,k", [(2, 3, 1), (2, 4, 2), (2, 5, 2), (2, 5, 3),
                                    (2, 6, 4), (3, 3, 1), (3, 4, 2), (3, 4, 3),
                                    (3, 5, 2)])
-def test_recursive_covering_equals_coset_search(q, n, k):
-    """On random inputs, unverified, the blocks equal the reference's."""
+def test_recursive_covering_equals_coset_search(monkeypatch, q, n, k):
+    """On random inputs, which are rarely coverings, the blocks equal the
+    reference's; the census is stubbed to pass so that the blocks are kept."""
+    monkeypatch.setattr(constructions, "verify_covering",
+                        lambda design, r: CoverageReport(1, {1: 1}, 1, 1, ()))
     rng = random.Random(f"{q}/{n}/{k}")
 
     def random_design(dim, size):
@@ -153,7 +154,7 @@ def test_recursive_covering_equals_coset_search(q, n, k):
                                           q=q, n=n - 1, k=dim)
 
     s1, s2 = random_design(k - 1, 6), random_design(k, 6)
-    d = recursive_covering(s1, s2, 2, verify=False)
+    d = recursive_covering(s1, s2, 2)
     assert (d.q, d.n, d.k) == (q, n, k)
     assert d.blocks == SubspaceDesign.from_blocks(
         reference_recursive_blocks(s1, s2), q=q, n=n, k=k).blocks
@@ -217,7 +218,7 @@ def test_gf64_design_file_is_pinned():
 def test_gf64_blocks_equal_reference_builder():
     reference = reference_gf64_blocks()
     assert len(set(reference)) == 399
-    d = gf64_covering_design(verify=False)
+    d = gf64_covering_design()
     key = lambda s: (s.pivots, s.rows)
     assert sorted(map(key, d.blocks)) == sorted(map(key, reference))
 
@@ -230,7 +231,7 @@ def test_gf64_orbit_structure():
     # multiplication by alpha on packed vectors, bit 6 untouched
     times_alpha = {v: gf64.mul(alpha, v & 63) | (v & 64) for v in range(128)}
     remaining = {frozenset(packed_vectors(b))
-                 for b in gf64_covering_design(verify=False).blocks}
+                 for b in gf64_covering_design().blocks}
     sizes = []
     while remaining:
         block = remaining.pop()
@@ -257,7 +258,7 @@ def test_gf64_image_of_rank_below_3_raises(monkeypatch):
     monkeypatch.setattr(GroupAction, "image", collapse)
     with pytest.raises(ConstructionError,
                        match="image 1 of a base block spans dim 2, not 3"):
-        gf64_covering_design(verify=False)
+        gf64_covering_design()
 
 
 def test_gf64_unclosed_block_raises(monkeypatch):
@@ -267,15 +268,15 @@ def test_gf64_unclosed_block_raises(monkeypatch):
     patched = ((0, 1, 1, 16),) + GF64_QUADS[1:]  # a1 = a2: 6 vectors, rank 3
     monkeypatch.setattr(constructions, "GF64_QUADS", patched)
     with pytest.raises(ConstructionError, match="difference set"):
-        gf64_covering_design(verify=False)
+        gf64_covering_design()
     monkeypatch.setattr(constructions, "_check_gf64_quads", lambda gf64: None)
     with pytest.raises(ConstructionError, match="not closed under addition"):
-        gf64_covering_design(verify=False)
+        gf64_covering_design()
     # a quadruple with a nonzero sum spans dimension 4
     monkeypatch.setattr(constructions, "GF64_QUADS",
                         ((0, 1, 4, 17),) + GF64_QUADS[1:])
     with pytest.raises(ConstructionError, match="spans dim 4, not 3"):
-        gf64_covering_design(verify=False)
+        gf64_covering_design()
 
 
 @pytest.mark.parametrize("exponents, message", [
@@ -286,7 +287,7 @@ def test_gf64_unclosed_block_raises(monkeypatch):
 def test_gf64_bad_line_pattern_raises(monkeypatch, exponents, message):
     monkeypatch.setattr(constructions, "GF64_LINE_EXPONENTS", exponents)
     with pytest.raises(ConstructionError, match=message):
-        gf64_covering_design(verify=False)
+        gf64_covering_design()
 
 
 def test_line_covering_size_checked_before_building():
@@ -315,7 +316,7 @@ def test_expand_trivial_structure():
 
 
 def test_expand_rejects_non_steiner():
-    d = optimal_line_covering(2, 5, 2, verify=False)
+    d = optimal_line_covering(2, 5, 2)
     with pytest.raises(ConstructionError):
         expand_to_steiner_system(d)
 
@@ -326,7 +327,7 @@ def test_derive_steiner_from_trivial():
     derived, report = derive_steiner(d, 2, point)
     assert (derived.n, derived.k) == (3, 1)
     assert len(derived.blocks) == 7
-    assert report is not None and report.is_steiner
+    assert report.is_steiner
 
 
 def test_derive_rejects_bad_point():
@@ -345,10 +346,3 @@ def test_greedy_covering():
     assert verify_covering(d2, 2).is_covering
     assert len(d2.blocks) >= 27
 
-
-def test_verify_false_skips_checks():
-    # verify=False must still produce structurally valid designs
-    d = spread(2, 2, 4, verify=False)
-    assert verify_covering(d, 1).is_steiner
-    d2 = gf64_covering_design(verify=False)
-    assert len(d2.blocks) == 399

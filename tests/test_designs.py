@@ -29,8 +29,8 @@ def random_design(rng, q, n, k, size):
 def corpus():
     rng = random.Random(99)
     designs = [
-        trivial_steiner(2, 4, 2, verify=False),
-        spread(2, 2, 4, verify=False),
+        trivial_steiner(2, 4, 2),
+        spread(2, 2, 4),
         turan_point_design(2, 4, 3, verify=False),
         random_design(rng, 2, 5, 3, 12),
         random_design(rng, 2, 5, 2, 9),
@@ -48,7 +48,7 @@ def test_design_dedup_and_mismatch():
 
 
 def test_covering_full_grassmannian_constant_multiplicity():
-    d = trivial_steiner(2, 4, 3, verify=False)
+    d = trivial_steiner(2, 4, 3)
     report = verify_covering(d, 2)
     # every 2-subspace of F_2^4 lies in [2 1]_2 + 1 = 3 of the 3-subspaces
     assert report.is_covering
@@ -75,7 +75,7 @@ def test_covering_strategies_agree():
 @pytest.mark.parametrize("strategy", ["auto", "Expand", "bitmask"])
 @pytest.mark.parametrize("verify", [verify_covering, verify_turan])
 def test_unknown_strategy_raises(verify, strategy):
-    d = spread(2, 2, 4, verify=False)
+    d = spread(2, 2, 4)
     with pytest.raises(ValueError, match="unknown strategy"):
         verify(d, 2, strategy=strategy)
 
@@ -105,9 +105,9 @@ def test_turan_examples():
 
 
 def test_steiner_examples():
-    s = spread(2, 2, 4, verify=False)
+    s = spread(2, 2, 4)
     assert verify_covering(s, 1).is_steiner
-    t = trivial_steiner(2, 4, 2, verify=False)
+    t = trivial_steiner(2, 4, 2)
     assert verify_covering(t, 2).is_steiner
     # doubled coverage is a covering but not Steiner
     blocks = list(enumerate_grassmannian(2, 3, 2))
@@ -132,8 +132,7 @@ def test_dualize_covering_turan_duality():
 
 
 def test_line_covering_size_bound_and_steiner_equality():
-    for d in [spread(2, 2, 4, verify=False), spread(2, 2, 6, verify=False),
-              spread(3, 2, 4, verify=False)]:
+    for d in [spread(2, 2, 4), spread(2, 2, 6), spread(3, 2, 4)]:
         report = verify_covering(d, 1)
         assert report.is_covering
         bound = basic_lower(d.n, d.k, 1, d.q)
@@ -152,7 +151,7 @@ def test_uncovered_witnesses():
 
 
 def test_point_set_system_fano():
-    d = trivial_steiner(2, 3, 2, verify=False)
+    d = trivial_steiner(2, 3, 2)
     system = to_point_set_system(d)
     assert system.v == 7
     assert len(system.blocks) == 7
@@ -163,7 +162,7 @@ def test_point_set_system_fano():
 def test_point_set_system_small():
     d = SubspaceDesign.from_blocks([span(2, 3, [(1, 0, 0)])])
     assert to_point_set_system(d).block_size == 1
-    d3 = trivial_steiner(3, 3, 2, verify=False)
+    d3 = trivial_steiner(3, 3, 2)
     assert to_point_set_system(d3).block_size == 4
 
 
@@ -174,7 +173,7 @@ def test_point_indexing_deterministic():
 
 
 def test_steiner_system_block_removed():
-    d = trivial_steiner(2, 3, 2, verify=False)
+    d = trivial_steiner(2, 3, 2)
     system = to_point_set_system(d)
     broken = SetSystem.from_blocks(7, system.blocks[1:])
     report = verify_steiner_system(broken, 2)
@@ -273,8 +272,8 @@ def test_design_to_text_equals_per_coordinate_reference(q):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: gf64_covering_design(verify=False),
-    lambda: trivial_steiner(3, 4, 2, verify=False),
+    gf64_covering_design,
+    lambda: trivial_steiner(3, 4, 2),
 ], ids=["gf64", "q3-lines"])
 def test_design_text_with_words_repeated_across_blocks_round_trips(build):
     design = build()

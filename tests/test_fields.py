@@ -56,16 +56,6 @@ def test_field_axioms_and_primitivity(p, m):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_elem_pow():
-    f = field_new(2, 6)
-    a = f.alpha
-    assert f.pow(a, 63) == 1
-    assert f.pow(a, 0) == 1
-    assert f.pow(a, 6) == f.add(a, 1)
-    assert f.pow(a, -1) == f.inv(a)
-    assert f.pow(0, 5) == 0
-    with pytest.raises(ZeroDivisionError):
-        f.pow(0, -1)
 
 
 def test_vec_add_examples():
@@ -98,10 +88,10 @@ def test_field_to_vector_gf4_alpha():
 def test_field_to_vector_linear_bijection(p, m):
     f = field_new(p, m)
     gfp = get_gf(p)
-    images = {f.to_vector(a) for a in f.elements()}
+    images = {f.to_vector(a) for a in range(f.q)}
     assert len(images) == f.q
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.q):
+        for b in range(f.q):
             assert (f.to_vector(f.add(a, b))
                     == vec_add(gfp, f.to_vector(a), f.to_vector(b)))
 
@@ -109,8 +99,8 @@ def test_field_to_vector_linear_bijection(p, m):
 def test_flatten_ext_vector_additive():
     ext = field_new(2, 2)
     gf2 = get_gf(2)
-    for u in itertools.product(ext.elements(), repeat=2):
-        for v in itertools.product(ext.elements(), repeat=2):
+    for u in itertools.product(range(ext.q), repeat=2):
+        for v in itertools.product(range(ext.q), repeat=2):
             s = tuple(ext.add(a, b) for a, b in zip(u, v))
             assert flatten_ext_vector(ext, s) == vec_add(
                 gf2, flatten_ext_vector(ext, u), flatten_ext_vector(ext, v))

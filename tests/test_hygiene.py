@@ -10,6 +10,11 @@ Caches in src/qcover are bounded: a cache that outlives a call must not grow
 with the inputs a long-running caller passes.  An AST scan finds every
 functools.cache and lru_cache(maxsize=None), and fails on any outside
 UNBOUNDED_CACHES, whose keys take few values.
+
+Every construction certifies what it returns: an AST scan of
+constructions.py finds each public function with a verify parameter, and only
+turan_point_design, whose census a caller may run with its own strategy, has
+one.
 """
 
 import ast
@@ -122,3 +127,13 @@ def test_unbounded_cache_scan_finds_each_form():
               "@functools.lru_cache()\ndef i(x): return x\n")
     assert unbounded_caches(source) == [(4, "a"), (6, "b"), (8, "c"), (10, "d"),
                                         (12, "e"), (14, None)]
+
+
+def test_only_turan_point_design_can_skip_its_census():
+    tree = ast.parse((ROOT / "src" / "qcover" / "constructions.py")
+                     .read_text(encoding="utf-8"))
+    optional = [node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")
+                and "verify" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
+    assert optional == ["turan_point_design"]

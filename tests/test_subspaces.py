@@ -15,8 +15,7 @@ from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
                               enumerate_grassmannian, enumerate_vectors,
                               full_space, intersect, orthogonal_complement,
                               packed_vectors, rref, span, subspaces_of,
-                              sum_subspaces, superspaces_containing, xor_rref,
-                              zero_subspace)
+                              sum_subspaces, superspaces_containing, xor_rref)
 
 
 def random_subspace(rng, q, n, k):
@@ -51,7 +50,7 @@ def test_span_mixed_ambient_rejected():
 def test_containment():
     a = span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert contains_subspace(a, a)
-    assert contains_subspace(a, zero_subspace(2, 4))
+    assert contains_subspace(a, Subspace(2, 4, (), ()))
     assert contains_subspace(a, span(2, 4, [(1, 1, 0, 0)]))
     assert not contains_subspace(a, span(2, 4, [(0, 0, 1, 0)]))
 
@@ -82,7 +81,7 @@ def test_intersection_against_vector_set_oracle():
 
 
 def test_orthogonal_complement_examples():
-    assert orthogonal_complement(full_space(2, 4)) == zero_subspace(2, 4)
+    assert orthogonal_complement(full_space(2, 4)) == Subspace(2, 4, (), ())
     c = orthogonal_complement(span(2, 4, [(1, 0, 0, 0)]))
     assert c == span(2, 4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
 
@@ -147,7 +146,7 @@ def test_subspaces_of():
     assert len(set(subs)) == 7
     assert all(contains_subspace(s, t) for t in subs)
     assert list(subspaces_of(s, 3)) == [s]
-    assert list(subspaces_of(s, 0)) == [zero_subspace(2, 7)]
+    assert list(subspaces_of(s, 0)) == [Subspace(2, 7, (), ())]
     with pytest.raises(ValueError):
         list(subspaces_of(s, 4))
 
@@ -164,7 +163,7 @@ def test_superspaces_containing():
 
 
 def test_enumerate_vectors():
-    assert enumerate_vectors(zero_subspace(2, 3)) == [(0, 0, 0)]
+    assert enumerate_vectors(Subspace(2, 3, (), ())) == [(0, 0, 0)]
     s = span(2, 4, [(1, 0, 1, 0), (0, 1, 0, 1)])
     vs = enumerate_vectors(s)
     assert len(vs) == 4 and vs[0] == (0, 0, 0, 0)
@@ -213,7 +212,7 @@ def test_subspace_equality_and_hash_ignore_pivots():
 def test_subspace_repr_and_sort_key():
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     assert repr(s) == "Subspace(q=3,n=4,[1201,0012])"
-    assert repr(zero_subspace(2, 3)) == "Subspace(q=2,n=3,[])"
+    assert repr(Subspace(2, 3, (), ())) == "Subspace(q=2,n=3,[])"
     assert repr(span(11, 3, [(1, 0, 10), (0, 1, 5)])) == \
         "Subspace(q=11,n=3,[1 0 10,0 1 5])"
     assert s.sort_key() == (s.pivots, s.rows)
@@ -281,7 +280,7 @@ def test_xor_rref_rows_unpack_as_vec_unpack():
 
 def test_xor_rref_edge_cases():
     rows, s = xor_rref(4, [])
-    assert rows == [] and s == zero_subspace(2, 4) and s.pivots == ()
+    assert rows == [] and s == Subspace(2, 4, (), ()) and s.pivots == ()
     rows, s = xor_rref(3, [0, 0])
     assert rows == [] and s.dim == 0
     rows, s = xor_rref(3, [0b111, 0b011, 0b100, 0b110])

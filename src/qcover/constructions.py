@@ -5,7 +5,7 @@ returning; a verification failure raises ConstructionError rather than
 returning an uncertified design.  A construction whose census would pass the
 enumeration budget raises BudgetError instead of returning a design it
 cannot check.  The one exception is turan_point_design, whose verify=False
-leaves the Turan census to a caller that runs it with its own strategy.
+leaves its census to a caller, such as turan_dual_covering, that runs its own.
 """
 
 from __future__ import annotations
@@ -99,13 +99,17 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
 def lift_covering(design: SubspaceDesign, delta: int) -> SubspaceDesign:
     """Lift a line covering C_q[n,k,1] to C_q[n+d,k+d,1] with the same size.
 
-    Each block P becomes P x F_q^d in the extended coordinates.
+    Each block P becomes P x F_q^d in the extended coordinates.  Both the
+    input, which a caller may pass unchecked, and the lift are censused.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     _require(verify_covering(design, 1), "input is not a verified line covering")
-    if delta == 0:
-        return design
+    return _lift(design, delta) if delta else design
+
+
+def _lift(design: SubspaceDesign, delta: int) -> SubspaceDesign:
+    """lift_covering of a certified covering by delta >= 1; censuses the lift."""
     q, n = design.q, design.n
     blocks = []
     for block in design.blocks:
@@ -218,7 +222,7 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     if n % k == 0:
         design = spread(q, k, n)
     elif 2 * k >= n:
-        design = lift_covering(spread(q, n - k, 2 * (n - k)), 2 * k - n)
+        design = _lift(spread(q, n - k, 2 * (n - k)), 2 * k - n)
     else:
         ps = partial_spread(q, k, n)
         m = ps.residual.dim
@@ -263,8 +267,12 @@ def turan_point_design(q: int, n: int, k: int,
 
 
 def turan_dual_covering(q: int, n: int, k: int) -> SubspaceDesign:
-    """Dual of the Turan point design: a covering C_q[n, n-1, n-k]."""
-    design = dualize(turan_point_design(q, n, k))
+    """Dual of the Turan point design: a covering C_q[n, n-1, n-k].
+
+    As b <= t iff t-perp <= b-perp, one census certifies both: the dual's at
+    n - k, or for k = n the Turan census, as a covering census at r = 0 would
+    list the q^(n-1) vectors of every block."""
+    design = dualize(turan_point_design(q, n, k, verify=(k == n)))
     if k < n:
         _require(verify_covering(design, n - k), "dual covering failed verification")
     return design

@@ -19,7 +19,7 @@ from operator import and_, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
-from .fields import FieldError, get_gf, vec_pack
+from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
                         GroupAction, Subspace, _xor_span, complement_columns,
                         complement_generators, complement_vectors,
@@ -44,8 +44,8 @@ class SubspaceDesign:
     @staticmethod
     def from_blocks(blocks: Iterable[Subspace], label: str = "",
                     q: int = None, n: int = None, k: int = None) -> "SubspaceDesign":
-        """Build a design, deduplicating by canonical form."""
-        unique = sorted(set(blocks), key=lambda s: s.sort_key())
+        """Build a design: drop duplicates in input order, then sort."""
+        unique = sorted(dict.fromkeys(blocks), key=Subspace.sort_key)
         if unique:
             q = unique[0].q if q is None else q
             n = unique[0].n if n is None else n
@@ -116,11 +116,12 @@ def _report_from_counts(counts: Counter, total: int,
     return _report(total, histogram, misses)
 
 
-def _grassmannian_misses(q: int, n: int, r: int,
-                         counts: Counter) -> Iterator[Subspace]:
-    """The r-subspaces whose packed RREF rows counts lacks, in order."""
-    return (_target(q, n, choice, t) for choice in grassmannian_choices(q, n, r)
-            for t in itertools.product(*choice[2]) if t not in counts)
+def _grassmannian_misses(q: int, n: int, r: int, counts: Counter,
+                         half: int) -> Iterator[Subspace]:
+    """The r-subspaces, in order, that counts lacks, keyed on choice[half]."""
+    return (Subspace(q, n, t, choice[0]) if half == 1 else _target(q, n, choice, t)
+            for choice in grassmannian_choices(q, n, r)
+            for t in itertools.product(*choice[half]) if t not in counts)
 
 
 def _count_product(start: int, factors: Sequence[Sequence[int]],
@@ -236,7 +237,7 @@ def verify_covering(design: SubspaceDesign, r: int,
             for block in design.blocks:
                 counts.update(rows_of(packed_vectors(block)))
         return _report_from_counts(counts, total,
-                                   _grassmannian_misses(q, n, r, counts))
+                                   _grassmannian_misses(q, n, r, counts, 2))
     if strategy == "scan":
         return _scan(q, n, r, total, [packed_vectors(b) for b in design.blocks],
                      lambda pivots, rows, packed: packed,
@@ -322,7 +323,8 @@ def verify_turan(design: SubspaceDesign, k: int,
     The design's blocks play the r-subspace role; the verdict is_covering
     means every k-subspace contains at least one block.  strategy is
     "expand" (the default, as in verify_covering) or "scan".  Expand counts
-    the RREF rows of every superspace of every block.  Scan uses b <= t iff
+    the RREF rows of every superspace of every block; its witness walk reads
+    grassmannian_choices rows, unpacked, against them.  Scan uses b <= t iff
     t-perp <= b-perp: it marks the vectors of each block's complement with
     block bitmasks and ANDs the masks of each target's n - k complement
     generators, so it builds no vector set per target and does no row
@@ -342,11 +344,8 @@ def verify_turan(design: SubspaceDesign, k: int,
         counts: Counter = Counter()
         for block in design.blocks:
             counts.update([t.rows for t in superspaces_containing(block, k)])
-        if len(counts) < total:  # the witness search reads packed rows
-            counts = Counter({tuple([vec_pack(q, row) for row in rows]): m
-                              for rows, m in counts.items()})
         return _report_from_counts(counts, total,
-                                   _grassmannian_misses(q, n, k, counts))
+                                   _grassmannian_misses(q, n, k, counts, 1))
     if strategy == "scan":
         return _scan(q, n, k, total, [complement_vectors(b) for b in design.blocks],
                      lambda pivots, rows, packed:

@@ -171,18 +171,21 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """Null space of the generator matrix under the standard dot product."""
+    return span(s.q, s.n, _complement_rows(s))
+
+
+def _complement_rows(s: Subspace) -> List[List[int]]:
+    """e_fc - sum_i s.rows[i][fc] * e_{p_i} per non-pivot column fc, in order."""
     gf = get_gf(s.q)
-    n = s.n
-    pivset = set(s.pivots)
-    free_cols = [c for c in range(n) if c not in pivset]
     basis = []
-    for fc in free_cols:
-        v = [0] * n
-        v[fc] = 1
-        for row, p in zip(s.rows, s.pivots):
-            v[p] = gf.neg(row[fc])
-        basis.append(v)
-    return span(s.q, n, basis)
+    for fc in range(s.n):
+        if fc not in s.pivots:
+            v = [0] * s.n
+            v[fc] = 1
+            for row, p in zip(s.rows, s.pivots):
+                v[p] = gf.neg(row[fc])
+            basis.append(v)
+    return basis
 
 
 def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
@@ -361,17 +364,17 @@ def packed_vectors(s: Subspace) -> List[int]:
 def complement_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s's orthogonal complement.
 
-    The vectors are the combinations of complement_generators, taken as
-    packed_vectors takes them of RREF rows, so no row reduction is done.
+    The vectors are the combinations, taken as packed_vectors takes RREF
+    rows, of e_fc - sum_i s.rows[i][fc] * e_{p_i} per non-pivot column fc,
+    built from s's rows (as packed bits for q = 2) with no row reduction.
     """
     free = s.n - s.dim
     if s.q ** free > MAX_VECTOR_ENUM:
         raise BudgetError(f"{s.q}^{free} vectors exceed the enumeration budget")
-    generators = next(complement_generators(s.q, s.n, s.pivots,
-                                            [(row,) for row in s.rows]))
     if s.q == 2:
-        return _xor_span(generators)
-    return _horner_span(s.q, [vec_unpack(s.q, s.n, g) for g in generators])
+        return _xor_span([sum([row[fc] << p for row, p in zip(s.rows, s.pivots)],
+                              1 << fc) for fc in range(s.n) if fc not in s.pivots])
+    return _horner_span(s.q, _complement_rows(s))
 
 
 def _xor_span(packed_rows: Sequence[int]) -> List[int]:

@@ -11,7 +11,9 @@ the references yield, in the same order.  packed_vectors must equal vec_pack
 of every enumerate_vectors vector, in order.  enumerate_grassmannian must
 equal the template odometer kept here, and local_row_indices the positions
 of RREF rows among enumerate_vectors.  The product of complement_columns must
-be the multiset of complement_generators, split first rows included.
+be the multiset of complement_generators, split first rows included, and
+complement_vectors must list what the generator-based construction kept here
+lists, in the same order.
 verify_orbits, the census of a design invariant under a GroupAction taken
 on its base blocks only, must equal expand and scan on the expanded design.
 """
@@ -407,6 +409,41 @@ def test_complement_generators_span_the_null_space(q):
                     for t in itertools.product(*rows)]
 
 
+def reference_complement_vectors(s):
+    """The combinations of s's complement_generators, taken as packed_vectors
+    takes RREF rows: XOR spans of packed generators for q = 2, Horner spans
+    of the unpacked generators otherwise."""
+    (generators,) = complement_generators(s.q, s.n, s.pivots,
+                                          [(row,) for row in s.rows])
+    if s.q == 2:
+        return subspaces._xor_span(generators)
+    return subspaces._horner_span(s.q, [vec_unpack(s.q, s.n, g)
+                                        for g in generators])
+
+
+@pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
+def test_complement_vectors_equal_generator_reference(q):
+    """Every subspace of F_q^n up to COMPLEMENT_MAX_N, dim 0 and dim n
+    included: the same packed vectors in the same order."""
+    for n in range(COMPLEMENT_MAX_N[q] + 1):
+        for d in range(n + 1):
+            for s in enumerate_grassmannian(q, n, d):
+                got = complement_vectors(s)
+                assert got == reference_complement_vectors(s), s
+                assert len(got) == q ** (n - d)
+
+
+@pytest.mark.parametrize("q,n", [(2, 25), (3, 16), (9, 8)])
+def test_complement_vectors_budget(q, n):
+    """Past MAX_VECTOR_ENUM vectors the complement raises before building
+    anything."""
+    assert q ** n > subspaces.MAX_VECTOR_ENUM
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        complement_vectors(Subspace(q, n, (), ()))
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("row_chunk", [subspaces.ROW_CHUNK, 2])
 @pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
 def test_complement_columns_are_the_generators_column_by_column(
@@ -478,6 +515,24 @@ def test_witnesses_in_a_large_ambient_space():
         (t for t in reference_enumerate_grassmannian(2, 20, 1)
          if t not in covered), WITNESS_CAP))
     assert verify_covering(design, 1, "expand").witnesses == expected
+
+
+@pytest.mark.parametrize("q,n,k,missed", [(2, 6, 3, (1200, 1390)),
+                                          (3, 5, 2, (1100,))])
+def test_turan_witnesses_after_many_covered_targets(q, n, k, missed):
+    """The points outside some k-subspaces lie in every other k-subspace, as
+    a k-subspace inside a union of k-subspaces is one of them.  With the
+    missed targets late in enumeration order, the witness walk passes over
+    more than 1000 covered targets before the first one."""
+    targets = list(enumerate_grassmannian(q, n, k))
+    inside = {p for i in missed for p in subspaces_of(targets[i], 1)}
+    points = [p for p in enumerate_grassmannian(q, n, 1) if p not in inside]
+    design = SubspaceDesign.from_blocks(points, q=q, n=n, k=1)
+    expected = oracle_turan(design, k)
+    assert expected.witnesses == tuple(targets[i] for i in missed)
+    assert expected.histogram[0] == len(missed) and missed[0] >= 1000
+    for strategy in ("expand", "scan"):
+        assert verify_turan(design, k, strategy) == expected, strategy
 
 
 # orbit census -----------------------------------------------------------------

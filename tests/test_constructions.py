@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   recursive_covering, spread, trivial_steiner,
                                   turan_dual_covering, turan_point_design)
 from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
-                            verify_covering, verify_turan)
+                            dualize, verify_covering, verify_turan)
 from qcover.fields import field_new, get_gf, vec_add
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
                               enumerate_vectors, full_space, intersect,
@@ -63,8 +64,39 @@ def test_lift_covering():
 
 def test_lift_rejects_non_covering():
     d = SubspaceDesign.from_blocks([span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError,
+                       match="^input is not a verified line covering$"):
         lift_covering(d, 1)
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls constructions makes to each named verifier."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, real=getattr(constructions, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(constructions, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("delta,censuses", [(0, 1), (1, 2), (2, 2)])
+def test_lift_censuses_its_input_and_output(monkeypatch, delta, censuses):
+    base = spread(2, 2, 4)
+    calls = count_calls(monkeypatch, "verify_covering")
+    lift_covering(base, delta)
+    assert calls["verify_covering"] == censuses
+
+
+@pytest.mark.parametrize("n,k,censuses", [(5, 3, 2), (7, 3, 3)])
+def test_line_covering_censuses_the_spread_it_lifts_once(monkeypatch, n, k,
+                                                         censuses):
+    """(2,5,3) lifts spread[2,4]_2: one census of the spread and one of the
+    lift.  (2,7,3) does the same for its residual covering of F_2^4, then
+    censuses the whole design."""
+    calls = count_calls(monkeypatch, "verify_covering")
+    optimal_line_covering(2, n, k)
+    assert calls["verify_covering"] == censuses
 
 
 def test_partial_spread_2_2_5():
@@ -97,6 +129,34 @@ def test_optimal_line_covering(q, n, k):
     d = optimal_line_covering(q, n, k)
     assert len(d.blocks) == math.ceil(Fraction(q ** n - 1, q ** k - 1))
     assert len(d.blocks) == basic_lower(n, k, 1, q)
+
+
+@pytest.mark.parametrize("q,n,k,turan,covering", [
+    (3, 5, 3, 0, 1), (2, 5, 3, 0, 1), (3, 4, 1, 0, 1), (3, 4, 4, 1, 0),
+    (2, 3, 3, 1, 0)])
+def test_turan_dual_covering_runs_one_census(monkeypatch, q, n, k, turan,
+                                             covering):
+    """The dual covering census certifies the point design too, except at
+    k = n, where the Turan census runs instead."""
+    calls = count_calls(monkeypatch, "verify_turan", "verify_covering")
+    design = turan_dual_covering(q, n, k)
+    assert calls == Counter(verify_turan=turan, verify_covering=covering)
+    assert design == dualize(turan_point_design(q, n, k, verify=False))
+    assert verify_covering(design, n - k).is_covering
+
+
+def test_turan_dual_covering_fails_with_its_census(monkeypatch):
+    uncovered = CoverageReport(1, {0: 1}, 0, 0, ())
+    monkeypatch.setattr(constructions, "verify_covering",
+                        lambda design, r: uncovered)
+    with pytest.raises(ConstructionError,
+                       match="^dual covering failed verification$"):
+        turan_dual_covering(3, 5, 3)
+    monkeypatch.setattr(constructions, "verify_turan",
+                        lambda design, k: uncovered)
+    with pytest.raises(ConstructionError,
+                       match="^Turan point design failed verification$"):
+        turan_dual_covering(3, 4, 4)
 
 
 def test_turan_point_design():

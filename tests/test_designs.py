@@ -12,7 +12,8 @@ from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem
                             verify_steiner_system, verify_turan)
 from qcover.constructions import (gf64_covering_design, spread, trivial_steiner,
                                   turan_point_design)
-from qcover.subspaces import (BudgetError, enumerate_grassmannian, full_space,
+from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
+                              enumerate_grassmannian, full_space,
                               local_row_indices, span)
 
 
@@ -45,6 +46,31 @@ def test_design_dedup_and_mismatch():
     assert len(d.blocks) == 1
     with pytest.raises(Exception):
         SubspaceDesign.from_blocks([b, span(2, 4, [(1, 0, 0, 0)])])
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 3, 1)])
+def test_from_blocks_ignores_input_order_and_duplicates(q, n, k):
+    rng = random.Random(q * 100 + n)
+    blocks = list(enumerate_grassmannian(q, n, k))
+    design = SubspaceDesign.from_blocks(blocks)
+    assert list(design.blocks) == sorted(blocks, key=Subspace.sort_key)
+    for _ in range(5):
+        shuffled = blocks + rng.sample(blocks, 5)
+        rng.shuffle(shuffled)
+        assert SubspaceDesign.from_blocks(shuffled).blocks == design.blocks
+
+
+def test_from_blocks_mixed_q_raises_the_same_mismatch():
+    """The first block in sort order fixes the ambient space, whatever the
+    input order, and the mismatch names the first block outside it."""
+    a, b = span(2, 3, [(1, 0, 0)]), span(3, 3, [(0, 1, 0)])
+    for blocks in ([a, b], [b, a], [b, a, b, a]):
+        with pytest.raises(AmbientMismatch,
+                           match=r"^block \(3,3,dim 1\) in design \(2,3,k=1\)$"):
+            SubspaceDesign.from_blocks(blocks)
+        with pytest.raises(AmbientMismatch,
+                           match=r"^block \(2,3,dim 1\) in design \(3,3,k=1\)$"):
+            SubspaceDesign.from_blocks(blocks, q=3)
 
 
 def test_covering_full_grassmannian_constant_multiplicity():

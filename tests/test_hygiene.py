@@ -15,6 +15,10 @@ Every construction certifies what it returns: an AST scan of
 constructions.py finds each public function with a verify parameter, and only
 turan_point_design, whose census a caller may run with its own strategy, has
 one.
+
+Every public top-level function of src/qcover is used: an AST scan fails on
+any that no module of src/qcover names and qcover/__init__.py does not
+export, outside UNREFERENCED, which gives the reason each of those stays.
 """
 
 import ast
@@ -31,6 +35,13 @@ SOURCES = sorted((ROOT / "src" / "qcover").glob("*.py"))
 # field size.
 UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "field_new"),
                     ("fields.py", "get_gf")}
+# (module, function) -> why it stays although src/qcover never calls it.
+UNREFERENCED = {
+    ("fields.py", "vec_add"): "the benchmark's tracer counts its calls",
+    ("fields.py", "vec_scale"): "the benchmark's tracer counts its calls",
+    ("subspaces.py", "full_space"): "tests build reference spaces with it",
+    ("subspaces.py", "enumerate_vectors"): "tests pin packed_vectors to it",
+}
 
 
 def unused_imports(source: str):
@@ -137,3 +148,45 @@ def test_only_turan_point_design_can_skip_its_census():
                 and not node.name.startswith("_")
                 and "verify" in {a.arg for a in node.args.args + node.args.kwonlyargs}]
     assert optional == ["turan_point_design"]
+
+
+def unreferenced_functions(sources):
+    """(module, name) of every public top-level function in sources, a dict
+    from module file name to source, that no module names (as a name or an
+    attribute) and __init__.py does not import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    named |= {alias.name for node in ast.walk(trees["__init__.py"])
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in named}
+
+
+def test_every_public_function_is_used_or_allowlisted():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert "__init__.py" in sources
+    assert unreferenced_functions(sources) == set(UNREFERENCED)
+
+
+def test_unreferenced_function_scan_finds_each_form():
+    sources = {
+        "__init__.py": "from .a import exported as alias\n",
+        "a.py": ("import b\n"
+                 "def exported(): pass\n"
+                 "def called(): pass\n"
+                 "def by_attribute(): pass\n"
+                 "def unused(): pass\n"
+                 "async def unused_async(): pass\n"
+                 "def _private(): pass\n"
+                 "class C:\n    def method(self): pass\n"
+                 "def outer():\n    def inner(): pass\n"),
+        "b.py": ("from a import called\n"
+                 "def main():\n    called()\n    return a.by_attribute\n"),
+    }
+    assert unreferenced_functions(sources) == {
+        ("a.py", "unused"), ("a.py", "unused_async"), ("a.py", "outer"),
+        ("b.py", "main")}

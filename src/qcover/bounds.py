@@ -180,7 +180,8 @@ def _verified_gf64_upper() -> Tuple[int, str]:
     """The 399-block C_2[7,3,2], checked and censused on its seven Singer
     orbits without building its blocks."""
     from .constructions import gf64_orbit_census, gf64_orbits
-    return gf64_orbit_census(*gf64_orbits()), "gf64"
+    singer, bases, _ = gf64_orbits()
+    return gf64_orbit_census(singer, bases), "gf64"
 
 
 def format_table(records: Dict[Tuple[int, int, int], BoundRecord],

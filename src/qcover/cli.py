@@ -42,13 +42,17 @@ def _recursive(args):
         raise ValueError(f"--s2 must have the q and n of --s1 and "
                          f"k one larger: --s1 has q={s1.q} n={s1.n} k={s1.k}, "
                          f"--s2 has q={s2.q} n={s2.n} k={s2.k}")
+    if not 1 <= args.r <= s2.k:
+        raise ValueError(f"--r must be in 1..{s2.k} (at most the k of --s2), "
+                         f"got {args.r}")
     return cons.recursive_covering(s1, s2, args.r)
 
 
 # Each construction kind, in the order `construct --help` lists them: the
 # arguments it reads and its builder.  q must be a prime power, the integer
 # arguments among n, k, rho at least 1, k at most n, r in 0..k (0..n without
-# a k) and delta at least 0.
+# a k, and 1..k of --s2 for recursive, checked once --s2 is read) and delta
+# at least 0.
 CONSTRUCTIONS = {
     "spread": (("q", "k", "n"), lambda a: cons.spread(a.q, a.k, a.n)),
     "lift": (("input", "delta"),
@@ -156,7 +160,8 @@ def cmd_bounds(args) -> int:
         try:
             n, k, r = (int(x) for x in args.filter.split(","))
         except ValueError:
-            print("filter must be n,k,r", file=sys.stderr)
+            print(f"invalid input: --filter must be n,k,r, got {args.filter!r}",
+                  file=sys.stderr)
             return EXIT_BAD_INPUT
         if (n, k, r) not in table:
             print(f"no entry for ({n},{k},{r})", file=sys.stderr)

@@ -356,9 +356,10 @@ def _gf64_block(vectors: List[int]) -> Subspace:
     return block
 
 
-def gf64_orbits() -> Tuple[GroupAction, List[Subspace]]:
+def gf64_orbits() -> Tuple[GroupAction, List[Subspace], List[int]]:
     """The 399-block C_2[7,3,2] as an orbit description: the Singer action
-    (beta, b) -> (alpha beta, b) on GF(64) x GF(2) and seven base blocks.
+    (beta, b) -> (alpha beta, b) on GF(64) x GF(2), seven base blocks and
+    the size of each base block's orbit.
 
     A vector (beta, b) is the packed int beta | b << 6, since a GF(64)
     element is already the vec_pack of its coefficient vector.  The orbits
@@ -392,7 +393,7 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace]]:
     count = sum(dict(orbits).values())  # a repeated label counts once
     if count != 399:
         raise ConstructionError(f"gf64 block count {count} != 399")
-    return singer, bases
+    return singer, bases, sizes
 
 
 def gf64_orbit_census(singer: GroupAction, bases: List[Subspace]) -> int:
@@ -407,17 +408,18 @@ def gf64_covering_design() -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
     Its blocks are the images of the base blocks of gf64_orbits under the
-    Singer action.  gf64_orbits checks each base block's dimension and
-    closure; the action is linear, so it maps the base's span onto the
-    image's, and each image is the reduction of the images of the base's
-    three packed RREF rows, which must again have rank 3.  The census is
-    gf64_orbit_census, on the base blocks.
+    Singer action, as many per base as the size gf64_orbits gives its
+    orbit.  gf64_orbits checks each base block's dimension and closure; the
+    action is linear, so it maps the base's span onto the image's, and each
+    image is the reduction of the images of the base's three packed RREF
+    rows, which must again have rank 3.  The census is gf64_orbit_census,
+    on the base blocks.
     """
-    singer, bases = gf64_orbits()
+    singer, bases, sizes = gf64_orbits()
     blocks: List[Subspace] = []
-    for base in bases:
+    for base, size in zip(bases, sizes):
         base_rows = [vec_pack(2, row) for row in base.rows]
-        for m in range(singer.orbit(packed_vectors(base))[1]):
+        for m in range(size):
             rows, block = xor_rref(7, singer.image(base_rows, m))
             if len(rows) != 3:
                 raise ConstructionError(f"image {m} of a base block spans "

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
-                        GroupAction, Subspace, _xor_span, complement_columns,
+                        GroupAction, Subspace, _xor_span,
                         complement_generators, complement_vectors,
                         enumerate_grassmannian, grassmannian_choices,
                         local_row_indices, orthogonal_complement,
@@ -116,12 +116,13 @@ def _report_from_counts(counts: Counter, total: int,
     return _report(total, histogram, misses)
 
 
-def _grassmannian_misses(q: int, n: int, r: int, counts: Counter,
+def _grassmannian_misses(q: int, n: int, r: int, covered: Callable[[tuple], int],
                          half: int) -> Iterator[Subspace]:
-    """The r-subspaces, in order, that counts lacks, keyed on choice[half]."""
+    """The r-subspaces, in order, whose rows fail covered, read as the
+    unpacked (half 1) or packed (half 2) rows of grassmannian_choices."""
     return (Subspace(q, n, t, choice[0]) if half == 1 else _target(q, n, choice, t)
             for choice in grassmannian_choices(q, n, r)
-            for t in itertools.product(*choice[half]) if t not in counts)
+            for t in itertools.product(*choice[half]) if not covered(t))
 
 
 def _count_product(start: int, factors: Sequence[Sequence[int]],
@@ -162,22 +163,16 @@ def _count_product(start: int, factors: Sequence[Sequence[int]],
     walk(start, 0)
 
 
-def _scan(q: int, n: int, dim: int, total: int, vector_lists: List[List[int]],
-          factors: Callable[[tuple, tuple, tuple], Sequence[Sequence[int]]],
-          generators: Callable[[tuple, tuple, tuple], Iterable[Iterable[int]]]
-          ) -> CoverageReport:
-    """Report of a census that visits every dim-subspace of F_q^n.
+def _scan(q: int, n: int, dim: int, vector_lists: List[List[int]]
+          ) -> Tuple[Counter, Callable[[Iterable[int]], int]]:
+    """Multiplicity histogram of the dim-subspaces of F_q^n, and holders.
 
     A target's multiplicity is the number of vector lists, one per block,
-    that hold all of its generators: the popcount of the AND of the
-    generators' block bitmasks.  For one grassmannian_choices entry
-    (pivots, rows, packed), factors(pivots, rows, packed) lists per factor
-    the packed vectors whose product is the multiset of its targets'
-    generator sets, and _count_product counts that product's histogram.
-    Only when some target is uncovered are the entries that hold one walked
-    again, target by target in enumerate_grassmannian order with
-    generators(pivots, rows, packed) giving each target's generators in
-    itertools.product order, until the first WITNESS_CAP are found.
+    that hold all of its packed RREF rows: the popcount of the AND of the
+    rows' block bitmasks.  Per grassmannian_choices entry, _count_product
+    counts that AND over the product of the rows' mask lists.
+    holders(vectors) is the bitmask of the lists that hold every one of the
+    given packed vectors, for the witness walks.
     """
     masks: Dict[int, int] = {}
     for j, vectors in enumerate(vector_lists):
@@ -187,25 +182,12 @@ def _scan(q: int, n: int, dim: int, total: int, vector_lists: List[List[int]],
     every = (1 << len(vector_lists)) - 1
     get = masks.get
     found: Counter = Counter()
-    pending = []  # (entry, its uncovered targets) until WITNESS_CAP are known
-    wanted = WITNESS_CAP
-    for choice in grassmannian_choices(q, n, dim):
-        before = found[0]
-        _count_product(every, [[get(v, 0) for v in vectors]
-                               for vectors in factors(*choice)], found)
-        if wanted > 0 and found[0] > before:
-            pending.append((choice, found[0] - before))
-            wanted -= found[0] - before
-
-    def misses() -> Iterator[Subspace]:
-        zeros = itertools.repeat(0)
-        for choice, uncovered in pending:
-            hit = (t for t, gens in zip(itertools.product(*choice[2]),
-                                        generators(*choice))
-                   if not functools.reduce(and_, map(get, gens, zeros), every))
-            for t in itertools.islice(hit, uncovered):
-                yield _target(q, n, choice, t)
-    return _report(total, found, misses())
+    for _, _, packed in grassmannian_choices(q, n, dim):
+        _count_product(every, [[get(v, 0) for v in choices] for choices in packed],
+                       found)
+    zeros = itertools.repeat(0)
+    return found, lambda vectors: functools.reduce(and_, map(get, vectors, zeros),
+                                                   every)
 
 
 def verify_covering(design: SubspaceDesign, r: int,
@@ -236,12 +218,11 @@ def verify_covering(design: SubspaceDesign, r: int,
             rows_of = _local_rows(q, k, r)
             for block in design.blocks:
                 counts.update(rows_of(packed_vectors(block)))
-        return _report_from_counts(counts, total,
-                                   _grassmannian_misses(q, n, r, counts, 2))
+        return _report_from_counts(counts, total, _grassmannian_misses(
+            q, n, r, counts.__contains__, 2))
     if strategy == "scan":
-        return _scan(q, n, r, total, [packed_vectors(b) for b in design.blocks],
-                     lambda pivots, rows, packed: packed,
-                     lambda pivots, rows, packed: itertools.product(*packed))
+        found, holders = _scan(q, n, r, [packed_vectors(b) for b in design.blocks])
+        return _report(total, found, _grassmannian_misses(q, n, r, holders, 2))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -310,10 +291,8 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
         assert not rest, f"{count} incidences over an orbit of {sizes[orbit]}"
         histogram[multiplicity] += sizes[orbit]
     histogram[0] = total - sum(sizes.values())
-    misses = (_target(2, n, choice, t) for choice in grassmannian_choices(2, n, r)
-              for t in itertools.product(*choice[2])
-              if action.orbit(_xor_span(t))[0] not in incidences)
-    return blocks, _report(total, histogram, misses)
+    return blocks, _report(total, histogram, _grassmannian_misses(
+        2, n, r, lambda t: action.orbit(_xor_span(t))[0] in incidences, 2))
 
 
 def verify_turan(design: SubspaceDesign, k: int,
@@ -324,15 +303,15 @@ def verify_turan(design: SubspaceDesign, k: int,
     means every k-subspace contains at least one block.  strategy is
     "expand" (the default, as in verify_covering) or "scan".  Expand counts
     the RREF rows of every superspace of every block; its witness walk reads
-    grassmannian_choices rows, unpacked, against them.  Scan uses b <= t iff
-    t-perp <= b-perp: it marks the vectors of each block's complement with
-    block bitmasks and ANDs the masks of each target's n - k complement
-    generators, so it builds no vector set per target and does no row
-    reduction.  Each generator depends on one non-pivot column of the
-    target, so per pivot set the scan counts the AND over the product of
-    the per-column generator lists of complement_columns, and walks the
-    targets in order, with complement_generators read off their RREF rows,
-    only to list the witnesses.
+    grassmannian_choices rows, unpacked, against them.  Scan is the covering
+    scan of the block complements: b <= t iff t-perp <= b-perp, and
+    t -> t-perp maps the k-subspaces one to one onto the (n - k)-subspaces,
+    so it marks the complement_vectors of each block with block bitmasks and
+    counts the (n - k)-subspaces as verify_covering's scan counts targets,
+    with the same histogram.  Only when some target is uncovered does it
+    walk the k-subspaces in order, testing the masks of the
+    complement_generators read off their RREF rows, and it builds a Subspace
+    only for a miss.
     """
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
@@ -344,14 +323,17 @@ def verify_turan(design: SubspaceDesign, k: int,
         counts: Counter = Counter()
         for block in design.blocks:
             counts.update([t.rows for t in superspaces_containing(block, k)])
-        return _report_from_counts(counts, total,
-                                   _grassmannian_misses(q, n, k, counts, 1))
+        return _report_from_counts(counts, total, _grassmannian_misses(
+            q, n, k, counts.__contains__, 1))
     if strategy == "scan":
-        return _scan(q, n, k, total, [complement_vectors(b) for b in design.blocks],
-                     lambda pivots, rows, packed:
-                     complement_columns(q, n, pivots, rows),
-                     lambda pivots, rows, packed:
-                     complement_generators(q, n, pivots, rows))
+        found, holders = _scan(q, n, n - k,
+                               [complement_vectors(b) for b in design.blocks])
+        return _report(total, found, (
+            Subspace(q, n, t, pivots)
+            for pivots, rows, _ in grassmannian_choices(q, n, k)
+            for t, generators in zip(itertools.product(*rows),
+                                     complement_generators(q, n, pivots, rows))
+            if not holders(generators)))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -305,16 +305,6 @@ def get_gf(q: int) -> Field:
 
 # vectors over F_q ---------------------------------------------------------
 
-def vec_add(gf: Field, u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
-    if len(u) != len(v):
-        raise FieldError("vector length mismatch")
-    return tuple(gf.row_sub(u, gf.neg(1), v))
-
-
-def vec_scale(gf: Field, c: int, v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(gf.row_scale(c, v))
-
-
 def vec_pack(q: int, v: Sequence[int]) -> int:
     """Integer encoding of a vector, coordinate 0 least significant."""
     val = 0

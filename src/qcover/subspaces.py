@@ -61,13 +61,15 @@ class Subspace:
     """A k-dimensional subspace of F_q^n in canonical RREF form.
 
     An immutable value: equality and hashing use (q, n, rows) only, since the
-    canonical rows determine the pivots.
+    canonical rows determine the pivots.  The pivots are required, and must
+    be the rows' pivot columns: membership, complements and sort keys read
+    them.
     """
 
     __slots__ = ("q", "n", "rows", "pivots")
 
     def __init__(self, q: int, n: int, rows: Tuple[Tuple[int, ...], ...],
-                 pivots: Tuple[int, ...] = ()):
+                 pivots: Tuple[int, ...]):
         _set_q(self, q)
         _set_n(self, n)
         _set_rows(self, rows)
@@ -216,51 +218,6 @@ def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
         prefix = tuple(map(sum, zip(units, *head)))
         for part in last:
             yield tuple(map(add, prefix, part))
-
-
-def complement_columns(q: int, n: int, pivots: Tuple[int, ...],
-                       rows: Sequence[Sequence[Sequence[int]]]
-                       ) -> Tuple[Tuple[int, ...], ...]:
-    """complement_generators of a grassmannian_choices entry, column by column.
-
-    One tuple per non-pivot column fc: the packed generator
-    e_fc - sum_i c_i * e_{pivots[i]} for every column vector (c_i) that the
-    entry's RREFs take at fc.  Row i is zero at fc unless pivots[i] < fc, and
-    a split first row fixes its leading free entries.  Each generator depends
-    on its own column only, so the product of these tuples is the same
-    multiset of generator sets as complement_generators yields row by row.
-    """
-    if pivots:  # the first row has n - k - pivots[0] free columns
-        free0 = n - len(pivots) - pivots[0]
-        split = 0
-        while q ** (free0 - split) > len(rows[0]):
-            split += 1
-        if split:
-            cols = [c for c in range(pivots[0] + 1, n) if c not in pivots]
-            head = tuple([rows[0][0][c] for c in cols[:split]])
-            return _complement_columns.__wrapped__(q, n, pivots, head)
-    return _complement_columns(q, n, pivots, ())
-
-
-# Bounded like _quotient_tables, whose keys these share.  Split first rows
-# bypass it, as they bypass _row_choices.
-@functools.lru_cache(maxsize=128)
-def _complement_columns(q: int, n: int, pivots: Tuple[int, ...],
-                        head: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """complement_columns for one pivot set, with the leading free entries of
-    the first row fixed to head."""
-    gf = get_gf(q)
-    neg = [gf.neg(c) for c in range(q)]
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    fixed = dict(zip([c for c in free if c > pivots[0]], head)) if head else {}
-    out = []
-    for fc in free:
-        terms = [[neg[c] * q ** p for c in
-                  ((fixed[fc],) if not i and fc in fixed else range(q))]
-                 for i, p in enumerate(pivots) if p < fc]
-        out.append(tuple([q ** fc + sum(t) for t in itertools.product(*terms)]))
-    return tuple(out)
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:

@@ -10,10 +10,11 @@ superspaces_containing build each RREF directly and must yield exactly what
 the references yield, in the same order.  packed_vectors must equal vec_pack
 of every enumerate_vectors vector, in order.  enumerate_grassmannian must
 equal the template odometer kept here, and local_row_indices the positions
-of RREF rows among enumerate_vectors.  The product of complement_columns must
-be the multiset of complement_generators, split first rows included, and
-complement_vectors must list what the generator-based construction kept here
-lists, in the same order.
+of RREF rows among enumerate_vectors.  complement_vectors must list what the
+generator-based construction kept here lists, in the same order.  The Turan
+scan is the covering scan of the block complements, counted on the
+(n - k)-subspaces, so its reports pin the duality t -> t-perp as well: the
+same histogram, and the witnesses in the order of the k-subspaces.
 verify_orbits, the census of a design invariant under a GroupAction taken
 on its base blocks only, must equal expand and scan on the expanded design.
 """
@@ -25,21 +26,22 @@ from collections import Counter
 
 import pytest
 
-from qcover import constructions, subspaces
+from qcover import constructions, designs, subspaces
 from qcover.bounds import bound_table, gaussian
 from qcover.constructions import (GF64_QUADS, ConstructionError,
                                   gf64_covering_design, gf64_orbits)
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_orbits, verify_turan)
-from qcover.fields import get_gf, vec_add, vec_pack, vec_scale, vec_unpack
+from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
-                              complement_columns,
                               complement_generators, complement_vectors,
                               enumerate_grassmannian, enumerate_vectors,
                               full_space, grassmannian_choices,
                               local_row_indices, orthogonal_complement,
                               packed_vectors, span, subspaces_of,
                               superspaces_containing, xor_rref)
+
+from vector_reference import vec_add, vec_scale
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
@@ -169,9 +171,9 @@ def test_reports_equal_oracle_on_random_designs(chunk):
 @pytest.mark.parametrize("q", sorted(MAX_N))
 def test_scan_under_split_first_rows_equals_oracle(q, monkeypatch):
     """With ROW_CHUNK = 2 nearly every first row is split over several
-    grassmannian_choices entries.  The Turan scan must take each part's
-    column lists with its own fixed head entries, and the witness walk must
-    cross the parts in enumeration order."""
+    grassmannian_choices entries.  Both scans, the Turan one on the
+    (n - k)-subspaces of the block complements, must count every part once,
+    and the witness walks must cross the parts in enumeration order."""
     monkeypatch.setattr(subspaces, "ROW_CHUNK", 2)
     rng = random.Random(4100 + q)
     for _ in range(SPLIT_DESIGNS):
@@ -267,8 +269,6 @@ def test_scan_edge_cases_equal_oracle(name):
 
 def test_scan_uses_no_expand_kernel(monkeypatch):
     """Scan stays a route independent of expand and of contains_subspace."""
-    from qcover import designs, subspaces
-
     def forbidden(*args):
         raise AssertionError("called by scan")
     for module in (designs, subspaces):
@@ -444,23 +444,6 @@ def test_complement_vectors_budget(q, n):
     assert time.perf_counter() - start < 0.5
 
 
-@pytest.mark.parametrize("row_chunk", [subspaces.ROW_CHUNK, 2])
-@pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
-def test_complement_columns_are_the_generators_column_by_column(
-        q, row_chunk, monkeypatch):
-    """For every grassmannian_choices entry, split or not, the product of
-    the per-column generator lists is the multiset of generator tuples that
-    complement_generators yields row by row."""
-    monkeypatch.setattr(subspaces, "ROW_CHUNK", row_chunk)
-    for n in range(COMPLEMENT_MAX_N[q] + 1):
-        for d in range(n + 1):
-            for pivots, rows, _ in grassmannian_choices(q, n, d):
-                columns = complement_columns(q, n, pivots, rows)
-                assert len(columns) == n - d
-                assert Counter(itertools.product(*columns)) == Counter(
-                    complement_generators(q, n, pivots, rows)), (n, pivots)
-
-
 def test_turan_scan_budget_is_the_block_complement():
     """A zero-dimensional block's complement is all of F_2^25: 2^25 vectors,
     past the budget, even though the one target has no generators."""
@@ -533,6 +516,28 @@ def test_turan_witnesses_after_many_covered_targets(q, n, k, missed):
     assert expected.histogram[0] == len(missed) and missed[0] >= 1000
     for strategy in ("expand", "scan"):
         assert verify_turan(design, k, strategy) == expected, strategy
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 6, 3), (3, 4, 1)])
+def test_scans_build_a_subspace_only_for_a_witness(q, n, k, monkeypatch):
+    """Both scans count on packed rows and test each walked target on its
+    masks, so with more uncovered targets than WITNESS_CAP each builds
+    exactly WITNESS_CAP subspaces, its witnesses."""
+    design = sampled_blocks(q, n, k, 2, 11)
+    built = []
+
+    def counted(*args):
+        built.append(Subspace(*args))
+        return built[-1]
+    monkeypatch.setattr(designs, "Subspace", counted)
+    censuses = [(verify_covering, r) for r in range(1, k + 1)]
+    censuses += [(verify_turan, t) for t in range(k, n)]
+    for census, dim in censuses:
+        built.clear()
+        report = census(design, dim, "scan")
+        assert report.histogram[0] > WITNESS_CAP, (census, dim)
+        assert built == list(report.witnesses), (census, dim)
+        assert len(built) == WITNESS_CAP
 
 
 # orbit census -----------------------------------------------------------------
@@ -626,7 +631,7 @@ def test_group_action_orbit_equals_brute_force_with_stabilisers():
     (fixed by the Singer action); on every space they include every single
     vector and unions of 1-3 vector orbits, so many have nontrivial
     stabilisers."""
-    singer, bases = gf64_orbits()
+    singer, bases, _ = gf64_orbits()
     units = [1 << i for i in range(7)]
     columns = {"gf64": singer.image(units, 1), "shift7": SHIFT_7,
                "sum7x3": SUM_7_3}
@@ -697,7 +702,7 @@ def test_orbit_census_with_a_fixed_block():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_gf64_orbit_census_equals_expand_and_scan(r):
-    singer, bases = gf64_orbits()
+    singer, bases, _ = gf64_orbits()
     design = gf64_covering_design()
     count, report = verify_orbits(singer, bases, r)
     assert count == len(design) == 399
@@ -727,7 +732,7 @@ def test_orbit_census_equals_expand_and_scan_on_random_designs(name, designs):
 
 
 def test_orbit_census_rejects_bad_input():
-    singer, bases = gf64_orbits()
+    singer, bases, _ = gf64_orbits()
     shifted = xor_rref(7, singer.image(packed_vectors(bases[0]), 5))[1]
     with pytest.raises(ValueError, match="base blocks 0 and 7 lie in one orbit"):
         verify_orbits(singer, bases + [shifted], 2)

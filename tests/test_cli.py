@@ -288,6 +288,26 @@ def test_construct_recursive_mismatched_inputs_exit_2(tmp_path, capsys):
     assert "RESULT:" not in out
 
 
+@pytest.mark.parametrize("r", [0, 4])
+def test_construct_recursive_r_out_of_range_exit_2(tmp_path, capsys, r):
+    """The k of --s2 bounds r; the message names --r and the value given."""
+    s1, s2 = tmp_path / "s1.txt", tmp_path / "s2.txt"
+    designs.save_design(optimal_line_covering(2, 4, 2), str(s1))
+    designs.save_design(turan_dual_covering(2, 4, 2), str(s2))
+    code, out, err = run(capsys, "construct", "recursive",
+                         "--s1", str(s1), "--s2", str(s2), "--r", str(r))
+    assert code == 2 and "RESULT:" not in out
+    assert err == (f"invalid input: --r must be in 1..3 (at most the k of "
+                   f"--s2), got {r}\n")
+
+
+def test_bounds_malformed_filter_exit_2(capsys):
+    code, out, err = run(capsys, "bounds", "--q", "2", "--n-max", "4",
+                         "--filter", "3,2")
+    assert code == 2 and "RESULT:" not in out
+    assert err == "invalid input: --filter must be n,k,r, got '3,2'\n"
+
+
 def test_expand_non_binary_design_exit_2(tmp_path, capsys):
     design = tmp_path / "q3.txt"
     run(capsys, "construct", "trivial", "--q", "3", "--n", "3", "--r", "2",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qcover import constructions
-from qcover.bounds import basic_lower, gaussian
+from qcover.bounds import basic_lower, bound_table, gaussian
 from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   GF64_QUADS, ConstructionError, derive_steiner,
                                   expand_to_steiner_system, greedy_covering,
@@ -17,10 +17,12 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   turan_dual_covering, turan_point_design)
 from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
                             dualize, verify_covering, verify_turan)
-from qcover.fields import field_new, get_gf, vec_add
+from qcover.fields import field_new, get_gf
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
                               enumerate_vectors, full_space, intersect,
                               packed_vectors, span)
+
+from vector_reference import vec_add
 
 
 def test_trivial_steiner():
@@ -303,6 +305,24 @@ def test_gf64_orbit_structure():
             image = frozenset(times_alpha[v] for v in image)
         sizes.append(size)
     assert sorted(sizes) == [21] + [63] * 6
+
+
+def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
+    """gf64_orbits sizes the seven base orbits, and verify_orbits takes 7
+    base and 49 target orbits: 63 GroupAction.orbit calls for the design
+    and for the bound table alike, so the construction reuses the sizes."""
+    calls = []
+    orbit = GroupAction.orbit
+
+    def counted(self, vectors):
+        calls.append(1)
+        return orbit(self, vectors)
+    monkeypatch.setattr(GroupAction, "orbit", counted)
+    gf64_covering_design()
+    assert len(calls) == 63
+    calls.clear()
+    bound_table(2, 7)
+    assert len(calls) == 63
 
 
 def test_gf64_image_of_rank_below_3_raises(monkeypatch):

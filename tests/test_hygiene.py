@@ -37,8 +37,6 @@ UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "field_new"),
                     ("fields.py", "get_gf")}
 # (module, function) -> why it stays although src/qcover never calls it.
 UNREFERENCED = {
-    ("fields.py", "vec_add"): "the benchmark's tracer counts its calls",
-    ("fields.py", "vec_scale"): "the benchmark's tracer counts its calls",
     ("subspaces.py", "full_space"): "tests build reference spaces with it",
     ("subspaces.py", "enumerate_vectors"): "tests pin packed_vectors to it",
 }

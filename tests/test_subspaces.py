@@ -9,13 +9,15 @@ import pytest
 from qcover import subspaces
 from qcover.bounds import gaussian
 from qcover.designs import SubspaceDesign
-from qcover.fields import get_gf, vec_add, vec_pack, vec_unpack
+from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
                               contains_subspace, contains_vector,
                               enumerate_grassmannian, enumerate_vectors,
                               full_space, intersect, orthogonal_complement,
                               packed_vectors, rref, span, subspaces_of,
                               sum_subspaces, superspaces_containing, xor_rref)
+
+from vector_reference import vec_add
 
 
 def random_subspace(rng, q, n, k):
@@ -200,10 +202,11 @@ def test_subspace_is_immutable():
 
 def test_subspace_equality_and_hash_ignore_pivots():
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
-    bare = Subspace(3, 4, s.rows)
+    bare = Subspace(3, 4, s.rows, ())
     assert bare.pivots == ()
     assert bare == s and hash(bare) == hash(s) == hash((3, 4, s.rows))
-    assert s != Subspace(2, 4, s.rows) and s != Subspace(3, 5, s.rows)
+    assert s != Subspace(2, 4, s.rows, s.pivots)
+    assert s != Subspace(3, 5, s.rows, s.pivots)
     assert s != span(3, 4, [(1, 2, 0, 1)])
     assert s != (3, 4, s.rows)
     assert len({s, bare, span(3, 4, s.rows)}) == 1
@@ -223,8 +226,17 @@ def test_design_from_blocks_deduplicates_equal_subspaces():
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     other = span(3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     again = span(3, 4, [(1, 2, 1, 0), (0, 0, 2, 1)])  # another basis of s
-    d = SubspaceDesign.from_blocks([s, other, again, Subspace(3, 4, s.rows)])
+    d = SubspaceDesign.from_blocks([s, other, again, Subspace(3, 4, s.rows, ())])
     assert d.blocks == (other, s)
+
+
+def test_subspace_needs_its_pivots():
+    """Rows with no pivots would give a subspace whose membership tests and
+    complement read no pivot columns, so the pivots have no default."""
+    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    with pytest.raises(TypeError):
+        Subspace(3, 4, s.rows)
+    assert Subspace(3, 4, s.rows, s.pivots).pivots == (0, 2)
 
 
 def test_subspaces_caches_are_bounded():

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input or
 parameters (and any unexpected error, reported on one stderr line with its
-type and no traceback), 3 enumeration budget exceeded.  Every command prints
+type and no traceback), 3 enumeration budget exceeded, 141 stdout closed by
+its reader (a broken pipe, as a shell reports SIGPIPE; nothing is printed and
+the process's stdout goes to os.devnull from then on).  Every command prints
 a final machine-readable line
 `RESULT: <command> <params> verdict=<v> size=<s>`.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 
 def _result(command: str, params: str, verdict, size) -> None:
@@ -164,7 +168,8 @@ def cmd_bounds(args) -> int:
                   file=sys.stderr)
             return EXIT_BAD_INPUT
         if (n, k, r) not in table:
-            print(f"no entry for ({n},{k},{r})", file=sys.stderr)
+            print(f"invalid input: --filter ({n},{k},{r}) is not in the table "
+                  f"for q={args.q} n<={args.n_max}", file=sys.stderr)
             return EXIT_BAD_INPUT
         rec = table[(n, k, r)]
         print(bounds_mod.format_table({(n, k, r): rec}, csv=args.csv))
@@ -297,7 +302,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process has no stdout
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left; the input was fine
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # Send the process's stdout to os.devnull so that the flush at
+            # exit does not fail again; a stream that an in-process caller
+            # put in sys.stdout is the caller's to handle.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add
+from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
@@ -501,13 +501,18 @@ def _column_table(q: int, column: Tuple[int, ...]) -> Tuple[int, ...]:
     """c . column for every coefficient vector c, in enumerate_vectors order.
 
     The first coefficient varies slowest, matching the odometer index
-    sum(c_i * q^(dim-1-i)) of enumerate_vectors.
+    sum(c_i * q^(dim-1-i)) of enumerate_vectors.  Prime fields multiply and
+    add mod q on plain ints, extension fields call Field.mul and Field.add.
     """
     gf = get_gf(q)
     out = [0]
     for x in column:
-        multiples = [gf.mul(c, x) for c in range(q)]
-        out = [gf.add(u, m) for u in out for m in multiples]
+        if gf.m == 1:
+            multiples = [(c * x) % q for c in range(q)]
+            out = [(u + m) % q for u in out for m in multiples]
+        else:
+            multiples = [gf.mul(c, x) for c in range(q)]
+            out = [gf.add(u, m) for u in out for m in multiples]
     return tuple(out)
 
 
@@ -559,14 +564,16 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
                        tuple(s.pivots[i] for i in local.pivots))
 
 
-# Bounded; 128 holds the 77 (pivots, k) keys of a whole random-census run.
+# Bounded; random-census's design classes allow at most 106 (q, n, pivots,
+# k) keys, and a 30 s run of it touches 84-90 of them.
 @functools.lru_cache(maxsize=128)
 def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
     """The (k - d)-subspaces L of the coordinates outside pivots.
 
-    One entry per L, in enumerate_grassmannian(q, n - d, k - d) order: L's
-    RREF rows embedded in F_q^n, their pivot columns, the order that sorts
-    the rows of s followed by L's rows by pivot, and the pivots of s + L.
+    One entry per L, in enumerate_grassmannian(q, n - d, k - d) order: the
+    (pivot column, row) pairs of L's RREF rows embedded in F_q^n, those rows
+    as a tuple, an itemgetter that puts the rows of s followed by L's rows
+    in pivot order, and the pivots of s + L.
     """
     pivset = set(pivots)
     comp_cols = [c for c in range(n) if c not in pivset]
@@ -580,8 +587,12 @@ def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
             rows.append(tuple(v))
         lpivots = tuple(comp_cols[p] for p in local.pivots)
         merged = pivots + lpivots
-        order = tuple(sorted(range(len(merged)), key=merged.__getitem__))
-        out.append((tuple(rows), lpivots, order, tuple(sorted(merged))))
+        order = sorted(range(k), key=merged.__getitem__)
+        # itemgetter of one index returns the bare item; up to one row the
+        # order is the identity anyway.
+        merge = itemgetter(*order) if k > 1 else tuple
+        out.append((tuple(zip(lpivots, rows)), tuple(rows), merge,
+                    tuple(sorted(merged))))
     return tuple(out)
 
 
@@ -592,18 +603,27 @@ def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:
     inside the fixed complement spanned by standard basis vectors at the
     non-pivot columns of s.  L's rows are zero at s's pivots and at each
     other's pivots, so clearing each row of s at L's pivot columns and
-    sorting all rows by pivot gives the RREF of s + L.
+    sorting all rows by pivot gives the RREF of s + L.  Prime fields clear
+    with inline integer arithmetic, extension fields with Field.row_sub.
     """
     d = s.dim
     if not d <= k <= s.n:
         raise ValueError(f"need dim <= k <= n, got k={k}")
-    gf = get_gf(s.q)
-    for lrows, lpivots, order, pivots in _quotient_tables(s.q, s.n, s.pivots, k):
+    q, n, srows = s.q, s.n, s.rows
+    gf = get_gf(q)
+    prime = gf.m == 1
+    for pairs, lrows, merge, pivots in _quotient_tables(q, n, s.pivots, k):
         rows = []
-        for row in s.rows:
-            for c, lrow in zip(lpivots, lrows):
-                if row[c]:
-                    row = gf.row_sub(row, row[c], lrow)
+        for row in srows:
+            for c, lrow in pairs:
+                a = row[c]
+                if a:
+                    if q == 2:
+                        row = [u ^ v for u, v in zip(row, lrow)]
+                    elif prime:
+                        row = [(u - a * v) % q for u, v in zip(row, lrow)]
+                    else:
+                        row = gf.row_sub(row, a, lrow)
             rows.append(tuple(row))
         rows += lrows
-        yield Subspace(s.q, s.n, tuple([rows[i] for i in order]), pivots)
+        yield Subspace(q, n, merge(rows), pivots)

@@ -285,7 +285,7 @@ def test_scan_uses_no_expand_kernel(monkeypatch):
 
 
 # Largest ambient dimension per q for the generator comparison.
-GENERATOR_MAX_N = {2: 6, 3: 4, 4: 4, 5: 4, 8: 4, 9: 4}
+GENERATOR_MAX_N = {2: 6, 3: 5, 4: 4, 5: 4, 8: 4, 9: 4}
 
 
 def random_rref(rng, q, n, pivots):
@@ -298,25 +298,34 @@ def random_rref(rng, q, n, pivots):
     return s
 
 
-@pytest.mark.parametrize("q", sorted(GENERATOR_MAX_N))
-def test_generators_equal_span_reference(q):
-    """Same subspaces, order and pivots as the span route, for one random
-    subspace per pivot set of every dimension, every k and every r."""
+def generator_inputs(q):
+    """One random subspace per pivot set of every dimension up to
+    GENERATOR_MAX_N[q]; for q = 3 also the points of T_3[6,5,1], whose
+    superspaces the q=3 Turan census counts."""
     rng = random.Random(q)
     for n in range(GENERATOR_MAX_N[q] + 1):
         for d in range(n + 1):
             for pivots in itertools.combinations(range(n), d):
-                s = random_rref(rng, q, n, pivots)
-                for k in range(d, n + 1):
-                    got = list(superspaces_containing(s, k))
-                    expected = list(reference_superspaces_containing(s, k))
-                    assert got == expected, (s, k)
-                    assert [t.pivots for t in got] == [t.pivots for t in expected]
-                for r in range(d + 1):
-                    got = list(subspaces_of(s, r))
-                    expected = list(reference_subspaces_of(s, r))
-                    assert got == expected, (s, r)
-                    assert [t.pivots for t in got] == [t.pivots for t in expected]
+                yield random_rref(rng, q, n, pivots)
+    if q == 3:
+        yield from constructions.turan_point_design(3, 6, 5, verify=False).blocks
+
+
+@pytest.mark.parametrize("q", sorted(GENERATOR_MAX_N))
+def test_generators_equal_span_reference(q):
+    """Same subspaces, order and pivots as the span route, for every input
+    subspace, every k and every r."""
+    for s in generator_inputs(q):
+        for k in range(s.dim, s.n + 1):
+            got = list(superspaces_containing(s, k))
+            expected = list(reference_superspaces_containing(s, k))
+            assert got == expected, (s, k)
+            assert [t.pivots for t in got] == [t.pivots for t in expected]
+        for r in range(s.dim + 1):
+            got = list(subspaces_of(s, r))
+            expected = list(reference_subspaces_of(s, r))
+            assert got == expected, (s, r)
+            assert [t.pivots for t in got] == [t.pivots for t in expected]
 
 
 # Largest ambient dimension per q for the packed_vectors comparison.

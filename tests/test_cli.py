@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -306,6 +307,65 @@ def test_bounds_malformed_filter_exit_2(capsys):
                          "--filter", "3,2")
     assert code == 2 and "RESULT:" not in out
     assert err == "invalid input: --filter must be n,k,r, got '3,2'\n"
+
+
+@pytest.mark.parametrize("triple", ["9,9,9", "3,2,-1"])
+def test_bounds_filter_not_in_table_exit_2(capsys, triple):
+    code, out, err = run(capsys, "bounds", "--q", "2", "--n-max", "4",
+                         "--filter", triple)
+    assert code == 2 and "RESULT:" not in out
+    assert err == (f"invalid input: --filter ({triple}) is not in the table "
+                   f"for q=2 n<=4\n")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--q", "2", "--n-max", "7"],
+    ["construct", "spread", "--q", "2", "--k", "2", "--n", "4"]])
+def test_closed_stdout_is_not_bad_input(argv):
+    """The caller's redirected stdout stays in place and no fd is touched."""
+    out, err = ClosedPipe(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+        assert sys.stdout is out
+    assert code == cli.EXIT_BROKEN_PIPE == 141
+    assert err.getvalue() == ""
+
+
+def test_closed_stdout_pipe_exits_141_in_a_process():
+    """A stdout pipe with no reader: exit 141, nothing on stderr, and no
+    second failure when the interpreter flushes stdout at exit."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qcover.cli", "bounds", "--q", "2",
+             "--n-max", "2"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
+def test_process_without_stdout_succeeds():
+    """With fd 1 closed at start, sys.stdout is None and print does nothing;
+    main's flush must not turn that into an error."""
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    command = (f"{shlex.quote(sys.executable)} -m qcover.cli bounds --q 2 "
+               f"--n-max 2 >&-")
+    done = subprocess.run(command, shell=True, env=env, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_expand_non_binary_design_exit_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from . import designs
 from .designs import FormatError
-from .fields import FieldError, get_gf
+from .fields import FieldError, get_gf, is_prime
 from .subspaces import BudgetError, span
 
 EXIT_OK = 0
@@ -53,7 +53,8 @@ def _recursive(args):
 
 
 # Each construction kind, in the order `construct --help` lists them: the
-# arguments it reads and its builder.  q must be a prime power, the integer
+# arguments it reads and its builder.  q must be a prime power (a prime for
+# the kinds built on a field tower over GF(q), TOWER_KINDS), the integer
 # arguments among n, k, rho at least 1, k at most n, r in 0..k (0..n without
 # a k, and 1..k of --s2 for recursive, checked once --s2 is read) and delta
 # at least 0.
@@ -73,6 +74,7 @@ CONSTRUCTIONS = {
                lambda a: cons.greedy_covering(a.q, a.n, a.k, a.r)),
     "trivial": (("q", "n", "r"), lambda a: cons.trivial_steiner(a.q, a.n, a.r)),
 }
+TOWER_KINDS = ("spread", "partial-spread", "line-covering")
 
 
 def _bad_construct_arg(args):
@@ -91,6 +93,8 @@ def _bad_construct_arg(args):
             get_gf(args.q)
         except FieldError:
             return f"--q must be a prime power, got {args.q}"
+        if args.kind in TOWER_KINDS and not is_prime(args.q):
+            return f"--q must be prime for construct {args.kind}, got {args.q}"
     if "k" in needed and "n" in needed and args.k > args.n:
         return f"--k must be at most --n={args.n}, got {args.k}"
     if "r" in needed and ("k" in needed or "n" in needed):

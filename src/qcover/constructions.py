@@ -18,11 +18,11 @@ from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_orbits, verify_steiner_system,
                       verify_turan, dualize)
-from .fields import (Field, field_new, flatten_ext_vector, get_gf, is_prime,
-                     vec_pack)
+from .fields import Field, field_new, get_gf, is_prime, vec_pack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM, Subspace,
-                        _xor_span, contains_subspace, enumerate_grassmannian,
-                        packed_vectors, span, subspaces_of, xor_rref)
+                        _local_rows, _xor_span, contains_subspace,
+                        enumerate_grassmannian, packed_vectors, span,
+                        subspaces_of, xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -63,9 +63,10 @@ def trivial_steiner(q: int, n: int, r: int) -> SubspaceDesign:
 def spread(q: int, k: int, n: int) -> SubspaceDesign:
     """Partition of the nonzero vectors of F_q^n into k-subspaces (k | n).
 
-    Realized through the field tower: blocks are the GF(q^k)-multiples of a
-    transversal of the projective points of GF(q^k)^(n/k), flattened back to
-    coordinate vectors over GF(q).
+    Realized through the field tower: blocks are the GF(q^k)-multiples of
+    the projective points of GF(q^k)^(n/k), as coordinate vectors over
+    GF(q).  _field_tower with m = k gives every block but the last, the
+    last k coordinates, which it returns as its residual.
     """
     if n % k != 0:
         raise ValueError(f"k={k} does not divide n={n}")
@@ -73,21 +74,8 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
     expected = (q ** n - 1) // (q ** k - 1)
     if expected > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"spread[{k},{n}]_{q} needs {expected} blocks")
-    ext = field_new(q, k)
-    s = n // k
-    basis = [q ** j for j in range(k)]  # coefficient-vector basis 1, x, .., x^(k-1)
-    blocks = []
-    for lead in range(s):
-        for tail in itertools.product(range(ext.q), repeat=s - 1 - lead):
-            w = (0,) * lead + (1,) + tail
-            rows = []
-            for b in basis:
-                rows.append(flatten_ext_vector(ext, [ext.mul(b, c) for c in w]))
-            block = span(q, n, rows)
-            if block.dim != k:
-                raise ConstructionError("spread block has wrong dimension")
-            blocks.append(block)
-    design = SubspaceDesign.from_blocks(blocks, label=f"spread[{k},{n}]_{q}",
+    blocks, last = _field_tower(q, k, k, n)
+    design = SubspaceDesign.from_blocks(blocks + [last], label=f"spread[{k},{n}]_{q}",
                                         q=q, n=n, k=k)
     if len(design) != expected:
         raise ConstructionError(f"spread size {len(design)} != {expected}")
@@ -140,24 +128,39 @@ class PartialSpreadResult:
 
 
 def partial_spread(q: int, rho: int, n: int) -> PartialSpreadResult:
-    """Partial spread for n = s*rho + m with rho < m < 2*rho, s >= 1.
-
-    Level t peels off a GF(q^rho) head: blocks are graphs x -> (x*z_1, ...,
-    x*z_(s-t), phi(x)*w) over all scalar tuples z, with phi the padded
-    embedding GF(q^rho) -> GF(q^m).  Distinct tuples give trivially
-    intersecting blocks and every vector with nonzero head is covered once;
-    the residual is the last-m-coordinates subspace.
-    """
+    """Partial spread for n = s*rho + m with rho < m < 2*rho, s >= 1: the
+    blocks and residual of _field_tower."""
     if n % rho == 0 or n <= 2 * rho:
         raise ValueError(
             f"no decomposition n = s*rho + m with rho < m < 2*rho for "
             f"(rho={rho}, n={n})")
     _require_prime(q, "partial_spread")
     m = n % rho + rho
-    s = (n - m) // rho
     expected = (q ** n - q ** m) // (q ** rho - 1)
     if expected > MAX_SUBSPACE_ENUM:
         raise BudgetError(f"partial spread[{rho},{n}]_{q} needs {expected} blocks")
+    blocks, residual = _field_tower(q, rho, m, n)
+    if len(set(blocks)) != expected:
+        raise ConstructionError(
+            f"partial spread size {len(set(blocks))} != {expected}")
+    result = PartialSpreadResult(q, n, rho, tuple(blocks), residual)
+    _check_partial_spread_partition(result)
+    return result
+
+
+def _field_tower(q: int, rho: int, m: int, n: int
+                 ) -> Tuple[List[Subspace], Subspace]:
+    """The rho-subspaces of F_q^n, n = s*rho + m with m >= rho, that hold
+    every vector with a nonzero head (first n - m coordinates) once, and
+    the residual, the last-m-coordinates subspace.
+
+    Level t peels off a GF(q^rho) head: blocks are graphs x -> (x*z_1, ...,
+    x*z_(s-t), phi(x)*w) over all scalar tuples z, with phi the padded
+    embedding GF(q^rho) -> GF(q^m).  Distinct tuples give trivially
+    intersecting blocks.  For m = rho, phi is the identity and the blocks
+    are those of the spread of F_q^n but its last one, the residual.
+    """
+    s = (n - m) // rho
     ext_r = field_new(q, rho)
     ext_m = field_new(q, m)
     basis = [q ** j for j in range(rho)]
@@ -179,17 +182,11 @@ def partial_spread(q: int, rho: int, n: int) -> PartialSpreadResult:
                     rows.append(row)
                 block = span(q, n, rows)
                 if block.dim != rho:
-                    raise ConstructionError("partial spread block has wrong dim")
+                    raise ConstructionError("field tower block has wrong dim")
                 blocks.append(block)
-    if len(set(blocks)) != expected:
-        raise ConstructionError(
-            f"partial spread size {len(set(blocks))} != {expected}")
     residual_rows = [tuple(1 if j == n - m + i else 0 for j in range(n))
                      for i in range(m)]
-    residual = span(q, n, residual_rows)
-    result = PartialSpreadResult(q, n, rho, tuple(blocks), residual)
-    _check_partial_spread_partition(result)
-    return result
+    return blocks, span(q, n, residual_rows)
 
 
 def _check_partial_spread_partition(ps: PartialSpreadResult):
@@ -509,28 +506,35 @@ def derive_steiner(design: SubspaceDesign, t: int,
 def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     """Greedy covering baseline: repeatedly add the block covering the most
     currently-uncovered r-subspaces, ties broken by enumeration order.
+
+    Targets are keyed by their packed RREF rows, read off each block's
+    packed vectors at local_row_indices.  Each block keeps its gain, the
+    number of its targets still uncovered, and a newly covered target
+    lowers the gain of every block that holds it.
     """
-    candidates_n = gaussian(n, k, q)
-    if candidates_n * gaussian(k, r, q) > 10 ** 7:
+    if not 0 <= r <= k <= n:
+        raise ValueError(f"need 0 <= r <= k <= n, got r={r}, k={k}, n={n}")
+    if gaussian(n, k, q) * gaussian(k, r, q) > 10 ** 7:
         raise BudgetError("greedy incidence budget exceeded")
-    target_index = {t: i for i, t in enumerate(enumerate_grassmannian(q, n, r))}
-    candidates = []
-    for block in enumerate_grassmannian(q, n, k):
-        cover = frozenset(target_index[t] for t in subspaces_of(block, r))
-        candidates.append((block, cover))
-    uncovered = set(range(len(target_index)))
+    rows_of = _local_rows(q, k, r)
+    index = {}  # packed RREF rows of each target -> its number
+    blocks = list(enumerate_grassmannian(q, n, k))
+    covers = [[index.setdefault(t, len(index)) for t in rows_of(packed_vectors(b))]
+              for b in blocks]
+    holders = [[] for _ in index]  # target -> the blocks that hold it
+    for j, cover in enumerate(covers):
+        for t in cover:
+            holders[t].append(j)
+    gain = list(map(len, covers))
+    uncovered = set(range(len(index)))
     chosen = []
     while uncovered:
-        best = None
-        best_gain = -1
-        for block, cover in candidates:
-            gain = len(cover & uncovered)
-            if gain > best_gain:
-                best, best_gain = (block, cover), gain
-        if best_gain == 0:
-            raise ConstructionError("greedy cannot make progress")
-        chosen.append(best[0])
-        uncovered -= best[1]
+        best = gain.index(max(gain))
+        chosen.append(blocks[best])
+        newly = uncovered.intersection(covers[best])
+        uncovered -= newly
+        for j in itertools.chain.from_iterable(map(holders.__getitem__, newly)):
+            gain[j] -= 1
     design = SubspaceDesign.from_blocks(chosen, label=f"greedy[{n},{k},{r}]_{q}",
                                         q=q, n=n, k=k)
     _require(verify_covering(design, r), "greedy output failed verification")

@@ -15,18 +15,17 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import and_, itemgetter
+from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
-                        GroupAction, Subspace, _xor_span,
+                        GroupAction, Subspace, _local_rows, _xor_span,
                         complement_generators, complement_vectors,
-                        enumerate_grassmannian, grassmannian_choices,
-                        local_row_indices, orthogonal_complement,
-                        packed_vectors, span, subspaces_of,
-                        superspaces_containing, xor_rref)
+                        grassmannian_choices, orthogonal_complement,
+                        packed_vectors, span, superspaces_containing,
+                        xor_rref)
 
 WITNESS_CAP = 16
 
@@ -226,19 +225,6 @@ def verify_covering(design: SubspaceDesign, r: int,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _local_rows(q: int, k: int, r: int) -> Callable[[Sequence[int]], Iterable]:
-    """A function from the packed_vectors of a k-subspace S to the packed
-    RREF rows of each r-subspace of S, read at local_row_indices."""
-    # One itemgetter reads the rows of every r-subspace, and zip cuts them
-    # into r-tuples; two spare reads keep the getter's result a tuple.
-    read = itemgetter(0, 0, *itertools.chain(*local_row_indices(q, k, r)))
-
-    def rows_of(vectors: Sequence[int]) -> Iterable[Tuple[int, ...]]:
-        rows = iter(read(vectors)[2:])
-        return zip(*[rows] * r) if r else [()]
-    return rows_of
-
-
 def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
                   r: int) -> Tuple[int, CoverageReport]:
     """Census of the design whose blocks are the orbits of the base blocks
@@ -368,22 +354,22 @@ class SetSystem:
         return SetSystem(v, size, tuple(norm))
 
 
-def point_indexing(q: int, n: int) -> Dict[Subspace, int]:
-    """Deterministic index for each 1-subspace, in enumeration order."""
-    return {s: i for i, s in enumerate(enumerate_grassmannian(q, n, 1))}
+def point_indexing(q: int, n: int) -> Dict[Tuple[int], int]:
+    """Index of each 1-subspace, in enumeration order, keyed by its packed
+    RREF row as a 1-tuple, the key of the covering census."""
+    rows = (t for _, _, packed in grassmannian_choices(q, n, 1) for t in packed[0])
+    return {(row,): i for i, row in enumerate(rows)}
 
 
 def to_point_set_system(design: SubspaceDesign) -> SetSystem:
-    """Points are the 1-subspaces of F_q^n; a block maps to its point set."""
+    """Points are the 1-subspaces of F_q^n; a block maps to its point set,
+    read off its packed vectors at local_row_indices."""
     if design.k < 1:
         raise ValueError("needs block dimension >= 1")
-    q, n = design.q, design.n
-    index = point_indexing(q, n)
-    v = len(index)
-    blocks = []
-    for b in design.blocks:
-        blocks.append(tuple(sorted(index[p] for p in subspaces_of(b, 1))))
-    return SetSystem.from_blocks(v, blocks)
+    index = point_indexing(design.q, design.n)
+    rows_of = _local_rows(design.q, design.k, 1)
+    return SetSystem.from_blocks(len(index), (
+        map(index.__getitem__, rows_of(packed_vectors(b))) for b in design.blocks))
 
 
 def verify_steiner_system(system: SetSystem, t: int) -> CoverageReport:

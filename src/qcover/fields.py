@@ -320,15 +320,3 @@ def vec_unpack(q: int, n: int, val: int) -> Tuple[int, ...]:
         val //= q
     return tuple(out)
 
-
-def flatten_ext_vector(ext: Field, vec: Sequence[int]) -> Tuple[int, ...]:
-    """Flatten a vector over GF(p^m) to a vector over GF(p).
-
-    Each coordinate expands to its m coefficient digits, so a length-s vector
-    over GF(p^m) maps to a length s*m vector over GF(p).  The map is additive
-    and GF(p)-linear.
-    """
-    out = []
-    for a in vec:
-        out.extend(ext.to_vector(a))
-    return tuple(out)

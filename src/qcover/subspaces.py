@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import add, itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import Field, get_gf, vec_pack, vec_unpack
@@ -364,14 +364,18 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
             rows.append(v)
     rows.sort(key=lambda row: row & -row)
     pivots = tuple([(row & -row).bit_length() - 1 for row in rows])
-    if n <= BIT_TABLE_MAX_N:
-        unpacked = tuple(map(_bit_table(n).__getitem__, rows))
-    else:
-        unpacked = tuple([vec_unpack(2, n, row) for row in rows])
-    return rows, Subspace(2, n, unpacked, pivots)
+    return rows, Subspace(2, n, _unpack_rows(2, n, rows), pivots)
 
 
 BIT_TABLE_MAX_N = 10
+
+
+def _unpack_rows(q: int, n: int, rows: Iterable[int]) -> Tuple[Tuple[int, ...], ...]:
+    """vec_unpack of each packed row, from _bit_table for q = 2 up to
+    BIT_TABLE_MAX_N coordinates."""
+    if q == 2 and n <= BIT_TABLE_MAX_N:
+        return tuple(map(_bit_table(n).__getitem__, rows))
+    return tuple([vec_unpack(q, n, row) for row in rows])
 
 
 # Bounded; one table per n <= BIT_TABLE_MAX_N, at most 1024 tuples.
@@ -525,10 +529,12 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     One tuple per L, in enumerate_grassmannian order.  The vector
     sum(c_j * S.rows[j]) of a k-subspace S sits at index
     sum(c_j * q^(k-1-j)) of packed_vectors(S), so S's packed vectors read
-    at L's entry are the packed rows of L*S, which is already the canonical
-    RREF (see subspaces_of).  Raises BudgetError, before building anything,
-    when the table would pass MAX_VECTOR_ENUM entries or its indices address
-    more than MAX_VECTOR_ENUM vectors, which packed_vectors refuses to list.
+    at L's entry are the packed rows of L*S.  L and S are both in RREF, so
+    L*S is too, with pivots S.pivots[L.pivots]: row i of L*S is the S row
+    at L's i-th pivot plus multiples of later, non-pivot rows of S.  Raises
+    BudgetError, before building anything, when the table would pass
+    MAX_VECTOR_ENUM entries or its indices address more than
+    MAX_VECTOR_ENUM vectors, which packed_vectors refuses to list.
     """
     if q ** k > MAX_VECTOR_ENUM or gaussian(k, r, q) > MAX_VECTOR_ENUM:
         raise BudgetError(f"local rows of [{k} {r}]_{q} exceed the "
@@ -541,27 +547,35 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _local_rows(q: int, k: int, r: int) -> Callable[[Sequence[int]], Iterable]:
+    """A function from the packed_vectors of a k-subspace S to the packed
+    RREF rows of each r-subspace of S, read at local_row_indices."""
+    # One itemgetter reads the rows of every r-subspace, and zip cuts them
+    # into r-tuples; two spare reads keep the getter's result a tuple.
+    read = itemgetter(0, 0, *itertools.chain(*local_row_indices(q, k, r)))
+
+    def rows_of(vectors: Sequence[int]) -> Iterable[Tuple[int, ...]]:
+        rows = iter(read(vectors)[2:])
+        return zip(*[rows] * r) if r else [()]
+    return rows_of
+
+
 def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
     """Every r-subspace of s, as a subspace of the ambient space.
 
-    Each one is L*S for a local r-subspace L of F_q^dim.  L and S are both in
-    RREF, so L*S is too, with pivots s.pivots[L.pivots]: row i of L*S is the
-    S row at L's i-th pivot plus multiples of later, non-pivot rows of S.
+    Each one is L*S for a local r-subspace L of F_q^dim, whose packed RREF
+    rows _local_rows reads off packed_vectors(s); each row is unpacked by
+    _unpack_rows and its pivot is its first 1.  Raises BudgetError past MAX_SUBSPACE_ENUM subspaces before
+    any table or vector is built.
     """
+    q, n = s.q, s.n
     if not 0 <= r <= s.dim:
         raise ValueError(f"need 0 <= r <= dim, got r={r}, dim={s.dim}")
-    gf = get_gf(s.q)
-    minus = [gf.neg(c) for c in range(s.q)]
-    for local in enumerate_grassmannian(s.q, s.dim, r):
-        rows = []
-        for lrow, lp in zip(local.rows, local.pivots):
-            v = s.rows[lp]
-            for i in range(lp + 1, s.dim):
-                if lrow[i]:
-                    v = gf.row_sub(v, minus[lrow[i]], s.rows[i])
-            rows.append(tuple(v))
-        yield Subspace(s.q, s.n, tuple(rows),
-                       tuple(s.pivots[i] for i in local.pivots))
+    if gaussian(s.dim, r, q) > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"G_{q}({s.dim},{r}) exceeds {MAX_SUBSPACE_ENUM} subspaces")
+    for packed in _local_rows(q, s.dim, r)(packed_vectors(s)):
+        rows = _unpack_rows(q, n, packed)
+        yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))
 
 
 # Bounded; random-census's design classes allow at most 106 (q, n, pivots,

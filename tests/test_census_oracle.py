@@ -363,14 +363,14 @@ def test_local_row_indices_equal_reference(q):
 @pytest.mark.parametrize("q,n,k", [(2, 5, 2), (2, 5, 3), (3, 4, 2), (4, 3, 2)])
 def test_row_keys_are_packed_rows_of_subspaces_of(q, n, k):
     """A block's packed vectors read at local_row_indices give the packed
-    RREF rows of its r-subspaces, in subspaces_of order."""
+    RREF rows of its r-subspaces, in the order of the span reference."""
     for s in enumerate_grassmannian(q, n, k):
         vectors = packed_vectors(s)
         for r in range(k + 1):
             keys = [tuple(vectors[i] for i in rows)
                     for rows in local_row_indices(q, k, r)]
             assert keys == [tuple(vec_pack(q, row) for row in t.rows)
-                            for t in subspaces_of(s, r)], (s, r)
+                            for t in reference_subspaces_of(s, r)], (s, r)
 
 
 def null_space(s):

@@ -438,6 +438,18 @@ def test_construct_q_not_prime_power_exit_2(capsys):
     assert "--q" in err
 
 
+@pytest.mark.parametrize("kind,argv", [
+    ("spread", ["--k", "2", "--n", "4"]),
+    ("partial-spread", ["--rho", "2", "--n", "5"]),
+    ("line-covering", ["--n", "5", "--k", "2"]),
+])
+def test_construct_field_tower_composite_q_exit_2(capsys, kind, argv):
+    code, out, err = run(capsys, "construct", kind, "--q", "4", *argv)
+    assert code == 2
+    assert err == f"invalid input: --q must be prime for construct {kind}, got 4\n"
+    assert "RESULT:" not in out
+
+
 def test_construct_trivial_r_above_n_exit_2(capsys):
     code, _, err = run(capsys, "construct", "trivial",
                        "--q", "2", "--n", "3", "--r", "5")

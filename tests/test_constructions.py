@@ -418,6 +418,36 @@ def test_derive_rejects_bad_point():
         derive_steiner(d, 1, span(2, 4, [(1, 0, 0, 0)]))
 
 
+@pytest.mark.parametrize("args", [(2, 4, 2, -1), (2, 4, 2, 3), (2, 4, 5, 1)])
+def test_greedy_names_r_k_and_n(args):
+    q, n, k, r = args
+    with pytest.raises(ValueError,
+                       match=f"^need 0 <= r <= k <= n, got r={r}, k={k}, n={n}$"):
+        greedy_covering(*args)
+
+
+# Block count and sha256 of the design file of each greedy covering.
+GREEDY_DIGESTS = {
+    (2, 6, 4, 2): (21, "7184abf70290cc039402be1c5c2c14c0"
+                       "f478996164736a1495a6463d5d808f7d"),
+    (2, 7, 5, 2): (21, "461d586dc03bb21dc023f824d89f6afe"
+                       "c37970bcc6fa58ab464fa91495e798a9"),
+    (2, 7, 5, 3): (99, "54055d642e1bfed0ca90ba04415f7a28"
+                       "7c6bb1d50311722a40cf7ee54ebd78c0"),
+    (3, 5, 3, 2): (147, "e1f616e541e69a69ba99838ff0e82f50"
+                        "989e9062a9b431c207ecce5267fac4a5"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GREEDY_DIGESTS))
+def test_greedy_output_pinned(args):
+    """The first block, in enumeration order, with the largest gain wins."""
+    design = greedy_covering(*args)
+    text = design_to_text(design)
+    assert (len(design), hashlib.sha256(text.encode()).hexdigest()) \
+        == GREEDY_DIGESTS[args]
+
+
 def test_greedy_covering():
     d = greedy_covering(2, 4, 2, 1)
     assert verify_covering(d, 1).is_covering

@@ -336,7 +336,7 @@ def test_expand_builds_no_row_table_without_blocks(monkeypatch):
     [6 1]_17 would hold 1 508 598 entries."""
     def refuse(*args):
         raise AssertionError(f"local_row_indices{args} was built")
-    monkeypatch.setattr(designs, "local_row_indices", refuse)
+    monkeypatch.setattr(subspaces, "local_row_indices", refuse)
     empty = SubspaceDesign.from_blocks([], q=17, n=6, k=6)
     report = verify_covering(empty, 1)
     assert report.total == gaussian(6, 1, 17)

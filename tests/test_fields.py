@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qcover.fields import (Field, FieldError, field_new, flatten_ext_vector, get_gf, vec_pack,
+from qcover.fields import (Field, FieldError, field_new, get_gf, vec_pack,
                            vec_unpack)
 
 from vector_reference import vec_add, vec_scale
@@ -96,16 +96,6 @@ def test_field_to_vector_linear_bijection(p, m):
         for b in range(f.q):
             assert (f.to_vector(f.add(a, b))
                     == vec_add(gfp, f.to_vector(a), f.to_vector(b)))
-
-
-def test_flatten_ext_vector_additive():
-    ext = field_new(2, 2)
-    gf2 = get_gf(2)
-    for u in itertools.product(range(ext.q), repeat=2):
-        for v in itertools.product(range(ext.q), repeat=2):
-            s = tuple(ext.add(a, b) for a, b in zip(u, v))
-            assert flatten_ext_vector(ext, s) == vec_add(
-                gf2, flatten_ext_vector(ext, u), flatten_ext_vector(ext, v))
 
 
 def test_get_gf_prime_power():

@@ -8,6 +8,7 @@ import pytest
 
 from qcover import subspaces
 from qcover.bounds import gaussian
+from qcover.constructions import turan_point_design
 from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
@@ -139,6 +140,19 @@ def test_grassmannian_brute_force_cross_check():
     planes = {span(2, 4, [u, v]) for u in vectors for v in vectors}
     planes = {s for s in planes if s.dim == 2}
     assert planes == set(enumerate_grassmannian(2, 4, 2))
+
+
+def test_subspaces_of_budget_before_listing(monkeypatch):
+    """G_2(24,1) passes the budget: subspaces_of and the Turan point design
+    built on it raise before listing a vector or a local row."""
+    def refuse(*args):
+        raise AssertionError("listed before the budget check")
+    monkeypatch.setattr(subspaces, "packed_vectors", refuse)
+    monkeypatch.setattr(subspaces, "local_row_indices", refuse)
+    with pytest.raises(BudgetError, match=r"G_2\(24,1\)"):
+        list(subspaces_of(full_space(2, 24), 1))
+    with pytest.raises(BudgetError, match=r"G_2\(24,1\)"):
+        turan_point_design(2, 24, 1, verify=False)
 
 
 def test_subspaces_of():

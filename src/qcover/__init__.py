@@ -1,6 +1,6 @@
 """q-analog covering, Turan and Steiner designs over finite fields."""
 
-from .fields import Field, FieldError, field_new, get_gf
+from .fields import Field, FieldError, get_gf
 from .subspaces import (BudgetError, GroupAction, Subspace,
                         enumerate_grassmannian, intersect,
                         orthogonal_complement, span, subspaces_of,

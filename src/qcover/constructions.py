@@ -18,8 +18,9 @@ from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_orbits, verify_steiner_system,
                       verify_turan, dualize)
-from .fields import Field, field_new, get_gf, is_prime, vec_pack
-from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM, Subspace,
+from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
+from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
+                        MAX_VECTOR_ENUM, Subspace,
                         _local_rows, _xor_span, contains_subspace,
                         enumerate_grassmannian, packed_vectors, span,
                         subspaces_of, xor_rref)
@@ -38,6 +39,17 @@ def _require(report: CoverageReport, message: str, steiner: bool = False):
     certifies a covering, or a Steiner structure when steiner is set."""
     if not (report.is_steiner if steiner else report.is_covering):
         raise ConstructionError(message, report)
+
+
+def _census_budget(label: str, blocks: int, q: int, n: int):
+    """BudgetError, before anything is built, when the r = 1 census of a
+    line covering of F_q^n would list more than MAX_SUBSPACE_ENUM points,
+    which bound its block count too."""
+    points = gaussian(n, 1, q)
+    if points > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"{label} needs {blocks} blocks, and its census "
+                          f"lists [{n} 1]_{q} = {points} points, past "
+                          f"{MAX_SUBSPACE_ENUM}")
 
 
 def _require_prime(q: int, what: str):
@@ -72,8 +84,7 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
         raise ValueError(f"k={k} does not divide n={n}")
     _require_prime(q, "spread")
     expected = (q ** n - 1) // (q ** k - 1)
-    if expected > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"spread[{k},{n}]_{q} needs {expected} blocks")
+    _census_budget(f"spread[{k},{n}]_{q}", expected, q, n)
     blocks, last = _field_tower(q, k, k, n)
     design = SubspaceDesign.from_blocks(blocks + [last], label=f"spread[{k},{n}]_{q}",
                                         q=q, n=n, k=k)
@@ -137,8 +148,10 @@ def partial_spread(q: int, rho: int, n: int) -> PartialSpreadResult:
     _require_prime(q, "partial_spread")
     m = n % rho + rho
     expected = (q ** n - q ** m) // (q ** rho - 1)
-    if expected > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"partial spread[{rho},{n}]_{q} needs {expected} blocks")
+    if q ** n > MAX_VECTOR_ENUM:
+        raise BudgetError(f"partial spread[{rho},{n}]_{q} needs {expected} "
+                          f"blocks, and its partition check lists {q}^{n} "
+                          f"vectors, past {MAX_VECTOR_ENUM}")
     blocks, residual = _field_tower(q, rho, m, n)
     if len(set(blocks)) != expected:
         raise ConstructionError(
@@ -155,19 +168,15 @@ def _field_tower(q: int, rho: int, m: int, n: int
     the residual, the last-m-coordinates subspace.
 
     Level t peels off a GF(q^rho) head: blocks are graphs x -> (x*z_1, ...,
-    x*z_(s-t), phi(x)*w) over all scalar tuples z, with phi the padded
-    embedding GF(q^rho) -> GF(q^m).  Distinct tuples give trivially
-    intersecting blocks.  For m = rho, phi is the identity and the blocks
-    are those of the spread of F_q^n but its last one, the residual.
+    x*z_(s-t), x*w) over all scalar tuples z, with x read in GF(q^m) as
+    the same packed int, its coefficients padded with zeros.  Distinct
+    tuples give trivially intersecting blocks.  For m = rho the blocks are
+    those of the spread of F_q^n but its last one, the residual.
     """
     s = (n - m) // rho
-    ext_r = field_new(q, rho)
-    ext_m = field_new(q, m)
+    ext_r = get_gf(q ** rho)
+    ext_m = get_gf(q ** m)
     basis = [q ** j for j in range(rho)]
-
-    def phi(x: int) -> int:
-        return ext_m.from_vector(ext_r.to_vector(x) + (0,) * (m - rho))
-
     blocks: List[Subspace] = []
     for t in range(1, s + 1):
         prefix = (0,) * ((t - 1) * rho)
@@ -175,10 +184,10 @@ def _field_tower(q: int, rho: int, m: int, n: int
             for w in range(ext_m.q):
                 rows = []
                 for b in basis:
-                    row = prefix + ext_r.to_vector(b)
+                    row = prefix + vec_unpack(q, rho, b)
                     for zi in z:
-                        row += ext_r.to_vector(ext_r.mul(b, zi))
-                    row += ext_m.to_vector(ext_m.mul(phi(b), w))
+                        row += vec_unpack(q, rho, ext_r.mul(b, zi))
+                    row += vec_unpack(q, m, ext_m.mul(b, w))
                     rows.append(row)
                 block = span(q, n, rows)
                 if block.dim != rho:
@@ -214,8 +223,7 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     expected = -(-(q ** n - 1) // (q ** k - 1))
-    if expected > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"C_{q}[{n},{k},1] needs {expected} blocks")
+    _census_budget(f"C_{q}[{n},{k},1]", expected, q, n)
     if n % k == 0:
         design = spread(q, k, n)
     elif 2 * k >= n:
@@ -367,7 +375,10 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], List[int]]:
     checked; one GroupAction.orbit call per base gives its orbit's label
     and size, and bases that share a label count once.
     """
-    gf64 = field_new(2, 6, GF64_MODULUS)
+    gf64 = get_gf(64)
+    if gf64.modulus != GF64_MODULUS:
+        raise ConstructionError(f"GF(64) modulus {gf64.modulus} is not "
+                                f"x^6 + x + 1")
     _check_gf64_quads(gf64)
     exp = gf64.exp
     singer = GroupAction(7, [gf64.mul(exp[1], 1 << i) for i in range(6)]
@@ -489,8 +500,7 @@ def derive_steiner(design: SubspaceDesign, t: int,
             continue
         rows = []
         for v in block.rows:
-            c = v[j0]
-            w = tuple(gf.sub(v[j], gf.mul(c, p_row[j])) for j in range(n))
+            w = gf.row_sub(v, v[j0], p_row)
             rows.append(w[:j0] + w[j0 + 1:])
         image = span(q, n - 1, rows)
         if image.dim != design.k - 1:

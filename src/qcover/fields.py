@@ -9,11 +9,12 @@ of the designated primitive element alpha are cheap.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 class FieldError(ValueError):
-    """Invalid field parameters, reducible modulus or non-primitive generator."""
+    """Invalid field parameters, or a pinned modulus that x does not generate."""
 
 
 MAX_FIELD_SIZE = 1 << 16
@@ -46,54 +47,70 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _poly_trim(poly: Sequence[int]) -> Tuple[int, ...]:
-    coeffs = list(poly)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _powers(q: int, step: Callable[[int], int]) -> Optional[List[int]]:
+    """The powers 1, g, g^2, ... of the element g that step multiplies by,
+    up to the first return to 1 or to 0; None unless they are q - 1 (then
+    they are distinct and nonzero, so g generates the nonzero elements)."""
+    exp = [1]
+    x = step(1)
+    for _ in range(q - 2):
+        if x < 2:
+            break
+        exp.append(x)
+        x = step(x)
+    return exp if x == 1 and len(exp) == q - 1 else None
 
 
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Remainder of num / den over GF(p); den must be monic after trimming."""
-    num = list(num)
-    den = _poly_trim(den)
-    d = len(den) - 1
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i] % p
-        if c:
-            for j in range(d + 1):
-                num[i - d + j] = (num[i - d + j] - c * den[j]) % p
-    return _poly_trim(num[:d])
+def _x_powers(p: int, m: int, modulus: Sequence[int]) -> Optional[List[int]]:
+    """_powers of the class of x modulo a monic degree-m polynomial, as
+    base-p ints.
 
+    p = 2 shifts and XORs.  Odd p steps on a packed int with one w-bit field
+    per digit: a shift, a lookup of -top*modulus, one add, and a carry-free
+    `- p` in every field whose digit sum reached p.  Only an accepted walk
+    is converted to base-p ints.
+    """
+    q = p ** m
+    if p == 2:
+        f, top = vec_pack(2, modulus), q >> 1  # f holds x^m: XOR drops it
+        return _powers(q, lambda v: v << 1 ^ f if v & top else v << 1)
+    w = p.bit_length() + 1  # p < 2^(w-1), and a sum of two digits fits
+    shift = m * w
+    ones = sum(1 << (j * w) for j in range(m))
+    low, tops = (1 << shift) - 1, ones << (w - 1)
+    bias = ones * ((1 << (w - 1)) - p)  # sets a field's top bit iff digit >= p
+    neg = [sum((-t * c) % p << (j * w) for j, c in enumerate(modulus[:m]))
+           for t in range(p)]
 
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    poly = _poly_trim(poly)
-    m = len(poly) - 1
-    if m < 1:
-        return False
-    for d in range(1, m // 2 + 1):
-        for code in range(p ** d):
-            div = []
-            x = code
-            for _ in range(d):
-                div.append(x % p)
-                x //= p
-            div.append(1)
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
+    def times_x(v: int) -> int:
+        v <<= w
+        s = (v & low) + neg[v >> shift]
+        return s - (((s + bias) & tops) >> (w - 1)) * p
+
+    exp = _powers(q, times_x)
+    if exp is None:
+        return None
+    packed = [0]  # packed[i]: the digits of i, one per field
+    for j in range(m):
+        packed = [v + (d << (j * w)) for d in range(p) for v in packed]
+    index = {v: i for i, v in enumerate(packed)}
+    return [index[v] for v in exp]
 
 
 class Field:
-    """GF(p^m) with a verified-primitive generator alpha.
+    """GF(p^m) with a primitive element alpha and its exp/log tables.
 
-    For m > 1 alpha is the class of x; for m = 1 it is the smallest primitive
-    root mod p.  Construction fails on a reducible modulus or when x is not a
-    generator of the multiplicative group.
+    For m = 1 alpha is the smallest primitive root mod p.  For m > 1 it is
+    the class of x modulo the DEFAULT_MODULI entry, or without one modulo
+    the first monic polynomial with a nonzero constant term, in the order
+    of its packed lower coefficients, of which x is a generator.  One walk
+    over the powers of each candidate both tests it and builds the tables.
+    x generating the q - 1 nonzero classes makes every nonzero class a unit,
+    so the modulus is irreducible without a separate test.  A pinned
+    modulus of which x is not a generator raises FieldError.
     """
 
-    def __init__(self, p: int, m: int, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
@@ -101,96 +118,30 @@ class Field:
         q = p ** m
         if q > MAX_FIELD_SIZE:
             raise FieldError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
-        self.p = p
-        self.m = m
-        self.q = q
+        self.p, self.m, self.q, self.modulus = p, m, q, None
         if m == 1:
-            if modulus is not None and _poly_trim(modulus) not in ((0, 1),):
-                raise FieldError("prime field takes no modulus")
-            self.modulus = None
-            self.alpha = self._find_primitive_root() if p > 2 else 1
+            for g in range(1, p):  # g = 1 generates only when p = 2
+                exp = _powers(q, lambda x: x * g % p)
+                if exp:
+                    self.alpha = g
+                    break
         else:
-            if modulus is None:
-                modulus = DEFAULT_MODULI.get((p, m)) or self._search_modulus()
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[m] != 1:
-                raise FieldError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
-                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
-            self.modulus = modulus
-            self.alpha = p  # the element x
-        self._build_tables()
-
-    def _find_primitive_root(self) -> int:
-        for g in range(2, self.p):
-            if self._multiplicative_order(g) == self.p - 1:
-                return g
-        return 1  # p == 2
-
-    def _multiplicative_order(self, g: int) -> int:
-        x, k = g % self.p, 1
-        while x != 1:
-            x = (x * g) % self.p
-            k += 1
-        return k
-
-    def _search_modulus(self) -> Tuple[int, ...]:
-        """Deterministic scan for a monic degree-m polynomial with x primitive."""
-        p, m = self.p, self.m
-        for code in range(1, p ** m):
-            cand = []
-            x = code
-            for _ in range(m):
-                cand.append(x % p)
-                x //= p
-            cand.append(1)
-            if cand[0] == 0 or not _is_irreducible(cand, p):
-                continue
-            if self._x_order(tuple(cand)) == p ** m - 1:
-                return tuple(cand)
-        raise FieldError(f"no primitive polynomial found for GF({p}^{m})")
-
-    def _x_order(self, modulus: Tuple[int, ...]) -> int:
-        one = [1] + [0] * (self.m - 1)
-        cur = list(one)
-        for k in range(1, self.q):
-            cur = self._shift_reduce(cur, modulus)
-            if cur == one:
-                return k
-        return 0
-
-    def _shift_reduce(self, digits: Sequence[int], modulus: Sequence[int]) -> list:
-        p, m = self.p, self.m
-        top = digits[m - 1]
-        out = [0] + list(digits[:-1])
-        if top:
-            for j in range(m):
-                out[j] = (out[j] - top * modulus[j]) % p
-        return out[:m]
-
-    def _build_tables(self):
-        q = self.q
-        exp = [0] * (q - 1)
-        log = [0] * q
-        if self.m == 1:
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
-                x = (x * self.alpha) % self.p
-        else:
-            digits = [1] + [0] * (self.m - 1)
-            for i in range(q - 1):
-                val = 0
-                for j in reversed(range(self.m)):
-                    val = val * self.p + digits[j]
-                exp[i] = val
-                log[val] = i
-                digits = self._shift_reduce(digits, self.modulus)
-        if len(set(exp)) != q - 1 or 0 in exp:
-            raise FieldError("designated generator is not primitive")
+            pinned = DEFAULT_MODULI.get((p, m))
+            candidates = [pinned] if pinned else (
+                vec_unpack(p, m, code) + (1,) for code in range(1, q) if code % p)
+            for modulus in candidates:
+                exp = _x_powers(p, m, modulus)
+                if exp:
+                    self.modulus = modulus
+                    self.alpha = p  # the element x
+                    break
+            else:
+                raise FieldError(f"x does not generate GF({p}^{m})* modulo "
+                                 f"{modulus}")
         self.exp = exp
-        self.log = log
+        self.log = [0] * q
+        for i, x in enumerate(exp):
+            self.log[x] = i
 
     # element arithmetic ---------------------------------------------------
 
@@ -208,16 +159,12 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        """-a; for odd q, a times alpha^((q-1)/2), the one element of order 2."""
+        if self.p == 2 or a == 0:
             return a
         if self.m == 1:
-            return (-a) % self.p
-        out, pw = 0, 1
-        for _ in range(self.m):
-            out += ((self.p - a % self.p) % self.p) * pw
-            a //= self.p
-            pw *= self.p
-        return out
+            return self.p - a
+        return self.exp[(self.log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -256,51 +203,22 @@ class Field:
             return [(c * a) % self.p for a in v]
         return [self.mul(c, a) for a in v]
 
-    def to_vector(self, a: int) -> Tuple[int, ...]:
-        """Coefficient vector of a over GF(p), length m, degree-0 first."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_vector(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) != self.m:
-            raise FieldError(f"expected {self.m} coefficients")
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + c % self.p
-        return val
-
     def __repr__(self):
         return f"Field(GF({self.p}^{self.m}))" if self.m > 1 else f"Field(GF({self.p}))"
 
 
 @functools.lru_cache(maxsize=None)
-def field_new(p: int, m: int, modulus: Optional[Tuple[int, ...]] = None) -> Field:
-    return Field(p, m, modulus)
-
-
-@functools.lru_cache(maxsize=None)
 def get_gf(q: int) -> Field:
-    """GF(q) for a prime power q, with default modulus."""
-    if q < 2:  # below 2 the trial division reads q % 0 at q = 0
+    """GF(q) for a prime power q: the one cached Field of each size."""
+    if q < 2:
         raise FieldError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    m = 0
-    t = q
-    while t % p == 0 and t > 1:
-        t //= p
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    m = 1
+    while p ** m < q:
         m += 1
-    if t != 1 or m == 0:
+    if p ** m != q:
         raise FieldError(f"{q} is not a prime power")
-    return field_new(p, m)
+    return Field(p, m)
 
 
 # vectors over F_q ---------------------------------------------------------

@@ -499,6 +499,11 @@ def test_expand_design_with_k_below_2_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("spread", "--q", "2", "--k", "1", "--n", "30"),
     ("partial-spread", "--q", "2", "--rho", "2", "--n", "31"),
+    # within the block budget, but the census lists [16 1]_3 > 10^7 points
+    ("spread", "--q", "3", "--k", "2", "--n", "16"),
+    ("line-covering", "--q", "2", "--n", "25", "--k", "12"),
+    # the partition check would list 2^25 vectors
+    ("partial-spread", "--q", "2", "--rho", "3", "--n", "25"),
 ])
 def test_construct_huge_spread_exit_3_before_building(capsys, argv):
     start = time.perf_counter()

@@ -1,12 +1,14 @@
-"""Property-based fuzz of `qcover verify` on generated design files.
+"""Property-based fuzz of `qcover verify` on generated design files, and of
+`qcover construct` on generated arguments.
 
 The header's q runs over 0..20 (prime powers, composites, 0 and 1), n over
 0..8 and k over -1..9; the block lines mix words that load with words that
 do not, and the mode and --r (-1..9) are drawn too.  Whatever the file,
 main must return one of the CLI's exit codes (0 verified, 1 not, 2 bad
 input, 3 over budget), and no exception may reach main's catch-all for
-unexpected errors.  The examples are derandomized, so the run is the same
-every time, and bounded to keep the suite fast.
+unexpected errors.  The same holds for every construct argv of the kinds
+that read q and small integers.  The examples are derandomized, so the run
+is the same every time, and bounded to keep the suite fast.
 """
 
 import contextlib
@@ -57,3 +59,39 @@ def test_verify_exits_with_a_contract_code(tmp_path_factory, case):
     assert "unexpected error:" not in err.getvalue(), (text, err.getvalue())
     # a verdict, and only a verdict, prints the RESULT: line
     assert (code in (0, 1)) == ("RESULT:" in out.getvalue()), (code, text)
+
+
+# n's upper end for a field size q: the largest census of a valid draw then
+# stays near [5 2]_3 = 1210 blocks.
+N_CAP = {q: 5 if q <= 3 else 3 if q <= 9 else 2 for q in range(31)}
+
+
+@st.composite
+def construct_cases(draw):
+    """argv of `qcover construct` for a kind built from q and small integer
+    arguments.  q runs over 0..30, mostly small prime powers.  k, r and rho
+    come from their valid ranges half the time and otherwise reach one past
+    them on either side; n does so too, or is N_CAP[q], where a partial
+    spread (n > 2 rho) can first be built."""
+    kind = draw(st.sampled_from(["spread", "partial-spread", "line-covering",
+                                 "turan-dual", "trivial", "greedy"]))
+    q = draw(st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(0, 30)))
+    n = draw(st.one_of(st.integers(1, N_CAP[q]), st.just(N_CAP[q]),
+                       st.integers(-1, N_CAP[q])))
+    k = draw(st.one_of(st.integers(1, max(n, 1)), st.integers(-1, n + 1)))
+    r = draw(st.one_of(st.integers(0, max(k, 0)), st.integers(-1, k + 1)))
+    rho = draw(st.one_of(st.just(2), st.integers(-1, 3)))
+    return ["construct", kind, "--q", str(q), "--n", str(n), "--k", str(k),
+            "--r", str(r), "--rho", str(rho)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=construct_cases())
+def test_construct_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (code, argv, err.getvalue())
+    assert "unexpected error:" not in err.getvalue(), (argv, err.getvalue())
+    # construct prints the RESULT: line only for a certified design
+    assert (code == 0) == ("RESULT:" in out.getvalue()), (code, argv)

@@ -17,7 +17,7 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   turan_dual_covering, turan_point_design)
 from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
                             dualize, verify_covering, verify_turan)
-from qcover.fields import field_new, get_gf
+from qcover.fields import DEFAULT_MODULI, Field, get_gf, vec_unpack
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
                               enumerate_vectors, full_space, intersect,
                               packed_vectors, span)
@@ -244,10 +244,11 @@ GF64_SHA256 = "f8c23429033db5efcf6fb817b994fb9f6f4497e27ab4e92cbf1bcb47eb3bfe43"
 def reference_gf64_blocks():
     """The 399 blocks built shift by shift on coordinate tuples, each block
     by span and an enumerate_vectors closure check."""
-    gf64 = field_new(2, 6, GF64_MODULUS)
+    gf64 = get_gf(64)
+    assert gf64.modulus == GF64_MODULUS
 
     def vec(beta, bit):
-        return gf64.to_vector(beta) + (bit,)
+        return vec_unpack(2, 6, beta) + (bit,)
 
     def to_block(vectors):
         block = span(2, 7, [v for v in vectors if any(v)])
@@ -288,7 +289,7 @@ def test_gf64_blocks_equal_reference_builder():
 def test_gf64_orbit_structure():
     """Under (beta, b) -> (alpha beta, b) the blocks form six orbits of 63
     and one of 21."""
-    gf64 = field_new(2, 6, GF64_MODULUS)
+    gf64 = get_gf(64)
     alpha = gf64.alpha_pow(1)
     # multiplication by alpha on packed vectors, bit 6 untouched
     times_alpha = {v: gf64.mul(alpha, v & 63) | (v & 64) for v in range(128)}
@@ -356,6 +357,16 @@ def test_gf64_unclosed_block_raises(monkeypatch):
     monkeypatch.setattr(constructions, "GF64_QUADS",
                         ((0, 1, 4, 17),) + GF64_QUADS[1:])
     with pytest.raises(ConstructionError, match="spans dim 4, not 3"):
+        gf64_covering_design()
+
+
+def test_gf64_other_primitive_modulus_raises(monkeypatch):
+    # x^6 + x^5 + 1 is primitive too, but the quadruples need alpha^6 =
+    # alpha + 1.  The Field is built outside get_gf's cache, which keeps
+    # the pinned GF(64) for the other tests.
+    monkeypatch.setitem(DEFAULT_MODULI, (2, 6), (1, 0, 0, 0, 0, 1, 1))
+    monkeypatch.setattr(constructions, "get_gf", lambda q: Field(2, 6))
+    with pytest.raises(ConstructionError, match="is not x\\^6 \\+ x \\+ 1"):
         gf64_covering_design()
 
 

@@ -33,8 +33,7 @@ MODULES = sorted(path for folder in (ROOT / "src" / "qcover", ROOT / "tests")
 SOURCES = sorted((ROOT / "src" / "qcover").glob("*.py"))
 # (module, function): Gaussian coefficients, and the field tables, one per
 # field size.
-UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "field_new"),
-                    ("fields.py", "get_gf")}
+UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "get_gf")}
 # (module, function) -> why it stays although src/qcover never calls it.
 UNREFERENCED = {
     ("subspaces.py", "full_space"): "tests build reference spaces with it",

@@ -12,10 +12,9 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign, dualize,
 from .bounds import (BoundRecord, basic_lower, bound_table, decaen_lower,
                      exact_values, gaussian, schonheim_lower, recursive_upper,
                      turan_upper)
-from .constructions import (ConstructionError, PartialSpreadResult,
-                            derive_steiner, expand_to_steiner_system,
-                            greedy_covering, gf64_covering_design, gf64_orbits,
-                            lift_covering,
+from .constructions import (ConstructionError, derive_steiner,
+                            expand_to_steiner_system, greedy_covering,
+                            gf64_covering_design, gf64_orbits, lift_covering,
                             optimal_line_covering, partial_spread,
                             recursive_covering, spread, trivial_steiner,
                             turan_dual_covering, turan_point_design)

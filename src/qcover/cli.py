@@ -91,8 +91,8 @@ def _bad_construct_arg(args):
     if "q" in needed:
         try:
             get_gf(args.q)
-        except FieldError:
-            return f"--q must be a prime power, got {args.q}"
+        except FieldError as exc:
+            return f"--q {args.q}: {exc}"
         if args.kind in TOWER_KINDS and not is_prime(args.q):
             return f"--q must be prime for construct {args.kind}, got {args.q}"
     if "k" in needed and "n" in needed and args.k > args.n:
@@ -112,10 +112,8 @@ def cmd_construct(args) -> int:
         return EXIT_BAD_INPUT
     built = CONSTRUCTIONS[kind][1](args)
     if kind == "partial-spread":
-        design = designs.SubspaceDesign.from_blocks(
-            built.blocks, q=built.q, n=built.n, k=built.rho,
-            label=f"partial-spread[{built.rho},{built.n}]_{built.q}")
-        print(f"residual subspace dimension: {built.residual.dim}")
+        design, residual = built
+        print(f"residual subspace dimension: {residual.dim}")
         if args.output:
             _write_design(design, args.output)
         _result("construct", f"partial-spread q={args.q} rho={args.rho} n={args.n}",

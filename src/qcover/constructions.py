@@ -11,7 +11,6 @@ leaves its census to a caller, such as turan_dual_covering, that runs its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from .bounds import gaussian
@@ -63,8 +62,7 @@ def _require_prime(q: int, what: str):
 def trivial_steiner(q: int, n: int, r: int) -> SubspaceDesign:
     """All r-subspaces of F_q^n: the trivial Steiner structure with blocks of dim r."""
     blocks = list(enumerate_grassmannian(q, n, r))
-    design = SubspaceDesign.from_blocks(blocks, label=f"trivial[{r},{r},{n}]",
-                                        q=q, n=n, k=r)
+    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=r)
     _require(verify_covering(design, r), "trivial design failed Steiner check",
              steiner=True)
     return design
@@ -86,8 +84,7 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
     expected = (q ** n - 1) // (q ** k - 1)
     _census_budget(f"spread[{k},{n}]_{q}", expected, q, n)
     blocks, last = _field_tower(q, k, k, n)
-    design = SubspaceDesign.from_blocks(blocks + [last], label=f"spread[{k},{n}]_{q}",
-                                        q=q, n=n, k=k)
+    design = SubspaceDesign.from_blocks(blocks + [last], q=q, n=n, k=k)
     if len(design) != expected:
         raise ConstructionError(f"spread size {len(design)} != {expected}")
     _require(verify_covering(design, 1), "spread failed Steiner verification",
@@ -116,31 +113,18 @@ def _lift(design: SubspaceDesign, delta: int) -> SubspaceDesign:
         for i in range(delta):
             rows.append(tuple([0] * (n + i) + [1] + [0] * (delta - 1 - i)))
         blocks.append(span(q, n + delta, rows))
-    lifted = SubspaceDesign.from_blocks(blocks, label=f"lift({design.label},{delta})",
-                                        q=q, n=n + delta, k=design.k + delta)
+    lifted = SubspaceDesign.from_blocks(blocks, q=q, n=n + delta, k=design.k + delta)
     if len(lifted) != len(design):
         raise ConstructionError("lift changed the block count")
     _require(verify_covering(lifted, 1), "lifted design failed covering check")
     return lifted
 
 
-@dataclass(frozen=True)
-class PartialSpreadResult:
-    """Pairwise trivially-intersecting blocks plus one residual subspace.
-
-    Together the blocks and the residual partition the 1-subspaces of F_q^n.
-    """
-
-    q: int
-    n: int
-    rho: int
-    blocks: Tuple[Subspace, ...]
-    residual: Subspace
-
-
-def partial_spread(q: int, rho: int, n: int) -> PartialSpreadResult:
+def partial_spread(q: int, rho: int, n: int) -> Tuple[SubspaceDesign, Subspace]:
     """Partial spread for n = s*rho + m with rho < m < 2*rho, s >= 1: the
-    blocks and residual of _field_tower."""
+    design of pairwise trivially intersecting rho-subspaces and the residual
+    m-subspace of _field_tower, which together partition the 1-subspaces of
+    F_q^n."""
     if n % rho == 0 or n <= 2 * rho:
         raise ValueError(
             f"no decomposition n = s*rho + m with rho < m < 2*rho for "
@@ -153,12 +137,11 @@ def partial_spread(q: int, rho: int, n: int) -> PartialSpreadResult:
                           f"blocks, and its partition check lists {q}^{n} "
                           f"vectors, past {MAX_VECTOR_ENUM}")
     blocks, residual = _field_tower(q, rho, m, n)
-    if len(set(blocks)) != expected:
-        raise ConstructionError(
-            f"partial spread size {len(set(blocks))} != {expected}")
-    result = PartialSpreadResult(q, n, rho, tuple(blocks), residual)
-    _check_partial_spread_partition(result)
-    return result
+    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=rho)
+    if len(design) != expected:
+        raise ConstructionError(f"partial spread size {len(design)} != {expected}")
+    _check_partition(q, n, blocks + [residual])
+    return design, residual
 
 
 def _field_tower(q: int, rho: int, m: int, n: int
@@ -198,11 +181,11 @@ def _field_tower(q: int, rho: int, m: int, n: int
     return blocks, span(q, n, residual_rows)
 
 
-def _check_partial_spread_partition(ps: PartialSpreadResult):
+def _check_partition(q: int, n: int, parts: List[Subspace]):
     """Exact partition check: nonzero vectors of all parts tile F_q^n - {0}."""
     seen = set()
     count = 0
-    for part in list(ps.blocks) + [ps.residual]:
+    for part in parts:
         for key in packed_vectors(part):
             if key == 0:
                 continue
@@ -210,7 +193,7 @@ def _check_partial_spread_partition(ps: PartialSpreadResult):
                 raise ConstructionError("partial spread parts overlap")
             seen.add(key)
             count += 1
-    if count != ps.q ** ps.n - 1:
+    if count != q ** n - 1:
         raise ConstructionError("partial spread does not cover F_q^n")
 
 
@@ -229,16 +212,15 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     elif 2 * k >= n:
         design = _lift(spread(q, n - k, 2 * (n - k)), 2 * k - n)
     else:
-        ps = partial_spread(q, k, n)
-        m = ps.residual.dim
+        partial, residual = partial_spread(q, k, n)
+        m = residual.dim
         inner = optimal_line_covering(q, m, k)
         embedded = []
         for block in inner.blocks:
             rows = [(0,) * (n - m) + tuple(row) for row in block.rows]
             embedded.append(span(q, n, rows))
-        design = SubspaceDesign.from_blocks(
-            list(ps.blocks) + embedded, label=f"line-covering[{n},{k}]_{q}",
-            q=q, n=n, k=k)
+        design = SubspaceDesign.from_blocks(partial.blocks + tuple(embedded),
+                                            q=q, n=n, k=k)
         _require(verify_covering(design, 1), "line covering failed verification")
     if len(design) != expected:
         raise ConstructionError(
@@ -261,8 +243,7 @@ def turan_point_design(q: int, n: int, k: int,
     big = span(q, n, [tuple(1 if j == i else 0 for j in range(n))
                       for i in range(d)])
     blocks = list(subspaces_of(big, 1))
-    design = SubspaceDesign.from_blocks(blocks, label=f"turan-points[{n},{k}]_{q}",
-                                        q=q, n=n, k=1)
+    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=1)
     expected = (q ** d - 1) // (q - 1)
     if len(design) != expected:
         raise ConstructionError(f"Turan design size {len(design)} != {expected}")
@@ -312,8 +293,7 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
             blocks.append(span(q, n, base_rows + [beta]))
     for b in s2.blocks:
         blocks.append(span(q, n, [tuple(row) + (0,) for row in b.rows]))
-    design = SubspaceDesign.from_blocks(
-        blocks, label=f"recursive[{n},{k},{r}]_{q}", q=q, n=n, k=k)
+    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
     expected = q ** (n - k) * len(s1) + len(s2)
     if len(design) != expected:
         raise ConstructionError(
@@ -433,8 +413,7 @@ def gf64_covering_design() -> SubspaceDesign:
                 raise ConstructionError(f"image {m} of a base block spans "
                                         f"dim {len(rows)}, not 3")
             blocks.append(block)
-    design = SubspaceDesign.from_blocks(blocks, label="gf64-C2[7,3,2]",
-                                        q=2, n=7, k=3)
+    design = SubspaceDesign.from_blocks(blocks, q=2, n=7, k=3)
     if len(design) != 399:
         raise ConstructionError(f"gf64 block count {len(design)} != 399")
     gf64_orbit_census(singer, bases)
@@ -506,8 +485,7 @@ def derive_steiner(design: SubspaceDesign, t: int,
         if image.dim != design.k - 1:
             raise ConstructionError("projected block has wrong dimension")
         derived.append(image)
-    out = SubspaceDesign.from_blocks(derived, label=f"derived({design.label})",
-                                     q=q, n=n - 1, k=design.k - 1)
+    out = SubspaceDesign.from_blocks(derived, q=q, n=n - 1, k=design.k - 1)
     return out, verify_covering(out, t - 1)
 
 
@@ -524,7 +502,7 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     """
     if not 0 <= r <= k <= n:
         raise ValueError(f"need 0 <= r <= k <= n, got r={r}, k={k}, n={n}")
-    if gaussian(n, k, q) * gaussian(k, r, q) > 10 ** 7:
+    if gaussian(n, k, q) * gaussian(k, r, q) > MAX_SUBSPACE_ENUM:
         raise BudgetError("greedy incidence budget exceeded")
     rows_of = _local_rows(q, k, r)
     index = {}  # packed RREF rows of each target -> its number
@@ -545,7 +523,6 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
         uncovered -= newly
         for j in itertools.chain.from_iterable(map(holders.__getitem__, newly)):
             gain[j] -= 1
-    design = SubspaceDesign.from_blocks(chosen, label=f"greedy[{n},{k},{r}]_{q}",
-                                        q=q, n=n, k=k)
+    design = SubspaceDesign.from_blocks(chosen, q=q, n=n, k=k)
     _require(verify_covering(design, r), "greedy output failed verification")
     return design

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -38,11 +38,10 @@ class SubspaceDesign:
     n: int
     k: int
     blocks: Tuple[Subspace, ...]
-    label: str = field(default="", compare=False)
 
     @staticmethod
-    def from_blocks(blocks: Iterable[Subspace], label: str = "",
-                    q: int = None, n: int = None, k: int = None) -> "SubspaceDesign":
+    def from_blocks(blocks: Iterable[Subspace], q: int = None, n: int = None,
+                    k: int = None) -> "SubspaceDesign":
         """Build a design: drop duplicates in input order, then sort."""
         unique = sorted(dict.fromkeys(blocks), key=Subspace.sort_key)
         if unique:
@@ -57,7 +56,7 @@ class SubspaceDesign:
             if (b.q, b.n, b.dim) != (q, n, k):
                 raise AmbientMismatch(
                     f"block ({b.q},{b.n},dim {b.dim}) in design ({q},{n},k={k})")
-        return SubspaceDesign(q, n, k, tuple(unique), label)
+        return SubspaceDesign(q, n, k, tuple(unique))
 
     def __len__(self):
         return len(self.blocks)
@@ -88,14 +87,6 @@ class CoverageReport:
                 f"max={self.max_multiplicity} histogram[{hist}]")
 
 
-def _target(q: int, n: int, choice: tuple, t: Tuple[int, ...]) -> Subspace:
-    """The subspace with packed RREF rows t, from the grassmannian_choices
-    entry choice = (pivots, rows, packed) that lists them."""
-    pivots, rows, packed = choice
-    return Subspace(q, n, tuple([rows[i][packed[i].index(row)]
-                                 for i, row in enumerate(t)]), pivots)
-
-
 def _report(total: int, histogram: Counter, misses: Iterable) -> CoverageReport:
     """Report of a census with this multiplicity histogram.  The witnesses
     are the first WITNESS_CAP targets of misses, which is read only when
@@ -115,13 +106,22 @@ def _report_from_counts(counts: Counter, total: int,
     return _report(total, histogram, misses)
 
 
-def _grassmannian_misses(q: int, n: int, r: int, covered: Callable[[tuple], int],
-                         half: int) -> Iterator[Subspace]:
-    """The r-subspaces, in order, whose rows fail covered, read as the
-    unpacked (half 1) or packed (half 2) rows of grassmannian_choices."""
-    return (Subspace(q, n, t, choice[0]) if half == 1 else _target(q, n, choice, t)
-            for choice in grassmannian_choices(q, n, r)
-            for t in itertools.product(*choice[half]) if not covered(t))
+def _misses(q: int, n: int, dim: int, keys: Callable[[tuple], Iterable],
+            covered: Callable) -> Iterator[Subspace]:
+    """The dim-subspaces of F_q^n, in enumeration order, whose keys fail
+    covered.  keys maps a grassmannian_choices entry (pivots, rows, packed)
+    to one key per subspace of itertools.product(*rows), in that order; a
+    Subspace is built only for a miss."""
+    for choice in grassmannian_choices(q, n, dim):
+        for t, key in zip(itertools.product(*choice[1]), keys(choice)):
+            if not covered(key):
+                yield Subspace(q, n, t, choice[0])
+
+
+def _packed_rows(choice: tuple) -> Iterator[tuple]:
+    """The packed RREF rows of each subspace of a grassmannian_choices entry,
+    the key of the covering censuses."""
+    return itertools.product(*choice[2])
 
 
 def _count_product(start: int, factors: Sequence[Sequence[int]],
@@ -217,11 +217,11 @@ def verify_covering(design: SubspaceDesign, r: int,
             rows_of = _local_rows(q, k, r)
             for block in design.blocks:
                 counts.update(rows_of(packed_vectors(block)))
-        return _report_from_counts(counts, total, _grassmannian_misses(
-            q, n, r, counts.__contains__, 2))
+        return _report_from_counts(counts, total, _misses(
+            q, n, r, _packed_rows, counts.__contains__))
     if strategy == "scan":
         found, holders = _scan(q, n, r, [packed_vectors(b) for b in design.blocks])
-        return _report(total, found, _grassmannian_misses(q, n, r, holders, 2))
+        return _report(total, found, _misses(q, n, r, _packed_rows, holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -277,8 +277,9 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
         assert not rest, f"{count} incidences over an orbit of {sizes[orbit]}"
         histogram[multiplicity] += sizes[orbit]
     histogram[0] = total - sum(sizes.values())
-    return blocks, _report(total, histogram, _grassmannian_misses(
-        2, n, r, lambda t: action.orbit(_xor_span(t))[0] in incidences, 2))
+    return blocks, _report(total, histogram, _misses(
+        2, n, r, _packed_rows,
+        lambda t: action.orbit(_xor_span(t))[0] in incidences))
 
 
 def verify_turan(design: SubspaceDesign, k: int,
@@ -309,26 +310,23 @@ def verify_turan(design: SubspaceDesign, k: int,
         counts: Counter = Counter()
         for block in design.blocks:
             counts.update([t.rows for t in superspaces_containing(block, k)])
-        return _report_from_counts(counts, total, _grassmannian_misses(
-            q, n, k, counts.__contains__, 1))
+        return _report_from_counts(counts, total, _misses(
+            q, n, k, lambda choice: itertools.product(*choice[1]),
+            counts.__contains__))
     if strategy == "scan":
         found, holders = _scan(q, n, n - k,
                                [complement_vectors(b) for b in design.blocks])
-        return _report(total, found, (
-            Subspace(q, n, t, pivots)
-            for pivots, rows, _ in grassmannian_choices(q, n, k)
-            for t, generators in zip(itertools.product(*rows),
-                                     complement_generators(q, n, pivots, rows))
-            if not holders(generators)))
+        return _report(total, found, _misses(
+            q, n, k, lambda choice: complement_generators(q, n, *choice[:2]),
+            holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def dualize(design: SubspaceDesign) -> SubspaceDesign:
     """Orthogonal complement of every block; an involution on designs."""
     blocks = [orthogonal_complement(b) for b in design.blocks]
-    return SubspaceDesign.from_blocks(
-        blocks, label=f"dual({design.label})" if design.label else "dual",
-        q=design.q, n=design.n, k=design.n - design.k)
+    return SubspaceDesign.from_blocks(blocks, q=design.q, n=design.n,
+                                      k=design.n - design.k)
 
 
 # classical set systems -----------------------------------------------------

@@ -212,6 +212,8 @@ def get_gf(q: int) -> Field:
     """GF(q) for a prime power q: the one cached Field of each size."""
     if q < 2:
         raise FieldError(f"{q} is not a prime power")
+    if q > MAX_FIELD_SIZE:  # before the trial division, which is O(sqrt(q))
+        raise FieldError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     m = 1
     while p ** m < q:

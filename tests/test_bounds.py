@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,16 @@ def test_format_table():
 def test_bound_table_rejects_bad_q():
     with pytest.raises(ValueError):
         bound_table(5)
+
+
+# Each input guard of qcover.bounds: a call, the exception it raises and a
+# fragment of its message.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: schonheim_lower(4, 2, 0, 2), ValueError,
+                 "need 1 <= r <= k <= n, got (4,2,0)", id="schonheim-r0"),
+    pytest.param(lambda: bound_table(2, 13), ValueError, "n_max capped at 12",
+                 id="bound_table-n_max"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -590,6 +590,34 @@ def test_header_q_not_prime_power_without_blocks_exit_2(tmp_path, capsys,
     assert message in err
 
 
+@pytest.mark.parametrize("q, reason", [
+    (6, "6 is not a prime power"),
+    (131072, "field size 131072 exceeds 65536"),  # 2^17
+    (1000003, "field size 1000003 exceeds 65536"),  # a prime
+])
+def test_construct_bad_q_names_the_reason(capsys, q, reason):
+    code, out, err = run(capsys, "construct", "trivial", "--q", str(q),
+                         "--n", "1", "--r", "1")
+    assert code == 2
+    assert "RESULT:" not in out
+    assert err == f"invalid input: --q {q}: {reason}\n"
+
+
+def test_huge_q_fails_fast(tmp_path, capsys):
+    """A prime near 10^18 is refused by its size, with no trial division up
+    to its square root, both as --q and in a design file's header."""
+    q = 1000000000000000003
+    path = tmp_path / "d.txt"
+    path.write_text(f"qcover-design v1\nq={q} n=1 k=1\n")
+    for argv in (["construct", "trivial", "--q", str(q), "--n", "1", "--r", "1"],
+                 ["verify", str(path), "--mode", "covering", "--r", "1"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and "RESULT:" not in out
+        assert f"field size {q} exceeds 65536" in err
+
+
 def parse_witness(text):
     """The (q, n, rows) of a printed Subspace: one digit per coordinate up
     to q = 10, space-separated coordinates above it."""

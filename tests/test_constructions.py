@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -102,18 +103,18 @@ def test_line_covering_censuses_the_spread_it_lifts_once(monkeypatch, n, k,
 
 
 def test_partial_spread_2_2_5():
-    ps = partial_spread(2, 2, 5)
-    assert len(ps.blocks) == (2 ** 5 - 2 ** 3) // 3 == 8
-    assert ps.residual.dim == 3
-    assert all(b.dim == 2 for b in ps.blocks)
+    design, residual = partial_spread(2, 2, 5)
+    assert len(design.blocks) == (2 ** 5 - 2 ** 3) // 3 == 8
+    assert residual.dim == 3
+    assert all(b.dim == 2 for b in design.blocks)
 
 
 def test_partial_spread_sizes():
     for q, rho, n in [(2, 2, 7), (2, 3, 7), (3, 2, 5)]:
-        ps = partial_spread(q, rho, n)
+        design, residual = partial_spread(q, rho, n)
         m = n % rho + rho
-        assert len(ps.blocks) == (q ** n - q ** m) // (q ** rho - 1)
-        assert ps.residual.dim == m
+        assert len(design.blocks) == (q ** n - q ** m) // (q ** rho - 1)
+        assert residual.dim == m
 
 
 def test_partial_spread_rejects_bad_params():
@@ -467,3 +468,23 @@ def test_greedy_covering():
     assert verify_covering(d2, 2).is_covering
     assert len(d2.blocks) >= 27
 
+
+
+# Each input guard of qcover.constructions: a call, the exception it raises
+# and a fragment of its message.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: optimal_line_covering(2, 3, 4), ValueError,
+                 "need 1 <= k <= n, got (3,4)", id="line-covering-k-above-n"),
+    pytest.param(lambda: optimal_line_covering(2, 3, 0), ValueError,
+                 "need 1 <= k <= n, got (3,0)", id="line-covering-k0"),
+    pytest.param(lambda: turan_point_design(2, 3, 4), ValueError,
+                 "need 1 <= k <= n, got (3,4)", id="turan-points-k-above-n"),
+    pytest.param(lambda: turan_point_design(2, 3, 0), ValueError,
+                 "need 1 <= k <= n, got (3,0)", id="turan-points-k0"),
+    pytest.param(lambda: expand_to_steiner_system(
+        SubspaceDesign.from_blocks([full_space(3, 2)])), ConstructionError,
+                 "expansion is defined over GF(2) only", id="expand-q3"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,12 +9,12 @@ from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem
                             SubspaceDesign,
                             design_from_text, design_to_text, dualize,
                             point_indexing, to_point_set_system,
-                            verify_covering,
+                            verify_covering, verify_orbits,
                             verify_steiner_system, verify_turan)
 from qcover.constructions import (gf64_covering_design, spread, trivial_steiner,
                                   turan_point_design)
-from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
-                              enumerate_grassmannian, full_space,
+from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
+                              Subspace, enumerate_grassmannian, full_space,
                               local_row_indices, span)
 
 
@@ -361,3 +362,52 @@ def test_local_row_indices_refused_past_the_budget(monkeypatch, q, k, r):
 def test_from_blocks_rejects_k_outside_0_to_n(n, k):
     with pytest.raises(ValueError, match=f"n={n} k={k}"):
         SubspaceDesign.from_blocks([], q=2, n=n, k=k)
+
+
+def _empty(q, n, k):
+    return SubspaceDesign.from_blocks([], q=q, n=n, k=k)
+
+
+def _unit_rows(q, n, k):
+    """The span of the first k unit vectors of F_q^n."""
+    return span(q, n, [tuple(int(i == j) for j in range(n)) for i in range(k)])
+
+
+# Each input guard of qcover.designs: a call, the exception it raises and a
+# fragment of its message.  Every over-budget case raises before it
+# enumerates anything: [13 2]_2 = 11 180 715 and C(100, 5) = 75 287 520 are
+# past MAX_SUBSPACE_ENUM.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: verify_covering(_empty(2, 4, 2), 3), ValueError,
+                 "need 0 <= r <= k, got r=3", id="verify_covering-r-above-k"),
+    pytest.param(lambda: verify_covering(_empty(2, 13, 2), 2), BudgetError,
+                 "[13 2]_2 exceeds", id="verify_covering-budget"),
+    pytest.param(lambda: verify_turan(_empty(2, 4, 2), 1), ValueError,
+                 "need block dim <= k <= n, got k=1", id="verify_turan-k-below-dim"),
+    pytest.param(lambda: verify_turan(_empty(2, 13, 1), 2), BudgetError,
+                 "[13 2]_2 exceeds", id="verify_turan-budget"),
+    pytest.param(lambda: verify_orbits(GroupAction(3, [1, 2, 4]),
+                                       [_unit_rows(3, 3, 1)], 1),
+                 AmbientMismatch, "base block (3,3,dim 1)", id="verify_orbits-q3-base"),
+    pytest.param(lambda: verify_orbits(GroupAction(13, [1 << i for i in range(13)]),
+                                       [_unit_rows(2, 13, 2)], 2),
+                 BudgetError, "[13 2]_2 exceeds", id="verify_orbits-budget"),
+    pytest.param(lambda: verify_steiner_system(SetSystem.from_blocks(7, [(0, 1)]), 3),
+                 ValueError, "t exceeds the block size", id="steiner-t-above-size"),
+    pytest.param(lambda: verify_steiner_system(
+        SetSystem.from_blocks(100, [range(5)]), 5), BudgetError,
+                 "C(100,5) exceeds", id="steiner-budget"),
+    pytest.param(lambda: to_point_set_system(_empty(2, 3, 0)), ValueError,
+                 "needs block dimension >= 1", id="point-set-k0"),
+    pytest.param(lambda: SetSystem.from_blocks(7, [(0, 1), (2, 3, 4)]), ValueError,
+                 "non-uniform block sizes", id="setsystem-sizes"),
+    pytest.param(lambda: SetSystem.from_blocks(3, [(1, 3)]), ValueError,
+                 "point index out of range", id="setsystem-point"),
+    pytest.param(lambda: SubspaceDesign.from_blocks([]), ValueError,
+                 "empty design needs explicit q, n, k", id="from_blocks-empty"),
+    pytest.param(lambda: design_from_text(DESIGN_MAGIC + "\n"), FormatError,
+                 "missing parameter line", id="design_from_text-no-params"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

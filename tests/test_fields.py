@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 
@@ -204,3 +205,24 @@ def test_row_arithmetic_matches_element_arithmetic(q):
         assert gf.row_sub(u, c, v) == [gf.sub(a, gf.mul(c, b))
                                        for a, b in zip(u, v)]
         assert gf.row_scale(c, v) == [gf.mul(c, b) for b in v]
+
+
+# Each input guard of qcover.fields: a call, the exception it raises and a
+# fragment of its message.  get_gf rejects a q past MAX_FIELD_SIZE before it
+# trial-divides, so a prime near 10^18 fails at once, and a composite past
+# it gets the size message too.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Field(2, 0), FieldError,
+                 "extension degree 0 must be positive", id="Field-m0"),
+    pytest.param(lambda: Field(1, 1), FieldError, "characteristic 1 is not prime",
+                 id="Field-p1"),
+    pytest.param(lambda: get_gf(5).inv(0), ZeroDivisionError,
+                 "zero has no inverse", id="inv-zero"),
+    pytest.param(lambda: get_gf(1000000000000000003), FieldError,
+                 "field size 1000000000000000003 exceeds 65536", id="get_gf-huge-prime"),
+    pytest.param(lambda: get_gf(100000), FieldError,
+                 "field size 100000 exceeds 65536", id="get_gf-large-composite"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -3,6 +3,7 @@ import functools
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -11,9 +12,10 @@ from qcover.bounds import gaussian
 from qcover.constructions import turan_point_design
 from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_pack, vec_unpack
-from qcover.subspaces import (AmbientMismatch, BudgetError, Subspace,
-                              contains_subspace, contains_vector,
+from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
+                              Subspace, contains_subspace, contains_vector,
                               enumerate_grassmannian, enumerate_vectors,
+                              grassmannian_choices,
                               full_space, intersect, orthogonal_complement,
                               packed_vectors, rref, span, subspaces_of,
                               sum_subspaces, superspaces_containing, xor_rref)
@@ -315,3 +317,27 @@ def test_xor_rref_edge_cases():
     for bad in (1 << 4, -1):
         with pytest.raises(AmbientMismatch):
             xor_rref(4, [bad])
+
+
+# Each input guard of qcover.subspaces: a call, the exception it raises and
+# a fragment of its message.  The generators raise on their first next(), and
+# the budget cases raise before they build anything: 2^25 vectors is past
+# MAX_VECTOR_ENUM.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: next(grassmannian_choices(2, 3, 4)), ValueError,
+                 "need 0 <= k <= n, got k=4, n=3", id="grassmannian_choices-k-above-n"),
+    pytest.param(lambda: contains_vector(full_space(2, 3), (1, 0)), AmbientMismatch,
+                 "vector length mismatch", id="contains_vector-length"),
+    pytest.param(lambda: next(superspaces_containing(full_space(2, 3), 2)),
+                 ValueError, "need dim <= k <= n, got k=2",
+                 id="superspaces_containing-k-below-dim"),
+    pytest.param(lambda: enumerate_vectors(full_space(2, 25)), BudgetError,
+                 "2^25 vectors exceed", id="enumerate_vectors-budget"),
+    pytest.param(lambda: GroupAction(25, [1 << i for i in range(25)]), BudgetError,
+                 "2^25 vectors exceed", id="GroupAction-budget"),
+    pytest.param(lambda: GroupAction(3, [1, 2, 4]).orbit([]), ValueError,
+                 "an empty vector set has no orbit", id="orbit-empty"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

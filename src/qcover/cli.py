@@ -19,9 +19,8 @@ import sys
 from . import bounds as bounds_mod
 from . import constructions as cons
 from . import designs
-from .designs import FormatError
 from .fields import FieldError, get_gf, is_prime
-from .subspaces import BudgetError, span
+from .subspaces import BudgetError, check_ambient, span
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -32,11 +31,6 @@ EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 def _result(command: str, params: str, verdict, size) -> None:
     print(f"RESULT: {command} {params} verdict={verdict} size={size}")
-
-
-def _write_design(design, path):
-    designs.save_design(design, path)
-    print(f"wrote {len(design.blocks)} blocks to {path}")
 
 
 def _recursive(args):
@@ -52,18 +46,23 @@ def _recursive(args):
     return cons.recursive_covering(s1, s2, args.r)
 
 
+def _partial_spread(args):
+    design, residual = cons.partial_spread(args.q, args.rho, args.n)
+    print(f"residual subspace dimension: {residual.dim}")
+    return design
+
+
 # Each construction kind, in the order `construct --help` lists them: the
-# arguments it reads and its builder.  q must be a prime power (a prime for
-# the kinds built on a field tower over GF(q), TOWER_KINDS), the integer
-# arguments among n, k, rho at least 1, k at most n, r in 0..k (0..n without
-# a k, and 1..k of --s2 for recursive, checked once --s2 is read) and delta
-# at least 0.
+# flags it reads, the only ones its subparser takes besides -o, and its
+# builder.  q must be a prime power (a prime for the kinds built on a field
+# tower over GF(q), TOWER_KINDS), k at most n, r in 0..k (0..n without a k,
+# and 1..k of --s2 for recursive, checked once --s2 is read) and n at most
+# MAX_AMBIENT_N (n + delta for lift, checked by lift_covering).
 CONSTRUCTIONS = {
     "spread": (("q", "k", "n"), lambda a: cons.spread(a.q, a.k, a.n)),
     "lift": (("input", "delta"),
              lambda a: cons.lift_covering(designs.load_design(a.input), a.delta)),
-    "partial-spread": (("q", "rho", "n"),
-                       lambda a: cons.partial_spread(a.q, a.rho, a.n)),
+    "partial-spread": (("q", "rho", "n"), _partial_spread),
     "line-covering": (("q", "n", "k"),
                       lambda a: cons.optimal_line_covering(a.q, a.n, a.k)),
     "turan-dual": (("q", "n", "k"),
@@ -75,54 +74,54 @@ CONSTRUCTIONS = {
     "trivial": (("q", "n", "r"), lambda a: cons.trivial_steiner(a.q, a.n, a.r)),
 }
 TOWER_KINDS = ("spread", "partial-spread", "line-covering")
+# Each flag of CONSTRUCTIONS: its type, default (None: the flag is required),
+# least value (None: only the range checks above bound it) and help.
+FLAGS = {
+    "q": (int, 2, 1, "field size, a prime power"),
+    "n": (int, None, 1, "ambient dimension"),
+    "k": (int, None, 1, "block dimension"),
+    "r": (int, None, None, "dimension of the covered subspaces"),
+    "rho": (int, None, 1, "block dimension"),
+    "delta": (int, 0, 0, "dimensions to add"),
+    "input": (str, None, None, "C_q[n,k,1] design file"),
+    "s1": (str, None, None, "C_q[n-1,k-1,r-1] design file"),
+    "s2": (str, None, None, "C_q[n-1,k,r] design file"),
+}
 
 
-def _bad_construct_arg(args):
-    """Message naming the first missing or out-of-range argument, or None."""
+def cmd_construct(args) -> int:
     needed = CONSTRUCTIONS[args.kind][0]
     for name in needed:
-        value = getattr(args, name)
-        if value is None:
-            return f"construct {args.kind} needs --{name}"
-        if name in ("q", "n", "k", "rho") and value < 1:
-            return f"--{name} must be at least 1, got {value}"
-        if name == "delta" and value < 0:
-            return f"--delta must be at least 0, got {value}"
+        least, value = FLAGS[name][2], getattr(args, name)
+        if least is not None and value < least:
+            raise ValueError(f"--{name} must be at least {least}, got {value}")
     if "q" in needed:
         try:
             get_gf(args.q)
         except FieldError as exc:
-            return f"--q {args.q}: {exc}"
+            raise ValueError(f"--q {args.q}: {exc}") from exc
         if args.kind in TOWER_KINDS and not is_prime(args.q):
-            return f"--q must be prime for construct {args.kind}, got {args.q}"
+            raise ValueError(f"--q must be prime for construct {args.kind}, "
+                             f"got {args.q}")
     if "k" in needed and "n" in needed and args.k > args.n:
-        return f"--k must be at most --n={args.n}, got {args.k}"
+        raise ValueError(f"--k must be at most --n={args.n}, got {args.k}")
     if "r" in needed and ("k" in needed or "n" in needed):
         high, bound = (args.k, "--k") if "k" in needed else (args.n, "--n")
         if not 0 <= args.r <= high:
-            return f"--r must be in 0..{high} (at most {bound}), got {args.r}"
-    return None
-
-
-def cmd_construct(args) -> int:
-    kind = args.kind
-    bad = _bad_construct_arg(args)
-    if bad:
-        print(f"invalid input: {bad}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    built = CONSTRUCTIONS[kind][1](args)
-    if kind == "partial-spread":
-        design, residual = built
-        print(f"residual subspace dimension: {residual.dim}")
-        if args.output:
-            _write_design(design, args.output)
-        _result("construct", f"partial-spread q={args.q} rho={args.rho} n={args.n}",
-                True, len(design.blocks))
-        return EXIT_OK
+            raise ValueError(f"--r must be in 0..{high} (at most {bound}), "
+                             f"got {args.r}")
+    if "n" in needed:
+        check_ambient(args.n)
+    design = CONSTRUCTIONS[args.kind][1](args)
     if args.output:
-        _write_design(built, args.output)
-    print(f"construction {kind}: {len(built.blocks)} blocks, verified")
-    _result("construct", kind, True, len(built.blocks))
+        designs.save_design(design, args.output)
+        print(f"wrote {len(design.blocks)} blocks to {args.output}")
+    params = args.kind
+    if args.kind == "partial-spread":  # its builder printed the residual
+        params += f" q={args.q} rho={args.rho} n={args.n}"
+    else:
+        print(f"construction {args.kind}: {len(design.blocks)} blocks, verified")
+    _result("construct", params, True, len(design.blocks))
     return EXIT_OK
 
 
@@ -131,10 +130,9 @@ def cmd_verify(args) -> int:
     # --r is the target dimension r <= k, or for turan the superspace dim k
     low, high = (design.k, design.n) if args.mode == "turan" else (0, design.k)
     if not low <= args.r <= high:
-        print(f"invalid input: --r must be in {low}..{high} for mode {args.mode} "
-              f"on a design with n={design.n} k={design.k}, got {args.r}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--r must be in {low}..{high} for mode {args.mode} "
+                         f"on a design with n={design.n} k={design.k}, "
+                         f"got {args.r}")
     if args.mode == "covering":
         report = designs.verify_covering(design, args.r)
         verdict = report.is_covering
@@ -154,25 +152,18 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.q not in (2, 3):
-        print(f"invalid input: --q must be 2 or 3 for the bound table, "
-              f"got {args.q}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--q must be 2 or 3 for the bound table, got {args.q}")
     if not 1 <= args.n_max <= 12:
-        print(f"invalid input: --n-max must be in 1..12, got {args.n_max}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--n-max must be in 1..12, got {args.n_max}")
     table = bounds_mod.bound_table(args.q, args.n_max)
     if args.filter:
         try:
             n, k, r = (int(x) for x in args.filter.split(","))
         except ValueError:
-            print(f"invalid input: --filter must be n,k,r, got {args.filter!r}",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError(f"--filter must be n,k,r, got {args.filter!r}")
         if (n, k, r) not in table:
-            print(f"invalid input: --filter ({n},{k},{r}) is not in the table "
-                  f"for q={args.q} n<={args.n_max}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError(f"--filter ({n},{k},{r}) is not in the table "
+                             f"for q={args.q} n<={args.n_max}")
         rec = table[(n, k, r)]
         print(bounds_mod.format_table({(n, k, r): rec}, csv=args.csv))
         _result("bounds", f"q={args.q} {n},{k},{r}",
@@ -187,13 +178,11 @@ def cmd_bounds(args) -> int:
 def cmd_expand(args) -> int:
     design = designs.load_design(args.design)
     if design.q != 2:
-        print(f"invalid input: expand needs a q=2 design, {args.design} "
-              f"has q={design.q}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"expand needs a q=2 design, {args.design} "
+                         f"has q={design.q}")
     if design.k < 2:
-        print(f"invalid input: expand needs a design with k >= 2, "
-              f"{args.design} has k={design.k}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"expand needs a design with k >= 2, "
+                         f"{args.design} has k={design.k}")
     try:
         system = cons.expand_to_steiner_system(design)
     except BudgetError as exc:
@@ -209,18 +198,15 @@ def cmd_derive(args) -> int:
     design = designs.load_design(args.design)
     q, n = design.q, design.n
     if not 2 <= args.t <= design.k:
-        print(f"invalid input: --t must be in 2..{design.k} for a design with "
-              f"k={design.k}, got {args.t}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--t must be in 2..{design.k} for a design with "
+                         f"k={design.k}, got {args.t}")
     if len(args.point) != n or any(ch not in "0123456789"[:q] for ch in args.point):
-        print(f"invalid input: --point must be {n} digits in 0..{q - 1}, "
-              f"got {args.point!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"--point must be {n} digits in 0..{q - 1}, "
+                         f"got {args.point!r}")
     vec = tuple(int(ch) for ch in args.point)
     point = span(q, n, [vec])
     if point.dim != 1:
-        print("invalid input: --point must be a nonzero vector", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--point must be a nonzero vector")
     derived, report = cons.derive_steiner(design, args.t, point)
     if args.output:
         designs.save_design(derived, args.output)
@@ -246,17 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a design and write it to a file")
-    c.add_argument("kind", choices=list(CONSTRUCTIONS))
-    c.add_argument("--q", type=int, default=2)
-    c.add_argument("--n", type=int)
-    c.add_argument("--k", type=int)
-    c.add_argument("--r", type=int)
-    c.add_argument("--rho", type=int)
-    c.add_argument("--delta", type=int, default=0)
-    c.add_argument("--input", help="input design file (lift)")
-    c.add_argument("--s1", help="C_q[n-1,k-1,r-1] design file (recursive)")
-    c.add_argument("--s2", help="C_q[n-1,k,r] design file (recursive)")
-    c.add_argument("-o", "--output")
+    kinds = c.add_subparsers(dest="kind", required=True)
+    for kind, (flags, _) in CONSTRUCTIONS.items():
+        # no abbreviations: --r must not pass for --rho
+        k = kinds.add_parser(kind, allow_abbrev=False)
+        for name in flags:
+            kind_type, default, _, text = FLAGS[name]
+            k.add_argument(f"--{name}", type=kind_type, default=default,
+                           required=default is None, help=text)
+        k.add_argument("-o", "--output")
     c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="verify a design file")
@@ -323,8 +307,7 @@ def main(argv=None) -> int:
     except cons.ConstructionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (FormatError, FieldError, ValueError, KeyError, OSError,
-            TypeError) as exc:
+    except (ValueError, KeyError, OSError, TypeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through

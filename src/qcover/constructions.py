@@ -19,8 +19,8 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_turan, dualize)
 from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
-                        MAX_VECTOR_ENUM, Subspace,
-                        _local_rows, _xor_span, contains_subspace,
+                        MAX_VECTOR_ENUM, Subspace, _local_rows, _xor_span,
+                        check_ambient, contains_subspace,
                         enumerate_grassmannian, packed_vectors, span,
                         subspaces_of, xor_rref)
 
@@ -100,6 +100,7 @@ def lift_covering(design: SubspaceDesign, delta: int) -> SubspaceDesign:
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    check_ambient(design.n + delta)
     _require(verify_covering(design, 1), "input is not a verified line covering")
     return _lift(design, delta) if delta else design
 

@@ -22,10 +22,10 @@ from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
                         GroupAction, Subspace, _local_rows, _xor_span,
-                        complement_generators, complement_vectors,
-                        grassmannian_choices, orthogonal_complement,
-                        packed_vectors, span, superspaces_containing,
-                        xor_rref)
+                        check_ambient, complement_generators,
+                        complement_vectors, grassmannian_choices,
+                        orthogonal_complement, packed_vectors, span,
+                        superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 
@@ -416,7 +416,8 @@ def design_from_text(text: str) -> SubspaceDesign:
 
     Blocks share words, so each distinct word is checked and converted once
     per call, to a packed int for q = 2 and a coordinate tuple otherwise;
-    the first bad word raises FormatError in file order.
+    the first bad word raises FormatError in file order.  A header n past
+    MAX_AMBIENT_N raises BudgetError before any block is read.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != DESIGN_MAGIC:
@@ -434,6 +435,7 @@ def design_from_text(text: str) -> SubspaceDesign:
         get_gf(q)
     except FieldError as exc:
         raise FormatError(str(exc)) from exc
+    check_ambient(n)
     top = str(min(q, 10) - 1)  # the largest digit that is a coordinate
     vector = {}  # each word checked so far -> its vector
     blocks = []

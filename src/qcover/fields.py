@@ -111,13 +111,15 @@ class Field:
     """
 
     def __init__(self, p: int, m: int):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if m < 1:
             raise FieldError(f"extension degree {m} must be positive")
+        # p >= 2 makes p^m at least 2^m, so m bounds the size before p^m is
+        # built, and the size bounds p before is_prime trial-divides it.
+        if p > 1 and (m >= MAX_FIELD_SIZE.bit_length() or p ** m > MAX_FIELD_SIZE):
+            raise FieldError(f"field size {p}^{m} exceeds {MAX_FIELD_SIZE}")
+        if not is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
         q = p ** m
-        if q > MAX_FIELD_SIZE:
-            raise FieldError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         self.p, self.m, self.q, self.modulus = p, m, q, None
         if m == 1:
             for g in range(1, p):  # g = 1 generates only when p = 2

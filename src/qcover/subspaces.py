@@ -20,12 +20,21 @@ from .fields import Field, get_gf, vec_pack, vec_unpack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
 MAX_VECTOR_ENUM = 1 << 24
+# Largest ambient dimension of a design file or a construction: for q = 2
+# every census with 1 <= r < n lists over MAX_SUBSPACE_ENUM targets from n = 24.
+MAX_AMBIENT_N = 64
 # Largest first-row choice list grassmannian_choices builds in one piece.
 ROW_CHUNK = 1 << 12
 
 
 class BudgetError(RuntimeError):
     """Enumeration would exceed the hard subspace/vector budget."""
+
+
+def check_ambient(n: int) -> None:
+    """BudgetError for an ambient dimension n past MAX_AMBIENT_N."""
+    if n > MAX_AMBIENT_N:
+        raise BudgetError(f"ambient dimension n={n} exceeds {MAX_AMBIENT_N}")
 
 
 class AmbientMismatch(ValueError):

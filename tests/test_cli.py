@@ -273,9 +273,41 @@ def test_construct_spread_zero_k_exit_2(capsys):
 
 
 def test_construct_greedy_without_r_exit_2(capsys):
-    code, _, err = run(capsys, "construct", "greedy", "--n", "4", "--k", "2")
-    assert code == 2
-    assert "--r" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "greedy", "--n", "4", "--k", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --r" in capsys.readouterr().err
+
+
+# A flag that each kind does not read: the first of cli.FLAGS outside its own.
+FOREIGN = {kind: next(name for name in cli.FLAGS if name not in flags)
+           for kind, (flags, _) in cli.CONSTRUCTIONS.items()}
+
+
+@pytest.mark.parametrize("kind", list(cli.CONSTRUCTIONS))
+def test_construct_takes_only_its_own_flags(capsys, kind):
+    """A flag the kind does not read, even a prefix of one it does read, and
+    a missing required flag are usage errors that name the flag; parsing
+    stops before any design file is read."""
+    argv, _, _ = CERTIFIED[kind]
+    argv = ["construct", kind] + [arg.format(line="line.txt", plane="plane.txt")
+                                  for arg in argv]
+    flags = cli.CONSTRUCTIONS[kind][0]
+    cases = [(argv + [f"--{FOREIGN[kind]}", "1"],
+              f"unrecognized arguments: --{FOREIGN[kind]} 1")]
+    if "rho" in flags:
+        cases.append((argv + ["--r", "1"], "unrecognized arguments: --r 1"))
+    required = [name for name in flags if cli.FLAGS[name][1] is None]
+    if required:
+        at = argv.index(f"--{required[0]}")
+        cases.append((argv[:at] + argv[at + 2:],
+                      f"the following arguments are required: --{required[0]}"))
+    for bad, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert message in err, (bad, err)
 
 
 def test_construct_recursive_mismatched_inputs_exit_2(tmp_path, capsys):
@@ -514,6 +546,42 @@ def test_construct_huge_spread_exit_3_before_building(capsys, argv):
     assert "RESULT:" not in out
 
 
+# Each argv names an ambient dimension past MAX_AMBIENT_N = 64: as --n, as
+# n + --delta of a lift, or in the header of {huge}, q=2 n=100000000 k=0.
+# Each used to run until killed, end in a MemoryError, or fail to format a
+# block count past Python's int-to-string limit.
+@pytest.mark.parametrize("argv, n", [
+    (["construct", "trivial", "--q", "2", "--n", "100000000", "--r", "50000000"],
+     100000000),
+    (["construct", "greedy", "--q", "2", "--n", "1000000", "--k", "500000",
+      "--r", "3"], 1000000),
+    (["construct", "turan-dual", "--q", "2", "--n", "100000", "--k", "2"], 100000),
+    (["construct", "lift", "--input", "{line}", "--delta", "100000"], 100004),
+    (["construct", "spread", "--q", "2", "--k", "1", "--n", "100000000"],
+     100000000),
+    (["construct", "partial-spread", "--q", "2", "--rho", "2", "--n", "100001"],
+     100001),
+    (["construct", "trivial", "--n", "65", "--r", "1"], 65),
+    (["verify", "{huge}", "--mode", "turan", "--r", "3"], 100000000),
+    (["verify", "{huge}", "--mode", "turan", "--r", "100000000"], 100000000),
+    (["verify", "{huge}", "--mode", "covering", "--r", "0"], 100000000),
+])
+def test_ambient_dimension_past_the_cap_exit_3(tmp_path, capsys, argv, n):
+    inputs = {"line": tmp_path / "line.txt", "huge": tmp_path / "huge.txt"}
+    designs.save_design(optimal_line_covering(2, 4, 2), str(inputs["line"]))
+    inputs["huge"].write_text("qcover-design v1\nq=2 n=100000000 k=0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *[arg.format(**inputs) for arg in argv])
+    assert time.perf_counter() - start < 1
+    assert code == 3 and "RESULT:" not in out
+    assert err == f"budget exceeded: ambient dimension n={n} exceeds 64\n"
+
+
+def test_ambient_dimension_at_the_cap_loads():
+    design = design_from_text("qcover-design v1\nq=2 n=64 k=0\n")
+    assert (design.n, design.k, len(design.blocks)) == (64, 0, 0)
+
+
 def test_expand_past_the_size_limit_exit_3(tmp_path, capsys):
     design = tmp_path / "n17.txt"
     line = " ".join("".join("1" if j == i else "0" for j in range(17))
@@ -705,7 +773,7 @@ def test_reused_parser_carries_no_state_between_calls(tmp_path):
     path = str(tmp_path / "gf64.txt")
     verify = ["verify", path, "--mode", "covering", "--r", "2"]
     calls = [["construct", "gf64", "-o", path], verify,
-             ["construct", "gf64", "--n", "x"],
+             ["construct", "spread", "--n", "x"],
              ["bounds", "--q", "2", "--n-max", "5", "--csv"], verify]
     reused = run_calls(calls, fresh=False)
     assert reused == run_calls(calls, fresh=True)

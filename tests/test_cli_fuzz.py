@@ -22,7 +22,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qcover.cli import main  # noqa: E402
+from qcover.cli import CONSTRUCTIONS, main  # noqa: E402
 
 
 @st.composite
@@ -104,7 +104,8 @@ def construct_cases(draw):
     arguments.  q runs over 0..30, mostly small prime powers.  k, r and rho
     come from their valid ranges half the time and otherwise reach one past
     them on either side; n does so too, or is N_CAP[q], where a partial
-    spread (n > 2 rho) can first be built."""
+    spread (n > 2 rho) can first be built.  The argv holds only the flags
+    the kind reads, so that every drawn value reaches its range checks."""
     kind = draw(st.sampled_from(["spread", "partial-spread", "line-covering",
                                  "turan-dual", "trivial", "greedy"]))
     q = draw(st.one_of(st.sampled_from([2, 3, 4, 5]), st.integers(0, 30)))
@@ -113,8 +114,9 @@ def construct_cases(draw):
     k = draw(st.one_of(st.integers(1, max(n, 1)), st.integers(-1, n + 1)))
     r = draw(st.one_of(st.integers(0, max(k, 0)), st.integers(-1, k + 1)))
     rho = draw(st.one_of(st.just(2), st.integers(-1, 3)))
-    return ["construct", kind, "--q", str(q), "--n", str(n), "--k", str(k),
-            "--r", str(r), "--rho", str(rho)]
+    values = {"q": q, "n": n, "k": k, "r": r, "rho": rho}
+    return ["construct", kind] + [arg for name in CONSTRUCTIONS[kind][0]
+                                  for arg in (f"--{name}", str(values[name]))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

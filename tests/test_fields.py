@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import time
 
 import pytest
 
@@ -210,7 +211,8 @@ def test_row_arithmetic_matches_element_arithmetic(q):
 # Each input guard of qcover.fields: a call, the exception it raises and a
 # fragment of its message.  get_gf rejects a q past MAX_FIELD_SIZE before it
 # trial-divides, so a prime near 10^18 fails at once, and a composite past
-# it gets the size message too.
+# it gets the size message too.  Field checks m and then the size before it
+# trial-divides p or builds p^m, so each guard raises within 10 ms.
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: Field(2, 0), FieldError,
                  "extension degree 0 must be positive", id="Field-m0"),
@@ -222,7 +224,16 @@ def test_row_arithmetic_matches_element_arithmetic(q):
                  "field size 1000000000000000003 exceeds 65536", id="get_gf-huge-prime"),
     pytest.param(lambda: get_gf(100000), FieldError,
                  "field size 100000 exceeds 65536", id="get_gf-large-composite"),
+    pytest.param(lambda: Field(1000000000000000003, 1), FieldError,
+                 "field size 1000000000000000003^1 exceeds 65536",
+                 id="Field-huge-prime"),
+    pytest.param(lambda: Field(2, 10 ** 8), FieldError,
+                 "field size 2^100000000 exceeds 65536", id="Field-huge-m"),
+    pytest.param(lambda: Field(2, 10 ** 9), FieldError,
+                 "field size 2^1000000000 exceeds 65536", id="Field-huger-m"),
 ])
 def test_input_guards(call, error, message):
+    start = time.perf_counter()
     with pytest.raises(error, match=re.escape(message)):
         call()
+    assert time.perf_counter() - start < 0.01

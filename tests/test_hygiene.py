@@ -19,6 +19,13 @@ one.
 Every public top-level function of src/qcover is used: an AST scan fails on
 any that no module of src/qcover names and qcover/__init__.py does not
 export, outside UNREFERENCED, which gives the reason each of those stays.
+
+The CLI has one bad-input path: a command raises ValueError and main prints
+`invalid input: ...` and returns EXIT_BAD_INPUT.  An AST scan of cli.py fails
+on any "invalid input" string outside a docstring and any
+`return EXIT_BAD_INPUT` outside main.  Another checks that the flags
+cli.CONSTRUCTIONS names are exactly the keys of cli.FLAGS, the table that
+gives each construct flag its type, default, least value and help.
 """
 
 import ast
@@ -28,6 +35,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 REEXPORTS = ROOT / "src" / "qcover" / "__init__.py"
+CLI = ROOT / "src" / "qcover" / "cli.py"
 MODULES = sorted(path for folder in (ROOT / "src" / "qcover", ROOT / "tests")
                  for path in folder.glob("*.py") if path != REEXPORTS)
 SOURCES = sorted((ROOT / "src" / "qcover").glob("*.py"))
@@ -187,3 +195,77 @@ def test_unreferenced_function_scan_finds_each_form():
     assert unreferenced_functions(sources) == {
         ("a.py", "unused"), ("a.py", "unused_async"), ("a.py", "outer"),
         ("b.py", "main")}
+
+
+def bad_input_paths(source: str):
+    """(line, form) of every "invalid input" string that is not a docstring
+    and every `return EXIT_BAD_INPUT` outside the top-level function main."""
+    tree = ast.parse(source)
+    skip = {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == "main"
+            for node in ast.walk(top)}
+    skip |= {id(node.body[0].value) for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.FunctionDef,
+                                  ast.AsyncFunctionDef, ast.ClassDef))
+             and ast.get_docstring(node) is not None}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "invalid input" in node.value:
+            found.append((node.lineno, "invalid input"))
+        elif isinstance(node, ast.Return) and isinstance(node.value, ast.Name) \
+                and node.value.id == "EXIT_BAD_INPUT":
+            found.append((node.lineno, "return EXIT_BAD_INPUT"))
+    return sorted(found)
+
+
+def test_cli_prints_invalid_input_only_in_main():
+    assert bad_input_paths(CLI.read_text(encoding="utf-8")) == []
+
+
+def test_bad_input_scan_finds_each_form():
+    source = ('"""Exit 2 on invalid input."""\n'
+              "import sys\n"
+              "def cmd(args):\n"
+              '    """Refuse invalid input."""\n'
+              '    print(f"invalid input: {args}", file=sys.stderr)\n'
+              "    return EXIT_BAD_INPUT\n"
+              "def other():\n"
+              '    message = "no invalid input here"\n'
+              "    return EXIT_OK\n"
+              "def main():\n"
+              '    print("invalid input: x")\n'
+              "    return EXIT_BAD_INPUT\n")
+    assert bad_input_paths(source) == [(5, "invalid input"),
+                                       (6, "return EXIT_BAD_INPUT"),
+                                       (8, "invalid input")]
+
+
+def construct_flags(source: str):
+    """(the flags that the CONSTRUCTIONS table of cli.py names, the keys of
+    its FLAGS table), each a set."""
+    tables = {node.targets[0].id: node.value for node in ast.parse(source).body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              and isinstance(node.targets[0], ast.Name)}
+    named = {name for entry in tables["CONSTRUCTIONS"].values
+             for name in ast.literal_eval(entry.elts[0])}
+    return named, set(map(ast.literal_eval, tables["FLAGS"].keys))
+
+
+def test_every_construct_flag_has_one_table_entry():
+    named, table = construct_flags(CLI.read_text(encoding="utf-8"))
+    assert {"q", "n", "input"} <= named
+    assert named == table
+
+
+def test_construct_flag_scan_reads_both_tables():
+    source = ("CONSTRUCTIONS = {\n"
+              '    "a": (("q", "n"), lambda a: a),\n'
+              '    "b": ((), build),\n'
+              '    "c": (("s1",), build),\n'
+              "}\n"
+              'FLAGS = {"q": (int, 2, 1, "q"), "n": (int, None, 1, "n"),\n'
+              '         "rho": (int, None, 1, "rho")}\n')
+    assert construct_flags(source) == ({"q", "n", "s1"}, {"q", "n", "rho"})

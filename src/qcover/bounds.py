@@ -16,8 +16,10 @@ def gaussian(n: int, l: int, q: int) -> int:
     """Gaussian coefficient [n l]_q, the number of l-subspaces of F_q^n.
 
     Returns 0 when l is outside [0, n]; this convention simplifies the
-    recursion edge cases.
+    recursion edge cases.  q < 2 raises ValueError.
     """
+    if q < 2:
+        raise ValueError(f"need q >= 2, got q={q}")
     if l < 0 or l > n:
         return 0
     num = 1
@@ -128,25 +130,27 @@ class BoundRecord:
                 f"{self.lower} > {self.upper}")
 
 
-def bound_table(q: int, n_max: int = 12,
-                extra_uppers: Optional[Dict[Tuple[int, int, int], Tuple[int, str]]] = None
-                ) -> Dict[Tuple[int, int, int], BoundRecord]:
+def bound_table(q: int, n_max: int = 12) -> Dict[Tuple[int, int, int], BoundRecord]:
     """Best-known bound records for all 1 <= r <= k <= n <= n_max.
 
     Lower = max of the counting, Schonheim, de Caen and exact values; upper =
-    min of the trivial Gaussian bound, the block-count recursion, exact values
-    and registered designs: extra_uppers, and for q = 2 the 399-block gf64
-    design at (7, 3, 2), built only if extra_uppers has no entry there.  The
-    recursion reads only n - 1 entries, so one pass in n order is the fixed
-    point, and registered uppers feed forward through it.
+    min of the trivial Gaussian bound, the block-count recursion for k < n,
+    exact values and registered designs: for q = 2 the 399-block gf64
+    design at (7, 3, 2), whose count gf64_orbits certifies on its seven
+    base blocks without building the 399.  The recursion reads only n - 1
+    entries, so one pass in n order is the fixed point, and registered
+    uppers feed forward through it.
     """
     if q not in (2, 3):
         raise ValueError("bound table supports q in {2, 3}")
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     if n_max > 12:
         raise ValueError("n_max capped at 12")
-    registered: Dict[Tuple[int, int, int], Tuple[int, str]] = dict(extra_uppers or {})
-    if q == 2 and n_max >= 7 and (7, 3, 2) not in registered:
-        registered[(7, 3, 2)] = _verified_gf64_upper()
+    registered: Dict[Tuple[int, int, int], Tuple[int, str]] = {}
+    if q == 2 and n_max >= 7:
+        from .constructions import gf64_orbits
+        registered[(7, 3, 2)] = gf64_orbits()[2], "gf64"
 
     records: Dict[Tuple[int, int, int], BoundRecord] = {}
     uppers: Dict[Tuple[int, int, int], int] = {}
@@ -155,10 +159,8 @@ def bound_table(q: int, n_max: int = 12,
     for n, k, r in params:
         # by duality the Turan bound [n-k+r r]_q also bounds C_q(n,k,r)
         up_cands = [(turan_upper(n, k, r, q), "trivial")]
-        try:
+        if k < n:
             up_cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
-        except KeyError:
-            pass
         if (n, k, r) in registered:
             up_cands.append(registered[(n, k, r)])
         lo_cands = [(basic_lower(n, k, r, q), "basic"),
@@ -174,14 +176,6 @@ def bound_table(q: int, n_max: int = 12,
         uppers[(n, k, r)] = up
         records[(n, k, r)] = BoundRecord(q, n, k, r, lo, lo_src, up, up_src)
     return records
-
-
-def _verified_gf64_upper() -> Tuple[int, str]:
-    """The 399-block C_2[7,3,2], checked and censused on its seven Singer
-    orbits without building its blocks."""
-    from .constructions import gf64_orbit_census, gf64_orbits
-    singer, bases, _ = gf64_orbits()
-    return gf64_orbit_census(singer, bases), "gf64"
 
 
 def format_table(records: Dict[Tuple[int, int, int], BoundRecord],

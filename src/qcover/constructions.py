@@ -61,6 +61,8 @@ def _require_prime(q: int, what: str):
 
 def trivial_steiner(q: int, n: int, r: int) -> SubspaceDesign:
     """All r-subspaces of F_q^n: the trivial Steiner structure with blocks of dim r."""
+    check_ambient(n)
+    get_gf(q)
     blocks = list(enumerate_grassmannian(q, n, r))
     design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=r)
     _require(verify_covering(design, r), "trivial design failed Steiner check",
@@ -78,7 +80,9 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
     GF(q).  _field_tower with m = k gives every block but the last, the
     last k coordinates, which it returns as its residual.
     """
-    if n % k != 0:
+    check_ambient(n)
+    get_gf(q)
+    if k < 1 or n % k:
         raise ValueError(f"k={k} does not divide n={n}")
     _require_prime(q, "spread")
     expected = (q ** n - 1) // (q ** k - 1)
@@ -126,7 +130,9 @@ def partial_spread(q: int, rho: int, n: int) -> Tuple[SubspaceDesign, Subspace]:
     design of pairwise trivially intersecting rho-subspaces and the residual
     m-subspace of _field_tower, which together partition the 1-subspaces of
     F_q^n."""
-    if n % rho == 0 or n <= 2 * rho:
+    check_ambient(n)
+    get_gf(q)
+    if rho < 1 or n % rho == 0 or n <= 2 * rho:
         raise ValueError(
             f"no decomposition n = s*rho + m with rho < m < 2*rho for "
             f"(rho={rho}, n={n})")
@@ -204,6 +210,8 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     Dispatch: spread when k | n; lifted spread when 2k >= n; otherwise a
     partial spread plus an optimal covering of the residual subspace.
     """
+    check_ambient(n)
+    get_gf(q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     expected = -(-(q ** n - 1) // (q ** k - 1))
@@ -238,6 +246,8 @@ def turan_point_design(q: int, n: int, k: int,
     The fixed subspace is the span of the first n-k+1 standard basis vectors.
     verify=False skips the Turan census, for a caller that runs it itself.
     """
+    check_ambient(n)
+    get_gf(q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     d = n - k + 1
@@ -342,19 +352,20 @@ def _gf64_block(vectors: List[int]) -> Subspace:
     return block
 
 
-def gf64_orbits() -> Tuple[GroupAction, List[Subspace], List[int]]:
-    """The 399-block C_2[7,3,2] as an orbit description: the Singer action
-    (beta, b) -> (alpha beta, b) on GF(64) x GF(2), seven base blocks and
-    the size of each base block's orbit.
+def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
+    """The 399-block C_2[7,3,2] as a certified orbit description: the Singer
+    action (beta, b) -> (alpha beta, b) on GF(64) x GF(2), seven base blocks
+    and the design's block count.
 
     A vector (beta, b) is the packed int beta | b << 6, since a GF(64)
     element is already the vec_pack of its coefficient vector.  The orbits
     of five quadruple blocks and a fixed 7-element multiplicative pattern
     have 63 blocks each, that of the diagonal block
-    {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples, each base
-    block's dimension and closure, the orbit sizes and the 399 count are
-    checked; one GroupAction.orbit call per base gives its orbit's label
-    and size, and bases that share a label count once.
+    {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples and each base
+    block's dimension and closure are checked; then verify_orbits sizes
+    each base's orbit, refuses two bases in one orbit, and must find a
+    covering of 399 blocks.  Orbit sizes divide 63, and six 63s and one 21
+    is the only way seven of them sum to 399, so the count fixes the sizes.
     """
     gf64 = get_gf(64)
     if gf64.modulus != GF64_MODULUS:
@@ -374,50 +385,40 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], List[int]]:
     bases.append([exp[e] for e in GF64_LINE_EXPONENTS])
     bases = [_gf64_block(vectors) for vectors in bases]
 
-    orbits = [singer.orbit(packed_vectors(base)) for base in bases]
-    sizes = [size for _, size in orbits]
-    if sorted(sizes) != [21] + [63] * 6:
-        raise ConstructionError(f"gf64 orbit sizes {sizes} are not six of 63 "
-                                f"and one of 21")
-    count = sum(dict(orbits).values())  # a repeated label counts once
+    count, report = verify_orbits(singer, bases, 2)
     if count != 399:
         raise ConstructionError(f"gf64 block count {count} != 399")
-    return singer, bases, sizes
-
-
-def gf64_orbit_census(singer: GroupAction, bases: List[Subspace]) -> int:
-    """Block count of the design of gf64_orbits, after verify_orbits has
-    found every 2-subspace covered."""
-    count, report = verify_orbits(singer, bases, 2)
     _require(report, "gf64 design is not a covering")
-    return count
+    return singer, bases, count
 
 
 def gf64_covering_design() -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
-    Its blocks are the images of the base blocks of gf64_orbits under the
-    Singer action, as many per base as the size gf64_orbits gives its
-    orbit.  gf64_orbits checks each base block's dimension and closure; the
-    action is linear, so it maps the base's span onto the image's, and each
-    image is the reduction of the images of the base's three packed RREF
-    rows, which must again have rank 3.  The census is gf64_orbit_census,
-    on the base blocks.
+    Its blocks are the orbits of the base blocks of gf64_orbits, which
+    certifies them, under the Singer action: each base's orbit is walked
+    with GroupAction.image until the base comes back.  The action is
+    linear, so it maps the base's span onto the image's, and each image is
+    the reduction of the images of the base's three packed RREF rows, which
+    must again have rank 3.
     """
-    singer, bases, sizes = gf64_orbits()
+    singer, bases, count = gf64_orbits()
     blocks: List[Subspace] = []
-    for base, size in zip(bases, sizes):
+    for base in bases:
         base_rows = [vec_pack(2, row) for row in base.rows]
-        for m in range(size):
+        block, m = base, 0
+        while True:
+            blocks.append(block)
+            m += 1
             rows, block = xor_rref(7, singer.image(base_rows, m))
             if len(rows) != 3:
                 raise ConstructionError(f"image {m} of a base block spans "
                                         f"dim {len(rows)}, not 3")
-            blocks.append(block)
+            if rows == base_rows:
+                break
     design = SubspaceDesign.from_blocks(blocks, q=2, n=7, k=3)
-    if len(design) != 399:
-        raise ConstructionError(f"gf64 block count {len(design)} != 399")
-    gf64_orbit_census(singer, bases)
+    if len(design) != count:
+        raise ConstructionError(f"gf64 block count {len(design)} != {count}")
     return design
 
 
@@ -501,6 +502,8 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     number of its targets still uncovered, and a newly covered target
     lowers the gain of every block that holds it.
     """
+    check_ambient(n)
+    get_gf(q)
     if not 0 <= r <= k <= n:
         raise ValueError(f"need 0 <= r <= k <= n, got r={r}, k={k}, n={n}")
     if gaussian(n, k, q) * gaussian(k, r, q) > MAX_SUBSPACE_ENUM:

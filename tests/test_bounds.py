@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,19 +196,12 @@ def test_bound_table_fixed_point_stable():
     assert t1 == t2
 
 
-def test_bound_table_extra_uppers(monkeypatch):
-    # a registered (7, 3, 2) replaces the gf64 design, which is then not built
-    def no_build():
-        raise AssertionError("gf64 built although (7, 3, 2) is registered")
-    monkeypatch.setattr(bounds, "_verified_gf64_upper", no_build)
-    table = bound_table(2, n_max=7,
-                        extra_uppers={(7, 3, 2): (399, "registered")})
-    assert table[(7, 3, 2)].upper == 399
-    assert table[(7, 3, 2)].upper_src == "registered"
-    # a registered upper feeds the recursion at (8, 4, 3)
-    t8 = bound_table(2, n_max=8,
-                     extra_uppers={(7, 3, 2): (399, "registered")})
-    assert t8[(8, 4, 3)].upper <= 2 ** 4 * 399 + t8[(7, 4, 3)].upper
+def test_bound_table_gf64_upper_feeds_recursion():
+    # the gf64 upper at (7, 3, 2) is the recursion's first term at (8, 4, 3)
+    t8 = bound_table(2, n_max=8)
+    assert t8[(7, 3, 2)].upper == 399
+    assert t8[(8, 4, 3)].upper_src == "recursive"
+    assert t8[(8, 4, 3)].upper == 2 ** 4 * 399 + t8[(7, 4, 3)].upper == 7427
 
 
 def test_format_table():
@@ -225,13 +219,21 @@ def test_bound_table_rejects_bad_q():
 
 
 # Each input guard of qcover.bounds: a call, the exception it raises and a
-# fragment of its message.
+# fragment of its message; each raises within 0.1 s.
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: schonheim_lower(4, 2, 0, 2), ValueError,
                  "need 1 <= r <= k <= n, got (4,2,0)", id="schonheim-r0"),
     pytest.param(lambda: bound_table(2, 13), ValueError, "n_max capped at 12",
                  id="bound_table-n_max"),
+    pytest.param(lambda: bound_table(2, 0), ValueError,
+                 "need n_max >= 1, got 0", id="bound_table-n_max0"),
+    pytest.param(lambda: bound_table(2, -5), ValueError,
+                 "need n_max >= 1, got -5", id="bound_table-n_max-negative"),
+    pytest.param(lambda: gaussian(3, 1, 1), ValueError, "need q >= 2, got q=1",
+                 id="gaussian-q1"),
 ])
 def test_input_guards(call, error, message):
+    start = time.perf_counter()
     with pytest.raises(error, match=re.escape(message)):
         call()
+    assert time.perf_counter() - start < 0.1

@@ -781,10 +781,10 @@ def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
     """The checks of gf64_covering_design, under the patches of
     test_gf64_unclosed_block_raises and test_gf64_bad_line_pattern_raises,
     guard bound_table's gf64 upper bound too."""
-    def raises(message):
-        with pytest.raises(ConstructionError, match=message):
+    def raises(message, error=ConstructionError):
+        with pytest.raises(error, match=message):
             bound_table(2, 7)
-        with pytest.raises(ConstructionError, match=message):
+        with pytest.raises(error, match=message):
             gf64_covering_design()
     with monkeypatch.context() as patch:
         patch.setattr(constructions, "GF64_QUADS",
@@ -795,12 +795,15 @@ def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
         patch.setattr(constructions, "GF64_QUADS",
                       ((0, 1, 4, 17),) + GF64_QUADS[1:])
         raises("spans dim 4, not 3")
-        # one quadruple twice: two base blocks in one orbit
+        # one quadruple twice: two base blocks in one orbit, which
+        # verify_orbits refuses.  The shipped constants never do this; only
+        # patching GF64_QUADS reaches it.
         patch.setattr(constructions, "GF64_QUADS",
                       GF64_QUADS[:1] * 2 + GF64_QUADS[2:])
-        raises("gf64 block count 336 != 399")
+        raises("base blocks 0 and 1 lie in one orbit", ValueError)
     for exponents, message in [((0, 1, 2), "not closed under addition"),
-                               ((0, 9, 18, 27, 36, 45, 54), "orbit sizes")]:
+                               ((0, 9, 18, 27, 36, 45, 54),
+                                "gf64 block count 345 != 399")]:
         with monkeypatch.context() as patch:
             patch.setattr(constructions, "GF64_LINE_EXPONENTS", exponents)
             raises(message)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   turan_dual_covering, turan_point_design)
 from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
                             dualize, verify_covering, verify_turan)
-from qcover.fields import DEFAULT_MODULI, Field, get_gf, vec_unpack
+from qcover.fields import DEFAULT_MODULI, Field, FieldError, get_gf, vec_unpack
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
                               enumerate_vectors, full_space, intersect,
                               packed_vectors, span)
@@ -310,9 +311,10 @@ def test_gf64_orbit_structure():
 
 
 def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
-    """gf64_orbits sizes the seven base orbits, and verify_orbits takes 7
-    base and 49 target orbits: 63 GroupAction.orbit calls for the design
-    and for the bound table alike, so the construction reuses the sizes."""
+    """gf64_orbits runs the one orbit census, whose verify_orbits takes 7
+    base and 49 target orbits: 56 GroupAction.orbit calls for the design
+    and for the bound table alike.  The construction walks each base's
+    orbit with GroupAction.image, and no orbit is sized twice."""
     calls = []
     orbit = GroupAction.orbit
 
@@ -321,10 +323,10 @@ def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
         return orbit(self, vectors)
     monkeypatch.setattr(GroupAction, "orbit", counted)
     gf64_covering_design()
-    assert len(calls) == 63
+    assert len(calls) == 56
     calls.clear()
     bound_table(2, 7)
-    assert len(calls) == 63
+    assert len(calls) == 56
 
 
 def test_gf64_image_of_rank_below_3_raises(monkeypatch):
@@ -373,8 +375,9 @@ def test_gf64_other_primitive_modulus_raises(monkeypatch):
 
 @pytest.mark.parametrize("exponents, message", [
     ((0, 1, 2), "not closed under addition"),
-    # GF(8)*, fixed by alpha^9: a closed block whose orbit has size 9
-    ((0, 9, 18, 27, 36, 45, 54), "orbit sizes"),
+    # GF(8)*, fixed by alpha^9: a closed block whose orbit has size 9, so
+    # the count is 5 * 63 + 21 + 9
+    ((0, 9, 18, 27, 36, 45, 54), "gf64 block count 345 != 399"),
 ])
 def test_gf64_bad_line_pattern_raises(monkeypatch, exponents, message):
     monkeypatch.setattr(constructions, "GF64_LINE_EXPONENTS", exponents)
@@ -471,7 +474,8 @@ def test_greedy_covering():
 
 
 # Each input guard of qcover.constructions: a call, the exception it raises
-# and a fragment of its message.
+# and a fragment of its message.  Every builder caps n and checks q before
+# it computes anything, so each guard raises within 0.1 s.
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: optimal_line_covering(2, 3, 4), ValueError,
                  "need 1 <= k <= n, got (3,4)", id="line-covering-k-above-n"),
@@ -484,7 +488,35 @@ def test_greedy_covering():
     pytest.param(lambda: expand_to_steiner_system(
         SubspaceDesign.from_blocks([full_space(3, 2)])), ConstructionError,
                  "expansion is defined over GF(2) only", id="expand-q3"),
+    pytest.param(lambda: spread(2, 1, 10 ** 8), BudgetError,
+                 "ambient dimension n=100000000 exceeds 64", id="spread-huge-n"),
+    pytest.param(lambda: optimal_line_covering(2, 10 ** 5, 3), BudgetError,
+                 "ambient dimension n=100000 exceeds 64",
+                 id="line-covering-huge-n"),
+    pytest.param(lambda: partial_spread(2, 2, 10 ** 5 + 1), BudgetError,
+                 "ambient dimension n=100001 exceeds 64",
+                 id="partial-spread-huge-n"),
+    pytest.param(lambda: trivial_steiner(2, 10 ** 8, 5 * 10 ** 7), BudgetError,
+                 "ambient dimension n=100000000 exceeds 64",
+                 id="trivial-huge-n"),
+    pytest.param(lambda: greedy_covering(2, 10 ** 6, 5 * 10 ** 5, 3),
+                 BudgetError, "ambient dimension n=1000000 exceeds 64",
+                 id="greedy-huge-n"),
+    pytest.param(lambda: turan_point_design(2, 10 ** 5, 2), BudgetError,
+                 "ambient dimension n=100000 exceeds 64",
+                 id="turan-points-huge-n"),
+    pytest.param(lambda: turan_dual_covering(2, 10 ** 5, 2), BudgetError,
+                 "ambient dimension n=100000 exceeds 64",
+                 id="turan-dual-huge-n"),
+    pytest.param(lambda: trivial_steiner(1, 2, 1), FieldError,
+                 "1 is not a prime power", id="trivial-q1"),
+    pytest.param(lambda: spread(2, 0, 4), ValueError,
+                 "k=0 does not divide n=4", id="spread-k0"),
+    pytest.param(lambda: partial_spread(2, 0, 5), ValueError,
+                 "(rho=0, n=5)", id="partial-spread-rho0"),
 ])
 def test_input_guards(call, error, message):
+    start = time.perf_counter()
     with pytest.raises(error, match=re.escape(message)):
         call()
+    assert time.perf_counter() - start < 0.1

@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import constructions as cons
 from . import designs
 from .fields import FieldError, get_gf, is_prime
-from .subspaces import BudgetError, check_ambient, span
+from .subspaces import BudgetError, span
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,7 +57,7 @@ def _partial_spread(args):
 # builder.  q must be a prime power (a prime for the kinds built on a field
 # tower over GF(q), TOWER_KINDS), k at most n, r in 0..k (0..n without a k,
 # and 1..k of --s2 for recursive, checked once --s2 is read) and n at most
-# MAX_AMBIENT_N (n + delta for lift, checked by lift_covering).
+# MAX_AMBIENT_N (n + delta for lift), which each builder checks first.
 CONSTRUCTIONS = {
     "spread": (("q", "k", "n"), lambda a: cons.spread(a.q, a.k, a.n)),
     "lift": (("input", "delta"),
@@ -110,8 +110,6 @@ def cmd_construct(args) -> int:
         if not 0 <= args.r <= high:
             raise ValueError(f"--r must be in 0..{high} (at most {bound}), "
                              f"got {args.r}")
-    if "n" in needed:
-        check_ambient(args.n)
     design = CONSTRUCTIONS[args.kind][1](args)
     if args.output:
         designs.save_design(design, args.output)

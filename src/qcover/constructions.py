@@ -19,10 +19,10 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_turan, dualize)
 from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
-                        MAX_VECTOR_ENUM, Subspace, _local_rows, _xor_span,
-                        check_ambient, contains_subspace,
+                        Subspace, _local_rows, _xor_span, check_ambient,
+                        check_vectors, contains_subspace,
                         enumerate_grassmannian, packed_vectors, span,
-                        subspaces_of, xor_rref)
+                        subspace_count, subspaces_of, xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -38,17 +38,6 @@ def _require(report: CoverageReport, message: str, steiner: bool = False):
     certifies a covering, or a Steiner structure when steiner is set."""
     if not (report.is_steiner if steiner else report.is_covering):
         raise ConstructionError(message, report)
-
-
-def _census_budget(label: str, blocks: int, q: int, n: int):
-    """BudgetError, before anything is built, when the r = 1 census of a
-    line covering of F_q^n would list more than MAX_SUBSPACE_ENUM points,
-    which bound its block count too."""
-    points = gaussian(n, 1, q)
-    if points > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"{label} needs {blocks} blocks, and its census "
-                          f"lists [{n} 1]_{q} = {points} points, past "
-                          f"{MAX_SUBSPACE_ENUM}")
 
 
 def _require_prime(q: int, what: str):
@@ -86,7 +75,7 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
         raise ValueError(f"k={k} does not divide n={n}")
     _require_prime(q, "spread")
     expected = (q ** n - 1) // (q ** k - 1)
-    _census_budget(f"spread[{k},{n}]_{q}", expected, q, n)
+    subspace_count(n, 1, q)  # the census, which bounds the block count too
     blocks, last = _field_tower(q, k, k, n)
     design = SubspaceDesign.from_blocks(blocks + [last], q=q, n=n, k=k)
     if len(design) != expected:
@@ -139,10 +128,7 @@ def partial_spread(q: int, rho: int, n: int) -> Tuple[SubspaceDesign, Subspace]:
     _require_prime(q, "partial_spread")
     m = n % rho + rho
     expected = (q ** n - q ** m) // (q ** rho - 1)
-    if q ** n > MAX_VECTOR_ENUM:
-        raise BudgetError(f"partial spread[{rho},{n}]_{q} needs {expected} "
-                          f"blocks, and its partition check lists {q}^{n} "
-                          f"vectors, past {MAX_VECTOR_ENUM}")
+    check_vectors(q, n)  # the partition check lists F_q^n
     blocks, residual = _field_tower(q, rho, m, n)
     design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=rho)
     if len(design) != expected:
@@ -215,7 +201,7 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     expected = -(-(q ** n - 1) // (q ** k - 1))
-    _census_budget(f"C_{q}[{n},{k},1]", expected, q, n)
+    subspace_count(n, 1, q)
     if n % k == 0:
         design = spread(q, k, n)
     elif 2 * k >= n:
@@ -284,11 +270,14 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
     Type-1 blocks: for each block P of s1 and each b in F_q^(n-1) zero at
     P's pivots (one per coset b + P), the span of P x {0} and (b, 1).
     Type-2 blocks: the blocks of s2 embedded in the last-coordinate-zero
-    hyperplane.  The output has exactly q^(n-k) |s1| + |s2| blocks.
+    hyperplane.  The output has exactly q^(n-k) |s1| + |s2| blocks.  Inputs
+    whose (q, n, k) do not fit raise ValueError.
     """
     q = s1.q
     if s2.q != q or s2.n != s1.n or s2.k != s1.k + 1:
-        raise ConstructionError("mismatched input designs for the recursion")
+        raise ValueError(f"s2 must have the q and n of s1 and k one larger: "
+                         f"s1 has (q, n, k) = {(s1.q, s1.n, s1.k)}, s2 has "
+                         f"{(s2.q, s2.n, s2.k)}")
     n = s1.n + 1
     k = s2.k
     _require(verify_covering(s1, r - 1), "s1 is not a covering at r-1")

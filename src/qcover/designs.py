@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from operator import and_
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
                         GroupAction, Subspace, _local_rows, _xor_span,
                         check_ambient, complement_generators,
                         complement_vectors, grassmannian_choices,
                         orthogonal_complement, packed_vectors, span,
-                        superspaces_containing, xor_rref)
+                        subspace_count, superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 
@@ -208,9 +207,7 @@ def verify_covering(design: SubspaceDesign, r: int,
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}")
-    total = gaussian(n, r, q)
-    if total > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"[{n} {r}]_{q} exceeds the verification budget")
+    total = subspace_count(n, r, q)
     if strategy == "expand":
         counts: Counter = Counter()
         if design.blocks:  # the local row table can be far larger than a design
@@ -251,9 +248,7 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
                 f"F_2^{n} with k={k}")
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}")
-    total = gaussian(n, r, 2)
-    if total > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"[{n} {r}]_2 exceeds the verification budget")
+    total = subspace_count(n, r, 2)
     rows_of = _local_rows(2, k, r)
     bases_of: Dict[tuple, int] = {}  # block orbit label -> index of its base
     incidences: Counter = Counter()  # target orbit label -> sum |orbit(B)|
@@ -303,9 +298,7 @@ def verify_turan(design: SubspaceDesign, k: int,
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
         raise ValueError(f"need block dim <= k <= n, got k={k}")
-    total = gaussian(n, k, q)
-    if total > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"[{n} {k}]_{q} exceeds the verification budget")
+    total = subspace_count(n, k, q)
     if strategy == "expand":
         counts: Counter = Counter()
         for block in design.blocks:

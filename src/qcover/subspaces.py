@@ -37,6 +37,23 @@ def check_ambient(n: int) -> None:
         raise BudgetError(f"ambient dimension n={n} exceeds {MAX_AMBIENT_N}")
 
 
+def subspace_count(n: int, k: int, q: int) -> int:
+    """[n k]_q, the size of a census of the k-subspaces of F_q^n; BudgetError
+    past MAX_SUBSPACE_ENUM, or for n past MAX_AMBIENT_N before counting."""
+    check_ambient(n)
+    count = gaussian(n, k, q)
+    if count > MAX_SUBSPACE_ENUM:
+        raise BudgetError(f"[{n} {k}]_{q} exceeds {MAX_SUBSPACE_ENUM} subspaces")
+    return count
+
+
+def check_vectors(q: int, dim: int) -> None:
+    """BudgetError when listing the q^dim vectors of F_q^dim would pass
+    MAX_VECTOR_ENUM."""
+    if q ** dim > MAX_VECTOR_ENUM:
+        raise BudgetError(f"{q}^{dim} vectors exceed {MAX_VECTOR_ENUM}")
+
+
 class AmbientMismatch(ValueError):
     """Operands live in different ambient spaces F_q^n."""
 
@@ -256,8 +273,7 @@ def grassmannian_choices(q: int, n: int, k: int
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if gaussian(n, k, q) > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"G_{q}({n},{k}) exceeds {MAX_SUBSPACE_ENUM} subspaces")
+    subspace_count(n, k, q)
     for pivots in itertools.combinations(range(n), k):
         split = 0
         if pivots:  # the first row has n - k - pivots[0] free columns
@@ -303,8 +319,7 @@ def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
     index sum(c_i * q^(dim-1-i)).  The list grows one row at a time.
     """
     gf = get_gf(s.q)
-    if s.q ** s.dim > MAX_VECTOR_ENUM:
-        raise BudgetError(f"{s.q}^{s.dim} vectors exceed the enumeration budget")
+    check_vectors(s.q, s.dim)
     negatives = [gf.neg(c) for c in range(1, s.q)]
     out = [(0,) * s.n]
     for row in s.rows:
@@ -318,8 +333,7 @@ def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
 
 def packed_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s, in enumerate_vectors order."""
-    if s.q ** s.dim > MAX_VECTOR_ENUM:
-        raise BudgetError(f"{s.q}^{s.dim} vectors exceed the enumeration budget")
+    check_vectors(s.q, s.dim)
     if s.q == 2:
         if s.n <= BIT_TABLE_MAX_N:
             return _xor_span(list(map(_bit_index(s.n).__getitem__, s.rows)))
@@ -334,9 +348,7 @@ def complement_vectors(s: Subspace) -> List[int]:
     rows, of e_fc - sum_i s.rows[i][fc] * e_{p_i} per non-pivot column fc,
     built from s's rows (as packed bits for q = 2) with no row reduction.
     """
-    free = s.n - s.dim
-    if s.q ** free > MAX_VECTOR_ENUM:
-        raise BudgetError(f"{s.q}^{free} vectors exceed the enumeration budget")
+    check_vectors(s.q, s.n - s.dim)
     if s.q == 2:
         return _xor_span([sum([row[fc] << p for row, p in zip(s.rows, s.pivots)],
                               1 << fc) for fc in range(s.n) if fc not in s.pivots])
@@ -417,8 +429,7 @@ class GroupAction:
         images = tuple(images)
         if len(images) != n:
             raise ValueError(f"need {n} column images, got {len(images)}")
-        if 1 << n > MAX_VECTOR_ENUM:
-            raise BudgetError(f"2^{n} vectors exceed the enumeration budget")
+        check_vectors(2, n)
         rank = len(xor_rref(n, images)[0])
         if rank != n:
             raise ValueError(f"generator has rank {rank} < {n}: not invertible")
@@ -574,14 +585,13 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
 
     Each one is L*S for a local r-subspace L of F_q^dim, whose packed RREF
     rows _local_rows reads off packed_vectors(s); each row is unpacked by
-    _unpack_rows and its pivot is its first 1.  Raises BudgetError past MAX_SUBSPACE_ENUM subspaces before
-    any table or vector is built.
+    _unpack_rows and its pivot is its first 1.  Raises BudgetError past
+    MAX_SUBSPACE_ENUM subspaces before any table or vector is built.
     """
     q, n = s.q, s.n
     if not 0 <= r <= s.dim:
         raise ValueError(f"need 0 <= r <= dim, got r={r}, dim={s.dim}")
-    if gaussian(s.dim, r, q) > MAX_SUBSPACE_ENUM:
-        raise BudgetError(f"G_{q}({s.dim},{r}) exceeds {MAX_SUBSPACE_ENUM} subspaces")
+    subspace_count(s.dim, r, q)
     for packed in _local_rows(q, s.dim, r)(packed_vectors(s)):
         rows = _unpack_rows(q, n, packed)
         yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))

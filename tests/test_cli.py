@@ -538,11 +538,19 @@ def test_expand_design_with_k_below_2_exit_2(tmp_path, capsys):
     ("partial-spread", "--q", "2", "--rho", "3", "--n", "25"),
 ])
 def test_construct_huge_spread_exit_3_before_building(capsys, argv):
+    """The message names the census past the budget: the q^n vectors of a
+    partial spread's partition check, or else the [n 1]_q points of the
+    line covering census."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    q, n = flags["--q"], flags["--n"]
+    census = (f"{q}^{n} vectors exceed" if argv[0] == "partial-spread"
+              else f"[{n} 1]_{q} exceeds")
     start = time.perf_counter()
     code, out, err = run(capsys, "construct", *argv)
     assert time.perf_counter() - start < 0.5
     assert code == 3
-    assert "budget exceeded" in err and "blocks" in err
+    assert err.startswith("budget exceeded: ") and census in err
+    assert len(err) < 80
     assert "RESULT:" not in out
 
 

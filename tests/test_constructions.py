@@ -21,8 +21,8 @@ from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
                             dualize, verify_covering, verify_turan)
 from qcover.fields import DEFAULT_MODULI, Field, FieldError, get_gf, vec_unpack
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
-                              enumerate_vectors, full_space, intersect,
-                              packed_vectors, span)
+                              enumerate_grassmannian, enumerate_vectors,
+                              full_space, intersect, packed_vectors, span)
 
 from vector_reference import vec_add
 
@@ -226,7 +226,8 @@ def test_recursive_covering_equals_coset_search(monkeypatch, q, n, k):
 
 def test_recursive_covering_rejects_mismatch():
     s1 = optimal_line_covering(2, 4, 2)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError, match=re.escape(
+            "s1 has (q, n, k) = (2, 4, 2), s2 has (2, 5, 3)")):
         recursive_covering(s1, trivial_steiner(2, 5, 3), 2)
 
 
@@ -514,9 +515,51 @@ def test_greedy_covering():
                  "k=0 does not divide n=4", id="spread-k0"),
     pytest.param(lambda: partial_spread(2, 0, 5), ValueError,
                  "(rho=0, n=5)", id="partial-spread-rho0"),
+    pytest.param(lambda: spread(4, 2, 4), ValueError,
+                 "spread uses a field tower over GF(q); composite q=4",
+                 id="spread-q4"),
+    pytest.param(lambda: partial_spread(4, 2, 5), ValueError,
+                 "partial_spread uses a field tower over GF(q); composite q=4",
+                 id="partial-spread-q4"),
+    # k | n, so it builds a spread
+    pytest.param(lambda: optimal_line_covering(4, 4, 2), ValueError,
+                 "spread uses a field tower over GF(q); composite q=4",
+                 id="line-covering-q4"),
 ])
 def test_input_guards(call, error, message):
     start = time.perf_counter()
     with pytest.raises(error, match=re.escape(message)):
         call()
     assert time.perf_counter() - start < 0.1
+
+
+# Each call past a budget, the message it raises, and whether it used to
+# hang: the three hangs took the exact [n k]_q of a 10^8-bit number before
+# any cap was checked; the other two raised messages of 397 and 697
+# characters that printed block counts of about 300 digits.
+@pytest.mark.parametrize("call, message, hung", [
+    pytest.param(lambda: list(enumerate_grassmannian(2, 10 ** 8, 3)),
+                 "ambient dimension n=100000000 exceeds 64", True,
+                 id="enumerate_grassmannian"),
+    pytest.param(lambda: verify_covering(SubspaceDesign.from_blocks(
+        [], q=2, n=10 ** 8, k=3), 3),
+                 "ambient dimension n=100000000 exceeds 64", True,
+                 id="verify_covering"),
+    pytest.param(lambda: verify_turan(SubspaceDesign.from_blocks(
+        [], q=2, n=10 ** 8, k=0), 3),
+                 "ambient dimension n=100000000 exceeds 64", True,
+                 id="verify_turan"),
+    pytest.param(lambda: optimal_line_covering(65521, 64, 1),
+                 "[64 1]_65521 exceeds 10000000 subspaces", False,
+                 id="line-covering"),
+    pytest.param(lambda: partial_spread(65521, 2, 63),
+                 "65521^63 vectors exceed 16777216", False,
+                 id="partial-spread"),
+])
+def test_budget_errors_are_short_and_immediate(call, message, hung):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as info:
+        call()
+    elapsed = time.perf_counter() - start
+    assert str(info.value) == message and len(message) < 80
+    assert not hung or elapsed < 0.01

@@ -26,6 +26,12 @@ on any "invalid input" string outside a docstring and any
 `return EXIT_BAD_INPUT` outside main.  Another checks that the flags
 cli.CONSTRUCTIONS names are exactly the keys of cli.FLAGS, the table that
 gives each construct flag its type, default, least value and help.
+
+The enumeration budget is one policy, in subspaces.py: subspace_count caps a
+census of subspaces and check_vectors a list of vectors.  An AST scan fails
+on MAX_VECTOR_ENUM named outside subspaces.py, and on a BudgetError built
+outside it except in OWN_BUDGETS, which gives the reason each of those
+stays.
 """
 
 import ast
@@ -46,6 +52,17 @@ UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "get_gf")}
 UNREFERENCED = {
     ("subspaces.py", "full_space"): "tests build reference spaces with it",
     ("subspaces.py", "enumerate_vectors"): "tests pin packed_vectors to it",
+}
+# (module, top-level definition) -> why it builds a BudgetError itself
+# rather than call subspace_count or check_vectors.
+OWN_BUDGETS = {
+    ("constructions.py", "greedy_covering"):
+        "caps [n k]_q * [k r]_q block-target incidences, not one census",
+    ("designs.py", "verify_steiner_system"):
+        "caps a census of C(v,t) point subsets, not of subspaces",
+    ("constructions.py", "expand_to_steiner_system"):
+        "caps n <= 16, as the system lists the 2^n points of every coset",
+    ("cli.py", "cmd_expand"): "re-raises expand's BudgetError with the file name",
 }
 
 
@@ -269,3 +286,51 @@ def test_construct_flag_scan_reads_both_tables():
               'FLAGS = {"q": (int, 2, 1, "q"), "n": (int, None, 1, "n"),\n'
               '         "rho": (int, None, 1, "rho")}\n')
     assert construct_flags(source) == ({"q", "n", "s1"}, {"q", "n", "rho"})
+
+
+def budget_sites(source: str):
+    """(line, enclosing top-level definition or None, form) of every
+    BudgetError call, as a name or an attribute, and every MAX_VECTOR_ENUM
+    that the source names or imports."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "BudgetError" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((node.lineno, owner, "BudgetError"))
+            elif "MAX_VECTOR_ENUM" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None),
+                                       getattr(node, "name", None)):
+                found.append((node.lineno, owner, "MAX_VECTOR_ENUM"))
+    return sorted(found)
+
+
+def test_budget_policy_lives_in_subspaces():
+    found = [(path.name, owner, form) for path in SOURCES
+             if path.name != "subspaces.py"
+             for _, owner, form in budget_sites(path.read_text(encoding="utf-8"))]
+    assert [site for site in found if site[2] == "MAX_VECTOR_ENUM"] == []
+    assert sorted(found) == sorted((module, owner, "BudgetError")
+                                   for module, owner in OWN_BUDGETS)
+    own = budget_sites((ROOT / "src" / "qcover" / "subspaces.py")
+                       .read_text(encoding="utf-8"))
+    assert {"subspace_count", "check_vectors"} <= {owner for _, owner, _ in own}
+
+
+def test_budget_scan_finds_each_form():
+    source = ("from .subspaces import MAX_VECTOR_ENUM\n"
+              "from . import subspaces\n"
+              "def a(n):\n"
+              "    if n > subspaces.MAX_VECTOR_ENUM:\n"
+              "        raise subspaces.BudgetError('n')\n"
+              "class B:\n"
+              "    def m(self):\n"
+              "        raise BudgetError(f'{self}')\n"
+              "def c():\n"
+              "    except_ = BudgetError\n"
+              "    return check_vectors(2, 3)\n")
+    assert budget_sites(source) == [(1, None, "MAX_VECTOR_ENUM"),
+                                    (4, "a", "MAX_VECTOR_ENUM"),
+                                    (5, "a", "BudgetError"),
+                                    (8, "B", "BudgetError")]

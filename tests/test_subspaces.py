@@ -145,15 +145,15 @@ def test_grassmannian_brute_force_cross_check():
 
 
 def test_subspaces_of_budget_before_listing(monkeypatch):
-    """G_2(24,1) passes the budget: subspaces_of and the Turan point design
+    """[24 1]_2 passes the budget: subspaces_of and the Turan point design
     built on it raise before listing a vector or a local row."""
     def refuse(*args):
         raise AssertionError("listed before the budget check")
     monkeypatch.setattr(subspaces, "packed_vectors", refuse)
     monkeypatch.setattr(subspaces, "local_row_indices", refuse)
-    with pytest.raises(BudgetError, match=r"G_2\(24,1\)"):
+    with pytest.raises(BudgetError, match=r"\[24 1\]_2"):
         list(subspaces_of(full_space(2, 24), 1))
-    with pytest.raises(BudgetError, match=r"G_2\(24,1\)"):
+    with pytest.raises(BudgetError, match=r"\[24 1\]_2"):
         turan_point_design(2, 24, 1, verify=False)
 
 

@@ -177,7 +177,6 @@ def _field_tower(q: int, rho: int, m: int, n: int
 def _check_partition(q: int, n: int, parts: List[Subspace]):
     """Exact partition check: nonzero vectors of all parts tile F_q^n - {0}."""
     seen = set()
-    count = 0
     for part in parts:
         for key in packed_vectors(part):
             if key == 0:
@@ -185,8 +184,7 @@ def _check_partition(q: int, n: int, parts: List[Subspace]):
             if key in seen:
                 raise ConstructionError("partial spread parts overlap")
             seen.add(key)
-            count += 1
-    if count != q ** n - 1:
+    if len(seen) != q ** n - 1:
         raise ConstructionError("partial spread does not cover F_q^n")
 
 
@@ -507,10 +505,13 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
         for t in cover:
             holders[t].append(j)
     gain = list(map(len, covers))
+    # Gains only fall, so each pick is the next block still at the top gain.
+    picks = (j for top in range(max(gain), 0, -1) for j in range(len(blocks))
+             if gain[j] == top)
     uncovered = set(range(len(index)))
     chosen = []
     while uncovered:
-        best = gain.index(max(gain))
+        best = next(picks)
         chosen.append(blocks[best])
         newly = uncovered.intersection(covers[best])
         uncovered -= newly

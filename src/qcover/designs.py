@@ -284,8 +284,9 @@ def verify_turan(design: SubspaceDesign, k: int,
     The design's blocks play the r-subspace role; the verdict is_covering
     means every k-subspace contains at least one block.  strategy is
     "expand" (the default, as in verify_covering) or "scan".  Expand counts
-    the RREF rows of every superspace of every block; its witness walk reads
-    grassmannian_choices rows, unpacked, against them.  Scan is the covering
+    the RREF rows that superspaces_containing yields for each block, and
+    builds no object per target; its witness walk reads grassmannian_choices
+    rows, unpacked, against them.  Scan is the covering
     scan of the block complements: b <= t iff t-perp <= b-perp, and
     t -> t-perp maps the k-subspaces one to one onto the (n - k)-subspaces,
     so it marks the complement_vectors of each block with block bitmasks and
@@ -302,7 +303,7 @@ def verify_turan(design: SubspaceDesign, k: int,
     if strategy == "expand":
         counts: Counter = Counter()
         for block in design.blocks:
-            counts.update([t.rows for t in superspaces_containing(block, k)])
+            counts.update(superspaces_containing(block, k))
         return _report_from_counts(counts, total, _misses(
             q, n, k, lambda choice: itertools.product(*choice[1]),
             counts.__contains__))

@@ -605,32 +605,30 @@ def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
 
     One entry per L, in enumerate_grassmannian(q, n - d, k - d) order: the
     (pivot column, row) pairs of L's RREF rows embedded in F_q^n, those rows
-    as a tuple, an itemgetter that puts the rows of s followed by L's rows
-    in pivot order, and the pivots of s + L.
+    as a tuple, and an itemgetter that puts s's rows, then L's, in pivot order.
     """
     pivset = set(pivots)
     comp_cols = [c for c in range(n) if c not in pivset]
+    # Coordinate c of an embedded row is the local row's entry source[c], or
+    # 0 at s's pivots, whose source is None.
+    source = [None if c in pivset else comp_cols.index(c) for c in range(n)]
     out = []
-    for local in enumerate_grassmannian(q, n - len(pivots), k - len(pivots)):
-        rows = []
-        for lrow in local.rows:
-            v = [0] * n
-            for c, col in zip(lrow, comp_cols):
-                v[col] = c
-            rows.append(tuple(v))
-        lpivots = tuple(comp_cols[p] for p in local.pivots)
+    for local, choices, _ in grassmannian_choices(q, len(comp_cols), k - len(pivots)):
+        lpivots = tuple(comp_cols[p] for p in local)
         merged = pivots + lpivots
         order = sorted(range(k), key=merged.__getitem__)
         # itemgetter of one index returns the bare item; up to one row the
         # order is the identity anyway.
         merge = itemgetter(*order) if k > 1 else tuple
-        out.append((tuple(zip(lpivots, rows)), tuple(rows), merge,
-                    tuple(sorted(merged))))
+        embedded = [[tuple([0 if i is None else lrow[i] for i in source])
+                     for lrow in row] for row in choices]
+        for rows in itertools.product(*embedded):
+            out.append((tuple(zip(lpivots, rows)), rows, merge))
     return tuple(out)
 
 
-def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:
-    """Every k-subspace of the ambient space that contains s.
+def superspaces_containing(s: Subspace, k: int) -> Iterator[tuple]:
+    """The RREF rows, a tuple of row tuples, of each k-subspace containing s.
 
     Superspaces correspond to (k - dim)-subspaces L of the quotient, realized
     inside the fixed complement spanned by standard basis vectors at the
@@ -645,7 +643,7 @@ def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:
     q, n, srows = s.q, s.n, s.rows
     gf = get_gf(q)
     prime = gf.m == 1
-    for pairs, lrows, merge, pivots in _quotient_tables(q, n, s.pivots, k):
+    for pairs, lrows, merge in _quotient_tables(q, n, s.pivots, k):
         rows = []
         for row in srows:
             for c, lrow in pairs:
@@ -659,4 +657,4 @@ def superspaces_containing(s: Subspace, k: int) -> Iterator[Subspace]:
                         row = gf.row_sub(row, a, lrow)
             rows.append(tuple(row))
         rows += lrows
-        yield Subspace(q, n, merge(rows), pivots)
+        yield merge(rows)

@@ -7,7 +7,9 @@ by span.  Every report of verify_covering and verify_turan, for both
 strategies, must equal the oracle's in full: total, histogram, extremes and
 the witnesses in enumeration order.  The library's subspaces_of and
 superspaces_containing build each RREF directly and must yield exactly what
-the references yield, in the same order.  packed_vectors must equal vec_pack
+the references yield, in the same order: subspaces_of the same subspaces,
+superspaces_containing their RREF rows alone, as it builds no Subspace.
+packed_vectors must equal vec_pack
 of every enumerate_vectors vector, in order.  enumerate_grassmannian must
 equal the template odometer kept here, and local_row_indices the positions
 of RREF rows among enumerate_vectors.  complement_vectors must list what the
@@ -19,6 +21,7 @@ verify_orbits, the census of a design invariant under a GroupAction taken
 on its base blocks only, must equal expand and scan on the expanded design.
 """
 
+import inspect
 import itertools
 import random
 import time
@@ -284,6 +287,26 @@ def test_scan_uses_no_expand_kernel(monkeypatch):
             assert verify_turan(design, t, "scan").total == gaussian(n, t, q)
 
 
+@pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (6, 5)])
+def test_turan_expand_builds_no_subspace(monkeypatch, n, k):
+    """Turan expand counts the rows superspaces_containing yields, a
+    generator, and builds no Subspace, on the q=3 Turan point designs; its
+    report equals scan's."""
+    assert inspect.isgeneratorfunction(subspaces.superspaces_containing)
+    design = constructions.turan_point_design(3, n, k, verify=False)
+    scan = verify_turan(design, k, "scan")
+    subspaces._quotient_tables.cache_clear()
+    built = []
+    init = Subspace.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    assert verify_turan(design, k, "expand") == scan
+    assert built == []
+
+
 # Largest ambient dimension per q for the generator comparison.
 GENERATOR_MAX_N = {2: 6, 3: 5, 4: 4, 5: 4, 8: 4, 9: 4}
 
@@ -314,13 +337,13 @@ def generator_inputs(q):
 @pytest.mark.parametrize("q", sorted(GENERATOR_MAX_N))
 def test_generators_equal_span_reference(q):
     """Same subspaces, order and pivots as the span route, for every input
-    subspace, every k and every r."""
+    subspace, every k and every r; superspaces_containing yields RREF rows,
+    which fix the pivots."""
     for s in generator_inputs(q):
         for k in range(s.dim, s.n + 1):
             got = list(superspaces_containing(s, k))
-            expected = list(reference_superspaces_containing(s, k))
+            expected = [t.rows for t in reference_superspaces_containing(s, k)]
             assert got == expected, (s, k)
-            assert [t.pivots for t in got] == [t.pivots for t in expected]
         for r in range(s.dim + 1):
             got = list(subspaces_of(s, r))
             expected = list(reference_subspaces_of(s, r))

@@ -174,9 +174,10 @@ def test_superspaces_containing():
     sups = list(superspaces_containing(s, 2))
     assert len(sups) == gaussian(3, 1, 2)
     assert len(set(sups)) == len(sups)
-    assert all(contains_subspace(t, s) for t in sups)
+    assert all(contains_subspace(span(2, 4, rows), s) for rows in sups)
     # cross-check against a scan of the whole Grassmannian
-    scan = [t for t in enumerate_grassmannian(2, 4, 2) if contains_subspace(t, s)]
+    scan = [t.rows for t in enumerate_grassmannian(2, 4, 2)
+            if contains_subspace(t, s)]
     assert set(sups) == set(scan)
 
 

@@ -19,10 +19,11 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_turan, dualize)
 from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
-                        Subspace, _local_rows, _xor_span, check_ambient,
-                        check_vectors, contains_subspace,
-                        enumerate_grassmannian, packed_vectors, span,
-                        subspace_count, subspaces_of, xor_rref)
+                        Subspace, _horner_span, _local_rows, _xor_span,
+                        check_ambient, check_vectors, contains_subspace,
+                        enumerate_grassmannian, grassmannian_choices,
+                        packed_vectors, span, subspace_count, subspaces_of,
+                        xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -484,10 +485,11 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     """Greedy covering baseline: repeatedly add the block covering the most
     currently-uncovered r-subspaces, ties broken by enumeration order.
 
-    Targets are keyed by their packed RREF rows, read off each block's
-    packed vectors at local_row_indices.  Each block keeps its gain, the
-    number of its targets still uncovered, and a newly covered target
-    lowers the gain of every block that holds it.
+    Targets are numbered in enumeration order and keyed by their packed
+    RREF rows, read at local_row_indices off each block's vectors, spanned
+    from grassmannian_choices rows; only chosen blocks become Subspaces.
+    Each block keeps its gain, the number of its targets still uncovered,
+    and a newly covered target lowers the gain of every block that holds it.
     """
     check_ambient(n)
     get_gf(q)
@@ -496,10 +498,15 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     if gaussian(n, k, q) * gaussian(k, r, q) > MAX_SUBSPACE_ENUM:
         raise BudgetError("greedy incidence budget exceeded")
     rows_of = _local_rows(q, k, r)
-    index = {}  # packed RREF rows of each target -> its number
-    blocks = list(enumerate_grassmannian(q, n, k))
-    covers = [[index.setdefault(t, len(index)) for t in rows_of(packed_vectors(b))]
-              for b in blocks]
+    targets = (t for _, _, packed in grassmannian_choices(q, n, r)
+               for t in itertools.product(*packed))
+    index = {t: i for i, t in enumerate(targets)}  # packed RREF rows -> number
+    blocks, covers = [], []  # (rows, pivots) of each block, and its targets
+    for pivots, rows, packed in grassmannian_choices(q, n, k):
+        for t, p in zip(itertools.product(*rows), itertools.product(*packed)):
+            vectors = _xor_span(p) if q == 2 else _horner_span(q, t)
+            blocks.append((t, pivots))
+            covers.append(list(map(index.__getitem__, rows_of(vectors))))
     holders = [[] for _ in index]  # target -> the blocks that hold it
     for j, cover in enumerate(covers):
         for t in cover:
@@ -512,7 +519,7 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     chosen = []
     while uncovered:
         best = next(picks)
-        chosen.append(blocks[best])
+        chosen.append(Subspace(q, n, *blocks[best]))
         newly = uncovered.intersection(covers[best])
         uncovered -= newly
         for j in itertools.chain.from_iterable(map(holders.__getitem__, newly)):

@@ -283,36 +283,32 @@ def verify_turan(design: SubspaceDesign, k: int,
 
     The design's blocks play the r-subspace role; the verdict is_covering
     means every k-subspace contains at least one block.  strategy is
-    "expand" (the default, as in verify_covering) or "scan".  Expand counts
-    the RREF rows that superspaces_containing yields for each block, and
-    builds no object per target; its witness walk reads grassmannian_choices
-    rows, unpacked, against them.  Scan is the covering
-    scan of the block complements: b <= t iff t-perp <= b-perp, and
-    t -> t-perp maps the k-subspaces one to one onto the (n - k)-subspaces,
-    so it marks the complement_vectors of each block with block bitmasks and
-    counts the (n - k)-subspaces as verify_covering's scan counts targets,
-    with the same histogram.  Only when some target is uncovered does it
-    walk the k-subspaces in order, testing the masks of the
-    complement_generators read off their RREF rows, and it builds a Subspace
-    only for a miss.
+    "expand" (the default, as in verify_covering) or "scan".  Both count
+    through the complements: b <= t iff t-perp <= b-perp, and each target t
+    is keyed by the packed complement_generators of its RREF rows, by
+    descending column.  Expand counts the keys superspaces_containing reads
+    off each block's complement_vectors; scan marks those vectors with block
+    bitmasks and counts the (n - k)-subspaces as verify_covering's scan
+    does.  Only when some target is uncovered does either walk the
+    k-subspaces in order, reading their keys, and build a Subspace for a miss.
     """
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
         raise ValueError(f"need block dim <= k <= n, got k={k}")
     total = subspace_count(n, k, q)
+
+    def complement_keys(choice: tuple) -> Iterator[tuple]:
+        return complement_generators(q, n, *choice[:2])
     if strategy == "expand":
         counts: Counter = Counter()
         for block in design.blocks:
             counts.update(superspaces_containing(block, k))
         return _report_from_counts(counts, total, _misses(
-            q, n, k, lambda choice: itertools.product(*choice[1]),
-            counts.__contains__))
+            q, n, k, complement_keys, counts.__contains__))
     if strategy == "scan":
         found, holders = _scan(q, n, n - k,
                                [complement_vectors(b) for b in design.blocks])
-        return _report(total, found, _misses(
-            q, n, k, lambda choice: complement_generators(q, n, *choice[:2]),
-            holders))
+        return _report(total, found, _misses(q, n, k, complement_keys, holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

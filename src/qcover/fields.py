@@ -98,7 +98,8 @@ def _x_powers(p: int, m: int, modulus: Sequence[int]) -> Optional[List[int]]:
 
 
 class Field:
-    """GF(p^m) with a primitive element alpha and its exp/log tables.
+    """GF(p^m) with a primitive element alpha, its exp/log tables and the
+    table of negatives.
 
     For m = 1 alpha is the smallest primitive root mod p.  For m > 1 it is
     the class of x modulo the DEFAULT_MODULI entry, or without one modulo
@@ -144,6 +145,7 @@ class Field:
         self.log = [0] * q
         for i, x in enumerate(exp):
             self.log[x] = i
+        self.negatives = tuple([self.neg(c) for c in range(q)])  # -c at c
 
     # element arithmetic ---------------------------------------------------
 

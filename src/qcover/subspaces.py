@@ -203,15 +203,15 @@ def orthogonal_complement(s: Subspace) -> Subspace:
 
 
 def _complement_rows(s: Subspace) -> List[List[int]]:
-    """e_fc - sum_i s.rows[i][fc] * e_{p_i} per non-pivot column fc, in order."""
-    gf = get_gf(s.q)
+    """e_fc - sum_i s.rows[i][fc] * e_{p_i} per free column fc, descending."""
+    neg = get_gf(s.q).negatives
     basis = []
-    for fc in range(s.n):
+    for fc in reversed(range(s.n)):
         if fc not in s.pivots:
             v = [0] * s.n
             v[fc] = 1
             for row, p in zip(s.rows, s.pivots):
-                v[p] = gf.neg(row[fc])
+                v[p] = neg[row[fc]]
             basis.append(v)
     return basis
 
@@ -224,15 +224,15 @@ def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
     rows[i] lists the choices of the i-th RREF row, as grassmannian_choices
     does; a single RREF is the family of its rows, one choice each.  For
     each RREF t in itertools.product(*rows) order this yields one packed
-    generator per non-pivot column fc, e_fc - sum_i t_i[fc] * e_{pivots[i]}:
-    each is orthogonal to every row, and the only generator nonzero at its
-    own column fc, so the n - len(pivots) of them are a basis of t's
+    generator per non-pivot column fc, by descending fc,
+    e_fc - sum_i t_i[fc] * e_{pivots[i]}: orthogonal to every row, the only
+    generator nonzero at fc, and zero past fc (a row is zero before its
+    pivot).  With the coordinates reversed they are the RREF of t's
     complement, read off the rows with no reduction.
     """
-    gf = get_gf(q)
-    neg = [gf.neg(c) for c in range(q)]
+    neg = get_gf(q).negatives
     pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
+    free = [c for c in reversed(range(n)) if c not in pivset]
     units = [q ** c for c in free]
     if not pivots:
         yield tuple(units)
@@ -320,7 +320,7 @@ def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
     """
     gf = get_gf(s.q)
     check_vectors(s.q, s.dim)
-    negatives = [gf.neg(c) for c in range(1, s.q)]
+    negatives = gf.negatives[1:]
     out = [(0,) * s.n]
     for row in s.rows:
         grown = []
@@ -346,12 +346,14 @@ def complement_vectors(s: Subspace) -> List[int]:
 
     The vectors are the combinations, taken as packed_vectors takes RREF
     rows, of e_fc - sum_i s.rows[i][fc] * e_{p_i} per non-pivot column fc,
-    built from s's rows (as packed bits for q = 2) with no row reduction.
+    by descending fc, built from s's rows (as packed bits for q = 2) with
+    no row reduction.
     """
     check_vectors(s.q, s.n - s.dim)
     if s.q == 2:
         return _xor_span([sum([row[fc] << p for row, p in zip(s.rows, s.pivots)],
-                              1 << fc) for fc in range(s.n) if fc not in s.pivots])
+                              1 << fc) for fc in reversed(range(s.n))
+                          if fc not in s.pivots])
     return _horner_span(s.q, _complement_rows(s))
 
 
@@ -597,64 +599,22 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
         yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))
 
 
-# Bounded; random-census's design classes allow at most 106 (q, n, pivots,
-# k) keys, and a 30 s run of it touches 84-90 of them.
-@functools.lru_cache(maxsize=128)
-def _quotient_tables(q: int, n: int, pivots: Tuple[int, ...], k: int):
-    """The (k - d)-subspaces L of the coordinates outside pivots.
-
-    One entry per L, in enumerate_grassmannian(q, n - d, k - d) order: the
-    (pivot column, row) pairs of L's RREF rows embedded in F_q^n, those rows
-    as a tuple, and an itemgetter that puts s's rows, then L's, in pivot order.
-    """
-    pivset = set(pivots)
-    comp_cols = [c for c in range(n) if c not in pivset]
-    # Coordinate c of an embedded row is the local row's entry source[c], or
-    # 0 at s's pivots, whose source is None.
-    source = [None if c in pivset else comp_cols.index(c) for c in range(n)]
-    out = []
-    for local, choices, _ in grassmannian_choices(q, len(comp_cols), k - len(pivots)):
-        lpivots = tuple(comp_cols[p] for p in local)
-        merged = pivots + lpivots
-        order = sorted(range(k), key=merged.__getitem__)
-        # itemgetter of one index returns the bare item; up to one row the
-        # order is the identity anyway.
-        merge = itemgetter(*order) if k > 1 else tuple
-        embedded = [[tuple([0 if i is None else lrow[i] for i in source])
-                     for lrow in row] for row in choices]
-        for rows in itertools.product(*embedded):
-            out.append((tuple(zip(lpivots, rows)), rows, merge))
-    return tuple(out)
-
-
 def superspaces_containing(s: Subspace, k: int) -> Iterator[tuple]:
-    """The RREF rows, a tuple of row tuples, of each k-subspace containing s.
+    """One key per k-subspace t containing s: the packed basis of t-perp that
+    complement_generators reads off t's RREF rows, by descending column.
 
-    Superspaces correspond to (k - dim)-subspaces L of the quotient, realized
-    inside the fixed complement spanned by standard basis vectors at the
-    non-pivot columns of s.  L's rows are zero at s's pivots and at each
-    other's pivots, so clearing each row of s at L's pivot columns and
-    sorting all rows by pivot gives the RREF of s + L.  Prime fields clear
-    with inline integer arithmetic, extension fields with Field.row_sub.
+    t contains s iff t-perp lies in s-perp.  s's complement generators, by
+    descending column, are the RREF basis G of s-perp with coordinates
+    reversed, so for each (n - k)-subspace L of F_q^(n - d) in RREF, in
+    enumerate_grassmannian order, L*G is t-perp's basis in that form: its
+    packed rows are read off complement_vectors(s) at local_row_indices,
+    with no row reduction.  k = dim and k = n have one superspace each, s
+    and F_q^n, whose key is read without listing s-perp.
     """
-    d = s.dim
-    if not d <= k <= s.n:
+    d, q, n = s.dim, s.q, s.n
+    if not d <= k <= n:
         raise ValueError(f"need dim <= k <= n, got k={k}")
-    q, n, srows = s.q, s.n, s.rows
-    gf = get_gf(q)
-    prime = gf.m == 1
-    for pairs, lrows, merge in _quotient_tables(q, n, s.pivots, k):
-        rows = []
-        for row in srows:
-            for c, lrow in pairs:
-                a = row[c]
-                if a:
-                    if q == 2:
-                        row = [u ^ v for u, v in zip(row, lrow)]
-                    elif prime:
-                        row = [(u - a * v) % q for u, v in zip(row, lrow)]
-                    else:
-                        row = gf.row_sub(row, a, lrow)
-            rows.append(tuple(row))
-        rows += lrows
-        yield merge(rows)
+    if d < k < n:
+        yield from _local_rows(q, n - d, n - k)(complement_vectors(s))
+    else:  # one superspace, s or F_q^n
+        yield tuple([vec_pack(q, v) for v in _complement_rows(s)]) if k == d else ()

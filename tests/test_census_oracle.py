@@ -6,10 +6,11 @@ reference_superspaces_containing (Turan), where every target is row-reduced
 by span.  Every report of verify_covering and verify_turan, for both
 strategies, must equal the oracle's in full: total, histogram, extremes and
 the witnesses in enumeration order.  The library's subspaces_of and
-superspaces_containing build each RREF directly and must yield exactly what
+superspaces_containing build their keys directly and must yield exactly what
 the references yield, in the same order: subspaces_of the same subspaces,
-superspaces_containing their RREF rows alone, as it builds no Subspace.
-packed_vectors must equal vec_pack
+superspaces_containing the packed complement basis of each superspace, L*G
+for each local L over the brute-force complement basis G, as it builds no
+Subspace.  packed_vectors must equal vec_pack
 of every enumerate_vectors vector, in order.  enumerate_grassmannian must
 equal the template odometer kept here, and local_row_indices the positions
 of RREF rows among enumerate_vectors.  complement_vectors must list what the
@@ -289,13 +290,12 @@ def test_scan_uses_no_expand_kernel(monkeypatch):
 
 @pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (6, 5)])
 def test_turan_expand_builds_no_subspace(monkeypatch, n, k):
-    """Turan expand counts the rows superspaces_containing yields, a
-    generator, and builds no Subspace, on the q=3 Turan point designs; its
-    report equals scan's."""
+    """Turan expand counts the complement keys superspaces_containing
+    yields, a generator, and builds no Subspace, on the q=3 Turan point
+    designs; its report equals scan's."""
     assert inspect.isgeneratorfunction(subspaces.superspaces_containing)
     design = constructions.turan_point_design(3, n, k, verify=False)
     scan = verify_turan(design, k, "scan")
-    subspaces._quotient_tables.cache_clear()
     built = []
     init = Subspace.__init__
 
@@ -334,16 +334,52 @@ def generator_inputs(q):
         yield from constructions.turan_point_design(3, 6, 5, verify=False).blocks
 
 
+def reference_complement_basis(s):
+    """s-perp's generators by descending column, by brute force over the null
+    space: its RREF with the coordinates reversed.  The pivots are the last
+    nonzero coordinates of the null vectors, and the row at pivot c is the
+    one null vector with last nonzero coordinate c, equal to 1, that is zero
+    at every other pivot."""
+    null = [vec_unpack(s.q, s.n, v) for v in null_space(s) if v]
+    last = {v: max(i for i, x in enumerate(v) if x) for v in null}
+    pivots = sorted(set(last.values()), reverse=True)
+    basis = []
+    for c in pivots:
+        (row,) = [v for v in null if last[v] == c and v[c] == 1
+                  and not any(v[p] for p in pivots if p != c)]
+        basis.append(row)
+    return basis
+
+
+def reference_superspace_keys(s, k):
+    """The packed rows of L*G for each (n - k)-subspace L of F_q^(n - dim),
+    in enumerate_grassmannian order, G the reference complement basis."""
+    gf = get_gf(s.q)
+    basis = reference_complement_basis(s)
+    for local in enumerate_grassmannian(s.q, s.n - s.dim, s.n - k):
+        keys = []
+        for lrow in local.rows:
+            v = tuple([0] * s.n)
+            for c, g in zip(lrow, basis):
+                if c:
+                    v = vec_add(gf, v, vec_scale(gf, c, g))
+            keys.append(vec_pack(s.q, v))
+        yield tuple(keys)
+
+
 @pytest.mark.parametrize("q", sorted(GENERATOR_MAX_N))
 def test_generators_equal_span_reference(q):
     """Same subspaces, order and pivots as the span route, for every input
-    subspace, every k and every r; superspaces_containing yields RREF rows,
-    which fix the pivots."""
+    subspace, every k and every r.  superspaces_containing yields, in
+    order, L*G over the brute-force complement basis G, and its keys are
+    the complement generators of the span reference's superspaces."""
     for s in generator_inputs(q):
         for k in range(s.dim, s.n + 1):
             got = list(superspaces_containing(s, k))
-            expected = [t.rows for t in reference_superspaces_containing(s, k)]
-            assert got == expected, (s, k)
+            assert got == list(reference_superspace_keys(s, k)), (s, k)
+            assert Counter(got) == Counter(
+                next(complement_generators(q, s.n, t.pivots, [(r,) for r in t.rows]))
+                for t in reference_superspaces_containing(s, k)), (s, k)
         for r in range(s.dim + 1):
             got = list(subspaces_of(s, r))
             expected = list(reference_subspaces_of(s, r))
@@ -397,19 +433,21 @@ def test_row_keys_are_packed_rows_of_subspaces_of(q, n, k):
 
 
 def null_space(s):
-    """Packed vectors of F_q^n orthogonal to every row of s, by brute force."""
+    """Packed vectors of F_q^n orthogonal to every row of s, by brute force:
+    each row's dot product with every vector of F_q^n is tabled, first
+    coordinate slowest as itertools.product lists them, from GF(q)'s
+    addition and multiplication tables."""
     gf = get_gf(s.q)
-    out = set()
-    for v in itertools.product(range(s.q), repeat=s.n):
-        dots = []
-        for row in s.rows:
-            dot = 0
-            for a, b in zip(v, row):
-                dot = gf.add(dot, gf.mul(a, b))
-            dots.append(dot)
-        if not any(dots):
-            out.add(vec_pack(s.q, v))
-    return out
+    add = [[gf.add(a, b) for b in range(s.q)] for a in range(s.q)]
+    tables = []
+    for row in s.rows:
+        table = [0]
+        for x in row:
+            terms = [gf.mul(c, x) for c in range(s.q)]
+            table = [add[u][t] for u in table for t in terms]
+        tables.append(table)
+    vectors = itertools.product(range(s.q), repeat=s.n)
+    return {vec_pack(s.q, v) for v, *dots in zip(vectors, *tables) if not any(dots)}
 
 
 # Largest ambient dimension per q for the complement comparison.
@@ -830,3 +868,22 @@ def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(constructions, "GF64_LINE_EXPONENTS", exponents)
             raises(message)
+
+
+def test_single_superspace_dimensions_list_no_complement():
+    """k = dim and k = n have one superspace each, s and F_q^n, whose key is
+    read without listing s-perp: 2^39 vectors in F_2^40 and 2^29 in F_2^30,
+    past the budget."""
+    point = Subspace(2, 40, ((1,) + (0,) * 39,), (0,))
+    calls = [
+        (lambda: list(superspaces_containing(point, 1)),
+         [tuple(1 << c for c in range(39, 0, -1))]),
+        (lambda: list(superspaces_containing(point, 40)), [()]),
+        (lambda: verify_turan(SubspaceDesign.from_blocks(
+            [Subspace(2, 30, ((1,) + (0,) * 29,), (0,))], q=2, n=30, k=1),
+            30, "expand").histogram, {1: 1}),
+    ]
+    for call, expected in calls:
+        start = time.perf_counter()
+        assert call() == expected
+        assert time.perf_counter() - start < 0.01

@@ -13,7 +13,8 @@ from qcover.constructions import turan_point_design
 from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
-                              Subspace, contains_subspace, contains_vector,
+                              Subspace, complement_generators,
+                              contains_subspace, contains_vector,
                               enumerate_grassmannian, enumerate_vectors,
                               grassmannian_choices,
                               full_space, intersect, orthogonal_complement,
@@ -170,14 +171,17 @@ def test_subspaces_of():
 
 
 def test_superspaces_containing():
+    """One key per superspace: the packed complement generators of its RREF,
+    whose span is orthogonal to s."""
     s = span(2, 4, [(1, 1, 0, 0)])
     sups = list(superspaces_containing(s, 2))
     assert len(sups) == gaussian(3, 1, 2)
     assert len(set(sups)) == len(sups)
-    assert all(contains_subspace(span(2, 4, rows), s) for rows in sups)
+    assert all(contains_subspace(orthogonal_complement(
+        span(2, 4, [vec_unpack(2, 4, g) for g in key])), s) for key in sups)
     # cross-check against a scan of the whole Grassmannian
-    scan = [t.rows for t in enumerate_grassmannian(2, 4, 2)
-            if contains_subspace(t, s)]
+    scan = [next(complement_generators(2, 4, t.pivots, [(row,) for row in t.rows]))
+            for t in enumerate_grassmannian(2, 4, 2) if contains_subspace(t, s)]
     assert set(sups) == set(scan)
 
 

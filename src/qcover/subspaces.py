@@ -509,22 +509,20 @@ class GroupAction:
 
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
-    """The packed ints built column by column in Horner order, highest
-    coordinate first, from the cached table of every coefficient combination
-    of each column."""
+    """vec_pack of every combination of rows, in enumerate_vectors order:
+    per coefficient vector, one C-level sum over the columns' cached
+    place-weighted tables."""
     if not rows:
         return [0]
-    columns = list(zip(*rows))
-    out = _column_table(q, columns[-1])
-    for column in reversed(columns[:-1]):
-        out = [u * q + t for u, t in zip(out, _column_table(q, column))]
-    return list(out)
+    return list(map(sum, zip(*[_column_table(q, column, j)
+                               for j, column in enumerate(zip(*rows))])))
 
 
-# Bounded like local_row_indices; a design's blocks share few distinct columns.
+# Bounded; a design's blocks share few distinct (column, place) pairs.
 @functools.lru_cache(maxsize=128)
-def _column_table(q: int, column: Tuple[int, ...]) -> Tuple[int, ...]:
-    """c . column for every coefficient vector c, in enumerate_vectors order.
+def _column_table(q: int, column: Tuple[int, ...], j: int) -> Tuple[int, ...]:
+    """(c . column) * q^j for every coefficient vector c, in enumerate_vectors
+    order: the column's part of vec_pack at place j.
 
     The first coefficient varies slowest, matching the odometer index
     sum(c_i * q^(dim-1-i)) of enumerate_vectors.  Prime fields multiply and
@@ -539,12 +537,10 @@ def _column_table(q: int, column: Tuple[int, ...]) -> Tuple[int, ...]:
         else:
             multiples = [gf.mul(c, x) for c in range(q)]
             out = [gf.add(u, m) for u in out for m in multiples]
-    return tuple(out)
+    weight = q ** j
+    return tuple([u * weight for u in out])
 
 
-# Bounded: one table holds [k r]_q tuples, and a census run touches only a
-# handful of (q, k, r).
-@functools.lru_cache(maxsize=16)
 def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     """Odometer indices of the RREF rows of every r-subspace L of F_q^k.
 
@@ -557,6 +553,7 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     BudgetError, before building anything, when the table would pass
     MAX_VECTOR_ENUM entries or its indices address more than
     MAX_VECTOR_ENUM vectors, which packed_vectors refuses to list.
+    Uncached: _local_rows builds its reader from it once per (q, k, r).
     """
     if q ** k > MAX_VECTOR_ENUM or gaussian(k, r, q) > MAX_VECTOR_ENUM:
         raise BudgetError(f"local rows of [{k} {r}]_{q} exceed the "
@@ -569,6 +566,9 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
+# Bounded: one reader holds [k r]_q indices, and a census run touches only a
+# handful of (q, k, r).
+@functools.lru_cache(maxsize=16)
 def _local_rows(q: int, k: int, r: int) -> Callable[[Sequence[int]], Iterable]:
     """A function from the packed_vectors of a k-subspace S to the packed
     RREF rows of each r-subspace of S, read at local_row_indices."""

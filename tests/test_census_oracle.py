@@ -276,7 +276,7 @@ def test_scan_uses_no_expand_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called by scan")
     for module in (designs, subspaces):
-        for name in ("local_row_indices", "contains_subspace",
+        for name in ("_local_rows", "local_row_indices", "contains_subspace",
                      "contains_vector", "subspaces_of", "superspaces_containing"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
@@ -481,14 +481,20 @@ def test_complement_generators_span_the_null_space(q):
 
 def reference_complement_vectors(s):
     """The combinations of s's complement_generators, taken as packed_vectors
-    takes RREF rows: XOR spans of packed generators for q = 2, Horner spans
-    of the unpacked generators otherwise."""
+    takes RREF rows: in odometer order, first coefficient slowest, each one
+    summed from the unpacked generators by field arithmetic and packed by
+    vec_pack, with neither span kernel of the library."""
+    gf = get_gf(s.q)
     (generators,) = complement_generators(s.q, s.n, s.pivots,
                                           [(row,) for row in s.rows])
-    if s.q == 2:
-        return subspaces._xor_span(generators)
-    return subspaces._horner_span(s.q, [vec_unpack(s.q, s.n, g)
-                                        for g in generators])
+    unpacked = [vec_unpack(s.q, s.n, g) for g in generators]
+    out = []
+    for coefficients in itertools.product(range(s.q), repeat=len(unpacked)):
+        v = (0,) * s.n
+        for c, g in zip(coefficients, unpacked):
+            v = vec_add(gf, v, vec_scale(gf, c, g))
+        out.append(vec_pack(s.q, v))
+    return out
 
 
 @pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
@@ -501,6 +507,29 @@ def test_complement_vectors_equal_generator_reference(q):
                 got = complement_vectors(s)
                 assert got == reference_complement_vectors(s), s
                 assert len(got) == q ** (n - d)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9])
+def test_span_tables_keyed_by_place(q):
+    """The rows (1,0,1,1), (0,1,1,1) repeat a column at places 2 and 3, and
+    their complement rows (-1,-1,0,1), (-1,-1,1,0) at places 0 and 1: each
+    place gets its own column table.  After the table cache has turned over,
+    the same subspace lists the same vectors."""
+    s = Subspace(q, 4, ((1, 0, 1, 1), (0, 1, 1, 1)), (0, 1))
+    expected = [vec_pack(q, v) for v in enumerate_vectors(s)]
+    expected_complement = reference_complement_vectors(s)
+    table = subspaces._column_table
+    table.cache_clear()
+    assert packed_vectors(s) == expected
+    assert table.cache_info().misses == 4
+    assert complement_vectors(s) == expected_complement
+    assert table.cache_info().misses == 8
+    maxsize = table.cache_parameters()["maxsize"]
+    for j in range(maxsize + 1):
+        table(q, (1,), j)
+    assert table.cache_info().currsize == maxsize
+    assert packed_vectors(s) == expected
+    assert complement_vectors(s) == expected_complement
 
 
 @pytest.mark.parametrize("q,n", [(2, 25), (3, 16), (9, 8)])

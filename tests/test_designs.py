@@ -333,11 +333,12 @@ def test_design_text_first_bad_word_raises_in_file_order(q, lines, message):
 
 
 def test_expand_builds_no_row_table_without_blocks(monkeypatch):
-    """An empty design is censused without the local row table, which for
-    [6 1]_17 would hold 1 508 598 entries."""
+    """An empty design is censused without the local row reader, whose table
+    for [6 1]_17 would hold 1 508 598 entries.  The probe is the reader the
+    census calls: a cached one calls local_row_indices only once."""
     def refuse(*args):
-        raise AssertionError(f"local_row_indices{args} was built")
-    monkeypatch.setattr(subspaces, "local_row_indices", refuse)
+        raise AssertionError(f"_local_rows{args} was built")
+    monkeypatch.setattr(designs, "_local_rows", refuse)
     empty = SubspaceDesign.from_blocks([], q=17, n=6, k=6)
     report = verify_covering(empty, 1)
     assert report.total == gaussian(6, 1, 17)

@@ -147,15 +147,18 @@ def test_grassmannian_brute_force_cross_check():
 
 def test_subspaces_of_budget_before_listing(monkeypatch):
     """[24 1]_2 passes the budget: subspaces_of and the Turan point design
-    built on it raise before listing a vector or a local row."""
+    built on it raise before listing a vector or building the local row
+    reader, which a small space reaches."""
     def refuse(*args):
         raise AssertionError("listed before the budget check")
     monkeypatch.setattr(subspaces, "packed_vectors", refuse)
-    monkeypatch.setattr(subspaces, "local_row_indices", refuse)
+    monkeypatch.setattr(subspaces, "_local_rows", refuse)
     with pytest.raises(BudgetError, match=r"\[24 1\]_2"):
         list(subspaces_of(full_space(2, 24), 1))
     with pytest.raises(BudgetError, match=r"\[24 1\]_2"):
         turan_point_design(2, 24, 1, verify=False)
+    with pytest.raises(AssertionError, match="before the budget"):
+        list(subspaces_of(full_space(2, 3), 1))
 
 
 def test_subspaces_of():

@@ -46,6 +46,14 @@ def _recursive(args):
     return cons.recursive_covering(s1, s2, args.r)
 
 
+def _lift(args):
+    design = designs.load_design(args.input)
+    if design.k < 1:
+        raise ValueError(f"--input must be a line covering, with k >= 1: "
+                         f"{args.input} has k={design.k}")
+    return cons.lift_covering(design, args.delta)
+
+
 def _partial_spread(args):
     design, residual = cons.partial_spread(args.q, args.rho, args.n)
     print(f"residual subspace dimension: {residual.dim}")
@@ -60,8 +68,7 @@ def _partial_spread(args):
 # MAX_AMBIENT_N (n + delta for lift), which each builder checks first.
 CONSTRUCTIONS = {
     "spread": (("q", "k", "n"), lambda a: cons.spread(a.q, a.k, a.n)),
-    "lift": (("input", "delta"),
-             lambda a: cons.lift_covering(designs.load_design(a.input), a.delta)),
+    "lift": (("input", "delta"), _lift),
     "partial-spread": (("q", "rho", "n"), _partial_spread),
     "line-covering": (("q", "n", "k"),
                       lambda a: cons.optimal_line_covering(a.q, a.n, a.k)),

@@ -19,11 +19,11 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_turan, dualize)
 from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
-                        Subspace, _horner_span, _local_rows, _xor_span,
-                        check_ambient, check_vectors, contains_subspace,
+                        Subspace, _local_rows, _xor_span, check_ambient,
+                        check_vectors, contains_subspace,
                         enumerate_grassmannian, grassmannian_choices,
-                        packed_vectors, span, subspace_count, subspaces_of,
-                        xor_rref)
+                        packed_vectors, span, span_vector_lists,
+                        subspace_count, subspaces_of, xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -486,10 +486,13 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     currently-uncovered r-subspaces, ties broken by enumeration order.
 
     Targets are numbered in enumeration order and keyed by their packed
-    RREF rows, read at local_row_indices off each block's vectors, spanned
-    from grassmannian_choices rows; only chosen blocks become Subspaces.
-    Each block keeps its gain, the number of its targets still uncovered,
-    and a newly covered target lowers the gain of every block that holds it.
+    RREF rows.  Every candidate block's targets are read in one pass: the
+    _local_rows reader reads them at local_row_indices off the vector
+    lists that span_vector_lists builds from the grassmannian_choices rows,
+    and zip cuts the stream into one target tuple per candidate.  Only chosen
+    blocks become Subspaces.  Each block keeps its gain, the number of its
+    targets still uncovered, and a newly covered target lowers the gain of
+    every block that holds it.
     """
     check_ambient(n)
     get_gf(q)
@@ -501,12 +504,10 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     targets = (t for _, _, packed in grassmannian_choices(q, n, r)
                for t in itertools.product(*packed))
     index = {t: i for i, t in enumerate(targets)}  # packed RREF rows -> number
-    blocks, covers = [], []  # (rows, pivots) of each block, and its targets
-    for pivots, rows, packed in grassmannian_choices(q, n, k):
-        for t, p in zip(itertools.product(*rows), itertools.product(*packed)):
-            vectors = _xor_span(p) if q == 2 else _horner_span(q, t)
-            blocks.append((t, pivots))
-            covers.append(list(map(index.__getitem__, rows_of(vectors))))
+    blocks = list(itertools.chain.from_iterable(  # each candidate's RREF rows
+        itertools.product(*rows) for _, rows, _ in grassmannian_choices(q, n, k)))
+    found = map(index.__getitem__, rows_of(span_vector_lists(q, n, k, blocks)))
+    covers = list(zip(*[found] * gaussian(k, r, q)))  # each candidate's targets
     holders = [[] for _ in index]  # target -> the blocks that hold it
     for j, cover in enumerate(covers):
         for t in cover:
@@ -519,7 +520,8 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     chosen = []
     while uncovered:
         best = next(picks)
-        chosen.append(Subspace(q, n, *blocks[best]))
+        rows = blocks[best]  # an RREF row's pivot is its first 1
+        chosen.append(Subspace(q, n, rows, tuple([row.index(1) for row in rows])))
         newly = uncovered.intersection(covers[best])
         uncovered -= newly
         for j in itertools.chain.from_iterable(map(holders.__getitem__, newly)):

@@ -16,15 +16,17 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import and_
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
+from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
                         GroupAction, Subspace, _local_rows, _xor_span,
                         check_ambient, complement_generators,
                         complement_vectors, grassmannian_choices,
-                        orthogonal_complement, packed_vectors, span,
-                        subspace_count, superspaces_containing, xor_rref)
+                        orthogonal_complement, packed_vector_lists,
+                        packed_vectors, span, subspace_count,
+                        superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 
@@ -159,9 +161,10 @@ def _count_product(start: int, factors: Sequence[Sequence[int]],
             else:
                 found[0] += below[d]
     walk(start, 0)
+    del walk  # walk's closure holds walk: clear it, so the factors go now
 
 
-def _scan(q: int, n: int, dim: int, vector_lists: List[List[int]]
+def _scan(q: int, n: int, dim: int, vector_lists: Iterable[Sequence[int]]
           ) -> Tuple[Counter, Callable[[Iterable[int]], int]]:
     """Multiplicity histogram of the dim-subspaces of F_q^n, and holders.
 
@@ -173,11 +176,12 @@ def _scan(q: int, n: int, dim: int, vector_lists: List[List[int]]
     given packed vectors, for the witness walks.
     """
     masks: Dict[int, int] = {}
-    for j, vectors in enumerate(vector_lists):
-        bit = 1 << j
+    bit = 1
+    for vectors in vector_lists:
         for v in vectors:
             masks[v] = masks.get(v, 0) | bit
-    every = (1 << len(vector_lists)) - 1
+        bit <<= 1
+    every = bit - 1
     get = masks.get
     found: Counter = Counter()
     for _, _, packed in grassmannian_choices(q, n, dim):
@@ -195,14 +199,17 @@ def verify_covering(design: SubspaceDesign, r: int,
     strategy: "expand" (the default; as [k r]_q <= [n r]_q it never counts
     more incidences than scan tests pairs) enumerates each block's
     r-subspaces; "scan" tests each r-subspace of the ambient space against
-    every block.  Both key a target by its packed RREF rows.  Expand packs
-    each block's vectors once and reads the rows of every r-subspace off
-    them at local_row_indices, with no row reduction or sort per target.
-    Scan marks each packed vector with the bitmask of the blocks that hold
-    it; a target's multiplicity is the popcount of the AND of its rows'
-    masks.  Per pivot set it counts the AND over the product of the RREF
-    rows' mask lists, sharing each prefix across the targets below it, and
-    walks targets one by one only to list the witnesses.
+    every block.  Both key a target by its packed RREF rows and take the
+    blocks' vectors from packed_vector_lists.  Expand is one pass over the
+    whole design: the _local_rows reader reads the rows of every r-subspace
+    of every block off those lists at local_row_indices, with no row
+    reduction, sort or Python step per target (nor per block, for q = 2
+    designs of 2^k blocks or more), and one Counter.update counts them.  Scan marks each packed vector with the
+    bitmask of the blocks that hold it; a target's multiplicity is the
+    popcount of the AND of its rows' masks.  Per pivot set it counts the AND
+    over the product of the RREF rows' mask lists, sharing each prefix
+    across the targets below it, and walks targets one by one only to list
+    the witnesses.
     """
     q, n, k = design.q, design.n, design.k
     if not 0 <= r <= k:
@@ -211,13 +218,11 @@ def verify_covering(design: SubspaceDesign, r: int,
     if strategy == "expand":
         counts: Counter = Counter()
         if design.blocks:  # the local row table can be far larger than a design
-            rows_of = _local_rows(q, k, r)
-            for block in design.blocks:
-                counts.update(rows_of(packed_vectors(block)))
+            counts.update(_local_rows(q, k, r)(packed_vector_lists(design.blocks)))
         return _report_from_counts(counts, total, _misses(
             q, n, r, _packed_rows, counts.__contains__))
     if strategy == "scan":
-        found, holders = _scan(q, n, r, [packed_vectors(b) for b in design.blocks])
+        found, holders = _scan(q, n, r, packed_vector_lists(design.blocks))
         return _report(total, found, _misses(q, n, r, _packed_rows, holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -262,7 +267,7 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
                              f"one orbit")
         bases_of[label] = i
         blocks += size
-        for rows in rows_of(vectors):
+        for rows in rows_of([vectors]):
             orbit, orbit_size = action.orbit(_xor_span(rows))
             incidences[orbit] += size
             sizes[orbit] = orbit_size
@@ -351,13 +356,16 @@ def point_indexing(q: int, n: int) -> Dict[Tuple[int], int]:
 
 def to_point_set_system(design: SubspaceDesign) -> SetSystem:
     """Points are the 1-subspaces of F_q^n; a block maps to its point set,
-    read off its packed vectors at local_row_indices."""
-    if design.k < 1:
+    the [k 1]_q points read off its packed vectors at local_row_indices in
+    one pass over the whole design."""
+    q, k = design.q, design.k
+    if k < 1:
         raise ValueError("needs block dimension >= 1")
-    index = point_indexing(design.q, design.n)
-    rows_of = _local_rows(design.q, design.k, 1)
-    return SetSystem.from_blocks(len(index), (
-        map(index.__getitem__, rows_of(packed_vectors(b))) for b in design.blocks))
+    index = point_indexing(q, design.n)
+    points = map(index.__getitem__,
+                 _local_rows(q, k, 1)(packed_vector_lists(design.blocks)))
+    return SetSystem.from_blocks(len(index),
+                                 zip(*[points] * gaussian(k, 1, q)))
 
 
 def verify_steiner_system(system: SetSystem, t: int) -> CoverageReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
@@ -138,6 +138,7 @@ _set_q = Subspace.q.__set__
 _set_n = Subspace.n.__set__
 _set_rows = Subspace.rows.__set__
 _set_pivots = Subspace.pivots.__set__
+_rows = attrgetter("rows")
 
 
 def span(q: int, n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
@@ -312,33 +313,41 @@ def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: Tuple[int, ...])
     return tuple(rows), tuple(packed)
 
 
-def enumerate_vectors(s: Subspace) -> List[Tuple[int, ...]]:
-    """All q^dim vectors of the subspace, zero first, odometer order.
-
-    Coefficient 0 varies slowest: the vector sum(c_i * rows[i]) sits at
-    index sum(c_i * q^(dim-1-i)).  The list grows one row at a time.
-    """
-    gf = get_gf(s.q)
-    check_vectors(s.q, s.dim)
-    negatives = gf.negatives[1:]
-    out = [(0,) * s.n]
-    for row in s.rows:
-        grown = []
-        for u in out:
-            grown.append(u)
-            grown.extend(tuple(gf.row_sub(u, c, row)) for c in negatives)
-        out = grown
-    return out
-
-
 def packed_vectors(s: Subspace) -> List[int]:
-    """vec_pack of every vector of s, in enumerate_vectors order."""
+    """vec_pack of every vector of s, in odometer order: the vector
+    sum(c_i * s.rows[i]) sits at index sum(c_i * q^(dim-1-i)), zero first
+    and coefficient 0 slowest.  packed_vector_lists lists those of a whole
+    design at once."""
     check_vectors(s.q, s.dim)
     if s.q == 2:
-        if s.n <= BIT_TABLE_MAX_N:
-            return _xor_span(list(map(_bit_index(s.n).__getitem__, s.rows)))
-        return _xor_span([vec_pack(2, row) for row in s.rows])
+        return _xor_span(list(map(_row_packer(s.n), s.rows)))
     return _horner_span(s.q, s.rows)
+
+
+def packed_vector_lists(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
+    """packed_vectors of each block (of one q, n and dim), in order, from
+    span_vector_lists; check_vectors raises before any vector is built."""
+    if not blocks:
+        return ()
+    q, n, k = blocks[0].q, blocks[0].n, blocks[0].dim
+    check_vectors(q, k)
+    return span_vector_lists(q, n, k, list(map(_rows, blocks)))
+
+
+def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
+                      ) -> Iterator[Sequence[int]]:
+    """packed_vectors of the span of each entry of row_lists, k RREF rows
+    of F_q^n, in order; the caller checks the budget.  For q = 2 the entries
+    go XOR_CHUNK >> k at a time through _xor_chunk; other q take
+    _horner_span of each entry, lazily.
+    """
+    if q != 2:
+        return map(_horner_span, itertools.repeat(q), row_lists)
+    pack = _row_packer(n)
+    size = max(1, XOR_CHUNK >> k)
+    return itertools.chain.from_iterable(
+        _xor_chunk(pack, row_lists[i:i + size], k)
+        for i in range(0, len(row_lists), size))
 
 
 def complement_vectors(s: Subspace) -> List[int]:
@@ -355,6 +364,32 @@ def complement_vectors(s: Subspace) -> List[int]:
                               1 << fc) for fc in reversed(range(s.n))
                           if fc not in s.pivots])
     return _horner_span(s.q, _complement_rows(s))
+
+
+# Most vectors span_vector_lists lists at once for q = 2 (about 1 MB of
+# ints).  A chunk of XOR_CHUNK >> k blocks goes column-wise only while it
+# holds 2^k blocks or more, so only for k <= 7.
+XOR_CHUNK = 1 << 14
+
+
+def _xor_chunk(pack: Callable[[Sequence[int]], int], row_lists: Sequence,
+               k: int) -> Iterable[Sequence[int]]:
+    """_xor_span of each entry of row_lists, its k rows packed by pack.
+
+    With at least 2^k entries the i-th rows of all entries are packed as
+    one column and every XOR runs over a whole column, with no Python step
+    per entry.  That layout holds 2^k lists, each of one vector per entry,
+    and is slower when the entries are fewer: those span one by one.
+    """
+    count = len(row_lists)
+    if count < 1 << k:
+        return map(_xor_span, map(list, map(map, itertools.repeat(pack),
+                                            row_lists)))
+    out = [[0] * count]
+    for column in reversed(list(zip(*row_lists))):  # as in _xor_span
+        column = list(map(pack, column))
+        out += [list(map(xor, u, column)) for u in out]
+    return zip(*out)
 
 
 def _xor_span(packed_rows: Sequence[int]) -> List[int]:
@@ -391,6 +426,14 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
 
 
 BIT_TABLE_MAX_N = 10
+
+
+def _row_packer(n: int) -> Callable[[Sequence[int]], int]:
+    """vec_pack for rows of F_2^n: a _bit_index lookup up to
+    BIT_TABLE_MAX_N coordinates."""
+    if n <= BIT_TABLE_MAX_N:
+        return _bit_index(n).__getitem__
+    return functools.partial(vec_pack, 2)
 
 
 def _unpack_rows(q: int, n: int, rows: Iterable[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -509,8 +552,8 @@ class GroupAction:
 
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
-    """vec_pack of every combination of rows, in enumerate_vectors order:
-    per coefficient vector, one C-level sum over the columns' cached
+    """vec_pack of every combination of rows, in packed_vectors' odometer
+    order: per coefficient vector, one C-level sum over the columns' cached
     place-weighted tables."""
     if not rows:
         return [0]
@@ -521,11 +564,11 @@ def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
 # Bounded; a design's blocks share few distinct (column, place) pairs.
 @functools.lru_cache(maxsize=128)
 def _column_table(q: int, column: Tuple[int, ...], j: int) -> Tuple[int, ...]:
-    """(c . column) * q^j for every coefficient vector c, in enumerate_vectors
-    order: the column's part of vec_pack at place j.
+    """(c . column) * q^j for every coefficient vector c, in odometer order:
+    the column's part of vec_pack at place j.
 
     The first coefficient varies slowest, matching the odometer index
-    sum(c_i * q^(dim-1-i)) of enumerate_vectors.  Prime fields multiply and
+    sum(c_i * q^(dim-1-i)) of packed_vectors.  Prime fields multiply and
     add mod q on plain ints, extension fields call Field.mul and Field.add.
     """
     gf = get_gf(q)
@@ -569,16 +612,26 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
 # Bounded: one reader holds [k r]_q indices, and a census run touches only a
 # handful of (q, k, r).
 @functools.lru_cache(maxsize=16)
-def _local_rows(q: int, k: int, r: int) -> Callable[[Sequence[int]], Iterable]:
-    """A function from the packed_vectors of a k-subspace S to the packed
-    RREF rows of each r-subspace of S, read at local_row_indices."""
-    # One itemgetter reads the rows of every r-subspace, and zip cuts them
-    # into r-tuples; two spare reads keep the getter's result a tuple.
-    read = itemgetter(0, 0, *itertools.chain(*local_row_indices(q, k, r)))
+def _local_rows(q: int, k: int, r: int
+                ) -> Callable[[Iterable[Sequence[int]]], Iterable[tuple]]:
+    """A function from vector lists, the packed_vectors of k-subspaces S one
+    after another, to the packed RREF rows of each r-subspace of each S,
+    read at local_row_indices: one r-tuple per subspace, S after S.
 
-    def rows_of(vectors: Sequence[int]) -> Iterable[Tuple[int, ...]]:
-        rows = iter(read(vectors)[2:])
-        return zip(*[rows] * r) if r else [()]
+    One itemgetter reads every local row of a list, chain.from_iterable
+    joins the reads and zip cuts them into r-tuples, so no bytecode runs
+    per list; a census counts a whole design with one Counter.update.
+    """
+    indices = list(itertools.chain(*local_row_indices(q, k, r)))
+    if not r:  # one r-subspace, the zero one, per list
+        return lambda vector_lists: (() for _ in vector_lists)
+    # A slice keeps a single read a sequence, which chain can join.
+    read = itemgetter(*indices) if len(indices) > 1 else itemgetter(
+        slice(indices[0], indices[0] + 1))
+
+    def rows_of(vector_lists: Iterable[Sequence[int]]) -> Iterable[tuple]:
+        rows = itertools.chain.from_iterable(map(read, vector_lists))
+        return zip(*[rows] * r)
     return rows_of
 
 
@@ -594,7 +647,7 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
     if not 0 <= r <= s.dim:
         raise ValueError(f"need 0 <= r <= dim, got r={r}, dim={s.dim}")
     subspace_count(s.dim, r, q)
-    for packed in _local_rows(q, s.dim, r)(packed_vectors(s)):
+    for packed in _local_rows(q, s.dim, r)([packed_vectors(s)]):
         rows = _unpack_rows(q, n, packed)
         yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))
 
@@ -615,6 +668,6 @@ def superspaces_containing(s: Subspace, k: int) -> Iterator[tuple]:
     if not d <= k <= n:
         raise ValueError(f"need dim <= k <= n, got k={k}")
     if d < k < n:
-        yield from _local_rows(q, n - d, n - k)(complement_vectors(s))
+        yield from _local_rows(q, n - d, n - k)([complement_vectors(s)])
     else:  # one superspace, s or F_q^n
         yield tuple([vec_pack(q, v) for v in _complement_rows(s)]) if k == d else ()

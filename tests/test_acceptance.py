@@ -17,7 +17,9 @@ from qcover.constructions import (expand_to_steiner_system, gf64_covering_design
 from qcover.designs import (SubspaceDesign, dualize, verify_covering,
                             verify_steiner_system, verify_turan)
 from qcover.subspaces import (BudgetError, enumerate_grassmannian,
-                              enumerate_vectors, span, subspaces_of)
+                              span, subspaces_of)
+
+from vector_reference import enumerate_vectors
 
 # incidence-work cap for the sweep in criterion 3: verification is skipped
 # (sizes are still checked exactly) when |blocks| * targets-per-block exceeds it

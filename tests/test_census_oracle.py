@@ -39,13 +39,13 @@ from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
 from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
                               complement_generators, complement_vectors,
-                              enumerate_grassmannian, enumerate_vectors,
+                              enumerate_grassmannian,
                               full_space, grassmannian_choices,
                               local_row_indices, orthogonal_complement,
                               packed_vectors, span, subspaces_of,
                               superspaces_containing, xor_rref)
 
-from vector_reference import vec_add, vec_scale
+from vector_reference import enumerate_vectors, vec_add, vec_scale
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}

@@ -499,6 +499,31 @@ def test_construct_lift_negative_delta_exit_2(tmp_path, capsys):
     assert "--delta" in err
 
 
+def test_construct_lift_zero_dimensional_input_exit_2(tmp_path, capsys):
+    """A k = 0 design has no lines to cover: the message names --input and
+    its k, not the census's r."""
+    path = tmp_path / "points.txt"
+    path.write_text("qcover-design v1\nq=2 n=3 k=0\n")
+    code, out, err = run(capsys, "construct", "lift", "--input", str(path),
+                         "--delta", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (f"invalid input: --input must be a line covering, with "
+                   f"k >= 1: {path} has k=0\n")
+
+
+def test_verify_block_past_the_vector_budget_exit_3(tmp_path, capsys):
+    """A block of F_2^25 has 2^25 vectors, past the enumeration budget."""
+    path = tmp_path / "big.txt"
+    rows = " ".join("0" * i + "1" + "0" * (24 - i) for i in range(25))
+    path.write_text(f"qcover-design v1\nq=2 n=25 k=25\n{rows}\n")
+    code, out, err = run(capsys, "verify", str(path), "--mode", "covering",
+                         "--r", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ")
+
+
 def test_construct_greedy_budget_exit_3(capsys):
     code, out, err = run(capsys, "construct", "greedy",
                          "--q", "2", "--n", "9", "--k", "4", "--r", "2")

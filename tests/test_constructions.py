@@ -21,10 +21,10 @@ from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
                             dualize, verify_covering, verify_turan)
 from qcover.fields import DEFAULT_MODULI, Field, FieldError, get_gf, vec_unpack
 from qcover.subspaces import (BudgetError, GroupAction, Subspace,
-                              enumerate_grassmannian, enumerate_vectors,
+                              enumerate_grassmannian,
                               full_space, intersect, packed_vectors, span)
 
-from vector_reference import vec_add
+from vector_reference import enumerate_vectors, vec_add
 
 
 def test_trivial_steiner():
@@ -183,7 +183,7 @@ def test_recursive_covering_27_blocks():
 
 def reference_recursive_blocks(s1, s2):
     """The recursion's blocks with the coset representatives found by search:
-    the first vector of each coset v + P in the enumerate_vectors order of
+    the first vector of each coset v + P in the odometer order of
     F_q^(n-1)."""
     q, n = s1.q, s1.n + 1
     gf = get_gf(q)

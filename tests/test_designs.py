@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -335,10 +336,12 @@ def test_design_text_first_bad_word_raises_in_file_order(q, lines, message):
 def test_expand_builds_no_row_table_without_blocks(monkeypatch):
     """An empty design is censused without the local row reader, whose table
     for [6 1]_17 would hold 1 508 598 entries.  The probe is the reader the
-    census calls: a cached one calls local_row_indices only once."""
+    censuses call: a cached one calls local_row_indices only once.  Turan
+    expand reads through it too, block by block in superspaces_containing."""
     def refuse(*args):
         raise AssertionError(f"_local_rows{args} was built")
     monkeypatch.setattr(designs, "_local_rows", refuse)
+    monkeypatch.setattr(subspaces, "_local_rows", refuse)
     empty = SubspaceDesign.from_blocks([], q=17, n=6, k=6)
     report = verify_covering(empty, 1)
     assert report.total == gaussian(6, 1, 17)
@@ -346,6 +349,46 @@ def test_expand_builds_no_row_table_without_blocks(monkeypatch):
     assert len(report.witnesses) == 16
     with pytest.raises(AssertionError, match="was built"):
         verify_covering(SubspaceDesign.from_blocks([full_space(2, 3)]), 1)
+    # the readers of [8 4]_2 and [6 5]_17 local subspaces
+    for q, n, dim in [(2, 8, 4), (17, 6, 1)]:
+        report = verify_turan(SubspaceDesign.from_blocks([], q=q, n=n, k=0), dim)
+        assert report.total == gaussian(n, dim, q)
+        assert report.histogram == {0: report.total}
+        assert len(report.witnesses) == 16
+    for q in (2, 3):
+        with pytest.raises(AssertionError, match="was built"):
+            verify_turan(SubspaceDesign.from_blocks([span(q, 3, [(1, 0, 0)])]), 2)
+
+
+def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
+    """A block of F_2^25 has 2^25 vectors, past MAX_VECTOR_ENUM: its vector
+    lists raise BudgetError when asked for, before a row is packed or a
+    chunk spanned, and so do both covering strategies."""
+    def refuse(*args):
+        raise AssertionError("began to list vectors")
+    monkeypatch.setattr(subspaces, "_row_packer", refuse)
+    monkeypatch.setattr(subspaces, "_xor_chunk", refuse)
+    design = SubspaceDesign.from_blocks([full_space(2, 25)])
+    with pytest.raises(BudgetError, match=r"2\^25 vectors exceed"):
+        subspaces.packed_vector_lists(design.blocks)
+    for strategy in ("expand", "scan"):
+        with pytest.raises(BudgetError):
+            verify_covering(design, 0, strategy)
+
+
+def test_scans_leave_no_reference_cycle():
+    """Both scans free their mask lists and counters by reference counting:
+    a census that left a cycle would hold them until the cyclic collector
+    runs, and a long run's peak memory with them."""
+    design = random_design(random.Random(8), 2, 6, 3, 12)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_covering(design, 2, "scan")
+        verify_turan(design, 4, "scan")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("q,k,r", [(17, 6, 1), (2, 24, 12)])

@@ -51,7 +51,6 @@ UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "get_gf")}
 # (module, function) -> why it stays although src/qcover never calls it.
 UNREFERENCED = {
     ("subspaces.py", "full_space"): "tests build reference spaces with it",
-    ("subspaces.py", "enumerate_vectors"): "tests pin packed_vectors to it",
 }
 # (module, top-level definition) -> why it builds a BudgetError itself
 # rather than call subspace_count or check_vectors.

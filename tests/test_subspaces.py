@@ -15,13 +15,13 @@ from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
                               Subspace, complement_generators,
                               contains_subspace, contains_vector,
-                              enumerate_grassmannian, enumerate_vectors,
+                              enumerate_grassmannian,
                               grassmannian_choices,
                               full_space, intersect, orthogonal_complement,
                               packed_vectors, rref, span, subspaces_of,
                               sum_subspaces, superspaces_containing, xor_rref)
 
-from vector_reference import vec_add
+from vector_reference import enumerate_vectors, vec_add
 
 
 def random_subspace(rng, q, n, k):

@@ -2,9 +2,8 @@
 
 from .fields import Field, FieldError, get_gf
 from .subspaces import (BudgetError, GroupAction, Subspace,
-                        enumerate_grassmannian, intersect,
-                        orthogonal_complement, span, subspaces_of,
-                        sum_subspaces)
+                        enumerate_grassmannian, orthogonal_complement, span,
+                        subspaces_of)
 from .designs import (CoverageReport, SetSystem, SubspaceDesign, dualize,
                       load_design, save_design, to_point_set_system,
                       verify_covering, verify_orbits, verify_steiner_system,

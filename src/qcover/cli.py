@@ -202,6 +202,9 @@ def cmd_expand(args) -> int:
 def cmd_derive(args) -> int:
     design = designs.load_design(args.design)
     q, n = design.q, design.n
+    if design.k < 2:
+        raise ValueError(f"derive needs a design with k >= 2, "
+                         f"{args.design} has k={design.k}")
     if not 2 <= args.t <= design.k:
         raise ValueError(f"--t must be in 2..{design.k} for a design with "
                          f"k={design.k}, got {args.t}")

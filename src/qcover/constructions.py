@@ -20,8 +20,8 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
 from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
                         Subspace, _local_rows, _xor_span, check_ambient,
-                        check_vectors, contains_subspace,
-                        enumerate_grassmannian, grassmannian_choices,
+                        check_vectors, enumerate_grassmannian,
+                        grassmannian_choices, packed_vector_lists,
                         packed_vectors, span, span_vector_lists,
                         subspace_count, subspaces_of, xor_rref)
 
@@ -448,10 +448,11 @@ def derive_steiner(design: SubspaceDesign, t: int,
     """Derived structure: blocks through a point, mapped to the quotient.
 
     Takes a Steiner structure S_q[t,k,n] and a 1-dimensional subspace; the
-    blocks containing it are projected onto a fixed complement of the point
-    and re-coordinatized to F_q^(n-1).  The method reconstructs an unstated
-    derivation, so the output is re-verified and the report is returned with
-    the design; callers must check report.is_steiner.
+    blocks whose packed vectors hold its packed row are projected onto a
+    fixed complement of the point and re-coordinatized to F_q^(n-1).  The
+    method reconstructs an unstated derivation, so the output is re-verified
+    and the report is returned with the design; callers must check
+    report.is_steiner.
     """
     if t < 2:
         raise ValueError("derivation needs t >= 2")
@@ -463,9 +464,11 @@ def derive_steiner(design: SubspaceDesign, t: int,
     gf = get_gf(q)
     p_row = point.rows[0]
     j0 = point.pivots[0]
+    key = vec_pack(q, p_row)
     derived = []
-    for block in design.blocks:
-        if not contains_subspace(block, point):
+    # the Steiner census above listed these vectors under the same budget
+    for block, vectors in zip(design.blocks, packed_vector_lists(design.blocks)):
+        if key not in vectors:
             continue
         rows = []
         for v in block.rows:

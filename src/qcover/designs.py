@@ -291,11 +291,13 @@ def verify_turan(design: SubspaceDesign, k: int,
     "expand" (the default, as in verify_covering) or "scan".  Both count
     through the complements: b <= t iff t-perp <= b-perp, and each target t
     is keyed by the packed complement_generators of its RREF rows, by
-    descending column.  Expand counts the keys superspaces_containing reads
-    off each block's complement_vectors; scan marks those vectors with block
-    bitmasks and counts the (n - k)-subspaces as verify_covering's scan
-    does.  Only when some target is uncovered does either walk the
-    k-subspaces in order, reading their keys, and build a Subspace for a miss.
+    descending column.  Both take the blocks' complement_vectors, listed
+    for the whole design at once.  Expand counts the keys
+    superspaces_containing reads off them in one _local_rows pass, as
+    verify_covering's expand does; scan marks them with block bitmasks and
+    counts the (n - k)-subspaces as verify_covering's scan does.  Only when
+    some target is uncovered does either walk the k-subspaces in order,
+    reading their keys, and build a Subspace for a miss.
     """
     q, n, r = design.q, design.n, design.k
     if not r <= k <= n:
@@ -305,14 +307,11 @@ def verify_turan(design: SubspaceDesign, k: int,
     def complement_keys(choice: tuple) -> Iterator[tuple]:
         return complement_generators(q, n, *choice[:2])
     if strategy == "expand":
-        counts: Counter = Counter()
-        for block in design.blocks:
-            counts.update(superspaces_containing(block, k))
+        counts = Counter(superspaces_containing(design.blocks, k))
         return _report_from_counts(counts, total, _misses(
             q, n, k, complement_keys, counts.__contains__))
     if strategy == "scan":
-        found, holders = _scan(q, n, n - k,
-                               [complement_vectors(b) for b in design.blocks])
+        found, holders = _scan(q, n, n - k, complement_vectors(design.blocks))
         return _report(total, found, _misses(q, n, k, complement_keys, holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -439,7 +438,8 @@ def design_from_text(text: str) -> SubspaceDesign:
     blocks = []
     for line in lines[2:]:
         line = line.strip()
-        if not line or line.startswith("#"):
+        # design_to_text writes a k = 0 design's zero block as an empty line
+        if line.startswith("#") or not (line or k == 0):
             continue
         words = line.split()
         for word in words:

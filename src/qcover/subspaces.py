@@ -157,54 +157,14 @@ def full_space(q: int, n: int) -> Subspace:
     return Subspace(q, n, rows, tuple(range(n)))
 
 
-def _check_ambient(a: Subspace, b: Subspace):
-    if a.q != b.q or a.n != b.n:
-        raise AmbientMismatch(f"({a.q},{a.n}) vs ({b.q},{b.n})")
-
-
-def contains_vector(s: Subspace, v: Sequence[int]) -> bool:
-    """Membership test by reduction against the RREF rows."""
-    gf = get_gf(s.q)
-    if len(v) != s.n:
-        raise AmbientMismatch("vector length mismatch")
-    rem = v
-    for row, p in zip(s.rows, s.pivots):
-        c = rem[p]
-        if c:
-            rem = gf.row_sub(rem, c, row)
-    return not any(rem)
-
-
-def contains_subspace(a: Subspace, b: Subspace) -> bool:
-    """True iff b is a subspace of a."""
-    _check_ambient(a, b)
-    return all(contains_vector(a, row) for row in b.rows)
-
-
-def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
-    _check_ambient(a, b)
-    return span(a.q, a.n, a.rows + b.rows)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block construction."""
-    _check_ambient(a, b)
-    gf = get_gf(a.q)
-    n = a.n
-    block = [list(row) + list(row) for row in a.rows]
-    block += [list(row) + [0] * n for row in b.rows]
-    rows, _ = rref(gf, block, 2 * n)
-    inter = [row[n:] for row in rows if not any(row[:n])]
-    return span(a.q, n, inter)
-
-
 def orthogonal_complement(s: Subspace) -> Subspace:
     """Null space of the generator matrix under the standard dot product."""
     return span(s.q, s.n, _complement_rows(s))
 
 
-def _complement_rows(s: Subspace) -> List[List[int]]:
-    """e_fc - sum_i s.rows[i][fc] * e_{p_i} per free column fc, descending."""
+def _complement_rows(s: Subspace) -> Tuple[Tuple[int, ...], ...]:
+    """e_fc - sum_i s.rows[i][fc] * e_{p_i} per free column fc, descending;
+    tuples, as the q = 2 _bit_index lookup keys on them."""
     neg = get_gf(s.q).negatives
     basis = []
     for fc in reversed(range(s.n)):
@@ -213,8 +173,8 @@ def _complement_rows(s: Subspace) -> List[List[int]]:
             v[fc] = 1
             for row, p in zip(s.rows, s.pivots):
                 v[p] = neg[row[fc]]
-            basis.append(v)
-    return basis
+            basis.append(tuple(v))
+    return tuple(basis)
 
 
 def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
@@ -316,12 +276,9 @@ def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: Tuple[int, ...])
 def packed_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s, in odometer order: the vector
     sum(c_i * s.rows[i]) sits at index sum(c_i * q^(dim-1-i)), zero first
-    and coefficient 0 slowest.  packed_vector_lists lists those of a whole
-    design at once."""
-    check_vectors(s.q, s.dim)
-    if s.q == 2:
-        return _xor_span(list(map(_row_packer(s.n), s.rows)))
-    return _horner_span(s.q, s.rows)
+    and coefficient 0 slowest: the one-block packed_vector_lists."""
+    (vectors,) = packed_vector_lists([s])
+    return list(vectors)
 
 
 def packed_vector_lists(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
@@ -332,6 +289,22 @@ def packed_vector_lists(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
     q, n, k = blocks[0].q, blocks[0].n, blocks[0].dim
     check_vectors(q, k)
     return span_vector_lists(q, n, k, list(map(_rows, blocks)))
+
+
+def complement_vectors(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
+    """vec_pack of every vector of each block's orthogonal complement, in
+    order, for blocks of one q, n and dim.
+
+    A list holds the combinations, taken as packed_vectors takes RREF rows,
+    of the block's _complement_rows, built with no row reduction, and
+    span_vector_lists spans them all in one call; check_vectors raises
+    before any vector is built.
+    """
+    if not blocks:
+        return ()
+    q, n, d = blocks[0].q, blocks[0].n, blocks[0].dim
+    check_vectors(q, n - d)
+    return span_vector_lists(q, n, n - d, list(map(_complement_rows, blocks)))
 
 
 def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
@@ -348,22 +321,6 @@ def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
     return itertools.chain.from_iterable(
         _xor_chunk(pack, row_lists[i:i + size], k)
         for i in range(0, len(row_lists), size))
-
-
-def complement_vectors(s: Subspace) -> List[int]:
-    """vec_pack of every vector of s's orthogonal complement.
-
-    The vectors are the combinations, taken as packed_vectors takes RREF
-    rows, of e_fc - sum_i s.rows[i][fc] * e_{p_i} per non-pivot column fc,
-    by descending fc, built from s's rows (as packed bits for q = 2) with
-    no row reduction.
-    """
-    check_vectors(s.q, s.n - s.dim)
-    if s.q == 2:
-        return _xor_span([sum([row[fc] << p for row, p in zip(s.rows, s.pivots)],
-                              1 << fc) for fc in reversed(range(s.n))
-                          if fc not in s.pivots])
-    return _horner_span(s.q, _complement_rows(s))
 
 
 # Most vectors span_vector_lists lists at once for q = 2 (about 1 MB of
@@ -652,22 +609,31 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
         yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))
 
 
-def superspaces_containing(s: Subspace, k: int) -> Iterator[tuple]:
-    """One key per k-subspace t containing s: the packed basis of t-perp that
+def superspaces_containing(blocks: Sequence[Subspace], k: int
+                           ) -> Iterator[tuple]:
+    """One key per k-subspace t containing a block s, for each block (of
+    one q, n and dim d) in order: the packed basis of t-perp that
     complement_generators reads off t's RREF rows, by descending column.
 
     t contains s iff t-perp lies in s-perp.  s's complement generators, by
     descending column, are the RREF basis G of s-perp with coordinates
     reversed, so for each (n - k)-subspace L of F_q^(n - d) in RREF, in
     enumerate_grassmannian order, L*G is t-perp's basis in that form: its
-    packed rows are read off complement_vectors(s) at local_row_indices,
-    with no row reduction.  k = dim and k = n have one superspace each, s
-    and F_q^n, whose key is read without listing s-perp.
+    packed rows are read off s's complement_vectors at local_row_indices,
+    with no row reduction, in one _local_rows pass over all the blocks.
+    k = d and k = n have one superspace per block, s and F_q^n, whose key
+    is read without listing s-perp.
     """
-    d, q, n = s.dim, s.q, s.n
+    if not blocks:
+        return
+    d, q, n = blocks[0].dim, blocks[0].q, blocks[0].n
     if not d <= k <= n:
         raise ValueError(f"need dim <= k <= n, got k={k}")
     if d < k < n:
-        yield from _local_rows(q, n - d, n - k)([complement_vectors(s)])
-    else:  # one superspace, s or F_q^n
-        yield tuple([vec_pack(q, v) for v in _complement_rows(s)]) if k == d else ()
+        yield from _local_rows(q, n - d, n - k)(complement_vectors(blocks))
+    elif k == d:  # one superspace, s
+        pack = functools.partial(vec_pack, q)
+        for s in blocks:
+            yield tuple(map(pack, _complement_rows(s)))
+    else:  # one superspace, F_q^n
+        yield from itertools.repeat((), len(blocks))

@@ -1,14 +1,15 @@
 """Differential tests of the censuses against a per-block loop.
 
-verify_covering with strategy "expand" counts every block's keys in one
-pass: the _local_rows reader reads them off the vector lists that
-packed_vector_lists builds for the whole design, for q = 2 a chunk of
-XOR_CHUNK >> dim blocks at a time, column-wise when the chunk holds 2^dim
-blocks or more.  The reference here is the loop that pass replaced: block by
-block, its packed_vectors (covering) or complement_vectors (Turan) read at
-local_row_indices into a Counter, with the witnesses the first uncovered
-targets of enumerate_grassmannian.  Every report of both strategies of both
-censuses must equal the reference's, field by field, witnesses included.
+Both expand censuses count every block's keys in one pass: the _local_rows
+reader reads them off the vector lists that packed_vector_lists (covering)
+or complement_vectors (Turan) builds for the whole design, for q = 2 a
+chunk of XOR_CHUNK >> dim lists at a time, column-wise when the chunk holds
+2^dim lists or more.  The reference here is the loop that pass replaced:
+block by block, its packed_vectors (covering) or the complement_vectors of
+the one-block list (Turan) read at local_row_indices into a Counter, with
+the witnesses the first uncovered targets of enumerate_grassmannian.  Every
+report of both strategies of both censuses must equal the reference's,
+field by field, witnesses included.
 """
 
 import dataclasses
@@ -53,7 +54,7 @@ def per_block_counts(design, dim, turan):
         if not turan:
             vectors, local = packed_vectors(block), local_row_indices(q, d, dim)
         elif d < dim < n:
-            vectors = complement_vectors(block)
+            (vectors,) = complement_vectors([block])
             local = local_row_indices(q, n - d, n - dim)
         else:  # one superspace: the block itself or F_q^n
             counts[turan_key(block if dim == d else full_space(q, n))] += 1
@@ -157,19 +158,23 @@ def spanned_one_by_one(monkeypatch):
 
 
 def test_expand_equals_per_block_loop_over_several_chunks(monkeypatch):
-    """With XOR_CHUNK at 32, chunks hold 8 blocks of F_2^6 of dimension 2:
-    a 19-block design is spanned column-wise in two chunks of 8 and block by
-    block in a last chunk of 3, fewer than 2^2.  The reports must not change
-    at the seams."""
+    """With XOR_CHUNK at 32, chunks hold 8 lists of dimension 2: a 19-block
+    design of F_2^6 has its dimension-2 lists spanned column-wise in two
+    chunks of 8 and list by list in a last chunk of 3, fewer than 2^2.  For
+    k = 2 those are the blocks' packed vectors, which the covering censuses
+    read; for k = 4 they are the complements' vectors, which both Turan
+    censuses read.  The reports must not change at the seams."""
     monkeypatch.setattr(subspaces, "XOR_CHUNK", 32)
     calls = spanned_one_by_one(monkeypatch)
-    design = SubspaceDesign.from_blocks(random_blocks(random.Random(9), 2, 6, 2, 19),
-                                        q=2, n=6, k=2)
-    expected = [packed_vectors(block) for block in design.blocks]
-    calls.clear()
-    assert list(map(list, subspaces.packed_vector_lists(design.blocks))) == expected
-    assert calls == [2, 2, 2]
-    assert_all_reports_equal_reference(design)
+    for k, lists in [(2, subspaces.packed_vector_lists), (4, complement_vectors)]:
+        design = SubspaceDesign.from_blocks(
+            random_blocks(random.Random(9), 2, 6, k, 19), q=2, n=6, k=k)
+        expected = [list(vectors) for block in design.blocks
+                    for vectors in lists([block])]
+        calls.clear()
+        assert list(map(list, lists(design.blocks))) == expected
+        assert calls == [2, 2, 2]
+        assert_all_reports_equal_reference(design)
 
 
 def test_few_long_blocks_are_spanned_one_by_one(monkeypatch):
@@ -189,3 +194,26 @@ def test_few_long_blocks_are_spanned_one_by_one(monkeypatch):
     calls.clear()
     assert verify_covering(many, 2) == expected[2]
     assert calls == []
+
+
+def test_turan_expand_reads_the_whole_design_in_one_pass(monkeypatch):
+    """For dim < k < n the Turan expand hands every block's complement list
+    to one call of one _local_rows reader, as the covering expand does with
+    the blocks' own lists."""
+    calls = []
+    local_rows = subspaces._local_rows
+
+    def counted(q, k, r):
+        read = local_rows(q, k, r)
+
+        def rows_of(vector_lists):
+            calls.append((q, k, r))
+            return read(vector_lists)
+        return rows_of
+    monkeypatch.setattr(subspaces, "_local_rows", counted)
+    for q in (2, 3):
+        design = SubspaceDesign.from_blocks(
+            random_blocks(random.Random(q), q, 5, 2, 20), q=q, n=5, k=2)
+        calls.clear()
+        assert verify_turan(design, 3) == per_block_report(design, 3, True)
+        assert calls == [(q, 3, 2)]

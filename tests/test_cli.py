@@ -553,6 +553,32 @@ def test_expand_design_with_k_below_2_exit_2(tmp_path, capsys):
     assert "RESULT:" not in out
 
 
+@pytest.mark.parametrize("r", [0, 1])
+def test_derive_design_with_k_below_2_exit_2(tmp_path, capsys, r):
+    design = tmp_path / "small.txt"
+    run(capsys, "construct", "trivial", "--q", "2", "--n", "3", "--r", str(r),
+        "-o", str(design))
+    code, out, err = run(capsys, "derive", str(design), "--t", "2",
+                         "--point", "100")
+    assert code == 2
+    assert str(design) in err and f"k={r}" in err
+    assert "RESULT:" not in out
+
+
+def test_zero_dimensional_design_file_keeps_its_block(tmp_path, capsys):
+    """The one block of a k = 0 design, the zero subspace, is written as an
+    empty line and read back from it."""
+    design = tmp_path / "zero.txt"
+    code, out, _ = run(capsys, "construct", "trivial", "--q", "2", "--n", "3",
+                       "--r", "0", "-o", str(design))
+    assert code == 0 and "size=1" in result_line(out)
+    assert design.read_text() == "qcover-design v1\nq=2 n=3 k=0\n\n"
+    code, out, _ = run(capsys, "verify", str(design), "--mode", "turan",
+                       "--r", "0")
+    assert code == 0
+    assert result_line(out).endswith("verdict=True size=1")
+
+
 @pytest.mark.parametrize("argv", [
     ("spread", "--q", "2", "--k", "1", "--n", "30"),
     ("partial-spread", "--q", "2", "--rho", "2", "--n", "31"),

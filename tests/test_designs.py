@@ -218,6 +218,19 @@ def test_design_text_roundtrip():
         assert design_to_text(back) == text
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_dimensional_design_text_round_trips(q):
+    """A k = 0 design holds at most one block, the zero subspace, which the
+    design file writes as an empty line and reads back."""
+    for blocks in ([], [Subspace(q, 3, (), ())]):
+        d = SubspaceDesign.from_blocks(blocks, q=q, n=3, k=0)
+        text = design_to_text(d)
+        assert text == f"{DESIGN_MAGIC}\nq={q} n=3 k=0\n" + "\n" * len(blocks)
+        back = design_from_text(text)
+        assert back == d
+        assert design_to_text(back) == text
+
+
 def test_design_text_canonicalizes_and_dedups():
     text = ("qcover-design v1\n"
             "q=2 n=3 k=2\n"
@@ -337,7 +350,7 @@ def test_expand_builds_no_row_table_without_blocks(monkeypatch):
     """An empty design is censused without the local row reader, whose table
     for [6 1]_17 would hold 1 508 598 entries.  The probe is the reader the
     censuses call: a cached one calls local_row_indices only once.  Turan
-    expand reads through it too, block by block in superspaces_containing."""
+    expand reads through it too, in superspaces_containing."""
     def refuse(*args):
         raise AssertionError(f"_local_rows{args} was built")
     monkeypatch.setattr(designs, "_local_rows", refuse)

@@ -32,6 +32,11 @@ census of subspaces and check_vectors a list of vectors.  An AST scan fails
 on MAX_VECTOR_ENUM named outside subspaces.py, and on a BudgetError built
 outside it except in OWN_BUDGETS, which gives the reason each of those
 stays.
+
+Every subspace query of subspaces.py takes its packed vectors from one span
+fork: an AST scan fails on any `q == 2` or `q != 2` test there (q a name or
+an attribute, either side) outside Q_FORKS, which gives the reason each of
+those stays.
 """
 
 import ast
@@ -62,6 +67,14 @@ OWN_BUDGETS = {
     ("constructions.py", "expand_to_steiner_system"):
         "caps n <= 16, as the system lists the 2^n points of every coset",
     ("cli.py", "cmd_expand"): "re-raises expand's BudgetError with the file name",
+}
+
+# (module, top-level definition) -> why it tests q == 2 itself.
+Q_FORKS = {
+    ("subspaces.py", "span_vector_lists"):
+        "the one span fork: q = 2 vectors are XORs of packed rows",
+    ("subspaces.py", "_unpack_rows"):
+        "unpacks q = 2 rows from the cached _bit_table",
 }
 
 
@@ -333,3 +346,41 @@ def test_budget_scan_finds_each_form():
                                     (4, "a", "MAX_VECTOR_ENUM"),
                                     (5, "a", "BudgetError"),
                                     (8, "B", "BudgetError")]
+
+
+def q_forks(source: str):
+    """(line, enclosing top-level definition or None) of every comparison
+    `q == 2` or `q != 2`, q a name or an attribute, on either side."""
+    def is_q(node):
+        return "q" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    def is_two(node):
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq)) and (
+                        is_q(a) and is_two(b) or is_two(a) and is_q(b)):
+                    found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_span_q_forks_only_in_allowlist():
+    source = (ROOT / "src" / "qcover" / "subspaces.py").read_text(encoding="utf-8")
+    assert {("subspaces.py", owner) for _, owner in q_forks(source)} == set(Q_FORKS)
+
+
+def test_q_fork_scan_finds_each_form():
+    source = ("def a(q):\n    return 1 if q == 2 else 0\n"
+              "def b(s):\n    if s.q != 2:\n        return 2 == s.q\n"
+              "class C:\n    def m(self, q):\n        return 0 < q != 2\n"
+              "def d(q, n):\n    return q == 3 or n == 2 or q > 2 or q <= 2\n"
+              "X = design.q == 2\n")
+    assert q_forks(source) == [(2, "a"), (4, "b"), (5, "b"), (8, "C"),
+                               (11, None)]

@@ -384,26 +384,16 @@ def gf64_covering_design() -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
     Its blocks are the orbits of the base blocks of gf64_orbits, which
-    certifies them, under the Singer action: each base's orbit is walked
-    with GroupAction.image until the base comes back.  The action is
-    linear, so it maps the base's span onto the image's, and each image is
-    the reduction of the images of the base's three packed RREF rows, which
-    must again have rank 3.
+    certifies them, under the Singer action: GroupAction.orbit_blocks reads
+    each base's orbit off the sorted images of its vectors, up to the
+    image that is the base again, and checks that every image is a
+    3-subspace.
     """
     singer, bases, count = gf64_orbits()
-    blocks: List[Subspace] = []
-    for base in bases:
-        base_rows = [vec_pack(2, row) for row in base.rows]
-        block, m = base, 0
-        while True:
-            blocks.append(block)
-            m += 1
-            rows, block = xor_rref(7, singer.image(base_rows, m))
-            if len(rows) != 3:
-                raise ConstructionError(f"image {m} of a base block spans "
-                                        f"dim {len(rows)}, not 3")
-            if rows == base_rows:
-                break
+    try:
+        blocks = [block for base in bases for block in singer.orbit_blocks(base)]
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
     design = SubspaceDesign.from_blocks(blocks, q=2, n=7, k=3)
     if len(design) != count:
         raise ConstructionError(f"gf64 block count {len(design)} != {count}")

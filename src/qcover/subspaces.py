@@ -364,7 +364,10 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
     A row's pivot is its lowest set bit (coordinate 0).  Each remainder
     clears its pivot from the rows so far with XOR and joins them; the rows
     are then sorted by pivot and each is unpacked once, from _bit_table up to
-    BIT_TABLE_MAX_N coordinates.
+    BIT_TABLE_MAX_N coordinates.  A block listed as a whole span is read
+    off its sorted list by sorted_subspaces instead; xor_rref serves
+    generator sets, design-file lines past design_from_text's cut, and the
+    rank in an error message.
     """
     rows: List[int] = []
     for v in vectors:
@@ -383,6 +386,56 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
 
 
 BIT_TABLE_MAX_N = 10
+
+
+def _sort_tables(n: int) -> Tuple[List[int], List[int]]:
+    """(reverse, lowest) for every v < 2^n: v with its n bits reversed,
+    which as a sort key puts packed vectors of F_2^n in lexicographic order,
+    coordinate 0 first, and the index of v's lowest set bit, its pivot as a
+    row (-1 for 0)."""
+    reverse = [0]
+    for _ in range(n):  # the new top bit of v becomes bit 0 of reverse[v]
+        reverse = [x << 1 for x in reverse] + [x << 1 | 1 for x in reverse]
+    return reverse, [(v & -v).bit_length() - 1 for v in range(1 << n)]
+
+
+# Bounded like _bit_table: one pair of 2^n-entry lists per n, built on use.
+_cached_sort_tables = functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)(_sort_tables)
+
+
+def sorted_subspaces(n: int, k: int, vector_lists: Iterable[Sequence[int]],
+                     tables: Tuple[Sequence[int], Sequence[int]]
+                     ) -> Tuple[List[List[int]], List[tuple], Iterator[Subspace]]:
+    """(lists, rows, blocks): each list of the packed span of k vectors of
+    F_2^n (0 included, any order) sorted, the packed rows read off it, and
+    lazily the canonical Subspace of those rows, for k >= 1 and tables =
+    _sort_tables(n).
+
+    Sorted lexicographically, the span of RREF rows r_1..r_k is
+    _xor_span([r_1..r_k]): sum(c_i * r_i) holds c_i at r_i's pivot, and
+    its coordinates before that pivot depend on c_1..c_(i-1) only.  So r_i
+    sits at index 2^(k-i) and its pivot is its lowest set bit, with no row
+    reduction.  The span of k vectors of rank d < k lists every vector
+    2^(k-d) times, so index 1 holds 0 exactly when they are dependent; the
+    block read off such a list is not canonical, and callers check index 1
+    before they read blocks.  Sorting, reading and unpacking (from
+    _bit_table up to BIT_TABLE_MAX_N coordinates) all run in C-level maps,
+    with no Python statement per list.
+    """
+    reverse, lowest = tables
+    lists = list(map(functools.partial(sorted, key=reverse.__getitem__),
+                     vector_lists))
+    # A slice keeps a single read a sequence, as in _local_rows.
+    read = (itemgetter(*[1 << i for i in reversed(range(k))]) if k > 1
+            else itemgetter(slice(1, 2)))
+    rows = list(map(read, lists))
+    unpack = (_bit_table(n).__getitem__ if n <= BIT_TABLE_MAX_N
+              else functools.partial(vec_unpack, 2, n))
+    repeat = itertools.repeat
+    blocks = map(Subspace, repeat(2), repeat(n),
+                 map(tuple, map(map, repeat(unpack), rows)),
+                 map(tuple, map(map, repeat(lowest.__getitem__), rows)))
+    return lists, rows, blocks
 
 
 def _row_packer(n: int) -> Callable[[Sequence[int]], int]:
@@ -424,7 +477,8 @@ class GroupAction:
     the images of v's set bits, tabled for every v.  The per-vector tables
     of orbit representative (the least vector of the orbit), exponent e
     (g^e sends the vector to its representative) and orbit size, and each
-    orbit's cycle from its representative, are built on first use.
+    orbit's cycle from its representative, are built on first use, and so
+    are orbit_blocks' sort tables.  xor_rref checks g's rank.
     """
 
     def __init__(self, n: int, images: Sequence[int]):
@@ -447,7 +501,7 @@ class GroupAction:
             columns = tuple([image[c] for c in columns])
             order += 1
         self.order = order
-        self._tables = None
+        self._tables = self._sorting = None
 
     def _orbit_tables(self):
         """(rep, exponent, size, cycles): per-vector lists, and each orbit's
@@ -475,6 +529,45 @@ class GroupAction:
         """g^m of each vector, in order."""
         rep, exponent, size, cycles = self._orbit_tables()
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
+
+    def orbit_blocks(self, base: Subspace) -> List[Subspace]:
+        """The blocks g(base), g^2(base), ..., base of base's orbit, read
+        off sorted vector lists with no row reduction.
+
+        The images of base's packed vectors under g^1..g^order are read a
+        whole column at a time, each vector's column a slice of its cycle,
+        and sorted_subspaces sorts every image and reads its rows.
+        packed_vectors(base) is already sorted, so the orbit ends at the
+        first image equal to it.  g is linear, so each image is a
+        k-subspace: it must be the _xor_span of the rows read off it, with
+        a nonzero vector at index 1, else ValueError names the first image
+        that is not, with its rank from xor_rref.
+        """
+        if (base.q, base.n) != (2, self.n):
+            raise AmbientMismatch(f"base block in F_{base.q}^{base.n} under "
+                                  f"an action on F_2^{self.n}")
+        k = base.dim
+        if not k:
+            return [base]
+        rep, exponent, size, cycles = self._orbit_tables()
+        if self._sorting is None:
+            self._sorting = _sort_tables(self.n)
+        vectors = packed_vectors(base)
+        columns = []
+        for w in vectors:
+            cycle, start = cycles[rep[w]], (1 - exponent[w]) % size[w]
+            columns.append((cycle[start:] + cycle[:start]) * (self.order // size[w]))
+        lists, rows, blocks = sorted_subspaces(self.n, k, zip(*columns),
+                                               self._sorting)
+        spans = list(map(list, _xor_chunk(int, rows, k)))  # rows are packed
+        if spans != lists or not all(map(itemgetter(1), lists)):
+            m = next(m for m, (image, listed) in enumerate(zip(lists, spans), 1)
+                     if image != listed or not image[1])
+            rank = len(xor_rref(self.n, lists[m - 1])[0])
+            fault = (f"spans dim {rank}, not {k}" if rank != k
+                     else "is not closed under addition")
+            raise ValueError(f"image {m} of a base block {fault}")
+        return list(itertools.islice(blocks, lists.index(vectors) + 1))
 
     def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
         """(label, size) of the set's orbit, in one pass.

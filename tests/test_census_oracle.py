@@ -37,8 +37,9 @@ from qcover.constructions import (GF64_QUADS, ConstructionError,
 from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_orbits, verify_turan)
 from qcover.fields import get_gf, vec_pack, vec_unpack
-from qcover.subspaces import (BudgetError, GroupAction, Subspace,
-                              complement_generators, complement_vectors,
+from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
+                              Subspace, complement_generators,
+                              complement_vectors,
                               enumerate_grassmannian,
                               full_space, grassmannian_choices,
                               local_row_indices, orthogonal_complement,
@@ -685,6 +686,30 @@ def random_orbit_bases(rng, action, k, count):
             labels.add(label)
             bases.append(block)
     return bases
+
+
+def test_orbit_blocks_equal_image_walk():
+    """GroupAction.orbit_blocks against xor_rref of the images of a base's
+    vectors under g^1, g^2, ... up to the base, on every action and bases
+    of dimension 1..4: the same blocks and pivots, in the same order, as
+    many as the orbit's size.  The zero block is its own orbit."""
+    rng = random.Random(20261020)
+    for name, action in actions().items():
+        for k in range(1, 5):
+            for base in random_orbit_bases(rng, action, k, 3):
+                vectors = packed_vectors(base)
+                walk = [xor_rref(action.n, action.image(vectors, 1))[1]]
+                while walk[-1] != base:
+                    walk.append(xor_rref(action.n, action.image(
+                        vectors, len(walk) + 1))[1])
+                blocks = action.orbit_blocks(base)
+                assert blocks == walk, (name, base)
+                assert [b.pivots for b in blocks] == [b.pivots for b in walk]
+                assert len(blocks) == action.orbit(vectors)[1]
+        zero = Subspace(2, action.n, (), ())
+        assert action.orbit_blocks(zero) == [zero]
+        with pytest.raises(AmbientMismatch, match="base block in F_2"):
+            action.orbit_blocks(Subspace(2, action.n + 1, (), ()))
 
 
 def test_group_action_orders_and_orbits_equal_brute_force():

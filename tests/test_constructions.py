@@ -314,8 +314,8 @@ def test_gf64_orbit_structure():
 def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
     """gf64_orbits runs the one orbit census, whose verify_orbits takes 7
     base and 49 target orbits: 56 GroupAction.orbit calls for the design
-    and for the bound table alike.  The construction walks each base's
-    orbit with GroupAction.image, and no orbit is sized twice."""
+    and for the bound table alike.  The construction reads each base's
+    orbit with GroupAction.orbit_blocks, and no orbit is sized twice."""
     calls = []
     orbit = GroupAction.orbit
 
@@ -330,19 +330,54 @@ def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
     assert len(calls) == 56
 
 
-def test_gf64_image_of_rank_below_3_raises(monkeypatch):
-    """Each image is reduced from the images of its base's three rows and
-    must keep rank 3."""
-    image = GroupAction.image
+def corrupt_images(action, images):
+    """Replace g(v) by images[v] in action's cycle tables, which
+    GroupAction.orbit_blocks reads; every g(v) is read before any entry
+    changes."""
+    rep, exponent, size, cycles = action._orbit_tables()
+    for u, w in [(action.image([v], 1)[0], w) for v, w in images.items()]:
+        cycle = list(cycles[rep[u]])
+        cycle[-exponent[u] % size[u]] = w
+        cycles[rep[u]] = tuple(cycle)
 
-    def collapse(self, vectors, m):
-        out = image(self, vectors, m)
-        if len(out) == 3 and m == 1:
-            out[2] = out[0] ^ out[1]
-        return out
-    monkeypatch.setattr(GroupAction, "image", collapse)
+
+def test_gf64_image_of_rank_below_3_raises(monkeypatch):
+    """Each image must be a 3-subspace.  Here the cycle tables send the
+    first base's vectors off its span of rows 2 and 3 to the images of the
+    vectors on it, so image 1 is a 2-subspace listed twice: the span of the
+    rows read off it, with 0 at index 1, and refused with its rank."""
+    orbit_blocks = GroupAction.orbit_blocks
+
+    def corrupted(self, base):
+        vectors = packed_vectors(base)  # row 1 is the slowest digit
+        half = len(vectors) // 2
+        corrupt_images(self, {v: self.image([w], 1)[0]
+                              for v, w in zip(vectors[half:], vectors[:half])})
+        return orbit_blocks(self, base)
+    monkeypatch.setattr(GroupAction, "orbit_blocks", corrupted)
     with pytest.raises(ConstructionError,
                        match="image 1 of a base block spans dim 2, not 3"):
+        gf64_covering_design()
+
+
+@pytest.mark.parametrize("outside, message", [
+    (False, "image 1 of a base block is not closed under addition"),
+    (True, "image 1 of a base block spans dim 4, not 3"),
+])
+def test_gf64_image_off_a_block_raises(monkeypatch, outside, message):
+    """One cycle-table entry sends a vector of the first base to 0, so image
+    1 holds 0 twice but has rank 3, or to a vector outside g(base), so
+    image 1 has rank 4: the closure check refuses both."""
+    orbit_blocks = GroupAction.orbit_blocks
+
+    def corrupted(self, base):
+        vectors = packed_vectors(base)
+        images = set(self.image(vectors, 1))
+        w = min(set(range(1 << self.n)) - images) if outside else 0
+        corrupt_images(self, {vectors[1]: w})
+        return orbit_blocks(self, base)
+    monkeypatch.setattr(GroupAction, "orbit_blocks", corrupted)
+    with pytest.raises(ConstructionError, match=f"^{message}$"):
         gf64_covering_design()
 
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qcover import designs, subspaces
+from qcover import constructions, designs, subspaces
 from qcover.bounds import basic_lower, gaussian
 from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem,
                             SubspaceDesign,
@@ -48,6 +48,22 @@ def test_design_dedup_and_mismatch():
     assert len(d.blocks) == 1
     with pytest.raises(Exception):
         SubspaceDesign.from_blocks([b, span(2, 4, [(1, 0, 0, 0)])])
+
+
+@pytest.mark.parametrize("other, message", [
+    ((0, 0, 1), r"^block \(2,3,dim 2\) in design \(2,3,k=1\)$"),
+    ((0, 1, 0), r"^block \(3,3,dim 1\) in design \(2,3,k=1\)$"),
+])
+def test_from_blocks_mismatch_names_first_block_in_sort_order(other, message):
+    """Of two mismatched blocks, the message names the one that sorts
+    first, whatever the input order: pivots (1, 2) sort after (0, 1, 0)'s
+    (1,) and before (0, 0, 1)'s (2,)."""
+    a = span(2, 3, [(1, 0, 0)])
+    b = span(2, 3, [(0, 1, 0), (0, 0, 1)])
+    c = span(3, 3, [other])
+    for blocks in ([a, b, c], [c, b, a], [b, a, c]):
+        with pytest.raises(AmbientMismatch, match=message):
+            SubspaceDesign.from_blocks(blocks)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 3, 1)])
@@ -291,6 +307,75 @@ def test_design_from_text_equals_span_of_its_words(q):
         else:
             with pytest.raises(FormatError, match=f"block rank {block.dim} < k={k}"):
                 design_from_text(text)
+
+
+def count_xor_rref(monkeypatch):
+    """A list that gets one entry per xor_rref call from any module."""
+    calls, xor_rref = [], subspaces.xor_rref
+
+    def counted(n, vectors):
+        calls.append(n)
+        return xor_rref(n, vectors)
+    for module in (subspaces, designs, constructions):
+        monkeypatch.setattr(module, "xor_rref", counted)
+    return calls
+
+
+def test_gf64_reduces_only_its_generators(monkeypatch):
+    """gf64_covering_design reduces GroupAction's generator and its seven
+    base blocks; its 399 blocks are read off sorted vector lists, and so
+    are the blocks of its design file on load."""
+    calls = count_xor_rref(monkeypatch)
+    design = gf64_covering_design()
+    assert len(calls) == 8
+    calls.clear()
+    assert design_from_text(design_to_text(design)) == design
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, k, reduced", [
+    (7, 1, False), (7, 3, False), (10, 4, False),
+    (7, 5, True), (10, 5, True), (11, 2, True), (11, 4, True),
+])
+def test_design_load_reduces_past_the_cut(monkeypatch, n, k, reduced):
+    """q = 2 lines with k <= SORTED_READ_MAX_K and n <= BIT_TABLE_MAX_N are
+    read off sorted span lists; every other line is one xor_rref call.
+    Both give the blocks that span gives."""
+    rng = random.Random(100 * n + k)
+    design = random_design(rng, 2, n, k, 40)
+    calls = count_xor_rref(monkeypatch)
+    back = design_from_text(design_to_text(design))
+    assert back == design
+    assert [b.pivots for b in back.blocks] == [b.pivots for b in design.blocks]
+    assert len(calls) == (len(design) if reduced else 0)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 5), (11, 2)])
+@pytest.mark.parametrize("good", [1, designs.XOR_CHUNK >> 2])
+def test_design_load_errors_keep_file_order(n, k, good):
+    """A dependent line raises its rank error before a bad word or a short
+    line that follows it, and a bad word raises before a dependent line
+    that follows it, on both sides of the cut, after good lines that fill
+    a whole chunk of the sorted read or not."""
+    unit = "1" + "0" * (n - 1)
+    bad_word = "01x" + "0" * (n - 3)
+    dependent = " ".join([unit] * k)
+    bad = " ".join([unit] * (k - 1) + [bad_word])
+    short = " ".join([unit] * (k - 1))
+    rng = random.Random(good)
+    goods = design_to_text(random_design(rng, 2, n, k, 20)).splitlines()[2:]
+    goods = [goods[i % len(goods)] for i in range(good)]
+
+    def load(*lines):
+        text = "\n".join([DESIGN_MAGIC, f"q=2 n={n} k={k}", *goods, *lines])
+        with pytest.raises(FormatError) as info:
+            design_from_text(text + "\n")
+        return str(info.value)
+    rank_error = f"block rank 1 < k={k}: {dependent!r}"
+    assert load(dependent, bad) == rank_error
+    assert load(bad, dependent) == f"bad vector {bad_word!r} for n={n}"
+    assert load(dependent, short) == rank_error
+    assert load(short, dependent) == f"block with {k - 1} vectors, expected {k}"
 
 
 def reference_design_text(design):

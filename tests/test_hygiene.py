@@ -34,9 +34,9 @@ outside it except in OWN_BUDGETS, which gives the reason each of those
 stays.
 
 Every subspace query of subspaces.py takes its packed vectors from one span
-fork: an AST scan fails on any `q == 2` or `q != 2` test there (q a name or
-an attribute, either side) outside Q_FORKS, which gives the reason each of
-those stays.
+fork, and designs.py forks only to load a design file: an AST scan fails on
+any `q == 2` or `q != 2` test in either module (q a name or an attribute,
+either side) outside Q_FORKS, which gives the reason each of those stays.
 """
 
 import ast
@@ -75,6 +75,9 @@ Q_FORKS = {
         "the one span fork: q = 2 vectors are XORs of packed rows",
     ("subspaces.py", "_unpack_rows"):
         "unpacks q = 2 rows from the cached _bit_table",
+    ("designs.py", "design_from_text"):
+        "packs q = 2 words into ints, and reads small q = 2 blocks off "
+        "sorted span lists",
 }
 
 
@@ -372,8 +375,11 @@ def q_forks(source: str):
 
 
 def test_span_q_forks_only_in_allowlist():
-    source = (ROOT / "src" / "qcover" / "subspaces.py").read_text(encoding="utf-8")
-    assert {("subspaces.py", owner) for _, owner in q_forks(source)} == set(Q_FORKS)
+    found = set()
+    for name in ("subspaces.py", "designs.py"):
+        source = (ROOT / "src" / "qcover" / name).read_text(encoding="utf-8")
+        found |= {(name, owner) for _, owner in q_forks(source)}
+    assert found == set(Q_FORKS)
 
 
 def test_q_fork_scan_finds_each_form():
@@ -381,6 +387,7 @@ def test_q_fork_scan_finds_each_form():
               "def b(s):\n    if s.q != 2:\n        return 2 == s.q\n"
               "class C:\n    def m(self, q):\n        return 0 < q != 2\n"
               "def d(q, n):\n    return q == 3 or n == 2 or q > 2 or q <= 2\n"
-              "X = design.q == 2\n")
+              "X = design.q == 2\n"
+              "def e(q, k):\n    if q == 2 and 1 <= k <= 4:\n        return k\n")
     assert q_forks(source) == [(2, "a"), (4, "b"), (5, "b"), (8, "C"),
-                               (11, None)]
+                               (11, None), (13, "e")]

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import re
+from operator import xor
 
 import pytest
 
@@ -17,8 +18,8 @@ from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
                               enumerate_grassmannian,
                               grassmannian_choices,
                               full_space, orthogonal_complement,
-                              packed_vectors, rref, span, subspaces_of,
-                              superspaces_containing, xor_rref)
+                              packed_vectors, rref, sorted_subspaces, span,
+                              subspaces_of, superspaces_containing, xor_rref)
 
 from vector_reference import enumerate_vectors, vec_add
 
@@ -308,6 +309,53 @@ def test_xor_rref_edge_cases():
     for bad in (1 << 4, -1):
         with pytest.raises(AmbientMismatch):
             xor_rref(4, [bad])
+
+
+def test_sort_tables_reverse_bits_and_find_pivots():
+    for n in range(8):
+        reverse, lowest = subspaces._sort_tables(n)
+        assert reverse == [vec_pack(2, vec_unpack(2, n, v)[::-1])
+                           for v in range(1 << n)]
+        assert lowest == [-1] + [vec_unpack(2, n, v).index(1)
+                                 for v in range(1, 1 << n)]
+    assert subspaces._cached_sort_tables(7) == subspaces._sort_tables(7)
+
+
+def test_sorted_subspaces_equal_xor_rref():
+    """sorted_subspaces against xor_rref on shuffled spans of k packed
+    vectors of every rank d <= k, for every k <= 6 and n <= 12 (rows unpack
+    from _bit_table up to n = 10, by vec_unpack past it): each list comes
+    back in lexicographic order, index 1 holds 0 exactly when d < k, and
+    otherwise the rows and block read off it are xor_rref's."""
+    rng = random.Random(20261020)
+    for n in range(1, 13):
+        tables = subspaces._sort_tables(n)
+        for k in range(1, min(n, 6) + 1):
+            generators = []
+            for d in range(k + 1):
+                for _ in range(4):
+                    basis = [rng.randrange(1 << n) for _ in range(d)]
+                    while len(xor_rref(n, basis)[0]) < d:
+                        basis = [rng.randrange(1 << n) for _ in range(d)]
+                    g = basis + [
+                        functools.reduce(xor, rng.sample(basis, rng.randint(0, d)), 0)
+                        for _ in range(k - d)]
+                    rng.shuffle(g)
+                    generators.append(g)
+            spans = [rng.sample(subspaces._xor_span(g), 1 << k) for g in generators]
+            lists, rows, blocks = sorted_subspaces(n, k, spans, tables)
+            blocks = list(blocks)
+            assert len(lists) == len(rows) == len(blocks) == len(generators)
+            ranks = set()
+            for g, vectors, packed, block in zip(generators, lists, rows, blocks):
+                ref_rows, ref = xor_rref(n, g)
+                ranks.add(ref.dim)
+                assert vectors == sorted(vectors, key=lambda v: vec_unpack(2, n, v))
+                assert (vectors[1] != 0) == (ref.dim == k)
+                if ref.dim == k:
+                    assert list(packed) == ref_rows
+                    assert block == ref and block.pivots == ref.pivots
+            assert ranks == set(range(k + 1))
 
 
 # Each input guard of qcover.subspaces: a call, the exception it raises and

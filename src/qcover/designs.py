@@ -15,19 +15,18 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import and_, attrgetter, itemgetter, ne
+from operator import and_, attrgetter, eq, lt, ne, neg
 from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf
-from .subspaces import (BIT_TABLE_MAX_N, MAX_SUBSPACE_ENUM, XOR_CHUNK,
-                        AmbientMismatch, BudgetError, GroupAction, Subspace,
-                        _cached_sort_tables, _local_rows, _xor_chunk,
+from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
+                        GroupAction, Subspace, _local_rows, _unpack_rows,
                         _xor_span, check_ambient, complement_generators,
                         complement_vectors, grassmannian_choices,
                         orthogonal_complement, packed_vector_lists,
-                        packed_vectors, sorted_subspaces, span,
-                        subspace_count, superspaces_containing, xor_rref)
+                        packed_vectors, span, subspace_count,
+                        superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 # Subspace.sort_key, and the fields from_blocks checks, read in C.
@@ -416,18 +415,30 @@ def design_to_text(design: SubspaceDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-# design_from_text reads q = 2 blocks of dimension 1..SORTED_READ_MAX_K off
-# their sorted span lists (sorted_subspaces) up to n = BIT_TABLE_MAX_N, and
-# reduces every other block with xor_rref.  Best per-line times of five
-# runs, 400 random full-rank lines loaded as design_from_text loads them,
-# on a 2-vCPU box, in µs, xor_rref then sorted read:
-#   k         1          2          3          4          5          6
-#   n = 7     2.14 1.44  2.80 1.66  3.61 2.04  4.59 2.86  5.74 4.78  7.07 7.87
-#   n = 10    2.17 1.50  3.07 1.77  3.70 2.17  4.84 3.16  6.24 5.37  7.26 9.31
-# The sorted read lists and sorts 2^k vectors a line where xor_rref reduces
-# k: its gain falls from a third or more at k <= 4 to a sixth at k = 5 and
-# turns to a loss at k = 6, so the cut keeps it to k <= 4.
-SORTED_READ_MAX_K = 4
+def _canonical_blocks(n: int, k: int, flat: Sequence[int]):
+    """The blocks whose packed rows of F_2^n are flat, k to a block, when
+    every block's rows are its RREF as written; else None.
+
+    Rows r_1..r_k with lowest set bits b_i = r_i & -r_i are a block's RREF
+    exactly when every r_i is nonzero, b_1 < ... < b_k, and r_i holds no
+    pivot b_j but its own.  The test runs on whole columns flat[i::k] in
+    C-level maps; rows unpack by _unpack_rows, at any n.
+    """
+    if 0 in flat:
+        return None
+    repeat = itertools.repeat
+    low = list(map(and_, flat, map(neg, flat)))
+    columns, lows = [flat[i::k] for i in range(k)], [low[i::k] for i in range(k)]
+    if not all(map(all, map(map, repeat(lt), lows, lows[1:]))):
+        return None
+    pivot_bits = list(map(sum, zip(*lows)))  # distinct bits: their OR
+    for column, column_low in zip(columns, lows):
+        if not all(map(eq, map(and_, column, pivot_bits), column_low)):
+            return None
+    rows = iter(_unpack_rows(2, n, flat))
+    pivots = map({1 << j: j for j in range(n)}.__getitem__, low)
+    return list(map(Subspace, repeat(2), repeat(n), zip(*[rows] * k),
+                    zip(*[pivots] * k)))
 
 
 def design_from_text(text: str) -> SubspaceDesign:
@@ -437,14 +448,12 @@ def design_from_text(text: str) -> SubspaceDesign:
     per call, to a packed int for q = 2 and a coordinate tuple otherwise.
     Every line is checked first, up to the first bad word or word count;
     then the lines before it become blocks, and a dependent one raises
-    FormatError with its rank, so errors come in file order.  For q = 2,
-    1 <= k <= SORTED_READ_MAX_K and n <= BIT_TABLE_MAX_N, the lines go
-    XOR_CHUNK >> k at a time through _xor_chunk, which spans their packed
-    words a column at a time, and sorted_subspaces reads each block off
-    its sorted span, with no row reduction; a line is dependent when index
-    1 of its span holds 0.  Other q = 2 lines are reduced by xor_rref and
-    other q by span, one by one.  A header n past MAX_AMBIENT_N raises
-    BudgetError before any block is read.
+    FormatError with its rank, so errors come in file order.  A q = 2 file
+    whose rows are all canonical, as design_to_text writes them, is taken
+    as written (_canonical_blocks decides once per file); in any other
+    file each q = 2 line is reduced by xor_rref and each other line by
+    span.  A header n past MAX_AMBIENT_N raises BudgetError before any
+    block is read.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != DESIGN_MAGIC:
@@ -492,20 +501,12 @@ def design_from_text(text: str) -> SubspaceDesign:
     except FormatError as exc:
         error = exc
     pack = vector.__getitem__
-    blocks = []
-    if q == 2 and 1 <= k <= SORTED_READ_MAX_K and n <= BIT_TABLE_MAX_N:
-        size = XOR_CHUNK >> k
-        for i in range(0, len(word_lists), size):
-            lists, _, read = sorted_subspaces(
-                n, k, _xor_chunk(pack, word_lists[i:i + size], k),
-                _cached_sort_tables(n))
-            seconds = list(map(itemgetter(1), lists))
-            if 0 in seconds:
-                i += seconds.index(0)
-                rank = len(xor_rref(n, map(pack, word_lists[i]))[0])
-                raise FormatError(f"block rank {rank} < k={k}: {block_lines[i]!r}")
-            blocks += read
-    else:
+    blocks = None
+    if q == 2 and k:
+        flat = list(map(pack, itertools.chain.from_iterable(word_lists)))
+        blocks = _canonical_blocks(n, k, flat)
+    if blocks is None:
+        blocks = []
         for words, line in zip(word_lists, block_lines):
             if q == 2:
                 block = xor_rref(n, map(pack, words))[1]

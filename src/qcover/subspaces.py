@@ -365,9 +365,10 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
     clears its pivot from the rows so far with XOR and joins them; the rows
     are then sorted by pivot and each is unpacked once, from _bit_table up to
     BIT_TABLE_MAX_N coordinates.  A block listed as a whole span is read
-    off its sorted list by sorted_subspaces instead; xor_rref serves
-    generator sets, design-file lines past design_from_text's cut, and the
-    rank in an error message.
+    off its sorted list by sorted_subspaces, and a design file's canonical
+    rows are taken as written, instead; xor_rref serves generator sets,
+    design files whose rows are not all canonical, and the rank in an
+    error message.
     """
     rows: List[int] = []
     for v in vectors:
@@ -390,7 +391,7 @@ BIT_TABLE_MAX_N = 10
 
 def _sort_tables(n: int) -> Tuple[List[int], List[int]]:
     """(reverse, lowest) for every v < 2^n: v with its n bits reversed,
-    which as a sort key puts packed vectors of F_2^n in lexicographic order,
+    whose int order is the lexicographic order of packed vectors of F_2^n,
     coordinate 0 first, and the index of v's lowest set bit, its pivot as a
     row (-1 for 0)."""
     reverse = [0]
@@ -399,43 +400,36 @@ def _sort_tables(n: int) -> Tuple[List[int], List[int]]:
     return reverse, [(v & -v).bit_length() - 1 for v in range(1 << n)]
 
 
-# Bounded like _bit_table: one pair of 2^n-entry lists per n, built on use.
-_cached_sort_tables = functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)(_sort_tables)
-
-
 def sorted_subspaces(n: int, k: int, vector_lists: Iterable[Sequence[int]],
                      tables: Tuple[Sequence[int], Sequence[int]]
                      ) -> Tuple[List[List[int]], List[tuple], Iterator[Subspace]]:
     """(lists, rows, blocks): each list of the packed span of k vectors of
-    F_2^n (0 included, any order) sorted, the packed rows read off it, and
-    lazily the canonical Subspace of those rows, for k >= 1 and tables =
-    _sort_tables(n).
+    F_2^n (0 included, any order) bit-reversed and sorted, the packed rows
+    read off it, and lazily the canonical Subspace of those rows, for
+    k >= 1 and tables = _sort_tables(n).
 
     Sorted lexicographically, the span of RREF rows r_1..r_k is
     _xor_span([r_1..r_k]): sum(c_i * r_i) holds c_i at r_i's pivot, and
-    its coordinates before that pivot depend on c_1..c_(i-1) only.  So r_i
-    sits at index 2^(k-i) and its pivot is its lowest set bit, with no row
-    reduction.  The span of k vectors of rank d < k lists every vector
-    2^(k-d) times, so index 1 holds 0 exactly when they are dependent; the
-    block read off such a list is not canonical, and callers check index 1
-    before they read blocks.  Sorting, reading and unpacking (from
-    _bit_table up to BIT_TABLE_MAX_N coordinates) all run in C-level maps,
-    with no Python statement per list.
+    its coordinates before that pivot depend on c_1..c_(i-1) only.  Bit
+    reversal, linear and its own inverse, makes that order plain int order,
+    so r_i sits reversed at index 2^(k-i), with no key and no row reduction.
+    The span of k vectors of rank d < k lists every vector 2^(k-d) times,
+    so index 1 holds 0 exactly when they are dependent; the block read off
+    such a list is not canonical, and callers check index 1 before they
+    read blocks.  Sorting, reading and unpacking (from _bit_table up to
+    BIT_TABLE_MAX_N coordinates) each run in one C-level map over all lists.
     """
     reverse, lowest = tables
-    lists = list(map(functools.partial(sorted, key=reverse.__getitem__),
-                     vector_lists))
+    flip = reverse.__getitem__
+    lists = list(map(sorted, map(map, itertools.repeat(flip), vector_lists)))
     # A slice keeps a single read a sequence, as in _local_rows.
     read = (itemgetter(*[1 << i for i in reversed(range(k))]) if k > 1
             else itemgetter(slice(1, 2)))
-    rows = list(map(read, lists))
-    unpack = (_bit_table(n).__getitem__ if n <= BIT_TABLE_MAX_N
-              else functools.partial(vec_unpack, 2, n))
-    repeat = itertools.repeat
-    blocks = map(Subspace, repeat(2), repeat(n),
-                 map(tuple, map(map, repeat(unpack), rows)),
-                 map(tuple, map(map, repeat(lowest.__getitem__), rows)))
-    return lists, rows, blocks
+    flat = list(map(flip, itertools.chain.from_iterable(map(read, lists))))
+    unpacked, pivots = iter(_unpack_rows(2, n, flat)), map(lowest.__getitem__, flat)
+    blocks = map(Subspace, itertools.repeat(2), itertools.repeat(n),
+                 zip(*[unpacked] * k), zip(*[pivots] * k))
+    return lists, list(zip(*[iter(flat)] * k)), blocks
 
 
 def _row_packer(n: int) -> Callable[[Sequence[int]], int]:
@@ -536,12 +530,12 @@ class GroupAction:
 
         The images of base's packed vectors under g^1..g^order are read a
         whole column at a time, each vector's column a slice of its cycle,
-        and sorted_subspaces sorts every image and reads its rows.
-        packed_vectors(base) is already sorted, so the orbit ends at the
-        first image equal to it.  g is linear, so each image is a
-        k-subspace: it must be the _xor_span of the rows read off it, with
-        a nonzero vector at index 1, else ValueError names the first image
-        that is not, with its rank from xor_rref.
+        and sorted_subspaces sorts every image, bit-reversed, and reads its
+        rows.  The orbit ends at the first image equal to base's vectors,
+        reversed and sorted.  g is linear, so each image is a k-subspace:
+        it must be the _xor_span of the rows read off it, reversed, with a
+        nonzero vector at index 1, else ValueError names the first image
+        that is not, with its rank from xor_rref (reversal keeps ranks).
         """
         if (base.q, base.n) != (2, self.n):
             raise AmbientMismatch(f"base block in F_{base.q}^{base.n} under "
@@ -559,7 +553,8 @@ class GroupAction:
             columns.append((cycle[start:] + cycle[:start]) * (self.order // size[w]))
         lists, rows, blocks = sorted_subspaces(self.n, k, zip(*columns),
                                                self._sorting)
-        spans = list(map(list, _xor_chunk(int, rows, k)))  # rows are packed
+        reverse = self._sorting[0].__getitem__
+        spans = list(map(list, _xor_chunk(reverse, rows, k)))
         if spans != lists or not all(map(itemgetter(1), lists)):
             m = next(m for m, (image, listed) in enumerate(zip(lists, spans), 1)
                      if image != listed or not image[1])
@@ -567,7 +562,8 @@ class GroupAction:
             fault = (f"spans dim {rank}, not {k}" if rank != k
                      else "is not closed under addition")
             raise ValueError(f"image {m} of a base block {fault}")
-        return list(itertools.islice(blocks, lists.index(vectors) + 1))
+        base_list = sorted(map(reverse, vectors))
+        return list(itertools.islice(blocks, lists.index(base_list) + 1))
 
     def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
         """(label, size) of the set's orbit, in one pass.

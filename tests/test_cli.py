@@ -255,6 +255,35 @@ def test_gf64_design_command(tmp_path, capsys):
     assert "size=399" in result_line(out)
 
 
+def test_verify_agrees_on_canonical_and_unreduced_gf64_files(
+        tmp_path, capsys, monkeypatch):
+    """The gf64 file loads as written; the same file with every line's rows
+    rotated and its first row replaced by the sum of its first two loads
+    through one xor_rref call per line.  verify prints the same census line
+    and verdict on both."""
+    canonical, unreduced = tmp_path / "gf64.txt", tmp_path / "unreduced.txt"
+    assert run(capsys, "construct", "gf64", "-o", str(canonical))[0] == 0
+    lines = canonical.read_text().splitlines()
+    for i, line in enumerate(lines[2:], 2):
+        words = line.split()
+        words[0] = "".join(str(int(a) ^ int(b)) for a, b in zip(*words[:2]))
+        lines[i] = " ".join(words[1:] + words[:1])
+    unreduced.write_text("\n".join(lines) + "\n")
+    calls, xor_rref = [], designs.xor_rref
+    monkeypatch.setattr(designs, "xor_rref",
+                        lambda n, vectors: calls.append(n) or xor_rref(n, vectors))
+    outputs = []
+    for path in (canonical, unreduced):
+        code, out, err = run(capsys, "verify", str(path), "--mode", "covering",
+                             "--r", "2")
+        outputs.append((code, out.replace(str(path), "FILE"), err))
+    assert calls == [7] * 399
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert "targets=2667 min=1 max=3" in outputs[0][1]
+    assert "verdict=True size=399" in result_line(outputs[0][1])
+
+
 def test_derive_point_digit_outside_field_exit_2(tmp_path, capsys):
     design = tmp_path / "triv.txt"
     run(capsys, "construct", "trivial", "--q", "2", "--n", "4", "--r", "2",

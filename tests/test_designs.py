@@ -14,6 +14,7 @@ from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem
                             verify_steiner_system, verify_turan)
 from qcover.constructions import (gf64_covering_design, spread, trivial_steiner,
                                   turan_point_design)
+from qcover.fields import vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
                               Subspace, enumerate_grassmannian, full_space,
                               local_row_indices, span)
@@ -333,30 +334,155 @@ def test_gf64_reduces_only_its_generators(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("n, k, reduced", [
+def packed_rows(block):
+    return [vec_pack(2, row) for row in block.rows]
+
+
+def q2_text(n, k, row_lists):
+    """A q = 2 design file with one line per list of packed rows, as given."""
+    lines = [" ".join("".join(map(str, vec_unpack(2, n, v))) for v in rows)
+             for rows in row_lists]
+    return "\n".join([DESIGN_MAGIC, f"q=2 n={n} k={k}", *lines]) + "\n"
+
+
+def reduced_load(text):
+    """The design of a well-formed q = 2 file with every line reduced by
+    xor_rref, or the FormatError of its first dependent line."""
+    lines = text.splitlines()
+    params = dict(item.split("=") for item in lines[1].split())
+    n, k = int(params["n"]), int(params["k"])
+    blocks = []
+    for line in lines[2:]:
+        block = subspaces.xor_rref(n, [vec_pack(2, tuple(map(int, w)))
+                                       for w in line.split()])[1]
+        if block.dim != k:
+            raise FormatError(f"block rank {block.dim} < k={k}: {line!r}")
+        blocks.append(block)
+    return SubspaceDesign.from_blocks(blocks, q=2, n=n, k=k)
+
+
+def load_outcome(load, text):
+    """(blocks, pivots) of the design load reads off text, or its FormatError
+    message."""
+    try:
+        design = load(text)
+    except FormatError as exc:
+        return str(exc)
+    return design.blocks, [b.pivots for b in design.blocks]
+
+
+@pytest.mark.parametrize("n, k, past_cut", [
     (7, 1, False), (7, 3, False), (10, 4, False),
     (7, 5, True), (10, 5, True), (11, 2, True), (11, 4, True),
 ])
-def test_design_load_reduces_past_the_cut(monkeypatch, n, k, reduced):
-    """q = 2 lines with k <= SORTED_READ_MAX_K and n <= BIT_TABLE_MAX_N are
-    read off sorted span lists; every other line is one xor_rref call.
-    Both give the blocks that span gives."""
+def test_design_load_reduces_past_the_cut(monkeypatch, n, k, past_cut):
+    """Canonical q = 2 files load as written, with no xor_rref call, at
+    every n and k: past_cut marks the cases outside k <= 4 and
+    n <= BIT_TABLE_MAX_N, the bounds of an earlier sorted read.  The same
+    designs written as shuffled, unreduced generators make one xor_rref
+    call per line (for k = 1 every nonzero row is canonical, so none).
+    Both routes give the blocks that span gives, with their pivots."""
+    assert past_cut == (k > 4 or n > subspaces.BIT_TABLE_MAX_N)
     rng = random.Random(100 * n + k)
     design = random_design(rng, 2, n, k, 40)
+    pivots = [b.pivots for b in design.blocks]
+    calls = count_xor_rref(monkeypatch)
+    back = design_from_text(design_to_text(design))
+    assert back == design
+    assert [b.pivots for b in back.blocks] == pivots
+    assert calls == []
+    generators = []
+    for block in design.blocks:
+        rows = packed_rows(block)
+        if k > 1:
+            rows[0] ^= rows[1]  # holds row 1's pivot
+        rng.shuffle(rows)
+        generators.append(rows)
+    rng.shuffle(generators)
+    back = design_from_text(q2_text(n, k, generators))
+    assert back == design
+    assert [b.pivots for b in back.blocks] == pivots
+    assert len(calls) == (len(design) if k > 1 else 0)
+
+
+def random_canonical_rows(rng, n, k):
+    while True:
+        rows = subspaces.xor_rref(n, [rng.randrange(1 << n) for _ in range(k)])[0]
+        if len(rows) == k:
+            return rows
+
+
+def set_a_pivot(rng, rows):
+    i, j = rng.sample(range(len(rows)), 2)
+    rows[i] |= rows[j] & -rows[j]
+
+
+def swap_two(rng, rows):
+    i, j = rng.sample(range(len(rows)), 2)
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def zero_one(rng, rows):
+    rows[rng.randrange(len(rows))] = 0
+
+
+def repeat_one(rng, rows):
+    i, j = rng.sample(range(len(rows)), 2)
+    rows[i] = rows[j]
+
+
+def sum_of_two(rng, rows):
+    i, j, m = [rng.randrange(len(rows)) for _ in range(3)]
+    while i == j:
+        j = rng.randrange(len(rows))
+    rows[m] = rows[i] ^ rows[j]
+
+
+NEAR_CANONICAL = [set_a_pivot, swap_two, zero_one, repeat_one, sum_of_two]
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (10, 1), (10, 5), (11, 1),
+                                  (11, 5)])
+def test_near_canonical_lines_load_as_reduced(n, k):
+    """Lines one edit away from canonical (a bit set at another row's
+    pivot, two rows swapped, a zero row, a repeated row, a row replaced by
+    the sum of two rows), each alone and each as one line among 399
+    canonical ones, load to the design that reducing every line with
+    xor_rref gives, or raise the same rank error; so do the canonical
+    files around them."""
+    rng = random.Random(1000 * n + k)
+    edits = NEAR_CANONICAL if k > 1 else [zero_one]
+    for edit in edits:
+        for _ in range(3):
+            line = random_canonical_rows(rng, n, k)
+            edit(rng, line)
+            lines = [random_canonical_rows(rng, n, k) for _ in range(399)]
+            at = rng.randrange(1, 400)
+            for texts in ([line], lines, lines[:at] + [line] + lines[at:]):
+                text = q2_text(n, k, texts)
+                assert (load_outcome(design_from_text, text)
+                        == load_outcome(reduced_load, text))
+
+
+def test_spread_past_the_bit_table_loads_as_written(monkeypatch):
+    """Past BIT_TABLE_MAX_N canonical rows unpack by vec_unpack and their
+    pivots come from their lowest bits, with no xor_rref call."""
+    design = spread(2, 4, 12)
+    assert design.n > subspaces.BIT_TABLE_MAX_N
     calls = count_xor_rref(monkeypatch)
     back = design_from_text(design_to_text(design))
     assert back == design
     assert [b.pivots for b in back.blocks] == [b.pivots for b in design.blocks]
-    assert len(calls) == (len(design) if reduced else 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (6, 5), (11, 2)])
-@pytest.mark.parametrize("good", [1, designs.XOR_CHUNK >> 2])
+@pytest.mark.parametrize("good", [1, 4096])
 def test_design_load_errors_keep_file_order(n, k, good):
     """A dependent line raises its rank error before a bad word or a short
     line that follows it, and a bad word raises before a dependent line
-    that follows it, on both sides of the cut, after good lines that fill
-    a whole chunk of the sorted read or not."""
+    that follows it, at k = 2 and 5 and on both sides of BIT_TABLE_MAX_N,
+    after one canonical line or 4096."""
     unit = "1" + "0" * (n - 1)
     bad_word = "01x" + "0" * (n - 3)
     dependent = " ".join([unit] * k)

@@ -76,8 +76,8 @@ Q_FORKS = {
     ("subspaces.py", "_unpack_rows"):
         "unpacks q = 2 rows from the cached _bit_table",
     ("designs.py", "design_from_text"):
-        "packs q = 2 words into ints, and reads small q = 2 blocks off "
-        "sorted span lists",
+        "q = 2 words pack into ints, and canonical q = 2 files are taken "
+        "as written",
 }
 
 

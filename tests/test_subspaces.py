@@ -318,15 +318,16 @@ def test_sort_tables_reverse_bits_and_find_pivots():
                            for v in range(1 << n)]
         assert lowest == [-1] + [vec_unpack(2, n, v).index(1)
                                  for v in range(1, 1 << n)]
-    assert subspaces._cached_sort_tables(7) == subspaces._sort_tables(7)
 
 
 def test_sorted_subspaces_equal_xor_rref():
     """sorted_subspaces against xor_rref on shuffled spans of k packed
     vectors of every rank d <= k, for every k <= 6 and n <= 12 (rows unpack
     from _bit_table up to n = 10, by vec_unpack past it): each list comes
-    back in lexicographic order, index 1 holds 0 exactly when d < k, and
-    otherwise the rows and block read off it are xor_rref's."""
+    back as the plain sort of its span bit-reversed, which reversed again
+    is lexicographic order, index 1 holds 0 exactly when d < k, and
+    otherwise the rows and block read off it are xor_rref's, in the usual
+    packing."""
     rng = random.Random(20261020)
     for n in range(1, 13):
         tables = subspaces._sort_tables(n)
@@ -347,10 +348,14 @@ def test_sorted_subspaces_equal_xor_rref():
             blocks = list(blocks)
             assert len(lists) == len(rows) == len(blocks) == len(generators)
             ranks = set()
-            for g, vectors, packed, block in zip(generators, lists, rows, blocks):
+            reverse = tables[0]
+            for g, listed, vectors, packed, block in zip(generators, spans, lists,
+                                                         rows, blocks):
                 ref_rows, ref = xor_rref(n, g)
                 ranks.add(ref.dim)
-                assert vectors == sorted(vectors, key=lambda v: vec_unpack(2, n, v))
+                assert vectors == sorted(reverse[v] for v in listed)
+                assert [reverse[v] for v in vectors] == sorted(
+                    listed, key=lambda v: vec_unpack(2, n, v))
                 assert (vectors[1] != 0) == (ref.dim == k)
                 if ref.dim == k:
                     assert list(packed) == ref_rows

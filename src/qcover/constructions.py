@@ -21,9 +21,9 @@ from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
 from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
                         Subspace, _local_rows, _xor_span, check_ambient,
                         check_vectors, enumerate_grassmannian,
-                        grassmannian_choices, packed_vector_lists,
-                        packed_vectors, span, span_vector_lists,
-                        subspace_count, subspaces_of, xor_rref)
+                        grassmannian_choices, packed_vectors, span,
+                        span_vector_lists, subspace_count, subspaces_of,
+                        xor_rref)
 
 
 class ConstructionError(RuntimeError):
@@ -440,9 +440,10 @@ def derive_steiner(design: SubspaceDesign, t: int,
     Takes a Steiner structure S_q[t,k,n] and a 1-dimensional subspace; the
     blocks whose packed vectors hold its packed row are projected onto a
     fixed complement of the point and re-coordinatized to F_q^(n-1).  The
-    method reconstructs an unstated derivation, so the output is re-verified
-    and the report is returned with the design; callers must check
-    report.is_steiner.
+    Steiner census and that lookup share one listing, design.vector_lists.
+    The method reconstructs an unstated derivation, so the output is
+    re-verified and the report is returned with the design; callers must
+    check report.is_steiner.
     """
     if t < 2:
         raise ValueError("derivation needs t >= 2")
@@ -456,8 +457,8 @@ def derive_steiner(design: SubspaceDesign, t: int,
     j0 = point.pivots[0]
     key = vec_pack(q, p_row)
     derived = []
-    # the Steiner census above listed these vectors under the same budget
-    for block, vectors in zip(design.blocks, packed_vector_lists(design.blocks)):
+    # the vectors the Steiner census above listed, under the same budget
+    for block, vectors in zip(design.blocks, design.vector_lists):
         if key not in vectors:
             continue
         rows = []

@@ -20,13 +20,13 @@ from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf
-from .subspaces import (MAX_SUBSPACE_ENUM, AmbientMismatch, BudgetError,
-                        GroupAction, Subspace, _local_rows, _unpack_rows,
-                        _xor_span, check_ambient, complement_generators,
-                        complement_vectors, grassmannian_choices,
-                        orthogonal_complement, packed_vector_lists,
-                        packed_vectors, span, subspace_count,
-                        superspaces_containing, xor_rref)
+from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
+                        BudgetError, GroupAction, Subspace, _local_rows,
+                        _unpack_rows, _xor_span, check_ambient,
+                        complement_generators, complement_vectors,
+                        grassmannian_choices, orthogonal_complement,
+                        packed_vector_lists, packed_vectors, span,
+                        subspace_count, superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 # Subspace.sort_key, and the fields from_blocks checks, read in C.
@@ -36,7 +36,13 @@ _q, _n, _rows = attrgetter("q"), attrgetter("n"), attrgetter("rows")
 
 @dataclass(frozen=True)
 class SubspaceDesign:
-    """A set of k-dimensional subspaces of F_q^n."""
+    """A set of k-dimensional subspaces of F_q^n.
+
+    vector_lists and complement_lists are read-only views that every census
+    of the design reads, so the design is listed once however many
+    censuses it gets.  The value is q, n, k and blocks alone: the views are
+    left out of equality, hash and repr.
+    """
 
     q: int
     n: int
@@ -68,6 +74,30 @@ class SubspaceDesign:
 
     def __len__(self):
         return len(self.blocks)
+
+    @property
+    def vector_lists(self) -> Sequence[Sequence[int]]:
+        """packed_vector_lists of the blocks; see _kept."""
+        return self._kept("vector_lists", packed_vector_lists, self.k)
+
+    @property
+    def complement_lists(self) -> Sequence[Sequence[int]]:
+        """complement_vectors of the blocks; see _kept."""
+        return self._kept("complement_lists", complement_vectors,
+                          self.n - self.k)
+
+    def _kept(self, name: str, lister: Callable, dim: int):
+        """lister(blocks), the q^dim vectors of each block's list, built on
+        first read and kept while they total at most XOR_CHUNK vectors.
+        Past that each read lists the blocks again, streaming.  lister
+        raises BudgetError before it builds a vector, so a raise keeps
+        nothing."""
+        kept = self.__dict__.get(name)
+        if kept is None:
+            kept = lister(self.blocks)
+            if len(self.blocks) * self.q ** dim <= XOR_CHUNK:
+                kept = self.__dict__[name] = tuple(kept)
+        return kept
 
 
 @dataclass(frozen=True)
@@ -206,8 +236,9 @@ def verify_covering(design: SubspaceDesign, r: int,
     strategy: "expand" (the default; as [k r]_q <= [n r]_q it never counts
     more incidences than scan tests pairs) enumerates each block's
     r-subspaces; "scan" tests each r-subspace of the ambient space against
-    every block.  Both key a target by its packed RREF rows and take the
-    blocks' vectors from packed_vector_lists.  Expand is one pass over the
+    every block.  Both key a target by its packed RREF rows and read the
+    blocks' vectors off design.vector_lists, which the design keeps for its
+    other censuses while it is small.  Expand is one pass over the
     whole design: the _local_rows reader reads the rows of every r-subspace
     of every block off those lists at local_row_indices, with no row
     reduction, sort or Python step per target (nor per block, for q = 2
@@ -225,11 +256,11 @@ def verify_covering(design: SubspaceDesign, r: int,
     if strategy == "expand":
         counts: Counter = Counter()
         if design.blocks:  # the local row table can be far larger than a design
-            counts.update(_local_rows(q, k, r)(packed_vector_lists(design.blocks)))
+            counts.update(_local_rows(q, k, r)(design.vector_lists))
         return _report_from_counts(counts, total, _misses(
             q, n, r, _packed_rows, counts.__contains__))
     if strategy == "scan":
-        found, holders = _scan(q, n, r, packed_vector_lists(design.blocks))
+        found, holders = _scan(q, n, r, design.vector_lists)
         return _report(total, found, _misses(q, n, r, _packed_rows, holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -298,8 +329,9 @@ def verify_turan(design: SubspaceDesign, k: int,
     "expand" (the default, as in verify_covering) or "scan".  Both count
     through the complements: b <= t iff t-perp <= b-perp, and each target t
     is keyed by the packed complement_generators of its RREF rows, by
-    descending column.  Both take the blocks' complement_vectors, listed
-    for the whole design at once.  Expand counts the keys
+    descending column.  Both read the blocks' complement vectors off
+    design.complement_lists, listed for the whole design at once and kept
+    for its other censuses while they are small.  Expand counts the keys
     superspaces_containing reads off them in one _local_rows pass, as
     verify_covering's expand does; scan marks them with block bitmasks and
     counts the (n - k)-subspaces as verify_covering's scan does.  Only when
@@ -314,11 +346,11 @@ def verify_turan(design: SubspaceDesign, k: int,
     def complement_keys(choice: tuple) -> Iterator[tuple]:
         return complement_generators(q, n, *choice[:2])
     if strategy == "expand":
-        counts = Counter(superspaces_containing(design.blocks, k))
+        counts = Counter(superspaces_containing(design, k))
         return _report_from_counts(counts, total, _misses(
             q, n, k, complement_keys, counts.__contains__))
     if strategy == "scan":
-        found, holders = _scan(q, n, n - k, complement_vectors(design.blocks))
+        found, holders = _scan(q, n, n - k, design.complement_lists)
         return _report(total, found, _misses(q, n, k, complement_keys, holders))
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -363,13 +395,13 @@ def point_indexing(q: int, n: int) -> Dict[Tuple[int], int]:
 def to_point_set_system(design: SubspaceDesign) -> SetSystem:
     """Points are the 1-subspaces of F_q^n; a block maps to its point set,
     the [k 1]_q points read off its packed vectors at local_row_indices in
-    one pass over the whole design."""
+    one pass over design.vector_lists, the listing its censuses share."""
     q, k = design.q, design.k
     if k < 1:
         raise ValueError("needs block dimension >= 1")
     index = point_indexing(q, design.n)
     points = map(index.__getitem__,
-                 _local_rows(q, k, 1)(packed_vector_lists(design.blocks)))
+                 _local_rows(q, k, 1)(design.vector_lists))
     return SetSystem.from_blocks(len(index),
                                  zip(*[points] * gaussian(k, 1, q)))
 

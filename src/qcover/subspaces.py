@@ -607,8 +607,11 @@ def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
                                for j, column in enumerate(zip(*rows))])))
 
 
-# Bounded; a design's blocks share few distinct (column, place) pairs.
-@functools.lru_cache(maxsize=128)
+# Bounded.  A design of F_q^n with blocks of dimension k uses at most n * q^k
+# (column, place) pairs, and its complements n * q^(n - k): 5 * (3^2 + 3^3)
+# = 180 for a design of F_3^5 with k = 2 or 3.  512 holds those and the 107
+# of the q = 3 Turan point designs of F_3^5 and F_3^6 with their duals.
+@functools.lru_cache(maxsize=512)
 def _column_table(q: int, column: Tuple[int, ...], j: int) -> Tuple[int, ...]:
     """(c . column) * q^j for every coefficient vector c, in odometer order:
     the column's part of vec_pack at place j.
@@ -698,28 +701,28 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
         yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))
 
 
-def superspaces_containing(blocks: Sequence[Subspace], k: int
-                           ) -> Iterator[tuple]:
-    """One key per k-subspace t containing a block s, for each block (of
-    one q, n and dim d) in order: the packed basis of t-perp that
+def superspaces_containing(design, k: int) -> Iterator[tuple]:
+    """One key per k-subspace t containing a block s, for each block of the
+    design (a SubspaceDesign) in order: the packed basis of t-perp that
     complement_generators reads off t's RREF rows, by descending column.
 
     t contains s iff t-perp lies in s-perp.  s's complement generators, by
     descending column, are the RREF basis G of s-perp with coordinates
     reversed, so for each (n - k)-subspace L of F_q^(n - d) in RREF, in
     enumerate_grassmannian order, L*G is t-perp's basis in that form: its
-    packed rows are read off s's complement_vectors at local_row_indices,
-    with no row reduction, in one _local_rows pass over all the blocks.
-    k = d and k = n have one superspace per block, s and F_q^n, whose key
-    is read without listing s-perp.
+    packed rows are read off the design's complement_lists at
+    local_row_indices, with no row reduction, in one _local_rows pass over
+    all the blocks.  k = d and k = n have one superspace per block, s and
+    F_q^n, whose key is read without listing s-perp.
     """
+    blocks = design.blocks
     if not blocks:
         return
-    d, q, n = blocks[0].dim, blocks[0].q, blocks[0].n
+    d, q, n = design.k, design.q, design.n
     if not d <= k <= n:
         raise ValueError(f"need dim <= k <= n, got k={k}")
     if d < k < n:
-        yield from _local_rows(q, n - d, n - k)(complement_vectors(blocks))
+        yield from _local_rows(q, n - d, n - k)(design.complement_lists)
     elif k == d:  # one superspace, s
         pack = functools.partial(vec_pack, q)
         for s in blocks:

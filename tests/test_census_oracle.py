@@ -376,7 +376,7 @@ def test_generators_equal_span_reference(q):
     the complement generators of the span reference's superspaces."""
     for s in generator_inputs(q):
         for k in range(s.dim, s.n + 1):
-            got = list(superspaces_containing([s], k))
+            got = list(superspaces_containing(SubspaceDesign.from_blocks([s]), k))
             assert got == list(reference_superspace_keys(s, k)), (s, k)
             assert Counter(got) == Counter(
                 next(complement_generators(q, s.n, t.pivots, [(r,) for r in t.rows]))
@@ -933,12 +933,13 @@ def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
 def test_single_superspace_dimensions_list_no_complement():
     """k = dim and k = n have one superspace each, s and F_q^n, whose key is
     read without listing s-perp: 2^39 vectors in F_2^40 and 2^29 in F_2^30,
-    past the budget."""
-    point = Subspace(2, 40, ((1,) + (0,) * 39,), (0,))
+    past the budget.  In F_2^5, where s-perp could be listed and kept, the
+    design's complement_lists are never built for either k."""
+    point = SubspaceDesign.from_blocks([Subspace(2, 40, ((1,) + (0,) * 39,), (0,))])
     calls = [
-        (lambda: list(superspaces_containing([point], 1)),
+        (lambda: list(superspaces_containing(point, 1)),
          [tuple(1 << c for c in range(39, 0, -1))]),
-        (lambda: list(superspaces_containing([point], 40)), [()]),
+        (lambda: list(superspaces_containing(point, 40)), [()]),
         (lambda: verify_turan(SubspaceDesign.from_blocks(
             [Subspace(2, 30, ((1,) + (0,) * 29,), (0,))], q=2, n=30, k=1),
             30, "expand").histogram, {1: 1}),
@@ -947,3 +948,9 @@ def test_single_superspace_dimensions_list_no_complement():
         start = time.perf_counter()
         assert call() == expected
         assert time.perf_counter() - start < 0.01
+    small = SubspaceDesign.from_blocks([span(2, 5, [(1, 1, 0, 0, 0)]),
+                                        span(2, 5, [(0, 0, 1, 0, 1)])])
+    for k in (1, 5):
+        assert len(list(superspaces_containing(small, k))) == 2
+        assert verify_turan(small, k).total == gaussian(5, k, 2)
+        assert "complement_lists" not in vars(small), k

@@ -180,7 +180,9 @@ def test_expand_equals_per_block_loop_over_several_chunks(monkeypatch):
 def test_few_long_blocks_are_spanned_one_by_one(monkeypatch):
     """Fewer q = 2 blocks than each has vectors are spanned one at a time,
     holding one list per block, as packed_vectors does: here 3 blocks of
-    F_2^12 of dimension 10.  399 blocks of dimension 3 go column-wise."""
+    F_2^12 of dimension 10, whose 3 * 2^10 vectors the design keeps, so
+    its two censuses span them once.  399 blocks of dimension 3 go
+    column-wise."""
     rng = random.Random(12)
     few = SubspaceDesign.from_blocks(random_blocks(rng, 2, 12, 10, 3),
                                      q=2, n=12, k=10)
@@ -190,7 +192,7 @@ def test_few_long_blocks_are_spanned_one_by_one(monkeypatch):
                 for design, r in [(few, 0), (few, 1), (many, 2)]]
     calls = spanned_one_by_one(monkeypatch)
     assert [verify_covering(few, 0), verify_covering(few, 1)] == expected[:2]
-    assert calls == [10] * 6
+    assert calls == [10] * 3
     calls.clear()
     assert verify_covering(many, 2) == expected[2]
     assert calls == []

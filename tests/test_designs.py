@@ -600,6 +600,110 @@ def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
             verify_covering(design, 0, strategy)
 
 
+FIELDS = {"q", "n", "k", "blocks"}
+
+
+def counted_listings(monkeypatch):
+    """Patches subspaces.span_vector_lists, which packed_vector_lists and
+    complement_vectors call once per listing, to record each call's
+    dimension."""
+    calls = []
+    span_vector_lists = subspaces.span_vector_lists
+
+    def counted(q, n, k, row_lists):
+        calls.append(k)
+        return span_vector_lists(q, n, k, row_lists)
+    monkeypatch.setattr(subspaces, "span_vector_lists", counted)
+    return calls
+
+
+# verify_covering at r = 1 and verify_turan at k = 3, each by expand and scan.
+CENSUSES = [(verify, dim, strategy)
+            for verify, dim in [(verify_covering, 1), (verify_turan, 3)]
+            for strategy in ("expand", "scan")]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_listing_serves_every_census_of_a_design(monkeypatch, q):
+    """Both strategies of both censuses, and the point set system, read the
+    design's kept lists: its blocks are listed once (dimension 2) and their
+    complements once (dimension 3).  Every report equals the report of the
+    same census on a fresh, equal design."""
+    design = random_design(random.Random(30 + q), q, 5, 2, 10)
+    calls = counted_listings(monkeypatch)
+    reports = [verify(design, dim, strategy) for verify, dim, strategy in CENSUSES]
+    system = to_point_set_system(design)
+    assert calls == [2, 3]
+    assert set(vars(design)) == FIELDS | {"vector_lists", "complement_lists"}
+    assert reports == [verify(SubspaceDesign.from_blocks(design.blocks), dim,
+                              strategy) for verify, dim, strategy in CENSUSES]
+    assert system == to_point_set_system(
+        SubspaceDesign.from_blocks(design.blocks))
+
+
+def test_lists_past_xor_chunk_are_listed_per_census(monkeypatch):
+    """16 blocks of dimension 10 hold XOR_CHUNK vectors and are kept; 17
+    hold more and are listed again by every census, and so are the 2^14
+    complement vectors of each of two points of F_2^15.  Such a design
+    keeps nothing, and its reports are unchanged."""
+    rng = random.Random(31)
+    hyperplanes = random_design(rng, 2, 11, 10, 17)
+    points = SubspaceDesign.from_blocks([span(2, 15, [vec_unpack(2, 15, v)])
+                                         for v in (1, 6)])
+    calls = counted_listings(monkeypatch)
+    kept = SubspaceDesign.from_blocks(hyperplanes.blocks[:16])
+    verify_covering(kept, 1)
+    verify_covering(kept, 1, "scan")
+    assert calls == [10] and "vector_lists" in vars(kept)
+    calls.clear()
+    expected = [verify_covering(SubspaceDesign.from_blocks(hyperplanes.blocks),
+                                1, strategy) for strategy in ("expand", "scan")]
+    assert [verify_covering(hyperplanes, 1, strategy)
+            for strategy in ("expand", "scan")] == expected
+    assert calls == [10] * 4
+    calls.clear()
+    reports = [verify_turan(points, 14, strategy) for strategy in ("expand", "scan")]
+    assert calls == [14, 14]
+    # a hyperplane of F_2^15 holds both points, one of them, or neither
+    both, one = gaussian(13, 12, 2), gaussian(14, 13, 2) - gaussian(13, 12, 2)
+    assert reports[0] == reports[1]
+    assert reports[0].histogram == {0: gaussian(15, 14, 2) - both - 2 * one,
+                                    1: 2 * one, 2: both}
+    assert set(vars(hyperplanes)) == set(vars(points)) == FIELDS
+
+
+def test_kept_lists_leave_the_design_value_unchanged():
+    """A design that has kept its lists is equal to a fresh copy, with the
+    same hash and repr it had before, and its lists are its blocks'."""
+    design = random_design(random.Random(32), 3, 4, 2, 6)
+    before = hash(design), repr(design)
+    for verify, dim, strategy in CENSUSES:
+        verify(design, dim, strategy)
+    fresh = SubspaceDesign.from_blocks(design.blocks)
+    assert set(vars(design)) > set(vars(fresh)) == FIELDS
+    assert design == fresh and fresh == design
+    assert (hash(design), repr(design)) == (hash(fresh), repr(fresh)) == before
+    assert list(map(list, design.vector_lists)) == [
+        subspaces.packed_vectors(b) for b in design.blocks]
+    assert list(map(list, design.complement_lists)) == [
+        list(vectors) for vectors in subspaces.complement_vectors(design.blocks)]
+
+
+def test_census_that_raises_keeps_nothing():
+    """A listing past MAX_VECTOR_ENUM raises BudgetError and keeps no list:
+    the 2^25 vectors of F_2^25 for a covering census, and the 2^25
+    complement vectors of a point of F_2^26 for a Turan scan at k = n."""
+    full = SubspaceDesign.from_blocks([full_space(2, 25)])
+    point = SubspaceDesign.from_blocks([span(2, 26, [(1,) + (0,) * 25])])
+    for strategy in ("expand", "scan"):
+        with pytest.raises(BudgetError):
+            verify_covering(full, 0, strategy)
+    with pytest.raises(BudgetError):
+        verify_turan(point, 26, "scan")
+    assert verify_turan(point, 26).histogram == {1: 1}
+    assert set(vars(full)) == set(vars(point)) == FIELDS
+
+
 def test_scans_leave_no_reference_cycle():
     """Both scans free their mask lists and counters by reference counting:
     a census that left a cycle would hold them until the cyclic collector

@@ -167,7 +167,7 @@ def test_superspaces_containing():
     whose span is orthogonal to s."""
     s = span(2, 4, [(1, 1, 0, 0)])
     vectors = set(enumerate_vectors(s))
-    sups = list(superspaces_containing([s], 2))
+    sups = list(superspaces_containing(SubspaceDesign.from_blocks([s]), 2))
     assert len(sups) == gaussian(3, 1, 2)
     assert len(set(sups)) == len(sups)
     assert all(vectors <= set(enumerate_vectors(orthogonal_complement(
@@ -370,7 +370,8 @@ def test_sorted_subspaces_equal_xor_rref():
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: next(grassmannian_choices(2, 3, 4)), ValueError,
                  "need 0 <= k <= n, got k=4, n=3", id="grassmannian_choices-k-above-n"),
-    pytest.param(lambda: next(superspaces_containing([full_space(2, 3)], 2)),
+    pytest.param(lambda: next(superspaces_containing(
+        SubspaceDesign.from_blocks([full_space(2, 3)]), 2)),
                  ValueError, "need dim <= k <= n, got k=2",
                  id="superspaces_containing-k-below-dim"),
     pytest.param(lambda: enumerate_vectors(full_space(2, 25)), BudgetError,

@@ -18,12 +18,12 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_orbits, verify_steiner_system,
                       verify_turan, dualize)
 from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
-from .subspaces import (BudgetError, GroupAction, MAX_SUBSPACE_ENUM,
-                        Subspace, _local_rows, _xor_span, check_ambient,
-                        check_vectors, enumerate_grassmannian,
-                        grassmannian_choices, packed_vectors, span,
-                        span_vector_lists, subspace_count, subspaces_of,
-                        xor_rref)
+from .subspaces import (BlockError, BudgetError, GroupAction,
+                        MAX_SUBSPACE_ENUM, Subspace, _local_rows,
+                        check_ambient, check_vectors, enumerate_grassmannian,
+                        grassmannian_choices, packed_vectors, read_blocks,
+                        span, span_vector_lists, subspace_count,
+                        subspaces_of)
 
 
 class ConstructionError(RuntimeError):
@@ -330,16 +330,6 @@ def _check_gf64_quads(gf64: Field):
         raise ConstructionError("difference sets do not tile Z_63 - {0,21,42}")
 
 
-def _gf64_block(vectors: List[int]) -> Subspace:
-    """The 3-subspace of F_2^7 whose vectors, zero aside, are vectors."""
-    rows, block = xor_rref(7, vectors)
-    if len(rows) != 3:
-        raise ConstructionError(f"emitted set spans dim {len(rows)}, not 3")
-    if set(_xor_span(rows)) != set(vectors) | {0}:
-        raise ConstructionError("emitted set is not closed under addition")
-    return block
-
-
 def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     """The 399-block C_2[7,3,2] as a certified orbit description: the Singer
     action (beta, b) -> (alpha beta, b) on GF(64) x GF(2), seven base blocks
@@ -349,11 +339,12 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     element is already the vec_pack of its coefficient vector.  The orbits
     of five quadruple blocks and a fixed 7-element multiplicative pattern
     have 63 blocks each, that of the diagonal block
-    {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples and each base
-    block's dimension and closure are checked; then verify_orbits sizes
-    each base's orbit, refuses two bases in one orbit, and must find a
-    covering of 399 blocks.  Orbit sizes divide 63, and six 63s and one 21
-    is the only way seven of them sum to 399, so the count fixes the sizes.
+    {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples are checked,
+    and read_blocks reads each base block off its eight vectors, refusing
+    one that is not a 3-subspace; then verify_orbits sizes each base's
+    orbit, refuses two bases in one orbit, and must find a covering of 399
+    blocks.  Orbit sizes divide 63, and six 63s and one 21 is the only way
+    seven of them sum to 399, so the count fixes the sizes.
     """
     gf64 = get_gf(64)
     if gf64.modulus != GF64_MODULUS:
@@ -363,15 +354,18 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     exp = gf64.exp
     singer = GroupAction(7, [gf64.mul(exp[1], 1 << i) for i in range(6)]
                          + [GF64_BIT])
-    bases = []  # the nonzero packed vectors of each base block
+    bases = []  # the packed vectors of each base block
     for quad in GF64_QUADS:
         a = [exp[j] for j in quad]
-        bases.append([a[0] ^ a[1], a[0] ^ a[2], a[0] ^ a[3]]
+        bases.append([0, a[0] ^ a[1], a[0] ^ a[2], a[0] ^ a[3]]
                      + [x | GF64_BIT for x in a])
-    diagonal = [exp[0], exp[21], exp[42]]
-    bases.append(diagonal + [GF64_BIT] + [x | GF64_BIT for x in diagonal])
-    bases.append([exp[e] for e in GF64_LINE_EXPONENTS])
-    bases = [_gf64_block(vectors) for vectors in bases]
+    diagonal = [0, exp[0], exp[21], exp[42]]
+    bases.append(diagonal + [x | GF64_BIT for x in diagonal])
+    bases.append([0] + [exp[e] for e in GF64_LINE_EXPONENTS])
+    try:
+        bases = read_blocks(7, 3, bases)
+    except BlockError as exc:
+        raise ConstructionError(f"base block {exc.index} {exc.fault}") from exc
 
     count, report = verify_orbits(singer, bases, 2)
     if count != 399:
@@ -386,14 +380,15 @@ def gf64_covering_design() -> SubspaceDesign:
     Its blocks are the orbits of the base blocks of gf64_orbits, which
     certifies them, under the Singer action: GroupAction.orbit_blocks reads
     each base's orbit off the sorted images of its vectors, up to the
-    image that is the base again, and checks that every image is a
-    3-subspace.
+    image that is the base again, and an image that is not a 3-subspace
+    raises ConstructionError naming it.
     """
     singer, bases, count = gf64_orbits()
     try:
         blocks = [block for base in bases for block in singer.orbit_blocks(base)]
-    except ValueError as exc:
-        raise ConstructionError(str(exc)) from exc
+    except BlockError as exc:
+        raise ConstructionError(f"image {exc.index + 1} of a base block "
+                                f"{exc.fault}") from exc
     design = SubspaceDesign.from_blocks(blocks, q=2, n=7, k=3)
     if len(design) != count:
         raise ConstructionError(f"gf64 block count {len(design)} != {count}")

@@ -15,14 +15,14 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import and_, attrgetter, eq, lt, ne, neg
+from operator import and_, attrgetter, ne
 from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
-                        BudgetError, GroupAction, Subspace, _local_rows,
-                        _unpack_rows, _xor_span, check_ambient,
+                        BudgetError, GroupAction, Subspace, _canonical_blocks,
+                        _local_rows, _xor_span, check_ambient,
                         complement_generators, complement_vectors,
                         grassmannian_choices, orthogonal_complement,
                         packed_vector_lists, packed_vectors, span,
@@ -447,32 +447,6 @@ def design_to_text(design: SubspaceDesign) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _canonical_blocks(n: int, k: int, flat: Sequence[int]):
-    """The blocks whose packed rows of F_2^n are flat, k to a block, when
-    every block's rows are its RREF as written; else None.
-
-    Rows r_1..r_k with lowest set bits b_i = r_i & -r_i are a block's RREF
-    exactly when every r_i is nonzero, b_1 < ... < b_k, and r_i holds no
-    pivot b_j but its own.  The test runs on whole columns flat[i::k] in
-    C-level maps; rows unpack by _unpack_rows, at any n.
-    """
-    if 0 in flat:
-        return None
-    repeat = itertools.repeat
-    low = list(map(and_, flat, map(neg, flat)))
-    columns, lows = [flat[i::k] for i in range(k)], [low[i::k] for i in range(k)]
-    if not all(map(all, map(map, repeat(lt), lows, lows[1:]))):
-        return None
-    pivot_bits = list(map(sum, zip(*lows)))  # distinct bits: their OR
-    for column, column_low in zip(columns, lows):
-        if not all(map(eq, map(and_, column, pivot_bits), column_low)):
-            return None
-    rows = iter(_unpack_rows(2, n, flat))
-    pivots = map({1 << j: j for j in range(n)}.__getitem__, low)
-    return list(map(Subspace, repeat(2), repeat(n), zip(*[rows] * k),
-                    zip(*[pivots] * k)))
-
-
 def design_from_text(text: str) -> SubspaceDesign:
     """The design a design file describes, each block in canonical form.
 
@@ -484,8 +458,9 @@ def design_from_text(text: str) -> SubspaceDesign:
     whose rows are all canonical, as design_to_text writes them, is taken
     as written (_canonical_blocks decides once per file); in any other
     file each q = 2 line is reduced by xor_rref and each other line by
-    span.  A header n past MAX_AMBIENT_N raises BudgetError before any
-    block is read.
+    span.  A parameter line that lacks q, n or k or repeats a key raises
+    FormatError, and a header n past MAX_AMBIENT_N raises BudgetError,
+    before any block is read.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != DESIGN_MAGIC:
@@ -493,7 +468,10 @@ def design_from_text(text: str) -> SubspaceDesign:
     if len(lines) < 2:
         raise FormatError("missing parameter line")
     try:
-        params = dict(item.split("=") for item in lines[1].split())
+        items = lines[1].split()
+        params = dict(item.split("=") for item in items)
+        if len(params) < len(items):
+            raise ValueError("a key is repeated")
         q, n, k = int(params["q"]), int(params["n"]), int(params["k"])
     except (ValueError, KeyError) as exc:
         raise FormatError(f"bad parameter line: {lines[1]!r}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, attrgetter, itemgetter, xor
+from operator import add, and_, attrgetter, eq, itemgetter, lt, neg, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
@@ -363,12 +363,8 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
 
     A row's pivot is its lowest set bit (coordinate 0).  Each remainder
     clears its pivot from the rows so far with XOR and joins them; the rows
-    are then sorted by pivot and each is unpacked once, from _bit_table up to
-    BIT_TABLE_MAX_N coordinates.  A block listed as a whole span is read
-    off its sorted list by sorted_subspaces, and a design file's canonical
-    rows are taken as written, instead; xor_rref serves generator sets,
-    design files whose rows are not all canonical, and the rank in an
-    error message.
+    are then sorted by pivot and _rref_blocks builds the block.  It serves
+    design files whose rows are not all canonical, and error-path ranks.
     """
     rows: List[int] = []
     for v in vectors:
@@ -382,54 +378,83 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
             rows = [row ^ v if row & low else row for row in rows]
             rows.append(v)
     rows.sort(key=lambda row: row & -row)
-    pivots = tuple([(row & -row).bit_length() - 1 for row in rows])
-    return rows, Subspace(2, n, _unpack_rows(2, n, rows), pivots)
+    return rows, _rref_blocks(n, len(rows), rows)[0]
 
 
 BIT_TABLE_MAX_N = 10
 
 
-def _sort_tables(n: int) -> Tuple[List[int], List[int]]:
-    """(reverse, lowest) for every v < 2^n: v with its n bits reversed,
-    whose int order is the lexicographic order of packed vectors of F_2^n,
-    coordinate 0 first, and the index of v's lowest set bit, its pivot as a
-    row (-1 for 0)."""
-    reverse = [0]
-    for _ in range(n):  # the new top bit of v becomes bit 0 of reverse[v]
-        reverse = [x << 1 for x in reverse] + [x << 1 | 1 for x in reverse]
-    return reverse, [(v & -v).bit_length() - 1 for v in range(1 << n)]
+class BlockError(ValueError):
+    """A vector list, at index among the lists, that read_blocks refuses."""
+
+    def __init__(self, index: int, fault: str):
+        super().__init__(f"vector list {index} {fault}")
+        self.index, self.fault = index, fault
 
 
-def sorted_subspaces(n: int, k: int, vector_lists: Iterable[Sequence[int]],
-                     tables: Tuple[Sequence[int], Sequence[int]]
-                     ) -> Tuple[List[List[int]], List[tuple], Iterator[Subspace]]:
-    """(lists, rows, blocks): each list of the packed span of k vectors of
-    F_2^n (0 included, any order) bit-reversed and sorted, the packed rows
-    read off it, and lazily the canonical Subspace of those rows, for
-    k >= 1 and tables = _sort_tables(n).
+def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
+                ) -> List[Subspace]:
+    """The k-subspace of F_2^n, k >= 1, whose packed vectors (0 included,
+    any order, all in F_2^n) each list holds, one block per list, in order.
 
     Sorted lexicographically, the span of RREF rows r_1..r_k is
-    _xor_span([r_1..r_k]): sum(c_i * r_i) holds c_i at r_i's pivot, and
-    its coordinates before that pivot depend on c_1..c_(i-1) only.  Bit
-    reversal, linear and its own inverse, makes that order plain int order,
-    so r_i sits reversed at index 2^(k-i), with no key and no row reduction.
-    The span of k vectors of rank d < k lists every vector 2^(k-d) times,
-    so index 1 holds 0 exactly when they are dependent; the block read off
-    such a list is not canonical, and callers check index 1 before they
-    read blocks.  Sorting, reading and unpacking (from _bit_table up to
-    BIT_TABLE_MAX_N coordinates) each run in one C-level map over all lists.
+    _xor_span([r_1..r_k]), as sum(c_i * r_i) holds c_i at r_i's pivot and
+    c_1..c_(i-1) alone before it; bit reversal, linear and its own inverse,
+    makes that order int order, so r_i sits reversed at index 2^(k-i).  A
+    list is a k-subspace iff it has 2^k vectors, a nonzero one at index 1
+    (k dependent rows list 0 there again) and is the span of its rows; the
+    first that is not raises BlockError, with its rank from xor_rref.  All
+    steps run in C-level maps over all lists; _rref_blocks builds blocks.
     """
-    reverse, lowest = tables
-    flip = reverse.__getitem__
+    flip = _bit_reverser(n)
     lists = list(map(sorted, map(map, itertools.repeat(flip), vector_lists)))
-    # A slice keeps a single read a sequence, as in _local_rows.
-    read = (itemgetter(*[1 << i for i in reversed(range(k))]) if k > 1
-            else itemgetter(slice(1, 2)))
-    flat = list(map(flip, itertools.chain.from_iterable(map(read, lists))))
-    unpacked, pivots = iter(_unpack_rows(2, n, flat)), map(lowest.__getitem__, flat)
-    blocks = map(Subspace, itertools.repeat(2), itertools.repeat(n),
-                 zip(*[unpacked] * k), zip(*[pivots] * k))
-    return lists, list(zip(*[iter(flat)] * k)), blocks
+    size, at = 1 << k, [1 << i for i in reversed(range(k))]
+    if all(map(size.__eq__, map(len, lists))):
+        # A slice keeps a single read a sequence, as in _local_rows.
+        read = itemgetter(*at) if k > 1 else itemgetter(slice(1, 2))
+        flat = list(map(flip, itertools.chain.from_iterable(map(read, lists))))
+        rows = list(zip(*[iter(flat)] * k))
+        if (all(map(itemgetter(1), lists))
+                and list(map(list, _xor_chunk(flip, rows, k))) == lists):
+            return _rref_blocks(n, k, flat)
+    for index, vectors in enumerate(lists):
+        if not (len(vectors) == size and vectors[1]
+                and _xor_span([vectors[i] for i in at]) == vectors):
+            rank = len(xor_rref(n, vectors)[0])
+            raise BlockError(index, f"spans dim {rank}, not {k}" if rank != k
+                             else "is not closed under addition")
+
+
+def _canonical_blocks(n: int, k: int, flat: Sequence[int]
+                      ) -> List[Subspace] | None:
+    """The blocks of F_2^n whose packed rows are flat, k >= 1 to a block, if
+    every block's rows are its RREF as written, else None.  Rows r_1..r_k
+    with lowest set bits b_i = r_i & -r_i are an RREF iff every r_i is
+    nonzero, b_1 < ... < b_k, and r_i holds no b_j but its own: a test in
+    C-level maps over all rows.  _rref_blocks builds the blocks, at any n."""
+    low = list(map(and_, flat, map(neg, flat)))
+    lows = [low[i::k] for i in range(k)]
+    if 0 in flat or not all(map(all, map(map, itertools.repeat(lt), lows,
+                                         lows[1:]))):
+        return None
+    pivot_bits = list(map(sum, zip(*lows)))  # distinct bits: their OR
+    masks = itertools.chain.from_iterable(zip(*[pivot_bits] * k))
+    if not all(map(eq, map(and_, flat, masks), low)):
+        return None
+    return _rref_blocks(n, k, flat)
+
+
+def _rref_blocks(n: int, k: int, flat: Sequence[int]) -> List[Subspace]:
+    """The Subspaces of F_2^n whose packed RREF rows are flat, k to a block,
+    in order; for k = 0, flat is empty and gives the one zero block.  Rows
+    unpack by _unpack_rows, and a row's pivot is its first 1, as in
+    subspaces_of and greedy_covering, in C-level maps over all rows."""
+    if not k:
+        return [Subspace(2, n, (), ())]
+    rows = _unpack_rows(2, n, flat)
+    pivots = map(tuple.index, rows, itertools.repeat(1))
+    return list(map(Subspace, itertools.repeat(2), itertools.repeat(n),
+                    zip(*[iter(rows)] * k), zip(*[pivots] * k)))
 
 
 def _row_packer(n: int) -> Callable[[Sequence[int]], int]:
@@ -463,16 +488,27 @@ def _bit_index(n: int) -> Dict[Tuple[int, ...], int]:
     return {bits: v for v, bits in enumerate(_bit_table(n))}
 
 
+# Bounded; a table per n <= BIT_TABLE_MAX_N, as _bit_table.
+@functools.lru_cache(maxsize=2 * BIT_TABLE_MAX_N)
+def _bit_reverser(n: int) -> Callable[[int], int]:
+    """v < 2^n with its n bits reversed, whose int order is the lexicographic
+    order of F_2^n, coordinate 0 first: a table up to BIT_TABLE_MAX_N."""
+    if n > BIT_TABLE_MAX_N:
+        return lambda v: int(f"{v:0{n}b}"[::-1], 2)
+    index = _bit_index(n)  # a list's __getitem__ is a faster call than a tuple's
+    return [index[bits[::-1]] for bits in _bit_table(n)].__getitem__
+
+
 class GroupAction:
     """The cyclic group generated by one invertible linear map g of F_2^n,
     acting on packed vectors (coordinate i is bit i).
 
     g is given by the packed images of e_0..e_{n-1}, and g(v) is the XOR of
-    the images of v's set bits, tabled for every v.  The per-vector tables
-    of orbit representative (the least vector of the orbit), exponent e
-    (g^e sends the vector to its representative) and orbit size, and each
-    orbit's cycle from its representative, are built on first use, and so
-    are orbit_blocks' sort tables.  xor_rref checks g's rank.
+    the images of v's set bits, tabled for every v; a rank-r map has 2^r
+    distinct images, so the table gives g's rank.  The per-vector tables of
+    orbit representative (the least vector of the orbit), exponent e (g^e
+    sends the vector to its representative) and orbit size, and each
+    orbit's cycle from its representative, are built on first use.
     """
 
     def __init__(self, n: int, images: Sequence[int]):
@@ -480,14 +516,17 @@ class GroupAction:
         if len(images) != n:
             raise ValueError(f"need {n} column images, got {len(images)}")
         check_vectors(2, n)
-        rank = len(xor_rref(n, images)[0])
-        if rank != n:
-            raise ValueError(f"generator has rank {rank} < {n}: not invertible")
+        for v in images:
+            if v < 0 or v >> n:
+                raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
         self.n = n
         self._image = image = [0] * (1 << n)  # g(v) at index v
         for v in range(1, 1 << n):
             low = v & -v
             image[v] = image[v ^ low] ^ images[low.bit_length() - 1]
+        rank = len(set(image)).bit_length() - 1
+        if rank != n:
+            raise ValueError(f"generator has rank {rank} < {n}: not invertible")
         # the columns of g^m are g^m(e_i); an invertible g returns to I
         units = tuple([1 << i for i in range(n)])
         columns, order = images, 1
@@ -495,7 +534,7 @@ class GroupAction:
             columns = tuple([image[c] for c in columns])
             order += 1
         self.order = order
-        self._tables = self._sorting = None
+        self._tables = None
 
     def _orbit_tables(self):
         """(rep, exponent, size, cycles): per-vector lists, and each orbit's
@@ -526,16 +565,14 @@ class GroupAction:
 
     def orbit_blocks(self, base: Subspace) -> List[Subspace]:
         """The blocks g(base), g^2(base), ..., base of base's orbit, read
-        off sorted vector lists with no row reduction.
+        off their vectors by read_blocks, with no row reduction.
 
         The images of base's packed vectors under g^1..g^order are read a
         whole column at a time, each vector's column a slice of its cycle,
-        and sorted_subspaces sorts every image, bit-reversed, and reads its
-        rows.  The orbit ends at the first image equal to base's vectors,
-        reversed and sorted.  g is linear, so each image is a k-subspace:
-        it must be the _xor_span of the rows read off it, reversed, with a
-        nonzero vector at index 1, else ValueError names the first image
-        that is not, with its rank from xor_rref (reversal keeps ranks).
+        and cut at the first image inside base's vectors, which is base
+        when its 2^k vectors are distinct.  g is linear, so each image is a
+        k-subspace; read_blocks checks every image up to the cut, and its
+        BlockError names the first that is not, g^m(base) at index m - 1.
         """
         if (base.q, base.n) != (2, self.n):
             raise AmbientMismatch(f"base block in F_{base.q}^{base.n} under "
@@ -544,26 +581,15 @@ class GroupAction:
         if not k:
             return [base]
         rep, exponent, size, cycles = self._orbit_tables()
-        if self._sorting is None:
-            self._sorting = _sort_tables(self.n)
         vectors = packed_vectors(base)
         columns = []
         for w in vectors:
             cycle, start = cycles[rep[w]], (1 - exponent[w]) % size[w]
             columns.append((cycle[start:] + cycle[:start]) * (self.order // size[w]))
-        lists, rows, blocks = sorted_subspaces(self.n, k, zip(*columns),
-                                               self._sorting)
-        reverse = self._sorting[0].__getitem__
-        spans = list(map(list, _xor_chunk(reverse, rows, k)))
-        if spans != lists or not all(map(itemgetter(1), lists)):
-            m = next(m for m, (image, listed) in enumerate(zip(lists, spans), 1)
-                     if image != listed or not image[1])
-            rank = len(xor_rref(self.n, lists[m - 1])[0])
-            fault = (f"spans dim {rank}, not {k}" if rank != k
-                     else "is not closed under addition")
-            raise ValueError(f"image {m} of a base block {fault}")
-        base_list = sorted(map(reverse, vectors))
-        return list(itertools.islice(blocks, lists.index(base_list) + 1))
+        images = list(zip(*columns))
+        inside = list(map(frozenset(vectors).issuperset, images))
+        stop = inside.index(True) + 1 if True in inside else len(images)
+        return read_blocks(self.n, k, images[:stop])
 
     def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
         """(label, size) of the set's orbit, in one pass.

@@ -697,6 +697,19 @@ def test_non_ascii_digit_word_exit_2(tmp_path, capsys, word):
     assert f"bad vector {word!r} for n=2" in err
 
 
+def test_header_repeating_a_key_exit_2(tmp_path, capsys):
+    """A repeated key used to be read with its last value, so this k = 1
+    line was refused as 'block with 1 vectors, expected 2'."""
+    path = tmp_path / "d.txt"
+    path.write_text("qcover-design v1\nq=2 n=3 k=1 k=2\n110\n")
+    code, out, err = run(capsys, "verify", str(path), "--mode", "covering",
+                         "--r", "1")
+    assert code == 2
+    assert "RESULT:" not in out
+    assert "bad parameter line: 'q=2 n=3 k=1 k=2'" in err
+    assert "expected 2" not in err
+
+
 @pytest.mark.parametrize("n,k", [(3, 5), (3, -1), (0, 1)])
 def test_header_k_outside_0_to_n_exit_2(tmp_path, capsys, n, k):
     text = f"qcover-design v1\nq=2 n={n} k={k}\n"

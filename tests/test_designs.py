@@ -311,25 +311,27 @@ def test_design_from_text_equals_span_of_its_words(q):
 
 
 def count_xor_rref(monkeypatch):
-    """A list that gets one entry per xor_rref call from any module."""
+    """A list that gets one entry per xor_rref call from either module
+    that holds it."""
     calls, xor_rref = [], subspaces.xor_rref
 
     def counted(n, vectors):
         calls.append(n)
         return xor_rref(n, vectors)
-    for module in (subspaces, designs, constructions):
+    for module in (subspaces, designs):
         monkeypatch.setattr(module, "xor_rref", counted)
     return calls
 
 
-def test_gf64_reduces_only_its_generators(monkeypatch):
-    """gf64_covering_design reduces GroupAction's generator and its seven
-    base blocks; its 399 blocks are read off sorted vector lists, and so
-    are the blocks of its design file on load."""
+def test_gf64_and_its_file_make_no_xor_rref_call(monkeypatch):
+    """gf64_covering_design takes GroupAction's rank from its image table
+    and reads its seven base blocks and 399 blocks off sorted vector lists
+    with read_blocks, whose error path alone calls xor_rref, and its
+    design file loads as written: no xor_rref call."""
+    assert not hasattr(constructions, "xor_rref")
     calls = count_xor_rref(monkeypatch)
     design = gf64_covering_design()
-    assert len(calls) == 8
-    calls.clear()
+    assert calls == []
     assert design_from_text(design_to_text(design)) == design
     assert calls == []
 
@@ -779,6 +781,10 @@ def _unit_rows(q, n, k):
                  "empty design needs explicit q, n, k", id="from_blocks-empty"),
     pytest.param(lambda: design_from_text(DESIGN_MAGIC + "\n"), FormatError,
                  "missing parameter line", id="design_from_text-no-params"),
+    pytest.param(lambda: design_from_text(
+        DESIGN_MAGIC + "\nq=2 n=3 k=1 k=2\n110\n"), FormatError,
+                 "bad parameter line: 'q=2 n=3 k=1 k=2'",
+                 id="design_from_text-repeated-key"),
 ])
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -37,6 +37,11 @@ Every subspace query of subspaces.py takes its packed vectors from one span
 fork, and designs.py forks only to load a design file: an AST scan fails on
 any `q == 2` or `q != 2` test in either module (q a name or an attribute,
 either side) outside Q_FORKS, which gives the reason each of those stays.
+
+A Subspace of src/qcover is built at a few known sites, so q = 2 blocks keep
+one builder from packed rows: an AST scan fails on any call of Subspace, and
+any Subspace passed to a call (as map(Subspace, ...)) other than isinstance,
+outside SUBSPACE_SITES, which gives the reason each of those stays.
 """
 
 import ast
@@ -78,6 +83,22 @@ Q_FORKS = {
     ("designs.py", "design_from_text"):
         "q = 2 words pack into ints, and canonical q = 2 files are taken "
         "as written",
+}
+
+# (module, top-level definition) -> why it builds a Subspace itself.
+SUBSPACE_SITES = {
+    ("subspaces.py", "span"): "row-reduces generator tuples by rref, any q",
+    ("subspaces.py", "full_space"): "writes the unit rows, any q",
+    ("subspaces.py", "enumerate_grassmannian"):
+        "maps over the RREF choices of grassmannian_choices, any q",
+    ("subspaces.py", "_rref_blocks"):
+        "the q = 2 builder from packed RREF rows, for read_blocks, the "
+        "loader's canonical rows and xor_rref",
+    ("subspaces.py", "subspaces_of"): "unpacks the local rows of a block, any q",
+    ("designs.py", "_misses"):
+        "builds a witness only, from its grassmannian_choices rows",
+    ("constructions.py", "greedy_covering"):
+        "builds only the chosen candidates, from their RREF rows",
 }
 
 
@@ -391,3 +412,43 @@ def test_q_fork_scan_finds_each_form():
               "def e(q, k):\n    if q == 2 and 1 <= k <= 4:\n        return k\n")
     assert q_forks(source) == [(2, "a"), (4, "b"), (5, "b"), (8, "C"),
                                (11, None), (13, "e")]
+
+
+def subspace_sites(source: str):
+    """(line, enclosing top-level definition or None) of every call of
+    Subspace and every call other than isinstance or issubclass that takes
+    Subspace as an argument, Subspace a name or an attribute."""
+    def is_subspace(node):
+        return "Subspace" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            if is_subspace(node.func) or (
+                    getattr(node.func, "id", None) not in ("isinstance", "issubclass")
+                    and any(map(is_subspace, node.args))):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_subspaces_are_built_only_at_allowlisted_sites():
+    found = {(path.name, owner) for path in SOURCES
+             for _, owner in subspace_sites(path.read_text(encoding="utf-8"))}
+    assert found == set(SUBSPACE_SITES)
+
+
+def test_subspace_site_scan_finds_each_form():
+    source = ("from .subspaces import Subspace\n"
+              "from . import subspaces\n"
+              "def a(n):\n    return Subspace(2, n, (), ())\n"
+              "def b(rows):\n    return list(map(Subspace, rows))\n"
+              "class C:\n    def m(self):\n        return subspaces.Subspace(*self)\n"
+              "def d(x):\n    return isinstance(x, Subspace) or x is Subspace\n"
+              "def e(x):\n    return x.__reduce__() == (Subspace, ()), Subspace.q\n"
+              "X = [Subspace(2, 0, (), ())]\n"
+              "def f(rows):\n    return functools.partial(subspaces.Subspace, 2)\n")
+    assert subspace_sites(source) == [(4, "a"), (6, "b"), (9, "C"), (14, None),
+                                      (16, "f")]

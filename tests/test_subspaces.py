@@ -13,12 +13,13 @@ from qcover.bounds import gaussian
 from qcover.constructions import turan_point_design
 from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_pack, vec_unpack
-from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
+from qcover.subspaces import (AmbientMismatch, BlockError, BudgetError,
+                              GroupAction,
                               Subspace, complement_generators,
                               enumerate_grassmannian,
                               grassmannian_choices,
                               full_space, orthogonal_complement,
-                              packed_vectors, rref, sorted_subspaces, span,
+                              packed_vectors, read_blocks, rref, span,
                               subspaces_of, superspaces_containing, xor_rref)
 
 from vector_reference import enumerate_vectors, vec_add
@@ -311,56 +312,93 @@ def test_xor_rref_edge_cases():
             xor_rref(4, [bad])
 
 
-def test_sort_tables_reverse_bits_and_find_pivots():
-    for n in range(8):
-        reverse, lowest = subspaces._sort_tables(n)
-        assert reverse == [vec_pack(2, vec_unpack(2, n, v)[::-1])
-                           for v in range(1 << n)]
-        assert lowest == [-1] + [vec_unpack(2, n, v).index(1)
-                                 for v in range(1, 1 << n)]
+def test_bit_reverser_reverses_bits():
+    """A table up to BIT_TABLE_MAX_N coordinates, a string reversal past it."""
+    for n in range(subspaces.BIT_TABLE_MAX_N + 3):
+        flip = subspaces._bit_reverser(n)
+        assert [flip(v) for v in range(1 << n)] == [
+            vec_pack(2, vec_unpack(2, n, v)[::-1]) for v in range(1 << n)]
 
 
-def test_sorted_subspaces_equal_xor_rref():
-    """sorted_subspaces against xor_rref on shuffled spans of k packed
-    vectors of every rank d <= k, for every k <= 6 and n <= 12 (rows unpack
-    from _bit_table up to n = 10, by vec_unpack past it): each list comes
-    back as the plain sort of its span bit-reversed, which reversed again
-    is lexicographic order, index 1 holds 0 exactly when d < k, and
-    otherwise the rows and block read off it are xor_rref's, in the usual
-    packing."""
+def random_generators(rng, n, k, d):
+    """k shuffled packed vectors of F_2^n of rank d."""
+    basis = [rng.randrange(1 << n) for _ in range(d)]
+    while len(xor_rref(n, basis)[0]) < d:
+        basis = [rng.randrange(1 << n) for _ in range(d)]
+    g = basis + [functools.reduce(xor, rng.sample(basis, rng.randint(0, d)), 0)
+                 for _ in range(k - d)]
+    rng.shuffle(g)
+    return g
+
+
+def test_read_blocks_equal_xor_rref():
+    """read_blocks against xor_rref on shuffled spans of k packed vectors of
+    every rank d <= k, for every k <= 6 and n <= 12 (rows unpack from
+    _bit_table up to n = 10, by vec_unpack past it).  Full-rank lists, read
+    together (2^k + 1 of them for k <= 4, so a whole column at a time),
+    give xor_rref's blocks with their pivots.  A span of k dependent
+    vectors, which lists each vector 2^(k-d) times, put among them raises
+    BlockError with its index and rank; so does a list with a vector
+    outside the span."""
     rng = random.Random(20261020)
+    ranks = set()
     for n in range(1, 13):
-        tables = subspaces._sort_tables(n)
         for k in range(1, min(n, 6) + 1):
-            generators = []
-            for d in range(k + 1):
-                for _ in range(4):
-                    basis = [rng.randrange(1 << n) for _ in range(d)]
-                    while len(xor_rref(n, basis)[0]) < d:
-                        basis = [rng.randrange(1 << n) for _ in range(d)]
-                    g = basis + [
-                        functools.reduce(xor, rng.sample(basis, rng.randint(0, d)), 0)
-                        for _ in range(k - d)]
-                    rng.shuffle(g)
-                    generators.append(g)
-            spans = [rng.sample(subspaces._xor_span(g), 1 << k) for g in generators]
-            lists, rows, blocks = sorted_subspaces(n, k, spans, tables)
-            blocks = list(blocks)
-            assert len(lists) == len(rows) == len(blocks) == len(generators)
-            ranks = set()
-            reverse = tables[0]
-            for g, listed, vectors, packed, block in zip(generators, spans, lists,
-                                                         rows, blocks):
-                ref_rows, ref = xor_rref(n, g)
-                ranks.add(ref.dim)
-                assert vectors == sorted(reverse[v] for v in listed)
-                assert [reverse[v] for v in vectors] == sorted(
-                    listed, key=lambda v: vec_unpack(2, n, v))
-                assert (vectors[1] != 0) == (ref.dim == k)
-                if ref.dim == k:
-                    assert list(packed) == ref_rows
-                    assert block == ref and block.pivots == ref.pivots
-            assert ranks == set(range(k + 1))
+            full = [rng.sample(subspaces._xor_span(random_generators(rng, n, k, k)),
+                               1 << k)
+                    for _ in range((1 << k) + 1 if k <= 4 else 4)]
+            blocks = read_blocks(n, k, full)
+            refs = [xor_rref(n, vectors) for vectors in full]
+            assert blocks == [ref for _, ref in refs]
+            assert [b.pivots for b in blocks] == [ref.pivots for _, ref in refs]
+            assert all(b.rows == tuple(vec_unpack(2, n, row) for row in rows)
+                       for b, (rows, _) in zip(blocks, refs))
+            ranks.add((k, k))
+            bad = [(d, rng.sample(subspaces._xor_span(
+                random_generators(rng, n, k, d)), 1 << k)) for d in range(k)]
+            if 1 < k < n:  # a vector outside the span, in place of one inside
+                vectors = list(full[0])
+                outside = min(set(range(1 << n)) - set(vectors))
+                vectors[vectors.index(max(vectors))] = outside
+                bad.append((k + 1, vectors))
+            for d, vectors in bad:
+                at = rng.randrange(len(full) + 1)
+                with pytest.raises(BlockError) as info:
+                    read_blocks(n, k, full[:at] + [vectors] + full[at:])
+                assert (info.value.index, info.value.fault) == (
+                    at, f"spans dim {d}, not {k}")
+                assert str(info.value) == f"vector list {at} spans dim {d}, not {k}"
+                ranks.add((k, d))
+    assert ranks >= {(k, d) for k in range(1, 7) for d in range(k + 1)}
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (7, 3), (12, 6)])
+def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
+    """A list of 2^k vectors of rank k that repeats one is not closed under
+    addition.  A list of the wrong length is refused the same way, by its
+    rank from xor_rref, before any row is read off it: a short list has no
+    vector at index 2^(k-1) to read."""
+    rng = random.Random(n * k)
+    listed = rng.sample(subspaces._xor_span(random_generators(rng, n, k, k)),
+                       1 << k)
+    good = sorted(listed)
+    lists = []
+    if k > 1:  # a nonzero vector repeated over another: still rank k
+        repeated = list(good)
+        repeated[1] = repeated[2]
+        lists.append(repeated)
+    lists += [good[:1], good[:-1], good + [good[-1]], good + good]
+    for vectors in lists:
+        rank = len(xor_rref(n, vectors)[0])
+        fault = (f"spans dim {rank}, not {k}" if rank != k
+                 else "is not closed under addition")
+        with pytest.raises(BlockError) as info:
+            read_blocks(n, k, [listed, vectors])
+        assert (info.value.index, info.value.fault) == (1, fault)
+    if k > 1:
+        with pytest.raises(BlockError, match="^vector list 0 is not closed "
+                                             "under addition$"):
+            read_blocks(n, k, [lists[0]])
 
 
 # Each input guard of qcover.subspaces: a call, the exception it raises and
@@ -378,6 +416,10 @@ def test_sorted_subspaces_equal_xor_rref():
                  "2^25 vectors exceed", id="enumerate_vectors-budget"),
     pytest.param(lambda: GroupAction(25, [1 << i for i in range(25)]), BudgetError,
                  "2^25 vectors exceed", id="GroupAction-budget"),
+    pytest.param(lambda: GroupAction(2, [1, 8]), AmbientMismatch,
+                 "packed vector 8 outside F_2^2", id="GroupAction-image-too-big"),
+    pytest.param(lambda: GroupAction(2, [-1, 2]), AmbientMismatch,
+                 "packed vector -1 outside F_2^2", id="GroupAction-image-negative"),
     pytest.param(lambda: GroupAction(3, [1, 2, 4]).orbit([]), ValueError,
                  "an empty vector set has no orbit", id="orbit-empty"),
 ])

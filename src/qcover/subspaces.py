@@ -488,15 +488,15 @@ def _bit_index(n: int) -> Dict[Tuple[int, ...], int]:
     return {bits: v for v, bits in enumerate(_bit_table(n))}
 
 
-# Bounded; a table per n <= BIT_TABLE_MAX_N, as _bit_table.
+# Bounded; one 2^n-entry table per n.
 @functools.lru_cache(maxsize=2 * BIT_TABLE_MAX_N)
 def _bit_reverser(n: int) -> Callable[[int], int]:
     """v < 2^n with its n bits reversed, whose int order is the lexicographic
-    order of F_2^n, coordinate 0 first: a table up to BIT_TABLE_MAX_N."""
-    if n > BIT_TABLE_MAX_N:
-        return lambda v: int(f"{v:0{n}b}"[::-1], 2)
-    index = _bit_index(n)  # a list's __getitem__ is a faster call than a tuple's
-    return [index[bits[::-1]] for bits in _bit_table(n)].__getitem__
+    order of F_2^n, coordinate 0 first: a list lookup at any n."""
+    reverse = [0]
+    for _ in range(n):  # the new top bit of v becomes bit 0 of reverse[v]
+        reverse = [x << 1 for x in reverse] + [x << 1 | 1 for x in reverse]
+    return reverse.__getitem__  # a list's __getitem__ is a faster call than a tuple's
 
 
 class GroupAction:
@@ -504,8 +504,8 @@ class GroupAction:
     acting on packed vectors (coordinate i is bit i).
 
     g is given by the packed images of e_0..e_{n-1}, and g(v) is the XOR of
-    the images of v's set bits, tabled for every v; a rank-r map has 2^r
-    distinct images, so the table gives g's rank.  The per-vector tables of
+    the images of v's set bits, tabled for every v; the kernel of a rank-r
+    map, the table's zeros, holds 2^(n-r) vectors, so it gives g's rank.  The per-vector tables of
     orbit representative (the least vector of the orbit), exponent e (g^e
     sends the vector to its representative) and orbit size, and each
     orbit's cycle from its representative, are built on first use.
@@ -524,7 +524,7 @@ class GroupAction:
         for v in range(1, 1 << n):
             low = v & -v
             image[v] = image[v ^ low] ^ images[low.bit_length() - 1]
-        rank = len(set(image)).bit_length() - 1
+        rank = n - (image.count(0).bit_length() - 1)  # n - dim of the kernel
         if rank != n:
             raise ValueError(f"generator has rank {rank} < {n}: not invertible")
         # the columns of g^m are g^m(e_i); an invertible g returns to I
@@ -568,11 +568,11 @@ class GroupAction:
         off their vectors by read_blocks, with no row reduction.
 
         The images of base's packed vectors under g^1..g^order are read a
-        whole column at a time, each vector's column a slice of its cycle,
-        and cut at the first image inside base's vectors, which is base
-        when its 2^k vectors are distinct.  g is linear, so each image is a
-        k-subspace; read_blocks checks every image up to the cut, and its
-        BlockError names the first that is not, g^m(base) at index m - 1.
+        column at a time, each vector's column a slice of its cycle ending
+        at the vector, and cut at the first image inside base's vectors
+        (at worst the last), base when its 2^k vectors are distinct.  g is
+        linear, so each image is a k-subspace; read_blocks checks each up
+        to the cut, naming the first that is not, g^m(base) at m - 1.
         """
         if (base.q, base.n) != (2, self.n):
             raise AmbientMismatch(f"base block in F_{base.q}^{base.n} under "
@@ -588,7 +588,7 @@ class GroupAction:
             columns.append((cycle[start:] + cycle[:start]) * (self.order // size[w]))
         images = list(zip(*columns))
         inside = list(map(frozenset(vectors).issuperset, images))
-        stop = inside.index(True) + 1 if True in inside else len(images)
+        stop = inside.index(True) + 1
         return read_blocks(self.n, k, images[:stop])
 
     def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:

@@ -313,7 +313,7 @@ def test_xor_rref_edge_cases():
 
 
 def test_bit_reverser_reverses_bits():
-    """A table up to BIT_TABLE_MAX_N coordinates, a string reversal past it."""
+    """One table at any n, past BIT_TABLE_MAX_N too."""
     for n in range(subspaces.BIT_TABLE_MAX_N + 3):
         flip = subspaces._bit_reverser(n)
         assert [flip(v) for v in range(1 << n)] == [

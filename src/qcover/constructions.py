@@ -17,9 +17,9 @@ from .bounds import gaussian
 from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_covering, verify_orbits, verify_steiner_system,
                       verify_turan, dualize)
-from .fields import Field, get_gf, is_prime, vec_pack, vec_unpack
+from .fields import Field, coefficients, get_gf, is_prime, vec_pack
 from .subspaces import (BlockError, BudgetError, GroupAction,
-                        MAX_SUBSPACE_ENUM, Subspace, _local_rows,
+                        MAX_SUBSPACE_ENUM, Subspace, _local_rows, _xor_span,
                         check_ambient, check_vectors, enumerate_grassmannian,
                         grassmannian_choices, packed_vectors, read_blocks,
                         span, span_vector_lists, subspace_count,
@@ -161,10 +161,10 @@ def _field_tower(q: int, rho: int, m: int, n: int
             for w in range(ext_m.q):
                 rows = []
                 for b in basis:
-                    row = prefix + vec_unpack(q, rho, b)
+                    row = prefix + coefficients(q, rho, b)
                     for zi in z:
-                        row += vec_unpack(q, rho, ext_r.mul(b, zi))
-                    row += vec_unpack(q, m, ext_m.mul(b, w))
+                        row += coefficients(q, rho, ext_r.mul(b, zi))
+                    row += coefficients(q, m, ext_m.mul(b, w))
                     rows.append(row)
                 block = span(q, n, rows)
                 if block.dim != rho:
@@ -310,7 +310,7 @@ GF64_QUADS = ((0, 1, 4, 16), (0, 2, 8, 32), (0, 5, 27, 40),
                 (0, 7, 44, 53), (0, 11, 29, 49))
 GF64_LINE_EXPONENTS = (0, 1, 4, 6, 16, 24, 33)
 GF64_MODULUS = (1, 1, 0, 0, 0, 0, 1)  # x^6 + x + 1
-GF64_BIT = 1 << 6  # (beta, b) packs to beta | b << 6
+GF64_BIT = 1  # the packed vector (0, 1) of GF(64) x GF(2)
 
 
 def _check_gf64_quads(gf64: Field):
@@ -335,8 +335,11 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     action (beta, b) -> (alpha beta, b) on GF(64) x GF(2), seven base blocks
     and the design's block count.
 
-    A vector (beta, b) is the packed int beta | b << 6, since a GF(64)
-    element is already the vec_pack of its coefficient vector.  The orbits
+    A vector (beta, b) is the vec_pack of beta's coefficient vector
+    followed by b.  beta -> (beta, 0) is linear, so _xor_span tables it
+    from the vectors of x^5, ..., x, 1 (bit j of beta picks x^j's), and
+    XOR adds vectors, b is GF64_BIT, (alpha^j, 0) is power[j] and, as
+    alpha = x, e_i is power[i] for i < 6.  The orbits
     of five quadruple blocks and a fixed 7-element multiplicative pattern
     have 63 blocks each, that of the diagonal block
     {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples are checked,
@@ -351,17 +354,18 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
         raise ConstructionError(f"GF(64) modulus {gf64.modulus} is not "
                                 f"x^6 + x + 1")
     _check_gf64_quads(gf64)
-    exp = gf64.exp
-    singer = GroupAction(7, [gf64.mul(exp[1], 1 << i) for i in range(6)]
-                         + [GF64_BIT])
+    vector = _xor_span([vec_pack(2, coefficients(2, 6, 1 << j) + (0,))
+                        for j in reversed(range(6))])
+    power = list(map(vector.__getitem__, gf64.exp))
+    singer = GroupAction(7, power[1:7] + [GF64_BIT])
     bases = []  # the packed vectors of each base block
     for quad in GF64_QUADS:
-        a = [exp[j] for j in quad]
+        a = [power[j] for j in quad]
         bases.append([0, a[0] ^ a[1], a[0] ^ a[2], a[0] ^ a[3]]
                      + [x | GF64_BIT for x in a])
-    diagonal = [0, exp[0], exp[21], exp[42]]
+    diagonal = [0, power[0], power[21], power[42]]
     bases.append(diagonal + [x | GF64_BIT for x in diagonal])
-    bases.append([0] + [exp[e] for e in GF64_LINE_EXPONENTS])
+    bases.append([0] + [power[e] for e in GF64_LINE_EXPONENTS])
     try:
         bases = read_blocks(7, 3, bases)
     except BlockError as exc:
@@ -400,9 +404,9 @@ def gf64_covering_design() -> SubspaceDesign:
 def expand_to_steiner_system(design: SubspaceDesign) -> SetSystem:
     """Expand a Steiner structure S_2[2,k,n] into a Steiner system S(3,2^k,2^n).
 
-    Points are the vectors of F_2^n indexed by their packed integer value
-    (coordinate 0 least significant); blocks are all translates of all design
-    blocks, deduplicated.
+    Points are the vectors of F_2^n, numbered with coordinate 0 the least
+    significant bit (label[v] for the vector packed as v); blocks are all
+    translates of all design blocks, deduplicated.
     """
     if design.q != 2:
         raise ConstructionError("expansion is defined over GF(2) only")
@@ -412,9 +416,10 @@ def expand_to_steiner_system(design: SubspaceDesign) -> SetSystem:
     _require(verify_covering(design, 2),
              "input is not a Steiner structure S_2[2,k,n]", steiner=True)
     n, k = design.n, design.k
+    label = _xor_span([1 << i for i in range(n)])  # e_i -> 2^i, tabled
     coset_blocks = set()
     for block in design.blocks:
-        packed = packed_vectors(block)
+        packed = list(map(label.__getitem__, packed_vectors(block)))
         for beta in range(1 << n):
             coset_blocks.add(frozenset(beta ^ x for x in packed))
     system = SetSystem.from_blocks(1 << n, [sorted(b) for b in coset_blocks])

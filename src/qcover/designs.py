@@ -501,9 +501,7 @@ def design_from_text(text: str) -> SubspaceDesign:
                     raise FormatError(f"bad vector {word!r} for n={n}")
                 if max(word) > top:
                     raise FormatError(f"coordinate out of GF({q}) in {word!r}")
-                # for q = 2, coordinate 0 is the least significant bit
-                vector[word] = (int(word[::-1], 2) if q == 2
-                                else tuple(map(int, word)))
+                vector[word] = int(word, 2) if q == 2 else tuple(map(int, word))
             if len(words) != k:
                 raise FormatError(f"block with {len(words)} vectors, expected {k}")
             word_lists.append(words)

@@ -72,7 +72,7 @@ def _x_powers(p: int, m: int, modulus: Sequence[int]) -> Optional[List[int]]:
     """
     q = p ** m
     if p == 2:
-        f, top = vec_pack(2, modulus), q >> 1  # f holds x^m: XOR drops it
+        f, top = sum(c << j for j, c in enumerate(modulus)), q >> 1  # XOR drops x^m
         return _powers(q, lambda v: v << 1 ^ f if v & top else v << 1)
     w = p.bit_length() + 1  # p < 2^(w-1), and a sum of two digits fits
     shift = m * w
@@ -131,7 +131,7 @@ class Field:
         else:
             pinned = DEFAULT_MODULI.get((p, m))
             candidates = [pinned] if pinned else (
-                vec_unpack(p, m, code) + (1,) for code in range(1, q) if code % p)
+                coefficients(p, m, code) + (1,) for code in range(1, q) if code % p)
             for modulus in candidates:
                 exp = _x_powers(p, m, modulus)
                 if exp:
@@ -230,17 +230,22 @@ def get_gf(q: int) -> Field:
 # vectors over F_q ---------------------------------------------------------
 
 def vec_pack(q: int, v: Sequence[int]) -> int:
-    """Integer encoding of a vector, coordinate 0 least significant."""
+    """Integer encoding, coordinate 0 most significant: lexicographic order."""
     val = 0
-    for c in reversed(v):
+    for c in v:
         val = val * q + c
     return val
 
 
 def vec_unpack(q: int, n: int, val: int) -> Tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(val % q)
-        val //= q
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        val, out[i] = divmod(val, q)
     return tuple(out)
+
+
+def coefficients(p: int, m: int, a: int) -> Tuple[int, ...]:
+    """The coefficients (c_0, ..., c_(m-1)) of the element a of GF(p^m), c_j
+    that of x^j: a's base-p digits lowest first, as vec_unpack's reversed."""
+    return vec_unpack(p, m, a)[::-1]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, and_, attrgetter, eq, itemgetter, lt, neg, xor
+from operator import add, and_, attrgetter, eq, gt, itemgetter, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
@@ -194,12 +194,13 @@ def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
     neg = get_gf(q).negatives
     pivset = set(pivots)
     free = [c for c in reversed(range(n)) if c not in pivset]
-    units = [q ** c for c in free]
+    units = [q ** (n - 1 - c) for c in free]
     if not pivots:
         yield tuple(units)
         return
     # What each row choice adds to each generator.
-    *heads, last = [[tuple([neg[row[c]] * q ** p for c in free]) for row in choices]
+    *heads, last = [[tuple([neg[row[c]] * q ** (n - 1 - p) for c in free])
+                     for row in choices]
                     for p, choices in zip(pivots, rows)]
     for head in itertools.product(*heads):
         prefix = tuple(map(sum, zip(units, *head)))
@@ -361,9 +362,10 @@ def _xor_span(packed_rows: Sequence[int]) -> List[int]:
 def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
     """The span of packed vectors in F_2^n, and its packed RREF rows.
 
-    A row's pivot is its lowest set bit (coordinate 0).  Each remainder
-    clears its pivot from the rows so far with XOR and joins them; the rows
-    are then sorted by pivot and _rref_blocks builds the block.  It serves
+    A row's pivot is its top set bit, so v holds row r's pivot iff v ^ r <
+    v, as the XOR flips no higher bit.  Each remainder clears its pivot from
+    the rows so far with XOR and joins them; rows with distinct top bits
+    sort by pivot as ints, and _rref_blocks builds the block.  It serves
     design files whose rows are not all canonical, and error-path ranks.
     """
     rows: List[int] = []
@@ -371,13 +373,12 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
         if v < 0 or v >> n:
             raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
         for row in rows:
-            if v & row & -row:
+            if v ^ row < v:
                 v ^= row
         if v:
-            low = v & -v
-            rows = [row ^ v if row & low else row for row in rows]
+            rows = [row ^ v if row ^ v < row else row for row in rows]
             rows.append(v)
-    rows.sort(key=lambda row: row & -row)
+    rows.sort(reverse=True)
     return rows, _rref_blocks(n, len(rows), rows)[0]
 
 
@@ -395,27 +396,32 @@ class BlockError(ValueError):
 def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
                 ) -> List[Subspace]:
     """The k-subspace of F_2^n, k >= 1, whose packed vectors (0 included,
-    any order, all in F_2^n) each list holds, one block per list, in order.
+    any order) each list holds, one block per list, in order.
 
-    Sorted lexicographically, the span of RREF rows r_1..r_k is
-    _xor_span([r_1..r_k]), as sum(c_i * r_i) holds c_i at r_i's pivot and
-    c_1..c_(i-1) alone before it; bit reversal, linear and its own inverse,
-    makes that order int order, so r_i sits reversed at index 2^(k-i).  A
-    list is a k-subspace iff it has 2^k vectors, a nonzero one at index 1
-    (k dependent rows list 0 there again) and is the span of its rows; the
-    first that is not raises BlockError, with its rank from xor_rref.  All
-    steps run in C-level maps over all lists; _rref_blocks builds blocks.
+    Sorted, the span of RREF rows r_1..r_k is _xor_span([r_1..r_k]), as
+    sum(c_i * r_i) holds c_i at r_i's pivot and c_1..c_(i-1) alone before
+    it, and int order is lexicographic order; so r_i sits at index 2^(k-i).
+    A sorted list's ends are its least and greatest vectors, and one
+    outside F_2^n raises AmbientMismatch.  A list is a k-subspace iff it
+    has 2^k vectors, a nonzero one at index 1 (k dependent rows list 0
+    there again) and is the span of its rows, which _xor_chunk packs by
+    int, as they are packed already; the first that is not raises
+    BlockError, with its rank from xor_rref.  All steps run in C-level maps
+    over all lists; _rref_blocks builds blocks.
     """
-    flip = _bit_reverser(n)
-    lists = list(map(sorted, map(map, itertools.repeat(flip), vector_lists)))
+    lists = list(map(sorted, vector_lists))
+    for v in (min(map(itemgetter(0), filter(None, lists)), default=0),
+              max(map(itemgetter(-1), filter(None, lists)), default=0)):
+        if v < 0 or v >> n:
+            raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
     size, at = 1 << k, [1 << i for i in reversed(range(k))]
     if all(map(size.__eq__, map(len, lists))):
         # A slice keeps a single read a sequence, as in _local_rows.
         read = itemgetter(*at) if k > 1 else itemgetter(slice(1, 2))
-        flat = list(map(flip, itertools.chain.from_iterable(map(read, lists))))
+        flat = list(itertools.chain.from_iterable(map(read, lists)))
         rows = list(zip(*[iter(flat)] * k))
         if (all(map(itemgetter(1), lists))
-                and list(map(list, _xor_chunk(flip, rows, k))) == lists):
+                and list(map(list, _xor_chunk(int, rows, k))) == lists):
             return _rref_blocks(n, k, flat)
     for index, vectors in enumerate(lists):
         if not (len(vectors) == size and vectors[1]
@@ -429,17 +435,18 @@ def _canonical_blocks(n: int, k: int, flat: Sequence[int]
                       ) -> List[Subspace] | None:
     """The blocks of F_2^n whose packed rows are flat, k >= 1 to a block, if
     every block's rows are its RREF as written, else None.  Rows r_1..r_k
-    with lowest set bits b_i = r_i & -r_i are an RREF iff every r_i is
-    nonzero, b_1 < ... < b_k, and r_i holds no b_j but its own: a test in
-    C-level maps over all rows.  _rref_blocks builds the blocks, at any n."""
-    low = list(map(and_, flat, map(neg, flat)))
-    lows = [low[i::k] for i in range(k)]
-    if 0 in flat or not all(map(all, map(map, itertools.repeat(lt), lows,
-                                         lows[1:]))):
+    with top set bits b_i are an RREF iff every r_i is nonzero, b_1 > ... >
+    b_k, and r_i holds no b_j but its own: a test in C-level maps over all
+    rows.  _rref_blocks builds the blocks, at any n."""
+    tops = [0] + [1 << i for i in range(n)]  # the top bit, by bit_length
+    top = list(map(tops.__getitem__, map(int.bit_length, flat)))
+    heads = [top[i::k] for i in range(k)]
+    if 0 in flat or not all(map(all, map(map, itertools.repeat(gt), heads,
+                                         heads[1:]))):
         return None
-    pivot_bits = list(map(sum, zip(*lows)))  # distinct bits: their OR
+    pivot_bits = list(map(sum, zip(*heads)))  # distinct bits: their OR
     masks = itertools.chain.from_iterable(zip(*[pivot_bits] * k))
-    if not all(map(eq, map(and_, flat, masks), low)):
+    if not all(map(eq, map(and_, flat, masks), top)):
         return None
     return _rref_blocks(n, k, flat)
 
@@ -476,9 +483,8 @@ def _unpack_rows(q: int, n: int, rows: Iterable[int]) -> Tuple[Tuple[int, ...], 
 # Bounded; one table per n <= BIT_TABLE_MAX_N, at most 1024 tuples.
 @functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)
 def _bit_table(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """vec_unpack(2, n, v) for every v < 2^n, indexed by v."""
-    # product runs its last position fastest; coordinate 0 is bit 0
-    return tuple([bits[::-1] for bits in itertools.product((0, 1), repeat=n)])
+    """vec_unpack(2, n, v) for every v < 2^n, indexed by v: product's order."""
+    return tuple(itertools.product((0, 1), repeat=n))
 
 
 # Bounded like _bit_table, of which it is the inverse.
@@ -488,27 +494,16 @@ def _bit_index(n: int) -> Dict[Tuple[int, ...], int]:
     return {bits: v for v, bits in enumerate(_bit_table(n))}
 
 
-# Bounded; one 2^n-entry table per n.
-@functools.lru_cache(maxsize=2 * BIT_TABLE_MAX_N)
-def _bit_reverser(n: int) -> Callable[[int], int]:
-    """v < 2^n with its n bits reversed, whose int order is the lexicographic
-    order of F_2^n, coordinate 0 first: a list lookup at any n."""
-    reverse = [0]
-    for _ in range(n):  # the new top bit of v becomes bit 0 of reverse[v]
-        reverse = [x << 1 for x in reverse] + [x << 1 | 1 for x in reverse]
-    return reverse.__getitem__  # a list's __getitem__ is a faster call than a tuple's
-
-
 class GroupAction:
     """The cyclic group generated by one invertible linear map g of F_2^n,
-    acting on packed vectors (coordinate i is bit i).
+    acting on packed vectors (coordinate i is bit n - 1 - i).
 
-    g is given by the packed images of e_0..e_{n-1}, and g(v) is the XOR of
-    the images of v's set bits, tabled for every v; the kernel of a rank-r
-    map, the table's zeros, holds 2^(n-r) vectors, so it gives g's rank.  The per-vector tables of
-    orbit representative (the least vector of the orbit), exponent e (g^e
-    sends the vector to its representative) and orbit size, and each
-    orbit's cycle from its representative, are built on first use.
+    g is given by the packed images of e_0..e_{n-1}, and the table of g(v)
+    for every v is their _xor_span; the kernel of a rank-r map, the table's
+    zeros, holds 2^(n-r) vectors, so it gives g's rank.  The per-vector
+    tables of orbit representative (the least vector of the orbit),
+    exponent e (g^e sends the vector to its representative) and orbit size,
+    and each orbit's cycle from its representative, are built on first use.
     """
 
     def __init__(self, n: int, images: Sequence[int]):
@@ -520,15 +515,12 @@ class GroupAction:
             if v < 0 or v >> n:
                 raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
         self.n = n
-        self._image = image = [0] * (1 << n)  # g(v) at index v
-        for v in range(1, 1 << n):
-            low = v & -v
-            image[v] = image[v ^ low] ^ images[low.bit_length() - 1]
+        self._image = image = _xor_span(images)  # g(v) at index v
         rank = n - (image.count(0).bit_length() - 1)  # n - dim of the kernel
         if rank != n:
             raise ValueError(f"generator has rank {rank} < {n}: not invertible")
         # the columns of g^m are g^m(e_i); an invertible g returns to I
-        units = tuple([1 << i for i in range(n)])
+        units = tuple([1 << (n - 1 - i) for i in range(n)])
         columns, order = images, 1
         while columns != units:
             columns = tuple([image[c] for c in columns])
@@ -629,8 +621,8 @@ def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
     place-weighted tables."""
     if not rows:
         return [0]
-    return list(map(sum, zip(*[_column_table(q, column, j)
-                               for j, column in enumerate(zip(*rows))])))
+    return list(map(sum, zip(*map(_column_table, itertools.repeat(q), zip(*rows),
+                                  range(len(rows[0]) - 1, -1, -1)))))
 
 
 # Bounded.  A design of F_q^n with blocks of dimension k uses at most n * q^k
@@ -676,12 +668,9 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     if q ** k > MAX_VECTOR_ENUM or gaussian(k, r, q) > MAX_VECTOR_ENUM:
         raise BudgetError(f"local rows of [{k} {r}]_{q} exceed the "
                           f"enumeration budget")
-    out = []
-    for _, rows, _ in grassmannian_choices(q, k, r):
-        # vec_pack reads coordinate 0 least significant, the index most.
-        indices = [[vec_pack(q, row[::-1]) for row in choices] for choices in rows]
-        out.extend(itertools.product(*indices))
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(
+        itertools.product(*packed)
+        for _, _, packed in grassmannian_choices(q, k, r)))
 
 
 # Bounded: one reader holds [k r]_q indices, and a census run touches only a

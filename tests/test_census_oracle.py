@@ -24,6 +24,7 @@ on its base blocks only, must equal expand and scan on the expanded design.
 
 import inspect
 import itertools
+import operator
 import random
 import time
 from collections import Counter
@@ -396,7 +397,10 @@ PACKED_MAX_N = {2: 6, 3: 5, 4: 4, 5: 4, 7: 4, 8: 4, 9: 4}
 def test_packed_vectors_equal_vec_pack_of_enumerate_vectors(q):
     """Same packed ints in the same order as packing each enumerated vector,
     for one random subspace per pivot set of every dimension, from the zero
-    subspace to the full space."""
+    subspace to the full space.  For q = 2 and 3 and n <= 4, every subspace
+    lists its vectors strictly ascending: packed int order is the
+    lexicographic order, which the odometer order of RREF combinations
+    follows."""
     rng = random.Random(1000 + q)
     for n in range(PACKED_MAX_N[q] + 1):
         for d in range(n + 1):
@@ -404,6 +408,10 @@ def test_packed_vectors_equal_vec_pack_of_enumerate_vectors(q):
                 s = random_rref(rng, q, n, pivots)
                 expected = [vec_pack(q, v) for v in enumerate_vectors(s)]
                 assert packed_vectors(s) == expected, s
+            if q in (2, 3) and n <= 4:
+                for s in enumerate_grassmannian(q, n, d):
+                    vectors = packed_vectors(s)
+                    assert all(map(operator.lt, vectors, vectors[1:])), s
 
 
 @pytest.mark.parametrize("q,n", [(2, 25), (3, 16)])
@@ -648,15 +656,16 @@ def test_scans_build_a_subspace_only_for_a_witness(q, n, k, monkeypatch):
 
 # orbit census -----------------------------------------------------------------
 
+# The images of e_0..e_(n-1), packed with e_i at bit n - 1 - i.
 # Multiplication by x in GF(128) = F_2[x]/(x^7 + x + 1), a Singer cycle of
 # F_2^7: e_i -> e_(i+1), and x^7 = x + 1.
-SINGER_128 = [1 << (i + 1) for i in range(6)] + [0b11]
+SINGER_128 = [1 << (5 - i) for i in range(6)] + [0b1100000]
 # The cyclic shift of the 7 coordinates: many small orbits and stabilisers.
-SHIFT_7 = [1 << ((i + 1) % 7) for i in range(7)]
+SHIFT_7 = [1 << (6 - (i + 1) % 7) for i in range(7)]
 # Singer cycles of F_2^3 (x^3 + x + 1) and F_2^2 (x^2 + x + 1) side by side
 # on F_2^5, of order 21: vector orbits of 7 and 3 below the order, so a label
 # must try every element that sends an anchor to its representative.
-SUM_7_3 = [0b00010, 0b00100, 0b00011, 0b10000, 0b11000]
+SUM_7_3 = [0b01000, 0b00100, 0b11000, 0b00001, 0b00011]
 
 
 def actions():
@@ -732,10 +741,11 @@ def test_group_action_orders_and_orbits_equal_brute_force():
 
 def apply_columns(columns, v):
     """g(v) for the linear map with these column images: the XOR of the
-    columns at v's set bits, without GroupAction's tables."""
+    columns at v's nonzero coordinates, coordinate i at bit n - 1 - i,
+    without GroupAction's tables."""
     out = 0
     for i, column in enumerate(columns):
-        if v >> i & 1:
+        if v >> (len(columns) - 1 - i) & 1:
             out ^= column
     return out
 
@@ -762,7 +772,7 @@ def test_group_action_orbit_equals_brute_force_with_stabilisers():
     vector and unions of 1-3 vector orbits, so many have nontrivial
     stabilisers."""
     singer, bases, _ = gf64_orbits()
-    units = [1 << i for i in range(7)]
+    units = [1 << (6 - i) for i in range(7)]
     columns = {"gf64": singer.image(units, 1), "shift7": SHIFT_7,
                "sum7x3": SUM_7_3}
     for d in (3, 7, 9):
@@ -814,7 +824,7 @@ def test_orbit_census_with_a_fixed_block():
     fixed by the shift: an orbit of one block, whose 2-subspaces lie in
     orbits of 7."""
     shift = GroupAction(7, SHIFT_7)
-    code = xor_rref(7, [shift.image([0b0011101], m)[0] for m in range(7)])[1]
+    code = xor_rref(7, [shift.image([0b1011100], m)[0] for m in range(7)])[1]
     code_label, code_size = shift.orbit(packed_vectors(code))
     assert code.dim == 3 and code_size == 1
     rng = random.Random(7)
@@ -938,7 +948,7 @@ def test_single_superspace_dimensions_list_no_complement():
     point = SubspaceDesign.from_blocks([Subspace(2, 40, ((1,) + (0,) * 39,), (0,))])
     calls = [
         (lambda: list(superspaces_containing(point, 1)),
-         [tuple(1 << c for c in range(39, 0, -1))]),
+         [tuple(1 << (39 - c) for c in range(39, 0, -1))]),
         (lambda: list(superspaces_containing(point, 40)), [()]),
         (lambda: verify_turan(SubspaceDesign.from_blocks(
             [Subspace(2, 30, ((1,) + (0,) * 29,), (0,))], q=2, n=30, k=1),

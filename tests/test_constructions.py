@@ -19,7 +19,8 @@ from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   turan_dual_covering, turan_point_design)
 from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
                             dualize, verify_covering, verify_turan)
-from qcover.fields import DEFAULT_MODULI, Field, FieldError, get_gf, vec_unpack
+from qcover.fields import (DEFAULT_MODULI, Field, FieldError, coefficients,
+                           get_gf, vec_pack)
 from qcover.subspaces import (BudgetError, GroupAction,
                               enumerate_grassmannian,
                               full_space, packed_vectors, span)
@@ -251,7 +252,7 @@ def reference_gf64_blocks():
     assert gf64.modulus == GF64_MODULUS
 
     def vec(beta, bit):
-        return vec_unpack(2, 6, beta) + (bit,)
+        return coefficients(2, 6, beta) + (bit,)
 
     def to_block(vectors):
         block = span(2, 7, [v for v in vectors if any(v)])
@@ -294,8 +295,12 @@ def test_gf64_orbit_structure():
     and one of 21."""
     gf64 = get_gf(64)
     alpha = gf64.alpha_pow(1)
-    # multiplication by alpha on packed vectors, bit 6 untouched
-    times_alpha = {v: gf64.mul(alpha, v & 63) | (v & 64) for v in range(128)}
+
+    def pack(beta, bit):
+        return vec_pack(2, coefficients(2, 6, beta) + (bit,))
+    # multiplication by alpha on packed vectors, the last coordinate untouched
+    times_alpha = {pack(beta, bit): pack(gf64.mul(alpha, beta), bit)
+                   for beta in range(64) for bit in (0, 1)}
     remaining = {frozenset(packed_vectors(b))
                  for b in gf64_covering_design().blocks}
     sizes = []

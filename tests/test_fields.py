@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from qcover.fields import (DEFAULT_MODULI, Field, FieldError, get_gf,
-                           vec_pack, vec_unpack)
+from qcover.fields import (DEFAULT_MODULI, Field, FieldError, coefficients,
+                           get_gf, vec_pack, vec_unpack)
 
 from vector_reference import vec_add, vec_scale
 
@@ -163,27 +163,30 @@ def test_vec_mismatch():
 
 
 def test_vec_pack_roundtrip():
-    for q, n in [(2, 5), (3, 4)]:
-        for val in range(q ** n):
-            assert vec_pack(q, vec_unpack(q, n, val)) == val
+    """vec_pack inverts vec_unpack, and int order is lexicographic order:
+    coordinate 0 is the most significant digit."""
+    for q, n in [(2, 5), (3, 4), (4, 3)]:
+        vectors = [vec_unpack(q, n, val) for val in range(q ** n)]
+        assert [vec_pack(q, v) for v in vectors] == list(range(q ** n))
+        assert vectors == sorted(vectors) and len(set(vectors)) == q ** n
 
 
 def test_field_to_vector_gf4_alpha():
     f = get_gf(4)
-    assert vec_unpack(2, 2, f.alpha) == (0, 1)
-    assert vec_unpack(2, 2, 0) == (0, 0)
+    assert coefficients(2, 2, f.alpha) == (0, 1)
+    assert coefficients(2, 2, 0) == (0, 0)
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
 def test_field_to_vector_linear_bijection(p, m):
     f = get_gf(p ** m)
     gfp = get_gf(p)
-    images = {vec_unpack(p, m, a) for a in range(f.q)}
+    images = {coefficients(p, m, a) for a in range(f.q)}
     assert len(images) == f.q
     for a in range(f.q):
         for b in range(f.q):
-            assert (vec_unpack(p, m, f.add(a, b))
-                    == vec_add(gfp, vec_unpack(p, m, a), vec_unpack(p, m, b)))
+            assert (coefficients(p, m, f.add(a, b))
+                    == vec_add(gfp, coefficients(p, m, a), coefficients(p, m, b)))
 
 
 def test_get_gf_prime_power():

@@ -42,6 +42,11 @@ A Subspace of src/qcover is built at a few known sites, so q = 2 blocks keep
 one builder from packed rows: an AST scan fails on any call of Subspace, and
 any Subspace passed to a call (as map(Subspace, ...)) other than isinstance,
 outside SUBSPACE_SITES, which gives the reason each of those stays.
+
+A packed vector's int order is the lexicographic order of F_q^n, coordinate
+0 first, so no subspace or design code reverses one: an AST scan fails on
+any slice with step -1 and any _bit_reverser name in subspaces.py or
+designs.py.
 """
 
 import ast
@@ -452,3 +457,41 @@ def test_subspace_site_scan_finds_each_form():
               "def f(rows):\n    return functools.partial(subspaces.Subspace, 2)\n")
     assert subspace_sites(source) == [(4, "a"), (6, "b"), (9, "C"), (14, None),
                                       (16, "f")]
+
+
+def reversals(source: str):
+    """(line, form) of every slice with step -1, as in v[::-1], and every
+    name, attribute, definition or import of _bit_reverser."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Slice) and node.step is not None:
+            try:
+                if ast.literal_eval(node.step) == -1:
+                    found.append((node.lineno, "[::-1]"))
+            except ValueError:  # a step that is not a literal
+                pass
+        names = [getattr(node, field, None) for field in ("id", "attr", "name")]
+        if isinstance(node, ast.alias):
+            names.append(node.asname)
+        if "_bit_reverser" in names:
+            found.append((node.lineno, "_bit_reverser"))
+    return sorted(found)
+
+
+def test_subspaces_and_designs_reverse_no_packed_vector():
+    for name in ("subspaces.py", "designs.py"):
+        source = (ROOT / "src" / "qcover" / name).read_text(encoding="utf-8")
+        assert reversals(source) == [], name
+
+
+def test_reversal_scan_finds_each_form():
+    source = ("from .subspaces import _bit_reverser\n"
+              "from . import subspaces as s\n"
+              "def _bit_reverser(n):\n    return n\n"
+              "def a(word):\n    return int(word[::-1], 2)\n"
+              "def b(row, n):\n    return row[n - 1::-1], row[::1], row[::2]\n"
+              "def c(rows):\n    return s._bit_reverser(3), rows[::-(1)]\n"
+              "def d(rows, k):\n    return rows[::k], reversed(rows)\n")
+    assert reversals(source) == [(1, "_bit_reverser"), (3, "_bit_reverser"),
+                                 (6, "[::-1]"), (8, "[::-1]"),
+                                 (10, "[::-1]"), (10, "_bit_reverser")]

@@ -306,18 +306,10 @@ def test_xor_rref_edge_cases():
     assert rows == [] and s.dim == 0
     rows, s = xor_rref(3, [0b111, 0b011, 0b100, 0b110])
     assert s == full_space(2, 3) and s.pivots == (0, 1, 2)
-    assert rows == [0b001, 0b010, 0b100]
+    assert rows == [0b100, 0b010, 0b001]
     for bad in (1 << 4, -1):
         with pytest.raises(AmbientMismatch):
             xor_rref(4, [bad])
-
-
-def test_bit_reverser_reverses_bits():
-    """One table at any n, past BIT_TABLE_MAX_N too."""
-    for n in range(subspaces.BIT_TABLE_MAX_N + 3):
-        flip = subspaces._bit_reverser(n)
-        assert [flip(v) for v in range(1 << n)] == [
-            vec_pack(2, vec_unpack(2, n, v)[::-1]) for v in range(1 << n)]
 
 
 def random_generators(rng, n, k, d):
@@ -404,7 +396,8 @@ def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
 # Each input guard of qcover.subspaces: a call, the exception it raises and
 # a fragment of its message.  The generators raise on their first next(), and
 # the budget cases raise before they build anything: 2^25 vectors is past
-# MAX_VECTOR_ENUM.
+# MAX_VECTOR_ENUM.  read_blocks checks the range of every list before the
+# shape of any, so a short list before an out-of-range one is not named.
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: next(grassmannian_choices(2, 3, 4)), ValueError,
                  "need 0 <= k <= n, got k=4, n=3", id="grassmannian_choices-k-above-n"),
@@ -420,6 +413,10 @@ def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
                  "packed vector 8 outside F_2^2", id="GroupAction-image-too-big"),
     pytest.param(lambda: GroupAction(2, [-1, 2]), AmbientMismatch,
                  "packed vector -1 outside F_2^2", id="GroupAction-image-negative"),
+    pytest.param(lambda: read_blocks(3, 1, [[0], [0, -1]]), AmbientMismatch,
+                 "packed vector -1 outside F_2^3", id="read_blocks-negative"),
+    pytest.param(lambda: read_blocks(3, 1, [[0, 4], [9, 0]]), AmbientMismatch,
+                 "packed vector 9 outside F_2^3", id="read_blocks-too-big"),
     pytest.param(lambda: GroupAction(3, [1, 2, 4]).orbit([]), ValueError,
                  "an empty vector set has no orbit", id="orbit-empty"),
 ])

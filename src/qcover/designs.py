@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import and_, attrgetter, ne
-from typing import Callable, Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf
@@ -163,14 +163,16 @@ def _packed_rows(choice: tuple) -> Iterator[tuple]:
 
 
 def _count_product(start: int, factors: Sequence[Sequence[int]],
-                   found: Counter) -> None:
-    """Add to found the popcount of start & m_1 & ... & m_f for every way of
-    taking one mask m_i from each factor.
+                   found: Counter, popcounts: List[int]) -> None:
+    """Count the popcount of start & m_1 & ... & m_f for every way of
+    taking one mask m_i from each factor: append it to popcounts, or add a
+    run of equal ones to found at once.
 
     Single-mask factors fold into start, and the rest run smallest first, so
     each prefix AND is shared by every product below it and the largest
     factor is counted last, in C.  A zero prefix adds its whole subtree to
-    multiplicity 0 in one step.  Memory is that of the factors.
+    multiplicity 0 in one step.  The caller counts popcounts with one
+    Counter.update, as each update pays a Python-level type check.
     """
     lists = []
     for masks in factors:
@@ -184,12 +186,12 @@ def _count_product(start: int, factors: Sequence[Sequence[int]],
     lists.sort(key=len)
     *heads, last = lists
     below = [math.prod(map(len, lists[d + 1:])) for d in range(len(heads))]
-    update = found.update
+    extend = popcounts.extend
     popcount = int.bit_count
 
     def walk(prefix: int, d: int) -> None:
         if d == len(heads):
-            update(map(popcount, map(prefix.__and__, last)))
+            extend(map(popcount, map(prefix.__and__, last)))
             return
         for m in heads[d]:
             m &= prefix
@@ -208,7 +210,9 @@ def _scan(q: int, n: int, dim: int, vector_lists: Iterable[Sequence[int]]
     A target's multiplicity is the number of vector lists, one per block,
     that hold all of its packed RREF rows: the popcount of the AND of the
     rows' block bitmasks.  Per grassmannian_choices entry, _count_product
-    counts that AND over the product of the rows' mask lists.
+    counts that AND over the product of the rows' mask lists; its
+    popcounts are counted once per XOR_CHUNK of them, so once for most
+    scans, and held no longer.
     holders(vectors) is the bitmask of the lists that hold every one of the
     given packed vectors, for the witness walks.
     """
@@ -221,9 +225,14 @@ def _scan(q: int, n: int, dim: int, vector_lists: Iterable[Sequence[int]]
     every = bit - 1
     get = masks.get
     found: Counter = Counter()
+    popcounts: List[int] = []
     for _, _, packed in grassmannian_choices(q, n, dim):
         _count_product(every, [[get(v, 0) for v in choices] for choices in packed],
-                       found)
+                       found, popcounts)
+        if len(popcounts) > XOR_CHUNK:
+            found.update(popcounts)
+            popcounts.clear()
+    found.update(popcounts)
     zeros = itertools.repeat(0)
     return found, lambda vectors: functools.reduce(and_, map(get, vectors, zeros),
                                                    every)

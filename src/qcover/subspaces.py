@@ -158,22 +158,55 @@ def full_space(q: int, n: int) -> Subspace:
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
-    """Null space of the generator matrix under the standard dot product."""
-    return span(s.q, s.n, _complement_rows(s))
+    """Null space of the generator matrix under the standard dot product,
+    in canonical RREF with no row reduction of the result.
+
+    s's rows are reduced from the right instead: each row b_i ends in a 1
+    at its end column t_i, where every other row is 0 (for a point, one
+    scaling).  Then _null_rows gives, for each other column j ascending,
+    e_j - sum_i b_i[j] * e_(t_i), which is RREF with pivot j: b_i[j] != 0
+    only for j < t_i, and no t_i is a pivot.
+    """
+    gf = get_gf(s.q)
+    rows: List[Sequence[int]] = []
+    ends: List[int] = []
+    for b in s.rows:
+        for row, e in zip(rows, ends):
+            if b[e]:
+                b = gf.row_sub(b, b[e], row)
+        e = max(itertools.compress(range(s.n), b))  # b's last nonzero column
+        if b[e] != 1:
+            b = gf.row_scale(gf.inv(b[e]), b)
+        # rows so far are 0 past their ends, and e lies before any end it
+        # clears, so each keeps its end
+        rows = [gf.row_sub(row, row[e], b) if row[e] else row for row in rows]
+        rows.append(b)
+        ends.append(e)
+    pivots = tuple([j for j in range(s.n) if j not in ends])
+    return Subspace(s.q, s.n, _null_rows(s.q, s.n, rows, ends, pivots), pivots)
 
 
 def _complement_rows(s: Subspace) -> Tuple[Tuple[int, ...], ...]:
-    """e_fc - sum_i s.rows[i][fc] * e_{p_i} per free column fc, descending;
-    tuples, as the q = 2 _bit_index lookup keys on them."""
-    neg = get_gf(s.q).negatives
+    """_null_rows of s's RREF rows per free column, descending; tuples, as
+    the q = 2 _bit_index lookup keys on them."""
+    free = [fc for fc in reversed(range(s.n)) if fc not in s.pivots]
+    return _null_rows(s.q, s.n, s.rows, s.pivots, free)
+
+
+def _null_rows(q: int, n: int, rows: Sequence[Sequence[int]],
+               units: Sequence[int], columns: Iterable[int]
+               ) -> Tuple[Tuple[int, ...], ...]:
+    """e_c - sum_i rows[i][c] * e_(units[i]) for each column c of columns,
+    in order: orthogonal to every row when row i is 1 at units[i] and every
+    other row is 0 there."""
+    neg = get_gf(q).negatives
     basis = []
-    for fc in reversed(range(s.n)):
-        if fc not in s.pivots:
-            v = [0] * s.n
-            v[fc] = 1
-            for row, p in zip(s.rows, s.pivots):
-                v[p] = neg[row[fc]]
-            basis.append(tuple(v))
+    for c in columns:
+        v = [0] * n
+        v[c] = 1
+        for row, u in zip(rows, units):
+            v[u] = neg[row[c]]
+        basis.append(tuple(v))
     return tuple(basis)
 
 
@@ -617,18 +650,65 @@ class GroupAction:
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:
     """vec_pack of every combination of rows, in packed_vectors' odometer
-    order: per coefficient vector, one C-level sum over the columns' cached
-    place-weighted tables."""
+    order: per coefficient vector, one C-level sum over cached tables.
+
+    A column equal to the unit vector e_i adds c_i * q^j at place j under
+    the coefficient vector c, with no field arithmetic, and a zero column
+    adds nothing.  So all unit columns fold into one _unit_table of the
+    weights w_i = sum(q^j) over the places of e_i, and only the other
+    columns take a _column_table.  This holds for any rows: RREF rows have
+    a unit column at each pivot, _complement_rows at each free column.
+    """
     if not rows:
         return [0]
-    return list(map(sum, zip(*map(_column_table, itertools.repeat(q), zip(*rows),
-                                  range(len(rows[0]) - 1, -1, -1)))))
+    k = len(rows)
+    slot = _unit_slots(k)
+    weights = [0] * (k + 1)  # slot k takes the zero columns, and is dropped
+    tables = []
+    for column, j in zip(zip(*rows), range(len(rows[0]) - 1, -1, -1)):
+        i = slot.get(column)
+        if i is None:
+            tables.append(_column_table(q, column, j))
+        else:
+            weights[i] += q ** j
+    out = _unit_table(q, tuple(weights[:k]))
+    for table in tables:  # lazy maps: each vector is added up in C
+        out = map(add, out, table)
+    return list(out)
 
 
-# Bounded.  A design of F_q^n with blocks of dimension k uses at most n * q^k
-# (column, place) pairs, and its complements n * q^(n - k): 5 * (3^2 + 3^3)
-# = 180 for a design of F_3^5 with k = 2 or 3.  512 holds those and the 107
-# of the q = 3 Turan point designs of F_3^5 and F_3^6 with their duals.
+# Bounded: one entry per row count k, and q^k <= MAX_VECTOR_ENUM keeps
+# k below 16 for q >= 3.
+@functools.lru_cache(maxsize=16)
+def _unit_slots(k: int) -> Dict[Tuple[int, ...], int]:
+    """The slot i of each unit column e_i of k rows, and k for the zero
+    column."""
+    slots = {tuple([int(i == c) for c in range(k)]): i for i in range(k)}
+    slots[(0,) * k] = k
+    return slots
+
+
+# Bounded.  One entry per (q, weights), which follow the places of each
+# row's unit columns: all 1210 2-subspaces of F_3^5 with their complements
+# use 155, and the q = 3 Turan point designs with their duals 29.
+@functools.lru_cache(maxsize=512)
+def _unit_table(q: int, weights: Tuple[int, ...]) -> Tuple[int, ...]:
+    """sum(c_i * weights[i]) for every coefficient vector c, in odometer
+    order, first coefficient slowest."""
+    out = [0]
+    for w in weights:
+        multiples = [c * w for c in range(q)]
+        out = [u + m for u in out for m in multiples]
+    return tuple(out)
+
+
+# Bounded.  Only a column that is neither zero nor a unit vector takes a
+# table, so a design of F_q^n with blocks of dimension k uses at most
+# n * (q^k - k - 1) (column, place) pairs, and its complements
+# n * (q^(n - k) - (n - k) - 1): 5 * (6 + 23) = 145 for a design of F_3^5
+# with k = 2 or 3.  All 1210 2-subspaces of F_3^5 with their complements
+# use 72, and the q = 3 Turan point designs of F_3^5 and F_3^6 with their
+# duals 61.
 @functools.lru_cache(maxsize=512)
 def _column_table(q: int, column: Tuple[int, ...], j: int) -> Tuple[int, ...]:
     """(c . column) * q^j for every coefficient vector c, in odometer order:

@@ -196,6 +196,23 @@ def test_scan_under_split_first_rows_equals_oracle(q, monkeypatch):
                     design, k, strategy)
 
 
+@pytest.mark.parametrize("q", sorted(MAX_N))
+def test_scan_counts_popcounts_in_chunks(q, monkeypatch):
+    """_scan counts its popcounts once per XOR_CHUNK of them.  With the
+    chunk cut to 3 it counts them after nearly every grassmannian_choices
+    entry, and both scans still count every target once."""
+    monkeypatch.setattr(designs, "XOR_CHUNK", 3)
+    rng = random.Random(4200 + q)
+    for _ in range(SPLIT_DESIGNS):
+        design = random_design(rng, q)
+        for r in range(design.k + 1):
+            assert verify_covering(design, r, "scan") == oracle_covering(
+                design, r), (design, r)
+        for k in range(design.k, design.n + 1):
+            assert verify_turan(design, k, "scan") == oracle_turan(
+                design, k), (design, k)
+
+
 def test_scan_splits_the_first_row_at_the_real_row_chunk():
     """The points of F_2^14 with pivot 0 are 2^13 first-row choices, split
     over two entries of ROW_CHUNK each.  Uncovered points in both parts must
@@ -494,22 +511,26 @@ def test_complement_generators_span_the_null_space(q):
                     for t in itertools.product(*rows)]
 
 
+def reference_span(q, n, rows):
+    """vec_pack of every combination of rows of F_q^n, in odometer order,
+    first coefficient slowest, each one summed by field arithmetic, with
+    neither span kernel of the library."""
+    gf = get_gf(q)
+    out = []
+    for coefficients in itertools.product(range(q), repeat=len(rows)):
+        v = (0,) * n
+        for c, row in zip(coefficients, rows):
+            v = vec_add(gf, v, vec_scale(gf, c, row))
+        out.append(vec_pack(q, v))
+    return out
+
+
 def reference_complement_vectors(s):
     """The combinations of s's complement_generators, taken as packed_vectors
-    takes RREF rows: in odometer order, first coefficient slowest, each one
-    summed from the unpacked generators by field arithmetic and packed by
-    vec_pack, with neither span kernel of the library."""
-    gf = get_gf(s.q)
+    takes RREF rows, by reference_span."""
     (generators,) = complement_generators(s.q, s.n, s.pivots,
                                           [(row,) for row in s.rows])
-    unpacked = [vec_unpack(s.q, s.n, g) for g in generators]
-    out = []
-    for coefficients in itertools.product(range(s.q), repeat=len(unpacked)):
-        v = (0,) * s.n
-        for c, g in zip(coefficients, unpacked):
-            v = vec_add(gf, v, vec_scale(gf, c, g))
-        out.append(vec_pack(s.q, v))
-    return out
+    return reference_span(s.q, s.n, [vec_unpack(s.q, s.n, g) for g in generators])
 
 
 @pytest.mark.parametrize("q", sorted(COMPLEMENT_MAX_N))
@@ -524,25 +545,60 @@ def test_complement_vectors_equal_generator_reference(q):
                 assert len(got) == q ** (n - d)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_horner_span_of_arbitrary_rows(q):
+    """_horner_span folds the unit columns of any rows into one table: row
+    lists that are not RREF, with one unit column at several places, zero
+    columns and unit columns that are no pivot, list what field arithmetic
+    lists.  So do packed_vectors and complement_vectors of their spans,
+    whose RREF rows and complement rows have such columns too."""
+    rng = random.Random(4100 + q)
+    seen = set()
+    for k, n in itertools.product(range(1, 4), range(1, 6)):
+        units = [tuple([int(i == c) for c in range(k)]) for i in range(k)]
+        for _ in range(4):
+            columns = [rng.choice(units + [(0,) * k, tuple(
+                rng.randrange(q) for _ in range(k))]) for _ in range(n)]
+            rows = list(zip(*columns))
+            assert subspaces._horner_span(q, rows) == reference_span(q, n, rows)
+            s = span(q, n, rows)
+            if (0,) * k in columns:
+                seen.add("zero column")
+            if any(columns.count(e) > 1 for e in units):
+                seen.add("repeated unit")
+            if s.rows != tuple(rows):
+                seen.add("non-RREF")
+            assert packed_vectors(s) == reference_span(q, n, s.rows)
+            if q ** (n - s.dim) <= 729:
+                assert complement_list(s) == reference_complement_vectors(s)
+    assert seen == {"zero column", "repeated unit", "non-RREF"}
+
+
 @pytest.mark.parametrize("q", [3, 4, 9])
 def test_span_tables_keyed_by_place(q):
-    """The rows (1,0,1,1), (0,1,1,1) repeat a column at places 2 and 3, and
-    their complement rows (-1,-1,0,1), (-1,-1,1,0) at places 0 and 1: each
-    place gets its own column table.  After the table cache has turned over,
-    the same subspace lists the same vectors."""
+    """The rows (1,0,1,1), (0,1,1,1) have the unit columns e_0 and e_1 at
+    coordinates 0 and 1, which fold into one _unit_table, and repeat the
+    column (1,1) at places 1 and 0; their complement rows (-1,-1,0,1),
+    (-1,-1,1,0) repeat (-1,-1) at places 3 and 2.  Each place of a repeated
+    column gets its own column table, and unit columns get none.  After
+    both caches have turned over, the same subspace lists the same
+    vectors."""
     s = Subspace(q, 4, ((1, 0, 1, 1), (0, 1, 1, 1)), (0, 1))
     expected = [vec_pack(q, v) for v in enumerate_vectors(s)]
     expected_complement = reference_complement_vectors(s)
-    table = subspaces._column_table
+    table, units = subspaces._column_table, subspaces._unit_table
     table.cache_clear()
+    units.cache_clear()
     assert packed_vectors(s) == expected
-    assert table.cache_info().misses == 4
+    assert (table.cache_info().misses, units.cache_info().misses) == (2, 1)
     assert complement_list(s) == expected_complement
-    assert table.cache_info().misses == 8
-    maxsize = table.cache_parameters()["maxsize"]
-    for j in range(maxsize + 1):
+    assert (table.cache_info().misses, units.cache_info().misses) == (4, 2)
+    for j in range(table.cache_parameters()["maxsize"] + 1):
         table(q, (1,), j)
-    assert table.cache_info().currsize == maxsize
+    for j in range(units.cache_parameters()["maxsize"] + 1):
+        units(q, (j,))
+    for cache in (table, units):
+        assert cache.cache_info().currsize == cache.cache_parameters()["maxsize"]
     assert packed_vectors(s) == expected
     assert complement_list(s) == expected_complement
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -235,10 +236,11 @@ def test_derive_command(tmp_path, capsys):
     assert code == 2
 
 
-def test_dualize_round_trip_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("q", [2, 3])
+def test_dualize_round_trip_byte_identical(tmp_path, capsys, q):
     design = tmp_path / "d.txt"
-    run(capsys, "construct", "line-covering", "--q", "2", "--n", "5", "--k", "2",
-        "-o", str(design))
+    run(capsys, "construct", "line-covering", "--q", str(q), "--n", "5",
+        "--k", "2", "-o", str(design))
     dual = tmp_path / "dual.txt"
     back = tmp_path / "back.txt"
     code, _, _ = run(capsys, "dualize", str(design), "-o", str(dual))
@@ -246,6 +248,27 @@ def test_dualize_round_trip_byte_identical(tmp_path, capsys):
     code, _, _ = run(capsys, "dualize", str(dual), "-o", str(back))
     assert code == 0
     assert back.read_bytes() == design.read_bytes()
+
+
+# sha256 of the file `construct turan-dual --q 3 --n <n> --k <k>` writes.
+TURAN_DUAL_Q3_SHA256 = {
+    (5, 2): "1841e2ff9addeb4f5767d882101da14d573b81bf2cd4d6855763cf5cbb8fb0a0",
+    (5, 3): "dd2b08a9b72ad6c35206c44c4dc4543395f25cb99d4b31d712acf11f72619f09",
+    (6, 5): "f1cdac8d5767575a7b3e06f55bdd6bfb262502e801394dd84f563d6af91ca41e",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(TURAN_DUAL_Q3_SHA256))
+def test_turan_dual_q3_files_pinned(tmp_path, capsys, n, k):
+    """The files of the q = 3 duals of the Turan point designs, byte for
+    byte as they were when dualize row-reduced span(q, n,
+    _complement_rows(b)) for each block b."""
+    out = tmp_path / "dual.txt"
+    code, _, _ = run(capsys, "construct", "turan-dual", "--q", "3", "--n",
+                     str(n), "--k", str(k), "-o", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == TURAN_DUAL_Q3_SHA256[n, k]
 
 
 def test_gf64_design_command(tmp_path, capsys):

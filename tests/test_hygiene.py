@@ -94,6 +94,9 @@ Q_FORKS = {
 SUBSPACE_SITES = {
     ("subspaces.py", "span"): "row-reduces generator tuples by rref, any q",
     ("subspaces.py", "full_space"): "writes the unit rows, any q",
+    ("subspaces.py", "orthogonal_complement"):
+        "writes the complement's RREF rows off the rows reduced from the "
+        "right, any q",
     ("subspaces.py", "enumerate_grassmannian"):
         "maps over the RREF choices of grassmannian_choices, any q",
     ("subspaces.py", "_rref_blocks"):

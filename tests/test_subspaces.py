@@ -82,21 +82,31 @@ def test_orthogonal_complement_examples():
 
 
 def test_orthogonal_complement_involution_and_duality():
-    gf = get_gf(2)
-    for k in range(5):
-        seen = set()
-        for s in enumerate_grassmannian(2, 4, k):
-            c = orthogonal_complement(s)
-            assert c.dim == 4 - k
-            assert orthogonal_complement(c) == s
-            seen.add(c)
-            for u in s.rows:
-                for v in c.rows:
-                    dot = 0
-                    for x, y in zip(u, v):
-                        dot = gf.add(dot, gf.mul(x, y))
-                    assert dot == 0
-        assert len(seen) == gaussian(4, k, 2)
+    """For every subspace s of F_q^n, q in {2, 3, 4} and n <= 4: the
+    complement has dim n - k, its rows and pivots are those of
+    span(q, n, _complement_rows(s)), the row-reduced reference, each pivot
+    is its row's first nonzero entry, every row is orthogonal to s, and
+    complementing twice gives s back."""
+    for q, n in itertools.product([2, 3, 4], range(5)):
+        gf = get_gf(q)
+        for k in range(n + 1):
+            seen = set()
+            for s in enumerate_grassmannian(q, n, k):
+                c = orthogonal_complement(s)
+                reference = span(q, n, subspaces._complement_rows(s))
+                assert (c.rows, c.pivots) == (reference.rows, reference.pivots), s
+                assert c.dim == n - k
+                assert c.pivots == tuple([next(j for j, x in enumerate(row) if x)
+                                          for row in c.rows])
+                assert orthogonal_complement(c) == s
+                seen.add(c)
+                for u in s.rows:
+                    for v in c.rows:
+                        dot = 0
+                        for x, y in zip(u, v):
+                            dot = gf.add(dot, gf.mul(x, y))
+                        assert dot == 0
+            assert len(seen) == gaussian(n, k, q)
 
 
 def test_containment_reversal_under_duality():

@@ -19,11 +19,11 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
                       verify_turan, dualize)
 from .fields import Field, coefficients, get_gf, is_prime, vec_pack
 from .subspaces import (BlockError, BudgetError, GroupAction,
-                        MAX_SUBSPACE_ENUM, Subspace, _local_rows, _xor_span,
-                        check_ambient, check_vectors, enumerate_grassmannian,
-                        grassmannian_choices, packed_vectors, read_blocks,
-                        span, span_vector_lists, subspace_count,
-                        subspaces_of)
+                        MAX_SUBSPACE_ENUM, Subspace, _local_rows, _places,
+                        _rref_blocks, _xor_span, check_ambient, check_vectors,
+                        enumerate_grassmannian, grassmannian_choices,
+                        packed_vectors, read_blocks, span, span_vector_lists,
+                        subspace_count, subspaces_of)
 
 
 class ConstructionError(RuntimeError):
@@ -100,15 +100,14 @@ def lift_covering(design: SubspaceDesign, delta: int) -> SubspaceDesign:
 
 
 def _lift(design: SubspaceDesign, delta: int) -> SubspaceDesign:
-    """lift_covering of a certified covering by delta >= 1; censuses the lift."""
-    q, n = design.q, design.n
-    blocks = []
-    for block in design.blocks:
-        rows = [tuple(row) + (0,) * delta for row in block.rows]
-        for i in range(delta):
-            rows.append(tuple([0] * (n + i) + [1] + [0] * (delta - 1 - i)))
-        blocks.append(span(q, n + delta, rows))
-    lifted = SubspaceDesign.from_blocks(blocks, q=q, n=n + delta, k=design.k + delta)
+    """lift_covering of a certified covering by delta >= 1; censuses the lift.
+    delta zero coordinates multiply a packed row by q^delta, and the unit
+    rows of the new coordinates follow, so each block stays in RREF."""
+    q, n, k = design.q, design.n + delta, design.k + delta
+    units = list(_places(q, delta))
+    rows = [[v * q ** delta for v in b.packed] + units for b in design.blocks]
+    lifted = SubspaceDesign.from_blocks(_rref_blocks(
+        q, n, k, itertools.chain.from_iterable(rows)), q=q, n=n, k=k)
     if len(lifted) != len(design):
         raise ConstructionError("lift changed the block count")
     _require(verify_covering(lifted, 1), "lifted design failed covering check")
@@ -170,9 +169,8 @@ def _field_tower(q: int, rho: int, m: int, n: int
                 if block.dim != rho:
                     raise ConstructionError("field tower block has wrong dim")
                 blocks.append(block)
-    residual_rows = [tuple(1 if j == n - m + i else 0 for j in range(n))
-                     for i in range(m)]
-    return blocks, span(q, n, residual_rows)
+    # e_0..e_(m-1) of F_q^m, packed, are e_(n-m)..e_(n-1) of F_q^n
+    return blocks, next(_rref_blocks(q, n, m, _places(q, m)))
 
 
 def _check_partition(q: int, n: int, parts: List[Subspace]):
@@ -209,12 +207,11 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
         partial, residual = partial_spread(q, k, n)
         m = residual.dim
         inner = optimal_line_covering(q, m, k)
-        embedded = []
-        for block in inner.blocks:
-            rows = [(0,) * (n - m) + tuple(row) for row in block.rows]
-            embedded.append(span(q, n, rows))
-        design = SubspaceDesign.from_blocks(partial.blocks + tuple(embedded),
-                                            q=q, n=n, k=k)
+        # leading zero coordinates leave a packed row as it is
+        embedded = _rref_blocks(q, n, k, itertools.chain.from_iterable(
+            block.packed for block in inner.blocks))
+        design = SubspaceDesign.from_blocks(
+            itertools.chain(partial.blocks, embedded), q=q, n=n, k=k)
         _require(verify_covering(design, 1), "line covering failed verification")
     if len(design) != expected:
         raise ConstructionError(
@@ -236,8 +233,7 @@ def turan_point_design(q: int, n: int, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     d = n - k + 1
-    big = span(q, n, [tuple(1 if j == i else 0 for j in range(n))
-                      for i in range(d)])
+    big = next(_rref_blocks(q, n, d, _places(q, n)[:d]))
     blocks = list(subspaces_of(big, 1))
     design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=1)
     expected = (q ** d - 1) // (q - 1)
@@ -290,8 +286,8 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
             for c, v in zip(free, values):
                 beta[c] = v
             blocks.append(span(q, n, base_rows + [beta]))
-    for b in s2.blocks:
-        blocks.append(span(q, n, [tuple(row) + (0,) for row in b.rows]))
+    # a zero last coordinate multiplies a packed row by q
+    blocks += _rref_blocks(q, n, k, [v * q for b in s2.blocks for v in b.packed])
     design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
     expected = q ** (n - k) * len(s1) + len(s2)
     if len(design) != expected:
@@ -482,11 +478,11 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     Targets are numbered in enumeration order and keyed by their packed
     RREF rows.  Every candidate block's targets are read in one pass: the
     _local_rows reader reads them at local_row_indices off the vector
-    lists that span_vector_lists builds from the grassmannian_choices rows,
-    and zip cuts the stream into one target tuple per candidate.  Only chosen
-    blocks become Subspaces.  Each block keeps its gain, the number of its
-    targets still uncovered, and a newly covered target lowers the gain of
-    every block that holds it.
+    lists that span_vector_lists builds from the grassmannian_choices packed
+    rows, and zip cuts the stream into one target tuple per candidate.  Only
+    chosen blocks become Subspaces, built by _rref_blocks.  Each block keeps
+    its gain, the number of its targets still uncovered, and a newly
+    covered target lowers the gain of every block that holds it.
     """
     check_ambient(n)
     get_gf(q)
@@ -499,7 +495,8 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
                for t in itertools.product(*packed))
     index = {t: i for i, t in enumerate(targets)}  # packed RREF rows -> number
     blocks = list(itertools.chain.from_iterable(  # each candidate's RREF rows
-        itertools.product(*rows) for _, rows, _ in grassmannian_choices(q, n, k)))
+        itertools.product(*packed)
+        for _, _, packed in grassmannian_choices(q, n, k)))
     found = map(index.__getitem__, rows_of(span_vector_lists(q, n, k, blocks)))
     covers = list(zip(*[found] * gaussian(k, r, q)))  # each candidate's targets
     holders = [[] for _ in index]  # target -> the blocks that hold it
@@ -514,12 +511,13 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     chosen = []
     while uncovered:
         best = next(picks)
-        rows = blocks[best]  # an RREF row's pivot is its first 1
-        chosen.append(Subspace(q, n, rows, tuple([row.index(1) for row in rows])))
+        chosen.append(blocks[best])
         newly = uncovered.intersection(covers[best])
         uncovered -= newly
         for j in itertools.chain.from_iterable(map(holders.__getitem__, newly)):
             gain[j] -= 1
-    design = SubspaceDesign.from_blocks(chosen, q=q, n=n, k=k)
+    design = SubspaceDesign.from_blocks(
+        _rref_blocks(q, n, k, itertools.chain.from_iterable(chosen)),
+        q=q, n=n, k=k)
     _require(verify_covering(design, r), "greedy output failed verification")
     return design

@@ -22,7 +22,7 @@ from .bounds import gaussian
 from .fields import FieldError, get_gf
 from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         BudgetError, GroupAction, Subspace, _canonical_blocks,
-                        _local_rows, _xor_span, check_ambient,
+                        _digit_table, _local_rows, _xor_span, check_ambient,
                         complement_generators, complement_vectors,
                         grassmannian_choices, orthogonal_complement,
                         packed_vector_lists, packed_vectors, span,
@@ -30,8 +30,8 @@ from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
 
 WITNESS_CAP = 16
 # Subspace.sort_key, and the fields from_blocks checks, read in C.
-_sort_key = attrgetter("pivots", "rows")
-_q, _n, _rows = attrgetter("q"), attrgetter("n"), attrgetter("rows")
+_sort_key = attrgetter("pivots", "packed")
+_q, _n, _packed = attrgetter("q"), attrgetter("n"), attrgetter("packed")
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class SubspaceDesign:
             raise ValueError("empty design needs explicit q, n, k")
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
-        shapes = zip(map(_q, unique), map(_n, unique), map(len, map(_rows, unique)))
+        shapes = zip(map(_q, unique), map(_n, unique), map(len, map(_packed, unique)))
         wrong = list(map(ne, shapes, itertools.repeat((q, n, k))))
         if True in wrong:
             b = unique[wrong.index(True)]
@@ -148,10 +148,10 @@ def _misses(q: int, n: int, dim: int, keys: Callable[[tuple], Iterable],
             covered: Callable) -> Iterator[Subspace]:
     """The dim-subspaces of F_q^n, in enumeration order, whose keys fail
     covered.  keys maps a grassmannian_choices entry (pivots, rows, packed)
-    to one key per subspace of itertools.product(*rows), in that order; a
-    Subspace is built only for a miss."""
+    to one key per subspace of itertools.product(*packed), in that order; a
+    Subspace is built only for a miss, with the entry's pivots."""
     for choice in grassmannian_choices(q, n, dim):
-        for t, key in zip(itertools.product(*choice[1]), keys(choice)):
+        for t, key in zip(itertools.product(*choice[2]), keys(choice)):
             if not covered(key):
                 yield Subspace(q, n, t, choice[0])
 
@@ -442,16 +442,17 @@ class FormatError(ValueError):
 def design_to_text(design: SubspaceDesign) -> str:
     """The design file: one digit per coordinate, so q is at most 10.
 
-    Blocks share rows, so each distinct row's word is built once per call.
+    Blocks share rows, so each distinct packed row's word is built once.
     """
     if design.q > 10:
         raise FormatError(f"q={design.q} has coordinates above 9, and the "
                           f"design file writes one digit per coordinate "
                           f"(q <= 10)")
-    word = {row: "".join(map(str, row)) for row in
-            {row for block in design.blocks for row in block.rows}}
+    unpack = _digit_table(design.q, design.n)[0]
+    word = {v: "".join(map(str, unpack(v))) for v in
+            set(itertools.chain.from_iterable(map(_packed, design.blocks)))}
     lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
-    lines += [" ".join(map(word.__getitem__, block.rows))
+    lines += [" ".join(map(word.__getitem__, block.packed))
               for block in design.blocks]
     return "\n".join(lines) + "\n"
 

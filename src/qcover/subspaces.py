@@ -1,17 +1,20 @@
 """Canonical subspaces of F_q^n and Grassmannian enumeration.
 
-A subspace is identified by its reduced row-echelon generator matrix, stored
-as a tuple of coordinate tuples.  Two subspaces are equal as vector sets iff
-their canonical matrices are identical, so hashing and set semantics come for
-free.  Enumeration iterates pivot-column sets in lexicographic order, then
-takes the product of each RREF row's choices, its free entries in odometer
-order; this yields RREF matrices directly and the order is reproducible.
+A subspace is identified by its reduced row-echelon generator matrix, whose
+rows are stored packed by vec_pack, coordinate 0 the most significant digit,
+so int order is the rows' lexicographic order; coordinate tuples are derived
+on read.  Two subspaces are equal as vector sets iff their canonical
+matrices are identical, so hashing and set semantics come for free.
+Enumeration iterates pivot-column sets in lexicographic order, then takes
+the product of each RREF row's choices, its free entries in odometer order;
+this yields RREF matrices directly and the order is reproducible.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from operator import add, and_, attrgetter, eq, gt, itemgetter, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -86,19 +89,21 @@ def rref(gf: Field, rows: Iterable[Sequence[int]], n: int):
 class Subspace:
     """A k-dimensional subspace of F_q^n in canonical RREF form.
 
-    An immutable value: equality and hashing use (q, n, rows) only, since the
+    packed holds the RREF rows, each packed by vec_pack; rows is a read-only
+    view that unpacks them into coordinate tuples on every read.  An
+    immutable value: equality and hashing use (q, n, packed) only, since the
     canonical rows determine the pivots.  The pivots are required, and must
     be the rows' pivot columns: membership, complements and sort keys read
     them.
     """
 
-    __slots__ = ("q", "n", "rows", "pivots")
+    __slots__ = ("q", "n", "packed", "pivots")
 
-    def __init__(self, q: int, n: int, rows: Tuple[Tuple[int, ...], ...],
+    def __init__(self, q: int, n: int, packed: Tuple[int, ...],
                  pivots: Tuple[int, ...]):
         _set_q(self, q)
         _set_n(self, n)
-        _set_rows(self, rows)
+        _set_packed(self, packed)
         _set_pivots(self, pivots)
 
     def __setattr__(self, name, value):
@@ -108,22 +113,26 @@ class Subspace:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return Subspace, (self.q, self.n, self.rows, self.pivots)
+        return Subspace, (self.q, self.n, self.packed, self.pivots)
 
     def __eq__(self, other):
         if other.__class__ is not Subspace:
             return NotImplemented
-        return (self.q, self.n, self.rows) == (other.q, other.n, other.rows)
+        return (self.q, self.n, self.packed) == (other.q, other.n, other.packed)
 
     def __hash__(self):
-        return hash((self.q, self.n, self.rows))
+        return hash((self.q, self.n, self.packed))
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(map(_digit_table(self.q, self.n)[0], self.packed))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.packed)
 
     def sort_key(self):
-        return (self.pivots, self.rows)
+        return (self.pivots, self.packed)  # packed order is lexicographic
 
     def __repr__(self):
         # One digit per coordinate up to q = 10; past it a coordinate can
@@ -136,9 +145,9 @@ class Subspace:
 # The slot descriptors write past the __setattr__ guard.
 _set_q = Subspace.q.__set__
 _set_n = Subspace.n.__set__
-_set_rows = Subspace.rows.__set__
+_set_packed = Subspace.packed.__set__
 _set_pivots = Subspace.pivots.__set__
-_rows = attrgetter("rows")
+_packed = attrgetter("packed")
 
 
 def span(q: int, n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
@@ -149,12 +158,11 @@ def span(q: int, n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
         if len(v) != n:
             raise AmbientMismatch(f"vector of length {len(v)} in F_{q}^{n}")
     rows, pivots = rref(gf, vecs, n)
-    return Subspace(q, n, rows, pivots)
+    return Subspace(q, n, tuple(map(_digit_table(q, n)[1], rows)), pivots)
 
 
 def full_space(q: int, n: int) -> Subspace:
-    rows = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    return Subspace(q, n, rows, tuple(range(n)))
+    return Subspace(q, n, _places(q, n), tuple(range(n)))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -168,8 +176,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     only for j < t_i, and no t_i is a pivot.
     """
     gf = get_gf(s.q)
-    rows: List[Sequence[int]] = []
-    ends: List[int] = []
+    rows, ends = [], []  # the rows so far, and their end columns
     for b in s.rows:
         for row, e in zip(rows, ends):
             if b[e]:
@@ -186,28 +193,34 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return Subspace(s.q, s.n, _null_rows(s.q, s.n, rows, ends, pivots), pivots)
 
 
-def _complement_rows(s: Subspace) -> Tuple[Tuple[int, ...], ...]:
-    """_null_rows of s's RREF rows per free column, descending; tuples, as
-    the q = 2 _bit_index lookup keys on them."""
+def _complement_rows(s: Subspace) -> Tuple[int, ...]:
+    """_null_rows of s's RREF rows per free column, descending: s-perp's
+    RREF basis in reversed coordinates, complement_generators' key for s."""
     free = [fc for fc in reversed(range(s.n)) if fc not in s.pivots]
     return _null_rows(s.q, s.n, s.rows, s.pivots, free)
 
 
 def _null_rows(q: int, n: int, rows: Sequence[Sequence[int]],
-               units: Sequence[int], columns: Iterable[int]
-               ) -> Tuple[Tuple[int, ...], ...]:
-    """e_c - sum_i rows[i][c] * e_(units[i]) for each column c of columns,
-    in order: orthogonal to every row when row i is 1 at units[i] and every
-    other row is 0 there."""
+               units: Sequence[int], columns: Iterable[int]) -> Tuple[int, ...]:
+    """vec_pack of e_c - sum_i rows[i][c] * e_(units[i]) for each column c
+    of columns, in order: orthogonal to every row when row i is 1 at
+    units[i], every other row is 0 there, and c is no unit."""
     neg = get_gf(q).negatives
-    basis = []
+    place = _places(q, n)
+    out = []
     for c in columns:
-        v = [0] * n
-        v[c] = 1
+        v = place[c]
         for row, u in zip(rows, units):
-            v[u] = neg[row[c]]
-        basis.append(tuple(v))
-    return tuple(basis)
+            v += neg[row[c]] * place[u]
+        out.append(v)
+    return tuple(out)
+
+
+# Bounded; one tuple per (q, n), and a run touches a handful.
+@functools.lru_cache(maxsize=16)
+def _places(q: int, n: int) -> Tuple[int, ...]:
+    """The packed unit vectors e_0..e_(n-1) of F_q^n: q^(n-1-c) at c."""
+    return tuple([q ** (n - 1 - c) for c in range(n)])
 
 
 def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
@@ -248,9 +261,9 @@ def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
     in odometer order, the last free entry of the last row fastest.  Raises
     BudgetError past MAX_SUBSPACE_ENUM subspaces.
     """
-    for pivots, rows, _ in grassmannian_choices(q, n, k):
-        yield from map(Subspace, itertools.repeat(q), itertools.repeat(n),
-                       itertools.product(*rows), itertools.repeat(pivots))
+    for _, _, packed in grassmannian_choices(q, n, k):
+        yield from _rref_blocks(q, n, k, itertools.chain.from_iterable(
+            itertools.product(*packed)))
 
 
 def grassmannian_choices(q: int, n: int, k: int
@@ -322,7 +335,7 @@ def packed_vector_lists(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
         return ()
     q, n, k = blocks[0].q, blocks[0].n, blocks[0].dim
     check_vectors(q, k)
-    return span_vector_lists(q, n, k, list(map(_rows, blocks)))
+    return span_vector_lists(q, n, k, list(map(_packed, blocks)))
 
 
 def complement_vectors(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
@@ -343,17 +356,19 @@ def complement_vectors(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
 
 def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
                       ) -> Iterator[Sequence[int]]:
-    """packed_vectors of the span of each entry of row_lists, k RREF rows
-    of F_q^n, in order; the caller checks the budget.  For q = 2 the entries
-    go XOR_CHUNK >> k at a time through _xor_chunk; other q take
-    _horner_span of each entry, lazily.
+    """packed_vectors of the span of each entry of row_lists, k packed RREF
+    rows of F_q^n, in order; the caller checks the budget.  For q = 2 the
+    entries go XOR_CHUNK >> k at a time through _xor_chunk, as they are;
+    other q take _horner_span of each entry's coordinate rows, read off
+    _digit_table, lazily.
     """
     if q != 2:
-        return map(_horner_span, itertools.repeat(q), row_lists)
-    pack = _row_packer(n)
+        unpack = itertools.repeat(_digit_table(q, n)[0])
+        return map(_horner_span, itertools.repeat(q),
+                   map(tuple, map(map, unpack, row_lists)))
     size = max(1, XOR_CHUNK >> k)
     return itertools.chain.from_iterable(
-        _xor_chunk(pack, row_lists[i:i + size], k)
+        _xor_chunk(row_lists[i:i + size], k)
         for i in range(0, len(row_lists), size))
 
 
@@ -363,22 +378,19 @@ def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
 XOR_CHUNK = 1 << 14
 
 
-def _xor_chunk(pack: Callable[[Sequence[int]], int], row_lists: Sequence,
-               k: int) -> Iterable[Sequence[int]]:
-    """_xor_span of each entry of row_lists, its k rows packed by pack.
+def _xor_chunk(row_lists: Sequence, k: int) -> Iterable[Sequence[int]]:
+    """_xor_span of each entry of row_lists, k packed rows.
 
-    With at least 2^k entries the i-th rows of all entries are packed as
-    one column and every XOR runs over a whole column, with no Python step
-    per entry.  That layout holds 2^k lists, each of one vector per entry,
-    and is slower when the entries are fewer: those span one by one.
+    With at least 2^k entries the i-th rows of all entries form one column
+    and every XOR runs over a whole column, with no Python step per entry.
+    That layout holds 2^k lists, each of one vector per entry, and is
+    slower when the entries are fewer: those span one by one.
     """
     count = len(row_lists)
     if count < 1 << k:
-        return map(_xor_span, map(list, map(map, itertools.repeat(pack),
-                                            row_lists)))
+        return map(_xor_span, row_lists)
     out = [[0] * count]
     for column in reversed(list(zip(*row_lists))):  # as in _xor_span
-        column = list(map(pack, column))
         out += [list(map(xor, u, column)) for u in out]
     return zip(*out)
 
@@ -403,8 +415,7 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
     """
     rows: List[int] = []
     for v in vectors:
-        if v < 0 or v >> n:
-            raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
+        _check_bits(n, (v,))
         for row in rows:
             if v ^ row < v:
                 v ^= row
@@ -412,10 +423,7 @@ def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
             rows = [row ^ v if row ^ v < row else row for row in rows]
             rows.append(v)
     rows.sort(reverse=True)
-    return rows, _rref_blocks(n, len(rows), rows)[0]
-
-
-BIT_TABLE_MAX_N = 10
+    return rows, next(_rref_blocks(2, n, len(rows), rows))
 
 
 class BlockError(ValueError):
@@ -437,16 +445,14 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
     A sorted list's ends are its least and greatest vectors, and one
     outside F_2^n raises AmbientMismatch.  A list is a k-subspace iff it
     has 2^k vectors, a nonzero one at index 1 (k dependent rows list 0
-    there again) and is the span of its rows, which _xor_chunk packs by
-    int, as they are packed already; the first that is not raises
-    BlockError, with its rank from xor_rref.  All steps run in C-level maps
-    over all lists; _rref_blocks builds blocks.
+    there again) and is the span of its rows, which _xor_chunk spans as
+    read; the first that is not raises BlockError, with its rank from
+    xor_rref.  All steps run in C-level maps over all lists; _rref_blocks
+    builds blocks.
     """
     lists = list(map(sorted, vector_lists))
-    for v in (min(map(itemgetter(0), filter(None, lists)), default=0),
-              max(map(itemgetter(-1), filter(None, lists)), default=0)):
-        if v < 0 or v >> n:
-            raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
+    _check_bits(n, (min(map(itemgetter(0), filter(None, lists)), default=0),
+                    max(map(itemgetter(-1), filter(None, lists)), default=0)))
     size, at = 1 << k, [1 << i for i in reversed(range(k))]
     if all(map(size.__eq__, map(len, lists))):
         # A slice keeps a single read a sequence, as in _local_rows.
@@ -454,8 +460,8 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
         flat = list(itertools.chain.from_iterable(map(read, lists)))
         rows = list(zip(*[iter(flat)] * k))
         if (all(map(itemgetter(1), lists))
-                and list(map(list, _xor_chunk(int, rows, k))) == lists):
-            return _rref_blocks(n, k, flat)
+                and list(map(list, _xor_chunk(rows, k))) == lists):
+            return list(_rref_blocks(2, n, k, flat))
     for index, vectors in enumerate(lists):
         if not (len(vectors) == size and vectors[1]
                 and _xor_span([vectors[i] for i in at]) == vectors):
@@ -470,7 +476,7 @@ def _canonical_blocks(n: int, k: int, flat: Sequence[int]
     every block's rows are its RREF as written, else None.  Rows r_1..r_k
     with top set bits b_i are an RREF iff every r_i is nonzero, b_1 > ... >
     b_k, and r_i holds no b_j but its own: a test in C-level maps over all
-    rows.  _rref_blocks builds the blocks, at any n."""
+    rows.  _rref_blocks builds the blocks."""
     tops = [0] + [1 << i for i in range(n)]  # the top bit, by bit_length
     top = list(map(tops.__getitem__, map(int.bit_length, flat)))
     heads = [top[i::k] for i in range(k)]
@@ -481,50 +487,47 @@ def _canonical_blocks(n: int, k: int, flat: Sequence[int]
     masks = itertools.chain.from_iterable(zip(*[pivot_bits] * k))
     if not all(map(eq, map(and_, flat, masks), top)):
         return None
-    return _rref_blocks(n, k, flat)
+    return list(_rref_blocks(2, n, k, flat))
 
 
-def _rref_blocks(n: int, k: int, flat: Sequence[int]) -> List[Subspace]:
-    """The Subspaces of F_2^n whose packed RREF rows are flat, k to a block,
-    in order; for k = 0, flat is empty and gives the one zero block.  Rows
-    unpack by _unpack_rows, and a row's pivot is its first 1, as in
-    subspaces_of and greedy_covering, in C-level maps over all rows."""
+def _rref_blocks(q: int, n: int, k: int, flat: Iterable[int]
+                 ) -> Iterator[Subspace]:
+    """The Subspaces of F_q^n whose packed RREF rows are flat, k to a block,
+    in order, lazily; for k = 0, flat is empty and gives the one zero block.
+    A row with pivot p leads with a 1 at place q^(n-1-p), so it has n - p
+    digits: its bit_length for q = 2, else the count of places q^0..q^(n-1)
+    at most the row.  All in C-level maps over the rows."""
     if not k:
-        return [Subspace(2, n, (), ())]
-    rows = _unpack_rows(2, n, flat)
-    pivots = map(tuple.index, rows, itertools.repeat(1))
-    return list(map(Subspace, itertools.repeat(2), itertools.repeat(n),
-                    zip(*[iter(rows)] * k), zip(*[pivots] * k)))
+        return iter([Subspace(q, n, (), ())])
+    digits = int.bit_length if q == 2 else functools.partial(
+        bisect_right, [q ** j for j in range(n)])
+    rows, tops = itertools.tee(flat)
+    pivots = map(n.__sub__, map(digits, tops))
+    return map(Subspace, itertools.repeat(q), itertools.repeat(n),
+               zip(*[rows] * k), zip(*[pivots] * k))
 
 
-def _row_packer(n: int) -> Callable[[Sequence[int]], int]:
-    """vec_pack for rows of F_2^n: a _bit_index lookup up to
-    BIT_TABLE_MAX_N coordinates."""
-    if n <= BIT_TABLE_MAX_N:
-        return _bit_index(n).__getitem__
-    return functools.partial(vec_pack, 2)
+def _check_bits(n: int, vectors: Iterable[int]) -> None:
+    """AmbientMismatch for the first of the packed vectors outside F_2^n."""
+    for v in vectors:
+        if v < 0 or v >> n:
+            raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
 
 
-def _unpack_rows(q: int, n: int, rows: Iterable[int]) -> Tuple[Tuple[int, ...], ...]:
-    """vec_unpack of each packed row, from _bit_table for q = 2 up to
-    BIT_TABLE_MAX_N coordinates."""
-    if q == 2 and n <= BIT_TABLE_MAX_N:
-        return tuple(map(_bit_table(n).__getitem__, rows))
-    return tuple([vec_unpack(q, n, row) for row in rows])
+DIGIT_TABLE_MAX = 1 << 10  # most vectors _digit_table lists: F_2^10, F_3^6
 
 
-# Bounded; one table per n <= BIT_TABLE_MAX_N, at most 1024 tuples.
-@functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)
-def _bit_table(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """vec_unpack(2, n, v) for every v < 2^n, indexed by v: product's order."""
-    return tuple(itertools.product((0, 1), repeat=n))
-
-
-# Bounded like _bit_table, of which it is the inverse.
-@functools.lru_cache(maxsize=BIT_TABLE_MAX_N + 1)
-def _bit_index(n: int) -> Dict[Tuple[int, ...], int]:
-    """vec_pack(2, bits) for every 0/1 tuple bits of length n, keyed by bits."""
-    return {bits: v for v, bits in enumerate(_bit_table(n))}
+# Bounded; one pair per (q, n), and a run touches a handful.
+@functools.lru_cache(maxsize=16)
+def _digit_table(q: int, n: int) -> Tuple[Callable, Callable]:
+    """(unpack, pack): vec_unpack(q, n, .) and vec_pack(q, .) for F_q^n, as
+    the lookups of a list of every vector, indexed by its packed int, and of
+    its inverse dict up to DIGIT_TABLE_MAX vectors (only the bound methods
+    leave here; a list's maps faster than a tuple's), the functions past it."""
+    if q ** n > DIGIT_TABLE_MAX:
+        return functools.partial(vec_unpack, q, n), functools.partial(vec_pack, q)
+    table = list(itertools.product(range(q), repeat=n))
+    return table.__getitem__, dict(zip(table, itertools.count())).__getitem__
 
 
 class GroupAction:
@@ -544,9 +547,7 @@ class GroupAction:
         if len(images) != n:
             raise ValueError(f"need {n} column images, got {len(images)}")
         check_vectors(2, n)
-        for v in images:
-            if v < 0 or v >> n:
-                raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
+        _check_bits(n, images)
         self.n = n
         self._image = image = _xor_span(images)  # g(v) at index v
         rank = n - (image.count(0).bit_length() - 1)  # n - dim of the kernel
@@ -584,7 +585,9 @@ class GroupAction:
         return self._tables
 
     def image(self, vectors: Iterable[int], m: int) -> List[int]:
-        """g^m of each vector, in order."""
+        """g^m of each vector, in order; AmbientMismatch past F_2^n."""
+        vectors = list(vectors)
+        _check_bits(self.n, (min(vectors, default=0), max(vectors, default=0)))
         rep, exponent, size, cycles = self._orbit_tables()
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
 
@@ -617,7 +620,8 @@ class GroupAction:
         return read_blocks(self.n, k, images[:stop])
 
     def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
-        """(label, size) of the set's orbit, in one pass.
+        """(label, size) of the set's orbit, in one pass; AmbientMismatch
+        for a vector outside F_2^n.
 
         The anchors are the set's vectors in its largest vector orbit (least
         representative on ties; both are the same for every image of the
@@ -632,6 +636,7 @@ class GroupAction:
         vectors = sorted(set(vectors))
         if not vectors:
             raise ValueError("an empty vector set has no orbit")
+        _check_bits(self.n, (vectors[0], vectors[-1]))
         top = max(vectors, key=lambda v: (size[v], -rep[v]))
         length, head = size[top], rep[top]
         parts = [(cycles[rep[w]], exponent[w], size[w]) for w in vectors]
@@ -783,17 +788,15 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
     """Every r-subspace of s, as a subspace of the ambient space.
 
     Each one is L*S for a local r-subspace L of F_q^dim, whose packed RREF
-    rows _local_rows reads off packed_vectors(s); each row is unpacked by
-    _unpack_rows and its pivot is its first 1.  Raises BudgetError past
-    MAX_SUBSPACE_ENUM subspaces before any table or vector is built.
+    rows _local_rows reads off packed_vectors(s) and _rref_blocks builds
+    into blocks.  Raises BudgetError past MAX_SUBSPACE_ENUM subspaces before
+    any table or vector is built.
     """
-    q, n = s.q, s.n
     if not 0 <= r <= s.dim:
         raise ValueError(f"need 0 <= r <= dim, got r={r}, dim={s.dim}")
-    subspace_count(s.dim, r, q)
-    for packed in _local_rows(q, s.dim, r)([packed_vectors(s)]):
-        rows = _unpack_rows(q, n, packed)
-        yield Subspace(q, n, rows, tuple([row.index(1) for row in rows]))
+    subspace_count(s.dim, r, s.q)
+    yield from _rref_blocks(s.q, s.n, r, itertools.chain.from_iterable(
+        _local_rows(s.q, s.dim, r)([packed_vectors(s)])))
 
 
 def superspaces_containing(design, k: int) -> Iterator[tuple]:
@@ -819,8 +822,6 @@ def superspaces_containing(design, k: int) -> Iterator[tuple]:
     if d < k < n:
         yield from _local_rows(q, n - d, n - k)(design.complement_lists)
     elif k == d:  # one superspace, s
-        pack = functools.partial(vec_pack, q)
-        for s in blocks:
-            yield tuple(map(pack, _complement_rows(s)))
+        yield from map(_complement_rows, blocks)
     else:  # one superspace, F_q^n
         yield from itertools.repeat((), len(blocks))

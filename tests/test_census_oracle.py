@@ -74,7 +74,8 @@ def reference_enumerate_grassmannian(q, n, k):
         for values in itertools.product(range(q), repeat=len(freedom)):
             for (i, c), v in zip(freedom, values):
                 template[i][c] = v
-            yield Subspace(q, n, tuple(tuple(r) for r in template), tuple(pivots))
+            yield Subspace(q, n, tuple(vec_pack(q, r) for r in template),
+                           tuple(pivots))
 
 
 def reference_local_row_indices(q, k, r):
@@ -221,9 +222,9 @@ def test_scan_splits_the_first_row_at_the_real_row_chunk():
     assert first[0] == second[0] == (0,)
     assert len(first[1][0]) == len(second[1][0]) == subspaces.ROW_CHUNK
     dropped = {5, 700, 4000}
-    points = [Subspace(2, 14, (row,), (0,)) for i, row in enumerate(first[1][0])
+    points = [Subspace(2, 14, (row,), (0,)) for i, row in enumerate(first[2][0])
               if i not in dropped]
-    points += [Subspace(2, 14, (row,), (0,)) for row in second[1][0][2:9]]
+    points += [Subspace(2, 14, (row,), (0,)) for row in second[2][0][2:9]]
     design = SubspaceDesign.from_blocks(points, q=2, n=14, k=1)
     scan = verify_covering(design, 1, "scan")
     assert scan == verify_covering(design, 1, "expand")
@@ -583,7 +584,8 @@ def test_span_tables_keyed_by_place(q):
     column gets its own column table, and unit columns get none.  After
     both caches have turned over, the same subspace lists the same
     vectors."""
-    s = Subspace(q, 4, ((1, 0, 1, 1), (0, 1, 1, 1)), (0, 1))
+    s = Subspace(q, 4, (vec_pack(q, (1, 0, 1, 1)), vec_pack(q, (0, 1, 1, 1))),
+                 (0, 1))
     expected = [vec_pack(q, v) for v in enumerate_vectors(s)]
     expected_complement = reference_complement_vectors(s)
     table, units = subspaces._column_table, subspaces._unit_table
@@ -1001,13 +1003,13 @@ def test_single_superspace_dimensions_list_no_complement():
     read without listing s-perp: 2^39 vectors in F_2^40 and 2^29 in F_2^30,
     past the budget.  In F_2^5, where s-perp could be listed and kept, the
     design's complement_lists are never built for either k."""
-    point = SubspaceDesign.from_blocks([Subspace(2, 40, ((1,) + (0,) * 39,), (0,))])
+    point = SubspaceDesign.from_blocks([Subspace(2, 40, (1 << 39,), (0,))])
     calls = [
         (lambda: list(superspaces_containing(point, 1)),
          [tuple(1 << (39 - c) for c in range(39, 0, -1))]),
         (lambda: list(superspaces_containing(point, 40)), [()]),
         (lambda: verify_turan(SubspaceDesign.from_blocks(
-            [Subspace(2, 30, ((1,) + (0,) * 29,), (0,))], q=2, n=30, k=1),
+            [Subspace(2, 30, (1 << 29,), (0,))], q=2, n=30, k=1),
             30, "expand").histogram, {1: 1}),
     ]
     for call, expected in calls:

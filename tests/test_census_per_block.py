@@ -124,10 +124,10 @@ def test_expand_equals_per_block_loop(q, n):
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_expand_equals_per_block_loop_past_bit_tables(n):
-    """Past BIT_TABLE_MAX_N q = 2 rows are packed by vec_pack, without the
-    cached tables.  Covering at r <= 1 and Turan at n - 1 and n keep the
-    censuses small."""
-    assert n > subspaces.BIT_TABLE_MAX_N
+    """Past DIGIT_TABLE_MAX vectors q = 2 rows are packed by vec_pack and
+    unpacked by vec_unpack, without the cached tables.  Covering at r <= 1
+    and Turan at n - 1 and n keep the censuses small."""
+    assert 2 ** n > subspaces.DIGIT_TABLE_MAX
     rng = random.Random(n)
     for k in (0, 2, n - 2):
         design = SubspaceDesign.from_blocks(random_blocks(rng, 2, n, k, 6),

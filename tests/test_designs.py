@@ -380,11 +380,11 @@ def load_outcome(load, text):
 def test_design_load_reduces_past_the_cut(monkeypatch, n, k, past_cut):
     """Canonical q = 2 files load as written, with no xor_rref call, at
     every n and k: past_cut marks the cases outside k <= 4 and
-    n <= BIT_TABLE_MAX_N, the bounds of an earlier sorted read.  The same
+    2^n <= DIGIT_TABLE_MAX, the bounds of an earlier sorted read.  The same
     designs written as shuffled, unreduced generators make one xor_rref
     call per line (for k = 1 every nonzero row is canonical, so none).
     Both routes give the blocks that span gives, with their pivots."""
-    assert past_cut == (k > 4 or n > subspaces.BIT_TABLE_MAX_N)
+    assert past_cut == (k > 4 or 2 ** n > subspaces.DIGIT_TABLE_MAX)
     rng = random.Random(100 * n + k)
     design = random_design(rng, 2, n, k, 40)
     pivots = [b.pivots for b in design.blocks]
@@ -467,10 +467,11 @@ def test_near_canonical_lines_load_as_reduced(n, k):
 
 
 def test_spread_past_the_bit_table_loads_as_written(monkeypatch):
-    """Past BIT_TABLE_MAX_N canonical rows unpack by vec_unpack and their
-    pivots come from their lowest bits, with no xor_rref call."""
+    """Past DIGIT_TABLE_MAX vectors canonical rows are written off
+    vec_unpack and their pivots come from their top bits, with no xor_rref
+    call."""
     design = spread(2, 4, 12)
-    assert design.n > subspaces.BIT_TABLE_MAX_N
+    assert 2 ** design.n > subspaces.DIGIT_TABLE_MAX
     calls = count_xor_rref(monkeypatch)
     back = design_from_text(design_to_text(design))
     assert back == design
@@ -483,7 +484,7 @@ def test_spread_past_the_bit_table_loads_as_written(monkeypatch):
 def test_design_load_errors_keep_file_order(n, k, good):
     """A dependent line raises its rank error before a bad word or a short
     line that follows it, and a bad word raises before a dependent line
-    that follows it, at k = 2 and 5 and on both sides of BIT_TABLE_MAX_N,
+    that follows it, at k = 2 and 5 and on both sides of DIGIT_TABLE_MAX,
     after one canonical line or 4096."""
     unit = "1" + "0" * (n - 1)
     bad_word = "01x" + "0" * (n - 3)
@@ -588,11 +589,11 @@ def test_expand_builds_no_row_table_without_blocks(monkeypatch):
 
 def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
     """A block of F_2^25 has 2^25 vectors, past MAX_VECTOR_ENUM: its vector
-    lists raise BudgetError when asked for, before a row is packed or a
+    lists raise BudgetError when asked for, before a row is unpacked or a
     chunk spanned, and so do both covering strategies."""
     def refuse(*args):
         raise AssertionError("began to list vectors")
-    monkeypatch.setattr(subspaces, "_row_packer", refuse)
+    monkeypatch.setattr(subspaces, "_digit_table", refuse)
     monkeypatch.setattr(subspaces, "_xor_chunk", refuse)
     design = SubspaceDesign.from_blocks([full_space(2, 25)])
     with pytest.raises(BudgetError, match=r"2\^25 vectors exceed"):

@@ -38,8 +38,8 @@ fork, and designs.py forks only to load a design file: an AST scan fails on
 any `q == 2` or `q != 2` test in either module (q a name or an attribute,
 either side) outside Q_FORKS, which gives the reason each of those stays.
 
-A Subspace of src/qcover is built at a few known sites, so q = 2 blocks keep
-one builder from packed rows: an AST scan fails on any call of Subspace, and
+A Subspace of src/qcover is built at a few known sites, so blocks keep one
+builder from packed RREF rows: an AST scan fails on any call of Subspace, and
 any Subspace passed to a call (as map(Subspace, ...)) other than isinstance,
 outside SUBSPACE_SITES, which gives the reason each of those stays.
 
@@ -83,8 +83,9 @@ OWN_BUDGETS = {
 Q_FORKS = {
     ("subspaces.py", "span_vector_lists"):
         "the one span fork: q = 2 vectors are XORs of packed rows",
-    ("subspaces.py", "_unpack_rows"):
-        "unpacks q = 2 rows from the cached _bit_table",
+    ("subspaces.py", "_rref_blocks"):
+        "a q = 2 row's digit count is its bit_length, which other q count "
+        "by bisect over the places",
     ("designs.py", "design_from_text"):
         "q = 2 words pack into ints, and canonical q = 2 files are taken "
         "as written",
@@ -97,16 +98,14 @@ SUBSPACE_SITES = {
     ("subspaces.py", "orthogonal_complement"):
         "writes the complement's RREF rows off the rows reduced from the "
         "right, any q",
-    ("subspaces.py", "enumerate_grassmannian"):
-        "maps over the RREF choices of grassmannian_choices, any q",
     ("subspaces.py", "_rref_blocks"):
-        "the q = 2 builder from packed RREF rows, for read_blocks, the "
-        "loader's canonical rows and xor_rref",
-    ("subspaces.py", "subspaces_of"): "unpacks the local rows of a block, any q",
+        "the builder from packed RREF rows, any q: read_blocks, the loader's "
+        "canonical rows, xor_rref, subspaces_of, enumerate_grassmannian, "
+        "greedy's chosen blocks and the constructions' embedded, lifted and "
+        "unit blocks",
     ("designs.py", "_misses"):
-        "builds a witness only, from its grassmannian_choices rows",
-    ("constructions.py", "greedy_covering"):
-        "builds only the chosen candidates, from their RREF rows",
+        "builds a witness only, with the pivots its grassmannian_choices "
+        "entry gives: a per-witness _rref_blocks call costs more",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from qcover import subspaces
 from qcover.bounds import gaussian
-from qcover.constructions import turan_point_design
+from qcover.constructions import gf64_orbits, turan_point_design
 from qcover.designs import SubspaceDesign
 from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BlockError, BudgetError,
@@ -93,7 +93,8 @@ def test_orthogonal_complement_involution_and_duality():
             seen = set()
             for s in enumerate_grassmannian(q, n, k):
                 c = orthogonal_complement(s)
-                reference = span(q, n, subspaces._complement_rows(s))
+                reference = span(q, n, [vec_unpack(q, n, v) for v in
+                                        subspaces._complement_rows(s)])
                 assert (c.rows, c.pivots) == (reference.rows, reference.pivots), s
                 assert c.dim == n - k
                 assert c.pivots == tuple([next(j for j, x in enumerate(row) if x)
@@ -221,13 +222,13 @@ def test_subspace_is_immutable():
 
 def test_subspace_equality_and_hash_ignore_pivots():
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
-    bare = Subspace(3, 4, s.rows, ())
+    bare = Subspace(3, 4, s.packed, ())
     assert bare.pivots == ()
-    assert bare == s and hash(bare) == hash(s) == hash((3, 4, s.rows))
-    assert s != Subspace(2, 4, s.rows, s.pivots)
-    assert s != Subspace(3, 5, s.rows, s.pivots)
+    assert bare == s and hash(bare) == hash(s) == hash((3, 4, s.packed))
+    assert s != Subspace(2, 4, s.packed, s.pivots)
+    assert s != Subspace(3, 5, s.packed, s.pivots)
     assert s != span(3, 4, [(1, 2, 0, 1)])
-    assert s != (3, 4, s.rows)
+    assert s != (3, 4, s.packed)
     assert len({s, bare, span(3, 4, s.rows)}) == 1
 
 
@@ -237,7 +238,7 @@ def test_subspace_repr_and_sort_key():
     assert repr(Subspace(2, 3, (), ())) == "Subspace(q=2,n=3,[])"
     assert repr(span(11, 3, [(1, 0, 10), (0, 1, 5)])) == \
         "Subspace(q=11,n=3,[1 0 10,0 1 5])"
-    assert s.sort_key() == (s.pivots, s.rows)
+    assert s.sort_key() == (s.pivots, s.packed)
     assert s.dim == 2
 
 
@@ -245,7 +246,7 @@ def test_design_from_blocks_deduplicates_equal_subspaces():
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     other = span(3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     again = span(3, 4, [(1, 2, 1, 0), (0, 0, 2, 1)])  # another basis of s
-    d = SubspaceDesign.from_blocks([s, other, again, Subspace(3, 4, s.rows, ())])
+    d = SubspaceDesign.from_blocks([s, other, again, Subspace(3, 4, s.packed, ())])
     assert d.blocks == (other, s)
 
 
@@ -254,8 +255,44 @@ def test_subspace_needs_its_pivots():
     complement read no pivot columns, so the pivots have no default."""
     s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     with pytest.raises(TypeError):
-        Subspace(3, 4, s.rows)
-    assert Subspace(3, 4, s.rows, s.pivots).pivots == (0, 2)
+        Subspace(3, 4, s.packed)
+    assert Subspace(3, 4, s.packed, s.pivots).pivots == (0, 2)
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4, 5) for n in range(5)]
+                         + [(2, 12)])
+def test_packed_rows_agree_with_coordinate_rows(q, n):
+    """A Subspace stores packed RREF rows and unpacks rows on read, from the
+    digit table while q^n <= DIGIT_TABLE_MAX and by vec_unpack past it
+    (F_2^12, where the first 200 subspaces of each dimension within the
+    enumeration budget are checked).
+    For every subspace of enumerate_grassmannian: rows is vec_unpack of
+    packed and span packs them back; sorting by sort_key gives the order
+    of (pivots, coordinate rows); equality and hash agree with
+    (q, n, coordinate rows)."""
+    assert (q ** n > subspaces.DIGIT_TABLE_MAX) == (n == 12)
+    cap = 200 if n == 12 else None
+    subs = [s for k in range(n + 1)
+            if gaussian(n, k, q) <= subspaces.MAX_SUBSPACE_ENUM
+            for s in itertools.islice(enumerate_grassmannian(q, n, k), cap)]
+    for s in subs:
+        assert s.rows == tuple(vec_unpack(q, n, v) for v in s.packed)
+        assert span(q, n, s.rows).packed == s.packed
+    rng = random.Random(100 * q + n)
+    shuffled = rng.sample(subs, len(subs))
+    assert sorted(shuffled, key=Subspace.sort_key) == sorted(
+        shuffled, key=lambda s: (s.pivots, s.rows))
+    others = [Subspace(q, n + 1, s.packed, s.pivots) for s in subs[:20]]
+    others += [Subspace(q + 1, n, s.packed, s.pivots) for s in subs[:20]]
+    pairs = [(s, t) for s in subs + others
+             for t in rng.sample(subs + others, min(10, len(subs)))]
+    for s, t in pairs + [(s, Subspace(q, n, s.packed, ())) for s in subs]:
+        same = (s.q, s.n, s.rows) == (t.q, t.n, t.rows)
+        assert (s == t) == same and (s != t) != same
+        if same:
+            assert hash(s) == hash(t)
+    assert len(set(subs + others)) == len({(s.q, s.n, s.rows)
+                                           for s in subs + others})
 
 
 def test_subspaces_caches_are_bounded():
@@ -289,17 +326,19 @@ def test_xor_rref_equals_rref_and_span():
 
 
 def test_xor_rref_rows_unpack_as_vec_unpack():
-    """Rows come from the bit table up to BIT_TABLE_MAX_N coordinates and
-    from vec_unpack above it; both give the same Subspace.  packed_vectors
-    packs q = 2 rows through the table's inverse up to the same n, and with
-    vec_pack above it."""
-    for n in range(subspaces.BIT_TABLE_MAX_N + 1):
-        assert subspaces._bit_table(n) == tuple(vec_unpack(2, n, v)
-                                                for v in range(1 << n))
-        assert subspaces._bit_index(n) == {vec_unpack(2, n, v): v
-                                           for v in range(1 << n)}
+    """Rows come from the digit table while 2^n <= DIGIT_TABLE_MAX and
+    from vec_unpack above it; both give the same Subspace.  span packs rows
+    through the table's inverse up to the same n, and with vec_pack above
+    it."""
+    for n in range(11):
+        assert 2 ** n <= subspaces.DIGIT_TABLE_MAX
+        unpack, pack = subspaces._digit_table(2, n)
+        assert list(map(unpack, range(1 << n))) == [vec_unpack(2, n, v)
+                                                    for v in range(1 << n)]
+        assert [pack(vec_unpack(2, n, v)) for v in range(1 << n)] == list(
+            range(1 << n))
     rng = random.Random(11)
-    for n in range(0, subspaces.BIT_TABLE_MAX_N + 4):
+    for n in range(0, 14):
         for _ in range(20):
             vectors = [rng.randrange(1 << n) for _ in range(rng.randint(0, n))]
             rows, s = xor_rref(n, vectors)
@@ -336,7 +375,7 @@ def random_generators(rng, n, k, d):
 def test_read_blocks_equal_xor_rref():
     """read_blocks against xor_rref on shuffled spans of k packed vectors of
     every rank d <= k, for every k <= 6 and n <= 12 (rows unpack from
-    _bit_table up to n = 10, by vec_unpack past it).  Full-rank lists, read
+    the digit table up to n = 10, by vec_unpack past it).  Full-rank lists, read
     together (2^k + 1 of them for k <= 4, so a whole column at a time),
     give xor_rref's blocks with their pivots.  A span of k dependent
     vectors, which lists each vector 2^(k-d) times, put among them raises
@@ -429,6 +468,14 @@ def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
                  "packed vector 9 outside F_2^3", id="read_blocks-too-big"),
     pytest.param(lambda: GroupAction(3, [1, 2, 4]).orbit([]), ValueError,
                  "an empty vector set has no orbit", id="orbit-empty"),
+    pytest.param(lambda: gf64_orbits()[0].orbit([0, -1]), AmbientMismatch,
+                 "packed vector -1 outside F_2^7", id="orbit-negative"),
+    pytest.param(lambda: gf64_orbits()[0].orbit([0, 128]), AmbientMismatch,
+                 "packed vector 128 outside F_2^7", id="orbit-too-big"),
+    pytest.param(lambda: gf64_orbits()[0].image([-1, 3], 1), AmbientMismatch,
+                 "packed vector -1 outside F_2^7", id="image-negative"),
+    pytest.param(lambda: gf64_orbits()[0].image([3, 128], 1), AmbientMismatch,
+                 "packed vector 128 outside F_2^7", id="image-too-big"),
 ])
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

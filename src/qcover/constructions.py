@@ -21,7 +21,7 @@ from .fields import Field, coefficients, get_gf, is_prime, vec_pack
 from .subspaces import (BlockError, BudgetError, GroupAction,
                         MAX_SUBSPACE_ENUM, Subspace, _local_rows, _places,
                         _rref_blocks, _xor_span, check_ambient, check_vectors,
-                        enumerate_grassmannian, grassmannian_choices,
+                        enumerate_grassmannian, grassmannian_rows,
                         packed_vectors, read_blocks, span, span_vector_lists,
                         subspace_count, subspaces_of)
 
@@ -147,30 +147,27 @@ def _field_tower(q: int, rho: int, m: int, n: int
     x*z_(s-t), x*w) over all scalar tuples z, with x read in GF(q^m) as
     the same packed int, its coefficients padded with zeros.  Distinct
     tuples give trivially intersecting blocks.  For m = rho the blocks are
-    those of the spread of F_q^n but its last one, the residual.
+    those of the spread of F_q^n but its last one, the residual.  The row
+    of the basis element x = x^j is e_j on its level's head, so a block's
+    rows are its RREF as written, and _rref_blocks builds the blocks.
     """
     s = (n - m) // rho
     ext_r = get_gf(q ** rho)
     ext_m = get_gf(q ** m)
     basis = [q ** j for j in range(rho)]
-    blocks: List[Subspace] = []
+    rows = []  # packed; the zero coordinates before a level's head add nothing
     for t in range(1, s + 1):
-        prefix = (0,) * ((t - 1) * rho)
         for z in itertools.product(range(ext_r.q), repeat=s - t):
             for w in range(ext_m.q):
-                rows = []
                 for b in basis:
-                    row = prefix + coefficients(q, rho, b)
+                    row = coefficients(q, rho, b)
                     for zi in z:
                         row += coefficients(q, rho, ext_r.mul(b, zi))
                     row += coefficients(q, m, ext_m.mul(b, w))
-                    rows.append(row)
-                block = span(q, n, rows)
-                if block.dim != rho:
-                    raise ConstructionError("field tower block has wrong dim")
-                blocks.append(block)
+                    rows.append(vec_pack(q, row))
     # e_0..e_(m-1) of F_q^m, packed, are e_(n-m)..e_(n-1) of F_q^n
-    return blocks, next(_rref_blocks(q, n, m, _places(q, m)))
+    return (list(_rref_blocks(q, n, rho, rows)),
+            next(_rref_blocks(q, n, m, _places(q, m))))
 
 
 def _check_partition(q: int, n: int, parts: List[Subspace]):
@@ -451,7 +448,7 @@ def derive_steiner(design: SubspaceDesign, t: int,
     gf = get_gf(q)
     p_row = point.rows[0]
     j0 = point.pivots[0]
-    key = vec_pack(q, p_row)
+    key = point.packed[0]
     derived = []
     # the vectors the Steiner census above listed, under the same budget
     for block, vectors in zip(design.blocks, design.vector_lists):
@@ -478,7 +475,7 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     Targets are numbered in enumeration order and keyed by their packed
     RREF rows.  Every candidate block's targets are read in one pass: the
     _local_rows reader reads them at local_row_indices off the vector
-    lists that span_vector_lists builds from the grassmannian_choices packed
+    lists that span_vector_lists builds from the grassmannian_rows packed
     rows, and zip cuts the stream into one target tuple per candidate.  Only
     chosen blocks become Subspaces, built by _rref_blocks.  Each block keeps
     its gain, the number of its targets still uncovered, and a newly
@@ -491,12 +488,8 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     if gaussian(n, k, q) * gaussian(k, r, q) > MAX_SUBSPACE_ENUM:
         raise BudgetError("greedy incidence budget exceeded")
     rows_of = _local_rows(q, k, r)
-    targets = (t for _, _, packed in grassmannian_choices(q, n, r)
-               for t in itertools.product(*packed))
-    index = {t: i for i, t in enumerate(targets)}  # packed RREF rows -> number
-    blocks = list(itertools.chain.from_iterable(  # each candidate's RREF rows
-        itertools.product(*packed)
-        for _, _, packed in grassmannian_choices(q, n, k)))
+    index = {t: i for i, t in enumerate(grassmannian_rows(q, n, r))}
+    blocks = list(grassmannian_rows(q, n, k))  # each candidate's RREF rows
     found = map(index.__getitem__, rows_of(span_vector_lists(q, n, k, blocks)))
     covers = list(zip(*[found] * gaussian(k, r, q)))  # each candidate's targets
     holders = [[] for _ in index]  # target -> the blocks that hold it

@@ -24,9 +24,10 @@ from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         BudgetError, GroupAction, Subspace, _canonical_blocks,
                         _digit_table, _local_rows, _xor_span, check_ambient,
                         complement_generators, complement_vectors,
-                        grassmannian_choices, orthogonal_complement,
-                        packed_vector_lists, packed_vectors, span,
-                        subspace_count, superspaces_containing, xor_rref)
+                        grassmannian_choices, grassmannian_rows,
+                        orthogonal_complement, packed_vector_lists,
+                        packed_vectors, span, subspace_count,
+                        superspaces_containing, xor_rref)
 
 WITNESS_CAP = 16
 # Subspace.sort_key, and the fields from_blocks checks, read in C.
@@ -144,22 +145,22 @@ def _report_from_counts(counts: Counter, total: int,
     return _report(total, histogram, misses)
 
 
-def _misses(q: int, n: int, dim: int, keys: Callable[[tuple], Iterable],
+def _misses(q: int, n: int, dim: int, keys: Callable[[tuple, tuple], Iterable],
             covered: Callable) -> Iterator[Subspace]:
     """The dim-subspaces of F_q^n, in enumeration order, whose keys fail
-    covered.  keys maps a grassmannian_choices entry (pivots, rows, packed)
-    to one key per subspace of itertools.product(*packed), in that order; a
+    covered.  keys maps a grassmannian_choices entry (pivots, packed) to one
+    key per subspace of itertools.product(*packed), in that order; a
     Subspace is built only for a miss, with the entry's pivots."""
-    for choice in grassmannian_choices(q, n, dim):
-        for t, key in zip(itertools.product(*choice[2]), keys(choice)):
+    for pivots, packed in grassmannian_choices(q, n, dim):
+        for t, key in zip(itertools.product(*packed), keys(pivots, packed)):
             if not covered(key):
-                yield Subspace(q, n, t, choice[0])
+                yield Subspace(q, n, t, pivots)
 
 
-def _packed_rows(choice: tuple) -> Iterator[tuple]:
+def _packed_rows(pivots: tuple, packed: tuple) -> Iterator[tuple]:
     """The packed RREF rows of each subspace of a grassmannian_choices entry,
     the key of the covering censuses."""
-    return itertools.product(*choice[2])
+    return itertools.product(*packed)
 
 
 def _count_product(start: int, factors: Sequence[Sequence[int]],
@@ -226,7 +227,7 @@ def _scan(q: int, n: int, dim: int, vector_lists: Iterable[Sequence[int]]
     get = masks.get
     found: Counter = Counter()
     popcounts: List[int] = []
-    for _, _, packed in grassmannian_choices(q, n, dim):
+    for _, packed in grassmannian_choices(q, n, dim):
         _count_product(every, [[get(v, 0) for v in choices] for choices in packed],
                        found, popcounts)
         if len(popcounts) > XOR_CHUNK:
@@ -351,9 +352,7 @@ def verify_turan(design: SubspaceDesign, k: int,
     if not r <= k <= n:
         raise ValueError(f"need block dim <= k <= n, got k={k}")
     total = subspace_count(n, k, q)
-
-    def complement_keys(choice: tuple) -> Iterator[tuple]:
-        return complement_generators(q, n, *choice[:2])
+    complement_keys = functools.partial(complement_generators, q, n)
     if strategy == "expand":
         counts = Counter(superspaces_containing(design, k))
         return _report_from_counts(counts, total, _misses(
@@ -397,8 +396,7 @@ class SetSystem:
 def point_indexing(q: int, n: int) -> Dict[Tuple[int], int]:
     """Index of each 1-subspace, in enumeration order, keyed by its packed
     RREF row as a 1-tuple, the key of the covering census."""
-    rows = (t for _, _, packed in grassmannian_choices(q, n, 1) for t in packed[0])
-    return {(row,): i for i, row in enumerate(rows)}
+    return {t: i for i, t in enumerate(grassmannian_rows(q, n, 1))}
 
 
 def to_point_set_system(design: SubspaceDesign) -> SetSystem:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
-from operator import add, and_, attrgetter, eq, gt, itemgetter, xor
+from operator import add, and_, attrgetter, eq, gt, itemgetter, mul, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
@@ -224,30 +224,33 @@ def _places(q: int, n: int) -> Tuple[int, ...]:
 
 
 def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
-                          rows: Sequence[Sequence[Sequence[int]]]
+                          choices: Iterable[Sequence[int]]
                           ) -> Iterator[Tuple[int, ...]]:
     """Packed bases of the orthogonal complements of a family of RREFs.
 
-    rows[i] lists the choices of the i-th RREF row, as grassmannian_choices
-    does; a single RREF is the family of its rows, one choice each.  For
-    each RREF t in itertools.product(*rows) order this yields one packed
-    generator per non-pivot column fc, by descending fc,
+    choices[i] lists the packed choices of the i-th RREF row, as
+    grassmannian_choices does; a single RREF is zip(s.packed), one choice
+    per row.  For each RREF t in itertools.product(*choices) order this
+    yields one packed generator per non-pivot column fc, by descending fc,
     e_fc - sum_i t_i[fc] * e_{pivots[i]}: orthogonal to every row, the only
     generator nonzero at fc, and zero past fc (a row is zero before its
     pivot).  With the coordinates reversed they are the RREF of t's
-    complement, read off the rows with no reduction.
+    complement, read off the rows with no reduction.  A row's digits come
+    off _digit_table, the weights off _places.
     """
     neg = get_gf(q).negatives
+    place = _places(q, n)
     pivset = set(pivots)
     free = [c for c in reversed(range(n)) if c not in pivset]
-    units = [q ** (n - 1 - c) for c in free]
+    units = [place[c] for c in free]
     if not pivots:
         yield tuple(units)
         return
+    unpack = _digit_table(q, n)[0]
     # What each row choice adds to each generator.
-    *heads, last = [[tuple([neg[row[c]] * q ** (n - 1 - p) for c in free])
-                     for row in choices]
-                    for p, choices in zip(pivots, rows)]
+    *heads, last = [[tuple([neg[row[c]] * place[p] for c in free])
+                     for row in map(unpack, packed)]
+                    for p, packed in zip(pivots, choices)]
     for head in itertools.product(*heads):
         prefix = tuple(map(sum, zip(units, *head)))
         for part in last:
@@ -259,22 +262,30 @@ def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
 
     Pivot sets come in lexicographic order; within one, the free entries run
     in odometer order, the last free entry of the last row fastest.  Raises
-    BudgetError past MAX_SUBSPACE_ENUM subspaces.
+    at the first next, as grassmannian_choices does, for k = 0 too.
     """
-    for _, _, packed in grassmannian_choices(q, n, k):
-        yield from _rref_blocks(q, n, k, itertools.chain.from_iterable(
-            itertools.product(*packed)))
+    rows = grassmannian_rows(q, n, k)
+    if not k:
+        next(rows)  # runs the checks; the one zero subspace has no rows
+    yield from _rref_blocks(q, n, k, itertools.chain.from_iterable(rows))
+
+
+def grassmannian_rows(q: int, n: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """The packed RREF rows of every k-subspace of F_q^n, one k-tuple each,
+    in enumerate_grassmannian order: the product of the row choices of each
+    grassmannian_choices entry in turn, which raises at the first next."""
+    return itertools.chain.from_iterable(
+        itertools.product(*packed) for _, packed in grassmannian_choices(q, n, k))
 
 
 def grassmannian_choices(q: int, n: int, k: int
-                         ) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
-    """Per pivot set, the choices of each RREF row, as rows and packed.
+                         ) -> Iterator[Tuple[Tuple[int, ...], tuple]]:
+    """Per pivot set, the packed choices of each RREF row.
 
-    Yields (pivots, rows, packed): rows[i] lists the i-th RREF row under
-    every assignment of its free columns in odometer order, and packed[i]
-    is vec_pack of each.  itertools.product(*rows) runs through the
-    k-subspaces with these pivots in enumerate_grassmannian order, and
-    itertools.product(*packed) through their packed rows in the same order.
+    Yields (pivots, packed): packed[i] lists vec_pack of the i-th RREF row
+    under every assignment of its free columns in odometer order, so
+    itertools.product(*packed) runs through the packed rows of the
+    k-subspaces with these pivots in enumerate_grassmannian order.
     A first row with more than ROW_CHUNK choices is split, in order, over
     several yields with the same pivots, one per value of its leading free
     columns, so a caller that stops early builds only one part of it.
@@ -288,36 +299,32 @@ def grassmannian_choices(q: int, n: int, k: int
             while q ** (n - k - pivots[0] - split) > ROW_CHUNK:
                 split += 1
         if not split:
-            yield (pivots,) + _row_choices(q, n, pivots, ())
+            yield pivots, _row_choices(q, n, pivots, ())
             continue
         for head in itertools.product(range(q), repeat=split):
-            yield (pivots,) + _row_choices.__wrapped__(q, n, pivots, head)
+            yield pivots, _row_choices.__wrapped__(q, n, pivots, head)
 
 
 # Bounded; a census run in F_q^n with n <= 7 touches a few hundred pivot
 # sets.  Split first rows bypass it: their parts would crowd it out.
 @functools.lru_cache(maxsize=512)
 def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: Tuple[int, ...]):
-    """(rows, packed) of grassmannian_choices for one pivot set, with the
-    leading free columns of the first row fixed to head."""
+    """The packed row choices of grassmannian_choices for one pivot set, the
+    first row's leading free columns fixed to head: a row's lead (its
+    pivot's place, plus head's digits at theirs) plus each entry of the
+    _unit_table of its free columns' places, built uncached, as tables of
+    up to ROW_CHUNK entries would crowd the span's cache."""
+    place = _places(q, n)
     pivset = set(pivots)
-    rows, packed = [], []
+    out = []
     for i, p in enumerate(pivots):
-        free = [c for c in range(p + 1, n) if c not in pivset]
-        row = [0] * n
-        row[p] = 1
+        free = [place[c] for c in range(p + 1, n) if c not in pivset]
+        lead = place[p]
         if i == 0:
-            for c, v in zip(free, head):
-                row[c] = v
+            lead += sum(map(mul, head, free))
             free = free[len(head):]
-        choices = []
-        for values in itertools.product(range(q), repeat=len(free)):
-            for c, v in zip(free, values):
-                row[c] = v
-            choices.append(tuple(row))
-        rows.append(tuple(choices))
-        packed.append(tuple([vec_pack(q, row) for row in choices]))
-    return tuple(rows), tuple(packed)
+        out.append(tuple(map(lead.__add__, _unit_table.__wrapped__(q, free))))
+    return tuple(out)
 
 
 def packed_vectors(s: Subspace) -> List[int]:
@@ -753,9 +760,7 @@ def local_row_indices(q: int, k: int, r: int) -> Tuple[Tuple[int, ...], ...]:
     if q ** k > MAX_VECTOR_ENUM or gaussian(k, r, q) > MAX_VECTOR_ENUM:
         raise BudgetError(f"local rows of [{k} {r}]_{q} exceed the "
                           f"enumeration budget")
-    return tuple(itertools.chain.from_iterable(
-        itertools.product(*packed)
-        for _, _, packed in grassmannian_choices(q, k, r)))
+    return tuple(grassmannian_rows(q, k, r))
 
 
 # Bounded: one reader holds [k r]_q indices, and a census run touches only a

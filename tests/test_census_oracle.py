@@ -43,6 +43,7 @@ from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
                               complement_vectors,
                               enumerate_grassmannian,
                               full_space, grassmannian_choices,
+                              grassmannian_rows,
                               local_row_indices, orthogonal_complement,
                               packed_vectors, span, subspaces_of,
                               superspaces_containing, xor_rref)
@@ -222,14 +223,14 @@ def test_scan_splits_the_first_row_at_the_real_row_chunk():
     assert first[0] == second[0] == (0,)
     assert len(first[1][0]) == len(second[1][0]) == subspaces.ROW_CHUNK
     dropped = {5, 700, 4000}
-    points = [Subspace(2, 14, (row,), (0,)) for i, row in enumerate(first[2][0])
+    points = [Subspace(2, 14, (row,), (0,)) for i, row in enumerate(first[1][0])
               if i not in dropped]
-    points += [Subspace(2, 14, (row,), (0,)) for row in second[2][0][2:9]]
+    points += [Subspace(2, 14, (row,), (0,)) for row in second[1][0][2:9]]
     design = SubspaceDesign.from_blocks(points, q=2, n=14, k=1)
     scan = verify_covering(design, 1, "scan")
     assert scan == verify_covering(design, 1, "expand")
     assert scan.histogram == {0: gaussian(14, 1, 2) - len(points), 1: len(points)}
-    assert [w.rows[0] for w in scan.witnesses] == (
+    assert [w.packed[0] for w in scan.witnesses] == (
         [first[1][0][i] for i in sorted(dropped)] + list(second[1][0][:2])
         + list(second[1][0][9:20]))
     few = SubspaceDesign.from_blocks(points[::400] + points[-3:], q=2, n=14, k=1)
@@ -398,7 +399,7 @@ def test_generators_equal_span_reference(q):
             got = list(superspaces_containing(SubspaceDesign.from_blocks([s]), k))
             assert got == list(reference_superspace_keys(s, k)), (s, k)
             assert Counter(got) == Counter(
-                next(complement_generators(q, s.n, t.pivots, [(r,) for r in t.rows]))
+                next(complement_generators(q, s.n, t.pivots, zip(t.packed)))
                 for t in reference_superspaces_containing(s, k)), (s, k)
         for r in range(s.dim + 1):
             got = list(subspaces_of(s, r))
@@ -498,18 +499,18 @@ def test_complement_generators_span_the_null_space(q):
         for d in range(n + 1):
             for pivots in itertools.combinations(range(n), d):
                 s = random_rref(rng, q, n, pivots)
-                (generators,) = complement_generators(
-                    q, n, s.pivots, [(row,) for row in s.rows])
+                (generators,) = complement_generators(q, n, s.pivots,
+                                                      zip(s.packed))
                 unpacked = [vec_unpack(q, n, g) for g in generators]
                 expected = null_space(s)
                 assert span(q, n, unpacked).dim == len(generators) == n - d, s
                 assert set(complement_list(s)) == expected, s
                 assert len(complement_list(s)) == len(expected)
                 assert orthogonal_complement(s) == span(q, n, unpacked)
-            for pivots, rows, _ in grassmannian_choices(q, n, d):
-                assert list(complement_generators(q, n, pivots, rows)) == [
-                    next(complement_generators(q, n, pivots, [(r,) for r in t]))
-                    for t in itertools.product(*rows)]
+            for pivots, packed in grassmannian_choices(q, n, d):
+                assert list(complement_generators(q, n, pivots, packed)) == [
+                    next(complement_generators(q, n, pivots, zip(t)))
+                    for t in itertools.product(*packed)]
 
 
 def reference_span(q, n, rows):
@@ -529,8 +530,7 @@ def reference_span(q, n, rows):
 def reference_complement_vectors(s):
     """The combinations of s's complement_generators, taken as packed_vectors
     takes RREF rows, by reference_span."""
-    (generators,) = complement_generators(s.q, s.n, s.pivots,
-                                          [(row,) for row in s.rows])
+    (generators,) = complement_generators(s.q, s.n, s.pivots, zip(s.packed))
     return reference_span(s.q, s.n, [vec_unpack(s.q, s.n, g) for g in generators])
 
 
@@ -636,8 +636,9 @@ ENUMERATION_MAX_N = {2: 7, 3: 4, 4: 4, 5: 4, 8: 4, 9: 4}
 def test_enumerate_grassmannian_equals_template_odometer(q, row_chunk,
                                                          monkeypatch):
     """Same rows and pivots in the same order as the template odometer, for
-    every n and k; the packed choices are vec_pack of the rows they stand
-    for.  A row_chunk of 2 splits nearly every first row."""
+    every n and k; so are the products of the packed choices of every
+    grassmannian_choices entry, and grassmannian_rows.  A row_chunk of 2
+    splits nearly every first row."""
     monkeypatch.setattr(subspaces, "ROW_CHUNK", row_chunk)
     for n in range(ENUMERATION_MAX_N[q] + 1):
         for k in range(n + 1):
@@ -646,23 +647,20 @@ def test_enumerate_grassmannian_equals_template_odometer(q, row_chunk,
             got = [(s.rows, s.pivots) for s in enumerate_grassmannian(q, n, k)]
             assert got == expected, (n, k)
             listed = []
-            for pivots, rows, packed in grassmannian_choices(q, n, k):
-                assert all(len(choices) <= row_chunk for choices in rows[:1])
-                assert packed == tuple(tuple(vec_pack(q, row) for row in choice)
-                                       for choice in rows)
-                for t_rows, t_packed in zip(itertools.product(*rows),
-                                            itertools.product(*packed)):
-                    assert t_packed == tuple(vec_pack(q, row) for row in t_rows)
-                    listed.append((t_rows, pivots))
-            assert listed == [(s.rows, s.pivots)
-                              for s in enumerate_grassmannian(q, n, k)]
+            for pivots, packed in grassmannian_choices(q, n, k):
+                assert all(len(choices) <= row_chunk for choices in packed[:1])
+                listed += [(t, pivots) for t in itertools.product(*packed)]
+            expected = [(s.packed, s.pivots)
+                        for s in reference_enumerate_grassmannian(q, n, k)]
+            assert listed == expected, (n, k)
+            assert list(grassmannian_rows(q, n, k)) == [t for t, _ in expected]
 
 
 def test_witnesses_in_a_large_ambient_space():
     """The first uncovered points of F_2^20 come from the first part of a
     split first row, and match the template odometer's."""
-    pivots, rows, _ = next(grassmannian_choices(2, 20, 1))
-    assert pivots == (0,) and len(rows[0]) == subspaces.ROW_CHUNK
+    pivots, packed = next(grassmannian_choices(2, 20, 1))
+    assert pivots == (0,) and len(packed[0]) == subspaces.ROW_CHUNK
     design = SubspaceDesign.from_blocks(
         [span(2, 20, [[1] + [0] * 19, [0] * 19 + [1]])], q=2, n=20, k=2)
     covered = set(reference_subspaces_of(design.blocks[0], 1))

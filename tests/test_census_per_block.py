@@ -42,7 +42,7 @@ def covering_key(t):
 
 def turan_key(t):
     """The Turan censuses' key: t's packed complement generators."""
-    (key,) = complement_generators(t.q, t.n, t.pivots, [(row,) for row in t.rows])
+    (key,) = complement_generators(t.q, t.n, t.pivots, zip(t.packed))
     return key
 
 

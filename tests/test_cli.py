@@ -271,6 +271,26 @@ def test_turan_dual_q3_files_pinned(tmp_path, capsys, n, k):
         == TURAN_DUAL_Q3_SHA256[n, k]
 
 
+# sha256 of the file `construct <argv>` writes, for designs of the field
+# tower, byte for byte as they were when it row-reduced each block by span.
+FIELD_TOWER_SHA256 = {
+    ("spread", "--q", "3", "--k", "2", "--n", "6"):
+        "7a4555cdb9e540338e333ad3c5d07c1bb61a759f72cd62cb6bd28f3d9a4915f1",
+    ("partial-spread", "--q", "2", "--rho", "2", "--n", "7"):
+        "cf1114e9c4e37b84fa3a2bcf54587450435c90202876ddf4dec5c55981b87097",
+    ("line-covering", "--q", "3", "--n", "5", "--k", "2"):
+        "6e560585c77e67b03d989863394e13880197bf065f4ee81a7d59762cd5086de4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FIELD_TOWER_SHA256), ids=" ".join)
+def test_field_tower_files_pinned(tmp_path, capsys, argv):
+    out = tmp_path / "design.txt"
+    code, _, _ = run(capsys, "construct", *argv, "-o", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_TOWER_SHA256[argv]
+
+
 def test_gf64_design_command(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "gf64",
                        "-o", str(tmp_path / "l6.txt"))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcover import constructions
+from qcover import constructions, subspaces
 from qcover.bounds import basic_lower, bound_table, gaussian
 from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   GF64_QUADS, ConstructionError, derive_steiner,
@@ -134,6 +135,38 @@ def test_optimal_line_covering(q, n, k):
     d = optimal_line_covering(q, n, k)
     assert len(d.blocks) == math.ceil(Fraction(q ** n - 1, q ** k - 1))
     assert len(d.blocks) == basic_lower(n, k, 1, q)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: spread(3, 2, 6), id="spread"),
+    pytest.param(lambda: partial_spread(2, 2, 7), id="partial-spread"),
+    pytest.param(lambda: optimal_line_covering(3, 5, 2), id="line-covering"),
+])
+def test_field_tower_designs_call_no_span(monkeypatch, build):
+    """The field tower writes each block's RREF rows packed, so a spread, a
+    partial spread and the line covering built on them row-reduce nothing."""
+    def refuse(*args):
+        raise AssertionError("span called")
+    for module in (constructions, subspaces):
+        monkeypatch.setattr(module, "span", refuse)
+    build()
+
+
+def test_field_tower_blocks_are_their_rref_as_written():
+    """Every block of the spreads and partial spreads of F_q^n, q^n <= 1000,
+    and every residual, is the block span builds from its rows, pivots
+    included."""
+    count = 0
+    for q, rho in itertools.product((2, 3, 5, 7), (1, 2, 3)):
+        for m, n in itertools.product(range(rho, 2 * rho), range(2, 10)):
+            if n <= m or (n - m) % rho or q ** n > 1000:
+                continue
+            blocks, residual = constructions._field_tower(q, rho, m, n)
+            for block in blocks + [residual]:
+                reference = span(q, n, block.rows)
+                assert (block, block.pivots) == (reference, reference.pivots)
+            count += len(blocks)
+    assert count > 1000
 
 
 @pytest.mark.parametrize("q,n,k,turan,covering", [

@@ -47,6 +47,11 @@ A packed vector's int order is the lexicographic order of F_q^n, coordinate
 0 first, so no subspace or design code reverses one: an AST scan fails on
 any slice with step -1 and any _bit_reverser name in subspaces.py or
 designs.py.
+
+Coordinate tuples pack at one edge of subspaces.py: an AST scan fails on
+any vec_pack it names, as a name or an attribute, outside _digit_table,
+whose pack every other packing there goes through.  Enumeration and the
+complement keys work on packed ints and pack nothing.
 """
 
 import ast
@@ -497,3 +502,33 @@ def test_reversal_scan_finds_each_form():
     assert reversals(source) == [(1, "_bit_reverser"), (3, "_bit_reverser"),
                                  (6, "[::-1]"), (8, "[::-1]"),
                                  (10, "[::-1]"), (10, "_bit_reverser")]
+
+
+def packing_sites(source: str):
+    """(line, enclosing top-level definition or None) of every vec_pack the
+    source names, as a name or an attribute; an import binds it but does not
+    name it."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if "vec_pack" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_subspaces_pack_coordinates_only_in_the_digit_table():
+    source = (ROOT / "src" / "qcover" / "subspaces.py").read_text(encoding="utf-8")
+    assert {owner for _, owner in packing_sites(source)} == {"_digit_table"}
+
+
+def test_packing_scan_finds_each_form():
+    source = ("from .fields import vec_pack\n"
+              "from . import fields\n"
+              "def _digit_table(q):\n    return functools.partial(vec_pack, q)\n"
+              "def a(q, rows):\n    return [vec_pack(q, row) for row in rows]\n"
+              "class B:\n    def m(self):\n        return fields.vec_pack(2, self)\n"
+              "PACK = vec_pack\n"
+              "def c(q):\n    return vec_unpack, 'vec_pack'\n")
+    assert packing_sites(source) == [(4, "_digit_table"), (6, "a"), (9, "B"),
+                                     (10, None)]

@@ -17,7 +17,7 @@ from qcover.subspaces import (AmbientMismatch, BlockError, BudgetError,
                               GroupAction,
                               Subspace, complement_generators,
                               enumerate_grassmannian,
-                              grassmannian_choices,
+                              grassmannian_choices, grassmannian_rows,
                               full_space, orthogonal_complement,
                               packed_vectors, read_blocks, rref, span,
                               subspaces_of, superspaces_containing, xor_rref)
@@ -185,7 +185,7 @@ def test_superspaces_containing():
     assert all(vectors <= set(enumerate_vectors(orthogonal_complement(
         span(2, 4, [vec_unpack(2, 4, g) for g in key])))) for key in sups)
     # cross-check against a scan of the whole Grassmannian
-    scan = [next(complement_generators(2, 4, t.pivots, [(row,) for row in t.rows]))
+    scan = [next(complement_generators(2, 4, t.pivots, zip(t.packed)))
             for t in enumerate_grassmannian(2, 4, 2)
             if vectors <= set(enumerate_vectors(t))]
     assert set(sups) == set(scan)
@@ -450,6 +450,12 @@ def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: next(grassmannian_choices(2, 3, 4)), ValueError,
                  "need 0 <= k <= n, got k=4, n=3", id="grassmannian_choices-k-above-n"),
+    pytest.param(lambda: next(grassmannian_rows(2, 3, 4)), ValueError,
+                 "need 0 <= k <= n, got k=4, n=3", id="grassmannian_rows-k-above-n"),
+    pytest.param(lambda: next(enumerate_grassmannian(2, -1, 0)), ValueError,
+                 "need 0 <= k <= n, got k=0, n=-1", id="enumerate_grassmannian-k0-n-negative"),
+    pytest.param(lambda: next(enumerate_grassmannian(2, 65, 0)), BudgetError,
+                 "ambient dimension n=65 exceeds 64", id="enumerate_grassmannian-k0-budget"),
     pytest.param(lambda: next(superspaces_containing(
         SubspaceDesign.from_blocks([full_space(2, 3)]), 2)),
                  ValueError, "need dim <= k <= n, got k=2",

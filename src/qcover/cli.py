@@ -19,7 +19,7 @@ import sys
 from . import bounds as bounds_mod
 from . import constructions as cons
 from . import designs
-from .fields import FieldError, get_gf, is_prime
+from .fields import FieldError, get_gf, is_prime, vec_pack
 from .subspaces import BudgetError, span
 
 EXIT_OK = 0
@@ -211,8 +211,7 @@ def cmd_derive(args) -> int:
     if len(args.point) != n or any(ch not in "0123456789"[:q] for ch in args.point):
         raise ValueError(f"--point must be {n} digits in 0..{q - 1}, "
                          f"got {args.point!r}")
-    vec = tuple(int(ch) for ch in args.point)
-    point = span(q, n, [vec])
+    point = span(q, n, [vec_pack(q, map(int, args.point))])
     if point.dim != 1:
         raise ValueError("--point must be a nonzero vector")
     derived, report = cons.derive_steiner(design, args.t, point)

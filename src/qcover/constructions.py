@@ -20,8 +20,8 @@ from .designs import (CoverageReport, SetSystem, SubspaceDesign,
 from .fields import Field, coefficients, get_gf, is_prime, vec_pack
 from .subspaces import (BlockError, BudgetError, GroupAction,
                         MAX_SUBSPACE_ENUM, Subspace, _local_rows, _places,
-                        _rref_blocks, _xor_span, check_ambient, check_vectors,
-                        enumerate_grassmannian, grassmannian_rows,
+                        _rref_blocks, _unit_table, _xor_span, check_ambient,
+                        check_vectors, enumerate_grassmannian, grassmannian_rows,
                         packed_vectors, read_blocks, span, span_vector_lists,
                         subspace_count, subspaces_of)
 
@@ -274,16 +274,16 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
     k = s2.k
     _require(verify_covering(s1, r - 1), "s1 is not a covering at r-1")
     _require(verify_covering(s2, r), "s2 is not a covering at r")
+    place = _places(q, n)
     blocks = []
     for p in s1.blocks:
-        base_rows = [row + (0,) for row in p.rows]
-        free = [c for c in range(n - 1) if c not in p.pivots]
-        beta = [0] * (n - 1) + [1]
-        for values in itertools.product(range(q), repeat=len(free)):
-            for c, v in zip(free, values):
-                beta[c] = v
-            blocks.append(span(q, n, base_rows + [beta]))
-    # a zero last coordinate multiplies a packed row by q
+        # a zero last coordinate multiplies a packed row by q
+        base = [row * q for row in p.packed]
+        free = tuple([place[c] for c in range(n - 1) if c not in p.pivots])
+        # the packed b, in itertools.product order over b's free entries
+        for beta in _unit_table(q, free):
+            blocks.append(span(q, n, base + [beta + 1]))
+    # s2's blocks in the last-coordinate-zero hyperplane, packed as P's above
     blocks += _rref_blocks(q, n, k, [v * q for b in s2.blocks for v in b.packed])
     design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
     expected = q ** (n - k) * len(s1) + len(s2)
@@ -437,6 +437,13 @@ def derive_steiner(design: SubspaceDesign, t: int,
     The method reconstructs an unstated derivation, so the output is
     re-verified and the report is returned with the design; callers must
     check report.is_steiner.
+
+    A block B through the point maps to the vectors D(v - v[j0] * p), v in
+    B, p the point's row, j0 its pivot and D the deletion of coordinate j0:
+    the D images of B's vectors that are zero at j0.  p lies in B and leads
+    at j0, so j0 is a pivot of B, and B's other RREF rows are zero at j0
+    and span those vectors.  With column j0 deleted (the digits above it
+    drop one place) they are the image's RREF, with no row reduction.
     """
     if t < 2:
         raise ValueError("derivation needs t >= 2")
@@ -445,23 +452,16 @@ def derive_steiner(design: SubspaceDesign, t: int,
     _require(verify_covering(design, t), "input is not a Steiner structure",
              steiner=True)
     q, n = design.q, design.n
-    gf = get_gf(q)
-    p_row = point.rows[0]
     j0 = point.pivots[0]
     key = point.packed[0]
-    derived = []
+    low = q ** (n - 1 - j0)  # the place of coordinate j0
+    rows = []
     # the vectors the Steiner census above listed, under the same budget
     for block, vectors in zip(design.blocks, design.vector_lists):
-        if key not in vectors:
-            continue
-        rows = []
-        for v in block.rows:
-            w = gf.row_sub(v, v[j0], p_row)
-            rows.append(w[:j0] + w[j0 + 1:])
-        image = span(q, n - 1, rows)
-        if image.dim != design.k - 1:
-            raise ConstructionError("projected block has wrong dimension")
-        derived.append(image)
+        if key in vectors:
+            rows += [v // (low * q) * low + v % low
+                     for v, c in zip(block.packed, block.pivots) if c != j0]
+    derived = _rref_blocks(q, n - 1, design.k - 1, rows)
     out = SubspaceDesign.from_blocks(derived, q=q, n=n - 1, k=design.k - 1)
     return out, verify_covering(out, t - 1)
 

@@ -19,7 +19,7 @@ from operator import and_, attrgetter, ne
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
-from .fields import FieldError, get_gf
+from .fields import FieldError, get_gf, vec_pack
 from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         BudgetError, GroupAction, Subspace, _canonical_blocks,
                         _digit_table, _local_rows, _xor_span, check_ambient,
@@ -27,7 +27,7 @@ from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         grassmannian_choices, grassmannian_rows,
                         orthogonal_complement, packed_vector_lists,
                         packed_vectors, span, subspace_count,
-                        superspaces_containing, xor_rref)
+                        superspaces_containing)
 
 WITNESS_CAP = 16
 # Subspace.sort_key, and the fields from_blocks checks, read in C.
@@ -459,16 +459,15 @@ def design_from_text(text: str) -> SubspaceDesign:
     """The design a design file describes, each block in canonical form.
 
     Blocks share words, so each distinct word is checked and converted once
-    per call, to a packed int for q = 2 and a coordinate tuple otherwise.
-    Every line is checked first, up to the first bad word or word count;
-    then the lines before it become blocks, and a dependent one raises
-    FormatError with its rank, so errors come in file order.  A q = 2 file
-    whose rows are all canonical, as design_to_text writes them, is taken
-    as written (_canonical_blocks decides once per file); in any other
-    file each q = 2 line is reduced by xor_rref and each other line by
-    span.  A parameter line that lacks q, n or k or repeats a key raises
-    FormatError, and a header n past MAX_AMBIENT_N raises BudgetError,
-    before any block is read.
+    per call to its packed int, for every q.  Every line is checked first,
+    up to the first bad word or word count; then the lines before it become
+    blocks, and a dependent one raises FormatError with its rank, so errors
+    come in file order.  A q = 2 file whose rows are all canonical, as
+    design_to_text writes them, is taken as written (_canonical_blocks
+    decides once per file); in any other file span reduces each line's
+    packed vectors.  A parameter line that lacks q, n or k or repeats a key
+    raises FormatError, and a header n past MAX_AMBIENT_N raises
+    BudgetError, before any block is read.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != DESIGN_MAGIC:
@@ -509,7 +508,9 @@ def design_from_text(text: str) -> SubspaceDesign:
                     raise FormatError(f"bad vector {word!r} for n={n}")
                 if max(word) > top:
                     raise FormatError(f"coordinate out of GF({q}) in {word!r}")
-                vector[word] = int(word, 2) if q == 2 else tuple(map(int, word))
+                # int reads base q up to 36, and a coordinate is one digit
+                vector[word] = (int(word, q) if q <= 36
+                                else vec_pack(q, map(int, word)))
             if len(words) != k:
                 raise FormatError(f"block with {len(words)} vectors, expected {k}")
             word_lists.append(words)
@@ -524,10 +525,7 @@ def design_from_text(text: str) -> SubspaceDesign:
     if blocks is None:
         blocks = []
         for words, line in zip(word_lists, block_lines):
-            if q == 2:
-                block = xor_rref(n, map(pack, words))[1]
-            else:
-                block = span(q, n, map(pack, words))
+            block = span(q, n, map(pack, words))
             if block.dim != k:
                 raise FormatError(f"block rank {block.dim} < k={k}: {line!r}")
             blocks.append(block)

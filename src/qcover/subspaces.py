@@ -3,8 +3,10 @@
 A subspace is identified by its reduced row-echelon generator matrix, whose
 rows are stored packed by vec_pack, coordinate 0 the most significant digit,
 so int order is the rows' lexicographic order; coordinate tuples are derived
-on read.  Two subspaces are equal as vector sets iff their canonical
-matrices are identical, so hashing and set semantics come for free.
+on read, for tests and repr only.  span, on packed vectors, is the one row
+reduction for every q.  Two subspaces are equal as vector sets iff their
+canonical matrices are identical, so hashing and set semantics come for
+free.
 Enumeration iterates pivot-column sets in lexicographic order, then takes
 the product of each RREF row's choices, its free entries in odometer order;
 this yields RREF matrices directly and the order is reproducible.
@@ -19,7 +21,7 @@ from operator import add, and_, attrgetter, eq, gt, itemgetter, mul, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
-from .fields import Field, get_gf, vec_pack, vec_unpack
+from .fields import get_gf, vec_pack, vec_unpack
 
 MAX_SUBSPACE_ENUM = 10 ** 7
 MAX_VECTOR_ENUM = 1 << 24
@@ -61,36 +63,12 @@ class AmbientMismatch(ValueError):
     """Operands live in different ambient spaces F_q^n."""
 
 
-def rref(gf: Field, rows: Iterable[Sequence[int]], n: int):
-    """Reduced row echelon form over GF(q); returns (rows, pivots)."""
-    mat = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        if r >= len(mat):
-            break
-        for pr in range(r, len(mat)):
-            if mat[pr][c]:
-                break
-        else:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        if mat[r][c] != 1:
-            mat[r] = gf.row_scale(gf.inv(mat[r][c]), mat[r])
-        row_r = mat[r]
-        for i, row in enumerate(mat):
-            if i != r and row[c]:
-                mat[i] = gf.row_sub(row, row[c], row_r)
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
-
-
 class Subspace:
     """A k-dimensional subspace of F_q^n in canonical RREF form.
 
     packed holds the RREF rows, each packed by vec_pack; rows is a read-only
-    view that unpacks them into coordinate tuples on every read.  An
+    view that unpacks them into coordinate tuples on every read, for tests
+    and __repr__: the rest of the package reads packed rows only.  An
     immutable value: equality and hashing use (q, n, packed) only, since the
     canonical rows determine the pivots.  The pivots are required, and must
     be the rows' pivot columns: membership, complements and sort keys read
@@ -150,19 +128,55 @@ _set_pivots = Subspace.pivots.__set__
 _packed = attrgetter("packed")
 
 
-def span(q: int, n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
-    gf = get_gf(q)
-    vecs = [tuple(v) for v in vectors]
-    for v in vecs:
-        if len(v) != n:
-            raise AmbientMismatch(f"vector of length {len(v)} in F_{q}^{n}")
-    rows, pivots = rref(gf, vecs, n)
-    return Subspace(q, n, tuple(map(_digit_table(q, n)[1], rows)), pivots)
+def span(q: int, n: int, vectors: Iterable[int]) -> Subspace:
+    """The canonical subspace of F_q^n spanned by packed vectors: the one
+    row reduction, for every q.
 
-
-def full_space(q: int, n: int) -> Subspace:
-    return Subspace(q, n, _places(q, n), tuple(range(n)))
+    For q = 2 each vector is reduced by the rows so far at their pivots,
+    and a nonzero remainder clears its pivot from them and joins them.  A
+    row's pivot is its top set bit, so v holds row r's pivot iff v ^ r < v,
+    as the XOR flips no higher bit, and rows clear by XOR.  Other q sweep
+    the columns of the digit rows read off _digit_table: the first row left
+    that is nonzero at column c, scaled by Field.row_scale to lead with 1,
+    clears c from every other row by Field.row_sub.  Rows with distinct
+    pivots sort by pivot as ints, descending.  The block is built with the
+    pivots at hand: _rref_blocks' lazy pipeline costs several times more
+    for one block.  A vector outside F_q^n raises AmbientMismatch.
+    """
+    vectors = list(vectors)
+    _check_packed(q, n, vectors)
+    if q == 2:
+        rows = []
+        for v in vectors:
+            for row in rows:
+                if v ^ row < v:
+                    v ^= row
+            if v:
+                rows = [row ^ v if row ^ v < row else row for row in rows]
+                rows.append(v)
+        pivots = [n - row.bit_length() for row in rows]
+    else:
+        gf = get_gf(q)
+        unpack, pack = _digit_table(q, n)
+        mat, pivots = list(map(unpack, vectors)), []
+        for c in range(n):
+            r = len(pivots)  # rows before r are reduced, with pivots before c
+            for pr in range(r, len(mat)):
+                if mat[pr][c]:
+                    break
+            else:
+                continue
+            row = mat[pr]
+            if row[c] != 1:
+                row = gf.row_scale(gf.inv(row[c]), row)
+            mat[pr], mat[r] = mat[r], row
+            for i, u in enumerate(mat):
+                if u[c] and i != r:
+                    mat[i] = gf.row_sub(u, u[c], row)
+            pivots.append(c)
+        rows = [pack(tuple(row)) for row in mat[:len(pivots)]]
+    rows.sort(reverse=True)
+    return Subspace(q, n, tuple(rows), tuple(sorted(pivots)))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -176,8 +190,9 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     only for j < t_i, and no t_i is a pivot.
     """
     gf = get_gf(s.q)
+    unpack, pack = _digit_table(s.q, s.n)
     rows, ends = [], []  # the rows so far, and their end columns
-    for b in s.rows:
+    for b in map(unpack, s.packed):
         for row, e in zip(rows, ends):
             if b[e]:
                 b = gf.row_sub(b, b[e], row)
@@ -190,6 +205,7 @@ def orthogonal_complement(s: Subspace) -> Subspace:
         rows.append(b)
         ends.append(e)
     pivots = tuple([j for j in range(s.n) if j not in ends])
+    rows = [pack(tuple(row)) for row in rows]
     return Subspace(s.q, s.n, _null_rows(s.q, s.n, rows, ends, pivots), pivots)
 
 
@@ -197,21 +213,22 @@ def _complement_rows(s: Subspace) -> Tuple[int, ...]:
     """_null_rows of s's RREF rows per free column, descending: s-perp's
     RREF basis in reversed coordinates, complement_generators' key for s."""
     free = [fc for fc in reversed(range(s.n)) if fc not in s.pivots]
-    return _null_rows(s.q, s.n, s.rows, s.pivots, free)
+    return _null_rows(s.q, s.n, s.packed, s.pivots, free)
 
 
-def _null_rows(q: int, n: int, rows: Sequence[Sequence[int]],
+def _null_rows(q: int, n: int, packed: Sequence[int],
                units: Sequence[int], columns: Iterable[int]) -> Tuple[int, ...]:
     """vec_pack of e_c - sum_i rows[i][c] * e_(units[i]) for each column c
-    of columns, in order: orthogonal to every row when row i is 1 at
-    units[i], every other row is 0 there, and c is no unit."""
+    of columns, in order, rows[i][c] the digit of packed[i] at c's place:
+    orthogonal to every row when row i is 1 at units[i], every other row is
+    0 there, and c is no unit."""
     neg = get_gf(q).negatives
     place = _places(q, n)
     out = []
     for c in columns:
-        v = place[c]
-        for row, u in zip(rows, units):
-            v += neg[row[c]] * place[u]
+        v, low = place[c], place[c] * q
+        for row, u in zip(packed, units):
+            v += neg[row % low // place[c]] * place[u]
         out.append(v)
     return tuple(out)
 
@@ -411,28 +428,6 @@ def _xor_span(packed_rows: Sequence[int]) -> List[int]:
     return out
 
 
-def xor_rref(n: int, vectors: Iterable[int]) -> Tuple[List[int], Subspace]:
-    """The span of packed vectors in F_2^n, and its packed RREF rows.
-
-    A row's pivot is its top set bit, so v holds row r's pivot iff v ^ r <
-    v, as the XOR flips no higher bit.  Each remainder clears its pivot from
-    the rows so far with XOR and joins them; rows with distinct top bits
-    sort by pivot as ints, and _rref_blocks builds the block.  It serves
-    design files whose rows are not all canonical, and error-path ranks.
-    """
-    rows: List[int] = []
-    for v in vectors:
-        _check_bits(n, (v,))
-        for row in rows:
-            if v ^ row < v:
-                v ^= row
-        if v:
-            rows = [row ^ v if row ^ v < row else row for row in rows]
-            rows.append(v)
-    rows.sort(reverse=True)
-    return rows, next(_rref_blocks(2, n, len(rows), rows))
-
-
 class BlockError(ValueError):
     """A vector list, at index among the lists, that read_blocks refuses."""
 
@@ -454,12 +449,13 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
     has 2^k vectors, a nonzero one at index 1 (k dependent rows list 0
     there again) and is the span of its rows, which _xor_chunk spans as
     read; the first that is not raises BlockError, with its rank from
-    xor_rref.  All steps run in C-level maps over all lists; _rref_blocks
+    span.  All steps run in C-level maps over all lists; _rref_blocks
     builds blocks.
     """
     lists = list(map(sorted, vector_lists))
-    _check_bits(n, (min(map(itemgetter(0), filter(None, lists)), default=0),
-                    max(map(itemgetter(-1), filter(None, lists)), default=0)))
+    _check_packed(2, n, (
+        min(map(itemgetter(0), filter(None, lists)), default=0),
+        max(map(itemgetter(-1), filter(None, lists)), default=0)))
     size, at = 1 << k, [1 << i for i in reversed(range(k))]
     if all(map(size.__eq__, map(len, lists))):
         # A slice keeps a single read a sequence, as in _local_rows.
@@ -472,7 +468,7 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
     for index, vectors in enumerate(lists):
         if not (len(vectors) == size and vectors[1]
                 and _xor_span([vectors[i] for i in at]) == vectors):
-            rank = len(xor_rref(n, vectors)[0])
+            rank = span(2, n, vectors).dim
             raise BlockError(index, f"spans dim {rank}, not {k}" if rank != k
                              else "is not closed under addition")
 
@@ -514,11 +510,13 @@ def _rref_blocks(q: int, n: int, k: int, flat: Iterable[int]
                zip(*[rows] * k), zip(*[pivots] * k))
 
 
-def _check_bits(n: int, vectors: Iterable[int]) -> None:
-    """AmbientMismatch for the first of the packed vectors outside F_2^n."""
+def _check_packed(q: int, n: int, vectors: Iterable[int]) -> None:
+    """AmbientMismatch for the first of the packed vectors outside F_q^n: a
+    negative one would index _digit_table's list from its end."""
+    size = q ** n
     for v in vectors:
-        if v < 0 or v >> n:
-            raise AmbientMismatch(f"packed vector {v} outside F_2^{n}")
+        if not 0 <= v < size:
+            raise AmbientMismatch(f"packed vector {v} outside F_{q}^{n}")
 
 
 DIGIT_TABLE_MAX = 1 << 10  # most vectors _digit_table lists: F_2^10, F_3^6
@@ -554,7 +552,7 @@ class GroupAction:
         if len(images) != n:
             raise ValueError(f"need {n} column images, got {len(images)}")
         check_vectors(2, n)
-        _check_bits(n, images)
+        _check_packed(2, n, images)
         self.n = n
         self._image = image = _xor_span(images)  # g(v) at index v
         rank = n - (image.count(0).bit_length() - 1)  # n - dim of the kernel
@@ -594,7 +592,8 @@ class GroupAction:
     def image(self, vectors: Iterable[int], m: int) -> List[int]:
         """g^m of each vector, in order; AmbientMismatch past F_2^n."""
         vectors = list(vectors)
-        _check_bits(self.n, (min(vectors, default=0), max(vectors, default=0)))
+        _check_packed(2, self.n,
+                      (min(vectors, default=0), max(vectors, default=0)))
         rep, exponent, size, cycles = self._orbit_tables()
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
 
@@ -643,7 +642,7 @@ class GroupAction:
         vectors = sorted(set(vectors))
         if not vectors:
             raise ValueError("an empty vector set has no orbit")
-        _check_bits(self.n, (vectors[0], vectors[-1]))
+        _check_packed(2, self.n, (vectors[0], vectors[-1]))
         top = max(vectors, key=lambda v: (size[v], -rep[v]))
         length, head = size[top], rep[top]
         parts = [(cycles[rep[w]], exponent[w], size[w]) for w in vectors]

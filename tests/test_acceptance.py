@@ -16,10 +16,9 @@ from qcover.constructions import (expand_to_steiner_system, gf64_covering_design
                                   turan_point_design)
 from qcover.designs import (SubspaceDesign, dualize, verify_covering,
                             verify_steiner_system, verify_turan)
-from qcover.subspaces import (BudgetError, enumerate_grassmannian,
-                              span, subspaces_of)
+from qcover.subspaces import BudgetError, enumerate_grassmannian, subspaces_of
 
-from vector_reference import enumerate_vectors
+from vector_reference import enumerate_vectors, tuple_span
 
 # incidence-work cap for the sweep in criterion 3: verification is skipped
 # (sizes are still checked exactly) when |blocks| * targets-per-block exceeds it
@@ -136,7 +135,7 @@ def test_criterion_5_duality_property_suite():
         blocks = []
         while len(blocks) < size:
             vecs = [tuple(rng.randrange(2) for _ in range(5)) for _ in range(k)]
-            s = span(2, 5, vecs)
+            s = tuple_span(2, 5, vecs)
             if s.dim == k and s not in blocks:
                 blocks.append(s)
         d = SubspaceDesign.from_blocks(blocks, q=2, n=5, k=k)

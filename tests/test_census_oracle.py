@@ -41,14 +41,14 @@ from qcover.fields import get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
                               Subspace, complement_generators,
                               complement_vectors,
-                              enumerate_grassmannian,
-                              full_space, grassmannian_choices,
+                              enumerate_grassmannian, grassmannian_choices,
                               grassmannian_rows,
                               local_row_indices, orthogonal_complement,
                               packed_vectors, span, subspaces_of,
-                              superspaces_containing, xor_rref)
+                              superspaces_containing)
 
-from vector_reference import enumerate_vectors, vec_add, vec_scale
+from vector_reference import (enumerate_vectors, full_space, tuple_span,
+                              vec_add, vec_scale)
 
 # Ambient sizes per q, small enough that the scan strategy stays cheap.
 MAX_N = {2: 6, 3: 5, 4: 4}
@@ -98,7 +98,7 @@ def reference_subspaces_of(s, r):
                 if c:
                     v = vec_add(gf, v, vec_scale(gf, c, srow))
             rows.append(v)
-        yield span(s.q, s.n, rows)
+        yield tuple_span(s.q, s.n, rows)
 
 
 def reference_superspaces_containing(s, k):
@@ -112,7 +112,7 @@ def reference_superspaces_containing(s, k):
             for c, col in zip(lrow, comp_cols):
                 v[col] = c
             rows.append(tuple(v))
-        yield span(s.q, s.n, rows)
+        yield tuple_span(s.q, s.n, rows)
 
 
 def oracle_report(q, n, dim, counts):
@@ -153,7 +153,7 @@ def random_design(rng, q=None):
         blocks = set()
         while len(blocks) < wanted:
             vectors = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
-            block = span(q, n, vectors)
+            block = tuple_span(q, n, vectors)
             if block.dim == k:
                 blocks.add(block)
     return SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
@@ -337,7 +337,7 @@ def random_rref(rng, q, n, pivots):
     rows = [[1 if c == p else 0 for c in range(n)] for p in pivots]
     for i, c in grassmannian_pivot_freedom(n, pivots):
         rows[i][c] = rng.randrange(q)
-    s = span(q, n, rows)
+    s = tuple_span(q, n, rows)
     assert s.pivots == tuple(pivots)
     return s
 
@@ -501,12 +501,11 @@ def test_complement_generators_span_the_null_space(q):
                 s = random_rref(rng, q, n, pivots)
                 (generators,) = complement_generators(q, n, s.pivots,
                                                       zip(s.packed))
-                unpacked = [vec_unpack(q, n, g) for g in generators]
                 expected = null_space(s)
-                assert span(q, n, unpacked).dim == len(generators) == n - d, s
+                assert span(q, n, generators).dim == len(generators) == n - d, s
                 assert set(complement_list(s)) == expected, s
                 assert len(complement_list(s)) == len(expected)
-                assert orthogonal_complement(s) == span(q, n, unpacked)
+                assert orthogonal_complement(s) == span(q, n, generators)
             for pivots, packed in grassmannian_choices(q, n, d):
                 assert list(complement_generators(q, n, pivots, packed)) == [
                     next(complement_generators(q, n, pivots, zip(t)))
@@ -562,7 +561,7 @@ def test_horner_span_of_arbitrary_rows(q):
                 rng.randrange(q) for _ in range(k))]) for _ in range(n)]
             rows = list(zip(*columns))
             assert subspaces._horner_span(q, rows) == reference_span(q, n, rows)
-            s = span(q, n, rows)
+            s = tuple_span(q, n, rows)
             if (0,) * k in columns:
                 seen.add("zero column")
             if any(columns.count(e) > 1 for e in units):
@@ -662,7 +661,7 @@ def test_witnesses_in_a_large_ambient_space():
     pivots, packed = next(grassmannian_choices(2, 20, 1))
     assert pivots == (0,) and len(packed[0]) == subspaces.ROW_CHUNK
     design = SubspaceDesign.from_blocks(
-        [span(2, 20, [[1] + [0] * 19, [0] * 19 + [1]])], q=2, n=20, k=2)
+        [tuple_span(2, 20, [[1] + [0] * 19, [0] * 19 + [1]])], q=2, n=20, k=2)
     covered = set(reference_subspaces_of(design.blocks[0], 1))
     expected = tuple(itertools.islice(
         (t for t in reference_enumerate_grassmannian(2, 20, 1)
@@ -732,7 +731,7 @@ def actions():
 def expand_orbits(action, bases):
     """The design of every image of every base, by brute force over the
     whole group."""
-    blocks = [xor_rref(action.n, action.image(packed_vectors(b), m))[1]
+    blocks = [span(2, action.n, action.image(packed_vectors(b), m))
               for b in bases for m in range(action.order)]
     return SubspaceDesign.from_blocks(blocks, q=2, n=action.n, k=bases[0].dim)
 
@@ -744,8 +743,8 @@ def random_orbit_bases(rng, action, k, count):
     for _ in range(200):
         if len(bases) == count:
             break
-        block = xor_rref(action.n, [rng.randrange(1, 1 << action.n)
-                                    for _ in range(k)])[1]
+        block = span(2, action.n, [rng.randrange(1, 1 << action.n)
+                                   for _ in range(k)])
         label = action.orbit(packed_vectors(block))[0]
         if block.dim == k and label not in labels:
             labels.add(label)
@@ -754,7 +753,7 @@ def random_orbit_bases(rng, action, k, count):
 
 
 def test_orbit_blocks_equal_image_walk():
-    """GroupAction.orbit_blocks against xor_rref of the images of a base's
+    """GroupAction.orbit_blocks against span of the images of a base's
     vectors under g^1, g^2, ... up to the base, on every action and bases
     of dimension 1..4: the same blocks and pivots, in the same order, as
     many as the orbit's size.  The zero block is its own orbit."""
@@ -763,10 +762,10 @@ def test_orbit_blocks_equal_image_walk():
         for k in range(1, 5):
             for base in random_orbit_bases(rng, action, k, 3):
                 vectors = packed_vectors(base)
-                walk = [xor_rref(action.n, action.image(vectors, 1))[1]]
+                walk = [span(2, action.n, action.image(vectors, 1))]
                 while walk[-1] != base:
-                    walk.append(xor_rref(action.n, action.image(
-                        vectors, len(walk) + 1))[1])
+                    walk.append(span(2, action.n, action.image(
+                        vectors, len(walk) + 1)))
                 blocks = action.orbit_blocks(base)
                 assert blocks == walk, (name, base)
                 assert [b.pivots for b in blocks] == [b.pivots for b in walk]
@@ -880,7 +879,7 @@ def test_orbit_census_with_a_fixed_block():
     fixed by the shift: an orbit of one block, whose 2-subspaces lie in
     orbits of 7."""
     shift = GroupAction(7, SHIFT_7)
-    code = xor_rref(7, [shift.image([0b1011100], m)[0] for m in range(7)])[1]
+    code = span(2, 7, [shift.image([0b1011100], m)[0] for m in range(7)])
     code_label, code_size = shift.orbit(packed_vectors(code))
     assert code.dim == 3 and code_size == 1
     rng = random.Random(7)
@@ -929,7 +928,7 @@ def test_orbit_census_equals_expand_and_scan_on_random_designs(name, designs):
 
 def test_orbit_census_rejects_bad_input():
     singer, bases, _ = gf64_orbits()
-    shifted = xor_rref(7, singer.image(packed_vectors(bases[0]), 5))[1]
+    shifted = span(2, 7, singer.image(packed_vectors(bases[0]), 5))
     with pytest.raises(ValueError, match="base blocks 0 and 7 lie in one orbit"):
         verify_orbits(singer, bases + [shifted], 2)
     with pytest.raises(ValueError, match="rank 2 < 3: not invertible"):
@@ -1014,8 +1013,8 @@ def test_single_superspace_dimensions_list_no_complement():
         start = time.perf_counter()
         assert call() == expected
         assert time.perf_counter() - start < 0.01
-    small = SubspaceDesign.from_blocks([span(2, 5, [(1, 1, 0, 0, 0)]),
-                                        span(2, 5, [(0, 0, 1, 0, 1)])])
+    small = SubspaceDesign.from_blocks([tuple_span(2, 5, [(1, 1, 0, 0, 0)]),
+                                        tuple_span(2, 5, [(0, 0, 1, 0, 1)])])
     for k in (1, 5):
         assert len(list(superspaces_containing(small, k))) == 2
         assert verify_turan(small, k).total == gaussian(5, k, 2)

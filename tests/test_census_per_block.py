@@ -25,8 +25,10 @@ from qcover.designs import (WITNESS_CAP, CoverageReport, SubspaceDesign,
                             verify_covering, verify_turan)
 from qcover.fields import vec_pack
 from qcover.subspaces import (complement_generators, complement_vectors,
-                              enumerate_grassmannian, full_space,
-                              local_row_indices, packed_vectors, span)
+                              enumerate_grassmannian, local_row_indices,
+                              packed_vectors)
+
+from vector_reference import full_space, tuple_span
 
 # Largest ambient dimension per q; every 0 <= r <= k <= n up to it.
 MAX_N = {2: 6, 3: 6, 4: 6}
@@ -103,7 +105,7 @@ def random_blocks(rng, q, n, k, count):
         return list(enumerate_grassmannian(q, n, k))
     blocks = set()
     while len(blocks) < count:
-        block = span(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        block = tuple_span(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
         if block.dim == k:
             blocks.add(block)
     return list(blocks)

@@ -302,8 +302,8 @@ def test_verify_agrees_on_canonical_and_unreduced_gf64_files(
         tmp_path, capsys, monkeypatch):
     """The gf64 file loads as written; the same file with every line's rows
     rotated and its first row replaced by the sum of its first two loads
-    through one xor_rref call per line.  verify prints the same census line
-    and verdict on both."""
+    through one span call per line.  verify prints the same census line and
+    verdict on both."""
     canonical, unreduced = tmp_path / "gf64.txt", tmp_path / "unreduced.txt"
     assert run(capsys, "construct", "gf64", "-o", str(canonical))[0] == 0
     lines = canonical.read_text().splitlines()
@@ -312,9 +312,9 @@ def test_verify_agrees_on_canonical_and_unreduced_gf64_files(
         words[0] = "".join(str(int(a) ^ int(b)) for a, b in zip(*words[:2]))
         lines[i] = " ".join(words[1:] + words[:1])
     unreduced.write_text("\n".join(lines) + "\n")
-    calls, xor_rref = [], designs.xor_rref
-    monkeypatch.setattr(designs, "xor_rref",
-                        lambda n, vectors: calls.append(n) or xor_rref(n, vectors))
+    calls, span = [], designs.span
+    monkeypatch.setattr(designs, "span", lambda q, n, vectors:
+                        calls.append(n) or span(q, n, vectors))
     outputs = []
     for path in (canonical, unreduced):
         code, out, err = run(capsys, "verify", str(path), "--mode", "covering",

@@ -23,10 +23,9 @@ from qcover.designs import (CoverageReport, SubspaceDesign, design_to_text,
 from qcover.fields import (DEFAULT_MODULI, Field, FieldError, coefficients,
                            get_gf, vec_pack)
 from qcover.subspaces import (BudgetError, GroupAction,
-                              enumerate_grassmannian,
-                              full_space, packed_vectors, span)
+                              enumerate_grassmannian, packed_vectors)
 
-from vector_reference import enumerate_vectors, vec_add
+from vector_reference import enumerate_vectors, full_space, tuple_span, vec_add
 
 
 def test_trivial_steiner():
@@ -69,7 +68,7 @@ def test_lift_covering():
 
 
 def test_lift_rejects_non_covering():
-    d = SubspaceDesign.from_blocks([span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])])
+    d = SubspaceDesign.from_blocks([tuple_span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])])
     with pytest.raises(ConstructionError,
                        match="^input is not a verified line covering$"):
         lift_covering(d, 1)
@@ -163,7 +162,7 @@ def test_field_tower_blocks_are_their_rref_as_written():
                 continue
             blocks, residual = constructions._field_tower(q, rho, m, n)
             for block in blocks + [residual]:
-                reference = span(q, n, block.rows)
+                reference = tuple_span(q, n, block.rows)
                 assert (block, block.pivots) == (reference, reference.pivots)
             count += len(blocks)
     assert count > 1000
@@ -230,8 +229,8 @@ def reference_recursive_blocks(s1, s2):
                 seen.update(vec_add(gf, v, u) for u in p_vectors)
         assert len(reps) == q ** (n - s2.k)
         base = [row + (0,) for row in p.rows]
-        blocks += [span(q, n, base + [v + (1,)]) for v in reps]
-    blocks += [span(q, n, [row + (0,) for row in b.rows]) for b in s2.blocks]
+        blocks += [tuple_span(q, n, base + [v + (1,)]) for v in reps]
+    blocks += [tuple_span(q, n, [row + (0,) for row in b.rows]) for b in s2.blocks]
     return blocks
 
 
@@ -246,7 +245,7 @@ def test_recursive_covering_equals_coset_search(monkeypatch, q, n, k):
     rng = random.Random(f"{q}/{n}/{k}")
 
     def random_design(dim, size):
-        blocks = {span(q, n - 1, [[rng.randrange(q) for _ in range(n - 1)]
+        blocks = {tuple_span(q, n - 1, [[rng.randrange(q) for _ in range(n - 1)]
                                   for _ in range(dim)]) for _ in range(size)}
         return SubspaceDesign.from_blocks([b for b in blocks if b.dim == dim],
                                           q=q, n=n - 1, k=dim)
@@ -288,7 +287,7 @@ def reference_gf64_blocks():
         return coefficients(2, 6, beta) + (bit,)
 
     def to_block(vectors):
-        block = span(2, 7, [v for v in vectors if any(v)])
+        block = tuple_span(2, 7, [v for v in vectors if any(v)])
         assert block.dim == 3
         assert set(enumerate_vectors(block)) == set(vectors) | {(0,) * 7}
         return block
@@ -492,19 +491,41 @@ def test_expand_rejects_non_steiner():
 
 def test_derive_steiner_from_trivial():
     d = trivial_steiner(2, 4, 2)
-    point = span(2, 4, [(1, 0, 0, 0)])
+    point = tuple_span(2, 4, [(1, 0, 0, 0)])
     derived, report = derive_steiner(d, 2, point)
     assert (derived.n, derived.k) == (3, 1)
     assert len(derived.blocks) == 7
     assert report.is_steiner
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_derive_steiner_equals_quotient_reference(q):
+    """For every point of F_q^4, the blocks of S_q[3,3,4] through it map to
+    the spans of their coordinate rows less the point's row times their
+    entry at its pivot, that entry deleted: the same blocks and pivots."""
+    d = trivial_steiner(q, 4, 3)
+    gf = get_gf(q)
+    for point in enumerate_grassmannian(q, 4, 1):
+        (p_row,), (j0,) = point.rows, point.pivots
+        derived, report = derive_steiner(d, 3, point)
+        reference = []
+        for block in d.blocks:
+            if point.packed[0] in packed_vectors(block):
+                rows = [gf.row_sub(v, v[j0], p_row) for v in block.rows]
+                reference.append(tuple_span(q, 3, [w[:j0] + w[j0 + 1:]
+                                                   for w in rows]))
+        expected = SubspaceDesign.from_blocks(reference, q=q, n=3, k=2)
+        assert derived == expected and report.is_steiner
+        assert [b.pivots for b in derived.blocks] == [
+            b.pivots for b in expected.blocks]
+
+
 def test_derive_rejects_bad_point():
     d = trivial_steiner(2, 4, 2)
     with pytest.raises(ValueError):
-        derive_steiner(d, 2, span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]))
+        derive_steiner(d, 2, tuple_span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)]))
     with pytest.raises(ValueError):
-        derive_steiner(d, 1, span(2, 4, [(1, 0, 0, 0)]))
+        derive_steiner(d, 1, tuple_span(2, 4, [(1, 0, 0, 0)]))
 
 
 @pytest.mark.parametrize("args", [(2, 4, 2, -1), (2, 4, 2, 3), (2, 4, 5, 1)])

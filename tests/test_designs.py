@@ -16,15 +16,17 @@ from qcover.constructions import (gf64_covering_design, spread, trivial_steiner,
                                   turan_point_design)
 from qcover.fields import vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
-                              Subspace, enumerate_grassmannian, full_space,
+                              Subspace, enumerate_grassmannian,
                               local_row_indices, span)
+
+from vector_reference import full_space, tuple_span
 
 
 def random_design(rng, q, n, k, size):
     blocks = []
     while len(blocks) < size:
         vecs = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
-        s = span(q, n, vecs)
+        s = tuple_span(q, n, vecs)
         if s.dim == k and s not in blocks:
             blocks.append(s)
     return SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
@@ -44,11 +46,11 @@ def corpus():
 
 
 def test_design_dedup_and_mismatch():
-    b = span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    d = SubspaceDesign.from_blocks([b, b, span(2, 4, b.rows)])
+    b = tuple_span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    d = SubspaceDesign.from_blocks([b, b, tuple_span(2, 4, b.rows)])
     assert len(d.blocks) == 1
     with pytest.raises(Exception):
-        SubspaceDesign.from_blocks([b, span(2, 4, [(1, 0, 0, 0)])])
+        SubspaceDesign.from_blocks([b, tuple_span(2, 4, [(1, 0, 0, 0)])])
 
 
 @pytest.mark.parametrize("other, message", [
@@ -59,9 +61,9 @@ def test_from_blocks_mismatch_names_first_block_in_sort_order(other, message):
     """Of two mismatched blocks, the message names the one that sorts
     first, whatever the input order: pivots (1, 2) sort after (0, 1, 0)'s
     (1,) and before (0, 0, 1)'s (2,)."""
-    a = span(2, 3, [(1, 0, 0)])
-    b = span(2, 3, [(0, 1, 0), (0, 0, 1)])
-    c = span(3, 3, [other])
+    a = tuple_span(2, 3, [(1, 0, 0)])
+    b = tuple_span(2, 3, [(0, 1, 0), (0, 0, 1)])
+    c = tuple_span(3, 3, [other])
     for blocks in ([a, b, c], [c, b, a], [b, a, c]):
         with pytest.raises(AmbientMismatch, match=message):
             SubspaceDesign.from_blocks(blocks)
@@ -82,7 +84,7 @@ def test_from_blocks_ignores_input_order_and_duplicates(q, n, k):
 def test_from_blocks_mixed_q_raises_the_same_mismatch():
     """The first block in sort order fixes the ambient space, whatever the
     input order, and the mismatch names the first block outside it."""
-    a, b = span(2, 3, [(1, 0, 0)]), span(3, 3, [(0, 1, 0)])
+    a, b = tuple_span(2, 3, [(1, 0, 0)]), tuple_span(3, 3, [(0, 1, 0)])
     for blocks in ([a, b], [b, a], [b, a, b, a]):
         with pytest.raises(AmbientMismatch,
                            match=r"^block \(3,3,dim 1\) in design \(2,3,k=1\)$"):
@@ -104,7 +106,7 @@ def test_covering_full_grassmannian_constant_multiplicity():
 def test_covering_single_block():
     d = SubspaceDesign.from_blocks([full_space(2, 3)])
     assert verify_covering(d, 3).is_covering
-    b = span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    b = tuple_span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
     d = SubspaceDesign.from_blocks([b])
     assert not verify_covering(d, 3).is_covering
 
@@ -187,7 +189,7 @@ def test_line_covering_size_bound_and_steiner_equality():
 
 
 def test_uncovered_witnesses():
-    b = span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    b = tuple_span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     d = SubspaceDesign.from_blocks([b])
     report = verify_covering(d, 1)
     assert not report.is_covering
@@ -205,7 +207,7 @@ def test_point_set_system_fano():
 
 
 def test_point_set_system_small():
-    d = SubspaceDesign.from_blocks([span(2, 3, [(1, 0, 0)])])
+    d = SubspaceDesign.from_blocks([tuple_span(2, 3, [(1, 0, 0)])])
     assert to_point_set_system(d).block_size == 1
     d3 = trivial_steiner(3, 3, 2)
     assert to_point_set_system(d3).block_size == 4
@@ -256,7 +258,7 @@ def test_design_text_canonicalizes_and_dedups():
             "101 011\n")
     d = design_from_text(text)
     assert len(d.blocks) == 1
-    assert d.blocks[0] == span(2, 3, [(1, 1, 0), (0, 1, 1)])
+    assert d.blocks[0] == tuple_span(2, 3, [(1, 1, 0), (0, 1, 1)])
 
 
 @pytest.mark.parametrize("text", [
@@ -292,15 +294,15 @@ def test_design_text_accepts_ascii_digits_only(q, word, message):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_design_from_text_equals_span_of_its_words(q):
-    """Each block is the span of its words, for q = 2 packed and reduced by
-    xor_rref, and a dependent line is refused with its rank."""
+    """Each block is the span of its words, packed and reduced by span for
+    every q, and a dependent line is refused with its rank."""
     rng = random.Random(500 + q)
     for _ in range(150):
         n = rng.randint(1, 7)
         k = rng.randint(1, n)
         words = ["".join(str(rng.randrange(q)) for _ in range(n)) for _ in range(k)]
         text = f"qcover-design v1\nq={q} n={n} k={k}\n{' '.join(words)}\n"
-        block = span(q, n, [tuple(map(int, w)) for w in words])
+        block = tuple_span(q, n, [tuple(map(int, w)) for w in words])
         if block.dim == k:
             design = design_from_text(text)
             assert design.blocks == (block,)
@@ -310,26 +312,35 @@ def test_design_from_text_equals_span_of_its_words(q):
                 design_from_text(text)
 
 
-def count_xor_rref(monkeypatch):
-    """A list that gets one entry per xor_rref call from either module
-    that holds it."""
-    calls, xor_rref = [], subspaces.xor_rref
+@pytest.mark.parametrize("q", [11, 37])
+def test_design_from_text_past_ten_reads_digit_words(q):
+    """Past q = 10 a word's coordinates are still one digit each: int reads
+    the word in base q up to 36, and vec_pack of its digits past it."""
+    text = f"qcover-design v1\nq={q} n=3 k=2\n110 013\n091 100\n"
+    assert design_from_text(text).blocks == SubspaceDesign.from_blocks([
+        tuple_span(q, 3, [(1, 1, 0), (0, 1, 3)]),
+        tuple_span(q, 3, [(0, 9, 1), (1, 0, 0)])]).blocks
 
-    def counted(n, vectors):
+
+def count_span(monkeypatch):
+    """A list that gets one entry, n, per span call from any module that
+    holds it."""
+    calls, original = [], subspaces.span
+
+    def counted(q, n, vectors):
         calls.append(n)
-        return xor_rref(n, vectors)
-    for module in (subspaces, designs):
-        monkeypatch.setattr(module, "xor_rref", counted)
+        return original(q, n, vectors)
+    for module in (subspaces, designs, constructions):
+        monkeypatch.setattr(module, "span", counted)
     return calls
 
 
 def test_gf64_and_its_file_make_no_xor_rref_call(monkeypatch):
     """gf64_covering_design takes GroupAction's rank from its image table
     and reads its seven base blocks and 399 blocks off sorted vector lists
-    with read_blocks, whose error path alone calls xor_rref, and its
-    design file loads as written: no xor_rref call."""
-    assert not hasattr(constructions, "xor_rref")
-    calls = count_xor_rref(monkeypatch)
+    with read_blocks, whose error path alone calls span, and its design
+    file loads as written: no call of span's XOR row reduction."""
+    calls = count_span(monkeypatch)
     design = gf64_covering_design()
     assert calls == []
     assert design_from_text(design_to_text(design)) == design
@@ -349,14 +360,14 @@ def q2_text(n, k, row_lists):
 
 def reduced_load(text):
     """The design of a well-formed q = 2 file with every line reduced by
-    xor_rref, or the FormatError of its first dependent line."""
+    span, or the FormatError of its first dependent line."""
     lines = text.splitlines()
     params = dict(item.split("=") for item in lines[1].split())
     n, k = int(params["n"]), int(params["k"])
     blocks = []
     for line in lines[2:]:
-        block = subspaces.xor_rref(n, [vec_pack(2, tuple(map(int, w)))
-                                       for w in line.split()])[1]
+        block = span(2, n, [vec_pack(2, tuple(map(int, w)))
+                            for w in line.split()])
         if block.dim != k:
             raise FormatError(f"block rank {block.dim} < k={k}: {line!r}")
         blocks.append(block)
@@ -378,17 +389,17 @@ def load_outcome(load, text):
     (7, 5, True), (10, 5, True), (11, 2, True), (11, 4, True),
 ])
 def test_design_load_reduces_past_the_cut(monkeypatch, n, k, past_cut):
-    """Canonical q = 2 files load as written, with no xor_rref call, at
+    """Canonical q = 2 files load as written, with no span call, at
     every n and k: past_cut marks the cases outside k <= 4 and
     2^n <= DIGIT_TABLE_MAX, the bounds of an earlier sorted read.  The same
-    designs written as shuffled, unreduced generators make one xor_rref
-    call per line (for k = 1 every nonzero row is canonical, so none).
+    designs written as shuffled, unreduced generators make one span call
+    per line (for k = 1 every nonzero row is canonical, so none).
     Both routes give the blocks that span gives, with their pivots."""
     assert past_cut == (k > 4 or 2 ** n > subspaces.DIGIT_TABLE_MAX)
     rng = random.Random(100 * n + k)
     design = random_design(rng, 2, n, k, 40)
     pivots = [b.pivots for b in design.blocks]
-    calls = count_xor_rref(monkeypatch)
+    calls = count_span(monkeypatch)
     back = design_from_text(design_to_text(design))
     assert back == design
     assert [b.pivots for b in back.blocks] == pivots
@@ -409,7 +420,7 @@ def test_design_load_reduces_past_the_cut(monkeypatch, n, k, past_cut):
 
 def random_canonical_rows(rng, n, k):
     while True:
-        rows = subspaces.xor_rref(n, [rng.randrange(1 << n) for _ in range(k)])[0]
+        rows = list(span(2, n, [rng.randrange(1 << n) for _ in range(k)]).packed)
         if len(rows) == k:
             return rows
 
@@ -450,7 +461,7 @@ def test_near_canonical_lines_load_as_reduced(n, k):
     pivot, two rows swapped, a zero row, a repeated row, a row replaced by
     the sum of two rows), each alone and each as one line among 399
     canonical ones, load to the design that reducing every line with
-    xor_rref gives, or raise the same rank error; so do the canonical
+    span gives, or raise the same rank error; so do the canonical
     files around them."""
     rng = random.Random(1000 * n + k)
     edits = NEAR_CANONICAL if k > 1 else [zero_one]
@@ -468,11 +479,11 @@ def test_near_canonical_lines_load_as_reduced(n, k):
 
 def test_spread_past_the_bit_table_loads_as_written(monkeypatch):
     """Past DIGIT_TABLE_MAX vectors canonical rows are written off
-    vec_unpack and their pivots come from their top bits, with no xor_rref
+    vec_unpack and their pivots come from their top bits, with no span
     call."""
     design = spread(2, 4, 12)
     assert 2 ** design.n > subspaces.DIGIT_TABLE_MAX
-    calls = count_xor_rref(monkeypatch)
+    calls = count_span(monkeypatch)
     back = design_from_text(design_to_text(design))
     assert back == design
     assert [b.pivots for b in back.blocks] == [b.pivots for b in design.blocks]
@@ -584,7 +595,7 @@ def test_expand_builds_no_row_table_without_blocks(monkeypatch):
         assert len(report.witnesses) == 16
     for q in (2, 3):
         with pytest.raises(AssertionError, match="was built"):
-            verify_turan(SubspaceDesign.from_blocks([span(q, 3, [(1, 0, 0)])]), 2)
+            verify_turan(SubspaceDesign.from_blocks([tuple_span(q, 3, [(1, 0, 0)])]), 2)
 
 
 def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
@@ -651,7 +662,7 @@ def test_lists_past_xor_chunk_are_listed_per_census(monkeypatch):
     keeps nothing, and its reports are unchanged."""
     rng = random.Random(31)
     hyperplanes = random_design(rng, 2, 11, 10, 17)
-    points = SubspaceDesign.from_blocks([span(2, 15, [vec_unpack(2, 15, v)])
+    points = SubspaceDesign.from_blocks([span(2, 15, [v])
                                          for v in (1, 6)])
     calls = counted_listings(monkeypatch)
     kept = SubspaceDesign.from_blocks(hyperplanes.blocks[:16])
@@ -697,7 +708,7 @@ def test_census_that_raises_keeps_nothing():
     the 2^25 vectors of F_2^25 for a covering census, and the 2^25
     complement vectors of a point of F_2^26 for a Turan scan at k = n."""
     full = SubspaceDesign.from_blocks([full_space(2, 25)])
-    point = SubspaceDesign.from_blocks([span(2, 26, [(1,) + (0,) * 25])])
+    point = SubspaceDesign.from_blocks([tuple_span(2, 26, [(1,) + (0,) * 25])])
     for strategy in ("expand", "scan"):
         with pytest.raises(BudgetError):
             verify_covering(full, 0, strategy)
@@ -745,7 +756,7 @@ def _empty(q, n, k):
 
 def _unit_rows(q, n, k):
     """The span of the first k unit vectors of F_q^n."""
-    return span(q, n, [tuple(int(i == j) for j in range(n)) for i in range(k)])
+    return tuple_span(q, n, [tuple(int(i == j) for j in range(n)) for i in range(k)])
 
 
 # Each input guard of qcover.designs: a call, the exception it raises and a

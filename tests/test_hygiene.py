@@ -34,9 +34,10 @@ outside it except in OWN_BUDGETS, which gives the reason each of those
 stays.
 
 Every subspace query of subspaces.py takes its packed vectors from one span
-fork, and designs.py forks only to load a design file: an AST scan fails on
-any `q == 2` or `q != 2` test in either module (q a name or an attribute,
-either side) outside Q_FORKS, which gives the reason each of those stays.
+fork, span reduces q = 2 rows by XOR, and designs.py forks only to load a
+design file: an AST scan fails on any `q == 2` or `q != 2` test in either
+module (q a name or an attribute, either side) outside Q_FORKS, which gives
+the reason each of those stays.
 
 A Subspace of src/qcover is built at a few known sites, so blocks keep one
 builder from packed RREF rows: an AST scan fails on any call of Subspace, and
@@ -52,6 +53,11 @@ Coordinate tuples pack at one edge of subspaces.py: an AST scan fails on
 any vec_pack it names, as a name or an attribute, outside _digit_table,
 whose pack every other packing there goes through.  Enumeration and the
 complement keys work on packed ints and pack nothing.
+
+src/qcover reads a subspace's packed rows only: Subspace.rows unpacks them
+on every read, for tests and repr.  An AST scan fails on any rows attribute,
+and any "rows" string passed to getattr or attrgetter, in src/qcover
+outside the class Subspace.
 """
 
 import ast
@@ -69,9 +75,7 @@ SOURCES = sorted((ROOT / "src" / "qcover").glob("*.py"))
 # field size.
 UNBOUNDED_CACHES = {("bounds.py", "gaussian"), ("fields.py", "get_gf")}
 # (module, function) -> why it stays although src/qcover never calls it.
-UNREFERENCED = {
-    ("subspaces.py", "full_space"): "tests build reference spaces with it",
-}
+UNREFERENCED = {}
 # (module, top-level definition) -> why it builds a BudgetError itself
 # rather than call subspace_count or check_vectors.
 OWN_BUDGETS = {
@@ -86,28 +90,32 @@ OWN_BUDGETS = {
 
 # (module, top-level definition) -> why it tests q == 2 itself.
 Q_FORKS = {
+    ("subspaces.py", "span"):
+        "a q = 2 row's pivot is its top set bit, and rows clear by XOR with "
+        "no digit read",
     ("subspaces.py", "span_vector_lists"):
         "the one span fork: q = 2 vectors are XORs of packed rows",
     ("subspaces.py", "_rref_blocks"):
         "a q = 2 row's digit count is its bit_length, which other q count "
         "by bisect over the places",
     ("designs.py", "design_from_text"):
-        "q = 2 words pack into ints, and canonical q = 2 files are taken "
-        "as written",
+        "canonical q = 2 files are taken as written",
 }
 
 # (module, top-level definition) -> why it builds a Subspace itself.
 SUBSPACE_SITES = {
-    ("subspaces.py", "span"): "row-reduces generator tuples by rref, any q",
-    ("subspaces.py", "full_space"): "writes the unit rows, any q",
+    ("subspaces.py", "span"):
+        "the one row reduction, any q, builds its block with the pivots it "
+        "found: _rref_blocks' lazy pipeline costs several times more for "
+        "one block",
     ("subspaces.py", "orthogonal_complement"):
         "writes the complement's RREF rows off the rows reduced from the "
         "right, any q",
     ("subspaces.py", "_rref_blocks"):
         "the builder from packed RREF rows, any q: read_blocks, the loader's "
-        "canonical rows, xor_rref, subspaces_of, enumerate_grassmannian, "
-        "greedy's chosen blocks and the constructions' embedded, lifted and "
-        "unit blocks",
+        "canonical rows, subspaces_of, enumerate_grassmannian, "
+        "greedy's chosen blocks and the constructions' embedded, lifted, "
+        "derived and unit blocks",
     ("designs.py", "_misses"):
         "builds a witness only, with the pivots its grassmannian_choices "
         "entry gives: a per-witness _rref_blocks call costs more",
@@ -532,3 +540,45 @@ def test_packing_scan_finds_each_form():
               "def c(q):\n    return vec_unpack, 'vec_pack'\n")
     assert packing_sites(source) == [(4, "_digit_table"), (6, "a"), (9, "B"),
                                      (10, None)]
+
+
+def rows_reads(source: str):
+    """(line, enclosing top-level definition or None) of every attribute
+    named rows and every "rows" string that a call of getattr or attrgetter
+    takes, a name or an attribute, outside the class Subspace."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if isinstance(top, ast.ClassDef) and owner == "Subspace":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
+                found.append((node.lineno, owner))
+            elif isinstance(node, ast.Call) and {"getattr", "attrgetter"} & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)} \
+                    and any(isinstance(arg, ast.Constant) and arg.value == "rows"
+                            for arg in node.args):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_src_reads_no_rows_outside_subspace():
+    found = [(path.name, line, owner) for path in SOURCES
+             for line, owner in rows_reads(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_rows_scan_finds_each_form():
+    source = ("from operator import attrgetter\n"
+              "import operator\n"
+              "class Subspace:\n    @property\n    def rows(self):\n"
+              "        return self.packed\n"
+              "    def __repr__(self):\n        return str(self.rows)\n"
+              "def a(s):\n    return s.rows[0]\n"
+              "def b(blocks):\n    return [x for b in blocks for x in b.rows]\n"
+              "class C:\n    def m(self, s):\n        return getattr(s, 'rows')\n"
+              "ROWS = attrgetter('rows')\n"
+              "def d(s, rows):\n    return rows, 'rows', s.packed, getattr(s, 'n')\n"
+              "def e(s):\n    return operator.attrgetter('q', 'rows')(s)\n")
+    assert rows_reads(source) == [(10, "a"), (12, "b"), (15, "C"), (16, None),
+                                  (20, "e")]

@@ -18,18 +18,19 @@ from qcover.subspaces import (AmbientMismatch, BlockError, BudgetError,
                               Subspace, complement_generators,
                               enumerate_grassmannian,
                               grassmannian_choices, grassmannian_rows,
-                              full_space, orthogonal_complement,
-                              packed_vectors, read_blocks, rref, span,
-                              subspaces_of, superspaces_containing, xor_rref)
+                              orthogonal_complement, packed_vectors,
+                              read_blocks, span, subspaces_of,
+                              superspaces_containing)
 
-from vector_reference import enumerate_vectors, vec_add
+from vector_reference import (enumerate_vectors, full_space, rref, tuple_span,
+                              vec_add, vec_scale)
 
 
 def random_subspace(rng, q, n, k):
     gf = get_gf(q)
     while True:
         vecs = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)]
-        s = span(q, n, vecs)
+        s = tuple_span(q, n, vecs)
         if s.dim == k:
             return s
 
@@ -40,51 +41,51 @@ def holds(a, b):
 
 
 def test_span_examples():
-    assert span(2, 4, []).dim == 0
-    s = span(2, 4, [(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)])
+    assert tuple_span(2, 4, []).dim == 0
+    s = tuple_span(2, 4, [(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1)])
     assert s.rows == ((1, 0, 1, 0), (0, 1, 0, 1))
     all_nonzero = [tuple(int(b) for b in f"{v:03b}")[::-1] for v in range(1, 8)]
-    assert span(2, 3, all_nonzero).dim == 3
+    assert tuple_span(2, 3, all_nonzero).dim == 3
 
 
 def test_span_idempotent_canonical():
     for s in enumerate_grassmannian(2, 4, 2):
-        assert span(2, 4, s.rows).rows == s.rows
+        assert tuple_span(2, 4, s.rows).rows == s.rows
     for s in enumerate_grassmannian(3, 3, 2):
-        assert span(3, 3, s.rows).rows == s.rows
+        assert tuple_span(3, 3, s.rows).rows == s.rows
 
 
 def test_span_mixed_ambient_rejected():
     with pytest.raises(AmbientMismatch):
-        span(2, 4, [(1, 0, 1), (1, 0, 0, 1)])
+        tuple_span(2, 4, [(1, 0, 1), (1, 0, 0, 1)])
 
 
 def test_containment():
-    a = span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    a = tuple_span(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     assert holds(a, a)
     assert holds(a, Subspace(2, 4, (), ()))
-    assert holds(a, span(2, 4, [(1, 1, 0, 0)]))
-    assert not holds(a, span(2, 4, [(0, 0, 1, 0)]))
+    assert holds(a, tuple_span(2, 4, [(1, 1, 0, 0)]))
+    assert not holds(a, tuple_span(2, 4, [(0, 0, 1, 0)]))
 
 
 def test_containment_ambient_mismatch():
     """Subspaces of different ambient spaces meet in a design, which
     refuses them."""
     with pytest.raises(AmbientMismatch):
-        SubspaceDesign.from_blocks([span(2, 4, [(1, 0, 0, 0)]),
-                                    span(2, 3, [(1, 0, 0)])])
+        SubspaceDesign.from_blocks([tuple_span(2, 4, [(1, 0, 0, 0)]),
+                                    tuple_span(2, 3, [(1, 0, 0)])])
 
 
 def test_orthogonal_complement_examples():
     assert orthogonal_complement(full_space(2, 4)) == Subspace(2, 4, (), ())
-    c = orthogonal_complement(span(2, 4, [(1, 0, 0, 0)]))
-    assert c == span(2, 4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    c = orthogonal_complement(tuple_span(2, 4, [(1, 0, 0, 0)]))
+    assert c == tuple_span(2, 4, [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
 
 
 def test_orthogonal_complement_involution_and_duality():
     """For every subspace s of F_q^n, q in {2, 3, 4} and n <= 4: the
     complement has dim n - k, its rows and pivots are those of
-    span(q, n, _complement_rows(s)), the row-reduced reference, each pivot
+    tuple_span(q, n, _complement_rows(s)), the row-reduced reference, each pivot
     is its row's first nonzero entry, every row is orthogonal to s, and
     complementing twice gives s back."""
     for q, n in itertools.product([2, 3, 4], range(5)):
@@ -93,8 +94,7 @@ def test_orthogonal_complement_involution_and_duality():
             seen = set()
             for s in enumerate_grassmannian(q, n, k):
                 c = orthogonal_complement(s)
-                reference = span(q, n, [vec_unpack(q, n, v) for v in
-                                        subspaces._complement_rows(s)])
+                reference = span(q, n, subspaces._complement_rows(s))
                 assert (c.rows, c.pivots) == (reference.rows, reference.pivots), s
                 assert c.dim == n - k
                 assert c.pivots == tuple([next(j for j, x in enumerate(row) if x)
@@ -134,13 +134,13 @@ def test_grassmannian_unique_and_canonical():
     for s in enumerate_grassmannian(3, 4, 2):
         assert s not in seen
         seen.add(s)
-        assert span(3, 4, s.rows) == s
+        assert tuple_span(3, 4, s.rows) == s
 
 
 def test_grassmannian_brute_force_cross_check():
     # span of every pair of vectors in F_2^4, deduplicated
     vectors = list(itertools.product(range(2), repeat=4))
-    planes = {span(2, 4, [u, v]) for u in vectors for v in vectors}
+    planes = {tuple_span(2, 4, [u, v]) for u in vectors for v in vectors}
     planes = {s for s in planes if s.dim == 2}
     assert planes == set(enumerate_grassmannian(2, 4, 2))
 
@@ -177,13 +177,13 @@ def test_subspaces_of():
 def test_superspaces_containing():
     """One key per superspace: the packed complement generators of its RREF,
     whose span is orthogonal to s."""
-    s = span(2, 4, [(1, 1, 0, 0)])
+    s = tuple_span(2, 4, [(1, 1, 0, 0)])
     vectors = set(enumerate_vectors(s))
     sups = list(superspaces_containing(SubspaceDesign.from_blocks([s]), 2))
     assert len(sups) == gaussian(3, 1, 2)
     assert len(set(sups)) == len(sups)
     assert all(vectors <= set(enumerate_vectors(orthogonal_complement(
-        span(2, 4, [vec_unpack(2, 4, g) for g in key])))) for key in sups)
+        span(2, 4, key)))) for key in sups)
     # cross-check against a scan of the whole Grassmannian
     scan = [next(complement_generators(2, 4, t.pivots, zip(t.packed)))
             for t in enumerate_grassmannian(2, 4, 2)
@@ -193,7 +193,7 @@ def test_superspaces_containing():
 
 def test_enumerate_vectors():
     assert enumerate_vectors(Subspace(2, 3, (), ())) == [(0, 0, 0)]
-    s = span(2, 4, [(1, 0, 1, 0), (0, 1, 0, 1)])
+    s = tuple_span(2, 4, [(1, 0, 1, 0), (0, 1, 0, 1)])
     vs = enumerate_vectors(s)
     assert len(vs) == 4 and vs[0] == (0, 0, 0, 0)
     gf = get_gf(2)
@@ -209,7 +209,7 @@ def test_budget_guard():
 
 
 def test_subspace_is_immutable():
-    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     for name in ("q", "n", "rows", "pivots", "other"):
         with pytest.raises(AttributeError):
             setattr(s, name, 1)
@@ -221,31 +221,31 @@ def test_subspace_is_immutable():
 
 
 def test_subspace_equality_and_hash_ignore_pivots():
-    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     bare = Subspace(3, 4, s.packed, ())
     assert bare.pivots == ()
     assert bare == s and hash(bare) == hash(s) == hash((3, 4, s.packed))
     assert s != Subspace(2, 4, s.packed, s.pivots)
     assert s != Subspace(3, 5, s.packed, s.pivots)
-    assert s != span(3, 4, [(1, 2, 0, 1)])
+    assert s != tuple_span(3, 4, [(1, 2, 0, 1)])
     assert s != (3, 4, s.packed)
-    assert len({s, bare, span(3, 4, s.rows)}) == 1
+    assert len({s, bare, tuple_span(3, 4, s.rows)}) == 1
 
 
 def test_subspace_repr_and_sort_key():
-    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     assert repr(s) == "Subspace(q=3,n=4,[1201,0012])"
     assert repr(Subspace(2, 3, (), ())) == "Subspace(q=2,n=3,[])"
-    assert repr(span(11, 3, [(1, 0, 10), (0, 1, 5)])) == \
+    assert repr(tuple_span(11, 3, [(1, 0, 10), (0, 1, 5)])) == \
         "Subspace(q=11,n=3,[1 0 10,0 1 5])"
     assert s.sort_key() == (s.pivots, s.packed)
     assert s.dim == 2
 
 
 def test_design_from_blocks_deduplicates_equal_subspaces():
-    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
-    other = span(3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    again = span(3, 4, [(1, 2, 1, 0), (0, 0, 2, 1)])  # another basis of s
+    s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    other = tuple_span(3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    again = tuple_span(3, 4, [(1, 2, 1, 0), (0, 0, 2, 1)])  # another basis of s
     d = SubspaceDesign.from_blocks([s, other, again, Subspace(3, 4, s.packed, ())])
     assert d.blocks == (other, s)
 
@@ -253,7 +253,7 @@ def test_design_from_blocks_deduplicates_equal_subspaces():
 def test_subspace_needs_its_pivots():
     """Rows with no pivots would give a subspace whose membership tests and
     complement read no pivot columns, so the pivots have no default."""
-    s = span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     with pytest.raises(TypeError):
         Subspace(3, 4, s.packed)
     assert Subspace(3, 4, s.packed, s.pivots).pivots == (0, 2)
@@ -277,7 +277,7 @@ def test_packed_rows_agree_with_coordinate_rows(q, n):
             for s in itertools.islice(enumerate_grassmannian(q, n, k), cap)]
     for s in subs:
         assert s.rows == tuple(vec_unpack(q, n, v) for v in s.packed)
-        assert span(q, n, s.rows).packed == s.packed
+        assert tuple_span(q, n, s.rows).packed == s.packed
     rng = random.Random(100 * q + n)
     shuffled = rng.sample(subs, len(subs))
     assert sorted(shuffled, key=Subspace.sort_key) == sorted(
@@ -304,32 +304,35 @@ def test_subspaces_caches_are_bounded():
         assert cache.cache_parameters()["maxsize"] is not None, cache
 
 
-def test_xor_rref_equals_rref_and_span():
-    rng = random.Random(20261018)
-    gf = get_gf(2)
-    for _ in range(400):
-        n = rng.randint(1, 10)
-        vectors = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 3))]
-        if vectors and rng.random() < 0.5:  # zero and dependent vectors
-            vectors.append(0)
-            vectors.append(rng.choice(vectors) ^ rng.choice(vectors))
-            rng.shuffle(vectors)
-        tuples = [vec_unpack(2, n, v) for v in vectors]
-        rows, s = xor_rref(n, vectors)
-        ref_rows, ref_pivots = rref(gf, tuples, n)
-        ref = span(2, n, tuples)
-        assert s.rows == ref_rows == ref.rows
-        assert s.pivots == ref_pivots == ref.pivots
-        assert (s.q, s.n) == (2, n)
-        assert rows == [vec_pack(2, row) for row in ref_rows]
-        assert packed_vectors(s) == packed_vectors(ref)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_span_equals_rref(q):
+    """span of random packed vectors, zero and dependent ones among them,
+    against the tuple reference rref: the same rows, pivots and packed
+    rows, for every n up to the first whose q^n passes DIGIT_TABLE_MAX
+    (2^11, 3^7, 4^6, 5^5, 7^4, 8^4, 9^4), where rows unpack by vec_unpack."""
+    rng = random.Random(20261018 + q)
+    gf = get_gf(q)
+    top = next(n for n in itertools.count() if q ** n > subspaces.DIGIT_TABLE_MAX)
+    for n in range(top + 1):
+        for _ in range(40):
+            vectors = [rng.randrange(q ** n) for _ in range(rng.randint(0, n + 3))]
+            if vectors and rng.random() < 0.5:  # zero and dependent vectors
+                u, v = (vec_unpack(q, n, rng.choice(vectors)) for _ in range(2))
+                w = vec_add(gf, u, vec_scale(gf, rng.randrange(q), v))
+                vectors += [0, vec_pack(q, w)]
+                rng.shuffle(vectors)
+            s = span(q, n, vectors)
+            ref_rows, ref_pivots = rref(gf, [vec_unpack(q, n, v) for v in vectors], n)
+            assert (s.q, s.n) == (q, n)
+            assert (s.rows, s.pivots) == (ref_rows, ref_pivots)
+            assert s.packed == tuple(vec_pack(q, row) for row in ref_rows)
 
 
 def test_xor_rref_rows_unpack_as_vec_unpack():
     """Rows come from the digit table while 2^n <= DIGIT_TABLE_MAX and
-    from vec_unpack above it; both give the same Subspace.  span packs rows
-    through the table's inverse up to the same n, and with vec_pack above
-    it."""
+    from vec_unpack above it; both give the same Subspace.  The table's
+    inverse packs rows up to the same n.  span's XOR row reduction for
+    q = 2 gives the tuple reference's rows."""
     for n in range(11):
         assert 2 ** n <= subspaces.DIGIT_TABLE_MAX
         unpack, pack = subspaces._digit_table(2, n)
@@ -341,30 +344,32 @@ def test_xor_rref_rows_unpack_as_vec_unpack():
     for n in range(0, 14):
         for _ in range(20):
             vectors = [rng.randrange(1 << n) for _ in range(rng.randint(0, n))]
-            rows, s = xor_rref(n, vectors)
-            assert s.rows == tuple(vec_unpack(2, n, row) for row in rows)
-            assert s == span(2, n, [vec_unpack(2, n, v) for v in vectors])
+            s = span(2, n, vectors)
+            assert s.rows == tuple(vec_unpack(2, n, row) for row in s.packed)
+            assert (s.rows, s.pivots) == rref(
+                get_gf(2), [vec_unpack(2, n, v) for v in vectors], n)
             assert packed_vectors(s) == [vec_pack(2, v)
                                          for v in enumerate_vectors(s)]
 
 
 def test_xor_rref_edge_cases():
-    rows, s = xor_rref(4, [])
-    assert rows == [] and s == Subspace(2, 4, (), ()) and s.pivots == ()
-    rows, s = xor_rref(3, [0, 0])
-    assert rows == [] and s.dim == 0
-    rows, s = xor_rref(3, [0b111, 0b011, 0b100, 0b110])
+    """span's XOR row reduction for q = 2."""
+    s = span(2, 4, [])
+    assert s.packed == () and s == Subspace(2, 4, (), ()) and s.pivots == ()
+    s = span(2, 3, [0, 0])
+    assert s.packed == () and s.dim == 0
+    s = span(2, 3, [0b111, 0b011, 0b100, 0b110])
     assert s == full_space(2, 3) and s.pivots == (0, 1, 2)
-    assert rows == [0b100, 0b010, 0b001]
+    assert s.packed == (0b100, 0b010, 0b001)
     for bad in (1 << 4, -1):
         with pytest.raises(AmbientMismatch):
-            xor_rref(4, [bad])
+            span(2, 4, [bad])
 
 
 def random_generators(rng, n, k, d):
     """k shuffled packed vectors of F_2^n of rank d."""
     basis = [rng.randrange(1 << n) for _ in range(d)]
-    while len(xor_rref(n, basis)[0]) < d:
+    while span(2, n, basis).dim < d:
         basis = [rng.randrange(1 << n) for _ in range(d)]
     g = basis + [functools.reduce(xor, rng.sample(basis, rng.randint(0, d)), 0)
                  for _ in range(k - d)]
@@ -373,11 +378,11 @@ def random_generators(rng, n, k, d):
 
 
 def test_read_blocks_equal_xor_rref():
-    """read_blocks against xor_rref on shuffled spans of k packed vectors of
+    """read_blocks against span on shuffled spans of k packed vectors of
     every rank d <= k, for every k <= 6 and n <= 12 (rows unpack from
     the digit table up to n = 10, by vec_unpack past it).  Full-rank lists, read
     together (2^k + 1 of them for k <= 4, so a whole column at a time),
-    give xor_rref's blocks with their pivots.  A span of k dependent
+    give span's blocks with their pivots.  A span of k dependent
     vectors, which lists each vector 2^(k-d) times, put among them raises
     BlockError with its index and rank; so does a list with a vector
     outside the span."""
@@ -389,11 +394,11 @@ def test_read_blocks_equal_xor_rref():
                                1 << k)
                     for _ in range((1 << k) + 1 if k <= 4 else 4)]
             blocks = read_blocks(n, k, full)
-            refs = [xor_rref(n, vectors) for vectors in full]
-            assert blocks == [ref for _, ref in refs]
-            assert [b.pivots for b in blocks] == [ref.pivots for _, ref in refs]
-            assert all(b.rows == tuple(vec_unpack(2, n, row) for row in rows)
-                       for b, (rows, _) in zip(blocks, refs))
+            refs = [span(2, n, vectors) for vectors in full]
+            assert blocks == refs
+            assert [b.pivots for b in blocks] == [ref.pivots for ref in refs]
+            assert all(b.rows == tuple(vec_unpack(2, n, row) for row in ref.packed)
+                       for b, ref in zip(blocks, refs))
             ranks.add((k, k))
             bad = [(d, rng.sample(subspaces._xor_span(
                 random_generators(rng, n, k, d)), 1 << k)) for d in range(k)]
@@ -417,7 +422,7 @@ def test_read_blocks_equal_xor_rref():
 def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
     """A list of 2^k vectors of rank k that repeats one is not closed under
     addition.  A list of the wrong length is refused the same way, by its
-    rank from xor_rref, before any row is read off it: a short list has no
+    rank from span, before any row is read off it: a short list has no
     vector at index 2^(k-1) to read."""
     rng = random.Random(n * k)
     listed = rng.sample(subspaces._xor_span(random_generators(rng, n, k, k)),
@@ -430,7 +435,7 @@ def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
         lists.append(repeated)
     lists += [good[:1], good[:-1], good + [good[-1]], good + good]
     for vectors in lists:
-        rank = len(xor_rref(n, vectors)[0])
+        rank = span(2, n, vectors).dim
         fault = (f"spans dim {rank}, not {k}" if rank != k
                  else "is not closed under addition")
         with pytest.raises(BlockError) as info:
@@ -482,6 +487,14 @@ def test_read_blocks_refuses_unclosed_and_misfit_lists(n, k):
                  "packed vector -1 outside F_2^7", id="image-negative"),
     pytest.param(lambda: gf64_orbits()[0].image([3, 128], 1), AmbientMismatch,
                  "packed vector 128 outside F_2^7", id="image-too-big"),
+    pytest.param(lambda: span(2, 4, [3, 16]), AmbientMismatch,
+                 "packed vector 16 outside F_2^4", id="span-q2-too-big"),
+    pytest.param(lambda: span(3, 2, [-1]), AmbientMismatch,
+                 "packed vector -1 outside F_3^2", id="span-q3-negative"),
+    pytest.param(lambda: span(3, 2, [9]), AmbientMismatch,
+                 "packed vector 9 outside F_3^2", id="span-q3-too-big"),
+    pytest.param(lambda: span(5, 2, [25]), AmbientMismatch,
+                 "packed vector 25 outside F_5^2", id="span-q5-too-big"),
 ])
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

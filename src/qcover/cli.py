@@ -120,13 +120,13 @@ def cmd_construct(args) -> int:
     design = CONSTRUCTIONS[args.kind][1](args)
     if args.output:
         designs.save_design(design, args.output)
-        print(f"wrote {len(design.blocks)} blocks to {args.output}")
+        print(f"wrote {len(design)} blocks to {args.output}")
     params = args.kind
     if args.kind == "partial-spread":  # its builder printed the residual
         params += f" q={args.q} rho={args.rho} n={args.n}"
     else:
-        print(f"construction {args.kind}: {len(design.blocks)} blocks, verified")
-    _result("construct", params, True, len(design.blocks))
+        print(f"construction {args.kind}: {len(design)} blocks, verified")
+    _result("construct", params, True, len(design))
     return EXIT_OK
 
 
@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     for w in report.witnesses:
         print(f"uncovered witness: {w}")
     _result("verify", f"{args.design} mode={args.mode} r={args.r}",
-            verdict, len(design.blocks))
+            verdict, len(design))
     return EXIT_OK if verdict else EXIT_VERIFY_FAILED
 
 
@@ -194,8 +194,8 @@ def cmd_expand(args) -> int:
         raise BudgetError(f"{args.design}: {exc}") from exc
     designs.save_setsystem(system, args.output)
     print(f"expanded to S(3,{system.block_size},{system.v}) "
-          f"with {len(system.blocks)} blocks")
-    _result("expand", args.design, True, len(system.blocks))
+          f"with {len(system)} blocks")
+    _result("expand", args.design, True, len(system))
     return EXIT_OK
 
 
@@ -220,7 +220,7 @@ def cmd_derive(args) -> int:
     verdict = report.is_steiner
     print(report.summary())
     _result("derive", f"{args.design} t={args.t} point={args.point}",
-            verdict, len(derived.blocks))
+            verdict, len(derived))
     return EXIT_OK if verdict else EXIT_VERIFY_FAILED
 
 
@@ -228,7 +228,7 @@ def cmd_dualize(args) -> int:
     design = designs.load_design(args.design)
     dual = designs.dualize(design)
     designs.save_design(dual, args.output)
-    _result("dualize", args.design, True, len(dual.blocks))
+    _result("dualize", args.design, True, len(dual))
     return EXIT_OK
 
 

@@ -105,9 +105,8 @@ def _lift(design: SubspaceDesign, delta: int) -> SubspaceDesign:
     rows of the new coordinates follow, so each block stays in RREF."""
     q, n, k = design.q, design.n + delta, design.k + delta
     units = list(_places(q, delta))
-    rows = [[v * q ** delta for v in b.packed] + units for b in design.blocks]
-    lifted = SubspaceDesign.from_blocks(_rref_blocks(
-        q, n, k, itertools.chain.from_iterable(rows)), q=q, n=n, k=k)
+    rows = [[v * q ** delta for v in packed] + units for packed in design.packed]
+    lifted = SubspaceDesign.from_rows(q, n, k, itertools.chain.from_iterable(rows))
     if len(lifted) != len(design):
         raise ConstructionError("lift changed the block count")
     _require(verify_covering(lifted, 1), "lifted design failed covering check")
@@ -205,10 +204,8 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
         m = residual.dim
         inner = optimal_line_covering(q, m, k)
         # leading zero coordinates leave a packed row as it is
-        embedded = _rref_blocks(q, n, k, itertools.chain.from_iterable(
-            block.packed for block in inner.blocks))
-        design = SubspaceDesign.from_blocks(
-            itertools.chain(partial.blocks, embedded), q=q, n=n, k=k)
+        design = SubspaceDesign.from_rows(q, n, k, itertools.chain.from_iterable(
+            partial.packed + inner.packed))
         _require(verify_covering(design, 1), "line covering failed verification")
     if len(design) != expected:
         raise ConstructionError(
@@ -276,15 +273,15 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
     _require(verify_covering(s2, r), "s2 is not a covering at r")
     place = _places(q, n)
     blocks = []
-    for p in s1.blocks:
+    for packed, pivots in zip(s1.packed, s1.pivots):
         # a zero last coordinate multiplies a packed row by q
-        base = [row * q for row in p.packed]
-        free = tuple([place[c] for c in range(n - 1) if c not in p.pivots])
+        base = [row * q for row in packed]
+        free = tuple([place[c] for c in range(n - 1) if c not in pivots])
         # the packed b, in itertools.product order over b's free entries
         for beta in _unit_table(q, free):
             blocks.append(span(q, n, base + [beta + 1]))
     # s2's blocks in the last-coordinate-zero hyperplane, packed as P's above
-    blocks += _rref_blocks(q, n, k, [v * q for b in s2.blocks for v in b.packed])
+    blocks += _rref_blocks(q, n, k, [v * q for rows in s2.packed for v in rows])
     design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
     expected = q ** (n - k) * len(s1) + len(s2)
     if len(design) != expected:
@@ -336,8 +333,9 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     of five quadruple blocks and a fixed 7-element multiplicative pattern
     have 63 blocks each, that of the diagonal block
     {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples are checked,
-    and read_blocks reads each base block off its eight vectors, refusing
-    one that is not a 3-subspace; then verify_orbits sizes each base's
+    and read_blocks reads each base block's rows off its eight vectors,
+    refusing one that is not a 3-subspace, and _rref_blocks builds the
+    seven blocks; then verify_orbits sizes each base's
     orbit, refuses two bases in one orbit, and must find a covering of 399
     blocks.  Orbit sizes divide 63, and six 63s and one 21 is the only way
     seven of them sum to 399, so the count fixes the sizes.
@@ -360,7 +358,7 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     bases.append(diagonal + [x | GF64_BIT for x in diagonal])
     bases.append([0] + [power[e] for e in GF64_LINE_EXPONENTS])
     try:
-        bases = read_blocks(7, 3, bases)
+        bases = list(_rref_blocks(2, 7, 3, read_blocks(7, 3, bases)))
     except BlockError as exc:
         raise ConstructionError(f"base block {exc.index} {exc.fault}") from exc
 
@@ -376,17 +374,19 @@ def gf64_covering_design() -> SubspaceDesign:
 
     Its blocks are the orbits of the base blocks of gf64_orbits, which
     certifies them, under the Singer action: GroupAction.orbit_blocks reads
-    each base's orbit off the sorted images of its vectors, up to the
-    image that is the base again, and an image that is not a 3-subspace
-    raises ConstructionError naming it.
+    the packed RREF rows of each base's orbit off the sorted images of its
+    vectors, up to the image that is the base again, and an image that is
+    not a 3-subspace raises ConstructionError naming it.
+    SubspaceDesign.from_rows takes the rows of all 399, so the seven bases
+    are the only Subspaces built.
     """
     singer, bases, count = gf64_orbits()
     try:
-        blocks = [block for base in bases for block in singer.orbit_blocks(base)]
+        rows = list(itertools.chain.from_iterable(map(singer.orbit_blocks, bases)))
     except BlockError as exc:
         raise ConstructionError(f"image {exc.index + 1} of a base block "
                                 f"{exc.fault}") from exc
-    design = SubspaceDesign.from_blocks(blocks, q=2, n=7, k=3)
+    design = SubspaceDesign.from_rows(2, 7, 3, rows)
     if len(design) != count:
         raise ConstructionError(f"gf64 block count {len(design)} != {count}")
     return design
@@ -411,16 +411,17 @@ def expand_to_steiner_system(design: SubspaceDesign) -> SetSystem:
     n, k = design.n, design.k
     label = _xor_span([1 << i for i in range(n)])  # e_i -> 2^i, tabled
     coset_blocks = set()
-    for block in design.blocks:
-        packed = list(map(label.__getitem__, packed_vectors(block)))
+    # the vectors the Steiner census above listed
+    for vectors in design.vector_lists:
+        packed = list(map(label.__getitem__, vectors))
         for beta in range(1 << n):
             coset_blocks.add(frozenset(beta ^ x for x in packed))
     system = SetSystem.from_blocks(1 << n, [sorted(b) for b in coset_blocks])
     expected = (2 ** (n - k) * (2 ** n - 1) * (2 ** (n - 1) - 1)
                 // ((2 ** k - 1) * (2 ** (k - 1) - 1)))
-    if len(system.blocks) != expected:
+    if len(system) != expected:
         raise ConstructionError(
-            f"expansion produced {len(system.blocks)} blocks, expected {expected}")
+            f"expansion produced {len(system)} blocks, expected {expected}")
     _require(verify_steiner_system(system, 3),
              "expanded system failed the t=3 check", steiner=True)
     return system
@@ -457,12 +458,12 @@ def derive_steiner(design: SubspaceDesign, t: int,
     low = q ** (n - 1 - j0)  # the place of coordinate j0
     rows = []
     # the vectors the Steiner census above listed, under the same budget
-    for block, vectors in zip(design.blocks, design.vector_lists):
+    for packed, pivots, vectors in zip(design.packed, design.pivots,
+                                       design.vector_lists):
         if key in vectors:
             rows += [v // (low * q) * low + v % low
-                     for v, c in zip(block.packed, block.pivots) if c != j0]
-    derived = _rref_blocks(q, n - 1, design.k - 1, rows)
-    out = SubspaceDesign.from_blocks(derived, q=q, n=n - 1, k=design.k - 1)
+                     for v, c in zip(packed, pivots) if c != j0]
+    out = SubspaceDesign.from_rows(q, n - 1, design.k - 1, rows)
     return out, verify_covering(out, t - 1)
 
 

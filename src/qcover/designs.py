@@ -1,6 +1,7 @@
 """Design containers, covering/Turan/Steiner verifiers and set-system output.
 
-A SubspaceDesign is a duplicate-free set of equal-dimension subspaces.  The
+A SubspaceDesign is a duplicate-free set of equal-dimension subspaces, held
+as their sorted packed RREF rows, with Subspaces built only when read.  The
 covering verifier supports two independent strategies (expanding each block
 into its r-subspaces, or scanning every target subspace against the blocks)
 and the two must agree; tests cross-validate them on the whole corpus.  A
@@ -14,15 +15,16 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from operator import and_, attrgetter, ne
+from dataclasses import dataclass, field
+from operator import and_, attrgetter, itemgetter, lt, ne
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf, vec_pack
 from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
-                        BudgetError, GroupAction, Subspace, _canonical_blocks,
-                        _digit_table, _local_rows, _xor_span, check_ambient,
+                        BudgetError, GroupAction, Subspace, _canonical_rows,
+                        _digit_table, _local_rows, _pivot_reader, _xor_span,
+                        check_ambient,
                         complement_generators, complement_vectors,
                         grassmannian_choices, grassmannian_rows,
                         orthogonal_complement, packed_vector_lists,
@@ -32,30 +34,65 @@ from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
 WITNESS_CAP = 16
 # Subspace.sort_key, and the fields from_blocks checks, read in C.
 _sort_key = attrgetter("pivots", "packed")
-_q, _n, _packed = attrgetter("q"), attrgetter("n"), attrgetter("packed")
+_q, _n, _packed, _pivots = (attrgetter("q"), attrgetter("n"),
+                            attrgetter("packed"), attrgetter("pivots"))
 
 
 @dataclass(frozen=True)
 class SubspaceDesign:
-    """A set of k-dimensional subspaces of F_q^n.
+    """A set of k-dimensional subspaces of F_q^n, held as its blocks' packed
+    RREF rows: packed[i] and pivots[i] are the rows and pivots of block i,
+    the blocks sorted by (pivots, packed), as Subspace.sort_key sorts them.
 
-    vector_lists and complement_lists are read-only views that every census
-    of the design reads, so the design is listed once however many
-    censuses it gets.  The value is q, n, k and blocks alone: the views are
-    left out of equality, hash and repr.
+    blocks, vector_lists and complement_lists are read-only views, each
+    built on first read and kept by the design: blocks the Subspaces, and
+    the vector lists that every census of the design reads, so the design
+    is listed once however many censuses it gets.  The value is q, n, k
+    and packed alone: pivots, which the rows fix, and the views are left
+    out of equality and hash, and repr shows the blocks.
     """
 
     q: int
     n: int
     k: int
-    blocks: Tuple[Subspace, ...]
+    packed: Tuple[Tuple[int, ...], ...]
+    pivots: Tuple[Tuple[int, ...], ...] = field(compare=False)
+
+    @staticmethod
+    def from_rows(q: int, n: int, k: int, flat: Iterable[int]
+                  ) -> "SubspaceDesign":
+        """The design of the blocks of F_q^n whose packed RREF rows are
+        flat, k >= 1 to a block, with no Subspace built.  Each row's pivot
+        is read as _rref_blocks reads it.  A block's key is its pivots then
+        its rows, one flat tuple, which orders as Subspace.sort_key and
+        compares faster; the keys are deduplicated and sorted in C, unless
+        they are already strictly increasing, as design_to_text writes
+        them."""
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
+        flat = list(flat)
+        if len(flat) % k:
+            raise ValueError(f"{len(flat)} rows are no whole number of "
+                             f"blocks of k={k}")
+        pivots = list(_pivot_reader(q, n)(flat))
+        keys = list(zip(*[pivots[i::k] for i in range(k)],
+                        *[flat[i::k] for i in range(k)]))
+        if all(map(lt, keys, itertools.islice(keys, 1, None))):
+            pivots, packed = zip(*[iter(pivots)] * k), zip(*[iter(flat)] * k)
+        else:
+            keys = sorted(set(keys))
+            pivots = map(itemgetter(slice(k)), keys)
+            packed = map(itemgetter(slice(k, None)), keys)
+        return SubspaceDesign(q, n, k, tuple(packed), tuple(pivots))
 
     @staticmethod
     def from_blocks(blocks: Iterable[Subspace], q: int = None, n: int = None,
                     k: int = None) -> "SubspaceDesign":
         """Build a design: drop duplicates in input order, then sort by
-        Subspace.sort_key.  The sort and the shape check run in C-level maps;
-        a mismatch names the first block outside (q, n, k) in sorted order."""
+        Subspace.sort_key, the key from_rows sorts on.  The sort and the
+        shape check run in C-level maps; a mismatch names the first block
+        outside (q, n, k) in sorted order.  The design keeps the sorted
+        blocks as its blocks view."""
         unique = sorted(dict.fromkeys(blocks), key=_sort_key)
         if unique:
             q = unique[0].q if q is None else q
@@ -71,32 +108,51 @@ class SubspaceDesign:
             b = unique[wrong.index(True)]
             raise AmbientMismatch(
                 f"block ({b.q},{b.n},dim {b.dim}) in design ({q},{n},k={k})")
-        return SubspaceDesign(q, n, k, tuple(unique))
+        design = SubspaceDesign(q, n, k, tuple(map(_packed, unique)),
+                                tuple(map(_pivots, unique)))
+        design.__dict__["blocks"] = tuple(unique)
+        return design
 
     def __len__(self):
-        return len(self.blocks)
+        return len(self.packed)
+
+    def __repr__(self):
+        return (f"SubspaceDesign(q={self.q}, n={self.n}, k={self.k}, "
+                f"blocks={self.blocks!r})")
+
+    @property
+    def blocks(self) -> Tuple[Subspace, ...]:
+        """The blocks as Subspaces, in order, built from packed and pivots
+        on first read and kept."""
+        blocks = self.__dict__.get("blocks")
+        if blocks is None:
+            blocks = self.__dict__["blocks"] = tuple(map(
+                Subspace, itertools.repeat(self.q), itertools.repeat(self.n),
+                self.packed, self.pivots))
+        return blocks
 
     @property
     def vector_lists(self) -> Sequence[Sequence[int]]:
         """packed_vector_lists of the blocks; see _kept."""
-        return self._kept("vector_lists", packed_vector_lists, self.k)
+        return self._kept("vector_lists", self.k, packed_vector_lists,
+                          self.packed)
 
     @property
     def complement_lists(self) -> Sequence[Sequence[int]]:
         """complement_vectors of the blocks; see _kept."""
-        return self._kept("complement_lists", complement_vectors,
-                          self.n - self.k)
+        return self._kept("complement_lists", self.n - self.k,
+                          complement_vectors, self.packed, self.pivots)
 
-    def _kept(self, name: str, lister: Callable, dim: int):
-        """lister(blocks), the q^dim vectors of each block's list, built on
-        first read and kept while they total at most XOR_CHUNK vectors.
-        Past that each read lists the blocks again, streaming.  lister
-        raises BudgetError before it builds a vector, so a raise keeps
-        nothing."""
+    def _kept(self, name: str, dim: int, lister: Callable, *lists):
+        """lister(q, n, k, *lists), the q^dim vectors of each block's list,
+        built on first read and kept while they total at most XOR_CHUNK
+        vectors.  Past that each read lists the blocks again, streaming.
+        lister raises BudgetError before it builds a vector, so a raise
+        keeps nothing."""
         kept = self.__dict__.get(name)
         if kept is None:
-            kept = lister(self.blocks)
-            if len(self.blocks) * self.q ** dim <= XOR_CHUNK:
+            kept = lister(self.q, self.n, self.k, *lists)
+            if len(self) * self.q ** dim <= XOR_CHUNK:
                 kept = self.__dict__[name] = tuple(kept)
         return kept
 
@@ -265,7 +321,7 @@ def verify_covering(design: SubspaceDesign, r: int,
     total = subspace_count(n, r, q)
     if strategy == "expand":
         counts: Counter = Counter()
-        if design.blocks:  # the local row table can be far larger than a design
+        if design.packed:  # the local row table can be far larger than a design
             counts.update(_local_rows(q, k, r)(design.vector_lists))
         return _report_from_counts(counts, total, _misses(
             q, n, r, _packed_rows, counts.__contains__))
@@ -392,6 +448,9 @@ class SetSystem:
                 raise ValueError("point index out of range")
         return SetSystem(v, size, tuple(norm))
 
+    def __len__(self):
+        return len(self.blocks)
+
 
 def point_indexing(q: int, n: int) -> Dict[Tuple[int], int]:
     """Index of each 1-subspace, in enumeration order, keyed by its packed
@@ -448,10 +507,9 @@ def design_to_text(design: SubspaceDesign) -> str:
                           f"(q <= 10)")
     unpack = _digit_table(design.q, design.n)[0]
     word = {v: "".join(map(str, unpack(v))) for v in
-            set(itertools.chain.from_iterable(map(_packed, design.blocks)))}
+            set(itertools.chain.from_iterable(design.packed))}
     lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
-    lines += [" ".join(map(word.__getitem__, block.packed))
-              for block in design.blocks]
+    lines += [" ".join(map(word.__getitem__, rows)) for rows in design.packed]
     return "\n".join(lines) + "\n"
 
 
@@ -463,9 +521,10 @@ def design_from_text(text: str) -> SubspaceDesign:
     up to the first bad word or word count; then the lines before it become
     blocks, and a dependent one raises FormatError with its rank, so errors
     come in file order.  A q = 2 file whose rows are all canonical, as
-    design_to_text writes them, is taken as written (_canonical_blocks
-    decides once per file); in any other file span reduces each line's
-    packed vectors.  A parameter line that lacks q, n or k or repeats a key
+    design_to_text writes them, is taken as written (_canonical_rows
+    decides once per file) by SubspaceDesign.from_rows, with no Subspace
+    built; in any other file span reduces each line's packed vectors, and
+    the design keeps span's blocks as its blocks view.  A parameter line that lacks q, n or k or repeats a key
     raises FormatError, and a header n past MAX_AMBIENT_N raises
     BudgetError, before any block is read.
     """
@@ -518,11 +577,12 @@ def design_from_text(text: str) -> SubspaceDesign:
     except FormatError as exc:
         error = exc
     pack = vector.__getitem__
-    blocks = None
+    flat = None
     if q == 2 and k:
         flat = list(map(pack, itertools.chain.from_iterable(word_lists)))
-        blocks = _canonical_blocks(n, k, flat)
-    if blocks is None:
+        if not _canonical_rows(n, k, flat):
+            flat = None
+    if flat is None:
         blocks = []
         for words, line in zip(word_lists, block_lines):
             block = span(q, n, map(pack, words))
@@ -531,12 +591,14 @@ def design_from_text(text: str) -> SubspaceDesign:
             blocks.append(block)
     if error is not None:
         raise error
+    if flat is not None:
+        return SubspaceDesign.from_rows(q, n, k, flat)
     return SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
 
 
 def setsystem_to_text(system: SetSystem) -> str:
     lines = [SETSYSTEM_MAGIC,
-             f"v={system.v} b={len(system.blocks)} size={system.block_size}"]
+             f"v={system.v} b={len(system)} size={system.block_size}"]
     for block in system.blocks:
         lines.append(" ".join(str(x) for x in block))
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
-from operator import add, and_, attrgetter, eq, gt, itemgetter, mul, xor
+from operator import add, and_, eq, gt, itemgetter, mul, xor
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .bounds import gaussian
@@ -125,7 +125,6 @@ _set_q = Subspace.q.__set__
 _set_n = Subspace.n.__set__
 _set_packed = Subspace.packed.__set__
 _set_pivots = Subspace.pivots.__set__
-_packed = attrgetter("packed")
 
 
 def span(q: int, n: int, vectors: Iterable[int]) -> Subspace:
@@ -209,11 +208,13 @@ def orthogonal_complement(s: Subspace) -> Subspace:
     return Subspace(s.q, s.n, _null_rows(s.q, s.n, rows, ends, pivots), pivots)
 
 
-def _complement_rows(s: Subspace) -> Tuple[int, ...]:
-    """_null_rows of s's RREF rows per free column, descending: s-perp's
-    RREF basis in reversed coordinates, complement_generators' key for s."""
-    free = [fc for fc in reversed(range(s.n)) if fc not in s.pivots]
-    return _null_rows(s.q, s.n, s.packed, s.pivots, free)
+def _complement_rows(q: int, n: int, packed: Tuple[int, ...],
+                     pivots: Tuple[int, ...]) -> Tuple[int, ...]:
+    """_null_rows of a block's packed RREF rows, with these pivots, per free
+    column, descending: the block's perp's RREF basis in reversed
+    coordinates, complement_generators' key for the block."""
+    free = [fc for fc in reversed(range(n)) if fc not in pivots]
+    return _null_rows(q, n, packed, pivots, free)
 
 
 def _null_rows(q: int, n: int, packed: Sequence[int],
@@ -348,34 +349,39 @@ def packed_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s, in odometer order: the vector
     sum(c_i * s.rows[i]) sits at index sum(c_i * q^(dim-1-i)), zero first
     and coefficient 0 slowest: the one-block packed_vector_lists."""
-    (vectors,) = packed_vector_lists([s])
+    (vectors,) = packed_vector_lists(s.q, s.n, s.dim, [s.packed])
     return list(vectors)
 
 
-def packed_vector_lists(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
-    """packed_vectors of each block (of one q, n and dim), in order, from
-    span_vector_lists; check_vectors raises before any vector is built."""
-    if not blocks:
+def packed_vector_lists(q: int, n: int, k: int, row_lists: Sequence
+                        ) -> Iterable[Sequence[int]]:
+    """packed_vectors of each block of F_q^n whose k packed RREF rows an
+    entry of row_lists holds, in order, from span_vector_lists;
+    check_vectors raises before any vector is built."""
+    if not row_lists:
         return ()
-    q, n, k = blocks[0].q, blocks[0].n, blocks[0].dim
     check_vectors(q, k)
-    return span_vector_lists(q, n, k, list(map(_packed, blocks)))
+    return span_vector_lists(q, n, k, row_lists)
 
 
-def complement_vectors(blocks: Sequence[Subspace]) -> Iterable[Sequence[int]]:
+def complement_vectors(q: int, n: int, k: int, row_lists: Sequence,
+                       pivot_lists: Iterable[Tuple[int, ...]]
+                       ) -> Iterable[Sequence[int]]:
     """vec_pack of every vector of each block's orthogonal complement, in
-    order, for blocks of one q, n and dim.
+    order, for blocks of F_q^n given by their k packed RREF rows and their
+    pivots, entry by entry.
 
     A list holds the combinations, taken as packed_vectors takes RREF rows,
     of the block's _complement_rows, built with no row reduction, and
     span_vector_lists spans them all in one call; check_vectors raises
     before any vector is built.
     """
-    if not blocks:
+    if not row_lists:
         return ()
-    q, n, d = blocks[0].q, blocks[0].n, blocks[0].dim
-    check_vectors(q, n - d)
-    return span_vector_lists(q, n, n - d, list(map(_complement_rows, blocks)))
+    check_vectors(q, n - k)
+    return span_vector_lists(q, n, n - k, list(map(
+        _complement_rows, itertools.repeat(q), itertools.repeat(n), row_lists,
+        pivot_lists)))
 
 
 def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
@@ -437,9 +443,10 @@ class BlockError(ValueError):
 
 
 def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
-                ) -> List[Subspace]:
-    """The k-subspace of F_2^n, k >= 1, whose packed vectors (0 included,
-    any order) each list holds, one block per list, in order.
+                ) -> List[int]:
+    """The packed RREF rows, k per list and all in one flat list, of the
+    k-subspace of F_2^n, k >= 1, whose packed vectors (0 included, any
+    order) each list holds, one block per list, in order.
 
     Sorted, the span of RREF rows r_1..r_k is _xor_span([r_1..r_k]), as
     sum(c_i * r_i) holds c_i at r_i's pivot and c_1..c_(i-1) alone before
@@ -449,8 +456,8 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
     has 2^k vectors, a nonzero one at index 1 (k dependent rows list 0
     there again) and is the span of its rows, which _xor_chunk spans as
     read; the first that is not raises BlockError, with its rank from
-    span.  All steps run in C-level maps over all lists; _rref_blocks
-    builds blocks.
+    span.  All steps run in C-level maps over all lists, and no Subspace is
+    built: _rref_blocks or SubspaceDesign.from_rows takes the rows.
     """
     lists = list(map(sorted, vector_lists))
     _check_packed(2, n, (
@@ -464,7 +471,7 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
         rows = list(zip(*[iter(flat)] * k))
         if (all(map(itemgetter(1), lists))
                 and list(map(list, _xor_chunk(rows, k))) == lists):
-            return list(_rref_blocks(2, n, k, flat))
+            return flat
     for index, vectors in enumerate(lists):
         if not (len(vectors) == size and vectors[1]
                 and _xor_span([vectors[i] for i in at]) == vectors):
@@ -473,41 +480,53 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
                              else "is not closed under addition")
 
 
-def _canonical_blocks(n: int, k: int, flat: Sequence[int]
-                      ) -> List[Subspace] | None:
-    """The blocks of F_2^n whose packed rows are flat, k >= 1 to a block, if
-    every block's rows are its RREF as written, else None.  Rows r_1..r_k
-    with top set bits b_i are an RREF iff every r_i is nonzero, b_1 > ... >
-    b_k, and r_i holds no b_j but its own: a test in C-level maps over all
-    rows.  _rref_blocks builds the blocks."""
+def _canonical_rows(n: int, k: int, flat: Sequence[int]) -> bool:
+    """Whether flat, the packed rows of blocks of F_2^n, k >= 1 to a block,
+    holds each block's RREF as written.  Rows r_1..r_k with top set bits b_i are an
+    RREF iff every r_i is nonzero, b_1 > ... > b_k, and r_i holds no b_j
+    but its own: a test in C-level maps over all rows."""
     tops = [0] + [1 << i for i in range(n)]  # the top bit, by bit_length
     top = list(map(tops.__getitem__, map(int.bit_length, flat)))
     heads = [top[i::k] for i in range(k)]
     if 0 in flat or not all(map(all, map(map, itertools.repeat(gt), heads,
                                          heads[1:]))):
-        return None
+        return False
     pivot_bits = list(map(sum, zip(*heads)))  # distinct bits: their OR
     masks = itertools.chain.from_iterable(zip(*[pivot_bits] * k))
-    if not all(map(eq, map(and_, flat, masks), top)):
-        return None
-    return list(_rref_blocks(2, n, k, flat))
+    return all(map(eq, map(and_, flat, masks), top))
+
+
+# Bounded; one reader per (q, n), and a run touches a handful.
+@functools.lru_cache(maxsize=16)
+def _pivot_reader(q: int, n: int) -> Callable[[Iterable[int]], Iterator[int]]:
+    """A function from packed RREF rows of F_q^n to their pivots, lazily,
+    in C-level maps.  A row with pivot p leads with a 1 at place
+    q^(n-1-p), so it has n - p digits: its bit_length for q = 2, else the
+    count of places q^0..q^(n-1) at most the row.  Up to DIGIT_TABLE_MAX
+    vectors every vector's count is tabled, one list lookup per row (the
+    exponent is capped, so an n past MAX_AMBIENT_N, refused by the caller's
+    census, costs nothing here)."""
+    if q == 2:
+        digits = int.bit_length
+    else:
+        digits = functools.partial(bisect_right, [q ** j for j in range(n)])
+    if q ** min(n, MAX_AMBIENT_N) <= DIGIT_TABLE_MAX:
+        table = [n - digits(v) for v in range(q ** n)]
+        return functools.partial(map, table.__getitem__)
+    return lambda rows: map(n.__sub__, map(digits, rows))
 
 
 def _rref_blocks(q: int, n: int, k: int, flat: Iterable[int]
                  ) -> Iterator[Subspace]:
     """The Subspaces of F_q^n whose packed RREF rows are flat, k to a block,
-    in order, lazily; for k = 0, flat is empty and gives the one zero block.
-    A row with pivot p leads with a 1 at place q^(n-1-p), so it has n - p
-    digits: its bit_length for q = 2, else the count of places q^0..q^(n-1)
-    at most the row.  All in C-level maps over the rows."""
+    in order, lazily, with the pivots _pivot_reader reads; for k = 0, flat
+    is empty and gives the one zero block.  All in C-level maps over the
+    rows."""
     if not k:
         return iter([Subspace(q, n, (), ())])
-    digits = int.bit_length if q == 2 else functools.partial(
-        bisect_right, [q ** j for j in range(n)])
     rows, tops = itertools.tee(flat)
-    pivots = map(n.__sub__, map(digits, tops))
     return map(Subspace, itertools.repeat(q), itertools.repeat(n),
-               zip(*[rows] * k), zip(*[pivots] * k))
+               zip(*[rows] * k), zip(*[_pivot_reader(q, n)(tops)] * k))
 
 
 def _check_packed(q: int, n: int, vectors: Iterable[int]) -> None:
@@ -597,9 +616,11 @@ class GroupAction:
         rep, exponent, size, cycles = self._orbit_tables()
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
 
-    def orbit_blocks(self, base: Subspace) -> List[Subspace]:
-        """The blocks g(base), g^2(base), ..., base of base's orbit, read
-        off their vectors by read_blocks, with no row reduction.
+    def orbit_blocks(self, base: Subspace) -> List[int]:
+        """The packed RREF rows, k per block in one flat list, of the blocks
+        g(base), g^2(base), ..., base of base's orbit, read off their
+        vectors by read_blocks, with no row reduction and no Subspace; for
+        k = 0 the zero block's, none.
 
         The images of base's packed vectors under g^1..g^order are read a
         column at a time, each vector's column a slice of its cycle ending
@@ -613,7 +634,7 @@ class GroupAction:
                                   f"an action on F_2^{self.n}")
         k = base.dim
         if not k:
-            return [base]
+            return []
         rep, exponent, size, cycles = self._orbit_tables()
         vectors = packed_vectors(base)
         columns = []
@@ -815,10 +836,10 @@ def superspaces_containing(design, k: int) -> Iterator[tuple]:
     packed rows are read off the design's complement_lists at
     local_row_indices, with no row reduction, in one _local_rows pass over
     all the blocks.  k = d and k = n have one superspace per block, s and
-    F_q^n, whose key is read without listing s-perp.
+    F_q^n, whose key is read off the design's packed rows and pivots
+    without listing s-perp.
     """
-    blocks = design.blocks
-    if not blocks:
+    if not len(design):
         return
     d, q, n = design.k, design.q, design.n
     if not d <= k <= n:
@@ -826,6 +847,7 @@ def superspaces_containing(design, k: int) -> Iterator[tuple]:
     if d < k < n:
         yield from _local_rows(q, n - d, n - k)(design.complement_lists)
     elif k == d:  # one superspace, s
-        yield from map(_complement_rows, blocks)
+        yield from map(_complement_rows, itertools.repeat(q),
+                       itertools.repeat(n), design.packed, design.pivots)
     else:  # one superspace, F_q^n
-        yield from itertools.repeat((), len(blocks))
+        yield from itertools.repeat((), len(design))

@@ -22,7 +22,6 @@ verify_orbits, the census of a design invariant under a GroupAction taken
 on its base blocks only, must equal expand and scan on the expanded design.
 """
 
-import inspect
 import itertools
 import operator
 import random
@@ -310,22 +309,79 @@ def test_scan_uses_no_expand_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("n, k", [(5, 2), (5, 3), (6, 5)])
-def test_turan_expand_builds_no_subspace(monkeypatch, n, k):
+def test_turan_expand_builds_no_subspace(subspace_builds, n, k):
     """Turan expand counts the complement keys superspaces_containing
-    yields, a generator, and builds no Subspace, on the q=3 Turan point
-    designs; its report equals scan's."""
-    assert inspect.isgeneratorfunction(subspaces.superspaces_containing)
-    design = constructions.turan_point_design(3, n, k, verify=False)
+    yields and builds no Subspace, by any route, on the q=3 Turan point
+    designs, here rebuilt from their packed rows so that no blocks view is
+    at hand; its report equals scan's.  A k below the blocks' dimension
+    raises by the first next, before any key."""
+    points = constructions.turan_point_design(3, n, k, verify=False)
+    design = SubspaceDesign.from_rows(3, n, 1, itertools.chain(*points.packed))
     scan = verify_turan(design, k, "scan")
-    built = []
-    init = Subspace.__init__
-
-    def counted_init(self, *args):
-        built.append(args)
-        init(self, *args)
-    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    subspace_builds.clear()
     assert verify_turan(design, k, "expand") == scan
-    assert built == []
+    keys = superspaces_containing(design, 0)
+    with pytest.raises(ValueError, match="need dim <= k <= n, got k=0"):
+        next(keys)
+    assert subspace_builds == []
+    assert "blocks" not in vars(design)
+
+
+def with_duplicates_and_twins(rng, blocks):
+    """blocks, some of them twice, shuffled, then a twin of some with the
+    same rows and wrong pivots after them: equal to its block, as Subspace
+    equality reads the rows alone."""
+    listed = blocks + rng.sample(blocks, len(blocks) // 2)
+    rng.shuffle(listed)
+    twins = [Subspace(b.q, b.n, b.packed, tuple(p + 1 for p in b.pivots[::2]))
+             for b in rng.sample(blocks, (len(blocks) + 2) // 3)]
+    return listed + twins
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_from_rows_equals_from_blocks(q):
+    """SubspaceDesign.from_rows of the blocks' packed rows against
+    from_blocks of the blocks, on the census-oracle corpus with duplicated,
+    shuffled and wrong-pivot twin blocks: equal designs, hashes, files, rows
+    and pivots.  The blocks view of each is the eager tuple from_blocks
+    built before designs held rows (the unique blocks sorted by
+    Subspace.sort_key, with their pivots), the same object on every read.
+    Rows given in sorted order take from_rows' fast path to the same
+    design."""
+    rng = random.Random(3000 + q)
+    tested = 0
+    while tested < DESIGNS // 4:
+        corpus = random_design(rng, q)
+        q, n, k = corpus.q, corpus.n, corpus.k
+        if not k:  # from_rows reads rows, and a zero block has none
+            continue
+        given = with_duplicates_and_twins(rng, list(corpus.blocks))
+        eager = tuple(sorted(dict.fromkeys(given), key=Subspace.sort_key))
+        by_blocks = SubspaceDesign.from_blocks(given, q=q, n=n, k=k)
+        by_rows = SubspaceDesign.from_rows(
+            q, n, k, [v for b in given for v in b.packed])
+        in_order = SubspaceDesign.from_rows(
+            q, n, k, [v for b in eager for v in b.packed])
+        for design in (by_rows, in_order, by_blocks):
+            assert design == by_blocks == corpus, design
+            assert hash(design) == hash(by_blocks)
+            assert designs.design_to_text(design) == designs.design_to_text(corpus)
+            assert design.packed == tuple(b.packed for b in eager)
+            assert design.pivots == tuple(b.pivots for b in eager)
+            view = design.blocks
+            assert view == eager and design.blocks is view
+            assert [b.pivots for b in view] == [b.pivots for b in eager]
+        tested += 1
+
+
+@pytest.mark.parametrize("k, flat, message", [
+    (0, [], "need 1 <= k <= n, got n=3 k=0"),
+    (4, [1, 2, 3, 4], "need 1 <= k <= n, got n=3 k=4"),
+    (2, [4, 2, 1], "3 rows are no whole number of blocks of k=2"),
+])
+def test_from_rows_refuses_bad_shapes(k, flat, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SubspaceDesign.from_rows(2, 3, k, flat)
 
 
 # Largest ambient dimension per q for the generator comparison.
@@ -479,8 +535,8 @@ def null_space(s):
 
 
 def complement_list(s):
-    """complement_vectors of the one-block list [s], as a list."""
-    (vectors,) = complement_vectors([s])
+    """complement_vectors of s alone, as a list."""
+    (vectors,) = complement_vectors(s.q, s.n, s.dim, [s.packed], [s.pivots])
     return list(vectors)
 
 
@@ -611,7 +667,7 @@ def test_complement_vectors_budget(q, n):
     assert q ** n > subspaces.MAX_VECTOR_ENUM
     start = time.perf_counter()
     with pytest.raises(BudgetError):
-        complement_vectors([Subspace(q, n, (), ())])
+        complement_vectors(q, n, 0, [()], [()])
     assert time.perf_counter() - start < 0.5
 
 
@@ -755,8 +811,9 @@ def random_orbit_bases(rng, action, k, count):
 def test_orbit_blocks_equal_image_walk():
     """GroupAction.orbit_blocks against span of the images of a base's
     vectors under g^1, g^2, ... up to the base, on every action and bases
-    of dimension 1..4: the same blocks and pivots, in the same order, as
-    many as the orbit's size.  The zero block is its own orbit."""
+    of dimension 1..4: the same packed rows, k per block, with the same
+    pivots, in the same order, for as many blocks as the orbit's size.  The
+    zero block is its own orbit, and has no rows."""
     rng = random.Random(20261020)
     for name, action in actions().items():
         for k in range(1, 5):
@@ -766,12 +823,13 @@ def test_orbit_blocks_equal_image_walk():
                 while walk[-1] != base:
                     walk.append(span(2, action.n, action.image(
                         vectors, len(walk) + 1)))
-                blocks = action.orbit_blocks(base)
-                assert blocks == walk, (name, base)
-                assert [b.pivots for b in blocks] == [b.pivots for b in walk]
-                assert len(blocks) == action.orbit(vectors)[1]
+                rows = action.orbit_blocks(base)
+                assert rows == [v for b in walk for v in b.packed], (name, base)
+                assert list(subspaces._pivot_reader(2, action.n)(rows)) == [
+                    p for b in walk for p in b.pivots]
+                assert len(rows) == k * action.orbit(vectors)[1]
         zero = Subspace(2, action.n, (), ())
-        assert action.orbit_blocks(zero) == [zero]
+        assert action.orbit_blocks(zero) == []
         with pytest.raises(AmbientMismatch, match="base block in F_2"):
             action.orbit_blocks(Subspace(2, action.n + 1, (), ()))
 

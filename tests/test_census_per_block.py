@@ -56,7 +56,8 @@ def per_block_counts(design, dim, turan):
         if not turan:
             vectors, local = packed_vectors(block), local_row_indices(q, d, dim)
         elif d < dim < n:
-            (vectors,) = complement_vectors([block])
+            (vectors,) = complement_vectors(q, n, d, [block.packed],
+                                            [block.pivots])
             local = local_row_indices(q, n - d, n - dim)
         else:  # one superspace: the block itself or F_q^n
             counts[turan_key(block if dim == d else full_space(q, n))] += 1
@@ -168,13 +169,17 @@ def test_expand_equals_per_block_loop_over_several_chunks(monkeypatch):
     censuses read.  The reports must not change at the seams."""
     monkeypatch.setattr(subspaces, "XOR_CHUNK", 32)
     calls = spanned_one_by_one(monkeypatch)
-    for k, lists in [(2, subspaces.packed_vector_lists), (4, complement_vectors)]:
+    listers = [
+        (2, lambda rows, pivots: subspaces.packed_vector_lists(2, 6, 2, rows)),
+        (4, lambda rows, pivots: complement_vectors(2, 6, 4, rows, pivots))]
+    for k, lists in listers:
         design = SubspaceDesign.from_blocks(
             random_blocks(random.Random(9), 2, 6, k, 19), q=2, n=6, k=k)
-        expected = [list(vectors) for block in design.blocks
-                    for vectors in lists([block])]
+        expected = [list(vectors)
+                    for rows, pivots in zip(design.packed, design.pivots)
+                    for vectors in lists([rows], [pivots])]
         calls.clear()
-        assert list(map(list, lists(design.blocks))) == expected
+        assert list(map(list, lists(design.packed, design.pivots))) == expected
         assert calls == [2, 2, 2]
         assert_all_reports_equal_reference(design)
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qcover import constructions, designs, subspaces
+from qcover import cli, constructions, designs, subspaces
 from qcover.bounds import basic_lower, gaussian
 from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem,
                             SubspaceDesign,
@@ -347,6 +347,26 @@ def test_gf64_and_its_file_make_no_xor_rref_call(monkeypatch):
     assert calls == []
 
 
+def test_gf64_op_builds_only_its_seven_bases(tmp_path, subspace_builds):
+    """construct gf64, save, load and the r = 2 census build a Subspace for
+    the seven base blocks of gf64_orbits only: the 399 blocks go from
+    orbit_blocks' rows to the design, the file and the census as packed
+    rows, and no blocks view is built.  The CLI's construct and verify do
+    the same."""
+    path = tmp_path / "gf64.txt"
+    design = gf64_covering_design()
+    designs.save_design(design, path)
+    loaded = designs.load_design(path)
+    assert verify_covering(loaded, 2).is_covering
+    assert len(subspace_builds) == 7
+    assert len(loaded) == len(design) == 399 and loaded == design
+    assert "blocks" not in vars(design) and "blocks" not in vars(loaded)
+    subspace_builds.clear()
+    assert cli.main(["construct", "gf64", "-o", str(path)]) == 0
+    assert cli.main(["verify", str(path), "--mode", "covering", "--r", "2"]) == 0
+    assert len(subspace_builds) == 7
+
+
 def packed_rows(block):
     return [vec_pack(2, row) for row in block.rows]
 
@@ -608,13 +628,14 @@ def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
     monkeypatch.setattr(subspaces, "_xor_chunk", refuse)
     design = SubspaceDesign.from_blocks([full_space(2, 25)])
     with pytest.raises(BudgetError, match=r"2\^25 vectors exceed"):
-        subspaces.packed_vector_lists(design.blocks)
+        subspaces.packed_vector_lists(2, 25, 25, design.packed)
     for strategy in ("expand", "scan"):
         with pytest.raises(BudgetError):
             verify_covering(design, 0, strategy)
 
 
-FIELDS = {"q", "n", "k", "blocks"}
+# A design built by from_blocks keeps its blocks view from the start.
+FIELDS = {"q", "n", "k", "packed", "pivots", "blocks"}
 
 
 def counted_listings(monkeypatch):
@@ -700,7 +721,8 @@ def test_kept_lists_leave_the_design_value_unchanged():
     assert list(map(list, design.vector_lists)) == [
         subspaces.packed_vectors(b) for b in design.blocks]
     assert list(map(list, design.complement_lists)) == [
-        list(vectors) for vectors in subspaces.complement_vectors(design.blocks)]
+        list(vectors) for vectors in subspaces.complement_vectors(
+            design.q, design.n, design.k, design.packed, design.pivots)]
 
 
 def test_census_that_raises_keeps_nothing():

@@ -58,6 +58,11 @@ src/qcover reads a subspace's packed rows only: Subspace.rows unpacks them
 on every read, for tests and repr.  An AST scan fails on any rows attribute,
 and any "rows" string passed to getattr or attrgetter, in src/qcover
 outside the class Subspace.
+
+A design holds its blocks' packed rows, and its blocks view builds a
+Subspace per block on first read, so src/qcover counts a design, or a set
+system, by len: an AST scan fails on any len(<expr>.blocks) there but
+len(self.blocks), the class's own read.
 """
 
 import ast
@@ -95,7 +100,7 @@ Q_FORKS = {
         "no digit read",
     ("subspaces.py", "span_vector_lists"):
         "the one span fork: q = 2 vectors are XORs of packed rows",
-    ("subspaces.py", "_rref_blocks"):
+    ("subspaces.py", "_pivot_reader"):
         "a q = 2 row's digit count is its bit_length, which other q count "
         "by bisect over the places",
     ("designs.py", "design_from_text"):
@@ -112,10 +117,14 @@ SUBSPACE_SITES = {
         "writes the complement's RREF rows off the rows reduced from the "
         "right, any q",
     ("subspaces.py", "_rref_blocks"):
-        "the builder from packed RREF rows, any q: read_blocks, the loader's "
-        "canonical rows, subspaces_of, enumerate_grassmannian, "
-        "greedy's chosen blocks and the constructions' embedded, lifted, "
-        "derived and unit blocks",
+        "the builder from packed RREF rows, any q: subspaces_of, "
+        "enumerate_grassmannian, the gf64 bases read_blocks reads, greedy's "
+        "chosen blocks and the constructions' field tower, recursion and "
+        "unit blocks",
+    ("designs.py", "SubspaceDesign"):
+        "the blocks view builds each block once, on first read, from the "
+        "packed rows and pivots the design holds: a design itself holds no "
+        "Subspace",
     ("designs.py", "_misses"):
         "builds a witness only, with the pivots its grassmannian_choices "
         "entry gives: a per-witness _rref_blocks call costs more",
@@ -582,3 +591,35 @@ def test_rows_scan_finds_each_form():
               "def e(s):\n    return operator.attrgetter('q', 'rows')(s)\n")
     assert rows_reads(source) == [(10, "a"), (12, "b"), (15, "C"), (16, None),
                                   (20, "e")]
+
+
+def len_of_blocks(source: str):
+    """(line, enclosing top-level definition or None) of every call of len
+    whose one argument is an attribute named blocks of anything but self."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len" \
+                    and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute) \
+                    and node.args[0].attr == "blocks" \
+                    and getattr(node.args[0].value, "id", None) != "self":
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_src_takes_no_len_of_blocks():
+    found = [(path.name, line, owner) for path in SOURCES
+             for line, owner in len_of_blocks(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_len_of_blocks_scan_finds_each_form():
+    source = ("def a(design):\n    return len(design.blocks)\n"
+              "class B:\n    def m(self):\n        return len(self.x.blocks) + 1\n"
+              "N = len(SYSTEM.blocks)\n"
+              "def c(design, blocks):\n"
+              "    return len(design), len(blocks), design.blocks, len(design.packed)\n"
+              "def d(design):\n    return f'{len(design.blocks[1:])}', sum(design.blocks)\n"
+              "class E:\n    def __len__(self):\n        return len(self.blocks)\n")
+    assert len_of_blocks(source) == [(2, "a"), (5, "B"), (6, None)]

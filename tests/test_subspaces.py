@@ -94,7 +94,8 @@ def test_orthogonal_complement_involution_and_duality():
             seen = set()
             for s in enumerate_grassmannian(q, n, k):
                 c = orthogonal_complement(s)
-                reference = span(q, n, subspaces._complement_rows(s))
+                reference = span(q, n, subspaces._complement_rows(
+                    q, n, s.packed, s.pivots))
                 assert (c.rows, c.pivots) == (reference.rows, reference.pivots), s
                 assert c.dim == n - k
                 assert c.pivots == tuple([next(j for j, x in enumerate(row) if x)
@@ -250,6 +251,24 @@ def test_design_from_blocks_deduplicates_equal_subspaces():
     assert d.blocks == (other, s)
 
 
+def test_build_counter_sees_every_route(subspace_builds):
+    """The subspace_builds counter counts one build per block for each route
+    that makes a Subspace: a call, map over the class, copy, deepcopy, a
+    pickle round trip, span, orthogonal_complement, _rref_blocks, and a
+    block whose slots are written without __init__."""
+    s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
+    subspace_builds.clear()
+    blocks = [Subspace(3, 4, s.packed, s.pivots)]
+    blocks += map(Subspace, [3, 2], [4, 3], [s.packed, (4,)], [s.pivots, (0,)])
+    blocks += [copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))]
+    blocks += [span(3, 4, s.packed), orthogonal_complement(s)]
+    blocks += subspaces._rref_blocks(3, 4, 2, s.packed + s.packed)
+    bare = object.__new__(Subspace)
+    subspaces._set_q(bare, 3)
+    assert len(subspace_builds) == len(blocks) + 1 == 11
+    assert subspace_builds == [3, 3, 2] + [3] * 8
+
+
 def test_subspace_needs_its_pivots():
     """Rows with no pivots would give a subspace whose membership tests and
     complement read no pivot columns, so the pivots have no default."""
@@ -382,7 +401,8 @@ def test_read_blocks_equal_xor_rref():
     every rank d <= k, for every k <= 6 and n <= 12 (rows unpack from
     the digit table up to n = 10, by vec_unpack past it).  Full-rank lists, read
     together (2^k + 1 of them for k <= 4, so a whole column at a time),
-    give span's blocks with their pivots.  A span of k dependent
+    give the packed rows of span's blocks, k per list in one flat list,
+    whose pivots are span's.  A span of k dependent
     vectors, which lists each vector 2^(k-d) times, put among them raises
     BlockError with its index and rank; so does a list with a vector
     outside the span."""
@@ -393,12 +413,13 @@ def test_read_blocks_equal_xor_rref():
             full = [rng.sample(subspaces._xor_span(random_generators(rng, n, k, k)),
                                1 << k)
                     for _ in range((1 << k) + 1 if k <= 4 else 4)]
-            blocks = read_blocks(n, k, full)
+            rows = read_blocks(n, k, full)
             refs = [span(2, n, vectors) for vectors in full]
-            assert blocks == refs
-            assert [b.pivots for b in blocks] == [ref.pivots for ref in refs]
-            assert all(b.rows == tuple(vec_unpack(2, n, row) for row in ref.packed)
-                       for b, ref in zip(blocks, refs))
+            assert rows == [v for ref in refs for v in ref.packed]
+            assert list(subspaces._pivot_reader(2, n)(rows)) == [
+                p for ref in refs for p in ref.pivots]
+            assert [vec_unpack(2, n, v) for v in rows] == [
+                row for ref in refs for row in ref.rows]
             ranks.add((k, k))
             bad = [(d, rng.sample(subspaces._xor_span(
                 random_generators(rng, n, k, d)), 1 << k)) for d in range(k)]

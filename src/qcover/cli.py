@@ -194,8 +194,8 @@ def cmd_expand(args) -> int:
         raise BudgetError(f"{args.design}: {exc}") from exc
     designs.save_setsystem(system, args.output)
     print(f"expanded to S(3,{system.block_size},{system.v}) "
-          f"with {len(system)} blocks")
-    _result("expand", args.design, True, len(system))
+          f"with {len(system.blocks)} blocks")
+    _result("expand", args.design, True, len(system.blocks))
     return EXIT_OK
 
 

@@ -419,9 +419,9 @@ def expand_to_steiner_system(design: SubspaceDesign) -> SetSystem:
     system = SetSystem.from_blocks(1 << n, [sorted(b) for b in coset_blocks])
     expected = (2 ** (n - k) * (2 ** n - 1) * (2 ** (n - 1) - 1)
                 // ((2 ** k - 1) * (2 ** (k - 1) - 1)))
-    if len(system) != expected:
+    if len(system.blocks) != expected:
         raise ConstructionError(
-            f"expansion produced {len(system)} blocks, expected {expected}")
+            f"expansion produced {len(system.blocks)} blocks, expected {expected}")
     _require(verify_steiner_system(system, 3),
              "expanded system failed the t=3 check", steiner=True)
     return system

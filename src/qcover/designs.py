@@ -448,9 +448,6 @@ class SetSystem:
                 raise ValueError("point index out of range")
         return SetSystem(v, size, tuple(norm))
 
-    def __len__(self):
-        return len(self.blocks)
-
 
 def point_indexing(q: int, n: int) -> Dict[Tuple[int], int]:
     """Index of each 1-subspace, in enumeration order, keyed by its packed
@@ -598,7 +595,7 @@ def design_from_text(text: str) -> SubspaceDesign:
 
 def setsystem_to_text(system: SetSystem) -> str:
     lines = [SETSYSTEM_MAGIC,
-             f"v={system.v} b={len(system)} size={system.block_size}"]
+             f"v={system.v} b={len(system.blocks)} size={system.block_size}"]
     for block in system.blocks:
         lines.append(" ".join(str(x) for x in block))
     return "\n".join(lines) + "\n"

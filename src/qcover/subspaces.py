@@ -502,17 +502,9 @@ def _pivot_reader(q: int, n: int) -> Callable[[Iterable[int]], Iterator[int]]:
     """A function from packed RREF rows of F_q^n to their pivots, lazily,
     in C-level maps.  A row with pivot p leads with a 1 at place
     q^(n-1-p), so it has n - p digits: its bit_length for q = 2, else the
-    count of places q^0..q^(n-1) at most the row.  Up to DIGIT_TABLE_MAX
-    vectors every vector's count is tabled, one list lookup per row (the
-    exponent is capped, so an n past MAX_AMBIENT_N, refused by the caller's
-    census, costs nothing here)."""
-    if q == 2:
-        digits = int.bit_length
-    else:
-        digits = functools.partial(bisect_right, [q ** j for j in range(n)])
-    if q ** min(n, MAX_AMBIENT_N) <= DIGIT_TABLE_MAX:
-        table = [n - digits(v) for v in range(q ** n)]
-        return functools.partial(map, table.__getitem__)
+    count of places q^0..q^(n-1) at most the row."""
+    digits = int.bit_length if q == 2 else functools.partial(
+        bisect_right, [q ** j for j in range(n)])
     return lambda rows: map(n.__sub__, map(digits, rows))
 
 
@@ -623,9 +615,12 @@ class GroupAction:
         k = 0 the zero block's, none.
 
         The images of base's packed vectors under g^1..g^order are read a
-        column at a time, each vector's column a slice of its cycle ending
-        at the vector, and cut at the first image inside base's vectors
-        (at worst the last), base when its 2^k vectors are distinct.  g is
+        column at a time, each vector's column one slice of its cycle,
+        repeated, ending at the vector, and cut at the first image inside
+        base's vectors (at worst the last), base when its 2^k vectors are
+        distinct.  One slice, not a rotation by two shorter ones: short
+        slices feed CPython's tuple free lists, which only a full
+        collection empties, and a long-running process's RSS creeps.  g is
         linear, so each image is a k-subspace; read_blocks checks each up
         to the cut, naming the first that is not, g^m(base) at m - 1.
         """
@@ -640,7 +635,8 @@ class GroupAction:
         columns = []
         for w in vectors:
             cycle, start = cycles[rep[w]], (1 - exponent[w]) % size[w]
-            columns.append((cycle[start:] + cycle[:start]) * (self.order // size[w]))
+            repeated = cycle * (self.order // size[w] + 1)
+            columns.append(repeated[start:start + self.order])
         images = list(zip(*columns))
         inside = list(map(frozenset(vectors).issuperset, images))
         stop = inside.index(True) + 1

@@ -262,7 +262,7 @@ TURAN_DUAL_Q3_SHA256 = {
 def test_turan_dual_q3_files_pinned(tmp_path, capsys, n, k):
     """The files of the q = 3 duals of the Turan point designs, byte for
     byte as they were when dualize row-reduced span(q, n,
-    _complement_rows(b)) for each block b."""
+    _complement_rows(q, n, b.packed, b.pivots)) for each block b."""
     out = tmp_path / "dual.txt"
     code, _, _ = run(capsys, "construct", "turan-dual", "--q", "3", "--n",
                      str(n), "--k", str(k), "-o", str(out))

@@ -85,9 +85,9 @@ def test_orthogonal_complement_examples():
 def test_orthogonal_complement_involution_and_duality():
     """For every subspace s of F_q^n, q in {2, 3, 4} and n <= 4: the
     complement has dim n - k, its rows and pivots are those of
-    tuple_span(q, n, _complement_rows(s)), the row-reduced reference, each pivot
-    is its row's first nonzero entry, every row is orthogonal to s, and
-    complementing twice gives s back."""
+    span(q, n, _complement_rows(q, n, s.packed, s.pivots)), the row-reduced
+    reference, each pivot is its row's first nonzero entry, every row is
+    orthogonal to s, and complementing twice gives s back."""
     for q, n in itertools.product([2, 3, 4], range(5)):
         gf = get_gf(q)
         for k in range(n + 1):

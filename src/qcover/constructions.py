@@ -373,16 +373,17 @@ def gf64_covering_design() -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
     Its blocks are the orbits of the base blocks of gf64_orbits, which
-    certifies them, under the Singer action: GroupAction.orbit_blocks reads
-    the packed RREF rows of each base's orbit off the sorted images of its
-    vectors, up to the image that is the base again, and an image that is
-    not a 3-subspace raises ConstructionError naming it.
+    certifies them, under the Singer action: one GroupAction.orbit_blocks
+    call reads the packed RREF rows of every base's orbit off the sorted
+    images of its vectors, up to the image that is the base again, with
+    one read_blocks call for all 399, and an image that is not a
+    3-subspace raises ConstructionError naming it within its base's orbit.
     SubspaceDesign.from_rows takes the rows of all 399, so the seven bases
     are the only Subspaces built.
     """
     singer, bases, count = gf64_orbits()
     try:
-        rows = list(itertools.chain.from_iterable(map(singer.orbit_blocks, bases)))
+        rows = singer.orbit_blocks(bases)
     except BlockError as exc:
         raise ConstructionError(f"image {exc.index + 1} of a base block "
                                 f"{exc.fault}") from exc

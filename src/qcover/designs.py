@@ -17,18 +17,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import and_, attrgetter, itemgetter, lt, ne
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf, vec_pack
 from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         BudgetError, GroupAction, Subspace, _canonical_rows,
-                        _digit_table, _local_rows, _pivot_reader, _xor_span,
-                        check_ambient,
-                        complement_generators, complement_vectors,
-                        grassmannian_choices, grassmannian_rows,
-                        orthogonal_complement, packed_vector_lists,
-                        packed_vectors, span, subspace_count,
+                        _digit_table, _local_rows, _pivot_reader, _xor_chunk,
+                        _xor_span, check_ambient, complement_generators,
+                        complement_vectors, grassmannian_choices,
+                        grassmannian_rows, orthogonal_complement,
+                        packed_vector_lists, span, subspace_count,
                         superspaces_containing)
 
 WITNESS_CAP = 16
@@ -59,22 +59,24 @@ class SubspaceDesign:
     pivots: Tuple[Tuple[int, ...], ...] = field(compare=False)
 
     @staticmethod
-    def from_rows(q: int, n: int, k: int, flat: Iterable[int]
-                  ) -> "SubspaceDesign":
+    def from_rows(q: int, n: int, k: int, flat: Iterable[int],
+                  pivots: Sequence[int] = None) -> "SubspaceDesign":
         """The design of the blocks of F_q^n whose packed RREF rows are
-        flat, k >= 1 to a block, with no Subspace built.  Each row's pivot
-        is read as _rref_blocks reads it.  A block's key is its pivots then
-        its rows, one flat tuple, which orders as Subspace.sort_key and
-        compares faster; the keys are deduplicated and sorted in C, unless
-        they are already strictly increasing, as design_to_text writes
-        them."""
+        flat, k >= 1 to a block, with no Subspace built.  pivots are the
+        rows' pivots, one per row, when the caller has read them, as
+        _canonical_rows does; else each is read as _rref_blocks reads it.
+        A block's key is its pivots then its rows, one flat tuple, which
+        orders as Subspace.sort_key and compares faster; the keys are
+        deduplicated and sorted in C, unless they are already strictly
+        increasing, as design_to_text writes them."""
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
         flat = list(flat)
         if len(flat) % k:
             raise ValueError(f"{len(flat)} rows are no whole number of "
                              f"blocks of k={k}")
-        pivots = list(_pivot_reader(q, n)(flat))
+        if pivots is None:
+            pivots = list(_pivot_reader(q, n)(flat))
         keys = list(zip(*[pivots[i::k] for i in range(k)],
                         *[flat[i::k] for i in range(k)]))
         if all(map(lt, keys, itertools.islice(keys, 1, None))):
@@ -340,11 +342,13 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
     gives for r on the expanded design with strategy "expand".  The design
     is invariant, so every target in one orbit O has the same multiplicity:
     the sum over bases B of |orbit(B)| times the number of r-subspaces of B
-    in O, divided by |O|.  One GroupAction.orbit call per base and per
-    r-subspace of a base gives both the orbit's label, which tells orbits
-    apart, and its size.  The witnesses are the first uncovered targets in
-    grassmannian_choices order, labelled one by one only when some orbit is
-    uncovered.  Two bases in one orbit raise ValueError.
+    in O, divided by |O|.  One packed_vector_lists call lists the bases'
+    vectors, the _local_rows reader reads the rows of their r-subspaces and
+    _xor_chunk lists those; one GroupAction.orbits call labels and sizes
+    the bases' orbits, whose labels tell them apart, and one the targets'.
+    The witnesses are the first uncovered targets in grassmannian_choices
+    order, labelled one by one only when some orbit is uncovered.  Two
+    bases in one orbit raise ValueError.
     """
     n = action.n
     if not bases:
@@ -358,23 +362,25 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}")
     total = subspace_count(n, r, 2)
-    rows_of = _local_rows(2, k, r)
+    vector_lists = list(packed_vector_lists(2, n, k, [b.packed for b in bases]))
+    base_orbits = action.orbits(vector_lists)
+    blocks = sum(map(itemgetter(1), base_orbits))
     bases_of: Dict[tuple, int] = {}  # block orbit label -> index of its base
-    incidences: Counter = Counter()  # target orbit label -> sum |orbit(B)|
-    sizes: Dict[tuple, int] = {}  # target orbit label -> |O|
-    blocks = 0
-    for i, base in enumerate(bases):
-        vectors = packed_vectors(base)
-        label, size = action.orbit(vectors)
+    for i, (label, _) in enumerate(base_orbits):
         if label in bases_of:
             raise ValueError(f"base blocks {bases_of[label]} and {i} lie in "
                              f"one orbit")
         bases_of[label] = i
-        blocks += size
-        for rows in rows_of([vectors]):
-            orbit, orbit_size = action.orbit(_xor_span(rows))
-            incidences[orbit] += size
-            sizes[orbit] = orbit_size
+    targets = list(_local_rows(2, k, r)(vector_lists))  # base after base
+    weights = itertools.chain.from_iterable(map(  # |orbit(B)| per target
+        itertools.repeat, map(itemgetter(1), base_orbits),
+        itertools.repeat(gaussian(k, r, 2))))
+    incidences: Counter = Counter()  # target orbit label -> sum |orbit(B)|
+    sizes: Dict[tuple, int] = {}  # target orbit label -> |O|
+    for (orbit, orbit_size), weight in zip(
+            action.orbits(_xor_chunk(targets, r)), weights):
+        incidences[orbit] += weight
+        sizes[orbit] = orbit_size
     histogram: Counter = Counter()
     for orbit, count in incidences.items():
         multiplicity, rest = divmod(count, sizes[orbit])
@@ -496,7 +502,9 @@ class FormatError(ValueError):
 def design_to_text(design: SubspaceDesign) -> str:
     """The design file: one digit per coordinate, so q is at most 10.
 
-    Blocks share rows, so each distinct packed row's word is built once.
+    Blocks share rows, so each distinct packed row's word is built once;
+    one " ".join map over the words of all rows, k at a time, builds the
+    block lines, and a k = 0 design writes its zero block as an empty line.
     """
     if design.q > 10:
         raise FormatError(f"q={design.q} has coordinates above 9, and the "
@@ -505,25 +513,33 @@ def design_to_text(design: SubspaceDesign) -> str:
     unpack = _digit_table(design.q, design.n)[0]
     word = {v: "".join(map(str, unpack(v))) for v in
             set(itertools.chain.from_iterable(design.packed))}
+    words = map(word.__getitem__, itertools.chain.from_iterable(design.packed))
     lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
-    lines += [" ".join(map(word.__getitem__, rows)) for rows in design.packed]
+    lines += (map(" ".join, zip(*[words] * design.k)) if design.k
+              else [""] * len(design))
     return "\n".join(lines) + "\n"
 
 
 def design_from_text(text: str) -> SubspaceDesign:
     """The design a design file describes, each block in canonical form.
 
-    Blocks share words, so each distinct word is checked and converted once
-    per call to its packed int, for every q.  Every line is checked first,
-    up to the first bad word or word count; then the lines before it become
-    blocks, and a dependent one raises FormatError with its rank, so errors
-    come in file order.  A q = 2 file whose rows are all canonical, as
-    design_to_text writes them, is taken as written (_canonical_rows
-    decides once per file) by SubspaceDesign.from_rows, with no Subspace
-    built; in any other file span reduces each line's packed vectors, and
-    the design keeps span's blocks as its blocks view.  A parameter line that lacks q, n or k or repeats a key
-    raises FormatError, and a header n past MAX_AMBIENT_N raises
-    BudgetError, before any block is read.
+    Every body line is split by one map.  A file passes when each distinct
+    word is checked once, all of them in C-level string tests, and every
+    line has k words; a comment, a blank line (a block at k = 0 only), a
+    bad word or a wrong word count fails it, and only then does
+    _walk_lines walk the lines one by one, to drop comments and blank lines
+    and find the first bad word or word count in file order.  Each
+    distinct word is converted once to its packed int, and one map packs
+    the rows of all lines (before that error).  For q = 2 _canonical_rows
+    reads the rows' pivots in one pass if every line is canonical, as
+    design_to_text writes it, and SubspaceDesign.from_rows takes the rows
+    as written with those pivots, with no Subspace built; otherwise span
+    reduces each line's packed rows, and the design keeps span's blocks as
+    its blocks view.  A dependent line raises FormatError with its rank,
+    before a bad word or word count after it, so errors come in file
+    order.  A parameter line that lacks q, n or k or repeats a key raises
+    FormatError, and a header n past MAX_AMBIENT_N raises BudgetError,
+    before any block is read.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != DESIGN_MAGIC:
@@ -546,51 +562,72 @@ def design_from_text(text: str) -> SubspaceDesign:
         raise FormatError(str(exc)) from exc
     check_ambient(n)
     top = str(min(q, 10) - 1)  # the largest digit that is a coordinate
-    vector = {}  # each word checked so far -> its vector
-    word_lists, block_lines = [], []
+    body = lines[2:]
+    word_lists = list(map(str.split, body))
+    words = set(itertools.chain.from_iterable(word_lists))
+    joined = "".join(words)
     error = None  # the first bad line's, raised after the blocks before it
+    # str.isdigit alone passes non-ASCII digits, which int() reads.
+    if not (all(map(n.__eq__, map(len, words)))
+            and joined.isascii() and (joined.isdigit() or not joined)
+            and max(joined, default=top) <= top
+            and all(map(k.__eq__, map(len, word_lists)))):
+        word_lists, body, error = _walk_lines(q, n, k, top, body)
+        words = set(itertools.chain.from_iterable(word_lists))
+    # int reads base q up to 36, and a coordinate is one digit
+    convert = (functools.partial(int, base=q) if q <= 36
+               else lambda word: vec_pack(q, map(int, word)))
+    vector = dict(zip(words, map(convert, words)))
+    flat = list(map(vector.__getitem__,
+                    itertools.chain.from_iterable(word_lists)))
+    pivots = _canonical_rows(n, k, flat) if q == 2 and k else None
+    if pivots is None:
+        rows = (zip(*[iter(flat)] * k) if k
+                else itertools.repeat((), len(word_lists)))
+        blocks = list(map(span, itertools.repeat(q), itertools.repeat(n), rows))
+        short = list(map(k.__ne__, map(len, map(_packed, blocks))))
+        if True in short:
+            i = short.index(True)
+            raise FormatError(f"block rank {blocks[i].dim} < k={k}: "
+                              f"{body[i].strip()!r}")
+    if error is not None:
+        raise error
+    if pivots is not None:
+        return SubspaceDesign.from_rows(q, n, k, flat, pivots)
+    return SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
+
+
+def _walk_lines(q: int, n: int, k: int, top: str, lines: Sequence[str]
+                ) -> Tuple[List[List[str]], List[str], Optional[FormatError]]:
+    """design_from_text's walk of the body lines of a file that fails its
+    whole-file checks, line by line: comments and blank lines are dropped
+    (at k = 0 a blank line is the zero block), and each line's words are
+    checked, each distinct word once, then its word count, up to the first
+    bad word or word count.  Returns the word lists and stripped lines
+    before it, and its FormatError, or None when there is none."""
+    seen = set()
+    word_lists, kept = [], []
     try:
-        for line in lines[2:]:
+        for line in lines:
             line = line.strip()
-            # design_to_text writes a k = 0 design's zero block as an empty line
             if line.startswith("#") or not (line or k == 0):
                 continue
             words = line.split()
             for word in words:
-                if word in vector:
+                if word in seen:
                     continue
-                # str.isdigit alone passes non-ASCII digits, which int() reads.
                 if len(word) != n or not (word.isascii() and word.isdigit()):
                     raise FormatError(f"bad vector {word!r} for n={n}")
                 if max(word) > top:
                     raise FormatError(f"coordinate out of GF({q}) in {word!r}")
-                # int reads base q up to 36, and a coordinate is one digit
-                vector[word] = (int(word, q) if q <= 36
-                                else vec_pack(q, map(int, word)))
+                seen.add(word)
             if len(words) != k:
                 raise FormatError(f"block with {len(words)} vectors, expected {k}")
             word_lists.append(words)
-            block_lines.append(line)
+            kept.append(line)
     except FormatError as exc:
-        error = exc
-    pack = vector.__getitem__
-    flat = None
-    if q == 2 and k:
-        flat = list(map(pack, itertools.chain.from_iterable(word_lists)))
-        if not _canonical_rows(n, k, flat):
-            flat = None
-    if flat is None:
-        blocks = []
-        for words, line in zip(word_lists, block_lines):
-            block = span(q, n, map(pack, words))
-            if block.dim != k:
-                raise FormatError(f"block rank {block.dim} < k={k}: {line!r}")
-            blocks.append(block)
-    if error is not None:
-        raise error
-    if flat is not None:
-        return SubspaceDesign.from_rows(q, n, k, flat)
-    return SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
+        return word_lists, kept, exc
+    return word_lists, kept, None
 
 
 def setsystem_to_text(system: SetSystem) -> str:

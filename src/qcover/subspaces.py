@@ -17,8 +17,9 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
-from operator import add, and_, eq, gt, itemgetter, mul, xor
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from operator import add, and_, itemgetter, lt, mul, or_, xor
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .bounds import gaussian
 from .fields import get_gf, vec_pack, vec_unpack
@@ -480,20 +481,27 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
                              else "is not closed under addition")
 
 
-def _canonical_rows(n: int, k: int, flat: Sequence[int]) -> bool:
-    """Whether flat, the packed rows of blocks of F_2^n, k >= 1 to a block,
-    holds each block's RREF as written.  Rows r_1..r_k with top set bits b_i are an
-    RREF iff every r_i is nonzero, b_1 > ... > b_k, and r_i holds no b_j
-    but its own: a test in C-level maps over all rows."""
-    tops = [0] + [1 << i for i in range(n)]  # the top bit, by bit_length
-    top = list(map(tops.__getitem__, map(int.bit_length, flat)))
-    heads = [top[i::k] for i in range(k)]
-    if 0 in flat or not all(map(all, map(map, itertools.repeat(gt), heads,
-                                         heads[1:]))):
-        return False
-    pivot_bits = list(map(sum, zip(*heads)))  # distinct bits: their OR
-    masks = itertools.chain.from_iterable(zip(*[pivot_bits] * k))
-    return all(map(eq, map(and_, flat, masks), top))
+def _canonical_rows(n: int, k: int, flat: Sequence[int]
+                    ) -> Optional[List[int]]:
+    """The pivots of flat, the packed rows of blocks of F_2^n, k >= 1 to a
+    block, read by _pivot_reader in one pass, if flat holds each block's
+    RREF as written; else None.  Rows r_1..r_k with pivots p_i and top set
+    bits b_i are an RREF iff every r_i is nonzero, p_1 < ... < p_k, and r_i
+    holds no b_j of a later row (an earlier b_j lies above r_i's top bit):
+    a test in C-level maps over the rows' columns flat[i::k]."""
+    if 0 in flat:
+        return None
+    pivots = list(_pivot_reader(2, n)(flat))
+    heads = [pivots[i::k] for i in range(k)]
+    if not all(map(all, map(map, itertools.repeat(lt), heads, heads[1:]))):
+        return None
+    bits = [1 << (n - 1 - p) for p in range(n)]  # the top bit, by pivot
+    later = itertools.repeat(0)  # the OR of the b_j of the rows past row i
+    for i in reversed(range(k - 1)):
+        later = list(map(or_, later, map(bits.__getitem__, heads[i + 1])))
+        if any(map(and_, flat[i::k], later)):
+            return None
+    return pivots
 
 
 # Bounded; one reader per (q, n), and a run touches a handful.
@@ -555,7 +563,8 @@ class GroupAction:
     zeros, holds 2^(n-r) vectors, so it gives g's rank.  The per-vector
     tables of orbit representative (the least vector of the orbit),
     exponent e (g^e sends the vector to its representative) and orbit size,
-    and each orbit's cycle from its representative, are built on first use.
+    each orbit's cycle from its representative, and the rank table that
+    orbits reads, are built on first use.
     """
 
     def __init__(self, n: int, images: Sequence[int]):
@@ -576,7 +585,7 @@ class GroupAction:
             columns = tuple([image[c] for c in columns])
             order += 1
         self.order = order
-        self._tables = None
+        self._tables = self._rank = None
 
     def _orbit_tables(self):
         """(rep, exponent, size, cycles): per-vector lists, and each orbit's
@@ -608,72 +617,110 @@ class GroupAction:
         rep, exponent, size, cycles = self._orbit_tables()
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
 
-    def orbit_blocks(self, base: Subspace) -> List[int]:
-        """The packed RREF rows, k per block in one flat list, of the blocks
-        g(base), g^2(base), ..., base of base's orbit, read off their
-        vectors by read_blocks, with no row reduction and no Subspace; for
-        k = 0 the zero block's, none.
+    def _rank_table(self) -> List[int]:
+        """Per vector, its orbit size << n | (2^n - 1 - its representative):
+        the greatest over a set names the set's largest vector orbit, the
+        least representative on ties.  Built on first use."""
+        if self._rank is None:
+            rep, _, size, _ = self._orbit_tables()
+            low = (1 << self.n) - 1
+            self._rank = [s << self.n | low - r for s, r in zip(size, rep)]
+        return self._rank
 
-        The images of base's packed vectors under g^1..g^order are read a
-        column at a time, each vector's column one slice of its cycle,
-        repeated, ending at the vector, and cut at the first image inside
-        base's vectors (at worst the last), base when its 2^k vectors are
-        distinct.  One slice, not a rotation by two shorter ones: short
-        slices feed CPython's tuple free lists, which only a full
-        collection empties, and a long-running process's RSS creeps.  g is
-        linear, so each image is a k-subspace; read_blocks checks each up
-        to the cut, naming the first that is not, g^m(base) at m - 1.
+    def orbit_blocks(self, bases: Sequence[Subspace]) -> List[int]:
+        """The packed RREF rows, k per block in one flat list, of the blocks
+        g(B), g^2(B), ..., B of each base B's orbit, base after base, read
+        off their vectors by one read_blocks call, with no row reduction
+        and no Subspace; for k = 0 the zero block's, none.  The bases share
+        one dimension k.
+
+        One packed_vector_lists call lists the bases' vectors.  The images
+        of a base's vectors under g^1..g^order are read a column at a time,
+        each vector's column one slice of its cycle, repeated, ending at
+        the vector, and cut at the first image inside the base's vectors,
+        the base when its 2^k vectors are distinct, or else at the last.
+        One slice, not a rotation by two shorter ones: short slices feed
+        CPython's tuple free lists, which only a full collection empties,
+        and a long-running process's RSS creeps.  g is linear, so each
+        image is a k-subspace; read_blocks checks every image up to each
+        cut, and the BlockError of the first that is not names it within
+        its base's orbit, g^m(B) at m - 1.
         """
-        if (base.q, base.n) != (2, self.n):
-            raise AmbientMismatch(f"base block in F_{base.q}^{base.n} under "
-                                  f"an action on F_2^{self.n}")
-        k = base.dim
+        for base in bases:
+            if (base.q, base.n) != (2, self.n):
+                raise AmbientMismatch(f"base block in F_{base.q}^{base.n} "
+                                      f"under an action on F_2^{self.n}")
+        k = bases[0].dim if bases else 0
+        if any(base.dim != k for base in bases):
+            raise ValueError(f"base blocks of dimensions "
+                             f"{sorted({base.dim for base in bases})}")
         if not k:
             return []
         rep, exponent, size, cycles = self._orbit_tables()
-        vectors = packed_vectors(base)
-        columns = []
-        for w in vectors:
-            cycle, start = cycles[rep[w]], (1 - exponent[w]) % size[w]
-            repeated = cycle * (self.order // size[w] + 1)
-            columns.append(repeated[start:start + self.order])
-        images = list(zip(*columns))
-        inside = list(map(frozenset(vectors).issuperset, images))
-        stop = inside.index(True) + 1
-        return read_blocks(self.n, k, images[:stop])
+        images, starts = [], []  # every base's images, and where each starts
+        for vectors in packed_vector_lists(2, self.n, k,
+                                           [base.packed for base in bases]):
+            columns = []
+            for w in vectors:
+                cycle, start = cycles[rep[w]], (1 - exponent[w]) % size[w]
+                repeated = cycle * (self.order // size[w] + 1)
+                columns.append(repeated[start:start + self.order])
+            orbit = list(zip(*columns))
+            inside = list(map(frozenset(vectors).issuperset, orbit[:-1]))
+            inside.append(True)  # g^order(B) is B
+            starts.append(len(images))
+            images += orbit[:inside.index(True) + 1]
+        try:
+            return read_blocks(self.n, k, images)
+        except BlockError as exc:
+            start = starts[bisect_right(starts, exc.index) - 1]
+            raise BlockError(exc.index - start, exc.fault) from None
 
     def orbit(self, vectors: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
-        """(label, size) of the set's orbit, in one pass; AmbientMismatch
-        for a vector outside F_2^n.
-
-        The anchors are the set's vectors in its largest vector orbit (least
-        representative on ties; both are the same for every image of the
-        set).  The candidates g^(e + j * length), for each anchor's exponent
-        e, are exactly the elements whose image of the set holds that
-        orbit's representative.  The label is the least such image, as a
-        sorted tuple.  Each image arises from one coset of the stabiliser,
-        so the candidates giving the label number |stabiliser|, and the size
-        is the order over that count.
-        """
-        rep, exponent, size, cycles = self._orbit_tables()
+        """(label, size) of the set's orbit: orbits of the set's sorted,
+        duplicate-free vectors, checked first; AmbientMismatch for a vector
+        outside F_2^n."""
         vectors = sorted(set(vectors))
         if not vectors:
             raise ValueError("an empty vector set has no orbit")
         _check_packed(2, self.n, (vectors[0], vectors[-1]))
-        top = max(vectors, key=lambda v: (size[v], -rep[v]))
-        length, head = size[top], rep[top]
-        parts = [(cycles[rep[w]], exponent[w], size[w]) for w in vectors]
-        label, count = None, 0
-        for a in vectors:
-            if rep[a] != head:
-                continue
-            for m in range(exponent[a], self.order, length):
-                image = sorted([cycle[(m - e) % s] for cycle, e, s in parts])
-                if label is None or image < label:
-                    label, count = image, 1
-                elif image == label:
-                    count += 1
-        return tuple(label), self.order // count
+        return self.orbits([vectors])[0]
+
+    def orbits(self, vector_lists: Iterable[Sequence[int]]
+               ) -> List[Tuple[Tuple[int, ...], int]]:
+        """(label, size) of the orbit of each of the vector sets, in order,
+        given as sorted, duplicate-free, nonempty lists of vectors of F_2^n,
+        unchecked: orbit checks one set.
+
+        The anchors are the set's vectors in its largest vector orbit (least
+        representative on ties; both are the same for every image of the
+        set), those of greatest _rank_table entry.  The candidates
+        g^(e + j * length), for each anchor's exponent e, are exactly the
+        elements whose image of the set holds that orbit's representative.
+        The label is the least such image, as a sorted tuple.  Each image
+        arises from one coset of the stabiliser, so the candidates giving
+        the label number |stabiliser|, and the size is the order over that
+        count.  Per set the anchors are found with one C-level max over
+        the rank table, and every image is read off the orbit tables.
+        """
+        rep, exponent, size, cycles = self._orbit_tables()
+        rank, n, order = self._rank_table(), self.n, self.order
+        out = []
+        for vectors in vector_lists:
+            top = max(map(rank.__getitem__, vectors))
+            parts = [(cycles[rep[w]], exponent[w], size[w]) for w in vectors]
+            label, count = None, 0
+            for a in vectors:
+                if rank[a] != top:
+                    continue
+                for m in range(exponent[a], order, top >> n):
+                    image = sorted([cycle[(m - e) % s] for cycle, e, s in parts])
+                    if label is None or image < label:
+                        label, count = image, 1
+                    elif image == label:
+                        count += 1
+            out.append((tuple(label), order // count))
+        return out
 
 
 def _horner_span(q: int, rows: Sequence[Sequence[int]]) -> List[int]:

@@ -812,26 +812,35 @@ def test_orbit_blocks_equal_image_walk():
     """GroupAction.orbit_blocks against span of the images of a base's
     vectors under g^1, g^2, ... up to the base, on every action and bases
     of dimension 1..4: the same packed rows, k per block, with the same
-    pivots, in the same order, for as many blocks as the orbit's size.  The
-    zero block is its own orbit, and has no rows."""
+    pivots, in the same order, for as many blocks as the orbit's size, for
+    one base and for all of a dimension's bases in one call, base after
+    base.  The zero block is its own orbit, and has no rows; bases of two
+    dimensions are refused."""
     rng = random.Random(20261020)
     for name, action in actions().items():
         for k in range(1, 5):
-            for base in random_orbit_bases(rng, action, k, 3):
+            bases = random_orbit_bases(rng, action, k, 3)
+            walks = []
+            for base in bases:
                 vectors = packed_vectors(base)
                 walk = [span(2, action.n, action.image(vectors, 1))]
                 while walk[-1] != base:
                     walk.append(span(2, action.n, action.image(
                         vectors, len(walk) + 1)))
-                rows = action.orbit_blocks(base)
+                rows = action.orbit_blocks([base])
                 assert rows == [v for b in walk for v in b.packed], (name, base)
                 assert list(subspaces._pivot_reader(2, action.n)(rows)) == [
                     p for b in walk for p in b.pivots]
                 assert len(rows) == k * action.orbit(vectors)[1]
+                walks += walk
+            assert action.orbit_blocks(bases) == [
+                v for b in walks for v in b.packed], (name, k)
         zero = Subspace(2, action.n, (), ())
-        assert action.orbit_blocks(zero) == []
+        assert action.orbit_blocks([zero]) == action.orbit_blocks([]) == []
         with pytest.raises(AmbientMismatch, match="base block in F_2"):
-            action.orbit_blocks(Subspace(2, action.n + 1, (), ()))
+            action.orbit_blocks([Subspace(2, action.n + 1, (), ())])
+        with pytest.raises(ValueError, match=r"dimensions \[0, 1\]"):
+            action.orbit_blocks([zero, span(2, action.n, [1])])
 
 
 def test_group_action_orders_and_orbits_equal_brute_force():
@@ -930,6 +939,56 @@ def test_group_action_orbit_equals_brute_force_with_stabilisers():
     on_f7 = [name for name in orders if name != "sum7x3"]
     assert [sizes[name][0] for name in on_f7] == [21, 7, 3, 7, 7]
     assert [sizes[name][1] for name in on_f7] == [1, 1, 1, 1, 7]
+
+
+def test_orbits_equal_orbit_and_brute_force():
+    """GroupAction.orbits, many sets in one call, against orbit of each set
+    and the brute-force orbit, on every action of this module and the
+    gf64 subgroups: sets with fixed points (0, and GF64_BIT or the
+    all-ones vector under the shift), sets inside orbits shorter than the
+    order (SUM_7_3's orbits of 7 and 3, the shift's of 7 under g^9 ...),
+    random sets and the r-subspaces of the gf64 bases, as verify_orbits
+    lists them.  The sizes are the brute-force orbit's, and the labels
+    the brute-force reference_label."""
+    singer, bases, _ = gf64_orbits()
+    units = [1 << (6 - i) for i in range(7)]
+    columns = {"gf64": singer.image(units, 1), "singer128": SINGER_128,
+               "shift7": SHIFT_7, "sum7x3": SUM_7_3}
+    for d in (3, 7, 9):
+        columns[f"gf64^{d}"] = singer.image(units, d)
+    rng = random.Random("orbits-batch")
+    for name, cols in columns.items():
+        action = GroupAction(len(cols), cols)
+        n = action.n
+        sets = [[0], [0, (1 << n) - 1], [(1 << n) - 1]]
+        if n == 7:
+            sets += [[0, constructions.GF64_BIT]]
+            sets += [packed_vectors(b) for b in bases]
+            sets += [list(t) for t in subspaces._xor_chunk(list(
+                subspaces._local_rows(2, 3, 2)(map(packed_vectors, bases))), 2)]
+        else:  # inside the orbits of 7 and of 3 of SUM_7_3
+            sets += [[0b01000, 0b10000], [0b00001, 0b00010, 0b00011],
+                     [0b00100, 0b01100, 0b00001]]
+        sets += [sorted(set(rng.sample(range(1 << n), rng.randint(1, 9))))
+                 for _ in range(60)]
+        labels = action.orbits(sets)
+        assert labels == [action.orbit(vectors) for vectors in sets], name
+        for vectors, (label, size) in zip(sets, labels):
+            orbit = brute_force_orbit(cols, action.order, vectors)
+            assert size == len(orbit), (name, vectors)
+            assert label == reference_label(cols, action.order, vectors)
+        assert action.orbits([]) == []
+
+
+def reference_label(columns, order, vectors):
+    """The label orbit gives, by brute force: of the images of the set
+    that hold the representative (least vector) of its largest vector
+    orbit, least representative on ties, the least."""
+    vector_orbits = [{image[0] for image in brute_force_orbit(
+        columns, order, [v])} for v in vectors]
+    head = min(max(vector_orbits, key=lambda o: (len(o), -min(o))))
+    return min(image for image in brute_force_orbit(columns, order, vectors)
+               if head in image)
 
 
 def test_orbit_census_with_a_fixed_block():

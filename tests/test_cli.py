@@ -291,6 +291,21 @@ def test_field_tower_files_pinned(tmp_path, capsys, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_TOWER_SHA256[argv]
 
 
+# sha256 of the stdout of `bounds --q <q> --n-max 12`, byte for byte as it
+# was when verify_orbits labelled one vector set per GroupAction.orbit call.
+BOUNDS_SHA256 = {
+    2: "cc5c561f98d2494bf52594b90ebb6e831012ae7864fd76c14d90607be9dbf3a3",
+    3: "64099cdd84b2420abb98bf39c1f9cacfade461fdc8539ae0c4f45a166d915ec7",
+}
+
+
+@pytest.mark.parametrize("q", sorted(BOUNDS_SHA256))
+def test_bounds_tables_pinned(capsys, q):
+    code, out, _ = run(capsys, "bounds", "--q", str(q), "--n-max", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[q]
+
+
 def test_gf64_design_command(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "gf64",
                        "-o", str(tmp_path / "l6.txt"))

@@ -349,22 +349,31 @@ def test_gf64_orbit_structure():
 
 
 def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
-    """gf64_orbits runs the one orbit census, whose verify_orbits takes 7
-    base and 49 target orbits: 56 GroupAction.orbit calls for the design
-    and for the bound table alike.  The construction reads each base's
-    orbit with GroupAction.orbit_blocks, and no orbit is sized twice."""
-    calls = []
-    orbit = GroupAction.orbit
+    """gf64_orbits runs the one orbit census, whose verify_orbits labels 7
+    base and 49 target orbits: 56 lists labelled through
+    GroupAction.orbits for the design and for the bound table alike.  The
+    construction reads every base's orbit with one GroupAction.orbit_blocks
+    call, and no orbit is sized twice."""
+    labelled, blocks = [], []
+    orbits, orbit_blocks = GroupAction.orbits, GroupAction.orbit_blocks
 
-    def counted(self, vectors):
-        calls.append(1)
-        return orbit(self, vectors)
-    monkeypatch.setattr(GroupAction, "orbit", counted)
+    def counted(self, vector_lists):
+        vector_lists = list(vector_lists)
+        labelled.extend(vector_lists)
+        return orbits(self, vector_lists)
+
+    def counted_blocks(self, bases):
+        blocks.append(len(bases))
+        return orbit_blocks(self, bases)
+    monkeypatch.setattr(GroupAction, "orbits", counted)
+    monkeypatch.setattr(GroupAction, "orbit_blocks", counted_blocks)
     gf64_covering_design()
-    assert len(calls) == 56
-    calls.clear()
+    assert len(labelled) == 56
+    assert blocks == [7]
+    labelled.clear()
     bound_table(2, 7)
-    assert len(calls) == 56
+    assert len(labelled) == 56
+    assert blocks == [7]
 
 
 def corrupt_images(action, images):
@@ -385,12 +394,12 @@ def test_gf64_image_of_rank_below_3_raises(monkeypatch):
     rows read off it, with 0 at index 1, and refused with its rank."""
     orbit_blocks = GroupAction.orbit_blocks
 
-    def corrupted(self, base):
-        vectors = packed_vectors(base)  # row 1 is the slowest digit
+    def corrupted(self, bases):
+        vectors = packed_vectors(bases[0])  # row 1 is the slowest digit
         half = len(vectors) // 2
         corrupt_images(self, {v: self.image([w], 1)[0]
                               for v, w in zip(vectors[half:], vectors[:half])})
-        return orbit_blocks(self, base)
+        return orbit_blocks(self, bases)
     monkeypatch.setattr(GroupAction, "orbit_blocks", corrupted)
     with pytest.raises(ConstructionError,
                        match="image 1 of a base block spans dim 2, not 3"):
@@ -407,14 +416,33 @@ def test_gf64_image_off_a_block_raises(monkeypatch, outside, message):
     image 1 has rank 4: the closure check refuses both."""
     orbit_blocks = GroupAction.orbit_blocks
 
-    def corrupted(self, base):
-        vectors = packed_vectors(base)
+    def corrupted(self, bases):
+        vectors = packed_vectors(bases[0])
         images = set(self.image(vectors, 1))
         w = min(set(range(1 << self.n)) - images) if outside else 0
         corrupt_images(self, {vectors[1]: w})
-        return orbit_blocks(self, base)
+        return orbit_blocks(self, bases)
     monkeypatch.setattr(GroupAction, "orbit_blocks", corrupted)
     with pytest.raises(ConstructionError, match=f"^{message}$"):
+        gf64_covering_design()
+
+
+def test_gf64_image_error_names_the_image_in_its_base_orbit(monkeypatch):
+    """orbit_blocks reads every base's images in one read_blocks call, yet
+    a bad image is named by its place in its own base's orbit.  Here the
+    cycle tables send the fixed vector GF64_BIT, which only the diagonal
+    base (the sixth, after 5 * 63 images) holds, to 0: its first image
+    holds 0 twice."""
+    orbit_blocks = GroupAction.orbit_blocks
+
+    def corrupted(self, bases):
+        assert [constructions.GF64_BIT in packed_vectors(b)
+                for b in bases] == [False] * 5 + [True, False]
+        corrupt_images(self, {constructions.GF64_BIT: 0})
+        return orbit_blocks(self, bases)
+    monkeypatch.setattr(GroupAction, "orbit_blocks", corrupted)
+    with pytest.raises(ConstructionError, match="^image 1 of a base block "
+                                                "is not closed under addition$"):
         gf64_covering_design()
 
 

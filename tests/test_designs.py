@@ -497,6 +497,68 @@ def test_near_canonical_lines_load_as_reduced(n, k):
                         == load_outcome(reduced_load, text))
 
 
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 3), (7, 3), (10, 5), (11, 2),
+                                  (11, 5)])
+def test_canonical_rows_returns_pivots_exactly_for_rref_rows(n, k):
+    """The one-pass canonical reader returns _pivot_reader's pivots of all
+    rows exactly when every block's rows equal span(2, n, rows).packed,
+    else None: on canonical blocks, and with one block edited by each
+    NEAR_CANONICAL edit, on both sides of DIGIT_TABLE_MAX (2^11 > 2^10)."""
+    rng = random.Random(f"canonical-{n}-{k}")
+    edits = [None] + NEAR_CANONICAL if k > 1 else [None, zero_one]
+    seen = set()
+    for edit in edits * 20:
+        blocks = [random_canonical_rows(rng, n, k)
+                  for _ in range(rng.randint(1, 6))]
+        if edit is not None:
+            edit(rng, blocks[rng.randrange(len(blocks))])
+        flat = [v for rows in blocks for v in rows]
+        canonical = all(list(span(2, n, rows).packed) == rows
+                        for rows in blocks)
+        pivots = subspaces._canonical_rows(n, k, flat)
+        expected = list(subspaces._pivot_reader(2, n)(flat))
+        assert pivots == (expected if canonical else None), (blocks, edit)
+        seen.add(canonical)
+    assert seen == {True, False}
+
+
+def refuse_walk(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a clean file entered the per-line walk")
+    monkeypatch.setattr(designs, "_walk_lines", refused)
+
+
+def test_clean_files_never_enter_the_error_walk(monkeypatch):
+    """The gf64 file, a clean q = 3 file and a clean q = 2 file whose rows
+    are not canonical load through the whole-file checks alone, with the
+    per-line walk refused; a comment or a blank line sends the same file
+    through the walk, to the same design."""
+    gf64 = design_to_text(gf64_covering_design())
+    q3 = design_to_text(trivial_steiner(3, 3, 2))
+    rng = random.Random(38)
+    rows = [random_canonical_rows(rng, 6, 3) for _ in range(30)]
+    for line in rows[::2]:
+        line.reverse()  # not canonical: span reduces these lines
+    q2 = q2_text(6, 3, rows)
+    loads = {}
+    with monkeypatch.context() as patch:
+        refuse_walk(patch)
+        for text in (gf64, q3, q2):
+            loads[text] = design_from_text(text)
+    assert loads[gf64] == gf64_covering_design()
+    assert design_to_text(loads[q3]) == q3
+    assert loads[q2] == reduced_load(q2)
+    for text, design in loads.items():
+        head, body = text.split("\n", 2)[:2], text.split("\n", 2)[2]
+        for extra in ("# a comment\n", "\n", "   \n"):
+            assert design_from_text("\n".join(head) + "\n" + extra + body) \
+                == design
+    with monkeypatch.context() as patch:
+        refuse_walk(patch)
+        with pytest.raises(AssertionError, match="per-line walk"):
+            design_from_text(q3 + "# a comment\n")
+
+
 def test_spread_past_the_bit_table_loads_as_written(monkeypatch):
     """Past DIGIT_TABLE_MAX vectors canonical rows are written off
     vec_unpack and their pivots come from their top bits, with no span

@@ -21,9 +21,8 @@ from .fields import Field, coefficients, get_gf, is_prime, vec_pack
 from .subspaces import (BlockError, BudgetError, GroupAction,
                         MAX_SUBSPACE_ENUM, Subspace, _local_rows, _places,
                         _rref_blocks, _unit_table, _xor_span, check_ambient,
-                        check_vectors, enumerate_grassmannian, grassmannian_rows,
-                        packed_vectors, read_blocks, span, span_vector_lists,
-                        subspace_count, subspaces_of)
+                        check_vectors, grassmannian_rows, packed_vector_lists,
+                        read_blocks, span, span_vector_lists, subspace_count)
 
 
 class ConstructionError(RuntimeError):
@@ -53,8 +52,7 @@ def trivial_steiner(q: int, n: int, r: int) -> SubspaceDesign:
     """All r-subspaces of F_q^n: the trivial Steiner structure with blocks of dim r."""
     check_ambient(n)
     get_gf(q)
-    blocks = list(enumerate_grassmannian(q, n, r))
-    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=r)
+    design = SubspaceDesign.from_rows(q, n, r, grassmannian_rows(q, n, r))
     _require(verify_covering(design, r), "trivial design failed Steiner check",
              steiner=True)
     return design
@@ -78,7 +76,7 @@ def spread(q: int, k: int, n: int) -> SubspaceDesign:
     expected = (q ** n - 1) // (q ** k - 1)
     subspace_count(n, 1, q)  # the census, which bounds the block count too
     blocks, last = _field_tower(q, k, k, n)
-    design = SubspaceDesign.from_blocks(blocks + [last], q=q, n=n, k=k)
+    design = SubspaceDesign.from_rows(q, n, k, blocks + [last])
     if len(design) != expected:
         raise ConstructionError(f"spread size {len(design)} != {expected}")
     _require(verify_covering(design, 1), "spread failed Steiner verification",
@@ -104,9 +102,9 @@ def _lift(design: SubspaceDesign, delta: int) -> SubspaceDesign:
     delta zero coordinates multiply a packed row by q^delta, and the unit
     rows of the new coordinates follow, so each block stays in RREF."""
     q, n, k = design.q, design.n + delta, design.k + delta
-    units = list(_places(q, delta))
-    rows = [[v * q ** delta for v in packed] + units for packed in design.packed]
-    lifted = SubspaceDesign.from_rows(q, n, k, itertools.chain.from_iterable(rows))
+    units = _places(q, delta)
+    lifted = SubspaceDesign.from_rows(q, n, k, [
+        tuple([v * q ** delta for v in packed]) + units for packed in design.packed])
     if len(lifted) != len(design):
         raise ConstructionError("lift changed the block count")
     _require(verify_covering(lifted, 1), "lifted design failed covering check")
@@ -124,23 +122,42 @@ def partial_spread(q: int, rho: int, n: int) -> Tuple[SubspaceDesign, Subspace]:
         raise ValueError(
             f"no decomposition n = s*rho + m with rho < m < 2*rho for "
             f"(rho={rho}, n={n})")
+    design, residual = _partial_spread(q, rho, n)
+    return design, next(_rref_blocks(q, n, [residual]))
+
+
+def _partial_spread(q: int, rho: int, n: int
+                    ) -> Tuple[SubspaceDesign, Tuple[int, ...]]:
+    """partial_spread of checked arguments, with the residual as its
+    packed RREF rows."""
     _require_prime(q, "partial_spread")
     m = n % rho + rho
     expected = (q ** n - q ** m) // (q ** rho - 1)
     check_vectors(q, n)  # the partition check lists F_q^n
     blocks, residual = _field_tower(q, rho, m, n)
-    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=rho)
+    design = SubspaceDesign.from_rows(q, n, rho, blocks)
     if len(design) != expected:
         raise ConstructionError(f"partial spread size {len(design)} != {expected}")
-    _check_partition(q, n, blocks + [residual])
+    # the exact partition check: each part lists its nonzero vectors once,
+    # with 0, and together they tile F_q^n - {0}
+    seen, listed = {0}, 1
+    for vectors in itertools.chain(packed_vector_lists(q, n, rho, blocks),
+                                   packed_vector_lists(q, n, m, [residual])):
+        seen.update(vectors)
+        listed += len(vectors) - 1
+    if len(seen) != listed:
+        raise ConstructionError("partial spread parts overlap")
+    if listed != q ** n:
+        raise ConstructionError("partial spread does not cover F_q^n")
     return design, residual
 
 
 def _field_tower(q: int, rho: int, m: int, n: int
-                 ) -> Tuple[List[Subspace], Subspace]:
-    """The rho-subspaces of F_q^n, n = s*rho + m with m >= rho, that hold
-    every vector with a nonzero head (first n - m coordinates) once, and
-    the residual, the last-m-coordinates subspace.
+                 ) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...]]:
+    """The packed RREF rows, a rho-tuple per block, of the rho-subspaces of
+    F_q^n, n = s*rho + m with m >= rho, that hold every vector with a
+    nonzero head (first n - m coordinates) once, and the m rows of the
+    residual, the last-m-coordinates subspace.
 
     Level t peels off a GF(q^rho) head: blocks are graphs x -> (x*z_1, ...,
     x*z_(s-t), x*w) over all scalar tuples z, with x read in GF(q^m) as
@@ -148,39 +165,26 @@ def _field_tower(q: int, rho: int, m: int, n: int
     tuples give trivially intersecting blocks.  For m = rho the blocks are
     those of the spread of F_q^n but its last one, the residual.  The row
     of the basis element x = x^j is e_j on its level's head, so a block's
-    rows are its RREF as written, and _rref_blocks builds the blocks.
+    rows are its RREF as written.
     """
     s = (n - m) // rho
     ext_r = get_gf(q ** rho)
     ext_m = get_gf(q ** m)
     basis = [q ** j for j in range(rho)]
-    rows = []  # packed; the zero coordinates before a level's head add nothing
+    blocks = []  # packed; the zero coordinates before a level's head add nothing
     for t in range(1, s + 1):
         for z in itertools.product(range(ext_r.q), repeat=s - t):
             for w in range(ext_m.q):
+                rows = []
                 for b in basis:
                     row = coefficients(q, rho, b)
                     for zi in z:
                         row += coefficients(q, rho, ext_r.mul(b, zi))
                     row += coefficients(q, m, ext_m.mul(b, w))
                     rows.append(vec_pack(q, row))
+                blocks.append(tuple(rows))
     # e_0..e_(m-1) of F_q^m, packed, are e_(n-m)..e_(n-1) of F_q^n
-    return (list(_rref_blocks(q, n, rho, rows)),
-            next(_rref_blocks(q, n, m, _places(q, m))))
-
-
-def _check_partition(q: int, n: int, parts: List[Subspace]):
-    """Exact partition check: nonzero vectors of all parts tile F_q^n - {0}."""
-    seen = set()
-    for part in parts:
-        for key in packed_vectors(part):
-            if key == 0:
-                continue
-            if key in seen:
-                raise ConstructionError("partial spread parts overlap")
-            seen.add(key)
-    if len(seen) != q ** n - 1:
-        raise ConstructionError("partial spread does not cover F_q^n")
+    return blocks, _places(q, m)
 
 
 def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
@@ -200,12 +204,10 @@ def optimal_line_covering(q: int, n: int, k: int) -> SubspaceDesign:
     elif 2 * k >= n:
         design = _lift(spread(q, n - k, 2 * (n - k)), 2 * k - n)
     else:
-        partial, residual = partial_spread(q, k, n)
-        m = residual.dim
-        inner = optimal_line_covering(q, m, k)
+        partial, residual = _partial_spread(q, k, n)
+        inner = optimal_line_covering(q, len(residual), k)
         # leading zero coordinates leave a packed row as it is
-        design = SubspaceDesign.from_rows(q, n, k, itertools.chain.from_iterable(
-            partial.packed + inner.packed))
+        design = SubspaceDesign.from_rows(q, n, k, partial.packed + inner.packed)
         _require(verify_covering(design, 1), "line covering failed verification")
     if len(design) != expected:
         raise ConstructionError(
@@ -219,17 +221,18 @@ def turan_point_design(q: int, n: int, k: int,
                        verify: bool = True) -> SubspaceDesign:
     """All 1-subspaces of a fixed (n-k+1)-subspace: a Turan design T_q[n,k,1].
 
-    The fixed subspace is the span of the first n-k+1 standard basis vectors.
-    verify=False skips the Turan census, for a caller that runs it itself.
+    The fixed subspace is the span of the first d = n-k+1 standard basis
+    vectors, so its points are those of F_q^d followed by k - 1 zero
+    coordinates, which multiply a packed row by q^(k-1).  verify=False
+    skips the Turan census, for a caller that runs it itself.
     """
     check_ambient(n)
     get_gf(q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got ({n},{k})")
     d = n - k + 1
-    big = next(_rref_blocks(q, n, d, _places(q, n)[:d]))
-    blocks = list(subspaces_of(big, 1))
-    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=1)
+    design = SubspaceDesign.from_rows(q, n, 1, [
+        (v * q ** (k - 1),) for (v,) in grassmannian_rows(q, d, 1)])
     expected = (q ** d - 1) // (q - 1)
     if len(design) != expected:
         raise ConstructionError(f"Turan design size {len(design)} != {expected}")
@@ -260,7 +263,7 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
     P's pivots (one per coset b + P), the span of P x {0} and (b, 1).
     Type-2 blocks: the blocks of s2 embedded in the last-coordinate-zero
     hyperplane.  The output has exactly q^(n-k) |s1| + |s2| blocks.  Inputs
-    whose (q, n, k) do not fit raise ValueError.
+    whose (q, n, k) do not fit, and r outside 1..k, raise ValueError.
     """
     q = s1.q
     if s2.q != q or s2.n != s1.n or s2.k != s1.k + 1:
@@ -269,6 +272,8 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
                          f"{(s2.q, s2.n, s2.k)}")
     n = s1.n + 1
     k = s2.k
+    if not 1 <= r <= k:
+        raise ValueError(f"need 1 <= r <= k, got r={r}, k={k}")
     _require(verify_covering(s1, r - 1), "s1 is not a covering at r-1")
     _require(verify_covering(s2, r), "s2 is not a covering at r")
     place = _places(q, n)
@@ -279,10 +284,10 @@ def recursive_covering(s1: SubspaceDesign, s2: SubspaceDesign,
         free = tuple([place[c] for c in range(n - 1) if c not in pivots])
         # the packed b, in itertools.product order over b's free entries
         for beta in _unit_table(q, free):
-            blocks.append(span(q, n, base + [beta + 1]))
+            blocks.append(span(q, n, base + [beta + 1]).packed)
     # s2's blocks in the last-coordinate-zero hyperplane, packed as P's above
-    blocks += _rref_blocks(q, n, k, [v * q for rows in s2.packed for v in rows])
-    design = SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
+    blocks += [tuple([v * q for v in packed]) for packed in s2.packed]
+    design = SubspaceDesign.from_rows(q, n, k, blocks)
     expected = q ** (n - k) * len(s1) + len(s2)
     if len(design) != expected:
         raise ConstructionError(
@@ -358,7 +363,7 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     bases.append(diagonal + [x | GF64_BIT for x in diagonal])
     bases.append([0] + [power[e] for e in GF64_LINE_EXPONENTS])
     try:
-        bases = list(_rref_blocks(2, 7, 3, read_blocks(7, 3, bases)))
+        bases = list(_rref_blocks(2, 7, read_blocks(7, 3, bases)))
     except BlockError as exc:
         raise ConstructionError(f"base block {exc.index} {exc.fault}") from exc
 
@@ -383,11 +388,11 @@ def gf64_covering_design() -> SubspaceDesign:
     """
     singer, bases, count = gf64_orbits()
     try:
-        rows = singer.orbit_blocks(bases)
+        blocks = singer.orbit_blocks(bases)
     except BlockError as exc:
         raise ConstructionError(f"image {exc.index + 1} of a base block "
                                 f"{exc.fault}") from exc
-    design = SubspaceDesign.from_rows(2, 7, 3, rows)
+    design = SubspaceDesign.from_rows(2, 7, 3, blocks)
     if len(design) != count:
         raise ConstructionError(f"gf64 block count {len(design)} != {count}")
     return design
@@ -457,14 +462,14 @@ def derive_steiner(design: SubspaceDesign, t: int,
     j0 = point.pivots[0]
     key = point.packed[0]
     low = q ** (n - 1 - j0)  # the place of coordinate j0
-    rows = []
+    blocks = []
     # the vectors the Steiner census above listed, under the same budget
     for packed, pivots, vectors in zip(design.packed, design.pivots,
                                        design.vector_lists):
         if key in vectors:
-            rows += [v // (low * q) * low + v % low
-                     for v, c in zip(packed, pivots) if c != j0]
-    out = SubspaceDesign.from_rows(q, n - 1, design.k - 1, rows)
+            blocks.append(tuple([v // (low * q) * low + v % low
+                                 for v, c in zip(packed, pivots) if c != j0]))
+    out = SubspaceDesign.from_rows(q, n - 1, design.k - 1, blocks)
     return out, verify_covering(out, t - 1)
 
 
@@ -478,8 +483,8 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
     RREF rows.  Every candidate block's targets are read in one pass: the
     _local_rows reader reads them at local_row_indices off the vector
     lists that span_vector_lists builds from the grassmannian_rows packed
-    rows, and zip cuts the stream into one target tuple per candidate.  Only
-    chosen blocks become Subspaces, built by _rref_blocks.  Each block keeps
+    rows, and zip cuts the stream into one target tuple per candidate.  The
+    chosen blocks' rows go to SubspaceDesign.from_rows.  Each block keeps
     its gain, the number of its targets still uncovered, and a newly
     covered target lowers the gain of every block that holds it.
     """
@@ -511,8 +516,6 @@ def greedy_covering(q: int, n: int, k: int, r: int) -> SubspaceDesign:
         uncovered -= newly
         for j in itertools.chain.from_iterable(map(holders.__getitem__, newly)):
             gain[j] -= 1
-    design = SubspaceDesign.from_blocks(
-        _rref_blocks(q, n, k, itertools.chain.from_iterable(chosen)),
-        q=q, n=n, k=k)
+    design = SubspaceDesign.from_rows(q, n, k, chosen)
     _require(verify_covering(design, r), "greedy output failed verification")
     return design

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import and_, attrgetter, itemgetter, lt, ne
+from operator import and_, attrgetter, itemgetter, lt
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -24,18 +24,15 @@ from .bounds import gaussian
 from .fields import FieldError, get_gf, vec_pack
 from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         BudgetError, GroupAction, Subspace, _canonical_rows,
-                        _digit_table, _local_rows, _pivot_reader, _xor_chunk,
-                        _xor_span, check_ambient, complement_generators,
-                        complement_vectors, grassmannian_choices,
-                        grassmannian_rows, orthogonal_complement,
-                        packed_vector_lists, span, subspace_count,
+                        _digit_table, _local_rows, _perp_rows, _pivot_reader,
+                        _span_rows, _xor_chunk, _xor_span, check_ambient,
+                        complement_generators, complement_vectors,
+                        grassmannian_choices, grassmannian_rows,
+                        packed_vector_lists, subspace_count,
                         superspaces_containing)
 
 WITNESS_CAP = 16
-# Subspace.sort_key, and the fields from_blocks checks, read in C.
-_sort_key = attrgetter("pivots", "packed")
-_q, _n, _packed, _pivots = (attrgetter("q"), attrgetter("n"),
-                            attrgetter("packed"), attrgetter("pivots"))
+_sort_key = attrgetter("pivots", "packed")  # Subspace.sort_key, read in C
 
 
 @dataclass(frozen=True)
@@ -59,61 +56,54 @@ class SubspaceDesign:
     pivots: Tuple[Tuple[int, ...], ...] = field(compare=False)
 
     @staticmethod
-    def from_rows(q: int, n: int, k: int, flat: Iterable[int],
-                  pivots: Sequence[int] = None) -> "SubspaceDesign":
+    def from_rows(q: int, n: int, k: int, blocks: Iterable[Tuple[int, ...]],
+                  pivots: Iterable[Tuple[int, ...]] = None) -> "SubspaceDesign":
         """The design of the blocks of F_q^n whose packed RREF rows are
-        flat, k >= 1 to a block, with no Subspace built.  pivots are the
-        rows' pivots, one per row, when the caller has read them, as
-        _canonical_rows does; else each is read as _rref_blocks reads it.
-        A block's key is its pivots then its rows, one flat tuple, which
-        orders as Subspace.sort_key and compares faster; the keys are
-        deduplicated and sorted in C, unless they are already strictly
-        increasing, as design_to_text writes them."""
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got n={n} k={k}")
-        flat = list(flat)
-        if len(flat) % k:
-            raise ValueError(f"{len(flat)} rows are no whole number of "
-                             f"blocks of k={k}")
-        if pivots is None:
-            pivots = list(_pivot_reader(q, n)(flat))
-        keys = list(zip(*[pivots[i::k] for i in range(k)],
-                        *[flat[i::k] for i in range(k)]))
-        if all(map(lt, keys, itertools.islice(keys, 1, None))):
-            pivots, packed = zip(*[iter(pivots)] * k), zip(*[iter(flat)] * k)
-        else:
+        blocks, a k-tuple per block, in any order and with duplicates: the
+        one design builder, which builds no Subspace.  pivots are the
+        blocks' pivots, a k-tuple per block, when the caller has them, as
+        _canonical_rows reads them; else _pivot_reader reads them a column
+        of rows at a time.  A block's key is its pivots then its rows, one
+        tuple, which orders as Subspace.sort_key and compares faster; the
+        keys are deduplicated and sorted in C, unless they are already
+        strictly increasing, as design_to_text writes them."""
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
+        blocks = list(blocks)
+        if not set(map(len, blocks)) <= {k}:
+            raise ValueError(f"a block has no {k} rows")
+        if pivots is None:  # a zero block's pivots are its rows, ()
+            pivots = (zip(*map(tuple, map(_pivot_reader(q, n), zip(*blocks))))
+                      if k else blocks)
+        pivots = list(pivots)
+        keys = list(map(tuple.__add__, pivots, blocks))
+        if not all(map(lt, keys, itertools.islice(keys, 1, None))):
             keys = sorted(set(keys))
+            blocks = map(itemgetter(slice(k, None)), keys)
             pivots = map(itemgetter(slice(k)), keys)
-            packed = map(itemgetter(slice(k, None)), keys)
-        return SubspaceDesign(q, n, k, tuple(packed), tuple(pivots))
+        return SubspaceDesign(q, n, k, tuple(blocks), tuple(pivots))
 
     @staticmethod
     def from_blocks(blocks: Iterable[Subspace], q: int = None, n: int = None,
                     k: int = None) -> "SubspaceDesign":
-        """Build a design: drop duplicates in input order, then sort by
-        Subspace.sort_key, the key from_rows sorts on.  The sort and the
-        shape check run in C-level maps; a mismatch names the first block
-        outside (q, n, k) in sorted order.  The design keeps the sorted
-        blocks as its blocks view."""
-        unique = sorted(dict.fromkeys(blocks), key=_sort_key)
-        if unique:
-            q = unique[0].q if q is None else q
-            n = unique[0].n if n is None else n
-            k = unique[0].dim if k is None else k
+        """from_rows of the Subspaces' packed rows, once every block's shape
+        is checked; their pivots are read again from the rows.  q, n and k
+        default to those of the block that sorts first by Subspace.sort_key,
+        and a mismatch names the first block outside (q, n, k) in that
+        order."""
+        blocks = list(blocks)
+        if blocks and None in (q, n, k):
+            first = min(blocks, key=_sort_key)
+            q, n, k = (first.q if q is None else q, first.n if n is None else n,
+                       first.dim if k is None else k)
         if q is None or n is None or k is None:
             raise ValueError("empty design needs explicit q, n, k")
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got n={n} k={k}")
-        shapes = zip(map(_q, unique), map(_n, unique), map(len, map(_packed, unique)))
-        wrong = list(map(ne, shapes, itertools.repeat((q, n, k))))
-        if True in wrong:
-            b = unique[wrong.index(True)]
+        wrong = [b for b in blocks if (b.q, b.n, b.dim) != (q, n, k)]
+        if wrong:
+            b = min(wrong, key=_sort_key)
             raise AmbientMismatch(
                 f"block ({b.q},{b.n},dim {b.dim}) in design ({q},{n},k={k})")
-        design = SubspaceDesign(q, n, k, tuple(map(_packed, unique)),
-                                tuple(map(_pivots, unique)))
-        design.__dict__["blocks"] = tuple(unique)
-        return design
+        return SubspaceDesign.from_rows(q, n, k, map(attrgetter("packed"), blocks))
 
     def __len__(self):
         return len(self.packed)
@@ -426,10 +416,13 @@ def verify_turan(design: SubspaceDesign, k: int,
 
 
 def dualize(design: SubspaceDesign) -> SubspaceDesign:
-    """Orthogonal complement of every block; an involution on designs."""
-    blocks = [orthogonal_complement(b) for b in design.blocks]
-    return SubspaceDesign.from_blocks(blocks, q=design.q, n=design.n,
-                                      k=design.n - design.k)
+    """Orthogonal complement of every block, an involution on designs: the
+    rows and pivots _perp_rows writes for each block's packed rows."""
+    q, n = design.q, design.n
+    perps = list(map(_perp_rows, itertools.repeat(q), itertools.repeat(n),
+                     design.packed))
+    return SubspaceDesign.from_rows(q, n, n - design.k, map(itemgetter(0), perps),
+                                    map(itemgetter(1), perps))
 
 
 # classical set systems -----------------------------------------------------
@@ -529,13 +522,13 @@ def design_from_text(text: str) -> SubspaceDesign:
     bad word or a wrong word count fails it, and only then does
     _walk_lines walk the lines one by one, to drop comments and blank lines
     and find the first bad word or word count in file order.  Each
-    distinct word is converted once to its packed int, and one map packs
-    the rows of all lines (before that error).  For q = 2 _canonical_rows
-    reads the rows' pivots in one pass if every line is canonical, as
-    design_to_text writes it, and SubspaceDesign.from_rows takes the rows
-    as written with those pivots, with no Subspace built; otherwise span
-    reduces each line's packed rows, and the design keeps span's blocks as
-    its blocks view.  A dependent line raises FormatError with its rank,
+    distinct word is converted once to its packed int, and one map per
+    column of words packs the rows of all lines (before that error), a
+    tuple per line.  For q = 2 _canonical_rows reads the rows' pivots a
+    column at a time if every line is canonical, as design_to_text writes
+    it, and the rows are taken as written; otherwise _span_rows reduces
+    each line's packed rows.  Both paths end in SubspaceDesign.from_rows, with
+    the pivots at hand.  A dependent line raises FormatError with its rank,
     before a bad word or word count after it, so errors come in file
     order.  A parameter line that lacks q, n or k or repeats a key raises
     FormatError, and a header n past MAX_AMBIENT_N raises BudgetError,
@@ -578,23 +571,24 @@ def design_from_text(text: str) -> SubspaceDesign:
     convert = (functools.partial(int, base=q) if q <= 36
                else lambda word: vec_pack(q, map(int, word)))
     vector = dict(zip(words, map(convert, words)))
-    flat = list(map(vector.__getitem__,
-                    itertools.chain.from_iterable(word_lists)))
-    pivots = _canonical_rows(n, k, flat) if q == 2 and k else None
+    # a column of words at a time (k of them with no line); at k = 0 a
+    # line is the zero block
+    columns = [list(map(vector.__getitem__, column))
+               for column in zip(*word_lists)] or [[]] * k
+    blocks = list(zip(*columns)) if k else [()] * len(word_lists)
+    pivots = _canonical_rows(n, k, columns) if q == 2 and k else None
     if pivots is None:
-        rows = (zip(*[iter(flat)] * k) if k
-                else itertools.repeat((), len(word_lists)))
-        blocks = list(map(span, itertools.repeat(q), itertools.repeat(n), rows))
-        short = list(map(k.__ne__, map(len, map(_packed, blocks))))
+        spans = list(map(_span_rows, itertools.repeat(q), itertools.repeat(n),
+                         blocks))
+        blocks, pivots = map(itemgetter(0), spans), map(itemgetter(1), spans)
+        short = list(map(k.__ne__, map(len, map(itemgetter(1), spans))))
         if True in short:
             i = short.index(True)
-            raise FormatError(f"block rank {blocks[i].dim} < k={k}: "
+            raise FormatError(f"block rank {len(spans[i][1])} < k={k}: "
                               f"{body[i].strip()!r}")
     if error is not None:
         raise error
-    if pivots is not None:
-        return SubspaceDesign.from_rows(q, n, k, flat, pivots)
-    return SubspaceDesign.from_blocks(blocks, q=q, n=n, k=k)
+    return SubspaceDesign.from_rows(q, n, k, blocks, pivots)
 
 
 def _walk_lines(q: int, n: int, k: int, top: str, lines: Sequence[str]

@@ -129,8 +129,15 @@ _set_pivots = Subspace.pivots.__set__
 
 
 def span(q: int, n: int, vectors: Iterable[int]) -> Subspace:
-    """The canonical subspace of F_q^n spanned by packed vectors: the one
-    row reduction, for every q.
+    """The canonical subspace of F_q^n spanned by packed vectors: the block
+    of the rows and pivots _span_rows finds."""
+    return Subspace(q, n, *_span_rows(q, n, vectors))
+
+
+def _span_rows(q: int, n: int, vectors: Iterable[int]
+               ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The packed RREF rows and the pivots of the span of packed vectors of
+    F_q^n: the one row reduction, for every q.
 
     For q = 2 each vector is reduced by the rows so far at their pivots,
     and a nonzero remainder clears its pivot from them and joins them.  A
@@ -139,9 +146,8 @@ def span(q: int, n: int, vectors: Iterable[int]) -> Subspace:
     the columns of the digit rows read off _digit_table: the first row left
     that is nonzero at column c, scaled by Field.row_scale to lead with 1,
     clears c from every other row by Field.row_sub.  Rows with distinct
-    pivots sort by pivot as ints, descending.  The block is built with the
-    pivots at hand: _rref_blocks' lazy pipeline costs several times more
-    for one block.  A vector outside F_q^n raises AmbientMismatch.
+    pivots sort by pivot as ints, descending.  A vector outside F_q^n
+    raises AmbientMismatch.
     """
     vectors = list(vectors)
     _check_packed(q, n, vectors)
@@ -176,27 +182,33 @@ def span(q: int, n: int, vectors: Iterable[int]) -> Subspace:
             pivots.append(c)
         rows = [pack(tuple(row)) for row in mat[:len(pivots)]]
     rows.sort(reverse=True)
-    return Subspace(q, n, tuple(rows), tuple(sorted(pivots)))
+    return tuple(rows), tuple(sorted(pivots))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
-    """Null space of the generator matrix under the standard dot product,
-    in canonical RREF with no row reduction of the result.
+    """Null space of the generator matrix under the standard dot product:
+    the block _perp_rows writes, with no row reduction of the result."""
+    return Subspace(s.q, s.n, *_perp_rows(s.q, s.n, s.packed))
 
-    s's rows are reduced from the right instead: each row b_i ends in a 1
-    at its end column t_i, where every other row is 0 (for a point, one
-    scaling).  Then _null_rows gives, for each other column j ascending,
-    e_j - sum_i b_i[j] * e_(t_i), which is RREF with pivot j: b_i[j] != 0
-    only for j < t_i, and no t_i is a pivot.
+
+def _perp_rows(q: int, n: int, packed: Sequence[int]
+               ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The packed RREF rows and the pivots of the orthogonal complement of
+    the block of F_q^n whose packed RREF rows are packed.
+
+    The rows' digits, read off _digit_table, are reduced from the right:
+    each row b_i ends in a 1 at its end column t_i, where every other row
+    is 0 (for a point, one scaling).  Then for each other column j
+    ascending, e_j - sum_i b_i[j] * e_(t_i) is orthogonal to every row and
+    RREF with pivot j: b_i[j] != 0 only for j < t_i, and no t_i is a pivot.
     """
-    gf = get_gf(s.q)
-    unpack, pack = _digit_table(s.q, s.n)
-    rows, ends = [], []  # the rows so far, and their end columns
-    for b in map(unpack, s.packed):
+    gf = get_gf(q)
+    rows, ends = [], []  # the digit rows so far, and their end columns
+    for b in map(_digit_table(q, n)[0], packed):
         for row, e in zip(rows, ends):
             if b[e]:
                 b = gf.row_sub(b, b[e], row)
-        e = max(itertools.compress(range(s.n), b))  # b's last nonzero column
+        e = max(itertools.compress(range(n), b))  # b's last nonzero column
         if b[e] != 1:
             b = gf.row_scale(gf.inv(b[e]), b)
         # rows so far are 0 past their ends, and e lies before any end it
@@ -204,33 +216,31 @@ def orthogonal_complement(s: Subspace) -> Subspace:
         rows = [gf.row_sub(row, row[e], b) if row[e] else row for row in rows]
         rows.append(b)
         ends.append(e)
-    pivots = tuple([j for j in range(s.n) if j not in ends])
-    rows = [pack(tuple(row)) for row in rows]
-    return Subspace(s.q, s.n, _null_rows(s.q, s.n, rows, ends, pivots), pivots)
+    neg, place = gf.negatives, _places(q, n)
+    pivots = tuple([j for j in range(n) if j not in ends])
+    out = []
+    for j in pivots:
+        v = place[j]
+        for b, e in zip(rows, ends):
+            v += neg[b[j]] * place[e]
+        out.append(v)
+    return tuple(out), pivots
 
 
 def _complement_rows(q: int, n: int, packed: Tuple[int, ...],
                      pivots: Tuple[int, ...]) -> Tuple[int, ...]:
-    """_null_rows of a block's packed RREF rows, with these pivots, per free
-    column, descending: the block's perp's RREF basis in reversed
-    coordinates, complement_generators' key for the block."""
-    free = [fc for fc in reversed(range(n)) if fc not in pivots]
-    return _null_rows(q, n, packed, pivots, free)
-
-
-def _null_rows(q: int, n: int, packed: Sequence[int],
-               units: Sequence[int], columns: Iterable[int]) -> Tuple[int, ...]:
-    """vec_pack of e_c - sum_i rows[i][c] * e_(units[i]) for each column c
-    of columns, in order, rows[i][c] the digit of packed[i] at c's place:
-    orthogonal to every row when row i is 1 at units[i], every other row is
-    0 there, and c is no unit."""
+    """vec_pack of e_c - sum_i row_i[c] * e_(pivots[i]) for each free column
+    c, descending, row_i[c] the digit of packed[i] at c's place: orthogonal
+    to every row, as row i is 1 at pivots[i] and every other row is 0
+    there.  The block's perp's RREF basis in reversed coordinates,
+    complement_generators' key for the block."""
     neg = get_gf(q).negatives
     place = _places(q, n)
     out = []
-    for c in columns:
+    for c in [c for c in reversed(range(n)) if c not in pivots]:
         v, low = place[c], place[c] * q
-        for row, u in zip(packed, units):
-            v += neg[row % low // place[c]] * place[u]
+        for row, p in zip(packed, pivots):
+            v += neg[row % low // place[c]] * place[p]
         out.append(v)
     return tuple(out)
 
@@ -281,12 +291,9 @@ def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:
 
     Pivot sets come in lexicographic order; within one, the free entries run
     in odometer order, the last free entry of the last row fastest.  Raises
-    at the first next, as grassmannian_choices does, for k = 0 too.
+    at the first next, as grassmannian_choices does.
     """
-    rows = grassmannian_rows(q, n, k)
-    if not k:
-        next(rows)  # runs the checks; the one zero subspace has no rows
-    yield from _rref_blocks(q, n, k, itertools.chain.from_iterable(rows))
+    yield from _rref_blocks(q, n, grassmannian_rows(q, n, k))
 
 
 def grassmannian_rows(q: int, n: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -444,10 +451,10 @@ class BlockError(ValueError):
 
 
 def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
-                ) -> List[int]:
-    """The packed RREF rows, k per list and all in one flat list, of the
-    k-subspace of F_2^n, k >= 1, whose packed vectors (0 included, any
-    order) each list holds, one block per list, in order.
+                ) -> List[Tuple[int, ...]]:
+    """The packed RREF rows, one k-tuple per list, of the k-subspace of
+    F_2^n, k >= 1, whose packed vectors (0 included, any order) each list
+    holds, one block per list, in order.
 
     Sorted, the span of RREF rows r_1..r_k is _xor_span([r_1..r_k]), as
     sum(c_i * r_i) holds c_i at r_i's pivot and c_1..c_(i-1) alone before
@@ -468,11 +475,10 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
     if all(map(size.__eq__, map(len, lists))):
         # A slice keeps a single read a sequence, as in _local_rows.
         read = itemgetter(*at) if k > 1 else itemgetter(slice(1, 2))
-        flat = list(itertools.chain.from_iterable(map(read, lists)))
-        rows = list(zip(*[iter(flat)] * k))
+        rows = list(map(tuple, map(read, lists)))
         if (all(map(itemgetter(1), lists))
                 and list(map(list, _xor_chunk(rows, k))) == lists):
-            return flat
+            return rows
     for index, vectors in enumerate(lists):
         if not (len(vectors) == size and vectors[1]
                 and _xor_span([vectors[i] for i in at]) == vectors):
@@ -481,27 +487,26 @@ def read_blocks(n: int, k: int, vector_lists: Iterable[Sequence[int]]
                              else "is not closed under addition")
 
 
-def _canonical_rows(n: int, k: int, flat: Sequence[int]
-                    ) -> Optional[List[int]]:
-    """The pivots of flat, the packed rows of blocks of F_2^n, k >= 1 to a
-    block, read by _pivot_reader in one pass, if flat holds each block's
-    RREF as written; else None.  Rows r_1..r_k with pivots p_i and top set
-    bits b_i are an RREF iff every r_i is nonzero, p_1 < ... < p_k, and r_i
-    holds no b_j of a later row (an earlier b_j lies above r_i's top bit):
-    a test in C-level maps over the rows' columns flat[i::k]."""
-    if 0 in flat:
-        return None
-    pivots = list(_pivot_reader(2, n)(flat))
-    heads = [pivots[i::k] for i in range(k)]
-    if not all(map(all, map(map, itertools.repeat(lt), heads, heads[1:]))):
+def _canonical_rows(n: int, k: int, columns: Sequence[Sequence[int]]
+                    ) -> Optional[List[Tuple[int, ...]]]:
+    """The pivots of each block of F_2^n, a k-tuple per block, k >= 1, read
+    by _pivot_reader a column at a time, if every block is its RREF as
+    written; else None.  columns[i] holds the i-th packed row of every
+    block, and a block is the zip of its rows.  Rows r_1..r_k with pivots
+    p_i and top set bits b_i are an RREF iff p_1 < ... < p_k < n (so every
+    r_i is nonzero) and r_i holds no b_j of a later row (an earlier b_j
+    lies above r_i's top bit): a test in C-level maps over the columns."""
+    heads = list(map(list, map(_pivot_reader(2, n), columns)))
+    if (max(heads[-1], default=0) >= n
+            or not all(map(all, map(map, itertools.repeat(lt), heads, heads[1:])))):
         return None
     bits = [1 << (n - 1 - p) for p in range(n)]  # the top bit, by pivot
     later = itertools.repeat(0)  # the OR of the b_j of the rows past row i
     for i in reversed(range(k - 1)):
         later = list(map(or_, later, map(bits.__getitem__, heads[i + 1])))
-        if any(map(and_, flat[i::k], later)):
+        if any(map(and_, columns[i], later)):
             return None
-    return pivots
+    return list(zip(*heads))
 
 
 # Bounded; one reader per (q, n), and a run touches a handful.
@@ -516,17 +521,12 @@ def _pivot_reader(q: int, n: int) -> Callable[[Iterable[int]], Iterator[int]]:
     return lambda rows: map(n.__sub__, map(digits, rows))
 
 
-def _rref_blocks(q: int, n: int, k: int, flat: Iterable[int]
+def _rref_blocks(q: int, n: int, blocks: Iterable[Tuple[int, ...]]
                  ) -> Iterator[Subspace]:
-    """The Subspaces of F_q^n whose packed RREF rows are flat, k to a block,
-    in order, lazily, with the pivots _pivot_reader reads; for k = 0, flat
-    is empty and gives the one zero block.  All in C-level maps over the
-    rows."""
-    if not k:
-        return iter([Subspace(q, n, (), ())])
-    rows, tops = itertools.tee(flat)
-    return map(Subspace, itertools.repeat(q), itertools.repeat(n),
-               zip(*[rows] * k), zip(*[_pivot_reader(q, n)(tops)] * k))
+    """The Subspaces of F_q^n whose packed RREF rows are blocks, a tuple per
+    block, in order, lazily, with the pivots _pivot_reader reads."""
+    read = _pivot_reader(q, n)
+    return (Subspace(q, n, rows, tuple(read(rows))) for rows in blocks)
 
 
 def _check_packed(q: int, n: int, vectors: Iterable[int]) -> None:
@@ -627,12 +627,13 @@ class GroupAction:
             self._rank = [s << self.n | low - r for s, r in zip(size, rep)]
         return self._rank
 
-    def orbit_blocks(self, bases: Sequence[Subspace]) -> List[int]:
-        """The packed RREF rows, k per block in one flat list, of the blocks
-        g(B), g^2(B), ..., B of each base B's orbit, base after base, read
-        off their vectors by one read_blocks call, with no row reduction
-        and no Subspace; for k = 0 the zero block's, none.  The bases share
-        one dimension k.
+    def orbit_blocks(self, bases: Sequence[Subspace]
+                     ) -> List[Tuple[int, ...]]:
+        """The packed RREF rows, one k-tuple per block, of the blocks g(B),
+        g^2(B), ..., B of each base B's orbit, base after base, read off
+        their vectors by one read_blocks call, with no row reduction and no
+        Subspace; for k = 0 one zero block per base, its own orbit.  The
+        bases share one dimension k.
 
         One packed_vector_lists call lists the bases' vectors.  The images
         of a base's vectors under g^1..g^order are read a column at a time,
@@ -655,7 +656,7 @@ class GroupAction:
             raise ValueError(f"base blocks of dimensions "
                              f"{sorted({base.dim for base in bases})}")
         if not k:
-            return []
+            return [()] * len(bases)
         rep, exponent, size, cycles = self._orbit_tables()
         images, starts = [], []  # every base's images, and where each starts
         for vectors in packed_vector_lists(2, self.n, k,
@@ -856,15 +857,15 @@ def subspaces_of(s: Subspace, r: int) -> Iterator[Subspace]:
     """Every r-subspace of s, as a subspace of the ambient space.
 
     Each one is L*S for a local r-subspace L of F_q^dim, whose packed RREF
-    rows _local_rows reads off packed_vectors(s) and _rref_blocks builds
-    into blocks.  Raises BudgetError past MAX_SUBSPACE_ENUM subspaces before
+    rows _local_rows reads off packed_vectors(s), a tuple per subspace, and
+    _rref_blocks builds into blocks.  Raises BudgetError past MAX_SUBSPACE_ENUM subspaces before
     any table or vector is built.
     """
     if not 0 <= r <= s.dim:
         raise ValueError(f"need 0 <= r <= dim, got r={r}, dim={s.dim}")
     subspace_count(s.dim, r, s.q)
-    yield from _rref_blocks(s.q, s.n, r, itertools.chain.from_iterable(
-        _local_rows(s.q, s.dim, r)([packed_vectors(s)])))
+    yield from _rref_blocks(s.q, s.n,
+                            _local_rows(s.q, s.dim, r)([packed_vectors(s)]))
 
 
 def superspaces_containing(design, k: int) -> Iterator[tuple]:

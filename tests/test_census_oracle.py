@@ -316,7 +316,7 @@ def test_turan_expand_builds_no_subspace(subspace_builds, n, k):
     at hand; its report equals scan's.  A k below the blocks' dimension
     raises by the first next, before any key."""
     points = constructions.turan_point_design(3, n, k, verify=False)
-    design = SubspaceDesign.from_rows(3, n, 1, itertools.chain(*points.packed))
+    design = SubspaceDesign.from_rows(3, n, 1, points.packed)
     scan = verify_turan(design, k, "scan")
     subspace_builds.clear()
     assert verify_turan(design, k, "expand") == scan
@@ -347,21 +347,18 @@ def test_from_rows_equals_from_blocks(q):
     built before designs held rows (the unique blocks sorted by
     Subspace.sort_key, with their pivots), the same object on every read.
     Rows given in sorted order take from_rows' fast path to the same
-    design."""
+    design.  At k = 0, [()] is the one zero block and [] no block."""
     rng = random.Random(3000 + q)
-    tested = 0
+    tested = zeros = 0
     while tested < DESIGNS // 4:
         corpus = random_design(rng, q)
         q, n, k = corpus.q, corpus.n, corpus.k
-        if not k:  # from_rows reads rows, and a zero block has none
-            continue
+        zeros += not k
         given = with_duplicates_and_twins(rng, list(corpus.blocks))
         eager = tuple(sorted(dict.fromkeys(given), key=Subspace.sort_key))
         by_blocks = SubspaceDesign.from_blocks(given, q=q, n=n, k=k)
-        by_rows = SubspaceDesign.from_rows(
-            q, n, k, [v for b in given for v in b.packed])
-        in_order = SubspaceDesign.from_rows(
-            q, n, k, [v for b in eager for v in b.packed])
+        by_rows = SubspaceDesign.from_rows(q, n, k, [b.packed for b in given])
+        in_order = SubspaceDesign.from_rows(q, n, k, [b.packed for b in eager])
         for design in (by_rows, in_order, by_blocks):
             assert design == by_blocks == corpus, design
             assert hash(design) == hash(by_blocks)
@@ -372,16 +369,23 @@ def test_from_rows_equals_from_blocks(q):
             assert view == eager and design.blocks is view
             assert [b.pivots for b in view] == [b.pivots for b in eager]
         tested += 1
+    assert zeros
+    zero = Subspace(q, 3, (), ())
+    assert SubspaceDesign.from_rows(q, 3, 0, [()]) == SubspaceDesign.from_blocks(
+        [zero], q=q, n=3, k=0)
+    assert SubspaceDesign.from_rows(q, 3, 0, [(), ()]).blocks == (zero,)
+    assert len(SubspaceDesign.from_rows(q, 3, 0, [])) == 0
 
 
-@pytest.mark.parametrize("k, flat, message", [
-    (0, [], "need 1 <= k <= n, got n=3 k=0"),
-    (4, [1, 2, 3, 4], "need 1 <= k <= n, got n=3 k=4"),
-    (2, [4, 2, 1], "3 rows are no whole number of blocks of k=2"),
+@pytest.mark.parametrize("k, blocks, message", [
+    (-1, [], "need 0 <= k <= n, got n=3 k=-1"),
+    (4, [(8, 4, 2, 1)], "need 0 <= k <= n, got n=3 k=4"),
+    (2, [(4, 2), (4, 2, 1)], "a block has no 2 rows"),
+    (1, [(4,), ()], "a block has no 1 rows"),
 ])
-def test_from_rows_refuses_bad_shapes(k, flat, message):
+def test_from_rows_refuses_bad_shapes(k, blocks, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        SubspaceDesign.from_rows(2, 3, k, flat)
+        SubspaceDesign.from_rows(2, 3, k, blocks)
 
 
 # Largest ambient dimension per q for the generator comparison.
@@ -811,11 +815,11 @@ def random_orbit_bases(rng, action, k, count):
 def test_orbit_blocks_equal_image_walk():
     """GroupAction.orbit_blocks against span of the images of a base's
     vectors under g^1, g^2, ... up to the base, on every action and bases
-    of dimension 1..4: the same packed rows, k per block, with the same
-    pivots, in the same order, for as many blocks as the orbit's size, for
-    one base and for all of a dimension's bases in one call, base after
-    base.  The zero block is its own orbit, and has no rows; bases of two
-    dimensions are refused."""
+    of dimension 1..4: the same packed rows, a k-tuple per block, with the
+    same pivots, in the same order, for as many blocks as the orbit's size,
+    for one base and for all of a dimension's bases in one call, base after
+    base.  The zero block is its own orbit, one block with no rows; bases
+    of two dimensions are refused."""
     rng = random.Random(20261020)
     for name, action in actions().items():
         for k in range(1, 5):
@@ -827,16 +831,17 @@ def test_orbit_blocks_equal_image_walk():
                 while walk[-1] != base:
                     walk.append(span(2, action.n, action.image(
                         vectors, len(walk) + 1)))
-                rows = action.orbit_blocks([base])
-                assert rows == [v for b in walk for v in b.packed], (name, base)
-                assert list(subspaces._pivot_reader(2, action.n)(rows)) == [
-                    p for b in walk for p in b.pivots]
-                assert len(rows) == k * action.orbit(vectors)[1]
+                blocks = action.orbit_blocks([base])
+                assert blocks == [b.packed for b in walk], (name, base)
+                assert [tuple(subspaces._pivot_reader(2, action.n)(rows))
+                        for rows in blocks] == [b.pivots for b in walk]
+                assert len(blocks) == action.orbit(vectors)[1]
                 walks += walk
             assert action.orbit_blocks(bases) == [
-                v for b in walks for v in b.packed], (name, k)
+                b.packed for b in walks], (name, k)
         zero = Subspace(2, action.n, (), ())
-        assert action.orbit_blocks([zero]) == action.orbit_blocks([]) == []
+        assert action.orbit_blocks([zero]) == [()]
+        assert action.orbit_blocks([]) == []
         with pytest.raises(AmbientMismatch, match="base block in F_2"):
             action.orbit_blocks([Subspace(2, action.n + 1, (), ())])
         with pytest.raises(ValueError, match=r"dimensions \[0, 1\]"):

@@ -210,7 +210,8 @@ def test_each_construction_kind_raises_with_its_failed_census(tmp_path,
                             lambda action, bases, r: (399, UNCOVERED))
     elif kind == "partial-spread":
         # certified by an exact partition check, which carries no report
-        monkeypatch.setattr(constructions, "packed_vectors", lambda part: [1])
+        monkeypatch.setattr(constructions, "packed_vector_lists",
+                            lambda q, n, k, blocks: [[0, 1]] * len(blocks))
         report = None
     else:  # only the census of the output fails, not those of its inputs
         real = constructions.verify_covering
@@ -317,8 +318,8 @@ def test_verify_agrees_on_canonical_and_unreduced_gf64_files(
         tmp_path, capsys, monkeypatch):
     """The gf64 file loads as written; the same file with every line's rows
     rotated and its first row replaced by the sum of its first two loads
-    through one span call per line.  verify prints the same census line and
-    verdict on both."""
+    through one _span_rows call, the row reduction, per line.  verify prints
+    the same census line and verdict on both."""
     canonical, unreduced = tmp_path / "gf64.txt", tmp_path / "unreduced.txt"
     assert run(capsys, "construct", "gf64", "-o", str(canonical))[0] == 0
     lines = canonical.read_text().splitlines()
@@ -327,9 +328,9 @@ def test_verify_agrees_on_canonical_and_unreduced_gf64_files(
         words[0] = "".join(str(int(a) ^ int(b)) for a, b in zip(*words[:2]))
         lines[i] = " ".join(words[1:] + words[:1])
     unreduced.write_text("\n".join(lines) + "\n")
-    calls, span = [], designs.span
-    monkeypatch.setattr(designs, "span", lambda q, n, vectors:
-                        calls.append(n) or span(q, n, vectors))
+    calls, reduce = [], designs._span_rows
+    monkeypatch.setattr(designs, "_span_rows", lambda q, n, vectors:
+                        calls.append(n) or reduce(q, n, vectors))
     outputs = []
     for path in (canonical, unreduced):
         code, out, err = run(capsys, "verify", str(path), "--mode", "covering",

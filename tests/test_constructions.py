@@ -143,27 +143,27 @@ def test_optimal_line_covering(q, n, k):
 ])
 def test_field_tower_designs_call_no_span(monkeypatch, build):
     """The field tower writes each block's RREF rows packed, so a spread, a
-    partial spread and the line covering built on them row-reduce nothing."""
+    partial spread and the line covering built on them row-reduce nothing:
+    no call of _span_rows, the row reduction that span wraps."""
     def refuse(*args):
-        raise AssertionError("span called")
-    for module in (constructions, subspaces):
-        monkeypatch.setattr(module, "span", refuse)
+        raise AssertionError("_span_rows called")
+    monkeypatch.setattr(subspaces, "_span_rows", refuse)
     build()
 
 
 def test_field_tower_blocks_are_their_rref_as_written():
     """Every block of the spreads and partial spreads of F_q^n, q^n <= 1000,
-    and every residual, is the block span builds from its rows, pivots
-    included."""
+    and every residual, a tuple of packed rows, is the packed rows of the
+    block span builds from them."""
     count = 0
     for q, rho in itertools.product((2, 3, 5, 7), (1, 2, 3)):
         for m, n in itertools.product(range(rho, 2 * rho), range(2, 10)):
             if n <= m or (n - m) % rho or q ** n > 1000:
                 continue
             blocks, residual = constructions._field_tower(q, rho, m, n)
-            for block in blocks + [residual]:
-                reference = tuple_span(q, n, block.rows)
-                assert (block, block.pivots) == (reference, reference.pivots)
+            assert {len(rows) for rows in blocks} == {rho} and len(residual) == m
+            for rows in blocks + [residual]:
+                assert subspaces.span(q, n, rows).packed == rows
             count += len(blocks)
     assert count > 1000
 
@@ -251,7 +251,7 @@ def test_recursive_covering_equals_coset_search(monkeypatch, q, n, k):
                                           q=q, n=n - 1, k=dim)
 
     s1, s2 = random_design(k - 1, 6), random_design(k, 6)
-    d = recursive_covering(s1, s2, 2)
+    d = recursive_covering(s1, s2, 1)
     assert (d.q, d.n, d.k) == (q, n, k)
     assert d.blocks == SubspaceDesign.from_blocks(
         reference_recursive_blocks(s1, s2), q=q, n=n, k=k).blocks
@@ -262,6 +262,47 @@ def test_recursive_covering_rejects_mismatch():
     with pytest.raises(ValueError, match=re.escape(
             "s1 has (q, n, k) = (2, 4, 2), s2 has (2, 5, 3)")):
         recursive_covering(s1, trivial_steiner(2, 5, 3), 2)
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_recursive_covering_names_r_out_of_range(r):
+    """r outside 1..k of s2 raises a ValueError that names r itself, before
+    any census of the inputs runs at r - 1."""
+    s1, s2 = spread(2, 1, 3), trivial_steiner(2, 3, 2)
+    with pytest.raises(ValueError, match=f"^need 1 <= r <= k, got r={r}, k=2$"):
+        recursive_covering(s1, s2, r)
+
+
+# Each construction, and the Subspaces it builds: partial_spread only its
+# residual, which it returns, and recursive_covering only the span of each
+# of its q^(n-k) |s1| type-1 blocks, 4 * 7 here.
+SUBSPACE_BUILDS = {
+    "trivial": (lambda: trivial_steiner(2, 4, 2), 0),
+    "trivial-zero": (lambda: trivial_steiner(3, 3, 0), 0),
+    "spread": (lambda: spread(3, 2, 4), 0),
+    "line-covering-spread": (lambda: optimal_line_covering(2, 6, 3), 0),
+    "line-covering-lift": (lambda: optimal_line_covering(2, 5, 3), 0),
+    "line-covering-partial": (lambda: optimal_line_covering(2, 7, 3), 0),
+    "lift": (lambda: lift_covering(spread(2, 2, 4), 2), 0),
+    "greedy": (lambda: greedy_covering(2, 4, 2, 1), 0),
+    "turan-point": (lambda: turan_point_design(3, 5, 3), 0),
+    "turan-dual": (lambda: turan_dual_covering(3, 5, 2), 0),
+    "dualize": (lambda: dualize(turan_point_design(2, 5, 2, verify=False)), 0),
+    "partial-spread": (lambda: partial_spread(2, 2, 7)[0], 1),
+    "recursive": (lambda: recursive_covering(
+        spread(2, 1, 3), trivial_steiner(2, 3, 2), 2), 28),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUBSPACE_BUILDS))
+def test_constructions_build_no_subspace_of_their_design(subspace_builds, kind):
+    """Every construction builds its design from packed rows with
+    SubspaceDesign.from_rows and leaves its blocks view unbuilt."""
+    build, builds = SUBSPACE_BUILDS[kind]
+    subspace_builds.clear()
+    design = build()
+    assert len(subspace_builds) == builds
+    assert "blocks" not in vars(design)
 
 
 def test_gf64_covering_design():

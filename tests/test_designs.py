@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from qcover import cli, constructions, designs, subspaces
+from qcover import cli, designs, subspaces
 from qcover.bounds import basic_lower, gaussian
 from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem,
                             SubspaceDesign,
@@ -323,15 +323,15 @@ def test_design_from_text_past_ten_reads_digit_words(q):
 
 
 def count_span(monkeypatch):
-    """A list that gets one entry, n, per span call from any module that
-    holds it."""
-    calls, original = [], subspaces.span
+    """A list that gets one entry, n, per call of _span_rows, the row
+    reduction that span wraps, from either module that holds it."""
+    calls, original = [], subspaces._span_rows
 
     def counted(q, n, vectors):
         calls.append(n)
         return original(q, n, vectors)
-    for module in (subspaces, designs, constructions):
-        monkeypatch.setattr(module, "span", counted)
+    for module in (subspaces, designs):
+        monkeypatch.setattr(module, "_span_rows", counted)
     return calls
 
 
@@ -500,9 +500,10 @@ def test_near_canonical_lines_load_as_reduced(n, k):
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 3), (7, 3), (10, 5), (11, 2),
                                   (11, 5)])
 def test_canonical_rows_returns_pivots_exactly_for_rref_rows(n, k):
-    """The one-pass canonical reader returns _pivot_reader's pivots of all
-    rows exactly when every block's rows equal span(2, n, rows).packed,
-    else None: on canonical blocks, and with one block edited by each
+    """The canonical reader, given the blocks' columns of rows, returns
+    _pivot_reader's pivots of each block, a tuple per block, exactly when
+    every block's rows equal span(2, n, rows).packed, else None (k empty
+    columns give no pivots): on canonical blocks, and with one block edited by each
     NEAR_CANONICAL edit, on both sides of DIGIT_TABLE_MAX (2^11 > 2^10)."""
     rng = random.Random(f"canonical-{n}-{k}")
     edits = [None] + NEAR_CANONICAL if k > 1 else [None, zero_one]
@@ -512,14 +513,15 @@ def test_canonical_rows_returns_pivots_exactly_for_rref_rows(n, k):
                   for _ in range(rng.randint(1, 6))]
         if edit is not None:
             edit(rng, blocks[rng.randrange(len(blocks))])
-        flat = [v for rows in blocks for v in rows]
         canonical = all(list(span(2, n, rows).packed) == rows
                         for rows in blocks)
-        pivots = subspaces._canonical_rows(n, k, flat)
-        expected = list(subspaces._pivot_reader(2, n)(flat))
+        columns = list(map(list, zip(*blocks)))
+        pivots = subspaces._canonical_rows(n, k, columns)
+        expected = [tuple(subspaces._pivot_reader(2, n)(rows)) for rows in blocks]
         assert pivots == (expected if canonical else None), (blocks, edit)
         seen.add(canonical)
     assert seen == {True, False}
+    assert subspaces._canonical_rows(n, k, [[]] * k) == []
 
 
 def refuse_walk(monkeypatch):
@@ -696,8 +698,8 @@ def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
             verify_covering(design, 0, strategy)
 
 
-# A design built by from_blocks keeps its blocks view from the start.
-FIELDS = {"q", "n", "k", "packed", "pivots", "blocks"}
+# A design's fields; its blocks view is built only on first read.
+FIELDS = {"q", "n", "k", "packed", "pivots"}
 
 
 def counted_listings(monkeypatch):
@@ -766,7 +768,8 @@ def test_lists_past_xor_chunk_are_listed_per_census(monkeypatch):
     assert reports[0] == reports[1]
     assert reports[0].histogram == {0: gaussian(15, 14, 2) - both - 2 * one,
                                     1: 2 * one, 2: both}
-    assert set(vars(hyperplanes)) == set(vars(points)) == FIELDS
+    # the blocks view of hyperplanes was read to build kept
+    assert set(vars(hyperplanes)) - {"blocks"} == set(vars(points)) == FIELDS
 
 
 def test_kept_lists_leave_the_design_value_unchanged():

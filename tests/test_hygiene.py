@@ -44,6 +44,12 @@ builder from packed RREF rows: an AST scan fails on any call of Subspace, and
 any Subspace passed to a call (as map(Subspace, ...)) other than isinstance,
 outside SUBSPACE_SITES, which gives the reason each of those stays.
 
+SubspaceDesign.from_rows is the one design builder of src/qcover, and a
+design builds its Subspaces only when its blocks view is first read: an AST
+scan fails on any from_blocks call there but SetSystem.from_blocks, the
+set-system builder.  from_blocks is the checked adapter from Subspaces, for
+callers outside the package.
+
 A packed vector's int order is the lexicographic order of F_q^n, coordinate
 0 first, so no subspace or design code reverses one: an AST scan fails on
 any slice with step -1 and any _bit_reverser name in subspaces.py or
@@ -96,7 +102,7 @@ OWN_BUDGETS = {
 
 # (module, top-level definition) -> why it tests q == 2 itself.
 Q_FORKS = {
-    ("subspaces.py", "span"):
+    ("subspaces.py", "_span_rows"):
         "a q = 2 row's pivot is its top set bit, and rows clear by XOR with "
         "no digit read",
     ("subspaces.py", "span_vector_lists"):
@@ -120,17 +126,14 @@ SET_SYSTEM_LENS = {
 # (module, top-level definition) -> why it builds a Subspace itself.
 SUBSPACE_SITES = {
     ("subspaces.py", "span"):
-        "the one row reduction, any q, builds its block with the pivots it "
-        "found: _rref_blocks' lazy pipeline costs several times more for "
-        "one block",
+        "the block of the rows and pivots _span_rows, the one row "
+        "reduction, finds: _rref_blocks would read the pivots again",
     ("subspaces.py", "orthogonal_complement"):
-        "writes the complement's RREF rows off the rows reduced from the "
-        "right, any q",
+        "the block of the rows and pivots _perp_rows writes",
     ("subspaces.py", "_rref_blocks"):
-        "the builder from packed RREF rows, any q: subspaces_of, "
-        "enumerate_grassmannian, the gf64 bases read_blocks reads, greedy's "
-        "chosen blocks and the constructions' field tower, recursion and "
-        "unit blocks",
+        "the builder from packed RREF rows, any q: enumerate_grassmannian, "
+        "subspaces_of, the gf64 bases read_blocks reads and the residual of "
+        "_field_tower that partial_spread returns",
     ("designs.py", "SubspaceDesign"):
         "the blocks view builds each block once, on first read, from the "
         "packed rows and pivots the design holds: a design itself holds no "
@@ -477,6 +480,42 @@ def test_subspaces_are_built_only_at_allowlisted_sites():
     found = {(path.name, owner) for path in SOURCES
              for _, owner in subspace_sites(path.read_text(encoding="utf-8"))}
     assert found == set(SUBSPACE_SITES)
+
+
+def from_blocks_calls(source: str):
+    """(line, enclosing top-level definition or None) of every call of
+    from_blocks, as a name or an attribute, but SetSystem.from_blocks."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", None) == "from_blocks" or (
+                    getattr(func, "attr", None) == "from_blocks"
+                    and getattr(func.value, "id", None) != "SetSystem"):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_src_builds_designs_only_from_rows():
+    found = [(path.name, line, owner) for path in SOURCES
+             for line, owner in from_blocks_calls(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_from_blocks_scan_finds_each_form():
+    source = ("from .designs import SubspaceDesign, SetSystem\n"
+              "from . import designs\n"
+              "def a(blocks):\n    return SubspaceDesign.from_blocks(blocks)\n"
+              "def b(v, blocks):\n    return SetSystem.from_blocks(v, blocks)\n"
+              "class C:\n    def m(self):\n"
+              "        return designs.SubspaceDesign.from_blocks(self.blocks)\n"
+              "X = from_blocks([])\n"
+              "def d(rows):\n    return SubspaceDesign.from_rows(2, 3, 1, rows)\n"
+              "def e():\n    build = SubspaceDesign.from_blocks\n    return build\n")
+    assert from_blocks_calls(source) == [(4, "a"), (9, "C"), (10, None)]
 
 
 def test_subspace_site_scan_finds_each_form():

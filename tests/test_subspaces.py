@@ -254,19 +254,22 @@ def test_design_from_blocks_deduplicates_equal_subspaces():
 def test_build_counter_sees_every_route(subspace_builds):
     """The subspace_builds counter counts one build per block for each route
     that makes a Subspace: a call, map over the class, copy, deepcopy, a
-    pickle round trip, span, orthogonal_complement, _rref_blocks, and a
-    block whose slots are written without __init__."""
+    pickle round trip, span, orthogonal_complement, _rref_blocks (k = 2
+    and the zero block), and a block whose slots are written without
+    __init__."""
     s = tuple_span(3, 4, [(1, 2, 0, 1), (0, 0, 1, 2)])
     subspace_builds.clear()
     blocks = [Subspace(3, 4, s.packed, s.pivots)]
     blocks += map(Subspace, [3, 2], [4, 3], [s.packed, (4,)], [s.pivots, (0,)])
     blocks += [copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))]
     blocks += [span(3, 4, s.packed), orthogonal_complement(s)]
-    blocks += subspaces._rref_blocks(3, 4, 2, s.packed + s.packed)
+    blocks += subspaces._rref_blocks(3, 4, [s.packed, s.packed, ()])
     bare = object.__new__(Subspace)
     subspaces._set_q(bare, 3)
-    assert len(subspace_builds) == len(blocks) + 1 == 11
-    assert subspace_builds == [3, 3, 2] + [3] * 8
+    assert [(b.packed, b.pivots) for b in blocks[-3:]] == [
+        (s.packed, s.pivots)] * 2 + [((), ())]
+    assert len(subspace_builds) == len(blocks) + 1 == 12
+    assert subspace_builds == [3, 3, 2] + [3] * 9
 
 
 def test_subspace_needs_its_pivots():
@@ -401,8 +404,8 @@ def test_read_blocks_equal_xor_rref():
     every rank d <= k, for every k <= 6 and n <= 12 (rows unpack from
     the digit table up to n = 10, by vec_unpack past it).  Full-rank lists, read
     together (2^k + 1 of them for k <= 4, so a whole column at a time),
-    give the packed rows of span's blocks, k per list in one flat list,
-    whose pivots are span's.  A span of k dependent
+    give the packed rows of span's blocks, one k-tuple per list, whose
+    pivots are span's.  A span of k dependent
     vectors, which lists each vector 2^(k-d) times, put among them raises
     BlockError with its index and rank; so does a list with a vector
     outside the span."""
@@ -415,11 +418,11 @@ def test_read_blocks_equal_xor_rref():
                     for _ in range((1 << k) + 1 if k <= 4 else 4)]
             rows = read_blocks(n, k, full)
             refs = [span(2, n, vectors) for vectors in full]
-            assert rows == [v for ref in refs for v in ref.packed]
-            assert list(subspaces._pivot_reader(2, n)(rows)) == [
-                p for ref in refs for p in ref.pivots]
-            assert [vec_unpack(2, n, v) for v in rows] == [
-                row for ref in refs for row in ref.rows]
+            assert rows == [ref.packed for ref in refs]
+            assert [tuple(subspaces._pivot_reader(2, n)(block))
+                    for block in rows] == [ref.pivots for ref in refs]
+            assert [tuple([vec_unpack(2, n, v) for v in block])
+                    for block in rows] == [ref.rows for ref in refs]
             ranks.add((k, k))
             bad = [(d, rng.sample(subspaces._xor_span(
                 random_generators(rng, n, k, d)), 1 << k)) for d in range(k)]

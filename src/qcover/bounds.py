@@ -27,8 +27,10 @@ def gaussian(n: int, l: int, q: int) -> int:
     for i in range(l):
         num *= q ** (n - i) - 1
         den *= q ** (l - i) - 1
-    assert num % den == 0
-    return num // den
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise RuntimeError(f"[{n} {l}]_{q}: {num} is not a multiple of {den}")
+    return quotient
 
 
 def basic_lower(n: int, k: int, r: int, q: int) -> int:

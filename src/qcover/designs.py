@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import and_, attrgetter, itemgetter, lt
+from operator import and_, attrgetter, itemgetter, lt, not_
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -175,11 +175,14 @@ class CoverageReport:
 
 
 def _report(total: int, histogram: Counter, misses: Iterable) -> CoverageReport:
-    """Report of a census with this multiplicity histogram.  The witnesses
-    are the first WITNESS_CAP targets of misses, which is read only when
-    some target is uncovered."""
+    """Report of a census with this multiplicity histogram, which must sum
+    to total (else RuntimeError, under python -O too).  The witnesses are
+    the first WITNESS_CAP targets of misses, which is read only when some
+    target is uncovered."""
     histogram = {m: c for m, c in sorted(histogram.items()) if c}
-    assert sum(histogram.values()) == total
+    if sum(histogram.values()) != total:
+        raise RuntimeError(f"census histogram sums to "
+                           f"{sum(histogram.values())}, not {total} targets")
     witnesses = tuple(itertools.islice(misses, WITNESS_CAP)) if 0 in histogram else ()
     return CoverageReport(total, histogram, min(histogram), max(histogram), witnesses)
 
@@ -197,12 +200,13 @@ def _misses(q: int, n: int, dim: int, keys: Callable[[tuple, tuple], Iterable],
             covered: Callable) -> Iterator[Subspace]:
     """The dim-subspaces of F_q^n, in enumeration order, whose keys fail
     covered.  keys maps a grassmannian_choices entry (pivots, packed) to one
-    key per subspace of itertools.product(*packed), in that order; a
-    Subspace is built only for a miss, with the entry's pivots."""
+    key per subspace of itertools.product(*packed), in that order;
+    compress picks out the misses' rows in C, and a Subspace is built only
+    for a miss, with the entry's pivots."""
     for pivots, packed in grassmannian_choices(q, n, dim):
-        for t, key in zip(itertools.product(*packed), keys(pivots, packed)):
-            if not covered(key):
-                yield Subspace(q, n, t, pivots)
+        for t in itertools.compress(itertools.product(*packed), map(
+                not_, map(covered, keys(pivots, packed)))):
+            yield Subspace(q, n, t, pivots)
 
 
 def _packed_rows(pivots: tuple, packed: tuple) -> Iterator[tuple]:
@@ -217,11 +221,14 @@ def _count_product(start: int, factors: Sequence[Sequence[int]],
     taking one mask m_i from each factor: append it to popcounts, or add a
     run of equal ones to found at once.
 
-    Single-mask factors fold into start, and the rest run smallest first, so
-    each prefix AND is shared by every product below it and the largest
-    factor is counted last, in C.  A zero prefix adds its whole subtree to
-    multiplicity 0 in one step.  The caller counts popcounts with one
-    Counter.update, as each update pays a Python-level type check.
+    Single-mask factors fold into start, and the rest run smallest first,
+    breadth-first: each level ANDs every surviving prefix with every mask
+    of the next factor in one starmap over their product, so each prefix
+    AND is shared by every product below it.  filter drops the zero
+    prefixes, each of which adds its whole subtree (width products) to
+    multiplicity 0 at once, and the largest factor is ANDed and popcounted
+    last, all in C.  The caller counts popcounts with one Counter.update,
+    as each update pays a Python-level type check.
     """
     lists = []
     for masks in factors:
@@ -234,22 +241,16 @@ def _count_product(start: int, factors: Sequence[Sequence[int]],
         return
     lists.sort(key=len)
     *heads, last = lists
-    below = [math.prod(map(len, lists[d + 1:])) for d in range(len(heads))]
-    extend = popcounts.extend
-    popcount = int.bit_count
-
-    def walk(prefix: int, d: int) -> None:
-        if d == len(heads):
-            extend(map(popcount, map(prefix.__and__, last)))
-            return
-        for m in heads[d]:
-            m &= prefix
-            if m:
-                walk(m, d + 1)
-            else:
-                found[0] += below[d]
-    walk(start, 0)
-    del walk  # walk's closure holds walk: clear it, so the factors go now
+    width = math.prod(map(len, lists))  # products below one prefix
+    prefixes = [start]
+    for head in heads:
+        tried = len(prefixes) * len(head)
+        width //= len(head)
+        prefixes = list(filter(None, itertools.starmap(
+            and_, itertools.product(prefixes, head))))
+        found[0] += (tried - len(prefixes)) * width
+    popcounts.extend(map(int.bit_count, itertools.starmap(
+        and_, itertools.product(prefixes, last))))
 
 
 def _scan(q: int, n: int, dim: int, vector_lists: Iterable[Sequence[int]]
@@ -258,31 +259,33 @@ def _scan(q: int, n: int, dim: int, vector_lists: Iterable[Sequence[int]]
 
     A target's multiplicity is the number of vector lists, one per block,
     that hold all of its packed RREF rows: the popcount of the AND of the
-    rows' block bitmasks.  Per grassmannian_choices entry, _count_product
-    counts that AND over the product of the rows' mask lists; its
-    popcounts are counted once per XOR_CHUNK of them, so once for most
-    scans, and held no longer.
+    rows' block bitmasks, kept in one dict keyed by packed vector, whatever
+    q (a table indexed by vector would need q^n slots).  Per
+    grassmannian_choices entry, each row's mask list is read by one map
+    over its choices, and _count_product counts the AND over the product
+    of those lists; its popcounts are counted once per XOR_CHUNK of them,
+    so once for most scans, and held no longer.
     holders(vectors) is the bitmask of the lists that hold every one of the
     given packed vectors, for the witness walks.
     """
     masks: Dict[int, int] = {}
+    get = masks.get
     bit = 1
     for vectors in vector_lists:
         for v in vectors:
-            masks[v] = masks.get(v, 0) | bit
+            masks[v] = get(v, 0) | bit
         bit <<= 1
     every = bit - 1
-    get = masks.get
+    zeros = itertools.repeat(0)
     found: Counter = Counter()
     popcounts: List[int] = []
     for _, packed in grassmannian_choices(q, n, dim):
-        _count_product(every, [[get(v, 0) for v in choices] for choices in packed],
-                       found, popcounts)
+        _count_product(every, [list(map(get, choices, zeros))
+                               for choices in packed], found, popcounts)
         if len(popcounts) > XOR_CHUNK:
             found.update(popcounts)
             popcounts.clear()
     found.update(popcounts)
-    zeros = itertools.repeat(0)
     return found, lambda vectors: functools.reduce(and_, map(get, vectors, zeros),
                                                    every)
 
@@ -374,7 +377,9 @@ def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
     histogram: Counter = Counter()
     for orbit, count in incidences.items():
         multiplicity, rest = divmod(count, sizes[orbit])
-        assert not rest, f"{count} incidences over an orbit of {sizes[orbit]}"
+        if rest:
+            raise RuntimeError(f"{count} incidences over an orbit of "
+                               f"{sizes[orbit]}")
         histogram[multiplicity] += sizes[orbit]
     histogram[0] = total - sum(sizes.values())
     return blocks, _report(total, histogram, _misses(

@@ -264,26 +264,43 @@ def complement_generators(q: int, n: int, pivots: Tuple[int, ...],
     e_fc - sum_i t_i[fc] * e_{pivots[i]}: orthogonal to every row, the only
     generator nonzero at fc, and zero past fc (a row is zero before its
     pivot).  With the coordinates reversed they are the RREF of t's
-    complement, read off the rows with no reduction.  A row's digits come
-    off _digit_table, the weights off _places.
+    complement, read off the rows with no reduction: the sums of what each
+    row choice adds to each generator, which _complement_tables lists.
     """
-    neg = get_gf(q).negatives
-    place = _places(q, n)
-    pivset = set(pivots)
-    free = [c for c in reversed(range(n)) if c not in pivset]
-    units = [place[c] for c in free]
-    if not pivots:
-        yield tuple(units)
+    choices = tuple(map(tuple, choices))
+    tables = _complement_tables
+    if sum(map(len, choices)) * (n - len(pivots)) > ROW_CHUNK:
+        tables = tables.__wrapped__  # large tables would crowd the cache
+    units, *rows = tables(q, n, pivots, choices)
+    if not rows:
+        yield units
         return
-    unpack = _digit_table(q, n)[0]
-    # What each row choice adds to each generator.
-    *heads, last = [[tuple([neg[row[c]] * place[p] for c in free])
-                     for row in map(unpack, packed)]
-                    for p, packed in zip(pivots, choices)]
+    *heads, last = rows
     for head in itertools.product(*heads):
         prefix = tuple(map(sum, zip(units, *head)))
         for part in last:
             yield tuple(map(add, prefix, part))
+
+
+# Bounded, and holds tables of at most ROW_CHUNK numbers each.  A witness
+# walk reads them again for every design of the same (q, n, k), and
+# stops after a few dozen targets, far fewer than the tables list.
+@functools.lru_cache(maxsize=128)
+def _complement_tables(q: int, n: int, pivots: Tuple[int, ...],
+                       choices: Tuple[Tuple[int, ...], ...]) -> tuple:
+    """complement_generators' tables for one family of RREFs: the units
+    e_fc of the non-pivot columns fc, descending, then per row i what each
+    of its choices adds to each generator, -t_i[fc] * e_{pivots[i]}.  A
+    row's digits come off _digit_table, the weights off _places."""
+    neg = get_gf(q).negatives
+    place = _places(q, n)
+    pivset = set(pivots)
+    free = [c for c in reversed(range(n)) if c not in pivset]
+    unpack = _digit_table(q, n)[0]
+    return (tuple([place[c] for c in free]),
+            *[tuple([tuple([neg[row[c]] * place[p] for c in free])
+                     for row in map(unpack, packed)])
+              for p, packed in zip(pivots, choices)])
 
 
 def enumerate_grassmannian(q: int, n: int, k: int) -> Iterator[Subspace]:

@@ -22,6 +22,7 @@ verify_orbits, the census of a design invariant under a GroupAction taken
 on its base blocks only, must equal expand and scan on the expanded design.
 """
 
+import functools
 import itertools
 import operator
 import random
@@ -212,6 +213,93 @@ def test_scan_counts_popcounts_in_chunks(q, monkeypatch):
         for k in range(design.k, design.n + 1):
             assert verify_turan(design, k, "scan") == oracle_turan(
                 design, k), (design, k)
+
+
+def reference_count_product(start, factors):
+    """Multiplicity histogram of start & m_1 & ... & m_f over every choice
+    of one mask m_i per factor: one AND per product, no sharing."""
+    return Counter(functools.reduce(operator.and_, masks, start).bit_count()
+                   for masks in itertools.product(*factors))
+
+
+def random_factors(rng, width):
+    """0 to 4 mask lists of 1 to 5 masks of width bits, about a third of
+    the masks zero and the rest sparse, so whole subtrees AND to zero."""
+    factors = []
+    for _ in range(rng.randint(0, 4)):
+        factors.append([0 if rng.random() < 0.3 else
+                        rng.getrandbits(width) & rng.getrandbits(width)
+                        for _ in range(rng.choice([1, 1, 2, 3, 4, 5]))])
+    return factors
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_product_equals_brute_force(seed):
+    """What _count_product adds to found, plus the popcounts it lists, is
+    the histogram of one AND per product: with zero masks at every level a
+    prefix that drops to zero must add its whole subtree, the product of
+    the factors below it, to multiplicity 0.  Single-mask factors fold into
+    start, and a zero start or no factor adds every product at once."""
+    rng = random.Random(4300 + seed)
+    cases = [(0, [[3, 1], [2, 2, 7]]), (7, []), (0, []), (5, [[0]]),
+             (7, [[0, 0], [1, 2, 3]]), (7, [[1, 2], [0, 0, 0], [4, 7]])]
+    for _ in range(300):
+        width = rng.randint(1, 10)
+        start = rng.choice([0, (1 << width) - 1, rng.getrandbits(width)])
+        cases.append((start, random_factors(rng, width)))
+    for start, factors in cases:
+        found, popcounts = Counter({0: 2, 3: 1}), []
+        designs._count_product(start, factors, found, popcounts)
+        found.update(popcounts)
+        expected = reference_count_product(start, factors)
+        expected.update({0: 2, 3: 1})
+        assert +found == expected, (start, factors)
+
+
+def test_scans_at_large_q_build_no_table_of_the_space():
+    """F_65521^2 has over 4 * 10^9 vectors, so a scan that kept one slot per
+    vector of the space would fail or take minutes.  The scans key their
+    masks by the blocks' vectors only: both equal expand, witnesses
+    included, and each takes well under a second."""
+    q = 65521
+    get_gf(q)  # the field's tables, built once per process
+    # the points (0, 1), (1, 5) and (1, 77), by their packed RREF rows
+    design = SubspaceDesign.from_rows(q, 2, 1, [(1,), (q + 5,), (q + 77,)])
+    for census, dim in ((verify_covering, 1), (verify_turan, 1),
+                        (verify_turan, 2)):
+        started = time.perf_counter()
+        scan = census(design, dim, "scan")
+        elapsed = time.perf_counter() - started
+        assert scan == census(design, dim, "expand"), (census, dim)
+        assert elapsed < 1, (census, dim, elapsed)
+    assert scan.histogram == {3: 1}
+    points = verify_covering(design, 1, "scan")
+    assert points.histogram == {0: q + 1 - 3, 1: 3}
+    assert len(points.witnesses) == WITNESS_CAP
+
+
+def test_turan_witnesses_after_the_complement_tables_are_warm(monkeypatch):
+    """complement_generators keeps the tables of small families of RREFs,
+    keyed on their pivots and row choices.  Split first rows give several
+    families with the same pivots, so with the tables warm from unsplit
+    censuses, then from censuses under ROW_CHUNK = 2, then unsplit again,
+    each interleaved over (q, n), both Turan routes must still give
+    oracle_turan's witnesses."""
+    rng = random.Random(4400)
+    cases = []
+    while len(cases) < 12:
+        design = random_design(rng, (2, 3, 4)[len(cases) % 3])
+        for k in range(design.k, design.n + 1):
+            expected = oracle_turan(design, k)
+            if expected.witnesses:
+                cases.append((design, k, expected))
+    assert len({(design.q, design.n) for design, _, _ in cases}) > 3
+    for row_chunk in (subspaces.ROW_CHUNK, 2, subspaces.ROW_CHUNK):
+        monkeypatch.setattr(subspaces, "ROW_CHUNK", row_chunk)
+        for design, k, expected in cases:
+            for strategy in ("expand", "scan"):
+                assert verify_turan(design, k, strategy) == expected, (
+                    design, k, strategy, row_chunk)
 
 
 def test_scan_splits_the_first_row_at_the_real_row_chunk():

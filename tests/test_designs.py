@@ -1,6 +1,9 @@
 import gc
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -818,6 +821,42 @@ def test_scans_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_census_self_checks_hold_under_optimize():
+    """python -O strips assert statements, so the census self-checks raise
+    explicitly: a histogram that does not sum to its total, and orbit
+    incidences that do not divide by the orbit's size, raise RuntimeError
+    under -O too."""
+    script = (
+        "import sys\n"
+        "from collections import Counter\n"
+        "from qcover import designs\n"
+        "from qcover.subspaces import GroupAction, span\n"
+        "class Off(GroupAction):  # the targets' orbit sizes off by one\n"
+        "    def orbits(self, vector_lists, calls=[]):\n"
+        "        calls.append(1)\n"
+        "        return [(label, size + (len(calls) > 1)) for label, size\n"
+        "                in super().orbits(vector_lists)]\n"
+        "shift = GroupAction(4, [4, 2, 1, 8])\n"
+        "base = span(2, 4, [8, 4])\n"
+        "print(sys.flags.optimize, designs.verify_orbits(shift, [base], 1)[0])\n"
+        "for call in (lambda: designs._report(10, Counter({0: 3, 1: 4}), ()),\n"
+        "             lambda: designs.verify_orbits(Off(4, [4, 2, 1, 8]),\n"
+        "                                           [base], 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n")
+    src = os.path.join(os.path.dirname(designs.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["1 4", "census histogram sums to 7, not 10 targets"]
+    assert re.fullmatch(r"\d+ incidences over an orbit of \d+", lines[2])
+    assert len(lines) == 3
 
 
 @pytest.mark.parametrize("q,k,r", [(17, 6, 1), (2, 24, 12)])

@@ -65,6 +65,10 @@ on every read, for tests and repr.  An AST scan fails on any rows attribute,
 and any "rows" string passed to getattr or attrgetter, in src/qcover
 outside the class Subspace.
 
+A self-check in src/qcover must hold under python -O, which strips assert
+statements: an AST scan fails on any assert there, so each check raises
+explicitly.
+
 A design holds its blocks' packed rows, and its blocks view builds a
 Subspace per block on first read, so src/qcover counts a design by len: an
 AST scan fails on any len(<expr>.blocks) there but len(self.blocks), the
@@ -672,3 +676,24 @@ def test_len_of_blocks_scan_finds_each_form():
               "def d(design):\n    return f'{len(design.blocks[1:])}', sum(design.blocks)\n"
               "class E:\n    def __len__(self):\n        return len(self.blocks)\n")
     assert len_of_blocks(source) == [(2, "a"), (5, "B"), (6, None)]
+
+
+def asserts(source: str):
+    """Line of every assert statement in the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_src_has_no_assert():
+    for path in SOURCES:
+        assert asserts(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_assert_scan_finds_each_form():
+    source = ("assert x\n"
+              "def f(y):\n    assert y, 'message'\n"
+              "    raise AssertionError('kept under -O')\n"
+              "class C:\n    def g(self):\n        if self:\n"
+              "            assert (self, 1)\n"
+              "lambda: AssertionError\n")
+    assert asserts(source) == [1, 3, 8]

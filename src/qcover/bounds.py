@@ -138,10 +138,10 @@ def bound_table(q: int, n_max: int = 12) -> Dict[Tuple[int, int, int], BoundReco
     Lower = max of the counting, Schonheim, de Caen and exact values; upper =
     min of the trivial Gaussian bound, the block-count recursion for k < n,
     exact values and registered designs: for q = 2 the 399-block gf64
-    design at (7, 3, 2), whose count gf64_orbits certifies on its seven
-    base blocks without building the 399.  The recursion reads only n - 1
-    entries, so one pass in n order is the fixed point, and registered
-    uppers feed forward through it.
+    design at (7, 3, 2), whose count gf64_orbits certifies on its design
+    of seven base blocks, building neither the 399 nor any Subspace.  The
+    recursion reads only n - 1 entries, so one pass in n order is the
+    fixed point, and registered uppers feed forward through it.
     """
     if q not in (2, 3):
         raise ValueError("bound table supports q in {2, 3}")

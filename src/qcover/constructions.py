@@ -21,8 +21,8 @@ from .fields import Field, coefficients, get_gf, is_prime, vec_pack
 from .subspaces import (BlockError, BudgetError, GroupAction,
                         MAX_SUBSPACE_ENUM, Subspace, _local_rows, _places,
                         _rref_blocks, _unit_table, _xor_span, check_ambient,
-                        check_vectors, grassmannian_rows, packed_vector_lists,
-                        read_blocks, span, span_vector_lists, subspace_count)
+                        check_vectors, grassmannian_rows, read_blocks, span,
+                        span_vector_lists, subspace_count)
 
 
 class ConstructionError(RuntimeError):
@@ -141,8 +141,8 @@ def _partial_spread(q: int, rho: int, n: int
     # the exact partition check: each part lists its nonzero vectors once,
     # with 0, and together they tile F_q^n - {0}
     seen, listed = {0}, 1
-    for vectors in itertools.chain(packed_vector_lists(q, n, rho, blocks),
-                                   packed_vector_lists(q, n, m, [residual])):
+    for vectors in itertools.chain(span_vector_lists(q, n, rho, blocks),
+                                   span_vector_lists(q, n, m, [residual])):
         seen.update(vectors)
         listed += len(vectors) - 1
     if len(seen) != listed:
@@ -325,10 +325,10 @@ def _check_gf64_quads(gf64: Field):
         raise ConstructionError("difference sets do not tile Z_63 - {0,21,42}")
 
 
-def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
+def gf64_orbits() -> Tuple[GroupAction, SubspaceDesign, int]:
     """The 399-block C_2[7,3,2] as a certified orbit description: the Singer
-    action (beta, b) -> (alpha beta, b) on GF(64) x GF(2), seven base blocks
-    and the design's block count.
+    action (beta, b) -> (alpha beta, b) on GF(64) x GF(2), the design of
+    its seven base blocks and the design's block count.
 
     A vector (beta, b) is the vec_pack of beta's coefficient vector
     followed by b.  beta -> (beta, 0) is linear, so _xor_span tables it
@@ -339,11 +339,11 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     have 63 blocks each, that of the diagonal block
     {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples are checked,
     and read_blocks reads each base block's rows off its eight vectors,
-    refusing one that is not a 3-subspace, and _rref_blocks builds the
-    seven blocks; then verify_orbits sizes each base's
-    orbit, refuses two bases in one orbit, and must find a covering of 399
-    blocks.  Orbit sizes divide 63, and six 63s and one 21 is the only way
-    seven of them sum to 399, so the count fixes the sizes.
+    refusing one that is not a 3-subspace, and SubspaceDesign.from_rows
+    takes them, so no Subspace is built; then verify_orbits sizes each
+    base's orbit, refuses two bases in one orbit, and must find a covering
+    of 399 blocks.  Orbit sizes divide 63, and six 63s and one 21 is the
+    only way seven of them sum to 399, so the count fixes the sizes.
     """
     gf64 = get_gf(64)
     if gf64.modulus != GF64_MODULUS:
@@ -363,7 +363,7 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
     bases.append(diagonal + [x | GF64_BIT for x in diagonal])
     bases.append([0] + [power[e] for e in GF64_LINE_EXPONENTS])
     try:
-        bases = list(_rref_blocks(2, 7, read_blocks(7, 3, bases)))
+        bases = SubspaceDesign.from_rows(2, 7, 3, read_blocks(7, 3, bases))
     except BlockError as exc:
         raise ConstructionError(f"base block {exc.index} {exc.fault}") from exc
 
@@ -377,14 +377,15 @@ def gf64_orbits() -> Tuple[GroupAction, List[Subspace], int]:
 def gf64_covering_design() -> SubspaceDesign:
     """The 399-block covering design C_2[7,3,2] over GF(64) x GF(2).
 
-    Its blocks are the orbits of the base blocks of gf64_orbits, which
-    certifies them, under the Singer action: one GroupAction.orbit_blocks
+    Its blocks are the orbits of the base design of gf64_orbits, which
+    certifies it, under the Singer action: one GroupAction.orbit_blocks
     call reads the packed RREF rows of every base's orbit off the sorted
-    images of its vectors, up to the image that is the base again, with
-    one read_blocks call for all 399, and an image that is not a
-    3-subspace raises ConstructionError naming it within its base's orbit.
-    SubspaceDesign.from_rows takes the rows of all 399, so the seven bases
-    are the only Subspaces built.
+    images of its vectors, which the base design listed for its census,
+    up to the image that is the base again, with one read_blocks call for
+    all 399, and an image that is not a 3-subspace raises
+    ConstructionError naming it within its base's orbit.
+    SubspaceDesign.from_rows takes the rows of all 399, so no Subspace is
+    built.
     """
     singer, bases, count = gf64_orbits()
     try:

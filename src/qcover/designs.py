@@ -28,7 +28,7 @@ from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
                         _span_rows, _xor_chunk, _xor_span, check_ambient,
                         complement_generators, complement_vectors,
                         grassmannian_choices, grassmannian_rows,
-                        packed_vector_lists, subspace_count,
+                        span_vector_lists, subspace_count,
                         superspaces_containing)
 
 WITNESS_CAP = 16
@@ -125,8 +125,8 @@ class SubspaceDesign:
 
     @property
     def vector_lists(self) -> Sequence[Sequence[int]]:
-        """packed_vector_lists of the blocks; see _kept."""
-        return self._kept("vector_lists", self.k, packed_vector_lists,
+        """span_vector_lists of the blocks; see _kept."""
+        return self._kept("vector_lists", self.k, span_vector_lists,
                           self.packed)
 
     @property
@@ -326,36 +326,36 @@ def verify_covering(design: SubspaceDesign, r: int,
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def verify_orbits(action: GroupAction, bases: Sequence[Subspace],
+def verify_orbits(action: GroupAction, bases: SubspaceDesign,
                   r: int) -> Tuple[int, CoverageReport]:
-    """Census of the design whose blocks are the orbits of the base blocks
-    under action, counted on the bases only (Kramer & Mesner).
+    """Census of the design whose blocks are the orbits of the blocks of
+    bases, a SubspaceDesign of F_2^n, under action, counted on the bases
+    only (Kramer & Mesner).
 
     Returns the design's block count and the report that verify_covering
     gives for r on the expanded design with strategy "expand".  The design
     is invariant, so every target in one orbit O has the same multiplicity:
     the sum over bases B of |orbit(B)| times the number of r-subspaces of B
-    in O, divided by |O|.  One packed_vector_lists call lists the bases'
-    vectors, the _local_rows reader reads the rows of their r-subspaces and
-    _xor_chunk lists those; one GroupAction.orbits call labels and sizes
-    the bases' orbits, whose labels tell them apart, and one the targets'.
-    The witnesses are the first uncovered targets in grassmannian_choices
+    in O, divided by |O|.  The bases' vector_lists are read once, into a
+    list (past XOR_CHUNK vectors each read lists them again), the
+    _local_rows reader reads the rows of their r-subspaces and _xor_chunk
+    lists those; one GroupAction.orbits call labels and sizes the bases'
+    orbits, whose labels tell them apart, and one the targets'.  The
+    witnesses are the first uncovered targets in grassmannian_choices
     order, labelled one by one only when some orbit is uncovered.  Two
-    bases in one orbit raise ValueError.
+    bases in one orbit raise ValueError, naming them by their places in
+    the design's order.
     """
-    n = action.n
-    if not bases:
+    n, k = action.n, bases.k
+    if not len(bases):
         raise ValueError("need at least one base block")
-    k = bases[0].dim
-    for b in bases:
-        if (b.q, b.n, b.dim) != (2, n, k):
-            raise AmbientMismatch(
-                f"base block ({b.q},{b.n},dim {b.dim}) under an action on "
-                f"F_2^{n} with k={k}")
+    if (bases.q, bases.n) != (2, n):
+        raise AmbientMismatch(f"base blocks in F_{bases.q}^{bases.n} "
+                              f"under an action on F_2^{n}")
     if not 0 <= r <= k:
         raise ValueError(f"need 0 <= r <= k, got r={r}")
     total = subspace_count(n, r, 2)
-    vector_lists = list(packed_vector_lists(2, n, k, [b.packed for b in bases]))
+    vector_lists = list(bases.vector_lists)
     base_orbits = action.orbits(vector_lists)
     blocks = sum(map(itemgetter(1), base_orbits))
     bases_of: Dict[tuple, int] = {}  # block orbit label -> index of its base

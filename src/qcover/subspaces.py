@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_right
 from operator import add, and_, itemgetter, lt, mul, or_, xor
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
@@ -373,20 +374,9 @@ def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: Tuple[int, ...])
 def packed_vectors(s: Subspace) -> List[int]:
     """vec_pack of every vector of s, in odometer order: the vector
     sum(c_i * s.rows[i]) sits at index sum(c_i * q^(dim-1-i)), zero first
-    and coefficient 0 slowest: the one-block packed_vector_lists."""
-    (vectors,) = packed_vector_lists(s.q, s.n, s.dim, [s.packed])
+    and coefficient 0 slowest: the one-block span_vector_lists."""
+    (vectors,) = span_vector_lists(s.q, s.n, s.dim, [s.packed])
     return list(vectors)
-
-
-def packed_vector_lists(q: int, n: int, k: int, row_lists: Sequence
-                        ) -> Iterable[Sequence[int]]:
-    """packed_vectors of each block of F_q^n whose k packed RREF rows an
-    entry of row_lists holds, in order, from span_vector_lists;
-    check_vectors raises before any vector is built."""
-    if not row_lists:
-        return ()
-    check_vectors(q, k)
-    return span_vector_lists(q, n, k, row_lists)
 
 
 def complement_vectors(q: int, n: int, k: int, row_lists: Sequence,
@@ -398,25 +388,25 @@ def complement_vectors(q: int, n: int, k: int, row_lists: Sequence,
 
     A list holds the combinations, taken as packed_vectors takes RREF rows,
     of the block's _complement_rows, built with no row reduction, and
-    span_vector_lists spans them all in one call; check_vectors raises
-    before any vector is built.
+    span_vector_lists spans them all in one call.
     """
-    if not row_lists:
-        return ()
-    check_vectors(q, n - k)
     return span_vector_lists(q, n, n - k, list(map(
         _complement_rows, itertools.repeat(q), itertools.repeat(n), row_lists,
         pivot_lists)))
 
 
 def span_vector_lists(q: int, n: int, k: int, row_lists: Sequence
-                      ) -> Iterator[Sequence[int]]:
+                      ) -> Iterable[Sequence[int]]:
     """packed_vectors of the span of each entry of row_lists, k packed RREF
-    rows of F_q^n, in order; the caller checks the budget.  For q = 2 the
-    entries go XOR_CHUNK >> k at a time through _xor_chunk, as they are;
-    other q take _horner_span of each entry's coordinate rows, read off
-    _digit_table, lazily.
+    rows of F_q^n, in order: the one lister of block vectors.  No entry
+    lists nothing; else check_vectors raises before any vector is built.
+    For q = 2 the entries go XOR_CHUNK >> k at a time through _xor_chunk,
+    as they are; other q take _horner_span of each entry's coordinate
+    rows, read off _digit_table, lazily.
     """
+    if not row_lists:
+        return ()
+    check_vectors(q, k)
     if q != 2:
         unpack = itertools.repeat(_digit_table(q, n)[0])
         return map(_horner_span, itertools.repeat(q),
@@ -577,11 +567,13 @@ class GroupAction:
 
     g is given by the packed images of e_0..e_{n-1}, and the table of g(v)
     for every v is their _xor_span; the kernel of a rank-r map, the table's
-    zeros, holds 2^(n-r) vectors, so it gives g's rank.  The per-vector
-    tables of orbit representative (the least vector of the orbit),
-    exponent e (g^e sends the vector to its representative) and orbit size,
-    each orbit's cycle from its representative, and the rank table that
-    orbits reads, are built on first use.
+    zeros, holds 2^(n-r) vectors, so it gives g's rank.  One walk of g's
+    cycles builds the per-vector lists rep (the least vector of the
+    vector's orbit), exponent (g^exponent sends the vector to its rep) and
+    size (its orbit's length), cycles (each orbit's vectors from its rep
+    on, g^i(rep) at index i) and rank_table, which orbits reads.  g^m is
+    the identity exactly when every cycle length divides m, so the order
+    is their lcm.
     """
 
     def __init__(self, n: int, images: Sequence[int]):
@@ -591,69 +583,49 @@ class GroupAction:
         check_vectors(2, n)
         _check_packed(2, n, images)
         self.n = n
-        self._image = image = _xor_span(images)  # g(v) at index v
+        image = _xor_span(images)  # g(v) at index v
         rank = n - (image.count(0).bit_length() - 1)  # n - dim of the kernel
         if rank != n:
             raise ValueError(f"generator has rank {rank} < {n}: not invertible")
-        # the columns of g^m are g^m(e_i); an invertible g returns to I
-        units = tuple([1 << (n - 1 - i) for i in range(n)])
-        columns, order = images, 1
-        while columns != units:
-            columns = tuple([image[c] for c in columns])
-            order += 1
-        self.order = order
-        self._tables = self._rank = None
-
-    def _orbit_tables(self):
-        """(rep, exponent, size, cycles): per-vector lists, and each orbit's
-        vectors from its representative on, g^i(rep) at index i."""
-        if self._tables is None:
-            image = self._image
-            count = len(image)
-            rep, exponent, size = [0] * count, [0] * count, [0] * count
-            cycles = {}
-            for v in range(count):
-                if size[v]:
-                    continue
-                cycle = [v]  # v is the least vector not yet in an orbit
-                w = image[v]
-                while w != v:
-                    cycle.append(w)
-                    w = image[w]
-                for i, w in enumerate(cycle):  # g^(length - i) sends w to v
-                    rep[w], exponent[w], size[w] = v, -i % len(cycle), len(cycle)
-                cycles[v] = tuple(cycle)
-            self._tables = rep, exponent, size, cycles
-        return self._tables
+        count = len(image)
+        rep, exponent, size = [0] * count, [0] * count, [0] * count
+        cycles = {}
+        for v in range(count):
+            if size[v]:
+                continue
+            cycle = [v]  # v is the least vector not yet in an orbit
+            w = image[v]
+            while w != v:
+                cycle.append(w)
+                w = image[w]
+            for i, w in enumerate(cycle):  # g^(length - i) sends w to v
+                rep[w], exponent[w], size[w] = v, -i % len(cycle), len(cycle)
+            cycles[v] = tuple(cycle)
+        self.rep, self.exponent, self.size, self.cycles = rep, exponent, size, cycles
+        self.order = math.lcm(*map(len, cycles.values()))
+        # Per vector, its orbit size << n | (2^n - 1 - its rep): the greatest
+        # over a set names the set's largest vector orbit, the least rep on
+        # ties.
+        low = (1 << n) - 1
+        self.rank_table = [s << n | low - r for s, r in zip(size, rep)]
 
     def image(self, vectors: Iterable[int], m: int) -> List[int]:
         """g^m of each vector, in order; AmbientMismatch past F_2^n."""
         vectors = list(vectors)
         _check_packed(2, self.n,
                       (min(vectors, default=0), max(vectors, default=0)))
-        rep, exponent, size, cycles = self._orbit_tables()
+        rep, exponent, size, cycles = self.rep, self.exponent, self.size, self.cycles
         return [cycles[rep[w]][(m - exponent[w]) % size[w]] for w in vectors]
 
-    def _rank_table(self) -> List[int]:
-        """Per vector, its orbit size << n | (2^n - 1 - its representative):
-        the greatest over a set names the set's largest vector orbit, the
-        least representative on ties.  Built on first use."""
-        if self._rank is None:
-            rep, _, size, _ = self._orbit_tables()
-            low = (1 << self.n) - 1
-            self._rank = [s << self.n | low - r for s, r in zip(size, rep)]
-        return self._rank
-
-    def orbit_blocks(self, bases: Sequence[Subspace]
-                     ) -> List[Tuple[int, ...]]:
+    def orbit_blocks(self, bases) -> List[Tuple[int, ...]]:
         """The packed RREF rows, one k-tuple per block, of the blocks g(B),
-        g^2(B), ..., B of each base B's orbit, base after base, read off
-        their vectors by one read_blocks call, with no row reduction and no
-        Subspace; for k = 0 one zero block per base, its own orbit.  The
-        bases share one dimension k.
+        g^2(B), ..., B of the orbit of each block B of bases, a
+        SubspaceDesign of F_2^n, base after base, read off their vectors
+        by one read_blocks call, with no row reduction and no Subspace; for
+        k = 0 one zero block per base, its own orbit.
 
-        One packed_vector_lists call lists the bases' vectors.  The images
-        of a base's vectors under g^1..g^order are read a column at a time,
+        The bases' vectors are the design's vector_lists.  The images of a
+        base's vectors under g^1..g^order are read a column at a time,
         each vector's column one slice of its cycle, repeated, ending at
         the vector, and cut at the first image inside the base's vectors,
         the base when its 2^k vectors are distinct, or else at the last.
@@ -664,20 +636,15 @@ class GroupAction:
         cut, and the BlockError of the first that is not names it within
         its base's orbit, g^m(B) at m - 1.
         """
-        for base in bases:
-            if (base.q, base.n) != (2, self.n):
-                raise AmbientMismatch(f"base block in F_{base.q}^{base.n} "
-                                      f"under an action on F_2^{self.n}")
-        k = bases[0].dim if bases else 0
-        if any(base.dim != k for base in bases):
-            raise ValueError(f"base blocks of dimensions "
-                             f"{sorted({base.dim for base in bases})}")
+        if (bases.q, bases.n) != (2, self.n):
+            raise AmbientMismatch(f"base blocks in F_{bases.q}^{bases.n} "
+                                  f"under an action on F_2^{self.n}")
+        k = bases.k
         if not k:
             return [()] * len(bases)
-        rep, exponent, size, cycles = self._orbit_tables()
+        rep, exponent, size, cycles = self.rep, self.exponent, self.size, self.cycles
         images, starts = [], []  # every base's images, and where each starts
-        for vectors in packed_vector_lists(2, self.n, k,
-                                           [base.packed for base in bases]):
+        for vectors in bases.vector_lists:
             columns = []
             for w in vectors:
                 cycle, start = cycles[rep[w]], (1 - exponent[w]) % size[w]
@@ -712,7 +679,7 @@ class GroupAction:
 
         The anchors are the set's vectors in its largest vector orbit (least
         representative on ties; both are the same for every image of the
-        set), those of greatest _rank_table entry.  The candidates
+        set), those of greatest rank_table entry.  The candidates
         g^(e + j * length), for each anchor's exponent e, are exactly the
         elements whose image of the set holds that orbit's representative.
         The label is the least such image, as a sorted tuple.  Each image
@@ -721,8 +688,8 @@ class GroupAction:
         count.  Per set the anchors are found with one C-level max over
         the rank table, and every image is read off the orbit tables.
         """
-        rep, exponent, size, cycles = self._orbit_tables()
-        rank, n, order = self._rank_table(), self.n, self.order
+        rep, exponent, size, cycles = self.rep, self.exponent, self.size, self.cycles
+        rank, n, order = self.rank_table, self.n, self.order
         out = []
         for vectors in vector_lists:
             top = max(map(rank.__getitem__, vectors))

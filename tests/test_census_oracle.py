@@ -877,16 +877,17 @@ def actions():
 
 
 def expand_orbits(action, bases):
-    """The design of every image of every base, by brute force over the
-    whole group."""
+    """The design of every image of every block of the base design, by
+    brute force over the whole group."""
     blocks = [span(2, action.n, action.image(packed_vectors(b), m))
-              for b in bases for m in range(action.order)]
-    return SubspaceDesign.from_blocks(blocks, q=2, n=action.n, k=bases[0].dim)
+              for b in bases.blocks for m in range(action.order)]
+    return SubspaceDesign.from_blocks(blocks, q=2, n=action.n, k=bases.k)
 
 
 def random_orbit_bases(rng, action, k, count):
-    """Up to count random k-subspaces of F_2^n from different orbits, in at
-    most 200 draws (F_2^5 has only 3 orbits of hyperplanes under SUM_7_3)."""
+    """The design of up to count random k-subspaces of F_2^n from different
+    orbits, in at most 200 draws (F_2^5 has only 3 orbits of hyperplanes
+    under SUM_7_3)."""
     bases, labels = [], set()
     for _ in range(200):
         if len(bases) == count:
@@ -897,43 +898,91 @@ def random_orbit_bases(rng, action, k, count):
         if block.dim == k and label not in labels:
             labels.add(label)
             bases.append(block)
-    return bases
+    return SubspaceDesign.from_blocks(bases, q=2, n=action.n, k=k)
+
+
+def image_walk(action, base):
+    """span of the images of the base's vectors under g^1, g^2, ... up to
+    the base: its orbit, the base last."""
+    vectors = packed_vectors(base)
+    walk = [span(2, action.n, action.image(vectors, 1))]
+    while walk[-1] != base:
+        walk.append(span(2, action.n, action.image(vectors, len(walk) + 1)))
+    return walk
 
 
 def test_orbit_blocks_equal_image_walk():
-    """GroupAction.orbit_blocks against span of the images of a base's
-    vectors under g^1, g^2, ... up to the base, on every action and bases
-    of dimension 1..4: the same packed rows, a k-tuple per block, with the
-    same pivots, in the same order, for as many blocks as the orbit's size,
-    for one base and for all of a dimension's bases in one call, base after
-    base.  The zero block is its own orbit, one block with no rows; bases
-    of two dimensions are refused."""
+    """GroupAction.orbit_blocks against image_walk, on every action and
+    base designs of dimension 1..4: the same packed rows, a k-tuple per
+    block, with the same pivots, in the same order, for as many blocks as
+    the orbit's size, for a design of one base and for a design of up to
+    three in one call, base after base in the design's order.  The zero
+    block is its own orbit, one block with no rows, a design of no block
+    has none, and a design outside F_2^n is refused."""
     rng = random.Random(20261020)
     for name, action in actions().items():
         for k in range(1, 5):
             bases = random_orbit_bases(rng, action, k, 3)
             walks = []
-            for base in bases:
-                vectors = packed_vectors(base)
-                walk = [span(2, action.n, action.image(vectors, 1))]
-                while walk[-1] != base:
-                    walk.append(span(2, action.n, action.image(
-                        vectors, len(walk) + 1)))
-                blocks = action.orbit_blocks([base])
+            for base in bases.blocks:
+                walk = image_walk(action, base)
+                blocks = action.orbit_blocks(SubspaceDesign.from_blocks([base]))
                 assert blocks == [b.packed for b in walk], (name, base)
                 assert [tuple(subspaces._pivot_reader(2, action.n)(rows))
                         for rows in blocks] == [b.pivots for b in walk]
-                assert len(blocks) == action.orbit(vectors)[1]
+                assert len(blocks) == action.orbit(packed_vectors(base))[1]
                 walks += walk
             assert action.orbit_blocks(bases) == [
                 b.packed for b in walks], (name, k)
-        zero = Subspace(2, action.n, (), ())
-        assert action.orbit_blocks([zero]) == [()]
-        assert action.orbit_blocks([]) == []
-        with pytest.raises(AmbientMismatch, match="base block in F_2"):
-            action.orbit_blocks([Subspace(2, action.n + 1, (), ())])
-        with pytest.raises(ValueError, match=r"dimensions \[0, 1\]"):
-            action.orbit_blocks([zero, span(2, action.n, [1])])
+        n = action.n
+        assert action.orbit_blocks(SubspaceDesign.from_rows(2, n, 0, [()])) == [()]
+        assert action.orbit_blocks(SubspaceDesign.from_rows(2, n, 1, [])) == []
+        for q, m in [(2, n + 1), (3, n)]:
+            with pytest.raises(AmbientMismatch,
+                               match=f"base blocks in F_{q}\\^{m} under"):
+                action.orbit_blocks(SubspaceDesign.from_rows(q, m, 0, [()]))
+
+
+def column_power_order(n, columns):
+    """The least m >= 1 with g^m = I, without GroupAction's tables: the
+    columns of g^m are g^m(e_i), raised once more by g per step until they
+    are the unit vectors again."""
+    units = tuple([1 << (n - 1 - i) for i in range(n)])
+    image = [apply_columns(columns, v) for v in range(1 << n)]
+    powers, order = tuple(columns), 1
+    while powers != units:
+        powers = tuple([image[c] for c in powers])
+        order += 1
+    return order
+
+
+def test_group_action_order_is_the_least_power_returning_to_the_identity():
+    """GroupAction.order, the lcm of its cycle lengths, against
+    column_power_order on all 168 maps of GL(3,2), whose element orders are
+    1, 2, 3, 4 and 7, and on 40 seeded random invertible maps each of
+    F_2^4, F_2^5 and F_2^6; every cycle's length divides the order."""
+    gl3 = [(3, cols) for cols in itertools.product(range(1, 8), repeat=3)
+           if span(2, 3, cols).dim == 3]
+    assert len(gl3) == 168
+    rng = random.Random("group-orders")
+    maps = list(gl3)
+    for n in (4, 5, 6):
+        drawn = 0
+        while drawn < 40:
+            cols = tuple(rng.randrange(1, 1 << n) for _ in range(n))
+            if span(2, n, cols).dim == n:
+                maps.append((n, cols))
+                drawn += 1
+    orders = {}
+    for n, cols in maps:
+        action = GroupAction(n, cols)
+        assert action.order == column_power_order(n, cols), (n, cols)
+        lengths = set(map(len, action.cycles.values()))
+        assert {action.order % length for length in lengths} == {0}
+        assert set(action.size) == lengths
+        orders.setdefault(n, set()).add(action.order)
+    assert orders[3] == {1, 2, 3, 4, 7}
+    assert all(len(orders[n]) > 3 for n in (4, 5, 6))
 
 
 def test_group_action_orders_and_orbits_equal_brute_force():
@@ -1003,8 +1052,9 @@ def test_group_action_orbit_equals_brute_force_with_stabilisers():
         n = action.n
         sets = []
         if n == 7:
-            sets = [packed_vectors(bases[5]), [0, constructions.GF64_BIT]]
-            sets += [packed_vectors(base) for base in bases]
+            base_lists = [packed_vectors(base) for base in bases.blocks]
+            (diagonal,) = [v for v in base_lists if constructions.GF64_BIT in v]
+            sets = [diagonal, [0, constructions.GF64_BIT]] + base_lists
         sources = [other for other in groups if groups[other].n == n]
         for _ in range(40):
             source = rng.choice(sources)
@@ -1056,9 +1106,10 @@ def test_orbits_equal_orbit_and_brute_force():
         sets = [[0], [0, (1 << n) - 1], [(1 << n) - 1]]
         if n == 7:
             sets += [[0, constructions.GF64_BIT]]
-            sets += [packed_vectors(b) for b in bases]
+            sets += [packed_vectors(b) for b in bases.blocks]
             sets += [list(t) for t in subspaces._xor_chunk(list(
-                subspaces._local_rows(2, 3, 2)(map(packed_vectors, bases))), 2)]
+                subspaces._local_rows(2, 3, 2)(map(packed_vectors, bases.blocks))),
+                2)]
         else:  # inside the orbits of 7 and of 3 of SUM_7_3
             sets += [[0b01000, 0b10000], [0b00001, 0b00010, 0b00011],
                      [0b00100, 0b01100, 0b00001]]
@@ -1093,10 +1144,10 @@ def test_orbit_census_with_a_fixed_block():
     code_label, code_size = shift.orbit(packed_vectors(code))
     assert code.dim == 3 and code_size == 1
     rng = random.Random(7)
-    for other in random_orbit_bases(rng, shift, 3, 6):
+    for other in random_orbit_bases(rng, shift, 3, 6).blocks:
         if shift.orbit(packed_vectors(other))[0] == code_label:
             continue
-        bases = [code, other]
+        bases = SubspaceDesign.from_blocks([code, other])
         design = expand_orbits(shift, bases)
         for r in range(4):
             count, report = verify_orbits(shift, bases, r)
@@ -1136,17 +1187,64 @@ def test_orbit_census_equals_expand_and_scan_on_random_designs(name, designs):
     assert verdicts == {True, False}
 
 
+def test_orbit_path_reads_a_streamed_base_listing_once(monkeypatch):
+    """A design past XOR_CHUNK vectors keeps no vector_lists: each read
+    lists its blocks again, as a stream that can be read once.  With the
+    design's XOR_CHUNK at 2 every base design here streams, and with the
+    lister's at 8 its blocks go in several chunks.  verify_orbits, at every
+    r, and orbit_blocks must still equal expand and scan of the expanded
+    design and the image walk, and each lists the bases once."""
+    rng = random.Random("streamed-bases")
+    cases = []
+    for name, action in actions().items():
+        for k in (2, 3):
+            bases = random_orbit_bases(rng, action, k, rng.randint(2, 4))
+            walk = [b.packed for base in bases.blocks
+                    for b in image_walk(action, base)]
+            cases.append((action, bases, expand_orbits(action, bases), walk))
+    monkeypatch.setattr(designs, "XOR_CHUNK", 2)
+    monkeypatch.setattr(subspaces, "XOR_CHUNK", 8)
+    calls = []
+    lister = designs.span_vector_lists
+
+    def counted(q, n, k, row_lists):
+        calls.append(k)
+        return lister(q, n, k, row_lists)
+    monkeypatch.setattr(designs, "span_vector_lists", counted)
+    for action, bases, design, walk in cases:
+        k = bases.k
+        streamed = SubspaceDesign.from_rows(2, action.n, k, bases.packed)
+        for r in range(k + 1):
+            calls.clear()
+            count, report = verify_orbits(action, streamed, r)
+            assert calls == [k]
+            assert count == len(design)
+            assert report == verify_covering(design, r, "expand")
+            assert report == verify_covering(design, r, "scan")
+        calls.clear()
+        assert action.orbit_blocks(streamed) == walk
+        assert calls == [k]
+        assert "vector_lists" not in vars(streamed)
+
+
 def test_orbit_census_rejects_bad_input():
+    """Two distinct bases in one orbit are refused, named by their places
+    in the base design's order; a base given twice is one block of the
+    design, so its orbit counts once."""
     singer, bases, _ = gf64_orbits()
-    shifted = span(2, 7, singer.image(packed_vectors(bases[0]), 5))
-    with pytest.raises(ValueError, match="base blocks 0 and 7 lie in one orbit"):
-        verify_orbits(singer, bases + [shifted], 2)
+    shifted = span(2, 7, singer.image(packed_vectors(bases.blocks[0]), 5))
+    with pytest.raises(ValueError, match="base blocks 0 and 5 lie in one orbit"):
+        verify_orbits(singer, SubspaceDesign.from_blocks(
+            bases.blocks + (shifted,)), 2)
+    twice = SubspaceDesign.from_blocks(bases.blocks * 2)
+    assert twice == bases
+    assert verify_orbits(singer, twice, 2) == verify_orbits(singer, bases, 2)
     with pytest.raises(ValueError, match="rank 2 < 3: not invertible"):
         GroupAction(3, [0b001, 0b010, 0b011])
     with pytest.raises(ValueError, match="need 3 column images"):
         GroupAction(3, [0b001, 0b010])
     with pytest.raises(ValueError, match="at least one base"):
-        verify_orbits(singer, [], 2)
+        verify_orbits(singer, SubspaceDesign.from_rows(2, 7, 3, []), 2)
     with pytest.raises(ValueError, match="need 0 <= r <= k"):
         verify_orbits(singer, bases, 4)
 
@@ -1191,12 +1289,13 @@ def test_bound_table_raises_on_bad_gf64_input(monkeypatch):
         patch.setattr(constructions, "GF64_QUADS",
                       ((0, 1, 4, 17),) + GF64_QUADS[1:])
         raises("spans dim 4, not 3")
-        # one quadruple twice: two base blocks in one orbit, which
-        # verify_orbits refuses.  The shipped constants never do this; only
-        # patching GF64_QUADS reaches it.
+        # one quadruple twice, in place of the second: the base design
+        # holds it once, so its six orbits hold 5 * 63 + 21 blocks.  The
+        # shipped constants never do this; only patching GF64_QUADS
+        # reaches it.
         patch.setattr(constructions, "GF64_QUADS",
                       GF64_QUADS[:1] * 2 + GF64_QUADS[2:])
-        raises("base blocks 0 and 1 lie in one orbit", ValueError)
+        raises("gf64 block count 336 != 399")
     for exponents, message in [((0, 1, 2), "not closed under addition"),
                                ((0, 9, 18, 27, 36, 45, 54),
                                 "gf64 block count 345 != 399")]:

@@ -1,7 +1,7 @@
 """Differential tests of the censuses against a per-block loop.
 
 Both expand censuses count every block's keys in one pass: the _local_rows
-reader reads them off the vector lists that packed_vector_lists (covering)
+reader reads them off the vector lists that span_vector_lists (covering)
 or complement_vectors (Turan) builds for the whole design, for q = 2 a
 chunk of XOR_CHUNK >> dim lists at a time, column-wise when the chunk holds
 2^dim lists or more.  The reference here is the loop that pass replaced:
@@ -170,7 +170,7 @@ def test_expand_equals_per_block_loop_over_several_chunks(monkeypatch):
     monkeypatch.setattr(subspaces, "XOR_CHUNK", 32)
     calls = spanned_one_by_one(monkeypatch)
     listers = [
-        (2, lambda rows, pivots: subspaces.packed_vector_lists(2, 6, 2, rows)),
+        (2, lambda rows, pivots: subspaces.span_vector_lists(2, 6, 2, rows)),
         (4, lambda rows, pivots: complement_vectors(2, 6, 4, rows, pivots))]
     for k, lists in listers:
         design = SubspaceDesign.from_blocks(

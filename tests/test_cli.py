@@ -210,7 +210,7 @@ def test_each_construction_kind_raises_with_its_failed_census(tmp_path,
                             lambda action, bases, r: (399, UNCOVERED))
     elif kind == "partial-spread":
         # certified by an exact partition check, which carries no report
-        monkeypatch.setattr(constructions, "packed_vector_lists",
+        monkeypatch.setattr(constructions, "span_vector_lists",
                             lambda q, n, k, blocks: [[0, 1]] * len(blocks))
         report = None
     else:  # only the census of the output fails, not those of its inputs

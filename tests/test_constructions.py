@@ -394,7 +394,7 @@ def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
     base and 49 target orbits: 56 lists labelled through
     GroupAction.orbits for the design and for the bound table alike.  The
     construction reads every base's orbit with one GroupAction.orbit_blocks
-    call, and no orbit is sized twice."""
+    call on the design of the 7 bases, and no orbit is sized twice."""
     labelled, blocks = [], []
     orbits, orbit_blocks = GroupAction.orbits, GroupAction.orbit_blocks
 
@@ -421,7 +421,8 @@ def corrupt_images(action, images):
     """Replace g(v) by images[v] in action's cycle tables, which
     GroupAction.orbit_blocks reads; every g(v) is read before any entry
     changes."""
-    rep, exponent, size, cycles = action._orbit_tables()
+    rep, exponent, size, cycles = (action.rep, action.exponent, action.size,
+                                   action.cycles)
     for u, w in [(action.image([v], 1)[0], w) for v, w in images.items()]:
         cycle = list(cycles[rep[u]])
         cycle[-exponent[u] % size[u]] = w
@@ -436,7 +437,7 @@ def test_gf64_image_of_rank_below_3_raises(monkeypatch):
     orbit_blocks = GroupAction.orbit_blocks
 
     def corrupted(self, bases):
-        vectors = packed_vectors(bases[0])  # row 1 is the slowest digit
+        vectors = list(bases.vector_lists[0])  # row 1 is the slowest digit
         half = len(vectors) // 2
         corrupt_images(self, {v: self.image([w], 1)[0]
                               for v, w in zip(vectors[half:], vectors[:half])})
@@ -458,7 +459,7 @@ def test_gf64_image_off_a_block_raises(monkeypatch, outside, message):
     orbit_blocks = GroupAction.orbit_blocks
 
     def corrupted(self, bases):
-        vectors = packed_vectors(bases[0])
+        vectors = list(bases.vector_lists[0])
         images = set(self.image(vectors, 1))
         w = min(set(range(1 << self.n)) - images) if outside else 0
         corrupt_images(self, {vectors[1]: w})
@@ -472,13 +473,13 @@ def test_gf64_image_error_names_the_image_in_its_base_orbit(monkeypatch):
     """orbit_blocks reads every base's images in one read_blocks call, yet
     a bad image is named by its place in its own base's orbit.  Here the
     cycle tables send the fixed vector GF64_BIT, which only the diagonal
-    base (the sixth, after 5 * 63 images) holds, to 0: its first image
-    holds 0 twice."""
+    base (the sixth in the base design's order, after 5 * 63 images)
+    holds, to 0: its first image holds 0 twice."""
     orbit_blocks = GroupAction.orbit_blocks
 
     def corrupted(self, bases):
-        assert [constructions.GF64_BIT in packed_vectors(b)
-                for b in bases] == [False] * 5 + [True, False]
+        assert [constructions.GF64_BIT in vectors for vectors
+                in bases.vector_lists] == [False] * 5 + [True, False]
         corrupt_images(self, {constructions.GF64_BIT: 0})
         return orbit_blocks(self, bases)
     monkeypatch.setattr(GroupAction, "orbit_blocks", corrupted)

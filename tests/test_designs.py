@@ -350,24 +350,24 @@ def test_gf64_and_its_file_make_no_xor_rref_call(monkeypatch):
     assert calls == []
 
 
-def test_gf64_op_builds_only_its_seven_bases(tmp_path, subspace_builds):
-    """construct gf64, save, load and the r = 2 census build a Subspace for
-    the seven base blocks of gf64_orbits only: the 399 blocks go from
-    orbit_blocks' rows to the design, the file and the census as packed
-    rows, and no blocks view is built.  The CLI's construct and verify do
-    the same."""
+def test_gf64_op_builds_no_subspace(tmp_path, subspace_builds):
+    """construct gf64, save, load and the r = 2 census build no Subspace:
+    the seven base blocks go from read_blocks' rows to a design, the 399
+    blocks from orbit_blocks' rows to the design, the file and the census
+    as packed rows, and no blocks view is built.  The CLI's construct,
+    verify and bounds --filter 7,3,2, the gf64-cli op, do the same."""
     path = tmp_path / "gf64.txt"
     design = gf64_covering_design()
     designs.save_design(design, path)
     loaded = designs.load_design(path)
     assert verify_covering(loaded, 2).is_covering
-    assert len(subspace_builds) == 7
     assert len(loaded) == len(design) == 399 and loaded == design
     assert "blocks" not in vars(design) and "blocks" not in vars(loaded)
-    subspace_builds.clear()
     assert cli.main(["construct", "gf64", "-o", str(path)]) == 0
     assert cli.main(["verify", str(path), "--mode", "covering", "--r", "2"]) == 0
-    assert len(subspace_builds) == 7
+    assert cli.main(["bounds", "--q", "2", "--n-max", "7",
+                     "--filter", "7,3,2"]) == 0
+    assert subspace_builds == []
 
 
 def packed_rows(block):
@@ -695,7 +695,7 @@ def test_q2_block_past_the_vector_budget_raises_before_any_column(monkeypatch):
     monkeypatch.setattr(subspaces, "_xor_chunk", refuse)
     design = SubspaceDesign.from_blocks([full_space(2, 25)])
     with pytest.raises(BudgetError, match=r"2\^25 vectors exceed"):
-        subspaces.packed_vector_lists(2, 25, 25, design.packed)
+        subspaces.span_vector_lists(2, 25, 25, design.packed)
     for strategy in ("expand", "scan"):
         with pytest.raises(BudgetError):
             verify_covering(design, 0, strategy)
@@ -706,15 +706,16 @@ FIELDS = {"q", "n", "k", "packed", "pivots"}
 
 
 def counted_listings(monkeypatch):
-    """Patches subspaces.span_vector_lists, which packed_vector_lists and
-    complement_vectors call once per listing, to record each call's
-    dimension."""
+    """Patches span_vector_lists where its callers read it, designs for a
+    design's vector_lists and subspaces for complement_vectors, which call
+    it once per listing, to record each call's dimension."""
     calls = []
     span_vector_lists = subspaces.span_vector_lists
 
     def counted(q, n, k, row_lists):
         calls.append(k)
         return span_vector_lists(q, n, k, row_lists)
+    monkeypatch.setattr(designs, "span_vector_lists", counted)
     monkeypatch.setattr(subspaces, "span_vector_lists", counted)
     return calls
 
@@ -840,10 +841,11 @@ def test_census_self_checks_hold_under_optimize():
         "                in super().orbits(vector_lists)]\n"
         "shift = GroupAction(4, [4, 2, 1, 8])\n"
         "base = span(2, 4, [8, 4])\n"
-        "print(sys.flags.optimize, designs.verify_orbits(shift, [base], 1)[0])\n"
+        "base = designs.SubspaceDesign.from_blocks([base])\n"
+        "print(sys.flags.optimize, designs.verify_orbits(shift, base, 1)[0])\n"
         "for call in (lambda: designs._report(10, Counter({0: 3, 1: 4}), ()),\n"
         "             lambda: designs.verify_orbits(Off(4, [4, 2, 1, 8]),\n"
-        "                                           [base], 1)):\n"
+        "                                           base, 1)):\n"
         "    try:\n"
         "        call()\n"
         "    except RuntimeError as exc:\n"
@@ -880,9 +882,11 @@ def _empty(q, n, k):
     return SubspaceDesign.from_blocks([], q=q, n=n, k=k)
 
 
-def _unit_rows(q, n, k):
-    """The span of the first k unit vectors of F_q^n."""
-    return tuple_span(q, n, [tuple(int(i == j) for j in range(n)) for i in range(k)])
+def _unit_design(q, n, k):
+    """The design of one block of F_q^n, the span of the first k unit
+    vectors."""
+    return SubspaceDesign.from_blocks([tuple_span(
+        q, n, [tuple(int(i == j) for j in range(n)) for i in range(k)])])
 
 
 # Each input guard of qcover.designs: a call, the exception it raises and a
@@ -899,10 +903,11 @@ def _unit_rows(q, n, k):
     pytest.param(lambda: verify_turan(_empty(2, 13, 1), 2), BudgetError,
                  "[13 2]_2 exceeds", id="verify_turan-budget"),
     pytest.param(lambda: verify_orbits(GroupAction(3, [1, 2, 4]),
-                                       [_unit_rows(3, 3, 1)], 1),
-                 AmbientMismatch, "base block (3,3,dim 1)", id="verify_orbits-q3-base"),
+                                       _unit_design(3, 3, 1), 1),
+                 AmbientMismatch, "base blocks in F_3^3 under an action on F_2^3",
+                 id="verify_orbits-q3-base"),
     pytest.param(lambda: verify_orbits(GroupAction(13, [1 << i for i in range(13)]),
-                                       [_unit_rows(2, 13, 2)], 2),
+                                       _unit_design(2, 13, 2), 2),
                  BudgetError, "[13 2]_2 exceeds", id="verify_orbits-budget"),
     pytest.param(lambda: verify_steiner_system(SetSystem.from_blocks(7, [(0, 1)]), 3),
                  ValueError, "t exceeds the block size", id="steiner-t-above-size"),

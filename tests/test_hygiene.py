@@ -65,6 +65,12 @@ on every read, for tests and repr.  An AST scan fails on any rows attribute,
 and any "rows" string passed to getattr or attrgetter, in src/qcover
 outside the class Subspace.
 
+A list of blocks in src/qcover is a design, not a container of Subspaces:
+an AST scan fails on any function parameter annotated as a Sequence, List,
+Iterable or Tuple of Subspace (a name or an attribute, at any depth of the
+annotation, a string annotation parsed) outside SUBSPACE_LISTS, which gives
+the reason each of those stays.
+
 A self-check in src/qcover must hold under python -O, which strips assert
 statements: an AST scan fails on any assert there, so each check raises
 explicitly.
@@ -136,8 +142,8 @@ SUBSPACE_SITES = {
         "the block of the rows and pivots _perp_rows writes",
     ("subspaces.py", "_rref_blocks"):
         "the builder from packed RREF rows, any q: enumerate_grassmannian, "
-        "subspaces_of, the gf64 bases read_blocks reads and the residual of "
-        "_field_tower that partial_spread returns",
+        "subspaces_of and the residual of _field_tower that partial_spread "
+        "returns",
     ("designs.py", "SubspaceDesign"):
         "the blocks view builds each block once, on first read, from the "
         "packed rows and pivots the design holds: a design itself holds no "
@@ -145,6 +151,12 @@ SUBSPACE_SITES = {
     ("designs.py", "_misses"):
         "builds a witness only, with the pivots its grassmannian_choices "
         "entry gives: a per-witness _rref_blocks call costs more",
+}
+
+# (module, qualified function, parameter) -> why it takes Subspaces.
+SUBSPACE_LISTS = {
+    ("designs.py", "SubspaceDesign.from_blocks", "blocks"):
+        "the checked adapter from Subspaces, for callers outside the package",
 }
 
 
@@ -676,6 +688,71 @@ def test_len_of_blocks_scan_finds_each_form():
               "def d(design):\n    return f'{len(design.blocks[1:])}', sum(design.blocks)\n"
               "class E:\n    def __len__(self):\n        return len(self.blocks)\n")
     assert len_of_blocks(source) == [(2, "a"), (5, "B"), (6, None)]
+
+
+def subspace_list_params(source: str):
+    """(line, qualified function, parameter) of every function parameter
+    whose annotation holds a Sequence, List, Iterable or Tuple subscripted
+    by Subspace, each a name or an attribute; a string annotation is
+    parsed first."""
+    containers = {"Sequence", "List", "Iterable", "Tuple"}
+
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def holds_subspaces(annotation):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval").body
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Subscript) and name(node.value) in containers:
+                items = node.slice.elts if isinstance(node.slice, ast.Tuple) \
+                    else [node.slice]
+                if any(name(item) == "Subspace" for item in items):
+                    return True
+        return False
+
+    found = []
+
+    def visit(tree, prefix):
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                            + [args.vararg, args.kwarg]):
+                    if arg is not None and holds_subspaces(arg.annotation):
+                        found.append((arg.lineno, prefix + node.name, arg.arg))
+            visit(node, prefix + node.name + "." if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                else prefix)
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_src_takes_no_list_of_subspaces():
+    found = {(path.name, owner, arg) for path in SOURCES for _, owner, arg
+             in subspace_list_params(path.read_text(encoding="utf-8"))}
+    assert found == set(SUBSPACE_LISTS)
+
+
+def test_subspace_list_scan_finds_each_form():
+    source = ("import typing\n"
+              "from . import subspaces\n"
+              "def a(bases: Sequence[Subspace], r: int) -> List[Subspace]:\n"
+              "    return bases\n"
+              "class B:\n"
+              "    def m(self, blocks: typing.List[subspaces.Subspace] = ()):\n"
+              "        def inner(*xs: Tuple[Subspace, ...]):\n"
+              "            return xs\n"
+              "def c(s: Subspace, d: Dict[Subspace, int], v: Sequence[int]):\n"
+              "    return s, d, v\n"
+              "def e(*, maybe: Optional[Iterable[Subspace]] = None,\n"
+              "      text: 'Sequence[Subspace]' = ()):\n"
+              "    return maybe, text\n"
+              "def f(design: SubspaceDesign, pair: Tuple[int, Subspace]):\n"
+              "    return design, pair\n")
+    assert subspace_list_params(source) == [
+        (3, "a", "bases"), (6, "B.m", "blocks"), (7, "B.m.inner", "xs"),
+        (11, "e", "maybe"), (12, "e", "text"), (14, "f", "pair")]
 
 
 def asserts(source: str):

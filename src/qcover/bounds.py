@@ -47,14 +47,19 @@ def basic_lower(n: int, k: int, r: int, q: int) -> int:
 def schonheim_lower(n: int, k: int, r: int, q: int) -> int:
     """Iterated q-Schonheim bound, ceilings taken at every level.
 
-    Recursion: C_q(n,k,r) >= ceil((q^n-1)/(q^k-1) * C_q(n-1,k-1,r-1)), with
-    the exact r = 1 value as the base case.
+    Recursion: C_q(n,k,r) >= ceil((q^n-1)/(q^k-1) * C_q(n-1,k-1,r-1)), one
+    _schonheim_step from the bound at (n-1, k-1, r-1), with the exact
+    r = 1 value, the step from 1, as the base case.
     """
     if not 1 <= r <= k <= n:
         raise ValueError(f"need 1 <= r <= k <= n, got ({n},{k},{r})")
-    if r == 1:
-        return -(-(q ** n - 1) // (q ** k - 1))
-    inner = schonheim_lower(n - 1, k - 1, r - 1, q)
+    inner = 1 if r == 1 else schonheim_lower(n - 1, k - 1, r - 1, q)
+    return _schonheim_step(n, k, q, inner)
+
+
+def _schonheim_step(n: int, k: int, q: int, inner: int) -> int:
+    """ceil((q^n-1)/(q^k-1) * inner): one level of the q-Schonheim
+    recursion, the only place its formula is written."""
     return -(-(q ** n - 1) * inner // (q ** k - 1))
 
 
@@ -137,11 +142,14 @@ def bound_table(q: int, n_max: int = 12) -> Dict[Tuple[int, int, int], BoundReco
 
     Lower = max of the counting, Schonheim, de Caen and exact values; upper =
     min of the trivial Gaussian bound, the block-count recursion for k < n,
-    exact values and registered designs: for q = 2 the 399-block gf64
+    registered designs and exact values: for q = 2 the 399-block gf64
     design at (7, 3, 2), whose count gf64_orbits certifies on its design
-    of seven base blocks, building neither the 399 nor any Subspace.  The
-    recursion reads only n - 1 entries, so one pass in n order is the
-    fixed point, and registered uppers feed forward through it.
+    of seven base blocks, building neither the 399 nor any Subspace.  Each
+    bound is chosen by direct comparisons in that candidate order, and a
+    tie keeps the earlier source.  The recursion reads only n - 1 entries,
+    so one pass in n order is the fixed point, and registered uppers feed
+    forward through it; the pass carries each row's Schonheim value the
+    same way, one _schonheim_step from the value at (n-1, k-1, r-1).
     """
     if q not in (2, 3):
         raise ValueError("bound table supports q in {2, 3}")
@@ -156,27 +164,36 @@ def bound_table(q: int, n_max: int = 12) -> Dict[Tuple[int, int, int], BoundReco
 
     records: Dict[Tuple[int, int, int], BoundRecord] = {}
     uppers: Dict[Tuple[int, int, int], int] = {}
+    schonheims: Dict[Tuple[int, int, int], int] = {}
     params = ((n, k, r) for n in range(1, n_max + 1)
               for k in range(1, n + 1) for r in range(1, k + 1))
-    for n, k, r in params:
+    for key in params:
+        n, k, r = key
         # by duality the Turan bound [n-k+r r]_q also bounds C_q(n,k,r)
-        up_cands = [(turan_upper(n, k, r, q), "trivial")]
+        up, up_src = turan_upper(n, k, r, q), "trivial"
         if k < n:
-            up_cands.append((recursive_upper(n, k, r, q, uppers), "recursive"))
-        if (n, k, r) in registered:
-            up_cands.append(registered[(n, k, r)])
-        lo_cands = [(basic_lower(n, k, r, q), "basic"),
-                    (schonheim_lower(n, k, r, q), "schonheim")]
+            value = recursive_upper(n, k, r, q, uppers)
+            if value < up:
+                up, up_src = value, "recursive"
+        if key in registered and registered[key][0] < up:
+            up, up_src = registered[key]
+        lo, lo_src = basic_lower(n, k, r, q), "basic"
+        value = schonheims[key] = _schonheim_step(
+            n, k, q, schonheims[n - 1, k - 1, r - 1] if r > 1 else 1)
+        if value > lo:
+            lo, lo_src = value, "schonheim"
         if r == k - 1 and k < n:
-            lo_cands.append((decaen_lower(n, k, q), "decaen"))
+            value = decaen_lower(n, k, q)
+            if value > lo:
+                lo, lo_src = value, "decaen"
         exact = _exact_with_source(n, k, r, q)
         if exact:
-            up_cands.append(exact)
-            lo_cands.append(exact)
-        up, up_src = min(up_cands, key=lambda t: t[0])
-        lo, lo_src = max(lo_cands, key=lambda t: t[0])
-        uppers[(n, k, r)] = up
-        records[(n, k, r)] = BoundRecord(q, n, k, r, lo, lo_src, up, up_src)
+            if exact[0] < up:
+                up, up_src = exact
+            if exact[0] > lo:
+                lo, lo_src = exact
+        uppers[key] = up
+        records[key] = BoundRecord(q, n, k, r, lo, lo_src, up, up_src)
     return records
 
 

@@ -331,11 +331,12 @@ def gf64_orbits() -> Tuple[GroupAction, SubspaceDesign, int]:
     its seven base blocks and the design's block count.
 
     A vector (beta, b) is the vec_pack of beta's coefficient vector
-    followed by b.  beta -> (beta, 0) is linear, so _xor_span tables it
-    from the vectors of x^5, ..., x, 1 (bit j of beta picks x^j's), and
-    XOR adds vectors, b is GF64_BIT, (alpha^j, 0) is power[j] and, as
-    alpha = x, e_i is power[i] for i < 6.  The orbits
-    of five quadruple blocks and a fixed 7-element multiplicative pattern
+    followed by b, so x^j's vector is the single bit 64 >> j.  beta ->
+    (beta, 0) is linear, so _xor_span tables it from the vectors of
+    x^5, ..., x, 1, the shifts 2 << i for i = 0..5 (bit j of beta picks
+    x^j's), and XOR adds vectors, b is GF64_BIT, (alpha^j, 0) is power[j]
+    and, as alpha = x, e_i is power[i] for i < 6.  The orbits of five
+    quadruple blocks and a fixed 7-element multiplicative pattern
     have 63 blocks each, that of the diagonal block
     {0, 1, alpha^21, alpha^42} x GF(2) has 21.  The quadruples are checked,
     and read_blocks reads each base block's rows off its eight vectors,
@@ -350,8 +351,7 @@ def gf64_orbits() -> Tuple[GroupAction, SubspaceDesign, int]:
         raise ConstructionError(f"GF(64) modulus {gf64.modulus} is not "
                                 f"x^6 + x + 1")
     _check_gf64_quads(gf64)
-    vector = _xor_span([vec_pack(2, coefficients(2, 6, 1 << j) + (0,))
-                        for j in reversed(range(6))])
+    vector = _xor_span([2 << i for i in range(6)])
     power = list(map(vector.__getitem__, gf64.exp))
     singer = GroupAction(7, power[1:7] + [GF64_BIT])
     bases = []  # the packed vectors of each base block

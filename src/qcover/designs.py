@@ -22,10 +22,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 from .bounds import gaussian
 from .fields import FieldError, get_gf, vec_pack
-from .subspaces import (MAX_SUBSPACE_ENUM, XOR_CHUNK, AmbientMismatch,
-                        BudgetError, GroupAction, Subspace, _canonical_rows,
-                        _digit_table, _local_rows, _perp_rows, _pivot_reader,
-                        _span_rows, _xor_chunk, _xor_span, check_ambient,
+from .subspaces import (DIGIT_TABLE_MAX, MAX_SUBSPACE_ENUM, XOR_CHUNK,
+                        AmbientMismatch, BudgetError, GroupAction, Subspace,
+                        _canonical_rows, _digit_table, _local_rows,
+                        _perp_rows, _pivot_reader, _span_rows, _xor_chunk,
+                        _xor_span, check_ambient,
                         complement_generators, complement_vectors,
                         grassmannian_choices, grassmannian_rows,
                         span_vector_lists, subspace_count,
@@ -500,22 +501,38 @@ class FormatError(ValueError):
 def design_to_text(design: SubspaceDesign) -> str:
     """The design file: one digit per coordinate, so q is at most 10.
 
-    Blocks share rows, so each distinct packed row's word is built once;
-    one " ".join map over the words of all rows, k at a time, builds the
-    block lines, and a k = 0 design writes its zero block as an empty line.
+    Each packed row's word is read off _word_table while F_q^n holds at
+    most DIGIT_TABLE_MAX vectors; past it, blocks share rows, so each
+    distinct row's word is built once per call.  One " ".join map over
+    the words of all rows, k at a time, builds the block lines, and a
+    k = 0 design writes its zero block as an empty line.
     """
-    if design.q > 10:
-        raise FormatError(f"q={design.q} has coordinates above 9, and the "
+    q, n = design.q, design.n
+    if q > 10:
+        raise FormatError(f"q={q} has coordinates above 9, and the "
                           f"design file writes one digit per coordinate "
                           f"(q <= 10)")
-    unpack = _digit_table(design.q, design.n)[0]
-    word = {v: "".join(map(str, unpack(v))) for v in
-            set(itertools.chain.from_iterable(design.packed))}
-    words = map(word.__getitem__, itertools.chain.from_iterable(design.packed))
-    lines = [DESIGN_MAGIC, f"q={design.q} n={design.n} k={design.k}"]
+    if q ** n <= DIGIT_TABLE_MAX:
+        word = _word_table(q, n)
+    else:
+        unpack = _digit_table(q, n)[0]
+        word = {v: "".join(map(str, unpack(v))) for v in
+                set(itertools.chain.from_iterable(design.packed))}.__getitem__
+    words = map(word, itertools.chain.from_iterable(design.packed))
+    lines = [DESIGN_MAGIC, f"q={q} n={n} k={design.k}"]
     lines += (map(" ".join, zip(*[words] * design.k)) if design.k
               else [""] * len(design))
     return "\n".join(lines) + "\n"
+
+
+# Bounded like _digit_table, whose unpack it reads: one list per (q, n) of
+# at most DIGIT_TABLE_MAX words.
+@functools.lru_cache(maxsize=16)
+def _word_table(q: int, n: int) -> Callable[[int], str]:
+    """The design file's word of each packed vector of F_q^n, as the lookup
+    of a list indexed by its packed int."""
+    unpack = _digit_table(q, n)[0]
+    return ["".join(map(str, unpack(v))) for v in range(q ** n)].__getitem__
 
 
 def design_from_text(text: str) -> SubspaceDesign:

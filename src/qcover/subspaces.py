@@ -332,7 +332,9 @@ def grassmannian_choices(q: int, n: int, k: int
     k-subspaces with these pivots in enumerate_grassmannian order.
     A first row with more than ROW_CHUNK choices is split, in order, over
     several yields with the same pivots, one per value of its leading free
-    columns, so a caller that stops early builds only one part of it.
+    columns, so a caller that stops early builds only one part of it.  The
+    last of those columns, when it alone has more than ROW_CHUNK values,
+    takes them in runs of ROW_CHUNK instead, one run per yield.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -345,29 +347,37 @@ def grassmannian_choices(q: int, n: int, k: int
         if not split:
             yield pivots, _row_choices(q, n, pivots, ())
             continue
-        for head in itertools.product(range(q), repeat=split):
+        run = ROW_CHUNK if q > ROW_CHUNK else 1
+        runs = [range(a, min(a + run, q)) for a in range(0, q, run)]
+        for head in itertools.product(*[range(q)] * (split - 1), runs):
             yield pivots, _row_choices.__wrapped__(q, n, pivots, head)
 
 
 # Bounded; a census run in F_q^n with n <= 7 touches a few hundred pivot
 # sets.  Split first rows bypass it: their parts would crowd it out.
 @functools.lru_cache(maxsize=512)
-def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: Tuple[int, ...]):
+def _row_choices(q: int, n: int, pivots: Tuple[int, ...], head: tuple):
     """The packed row choices of grassmannian_choices for one pivot set, the
-    first row's leading free columns fixed to head: a row's lead (its
-    pivot's place, plus head's digits at theirs) plus each entry of the
-    _unit_table of its free columns' places, built uncached, as tables of
-    up to ROW_CHUNK entries would crowd the span's cache."""
+    first row's leading free columns fixed to head, digits and then a range
+    of values of the last of them: a row's leads (its pivot's place, plus
+    head's digits at theirs) plus each entry of the _unit_table of its free
+    columns' places, built uncached, as tables of up to ROW_CHUNK entries
+    would crowd the span's cache."""
     place = _places(q, n)
     pivset = set(pivots)
     out = []
     for i, p in enumerate(pivots):
         free = [place[c] for c in range(p + 1, n) if c not in pivset]
         lead = place[p]
-        if i == 0:
-            lead += sum(map(mul, head, free))
+        leads = (lead,)
+        if i == 0 and head:
+            *digits, values = head
+            lead += sum(map(mul, digits, free))
+            leads = [lead + d * free[len(digits)] for d in values]
             free = free[len(head):]
-        out.append(tuple(map(lead.__add__, _unit_table.__wrapped__(q, free))))
+        table = _unit_table.__wrapped__(q, free)
+        out.append(tuple(itertools.chain.from_iterable(
+            map(lead.__add__, table) for lead in leads)))
     return tuple(out)
 
 

@@ -164,10 +164,48 @@ def reference_decaen_lower(n, k, q):
                      * gaussian(n, k + 1, q))
 
 
+def reference_exact(n, k, r, q):
+    if r == 1 < k < n:
+        return math.ceil(Fraction(q ** n - 1, q ** k - 1)), "exact:r=1"
+    return bounds._exact_with_source(n, k, r, q)
+
+
+def reference_bound_table(q, n_max):
+    """(lower, lower_src, upper, upper_src) per row, from the Fraction
+    helpers: each row's candidate lists, in source order, and the first
+    minimal upper and maximal lower among them."""
+    registered = {(7, 3, 2): (399, "gf64")} if q == 2 and n_max >= 7 else {}
+    uppers, rows = {}, {}
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for r in range(1, k + 1):
+                up_cands = [(gaussian(n - k + r, r, q), "trivial")]
+                if k < n:
+                    inner = 1 if r == 1 else uppers[n - 1, k - 1, r - 1]
+                    up_cands.append((q ** (n - k) * inner + uppers[n - 1, k, r],
+                                     "recursive"))
+                if (n, k, r) in registered:
+                    up_cands.append(registered[n, k, r])
+                lo_cands = [(reference_basic_lower(n, k, r, q), "basic"),
+                            (reference_schonheim_lower(n, k, r, q), "schonheim")]
+                if r == k - 1 and k < n:
+                    lo_cands.append((reference_decaen_lower(n, k, q), "decaen"))
+                exact = reference_exact(n, k, r, q)
+                if exact:
+                    up_cands.append(exact)
+                    lo_cands.append(exact)
+                up = min(up_cands, key=lambda t: t[0])
+                lo = max(lo_cands, key=lambda t: t[0])
+                uppers[n, k, r] = up[0]
+                rows[n, k, r] = (*lo, *up)
+    return rows
+
+
 @pytest.mark.parametrize("q", [2, 3])
-def test_bound_table_equals_fraction_reference(monkeypatch, q):
+def test_bound_table_equals_fraction_reference(q):
     """The integer ceilings equal ceilings of exact Fractions, bound by
-    bound and in the whole table up to n = 12."""
+    bound, and every table up to n_max = 12, values and sources, equals
+    the reference table built from them row by row."""
     params = [(n, k, r) for n in range(1, 13) for k in range(1, n + 1)
               for r in range(1, k + 1)]
     for n, k, r in params:
@@ -175,18 +213,10 @@ def test_bound_table_equals_fraction_reference(monkeypatch, q):
         assert schonheim_lower(n, k, r, q) == reference_schonheim_lower(n, k, r, q)
         if k < n:
             assert decaen_lower(n, k, q) == reference_decaen_lower(n, k, q)
-    table = bound_table(q, 12)
-    exact = bounds._exact_with_source
-
-    def reference_exact(n, k, r, q):
-        if r == 1 < k < n:
-            return math.ceil(Fraction(q ** n - 1, q ** k - 1)), "exact:r=1"
-        return exact(n, k, r, q)
-    monkeypatch.setattr(bounds, "basic_lower", reference_basic_lower)
-    monkeypatch.setattr(bounds, "schonheim_lower", reference_schonheim_lower)
-    monkeypatch.setattr(bounds, "decaen_lower", reference_decaen_lower)
-    monkeypatch.setattr(bounds, "_exact_with_source", reference_exact)
-    assert bound_table(q, 12) == table
+    for n_max in range(1, 13):
+        table = bound_table(q, n_max)
+        assert {key: (rec.lower, rec.lower_src, rec.upper, rec.upper_src)
+                for key, rec in table.items()} == reference_bound_table(q, n_max)
     assert len(table) == len(params)
 
 

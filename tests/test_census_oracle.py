@@ -803,6 +803,47 @@ def test_enumerate_grassmannian_equals_template_odometer(q, row_chunk,
             assert list(grassmannian_rows(q, n, k)) == [t for t, _ in expected]
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_a_column_past_row_chunk_splits_into_runs(q, monkeypatch):
+    """With ROW_CHUNK = 4 < q the last fixed column of a split first row
+    takes its q values in runs of at most 4, in odometer order: the
+    entries' products and grassmannian_rows equal the unsplit enumeration
+    for every n <= 4 and k, each first row lists at most 4 choices, and a
+    pivot set with f free first-row columns takes q^(f-1) * ceil(q / 4)
+    entries, one per run."""
+    unsplit = {(n, k): list(grassmannian_rows(q, n, k))
+               for n in range(5) for k in range(n + 1)}
+    monkeypatch.setattr(subspaces, "ROW_CHUNK", 4)
+    for (n, k), expected in unsplit.items():
+        entries = list(grassmannian_choices(q, n, k))
+        assert [t for _, packed in entries
+                for t in itertools.product(*packed)] == expected, (n, k)
+        assert list(grassmannian_rows(q, n, k)) == expected, (n, k)
+        assert all(len(packed[0]) <= 4 for _, packed in entries if packed)
+        for pivots, count in Counter(pivots for pivots, _ in entries).items():
+            free = n - k - pivots[0] if pivots else 0
+            assert count == (q ** (free - 1) * -(-q // 4) if free else 1)
+
+
+def test_point_scan_of_a_field_past_row_chunk_takes_runs():
+    """At q = 65521 > ROW_CHUNK the one free column of the points of F_q^2
+    with pivot 0 comes in runs of ROW_CHUNK values, at most
+    ceil(65521 / ROW_CHUNK) entries, not one entry per value; the scan of
+    a seeded point design equals expand, witnesses included."""
+    q = 65521
+    first = [packed for pivots, packed in grassmannian_choices(q, 2, 1)
+             if pivots == (0,)]
+    assert len(first) <= -(-q // subspaces.ROW_CHUNK)
+    assert list(itertools.chain.from_iterable(p[0] for p in first)) == \
+        list(range(q, 2 * q))
+    rng = random.Random(96)
+    rows = {(1,)} | {(q + rng.randrange(q),) for _ in range(3)}
+    design = SubspaceDesign.from_rows(q, 2, 1, sorted(rows))
+    scan = verify_covering(design, 1, "scan")
+    assert scan == verify_covering(design, 1, "expand")
+    assert scan.histogram == {0: q + 1 - len(rows), 1: len(rows)}
+
+
 def test_witnesses_in_a_large_ambient_space():
     """The first uncovered points of F_2^20 come from the first part of a
     split first row, and match the template odometer's."""

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcover import constructions, subspaces
+from qcover import cli, constructions, subspaces
 from qcover.bounds import basic_lower, bound_table, gaussian
 from qcover.constructions import (GF64_LINE_EXPONENTS, GF64_MODULUS,
                                   GF64_QUADS, ConstructionError, derive_steiner,
@@ -415,6 +415,35 @@ def test_gf64_construct_and_bound_size_each_orbit_once(monkeypatch):
     bound_table(2, 7)
     assert len(labelled) == 56
     assert blocks == [7]
+
+
+def test_gf64_certificate_runs_once_per_call(monkeypatch, tmp_path):
+    """Nothing is cached across calls: every bound_table call with q = 2
+    and n_max >= 7 runs gf64_orbits, and its verify_orbits certificate,
+    again, no other table does, and construct gf64 and bounds --q 2
+    --n-max 7 through cli.main each run them once."""
+    runs = []
+    gf64_orbits, verify_orbits = constructions.gf64_orbits, constructions.verify_orbits
+
+    def counted(name, function):
+        def run(*args):
+            runs.append(name)
+            return function(*args)
+        return run
+    monkeypatch.setattr(constructions, "gf64_orbits", counted("orbits", gf64_orbits))
+    monkeypatch.setattr(constructions, "verify_orbits",
+                        counted("certificate", verify_orbits))
+    bound_table(2, 7)
+    bound_table(2, 7)
+    bound_table(2, 6)
+    bound_table(3, 12)
+    assert runs == ["orbits", "certificate"] * 2
+    runs.clear()
+    assert cli.main(["construct", "gf64", "-o", str(tmp_path / "gf64.txt")]) == 0
+    assert runs == ["orbits", "certificate"]
+    runs.clear()
+    assert cli.main(["bounds", "--q", "2", "--n-max", "7"]) == 0
+    assert runs == ["orbits", "certificate"]
 
 
 def corrupt_images(action, images):

@@ -17,10 +17,10 @@ from qcover.designs import (DESIGN_MAGIC, CoverageReport, FormatError, SetSystem
                             verify_steiner_system, verify_turan)
 from qcover.constructions import (gf64_covering_design, spread, trivial_steiner,
                                   turan_point_design)
-from qcover.fields import vec_pack, vec_unpack
+from qcover.fields import FieldError, get_gf, vec_pack, vec_unpack
 from qcover.subspaces import (AmbientMismatch, BudgetError, GroupAction,
                               Subspace, enumerate_grassmannian,
-                              local_row_indices, span)
+                              grassmannian_rows, local_row_indices, span)
 
 from vector_reference import full_space, tuple_span
 
@@ -622,6 +622,58 @@ def test_design_to_text_equals_per_coordinate_reference(q):
         design = random_design(rng, q, n, k, min(rng.randint(1, 8),
                                                  gaussian(n, k, q)))
         assert design_to_text(design) == reference_design_text(design)
+
+
+def per_digit_text(design):
+    """The design file written one base-q digit at a time off the packed
+    rows, by divmod, with no table."""
+    q, n = design.q, design.n
+    lines = [DESIGN_MAGIC, f"q={q} n={n} k={design.k}"]
+    for rows in design.packed:
+        words = []
+        for v in rows:
+            digits = []
+            for _ in range(n):
+                v, digit = divmod(v, q)
+                digits.append(str(digit))
+            words.append("".join(reversed(digits)))
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+def field_sizes(top):
+    sizes = []
+    for q in range(top + 1):
+        try:
+            get_gf(q)
+        except FieldError:
+            continue
+        sizes.append(q)
+    return sizes
+
+
+@pytest.mark.parametrize("q", field_sizes(10))
+def test_design_to_text_equals_per_digit_writer_across_the_word_table_bound(q):
+    """For every field the design file can write, at the largest n whose
+    F_q^n the word table holds (F_2^10, F_3^6, ...) and one past it, random
+    designs, all points, a k = 0 design and empty designs are written as
+    the per-digit writer writes them and read back to the same design.
+    Only the n within the bound builds a table."""
+    rng = random.Random(4200 + q)
+    inside = max(n for n in range(1, 12) if q ** n <= subspaces.DIGIT_TABLE_MAX)
+    designs._word_table.cache_clear()
+    for n in (inside + 1, inside):
+        cases = [random_design(rng, q, n, k, min(6, gaussian(n, k, q)))
+                 for k in (1, 2, 3)]
+        cases += [SubspaceDesign.from_rows(q, n, 1, grassmannian_rows(q, n, 1)),
+                  SubspaceDesign.from_blocks([Subspace(q, n, (), ())], q=q, n=n, k=0),
+                  SubspaceDesign.from_blocks([], q=q, n=n, k=0),
+                  SubspaceDesign.from_blocks([], q=q, n=n, k=2)]
+        for design in cases:
+            text = design_to_text(design)
+            assert text == per_digit_text(design)
+            assert design_from_text(text) == design
+        assert designs._word_table.cache_info().currsize == (n == inside)
 
 
 @pytest.mark.parametrize("build", [
